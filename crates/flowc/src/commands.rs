@@ -246,8 +246,8 @@ fn parse_num<T: std::str::FromStr>(value: Option<String>, name: &str) -> Result<
 /// Applies the flow and writes the optimized netlist.
 ///
 /// The passes run again here rather than reusing the engine's evaluation: the
-/// engine returns QoR only (its intermediate AIGs stay inside the prefix-trie
-/// cache).  Both paths are deterministic and bit-identical, and when the flow
+/// engine returns QoR only (its intermediate AIGs stay inside its state
+/// graph).  Both paths are deterministic and bit-identical, and when the flow
 /// was answered from the persistent store the engine applied no passes at
 /// all, so the flow runs at most once plus this export.
 fn export_netlist(

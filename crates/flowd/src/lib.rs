@@ -5,8 +5,8 @@
 //! interactive traffic.  `flowd` is that step: it keeps one
 //! [`floweval::EvalEngine`] resident in a long-running process and serves
 //! flow-evaluation requests over a minimal HTTP/1.1 wire protocol, so the
-//! QoR store and the sharded prefix-trie cache warm up **across clients and
-//! connections** instead of per process.
+//! QoR store and the content-addressed state graph warm up **across clients
+//! and connections** instead of per process.
 //!
 //! ## Protocol
 //!

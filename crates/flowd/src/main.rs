@@ -33,7 +33,8 @@ OPTIONS:
                                                             [default: 8388608]
     --probe-ms <n>        degraded-store recovery probe period [default: 500]
     --verify              verify every evaluated flow by random simulation
-    --cache-nodes <n>     per-design AIG-node cache budget
+    --cache-nodes <n>     process-wide budget for resident intermediate
+                          AIGs, in total AIG nodes (LRU)  [default: 4000000]
     --edit-mode <mode>    how passes apply replacements: `inplace` mutates
                           the resident graph, `rebuild` is the pinned
                           re-emit path (bit-identical QoR)

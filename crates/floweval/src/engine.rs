@@ -1,71 +1,58 @@
-//! The cache-aware batch evaluation engine.
+//! The cache-aware evaluation engine.
 //!
 //! [`EvalEngine::evaluate_batch`] replaces naive `FlowRunner::run_batch`
-//! calls on the framework's hot path.  A batch is served in three layers:
+//! calls on the framework's hot path; [`EvalEngine::evaluate_flow_with_ctx`]
+//! is the same thing for one flow on a caller-owned context (the `flowd`
+//! request path).  Both are served in two layers:
 //!
 //! 1. **Persistent QoR store** — flows already evaluated for this design and
 //!    configuration (in this process or a previous one) are answered without
-//!    touching the synthesis passes at all.
-//! 2. **Prefix trie** — the remaining flows are merged into a per-design
-//!    prefix trie; each distinct trie edge is evaluated exactly once, and
-//!    interior AIGs memoized by earlier batches short-circuit whole prefixes.
-//! 3. **Batched parallel scheduler** — the active sub-trie is split into
-//!    independent subtrees at a configurable depth and the subtrees are
-//!    evaluated in parallel, each worker walking its subtree depth-first so
-//!    at most one intermediate AIG per level is alive per worker.
+//!    touching the synthesis passes at all.  Keyed by *flow*.
+//! 2. **State graph** — the remaining flows go through the evaluation kernel
+//!    (`kernel.rs`) against the engine's one content-addressed state graph
+//!    (`state.rs`), keyed by *graph content*: each distinct
+//!    `(graph, transform)` edge is applied once, passes known to change
+//!    nothing are skipped, converging flows share everything downstream, and
+//!    each distinct terminal graph is mapped once.
 //!
-//! Because every synthesis pass and the mapper are deterministic, the engine
-//! returns **bit-identical** QoR to `FlowRunner::run` (the integration tests
-//! assert this), while applying strictly fewer transform passes on any batch
-//! with shared prefixes.
+//! Because every synthesis pass and the mapper are deterministic functions of
+//! the graph they are given (the kernel asserts this whenever it recomputes a
+//! known edge), the engine returns **bit-identical** QoR to `FlowRunner::run`
+//! (the integration tests assert this), while applying far fewer passes.
 
-use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex};
 
-use aig::{random_equivalence_check, Aig, NodeKind};
+use aig::{Aig, NodeKind};
 use flow_core::{CancelToken, Cancelled, Fingerprint, Fnv64};
-use rayon::prelude::*;
-use serde::Serialize;
 use synth::{
-    map_with_ctx, CellLibrary, CutEngine, EditMode, FlowRunner, MapperParams, PassContext,
-    PassTimings, Qor, Transform,
+    CellLibrary, CutEngine, EditMode, FlowRunner, MapperParams, PassContext, PassTimings, Qor,
+    Transform,
 };
 
+use crate::kernel::Contexts;
+use crate::state::{CacheSummary, StateGraph, MAX_STATES};
 use crate::stats::EvalStats;
 use crate::store::{QorStore, StoreKey};
-use crate::trie::{FlowTrie, TrieNodeId, TRIE_ROOT};
 
 /// Tuning knobs of the evaluation engine.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Memory budget for memoized intermediate AIGs, in total AIG nodes,
-    /// per design trie.  Least-recently-used prefixes are evicted beyond it.
+    /// Memory budget for resident intermediate AIGs, in total AIG nodes,
+    /// **process-wide**: one least-recently-used budget over every design
+    /// this engine evaluates.  What is evicted is recomputed on demand.
     pub cache_budget_aig_nodes: usize,
-    /// Memoize intermediate AIGs for prefixes up to this depth.  Deeper
-    /// prefixes are recomputed on demand (they are rarely shared).
-    pub cache_depth: usize,
-    /// Depth at which the active sub-trie is split into parallel subtrees.
-    pub split_depth: usize,
     /// Optional base path backing the persistent QoR store (a legacy
     /// JSON-lines file, or the base of a v2 segmented store).
     pub store_path: Option<PathBuf>,
     /// Durability tunables for the persistent store (segment rotation size,
     /// degraded-mode threshold, parked-queue bound).
     pub store_options: crate::store::StoreOptions,
-    /// Functionally verify every evaluated flow by random simulation against
-    /// the input design (the analogue of `FlowRunner::with_verification`).
+    /// Functionally verify evaluated flows by random simulation against the
+    /// input design (the analogue of `FlowRunner::with_verification`): every
+    /// distinct (design, final graph) pair is checked at least once.
     /// A verification failure panics: it means a synthesis pass is broken.
     pub verify: bool,
-    /// Number of independent locks the per-design trie cache is sharded
-    /// over.  Concurrent clients working on different designs contend only
-    /// when their design fingerprints land on the same shard.
-    pub trie_shards: usize,
-    /// Maximum number of design tries resident across all shards; beyond it,
-    /// least-recently-used designs are evicted whole (their persistent-store
-    /// records survive, only the memoized intermediate AIGs are dropped).
-    pub max_resident_designs: usize,
     /// How pass sweeps apply accepted replacements in the evaluation
     /// contexts this engine creates ([`EditMode::InPlace`] mutates the
     /// resident graph; [`EditMode::Rebuild`] is the pinned re-emit path).
@@ -83,13 +70,9 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             cache_budget_aig_nodes: 4_000_000,
-            cache_depth: 6,
-            split_depth: 2,
             store_path: None,
             store_options: crate::store::StoreOptions::default(),
             verify: false,
-            trie_shards: 16,
-            max_resident_designs: 64,
             edit_mode: EditMode::default(),
             share_isop_cache: true,
         }
@@ -101,67 +84,6 @@ impl Default for EngineConfig {
 struct StatsState {
     stats: EvalStats,
     timings: PassTimings,
-}
-
-/// One shard of the per-design trie cache: a slice of the design space keyed
-/// by fingerprint, under its own lock.
-#[derive(Debug, Default)]
-struct TrieShard {
-    tries: HashMap<Fingerprint, TrieSlot>,
-    /// Shard-local LRU clock, bumped on every touch.
-    clock: u64,
-}
-
-/// A resident design trie.  `trie` is `None` while a batch has the trie
-/// checked out (the batch returns it on commit).
-#[derive(Debug)]
-struct TrieSlot {
-    trie: Option<FlowTrie>,
-    last_used: u64,
-}
-
-impl TrieShard {
-    /// Bumps the clock and returns the new value.
-    fn tick(&mut self) -> u64 {
-        self.clock += 1;
-        self.clock
-    }
-
-    /// Evicts least-recently-used resident tries until at most `cap` remain.
-    /// Checked-out slots are skipped: their batch will re-insert them, and
-    /// dropping the slot would only lose the LRU stamp.
-    fn evict_to(&mut self, cap: usize) {
-        while self.tries.len() > cap {
-            let victim = self
-                .tries
-                .iter()
-                .filter(|(_, slot)| slot.trie.is_some())
-                .min_by_key(|(_, slot)| slot.last_used)
-                .map(|(fp, _)| *fp);
-            match victim {
-                Some(fp) => {
-                    self.tries.remove(&fp);
-                }
-                None => break, // everything is checked out
-            }
-        }
-    }
-}
-
-/// A point-in-time summary of the shared trie cache, for monitoring
-/// endpoints (`flowd /stats`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
-pub struct CacheSummary {
-    /// Designs with a resident prefix trie.
-    pub resident_designs: usize,
-    /// Tries currently checked out by an in-flight batch.
-    pub checked_out: usize,
-    /// Trie nodes (distinct prefixes) across all resident tries.
-    pub prefixes: usize,
-    /// Prefixes holding a memoized intermediate AIG.
-    pub cached_prefixes: usize,
-    /// Total AIG nodes held by memoized intermediates.
-    pub cached_aig_nodes: usize,
 }
 
 /// The cache-aware flow-evaluation engine.
@@ -184,16 +106,21 @@ pub struct CacheSummary {
 /// ```
 #[derive(Debug)]
 pub struct EvalEngine {
-    library: CellLibrary,
-    mapper: MapperParams,
+    pub(crate) library: CellLibrary,
+    pub(crate) mapper: MapperParams,
     config_fp: Fingerprint,
-    config: EngineConfig,
+    pub(crate) config: EngineConfig,
     /// The persistent QoR store.  Lookups and appends are short critical
     /// sections; evaluation never runs under this lock.
     store: Mutex<QorStore>,
-    /// The per-design prefix-trie cache, sharded by design fingerprint so
-    /// concurrent clients on different designs take different locks.
-    shards: Vec<Mutex<TrieShard>>,
+    /// The content-addressed state graph shared by every caller.  One lock:
+    /// its critical sections are hash-map probes and `Arc` hand-offs, never
+    /// a copy, a pass or a mapping.
+    pub(crate) graph: Mutex<StateGraph>,
+    /// Signalled whenever a caller releases claimed work in the graph.
+    pub(crate) graph_changed: Condvar,
+    /// Recycled evaluation contexts of the batch path's parallel waves.
+    pub(crate) contexts: Mutex<Vec<PassContext>>,
     stats: Mutex<StatsState>,
     /// Engine-wide ISOP-cover memo handed to every context the engine
     /// creates (when [`EngineConfig::share_isop_cache`] is on).
@@ -230,16 +157,15 @@ impl EvalEngine {
         stats.stats.store_torn_tail = store.torn_tail_records();
         stats.stats.store_corrupt = store.corrupt_records();
         let config_fp = fingerprint_config(&library, mapper);
-        let shard_count = config.trie_shards.max(1);
         EvalEngine {
             library,
             mapper,
             config_fp,
+            graph: Mutex::new(StateGraph::new(config.cache_budget_aig_nodes, MAX_STATES)),
+            graph_changed: Condvar::new(),
             config,
             store: Mutex::new(store),
-            shards: (0..shard_count)
-                .map(|_| Mutex::new(TrieShard::default()))
-                .collect(),
+            contexts: Mutex::new(Vec::new()),
             stats: Mutex::new(stats),
             isop: synth::SharedIsopCache::new(),
         }
@@ -333,37 +259,9 @@ impl EvalEngine {
         self.store.lock().expect("store lock").checkpoint()
     }
 
-    /// A point-in-time summary of the sharded trie cache.
+    /// A point-in-time summary of the state graph.
     pub fn cache_summary(&self) -> CacheSummary {
-        let mut summary = CacheSummary::default();
-        for shard in &self.shards {
-            let shard = shard.lock().expect("shard lock");
-            for slot in shard.tries.values() {
-                summary.resident_designs += 1;
-                match &slot.trie {
-                    Some(trie) => {
-                        summary.prefixes += trie.len();
-                        summary.cached_prefixes += trie.cached_prefixes();
-                        summary.cached_aig_nodes += trie.cached_aig_nodes();
-                    }
-                    None => summary.checked_out += 1,
-                }
-            }
-        }
-        summary
-    }
-
-    /// The shard holding `design_fp`'s trie.
-    fn shard(&self, design_fp: Fingerprint) -> &Mutex<TrieShard> {
-        &self.shards[(design_fp.0 as usize) % self.shards.len()]
-    }
-
-    /// Per-shard cap on resident designs implied by the process-wide limit.
-    fn per_shard_design_cap(&self) -> usize {
-        self.config
-            .max_resident_designs
-            .div_ceil(self.shards.len())
-            .max(1)
+        self.graph().summary()
     }
 
     /// Commits one batch's counters (and optional worker timings).
@@ -378,133 +276,32 @@ impl EvalEngine {
     /// Evaluates a batch of flows on `design`, returning QoR in input order.
     ///
     /// Results are bit-identical to `FlowRunner::run` with the same library
-    /// and mapper parameters.
+    /// and mapper parameters, and deterministic in every counter: each
+    /// distinct unknown `(graph, transform)` edge of the batch is applied
+    /// exactly once at any thread count.
     ///
-    /// The engine lock is held only for store lookups and the final commit;
-    /// the evaluation itself — including the parallel subtree phase — runs
-    /// with the lock released, so concurrent callers (e.g. `engine.stats()`
-    /// from a monitoring thread) are never blocked behind a long batch.  Two
-    /// callers evaluating the *same* design concurrently may duplicate work
-    /// (each checks out its own trie); results stay correct and store inserts
-    /// are idempotent.
+    /// No engine lock is held while a pass or the mapper runs, so concurrent
+    /// callers (e.g. `engine.stats()` from a monitoring thread) are never
+    /// blocked behind a long batch.  Callers racing on the *same* design may
+    /// duplicate an edge the other has not committed yet; results stay
+    /// correct and store inserts are idempotent.
     pub fn evaluate_batch(&self, design: &Aig, flows: &[Vec<Transform>]) -> Vec<Qor> {
-        let start = std::time::Instant::now();
-        let design_fp = fingerprint_design(design);
-        let mut batch = EvalStats {
-            flows_requested: flows.len(),
-            passes_requested: flows.iter().map(Vec::len).sum(),
-            ..EvalStats::default()
-        };
-
-        // Store keys are built once, outside the lock, so the critical
-        // sections below do lookups and inserts only.
-        let keys: Vec<StoreKey> = flows
-            .iter()
-            .map(|flow| StoreKey {
-                design: design_fp,
-                config: self.config_fp,
-                flow: flow_script(flow),
-            })
-            .collect();
-
-        // Phase 1a (store-locked): persistent-store lookups.
-        let mut results: Vec<Option<Qor>> = Vec::with_capacity(flows.len());
-        let mut misses: Vec<usize> = Vec::new();
-        {
-            let store = self.store.lock().expect("store lock");
-            for key in &keys {
-                match store.get(key) {
-                    Some(qor) => {
-                        batch.store_hits += 1;
-                        results.push(Some(qor));
-                    }
-                    None => {
-                        misses.push(results.len());
-                        results.push(None);
-                    }
-                }
-            }
-        }
-        batch.flows_evaluated = misses.len();
-
-        // Phase 1b (shard-locked): trie check-out.  While checked out the
-        // slot stays resident with `trie = None`; a concurrent batch on the
-        // same design starts a fresh trie (duplicated work, correct results).
-        let mut trie: Option<FlowTrie> = None;
-        if !misses.is_empty() {
-            let mut shard = self.shard(design_fp).lock().expect("shard lock");
-            let clock = shard.tick();
-            let slot = shard.tries.entry(design_fp).or_insert(TrieSlot {
-                trie: None,
-                last_used: clock,
-            });
-            slot.last_used = clock;
-            trie = Some(
-                slot.trie
-                    .take()
-                    .unwrap_or_else(|| FlowTrie::new(self.config.cache_budget_aig_nodes)),
-            );
-        }
-
-        // Phase 2 (unlocked): trie evaluation, parallel across subtrees.
-        let mut evaluated: Vec<(usize, Qor)> = Vec::new();
-        let mut timings = PassTimings::default();
-        if let Some(trie) = trie.as_mut() {
-            evaluated =
-                self.evaluate_misses(trie, design, flows, &misses, &mut batch, &mut timings);
-        }
-
-        // Phase 3 (locked in store → shard → stats order): commit results,
-        // return the trie and absorb statistics.
-        {
-            let mut store = self.store.lock().expect("store lock");
-            for &(idx, qor) in &evaluated {
-                if store.insert(keys[idx].clone(), qor).is_err() {
-                    batch.store_write_errors += 1;
-                }
-                results[idx] = Some(qor);
-            }
-            // Durability (fsync) happens at drain/compact time via
-            // `flush_store`, not per batch.
-        }
-        if let Some(trie) = trie {
-            let cap = self.per_shard_design_cap();
-            let mut shard = self.shard(design_fp).lock().expect("shard lock");
-            let clock = shard.tick();
-            // On a same-design race the last writer wins; the loser's
-            // cached prefixes are advisory and safe to drop.
-            shard.tries.insert(
-                design_fp,
-                TrieSlot {
-                    trie: Some(trie),
-                    last_used: clock,
-                },
-            );
-            shard.evict_to(cap);
-        }
-        batch.wall_s = start.elapsed().as_secs_f64();
-        self.commit_stats(&batch, Some(&timings));
-        results
-            .into_iter()
-            .map(|q| q.expect("every flow evaluated"))
-            .collect()
+        self.evaluate(design, flows, None, &CancelToken::never())
+            .expect("a never-firing token cannot cancel")
     }
 
     /// Evaluates **one** flow with a caller-owned [`PassContext`], sharing
-    /// the persistent store and the sharded prefix-trie cache with every
-    /// other client of this engine.
+    /// the persistent store and the state graph with every other client of
+    /// this engine.
     ///
     /// This is the request path of the `flowd` service: each worker thread
     /// owns one long-lived context (per PR 5's one-context-per-flow design)
     /// and drives it through here, so arena buffers and analysis caches are
-    /// recycled across requests while QoR results and memoized prefixes are
-    /// shared process-wide.  Results are bit-identical to
-    /// [`EvalEngine::evaluate_batch`] and `FlowRunner::run`.
-    ///
-    /// Locking: a store lookup, then one short shard critical section to
-    /// borrow the deepest memoized prefix, then evaluation entirely outside
-    /// any lock, then short commit sections.  Pass timings stay in `pctx`;
-    /// callers that want them aggregated call [`EvalEngine::absorb_timings`].
+    /// recycled across requests while QoR results and intermediate states
+    /// are shared process-wide.  Results are bit-identical to
+    /// [`EvalEngine::evaluate_batch`] and `FlowRunner::run`.  Pass timings
+    /// stay in `pctx`; callers that want them aggregated call
+    /// [`EvalEngine::absorb_timings`].
     pub fn evaluate_flow_with_ctx(
         &self,
         design: &Aig,
@@ -518,13 +315,13 @@ impl EvalEngine {
     /// [`evaluate_flow_with_ctx`](Self::evaluate_flow_with_ctx) under a
     /// cancellation budget.
     ///
-    /// The evaluation phase (which runs outside every engine lock) arms
-    /// `pctx` with `cancel`; passes, verification and mapping poll it and
-    /// unwind once it fires.  On cancellation everything partial is
-    /// discarded — no trie prefix is published, no store record written, the
-    /// engine's locks were never held by the unwinding code — and the
-    /// context stays recyclable for the next request.  Store hits still
-    /// answer (even past the deadline, a lookup is cheaper than an error).
+    /// The evaluation (which runs outside every engine lock) arms `pctx`
+    /// with `cancel`; passes, verification and mapping poll it and unwind
+    /// once it fires.  On cancellation nothing half-built is published — the
+    /// state graph keeps only the edges of passes that completed, which are
+    /// pure facts — no store record is written, and the context stays
+    /// recyclable for the next request.  Store hits still answer (even past
+    /// the deadline, a lookup is cheaper than an error).
     pub fn try_evaluate_flow_with_ctx(
         &self,
         design: &Aig,
@@ -532,262 +329,86 @@ impl EvalEngine {
         pctx: &mut PassContext,
         cancel: &CancelToken,
     ) -> Result<Qor, Cancelled> {
-        let start = std::time::Instant::now();
-        let design_fp = fingerprint_design(design);
-        let key = StoreKey {
-            design: design_fp,
-            config: self.config_fp,
-            flow: flow_script(flow),
-        };
-        let mut batch = EvalStats {
-            flows_requested: 1,
-            passes_requested: flow.len(),
-            ..EvalStats::default()
-        };
-        if let Some(qor) = self.store.lock().expect("store lock").get(&key) {
-            batch.store_hits = 1;
-            batch.wall_s = start.elapsed().as_secs_f64();
-            self.commit_stats(&batch, None);
-            return Ok(qor);
-        }
-        batch.flows_evaluated = 1;
-
-        // Phase 1 (shard-locked): copy out the deepest memoized prefix of
-        // this flow.  `done` counts the transforms already reflected in `g`.
-        let mut g = pctx.take_buf();
-        let mut done = 0usize;
-        let mut seeded = false;
-        {
-            let mut shard = self.shard(design_fp).lock().expect("shard lock");
-            let clock = shard.tick();
-            let budget = self.config.cache_budget_aig_nodes;
-            let slot = shard.tries.entry(design_fp).or_insert(TrieSlot {
-                trie: Some(FlowTrie::new(budget)),
-                last_used: clock,
-            });
-            slot.last_used = clock;
-            if let Some(trie) = slot.trie.as_mut() {
-                if trie.peek_aig(TRIE_ROOT).is_none() {
-                    trie.cache_aig(TRIE_ROOT, design.cleanup());
-                }
-                trie.insert(flow);
-                let mut node = TRIE_ROOT;
-                let mut best = (TRIE_ROOT, 0usize);
-                for (i, &t) in flow.iter().enumerate() {
-                    node = trie.child(node, t).expect("path inserted above");
-                    if trie.peek_aig(node).is_some() {
-                        best = (node, i + 1);
-                    }
-                }
-                let (best_node, best_depth) = best;
-                let hit = trie.cached_aig(best_node).expect("root always cached");
-                g.copy_from(hit);
-                done = best_depth;
-                seeded = true;
-                if best_depth > 0 {
-                    batch.trie_hits += 1;
-                }
-            }
-        }
-        if !seeded {
-            // The trie is checked out by a concurrent batch: evaluate cold.
-            g.copy_from(design);
-            pctx.ensure_clean(&mut g);
-        }
-
-        // Phase 2 (unlocked, cancellable): apply the remaining transforms,
-        // cloning the shallow intermediates as cache candidates.  No engine
-        // lock is held anywhere in this region, so a cancellation unwind can
-        // never poison the store or a shard.
-        let mut candidates: Vec<(usize, Aig)> = Vec::new();
-        pctx.arm_cancel(cancel.clone());
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            for &t in &flow[done..] {
-                pctx.apply(t, &mut g);
-                batch.passes_applied += 1;
-                done += 1;
-                if seeded
-                    && done <= self.config.cache_depth
-                    && g.len() <= self.config.cache_budget_aig_nodes
-                {
-                    candidates.push((done, g.clone()));
-                }
-            }
-            if self.config.verify && !random_equivalence_check(design, &g, 8, VERIFY_SEED) {
-                panic!(
-                    "floweval verification failed: flow `{}` changed the function of `{}`",
-                    key.flow,
-                    design.name()
-                );
-            }
-            self.map_terminal(pctx, &g)
-        }));
-        pctx.disarm_cancel();
-        let qor = match outcome {
-            Ok(qor) => qor,
-            Err(payload) => {
-                // The working buffer is structurally valid at every
-                // checkpoint (passes replace it only after their full
-                // sweep), so it goes back to the pool either way.
-                pctx.recycle(g);
-                match payload.downcast::<Cancelled>() {
-                    Ok(cancelled) => {
-                        // Discard all partial state: `candidates` drop here,
-                        // nothing was published to the trie or the store.
-                        batch.wall_s = start.elapsed().as_secs_f64();
-                        self.commit_stats(&batch, None);
-                        return Err(*cancelled);
-                    }
-                    Err(other) => std::panic::resume_unwind(other),
-                }
-            }
-        };
-        batch.mappings_run = 1;
-        pctx.recycle(g);
-
-        // Phase 3 (locked): publish cache candidates and the result.  The
-        // prefix path is re-resolved by transforms — node ids must not be
-        // held across the unlocked phase, the trie may have been evicted or
-        // rebuilt meanwhile.
-        if !candidates.is_empty() {
-            let mut shard = self.shard(design_fp).lock().expect("shard lock");
-            let clock = shard.tick();
-            if let Some(slot) = shard.tries.get_mut(&design_fp) {
-                slot.last_used = clock;
-                if let Some(trie) = slot.trie.as_mut() {
-                    for (depth, aig) in candidates {
-                        let node = trie.insert(&flow[..depth]);
-                        if trie.peek_aig(node).is_none() {
-                            trie.cache_aig(node, aig);
-                        }
-                    }
-                }
-            }
-        }
-        {
-            let mut store = self.store.lock().expect("store lock");
-            if store.insert(key, qor).is_err() {
-                batch.store_write_errors += 1;
-            }
-            // Durability (fsync) happens at drain/compact time via
-            // `flush_store`, not per request.
-        }
-        batch.wall_s = start.elapsed().as_secs_f64();
-        self.commit_stats(&batch, None);
-        Ok(qor)
+        self.evaluate(design, &[flow], Some(pctx), cancel)
+            .map(|qors| qors[0])
     }
 
-    /// Evaluates the store misses through the prefix trie.
-    fn evaluate_misses(
+    /// Store lookup → kernel → store insert → statistics, for a batch on
+    /// pooled contexts or one request on a `lent` (cancellable) one.
+    fn evaluate<F: AsRef<[Transform]>>(
         &self,
-        trie: &mut FlowTrie,
         design: &Aig,
-        flows: &[Vec<Transform>],
-        misses: &[usize],
-        batch: &mut EvalStats,
-        timings: &mut PassTimings,
-    ) -> Vec<(usize, Qor)> {
-        if trie.peek_aig(TRIE_ROOT).is_none() {
-            trie.cache_aig(TRIE_ROOT, design.cleanup());
-        }
-
-        // Merge the miss flows into the trie; note terminals and active edges.
-        let mut terminals: HashMap<TrieNodeId, Vec<usize>> = HashMap::new();
-        let mut active: HashMap<TrieNodeId, Vec<(Transform, TrieNodeId)>> = HashMap::new();
-        for &idx in misses {
-            let terminal = trie.insert(&flows[idx]);
-            terminals.entry(terminal).or_default().push(idx);
-            let mut current = TRIE_ROOT;
-            for &t in &flows[idx] {
-                let child = trie.child(current, t).expect("edge just inserted");
-                let edges = active.entry(current).or_default();
-                if !edges.iter().any(|&(et, _)| et == t) {
-                    edges.push((t, child));
-                }
-                current = child;
-            }
-        }
-
-        // Sequential descent to the split depth, spawning one task per
-        // independent subtree.  The shallow phase runs on its own recycling
-        // pass context; each parallel worker below creates one per subtree.
-        let mut outputs: Vec<(usize, Qor)> = Vec::new();
-        let mut tasks: Vec<(TrieNodeId, Aig)> = Vec::new();
-        let mut shallow_failures: Vec<usize> = Vec::new();
-        let mut pctx = self.pass_context();
-        let root_aig = trie
-            .cached_aig(TRIE_ROOT)
-            .expect("root cached above")
-            .clone();
-        self.descend(
-            trie,
-            design,
-            &terminals,
-            &active,
-            TRIE_ROOT,
-            root_aig,
-            0,
-            &mut outputs,
-            &mut tasks,
-            &mut shallow_failures,
-            batch,
-            &mut pctx,
-        );
-        timings.merge(&pctx.take_timings());
-
-        // Parallel subtree evaluation over the shared, now-immutable trie.
-        // `claimed` bounds the total AIG nodes workers may clone as cache
-        // candidates, so peak memory respects the budget even before the
-        // commit-time LRU accounting runs.
-        let claimed = AtomicUsize::new(trie.cached_aig_nodes());
-        let ctx = BatchContext {
-            trie: &*trie,
-            terminals: &terminals,
-            active: &active,
-            claimed: &claimed,
-            verify_against: self.config.verify.then_some(design),
+        flows: &[F],
+        mut lent: Option<&mut PassContext>,
+        cancel: &CancelToken,
+    ) -> Result<Vec<Qor>, Cancelled> {
+        let start = std::time::Instant::now();
+        let design_fp = fingerprint_design(design);
+        let mut batch = EvalStats {
+            flows_requested: flows.len(),
+            passes_requested: flows.iter().map(|f| f.as_ref().len()).sum(),
+            ..EvalStats::default()
         };
-        let worker_results: Vec<WorkerResult> = tasks
-            .par_iter()
-            .map(|(node, aig)| {
-                let mut result = WorkerResult::default();
-                let mut pctx = self.pass_context();
-                self.eval_subtree(&ctx, *node, aig, &mut result, &mut pctx);
-                result.timings = pctx.take_timings();
-                result
+        let keys: Vec<StoreKey> = flows
+            .iter()
+            .map(|flow| StoreKey {
+                design: design_fp,
+                config: self.config_fp,
+                flow: flow_script(flow.as_ref()),
             })
             .collect();
+        let mut results = self.store_lookup_batch(&keys);
+        let misses: Vec<usize> = (0..flows.len()).filter(|&i| results[i].is_none()).collect();
+        batch.store_hits = flows.len() - misses.len();
+        batch.flows_evaluated = misses.len();
 
-        // Commit: merge outputs, stats, LRU touches and new cache entries
-        // (budget-enforced a second time by the trie itself).
-        let mut verify_failures: Vec<usize> = shallow_failures;
-        for result in worker_results {
-            outputs.extend(result.outputs);
-            batch.passes_applied += result.passes_applied;
-            batch.trie_hits += result.trie_hits;
-            batch.mappings_run += result.mappings_run;
-            timings.merge(&result.timings);
-            verify_failures.extend(result.verify_failures);
-            for node in result.touched {
-                trie.cached_aig(node); // refresh LRU clocks for worker hits
+        let mut timings = PassTimings::default();
+        let mut cancelled = None;
+        if !misses.is_empty() {
+            let miss_flows: Vec<&[Transform]> = misses.iter().map(|&i| flows[i].as_ref()).collect();
+            // No engine lock is held while the armed context runs, so a
+            // cancellation unwind can never poison the store or the graph.
+            if let Some(pctx) = lent.as_deref_mut() {
+                pctx.arm_cancel(cancel.clone());
             }
-            for (node, aig) in result.cache_candidates {
-                trie.cache_aig(node, aig);
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let contexts = match lent.as_deref_mut() {
+                    Some(pctx) => Contexts::Lent(pctx, cancel),
+                    None => Contexts::Pooled(&mut timings),
+                };
+                self.drive(design, design_fp, &miss_flows, contexts, &mut batch)
+            }));
+            if let Some(pctx) = lent {
+                pctx.disarm_cancel();
+            }
+            match outcome {
+                Ok(qors) => {
+                    // Durability (fsync) happens at drain/compact time via
+                    // `flush_store`, not per batch.
+                    let entries = misses
+                        .iter()
+                        .zip(&qors)
+                        .map(|(&i, &q)| (keys[i].clone(), q));
+                    batch.store_write_errors = self.store_insert_batch(entries.collect());
+                    for (&i, qor) in misses.iter().zip(qors) {
+                        results[i] = Some(qor);
+                    }
+                }
+                Err(payload) => match payload.downcast::<Cancelled>() {
+                    Ok(reason) => cancelled = Some(*reason),
+                    Err(other) => std::panic::resume_unwind(other),
+                },
             }
         }
-        if !verify_failures.is_empty() {
-            let scripts: Vec<String> = verify_failures
-                .iter()
-                .map(|&idx| flow_script(&flows[idx]))
-                .collect();
-            panic!(
-                "floweval verification failed: {} flow(s) changed the function of `{}`: {:?}",
-                scripts.len(),
-                design.name(),
-                scripts
-            );
+        batch.wall_s = start.elapsed().as_secs_f64();
+        self.commit_stats(&batch, Some(&timings));
+        match cancelled {
+            Some(reason) => Err(reason),
+            None => Ok(results
+                .into_iter()
+                .map(|q| q.expect("every flow evaluated"))
+                .collect()),
         }
-        outputs
     }
 
     /// A fresh evaluation context configured with this engine's
@@ -807,12 +428,6 @@ impl EvalEngine {
     /// Cross-context hit/miss counters of the engine-wide ISOP memo.
     pub fn shared_isop_stats(&self) -> (u64, u64) {
         (self.isop.hits(), self.isop.misses())
-    }
-
-    /// The engine's configuration (orchestrator internals read the cache
-    /// tunables from here).
-    pub(crate) fn engine_config(&self) -> &EngineConfig {
-        &self.config
     }
 
     /// The configuration fingerprint store keys are built against.
@@ -840,167 +455,6 @@ impl EvalEngine {
         }
         errors
     }
-
-    /// Maps a terminal AIG through the recycling context: the subject graph
-    /// ping-pongs through a context buffer instead of a fresh allocation.
-    /// QoR bits match the reference `map_qor` exactly.
-    pub(crate) fn map_terminal(&self, pctx: &mut PassContext, aig: &Aig) -> Qor {
-        let mut subject = pctx.take_buf();
-        subject.copy_from(aig);
-        let qor = map_with_ctx(&mut subject, &self.library, self.mapper, pctx).qor();
-        pctx.recycle(subject);
-        qor
-    }
-
-    /// Sequential evaluation of the shallow levels (depth < `split_depth`).
-    #[allow(clippy::too_many_arguments)]
-    fn descend(
-        &self,
-        trie: &mut FlowTrie,
-        design: &Aig,
-        terminals: &HashMap<TrieNodeId, Vec<usize>>,
-        active: &HashMap<TrieNodeId, Vec<(Transform, TrieNodeId)>>,
-        node: TrieNodeId,
-        aig: Aig,
-        depth: usize,
-        outputs: &mut Vec<(usize, Qor)>,
-        tasks: &mut Vec<(TrieNodeId, Aig)>,
-        failures: &mut Vec<usize>,
-        batch: &mut EvalStats,
-        pctx: &mut PassContext,
-    ) {
-        if depth >= self.config.split_depth {
-            tasks.push((node, aig));
-            return;
-        }
-        if let Some(indices) = terminals.get(&node) {
-            if self.config.verify && !random_equivalence_check(design, &aig, 8, VERIFY_SEED) {
-                failures.extend_from_slice(indices);
-            }
-            let qor = self.map_terminal(pctx, &aig);
-            batch.mappings_run += 1;
-            outputs.extend(indices.iter().map(|&idx| (idx, qor)));
-        }
-        if let Some(edges) = active.get(&node) {
-            for &(t, child) in edges {
-                let child_aig = if trie.peek_aig(child).is_some() {
-                    batch.trie_hits += 1;
-                    let hit = trie.cached_aig(child).expect("peeked above"); // touch LRU
-                    let mut buf = pctx.take_buf();
-                    buf.copy_from(hit);
-                    buf
-                } else {
-                    let mut next = pctx.take_buf();
-                    next.copy_from(&aig);
-                    pctx.apply(t, &mut next);
-                    batch.passes_applied += 1;
-                    if trie.depth(child) <= self.config.cache_depth {
-                        trie.cache_aig(child, next.clone());
-                    }
-                    next
-                };
-                self.descend(
-                    trie,
-                    design,
-                    terminals,
-                    active,
-                    child,
-                    child_aig,
-                    depth + 1,
-                    outputs,
-                    tasks,
-                    failures,
-                    batch,
-                    pctx,
-                );
-            }
-        }
-        pctx.recycle(aig);
-    }
-
-    /// Depth-first evaluation of one subtree (runs on a worker thread).
-    fn eval_subtree(
-        &self,
-        ctx: &BatchContext<'_>,
-        node: TrieNodeId,
-        aig: &Aig,
-        result: &mut WorkerResult,
-        pctx: &mut PassContext,
-    ) {
-        if let Some(indices) = ctx.terminals.get(&node) {
-            if let Some(reference) = ctx.verify_against {
-                if !random_equivalence_check(reference, aig, 8, VERIFY_SEED) {
-                    result.verify_failures.extend_from_slice(indices);
-                }
-            }
-            let qor = self.map_terminal(pctx, aig);
-            result.mappings_run += 1;
-            result.outputs.extend(indices.iter().map(|&idx| (idx, qor)));
-        }
-        let Some(edges) = ctx.active.get(&node) else {
-            return;
-        };
-        for &(t, child) in edges {
-            if let Some(cached) = ctx.trie.peek_aig(child) {
-                result.trie_hits += 1;
-                result.touched.push(child);
-                self.eval_subtree(ctx, child, cached, result, pctx);
-            } else {
-                let mut next = pctx.take_buf();
-                next.copy_from(aig);
-                pctx.apply(t, &mut next);
-                result.passes_applied += 1;
-                if ctx.trie.depth(child) <= self.config.cache_depth
-                    && ctx.try_claim(next.len(), self.config.cache_budget_aig_nodes)
-                {
-                    result.cache_candidates.push((child, next.clone()));
-                }
-                self.eval_subtree(ctx, child, &next, result, pctx);
-                pctx.recycle(next);
-            }
-        }
-    }
-}
-
-/// Seed used for random-simulation verification, matching `FlowRunner`.
-pub(crate) const VERIFY_SEED: u64 = 0x5EED;
-
-/// Shared read-only context of one batch's parallel phase.
-struct BatchContext<'a> {
-    trie: &'a FlowTrie,
-    terminals: &'a HashMap<TrieNodeId, Vec<usize>>,
-    active: &'a HashMap<TrieNodeId, Vec<(Transform, TrieNodeId)>>,
-    /// AIG nodes claimed for cache candidates across all workers (including
-    /// what the trie already holds), bounding peak memory of the batch.
-    claimed: &'a AtomicUsize,
-    /// When verification is enabled, the reference design to simulate against.
-    verify_against: Option<&'a Aig>,
-}
-
-impl BatchContext<'_> {
-    /// Attempts to reserve `size` AIG nodes of cache-candidate memory.
-    fn try_claim(&self, size: usize, budget: usize) -> bool {
-        let before = self.claimed.fetch_add(size, Ordering::Relaxed);
-        if before.saturating_add(size) <= budget {
-            true
-        } else {
-            self.claimed.fetch_sub(size, Ordering::Relaxed);
-            false
-        }
-    }
-}
-
-/// Per-worker evaluation scratch, merged under the engine lock afterwards.
-#[derive(Debug, Default)]
-struct WorkerResult {
-    outputs: Vec<(usize, Qor)>,
-    cache_candidates: Vec<(TrieNodeId, Aig)>,
-    touched: Vec<TrieNodeId>,
-    verify_failures: Vec<usize>,
-    passes_applied: usize,
-    trie_hits: usize,
-    mappings_run: usize,
-    timings: PassTimings,
 }
 
 /// Renders a transform sequence as the canonical ABC-style script, identical

@@ -3,27 +3,31 @@
 //! Dataset collection dominates the paper's runtime: labelling 10,000 training
 //! flows and evaluating 100,000 sample flows takes 3–4 days on a 2 × 12-core
 //! machine (Yu, Xiao, De Micheli — DAC 2018), yet flows drawn from the §2.1
-//! search space share long common prefixes whose intermediate AIGs a naive
+//! search space keep reaching the same few intermediate AIGs — over half of
+//! all sweeps change nothing, and different orders converge — which a naive
 //! `run_batch` recomputes from scratch for every flow.
 //!
 //! This crate is the evaluation layer the rest of the workspace goes through:
 //!
-//! * [`FlowTrie`] — a prefix trie over transform sequences that memoizes
-//!   intermediate optimized AIGs under an LRU memory budget, so a batch costs
-//!   one pass application per **distinct trie edge** instead of one per flow
-//!   step;
+//! * a content-addressed **state graph** (`state.rs`): a state is an AIG
+//!   identified by a structural hash, an edge is `(state, transform) → state`,
+//!   a terminal remembers its QoR, and resident AIGs live under one LRU
+//!   budget — so evaluation costs one pass per **distinct
+//!   `(graph, transform)` pair** instead of one per flow step, however the
+//!   graph was reached;
 //! * [`QorStore`] — a persistent JSON-lines store of evaluation results,
 //!   content-addressed by design fingerprint + configuration fingerprint +
 //!   flow script, so repeated runs, benches and ablations never re-evaluate a
 //!   known flow;
-//! * [`EvalEngine`] — the batched scheduler tying both together and fanning
-//!   independent subtrees out across worker threads;
+//! * [`EvalEngine`] — the store in front of one evaluation kernel
+//!   (`kernel.rs`) that batches, single requests and search workers all call;
 //! * [`EvalStats`] — hit/miss/passes-avoided counters surfaced through
 //!   `flowgen::FrameworkReport`.
 //!
 //! Evaluation is **bit-identical** to `synth::FlowRunner`: every pass and the
-//! mapper are deterministic, so a memoized prefix yields exactly the AIG the
-//! naive evaluator would have recomputed.
+//! mapper are deterministic functions of the graph they are given (the kernel
+//! asserts it whenever it recomputes a known edge), so a memoized state is
+//! exactly the AIG the naive evaluator would have recomputed.
 //!
 //! ## Quick example
 //!
@@ -48,18 +52,17 @@
 #![warn(missing_docs)]
 
 mod engine;
+mod kernel;
 mod orchestrator;
+mod state;
 mod stats;
 mod store;
-mod trie;
 
-pub use engine::{
-    fingerprint_config, fingerprint_design, flow_script, CacheSummary, EngineConfig, EvalEngine,
-};
+pub use engine::{fingerprint_config, fingerprint_design, flow_script, EngineConfig, EvalEngine};
 pub use orchestrator::{
     FlowSource, SearchConfig, SearchLabel, SearchOutcome, SearchReport, StragglerInjection,
     TrajectoryPoint, PAPER_FLOW_LEN,
 };
+pub use state::CacheSummary;
 pub use stats::EvalStats;
 pub use store::{CompactionReport, QorStore, StoreKey, StoreMode, StoreOptions, StoreSummary};
-pub use trie::{FlowTrie, TrieNodeId, TRIE_ROOT};

@@ -1,30 +1,30 @@
 //! Sharded flow-space search: a work-stealing exploration orchestrator.
 //!
-//! [`EvalEngine::evaluate_batch`] parallelizes *within* one design's prefix
-//! trie, but a dataset-collection campaign (the paper labels 100,000 sample
-//! flows across many designs) is a different shape of workload: many designs
-//! times many flows, arriving as one big exploration job.  This module adds
+//! [`EvalEngine::evaluate_batch`] parallelizes *within* one design's batch,
+//! but a dataset-collection campaign (the paper labels 100,000 sample flows
+//! across many designs) is a different shape of workload: many designs times
+//! many flows, arriving as one big exploration job.  This module adds
 //! [`EvalEngine::search`], which partitions that workload into **shards by
-//! shared-prefix affinity**, runs one worker thread per shard — each owning a
-//! recycling [`PassContext`] and a *private* [`FlowTrie`] cache slice — and
-//! merges everything into the engine's single process-wide QoR store (whose
-//! inserts are idempotent, so duplicated work dedups for free).
+//! shared-prefix affinity** and runs one worker thread per shard — each
+//! owning a recycling [`PassContext`] and calling the engine's evaluation
+//! kernel, one flow at a time, against the engine's **shared state graph** —
+//! and merges everything into the engine's single process-wide QoR store
+//! (whose inserts are idempotent, so duplicated work dedups for free).
 //!
 //! Scheduling is **budget-aware**: each worker keeps an EMA cost model per
 //! transform, seeded from the engine's cumulative [`PassTimings`] and updated
 //! from its own context after every job, and picks the next flow from a
-//! bounded window of its queue by *expected reuse per millisecond* — the
-//! depth of the flow's already-cached prefix divided by the predicted cost of
-//! the remaining passes.  Workers that drain their shard **steal half of the
-//! largest remaining queue** (from the cold end, preserving the victim's
-//! affinity ordering at the front).
+//! bounded window of its queue by *expected reuse per millisecond* — how many
+//! of the flow's leading passes the state graph can already answer, divided
+//! by the predicted cost of the remaining ones.  Workers that drain their
+//! shard **steal half of the largest remaining queue** (from the cold end,
+//! preserving the victim's affinity ordering at the front).
 //!
-//! Every pass and the mapper are deterministic and prefix AIGs are pure
-//! functions of `(design, prefix)`, so the label set and the QoR bits are
-//! **identical to a single-process [`EvalEngine::evaluate_batch`]** run over
-//! the same designs and flows, for any worker count and any steal schedule —
-//! the differential tests pin this for 1/2/4/8 workers and under injected
-//! stragglers.
+//! Every pass and the mapper are deterministic functions of the graph they
+//! are given, so the label set and the QoR bits are **identical to a
+//! single-process [`EvalEngine::evaluate_batch`]** run over the same designs
+//! and flows, for any worker count and any steal schedule — the differential
+//! tests pin this for 1/2/4/8 workers and under injected stragglers.
 //!
 //! ```
 //! use circuits::{Design, DesignScale};
@@ -43,14 +43,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use aig::{random_equivalence_check, Aig};
+use aig::Aig;
 use serde::Serialize;
-use synth::{PassContext, PassTimings, Qor, Transform};
+use synth::{PassTimings, Qor, Transform};
 
-use crate::engine::{fingerprint_design, EvalEngine, VERIFY_SEED};
+use crate::engine::{fingerprint_design, EvalEngine};
+use crate::kernel::Contexts;
 use crate::stats::EvalStats;
 use crate::store::StoreKey;
-use crate::trie::{FlowTrie, TRIE_ROOT};
 
 /// Flow length of the paper's search space (§2.1: `m · n` with `n = 6`
 /// transformations repeated `m = 4` times each).
@@ -183,7 +183,7 @@ pub struct SearchConfig {
     pub workers: usize,
     /// Jobs are grouped by design and by their first `shard_prefix_len`
     /// transforms before shard assignment, so flows sharing a prefix land on
-    /// the same worker's private trie.
+    /// the same worker and are evaluated back to back.
     pub shard_prefix_len: usize,
     /// The budget-aware scheduler scans up to this many jobs at the front of
     /// the worker's queue and picks the best reuse-per-cost score.
@@ -252,11 +252,11 @@ pub struct SearchReport {
     pub store_hits: usize,
     /// Flows evaluated by the workers.
     pub evaluated: usize,
-    /// Transform passes actually applied (after prefix reuse).
+    /// Transform passes actually applied (after state-graph reuse).
     pub passes_applied: usize,
     /// Transform passes the flow list requested.
     pub passes_requested: usize,
-    /// Jobs that started from a non-root cached prefix.
+    /// Jobs that started below their design's root state.
     pub trie_hits: usize,
     /// Steal events (one per half-queue transfer).
     pub steals: u64,
@@ -371,10 +371,8 @@ struct SearchShared<'a> {
 struct WorkerOut {
     results: Vec<(JobId, Qor)>,
     completion_times: Vec<f64>,
-    evaluated: usize,
-    passes_applied: usize,
-    trie_hits: usize,
-    store_write_errors: usize,
+    /// The kernel's counters over this worker's jobs.
+    stats: EvalStats,
     timings: PassTimings,
 }
 
@@ -429,23 +427,21 @@ impl EvalEngine {
         }
 
         // Store prefilter under one lock: known labels never reach a shard.
+        let label = |job: usize, qor: Qor, from_store: bool| SearchLabel {
+            design: jobs[job].0 as usize,
+            flow: jobs[job].1 as usize,
+            qor,
+            from_store,
+        };
         let mut labels: Vec<SearchLabel> = Vec::with_capacity(jobs.len());
         let mut misses: Vec<JobId> = Vec::new();
         for (idx, cached) in self.store_lookup_batch(&keys).into_iter().enumerate() {
             match cached {
-                Some(qor) => {
-                    let (d, f) = jobs[idx];
-                    report.store_hits += 1;
-                    labels.push(SearchLabel {
-                        design: d as usize,
-                        flow: f as usize,
-                        qor,
-                        from_store: true,
-                    });
-                }
+                Some(qor) => labels.push(label(idx, qor, true)),
                 None => misses.push(idx as JobId),
             }
         }
+        report.store_hits = labels.len();
 
         let queues = shard_jobs(&misses, &jobs, flows, workers, config.shard_prefix_len);
         let shared = SearchShared {
@@ -481,24 +477,19 @@ impl EvalEngine {
         // Merge worker outputs into the label list, the stats commit and the
         // completion trajectory.
         let mut merged_timings = PassTimings::default();
+        let mut merged = EvalStats::default();
         let mut times: Vec<f64> = Vec::new();
         for out in outs {
-            for (job, qor) in out.results {
-                let (d, f) = jobs[job as usize];
-                labels.push(SearchLabel {
-                    design: d as usize,
-                    flow: f as usize,
-                    qor,
-                    from_store: false,
-                });
-            }
+            let evaluated = out.results.into_iter();
+            labels.extend(evaluated.map(|(job, qor)| label(job as usize, qor, false)));
             times.extend(out.completion_times);
-            report.evaluated += out.evaluated;
-            report.passes_applied += out.passes_applied;
-            report.trie_hits += out.trie_hits;
-            report.store_write_errors += out.store_write_errors;
+            merged.absorb(&out.stats);
             merged_timings.merge(&out.timings);
         }
+        report.evaluated = merged.flows_evaluated;
+        report.passes_applied = merged.passes_applied;
+        report.trie_hits = merged.trie_hits;
+        report.store_write_errors = merged.store_write_errors;
         labels.sort_unstable_by_key(|l| (l.design, l.flow));
         times.sort_unstable_by(f64::total_cmp);
         report.trajectory = downsample_trajectory(&times, 120);
@@ -520,14 +511,9 @@ impl EvalEngine {
             &EvalStats {
                 flows_requested: report.jobs,
                 store_hits: report.store_hits,
-                flows_evaluated: report.evaluated,
                 passes_requested: report.passes_requested,
-                passes_applied: report.passes_applied,
-                trie_hits: report.trie_hits,
-                mappings_run: report.evaluated,
-                store_write_errors: report.store_write_errors,
                 wall_s: report.wall_s,
-                ..EvalStats::default()
+                ..merged
             },
             Some(&merged_timings),
         );
@@ -596,16 +582,14 @@ fn shard_jobs(
 }
 
 /// The body of one search worker: drain the own shard with budget-aware
-/// picks, then steal; evaluate each job against the worker's private trie
-/// slice; flush results to the store in batches.
+/// picks, then steal; evaluate each job through the engine's kernel against
+/// the shared state graph; flush results to the store in batches.
 fn worker_loop(shared: &SearchShared<'_>, me: usize, seed_timings: &PassTimings) -> WorkerOut {
     let mut out = WorkerOut::default();
     let mut pctx = shared.engine.pass_context();
     let mut model = CostModel::seeded(seed_timings);
-    let config = shared.engine.engine_config();
-    let trie_budget = (config.cache_budget_aig_nodes / shared.config.workers.max(1)).max(1);
-    let mut tries: HashMap<u32, FlowTrie> = HashMap::new();
     let mut pending: Vec<(StoreKey, Qor)> = Vec::new();
+    let never = flow_core::CancelToken::never();
 
     loop {
         if shared.stop.load(Ordering::Relaxed) {
@@ -618,7 +602,7 @@ fn worker_loop(shared: &SearchShared<'_>, me: usize, seed_timings: &PassTimings)
                 break;
             }
         }
-        let job = match pick_job(shared, me, &tries, &model) {
+        let job = match pick_job(shared, me, &model) {
             Some(job) => job,
             None => match steal(shared, me) {
                 Some(()) => continue,
@@ -632,17 +616,21 @@ fn worker_loop(shared: &SearchShared<'_>, me: usize, seed_timings: &PassTimings)
                 std::thread::sleep(std::time::Duration::from_millis(straggler.delay_ms));
             }
         }
-        let design = &shared.designs[d as usize];
-        let flow = &shared.flows[f as usize];
-        let trie = tries.entry(d).or_insert_with(|| FlowTrie::new(trie_budget));
-        let qor = evaluate_job(shared.engine, design, flow, trie, &mut pctx, &mut out);
+        let key = &shared.keys[job as usize];
+        let qor = shared.engine.drive(
+            &shared.designs[d as usize],
+            key.design,
+            std::slice::from_ref(&shared.flows[f as usize]),
+            Contexts::Lent(&mut pctx, &never),
+            &mut out.stats,
+        )[0];
         out.results.push((job, qor));
-        out.evaluated += 1;
+        out.stats.flows_evaluated += 1;
         out.completion_times
             .push(shared.start.elapsed().as_secs_f64());
-        pending.push((shared.keys[job as usize].clone(), qor));
+        pending.push((key.clone(), qor));
         if pending.len() >= shared.config.commit_batch.max(1) {
-            out.store_write_errors += shared
+            out.stats.store_write_errors += shared
                 .engine
                 .store_insert_batch(std::mem::take(&mut pending));
         }
@@ -660,20 +648,16 @@ fn worker_loop(shared: &SearchShared<'_>, me: usize, seed_timings: &PassTimings)
         }
     }
     if !pending.is_empty() {
-        out.store_write_errors += shared.engine.store_insert_batch(pending);
+        out.stats.store_write_errors += shared.engine.store_insert_batch(pending);
     }
     out
 }
 
 /// Budget-aware pick: scan up to `schedule_window` jobs at the front of the
-/// own queue and take the one with the best cached-prefix-depth per predicted
-/// remaining cost.  Ties break toward the front (deterministic).
-fn pick_job(
-    shared: &SearchShared<'_>,
-    me: usize,
-    tries: &HashMap<u32, FlowTrie>,
-    model: &CostModel,
-) -> Option<JobId> {
+/// own queue and take the one with the best known-depth (leading passes the
+/// state graph already answers) per predicted remaining cost.  Ties break
+/// toward the front (deterministic).
+fn pick_job(shared: &SearchShared<'_>, me: usize, model: &CostModel) -> Option<JobId> {
     let mut queue = shared.queues[me].lock().expect("shard queue lock");
     if queue.is_empty() {
         return None;
@@ -681,9 +665,10 @@ fn pick_job(
     let window = shared.config.schedule_window.max(1).min(queue.len());
     let mut best: (usize, f64) = (0, f64::NEG_INFINITY);
     for (i, &job) in queue.iter().take(window).enumerate() {
-        let (d, f) = shared.jobs[job as usize];
-        let flow = &shared.flows[f as usize];
-        let depth = tries.get(&d).map_or(0, |trie| cached_depth(trie, flow));
+        let flow = &shared.flows[shared.jobs[job as usize].1 as usize];
+        let depth = shared
+            .engine
+            .known_depth(shared.keys[job as usize].design, flow);
         let cost_ms = model.remaining_ms(flow, depth).max(1e-9);
         let score = (depth as f64 + 1.0) / cost_ms;
         if score > best.1 {
@@ -691,24 +676,6 @@ fn pick_job(
         }
     }
     queue.remove(best.0)
-}
-
-/// Length of the deepest prefix of `flow` with a cached AIG in `trie`.
-fn cached_depth(trie: &FlowTrie, flow: &[Transform]) -> usize {
-    let mut node = TRIE_ROOT;
-    let mut best = 0;
-    for (i, &t) in flow.iter().enumerate() {
-        match trie.child(node, t) {
-            Some(child) => {
-                if trie.peek_aig(child).is_some() {
-                    best = i + 1;
-                }
-                node = child;
-            }
-            None => break,
-        }
-    }
-    best
 }
 
 /// Steals half of the most-loaded other queue (from the back — the cold end
@@ -752,59 +719,6 @@ fn steal(shared: &SearchShared<'_>, me: usize) -> Option<()> {
     let mut queue = shared.queues[me].lock().expect("shard queue lock");
     queue.extend(batch);
     Some(())
-}
-
-/// Evaluates one flow against the worker's private trie slice, mirroring the
-/// engine's per-request path: seed from the deepest cached prefix, apply the
-/// remaining passes, memoize shallow intermediates, map the terminal.
-fn evaluate_job(
-    engine: &EvalEngine,
-    design: &Aig,
-    flow: &[Transform],
-    trie: &mut FlowTrie,
-    pctx: &mut PassContext,
-    out: &mut WorkerOut,
-) -> Qor {
-    let config = engine.engine_config();
-    if trie.peek_aig(TRIE_ROOT).is_none() {
-        trie.cache_aig(TRIE_ROOT, design.cleanup());
-    }
-    trie.insert(flow);
-    let mut node = TRIE_ROOT;
-    let mut best = (TRIE_ROOT, 0usize);
-    for (i, &t) in flow.iter().enumerate() {
-        node = trie.child(node, t).expect("path inserted above");
-        if trie.peek_aig(node).is_some() {
-            best = (node, i + 1);
-        }
-    }
-    let (best_node, mut done) = best;
-    if done > 0 {
-        out.trie_hits += 1;
-    }
-    let mut g = pctx.take_buf();
-    g.copy_from(trie.cached_aig(best_node).expect("root always cached"));
-    for &t in &flow[done..] {
-        pctx.apply(t, &mut g);
-        out.passes_applied += 1;
-        done += 1;
-        if done <= config.cache_depth {
-            let node = trie.insert(&flow[..done]);
-            if trie.peek_aig(node).is_none() {
-                trie.cache_aig(node, g.clone());
-            }
-        }
-    }
-    if config.verify && !random_equivalence_check(design, &g, 8, VERIFY_SEED) {
-        panic!(
-            "floweval verification failed: flow `{}` changed the function of `{}`",
-            crate::engine::flow_script(flow),
-            design.name()
-        );
-    }
-    let qor = engine.map_terminal(pctx, &g);
-    pctx.recycle(g);
-    qor
 }
 
 /// Turns sorted completion times into a cumulative trajectory of at most

@@ -6,24 +6,35 @@ use serde::{Deserialize, Serialize};
 ///
 /// `passes_requested` is what a naive `FlowRunner::run_batch` would apply:
 /// the sum of all requested flow lengths.  `passes_applied` is what the
-/// engine actually executed after prefix-trie sharing, store hits and cached
-/// intermediate AIGs; the difference is pure savings.
+/// engine actually executed after store hits and state-graph sharing; the
+/// difference is pure savings.  For the flows that were evaluated (not
+/// cancelled), every requested pass is either applied or memoized, and every
+/// flow's mapping is either run or memoized.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct EvalStats {
     /// Flows requested through the engine.
     pub flows_requested: usize,
     /// Flows answered directly from the persistent QoR store.
     pub store_hits: usize,
-    /// Flows evaluated through the trie (requested − store hits).
+    /// Flows evaluated through the state graph (requested − store hits).
     pub flows_evaluated: usize,
     /// Transform passes a naive evaluator would have applied.
     pub passes_requested: usize,
     /// Transform passes actually applied.
     pub passes_applied: usize,
-    /// Trie edges resolved from a memoized intermediate AIG.
+    /// Passes answered by the state graph without running: known identity
+    /// edges, known edges into a resident (or already-mapped) state, and
+    /// edges another flow of the same batch applied.
+    pub passes_memoized: usize,
+    /// Evaluated flows that started below their design's root state, i.e.
+    /// whose first steps the state graph already knew (the name predates the
+    /// state graph).
     pub trie_hits: usize,
     /// Technology-mapping runs performed.
     pub mappings_run: usize,
+    /// Evaluated flows whose final graph was already mapped (by an earlier
+    /// flow, or by another flow of the same batch).
+    pub mappings_memoized: usize,
     /// QoR-store append/flush failures (the result is still served and kept
     /// in memory; only its on-disk record is lost).
     pub store_write_errors: usize,
@@ -72,8 +83,12 @@ impl EvalStats {
                 .passes_requested
                 .saturating_sub(earlier.passes_requested),
             passes_applied: self.passes_applied.saturating_sub(earlier.passes_applied),
+            passes_memoized: self.passes_memoized.saturating_sub(earlier.passes_memoized),
             trie_hits: self.trie_hits.saturating_sub(earlier.trie_hits),
             mappings_run: self.mappings_run.saturating_sub(earlier.mappings_run),
+            mappings_memoized: self
+                .mappings_memoized
+                .saturating_sub(earlier.mappings_memoized),
             store_write_errors: self
                 .store_write_errors
                 .saturating_sub(earlier.store_write_errors),
@@ -90,8 +105,10 @@ impl EvalStats {
         self.flows_evaluated += other.flows_evaluated;
         self.passes_requested += other.passes_requested;
         self.passes_applied += other.passes_applied;
+        self.passes_memoized += other.passes_memoized;
         self.trie_hits += other.trie_hits;
         self.mappings_run += other.mappings_run;
+        self.mappings_memoized += other.mappings_memoized;
         self.store_write_errors += other.store_write_errors;
         self.store_torn_tail += other.store_torn_tail;
         self.store_corrupt += other.store_corrupt;
@@ -103,16 +120,18 @@ impl std::fmt::Display for EvalStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "flows {} (store hits {}, evaluated {})  passes {}/{} applied ({:.0}% saved)  \
-             trie hits {}  mappings {}  {:.2}s",
+            "flows {} (store hits {}, evaluated {})  passes {}/{} applied ({:.0}% saved, \
+             {} memoized)  trie hits {}  mappings {} (+{} memoized)  {:.2}s",
             self.flows_requested,
             self.store_hits,
             self.flows_evaluated,
             self.passes_applied,
             self.passes_requested,
             self.pass_savings_rate() * 100.0,
+            self.passes_memoized,
             self.trie_hits,
             self.mappings_run,
+            self.mappings_memoized,
             self.wall_s,
         )?;
         if self.store_write_errors > 0 {
@@ -140,8 +159,10 @@ mod tests {
             flows_evaluated: 6,
             passes_requested: 100,
             passes_applied: 25,
+            passes_memoized: 15,
             trie_hits: 5,
-            mappings_run: 6,
+            mappings_run: 4,
+            mappings_memoized: 2,
             store_write_errors: 2,
             store_torn_tail: 1,
             store_corrupt: 1,
@@ -154,6 +175,11 @@ mod tests {
         a.absorb(&b);
         assert_eq!(a.flows_requested, 20);
         assert_eq!(a.passes_applied, 50);
+        assert_eq!((a.passes_memoized, a.mappings_memoized), (30, 4));
+        assert_eq!(a.since(&b).passes_memoized, 15);
+        assert_eq!(a.since(&b).mappings_memoized, 2);
+        assert!(a.to_string().contains("30 memoized"));
+        assert!(a.to_string().contains("mappings 8 (+4 memoized)"));
         assert_eq!(a.store_write_errors, 4);
         assert_eq!(a.since(&b).store_write_errors, 2);
         assert_eq!(a.store_torn_tail, 2);

@@ -1,7 +1,7 @@
 //! Multi-threaded integration tests: many threads hammering one shared
-//! engine — the sharded prefix-trie cache and the persistent QoR store —
-//! must produce bit-identical results to a single-threaded reference run,
-//! and a store written under contention must not lose a single record.
+//! engine — the state graph and the persistent QoR store — must produce
+//! bit-identical results to a single-threaded reference run, and a store
+//! written under contention must not lose a single record.
 
 use std::sync::Arc;
 
@@ -28,13 +28,15 @@ fn random_flows(count: usize, seed: u64) -> Vec<Vec<Transform>> {
     flows
 }
 
+/// Room for a handful of Tiny-design states only: forces mid-flight
+/// eviction (and with it recomputation of known edges) on top of the lock
+/// contention, the two races worth having.
+const TIGHT_BUDGET: usize = 4_000;
+
 fn contended_config(store: Option<std::path::PathBuf>) -> EngineConfig {
     EngineConfig {
         store_path: store,
-        // Few shards and a tiny residency cap: force both shard-lock
-        // contention and mid-flight trie eviction, the two races worth having.
-        trie_shards: 4,
-        max_resident_designs: 2,
+        cache_budget_aig_nodes: TIGHT_BUDGET,
         ..EngineConfig::default()
     }
 }
@@ -96,8 +98,8 @@ fn hammered_engine_is_bit_identical_to_single_threaded_reference() {
         6 * designs.len() * flows.len(),
         "every request must be accounted for"
     );
-    // The residency cap held even while tries were checked in and out.
-    assert!(engine.cache_summary().resident_designs <= 4 * 2);
+    // The one budget held while states were published from every thread.
+    assert!(engine.cache_summary().cached_aig_nodes <= TIGHT_BUDGET);
 }
 
 #[test]

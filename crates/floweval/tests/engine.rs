@@ -1,5 +1,5 @@
 //! Engine-level integration tests: cached and uncached evaluation must be
-//! bit-identical, repeated batches must hit the caches, and prefix-trie
+//! bit-identical, repeated batches must hit the caches, and state-graph
 //! evaluation must apply strictly fewer passes than naive `run_batch`.
 
 use circuits::{Design, DesignScale};
@@ -168,6 +168,11 @@ fn memory_budget_keeps_results_correct() {
         tight.evaluate_batch(&design, &flows),
         roomy.evaluate_batch(&design, &flows)
     );
+    // With nothing resident, the tight engine re-ran edges it already knew —
+    // each re-run is where the purity guard compares the recomputed state
+    // with the recorded one.
+    assert_eq!(tight.cache_summary().cached_aig_nodes, 0);
+    assert!(tight.stats().passes_applied > roomy.stats().passes_applied);
 }
 
 #[test]

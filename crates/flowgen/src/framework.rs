@@ -135,8 +135,9 @@ pub struct FrameworkReport {
     pub selection_accuracy: Option<f64>,
     /// The labelled training dataset (released publicly by the paper).
     pub dataset: Dataset,
-    /// Evaluation-engine statistics for this run: store hits, trie hits and
-    /// transform passes avoided relative to naive batch evaluation.
+    /// Evaluation-engine statistics for this run: store hits, passes and
+    /// mappings the state graph answered, and transform passes avoided
+    /// relative to naive batch evaluation.
     pub eval_stats: EvalStats,
     /// Total wall-clock runtime in seconds.
     pub runtime_s: f64,
@@ -164,10 +165,10 @@ impl FrameworkReport {
 
 /// The autonomous framework: design in, angel-/devil-flows out.
 ///
-/// All QoR evaluation goes through a [`floweval::EvalEngine`], so batches
-/// with shared prefixes cost one pass application per distinct prefix edge,
-/// and flows already known to the engine's persistent store are never
-/// re-evaluated.
+/// All QoR evaluation goes through a [`floweval::EvalEngine`], so a batch
+/// costs one pass application per distinct `(graph, transform)` pair its
+/// flows reach, and flows already known to the engine's persistent store are
+/// never re-evaluated.
 #[derive(Debug)]
 pub struct Framework {
     config: FrameworkConfig,
@@ -440,8 +441,8 @@ mod tests {
             stats.store_hits + stats.flows_evaluated,
             stats.flows_requested
         );
-        // Full-length m-repetition flows share prefixes, so the trie must
-        // save passes relative to naive batch evaluation.
+        // Full-length m-repetition flows keep reaching the same graphs, so
+        // the state graph must save passes relative to naive evaluation.
         assert!(stats.passes_applied < stats.passes_requested);
         assert!(stats.mappings_run > 0);
         // Running the identical configuration again is answered from the
