@@ -27,9 +27,9 @@ fn run_batch_is_independent_of_thread_count() {
             .map(|f| f.transforms().to_vec())
             .collect();
 
-        // Pin the thread count through the pool API (portable between the
-        // vendored rayon stand-in and upstream rayon, which reads
-        // RAYON_NUM_THREADS only once at global-pool creation).
+        // Pin the thread count through the pool API: the vendored rayon
+        // stand-in, like upstream rayon, reads RAYON_NUM_THREADS only once
+        // (at the first parallel call), so the variable cannot vary it here.
         let mut per_thread_count: Vec<Vec<Qor>> = Vec::new();
         for threads in [1usize, 2, 4] {
             let pool = rayon::ThreadPoolBuilder::new()
