@@ -83,10 +83,10 @@ pub fn run(mut args: Args) -> Result<(), String> {
     emit_json(&report, json_path.as_deref())
 }
 
-/// `flowc search`: explore a flow space over one or more designs with the
-/// sharded work-stealing orchestrator ([`EvalEngine::search`]), printing a
-/// JSON report with throughput (`evals_per_hour`), cache-hit and steal
-/// counters.  Labels are optionally dumped as JSON lines.
+/// `flowc search`: label a flow space over one or more designs under
+/// optional budgets ([`EvalEngine::search`]), printing a JSON report with
+/// throughput (`evals_per_hour`) and the evaluation counters.  Labels are
+/// optionally dumped as JSON lines.
 pub fn search(mut args: Args) -> Result<(), String> {
     let designs_spec = args.require_value("designs")?;
     let random_seed = args.take_value("random")?;
@@ -190,7 +190,6 @@ pub fn search(mut args: Args) -> Result<(), String> {
         workers,
         max_wall_s,
         max_evals,
-        ..floweval::SearchConfig::default()
     };
     let outcome = engine.search_flows(&designs, &flows, &config);
 

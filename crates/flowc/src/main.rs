@@ -49,15 +49,15 @@ COMMANDS:
                                                     past it; not retried)
                      plus the `run` options (--flow/--random/--timing/--verify/
                      --out/--json); QoR is bit-identical to a local `run`
-    search         Explore a flow space over designs with the sharded
-                   work-stealing orchestrator, print a throughput report
+    search         Label a flow space over designs under optional budgets,
+                   print a throughput and evaluation-counter report
                      --designs <spec,spec,...>      one or more design specs
                      --random <seed> [--count <n>]  sample n paper-space flows
                                                     [default count: 16]
                      --flows <file>                 one flow script per line
                      --prefix <script> [--depth <n>] expand all 6^n suffixes
                                                     of a prefix [default: 1]
-                     --workers <n>                  worker threads [default: 4]
+                     --workers <n>                  evaluation threads [default: 4]
                      --max-wall-s <secs>            wall-clock budget
                      --max-evals <n>                evaluation budget
                      --store <path>                 persistent QoR store

@@ -354,7 +354,7 @@ fn search_labels_match_in_process_batch_evaluation() {
     assert_eq!(f64_field(&report, "search", "workers") as usize, 3);
 
     // In-process reference: the identical seeded sample through the batch
-    // evaluator.  The orchestrated CLI labels must be bit-identical.
+    // evaluator.  The CLI's labels must be bit-identical.
     let flows = floweval::FlowSource::Random { seed: 5, count: 4 }.resolve();
     let engine = EvalEngine::new(EngineConfig::default());
     let designs = [

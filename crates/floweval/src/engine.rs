@@ -282,12 +282,15 @@ impl EvalEngine {
     ///
     /// No engine lock is held while a pass or the mapper runs, so concurrent
     /// callers (e.g. `engine.stats()` from a monitoring thread) are never
-    /// blocked behind a long batch.  Callers racing on the *same* design may
-    /// duplicate an edge the other has not committed yet; results stay
-    /// correct and store inserts are idempotent.
+    /// blocked behind a long batch.  Callers racing on the *same* design
+    /// never run the same edge twice: the kernel claims each unit of work in
+    /// the state graph, and whoever did not get the claim waits for the
+    /// result.
     pub fn evaluate_batch(&self, design: &Aig, flows: &[Vec<Transform>]) -> Vec<Qor> {
-        self.evaluate(design, flows, None, &CancelToken::never())
-            .expect("a never-firing token cannot cancel")
+        let (qors, _) = self
+            .evaluate(design, flows, None, &CancelToken::never())
+            .expect("a never-firing token cannot cancel");
+        qors
     }
 
     /// Evaluates **one** flow with a caller-owned [`PassContext`], sharing
@@ -330,18 +333,20 @@ impl EvalEngine {
         cancel: &CancelToken,
     ) -> Result<Qor, Cancelled> {
         self.evaluate(design, &[flow], Some(pctx), cancel)
-            .map(|qors| qors[0])
+            .map(|(qors, _)| qors[0])
     }
 
     /// Store lookup → kernel → store insert → statistics, for a batch on
-    /// pooled contexts or one request on a `lent` (cancellable) one.
-    fn evaluate<F: AsRef<[Transform]>>(
+    /// pooled contexts or one request on a `lent` (cancellable) one.  Returns
+    /// the QoR in input order with the counters of this call alone — what it
+    /// added to [`stats`](Self::stats), whoever else is using the engine.
+    pub(crate) fn evaluate<F: AsRef<[Transform]>>(
         &self,
         design: &Aig,
         flows: &[F],
         mut lent: Option<&mut PassContext>,
         cancel: &CancelToken,
-    ) -> Result<Vec<Qor>, Cancelled> {
+    ) -> Result<(Vec<Qor>, EvalStats), Cancelled> {
         let start = std::time::Instant::now();
         let design_fp = fingerprint_design(design);
         let mut batch = EvalStats {
@@ -349,14 +354,7 @@ impl EvalEngine {
             passes_requested: flows.iter().map(|f| f.as_ref().len()).sum(),
             ..EvalStats::default()
         };
-        let keys: Vec<StoreKey> = flows
-            .iter()
-            .map(|flow| StoreKey {
-                design: design_fp,
-                config: self.config_fp,
-                flow: flow_script(flow.as_ref()),
-            })
-            .collect();
+        let keys = self.store_keys(design_fp, flows);
         let mut results = self.store_lookup_batch(&keys);
         let misses: Vec<usize> = (0..flows.len()).filter(|&i| results[i].is_none()).collect();
         batch.store_hits = flows.len() - misses.len();
@@ -404,18 +402,19 @@ impl EvalEngine {
         self.commit_stats(&batch, Some(&timings));
         match cancelled {
             Some(reason) => Err(reason),
-            None => Ok(results
-                .into_iter()
-                .map(|q| q.expect("every flow evaluated"))
-                .collect()),
+            None => {
+                let qors = results
+                    .into_iter()
+                    .map(|q| q.expect("every flow evaluated"));
+                Ok((qors.collect(), batch))
+            }
         }
     }
 
     /// A fresh evaluation context configured with this engine's
     /// [`EngineConfig::edit_mode`], backed by the engine-wide ISOP memo when
-    /// [`EngineConfig::share_isop_cache`] is on.  The orchestrator creates
-    /// its per-worker contexts through here so every worker of every search
-    /// shares one cover memo.
+    /// [`EngineConfig::share_isop_cache`] is on.  The kernel creates its
+    /// pooled contexts through here so every batch shares one cover memo.
     pub(crate) fn pass_context(&self) -> PassContext {
         let ctx = PassContext::with_modes(CutEngine::default(), self.config.edit_mode);
         if self.config.share_isop_cache {
@@ -430,9 +429,18 @@ impl EvalEngine {
         (self.isop.hits(), self.isop.misses())
     }
 
-    /// The configuration fingerprint store keys are built against.
-    pub(crate) fn config_fingerprint(&self) -> Fingerprint {
-        self.config_fp
+    /// The store keys of `flows` on the design fingerprinted `design_fp`.
+    pub(crate) fn store_keys<F: AsRef<[Transform]>>(
+        &self,
+        design_fp: Fingerprint,
+        flows: &[F],
+    ) -> Vec<StoreKey> {
+        let key = |flow: &F| StoreKey {
+            design: design_fp,
+            config: self.config_fp,
+            flow: flow_script(flow.as_ref()),
+        };
+        flows.iter().map(key).collect()
     }
 
     /// Looks up many store keys under one lock acquisition.
@@ -445,7 +453,7 @@ impl EvalEngine {
     /// the number of append errors (results are still served from memory).
     /// Inserts are idempotent: concurrent duplicate evaluations are
     /// bit-identical, so whichever lands first wins and the rest dedup.
-    pub(crate) fn store_insert_batch(&self, entries: Vec<(StoreKey, Qor)>) -> usize {
+    fn store_insert_batch(&self, entries: Vec<(StoreKey, Qor)>) -> usize {
         let mut store = self.store.lock().expect("store lock");
         let mut errors = 0;
         for (key, qor) in entries {

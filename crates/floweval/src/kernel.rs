@@ -1,7 +1,7 @@
 //! The one evaluation kernel: flows → QoR through the shared state graph.
 //!
-//! [`EvalEngine::drive`] is what `evaluate_batch`, the `flowd` request path
-//! (`evaluate_flow_with_ctx`) and every `search_flows` worker call.  It runs
+//! [`EvalEngine::drive`] is what `evaluate_batch` (and `search_flows` through
+//! it) and the `flowd` request path (`evaluate_flow_with_ctx`) call.  It runs
 //! in **waves**: every in-flight flow first advances through whatever the
 //! [`StateGraph`](crate::state::StateGraph) already knows (identity edges are
 //! skipped, resident targets adopted, known terminals answered with zero
@@ -120,15 +120,6 @@ impl EvalEngine {
         let mut graph = self.graph();
         graph.set_root(design_fp, root);
         (root, graph.publish(root, aig))
-    }
-
-    /// How many leading transforms of `flow` the graph can answer for the
-    /// design fingerprinted `design_fp` (the scheduler's reuse estimate).
-    pub(crate) fn known_depth(&self, design_fp: Fingerprint, flow: &[Transform]) -> usize {
-        let graph = self.graph();
-        graph
-            .root(design_fp)
-            .map_or(0, |root| graph.walk(root, flow, None).steps)
     }
 
     /// Evaluates `flows` on `design`, returning QoR in input order,

@@ -20,7 +20,7 @@
 //!   flow script, so repeated runs, benches and ablations never re-evaluate a
 //!   known flow;
 //! * [`EvalEngine`] — the store in front of one evaluation kernel
-//!   (`kernel.rs`) that batches, single requests and search workers all call;
+//!   (`kernel.rs`) that batches, single requests and searches all call;
 //! * [`EvalStats`] — hit/miss/passes-avoided counters surfaced through
 //!   `flowgen::FrameworkReport`.
 //!
@@ -60,8 +60,8 @@ mod store;
 
 pub use engine::{fingerprint_config, fingerprint_design, flow_script, EngineConfig, EvalEngine};
 pub use orchestrator::{
-    FlowSource, SearchConfig, SearchLabel, SearchOutcome, SearchReport, StragglerInjection,
-    TrajectoryPoint, PAPER_FLOW_LEN,
+    FlowSource, SearchConfig, SearchLabel, SearchOutcome, SearchReport, TrajectoryPoint,
+    PAPER_FLOW_LEN,
 };
 pub use state::CacheSummary;
 pub use stats::EvalStats;

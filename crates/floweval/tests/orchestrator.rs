@@ -1,10 +1,9 @@
-//! Orchestrator determinism tests: `EvalEngine::search` must produce the
-//! same label set with bit-identical QoR as a single-process
-//! `evaluate_batch` over the resolved flow list, for every worker count and
-//! under steal-forcing straggler injection.
+//! `EvalEngine::search` contract tests: the label set, the QoR bits and the
+//! counters equal per-design `evaluate_batch` over the resolved flow list at
+//! every worker count, and the budgets stop exactly where they say.
 
 use circuits::{Design, DesignScale};
-use floweval::{EngineConfig, EvalEngine, FlowSource, SearchConfig, StragglerInjection};
+use floweval::{EngineConfig, EvalEngine, EvalStats, FlowSource, SearchConfig, SearchLabel};
 use synth::{Qor, Transform};
 
 fn designs() -> Vec<aig::Aig> {
@@ -34,27 +33,22 @@ fn reference_labels(designs: &[aig::Aig], flows: &[Vec<Transform>]) -> Vec<Vec<Q
         .collect()
 }
 
-fn assert_search_matches(
-    designs: &[aig::Aig],
-    flows: &[Vec<Transform>],
-    reference: &[Vec<Qor>],
-    config: &SearchConfig,
-) {
-    let engine = EvalEngine::new(EngineConfig::default());
-    let outcome = engine.search_flows(designs, flows, config);
-    assert_eq!(
-        outcome.labels.len(),
-        designs.len() * flows.len(),
-        "complete label set"
-    );
-    for (i, label) in outcome.labels.iter().enumerate() {
-        let (d, f) = (i / flows.len(), i % flows.len());
-        assert_eq!((label.design, label.flow), (d, f), "canonical label order");
+fn with_workers(workers: usize) -> SearchConfig {
+    SearchConfig {
+        workers,
+        ..SearchConfig::default()
+    }
+}
+
+/// Every label carries the reference's QoR bits for its `(design, flow)`.
+fn assert_labels_match(labels: &[SearchLabel], reference: &[Vec<Qor>]) {
+    for l in labels {
         assert_eq!(
-            qor_bits(&label.qor),
-            qor_bits(&reference[d][f]),
-            "workers={} design={d} flow={f}: QoR bits diverge",
-            config.workers
+            qor_bits(&l.qor),
+            qor_bits(&reference[l.design][l.flow]),
+            "design={} flow={}: QoR bits diverge",
+            l.design,
+            l.flow
         );
     }
 }
@@ -62,57 +56,19 @@ fn assert_search_matches(
 #[test]
 fn search_is_bit_identical_across_worker_counts() {
     let designs = designs();
-    let source = FlowSource::Random {
+    let flows = FlowSource::Random {
         seed: 0xD5,
         count: 12,
-    };
-    let flows = source.resolve();
+    }
+    .resolve();
     let reference = reference_labels(&designs, &flows);
     for workers in [1, 2, 4, 8] {
-        let config = SearchConfig {
-            workers,
-            ..SearchConfig::default()
-        };
-        assert_search_matches(&designs, &flows, &reference, &config);
-    }
-}
-
-#[test]
-fn search_is_bit_identical_under_forced_stealing() {
-    // All flows share the same 2-transform prefix, so sharding by prefix
-    // affinity places every job on ONE worker's queue: the other three
-    // workers structurally must steal.  Straggler injection additionally
-    // perturbs the steal schedule.  Results must not change.
-    let designs = vec![Design::Alu64.generate(DesignScale::Tiny)];
-    let source = FlowSource::PrefixExpansion {
-        prefix: vec![Transform::Balance, Transform::Rewrite],
-        depth: 2,
-    };
-    let flows = source.resolve();
-    let reference = reference_labels(&designs, &flows);
-    let config = SearchConfig {
-        workers: 4,
-        straggler: Some(StragglerInjection {
-            seed: 7,
-            pct: 25,
-            delay_ms: 25,
-        }),
-        ..SearchConfig::default()
-    };
-    let engine = EvalEngine::new(EngineConfig::default());
-    let outcome = engine.search_flows(&designs, &flows, &config);
-    assert!(
-        outcome.report.steals > 0,
-        "straggler injection must force at least one steal (got {})",
-        outcome.report.steals
-    );
-    for (i, label) in outcome.labels.iter().enumerate() {
-        let (d, f) = (i / flows.len(), i % flows.len());
-        assert_eq!(
-            qor_bits(&label.qor),
-            qor_bits(&reference[d][f]),
-            "steal schedule changed QoR at design={d} flow={f}"
-        );
+        let engine = EvalEngine::new(EngineConfig::default());
+        let outcome = engine.search_flows(&designs, &flows, &with_workers(workers));
+        let order: Vec<_> = outcome.labels.iter().map(|l| (l.design, l.flow)).collect();
+        let canonical = (0..designs.len()).flat_map(|d| (0..flows.len()).map(move |f| (d, f)));
+        assert_eq!(order, canonical.collect::<Vec<_>>(), "complete, in order");
+        assert_labels_match(&outcome.labels, &reference);
     }
 }
 
@@ -137,26 +93,47 @@ fn search_serves_repeats_from_the_store() {
 fn search_respects_the_eval_budget() {
     let designs = designs();
     let flows = FlowSource::Random { seed: 11, count: 8 }.resolve();
-    let engine = EvalEngine::new(EngineConfig::default());
-    let config = SearchConfig {
-        workers: 2,
-        max_evals: Some(5),
-        ..SearchConfig::default()
-    };
-    let outcome = engine.search_flows(&designs, &flows, &config);
-    assert!(outcome.report.eval_budget_hit);
-    assert!(outcome.report.evaluated >= 5, "budget reached before stop");
-    assert!(
-        outcome.report.evaluated < designs.len() * flows.len(),
-        "stopped early"
-    );
-    // The labels that were produced are still bit-identical to reference.
     let reference = reference_labels(&designs, &flows);
-    for label in &outcome.labels {
-        assert_eq!(
-            qor_bits(&label.qor),
-            qor_bits(&reference[label.design][label.flow])
-        );
+    for workers in [1, 2, 4] {
+        let engine = EvalEngine::new(EngineConfig::default());
+        let config = SearchConfig {
+            max_evals: Some(5),
+            ..with_workers(workers)
+        };
+        let outcome = engine.search_flows(&designs, &flows, &config);
+        assert!(outcome.report.eval_budget_hit);
+        assert_eq!(outcome.report.evaluated, 5, "exactly the budget");
+        assert_eq!(outcome.report.eval.flows_evaluated, 5);
+        assert_eq!(outcome.labels.len(), 5);
+        assert_labels_match(&outcome.labels, &reference);
+    }
+}
+
+/// A spent budget — no evaluations, or no time — still returns what the
+/// store knows, evaluates nothing and says which budget stopped the run.
+#[test]
+fn spent_budgets_still_return_store_hits() {
+    let designs = designs();
+    let flows = FlowSource::Random { seed: 11, count: 8 }.resolve();
+    let engine = EvalEngine::new(EngineConfig::default());
+    let known = vec![engine.evaluate_batch(&designs[0], &flows[..3])];
+    for (max_evals, max_wall_s) in [(Some(0), None), (None, Some(0.0))] {
+        let config = SearchConfig {
+            max_evals,
+            max_wall_s,
+            ..SearchConfig::default()
+        };
+        let before = engine.stats();
+        let outcome = engine.search_flows(&designs, &flows, &config);
+        let report = &outcome.report;
+        assert_eq!(report.eval_budget_hit, max_evals.is_some());
+        assert_eq!(report.deadline_hit, max_wall_s.is_some());
+        assert_eq!((report.store_hits, report.evaluated), (3, 0));
+        assert_eq!(engine.stats().since(&before).flows_evaluated, 0);
+        assert!(report.trajectory.is_empty());
+        assert_eq!(outcome.labels.len(), 3);
+        assert!(outcome.labels.iter().all(|l| l.from_store));
+        assert_labels_match(&outcome.labels, &known);
     }
 }
 
@@ -174,8 +151,8 @@ fn search_with_verification_passes() {
 
 #[test]
 fn search_reports_prefix_reuse() {
-    // A prefix expansion shares its prefix maximally: the orchestrator must
-    // apply far fewer passes than requested.
+    // A prefix expansion shares its prefix maximally: the search must apply
+    // far fewer passes than requested.
     let designs = vec![Design::Alu64.generate(DesignScale::Tiny)];
     let source = FlowSource::PrefixExpansion {
         prefix: vec![Transform::Balance, Transform::Rewrite],
@@ -184,25 +161,117 @@ fn search_reports_prefix_reuse() {
     let flows = source.resolve();
     assert_eq!(flows.len(), 36);
     let engine = EvalEngine::new(EngineConfig::default());
-    let config = SearchConfig {
-        workers: 2,
-        ..SearchConfig::default()
-    };
-    let outcome = engine.search_flows(&designs, &flows, &config);
+    let outcome = engine.search_flows(&designs, &flows, &with_workers(2));
     assert_eq!(outcome.report.evaluated, 36);
+    let eval = outcome.report.eval;
     assert!(
-        outcome.report.passes_applied < outcome.report.passes_requested,
+        eval.passes_applied < eval.passes_requested,
         "prefix reuse must avoid passes: applied {} of {}",
-        outcome.report.passes_applied,
-        outcome.report.passes_requested
+        eval.passes_applied,
+        eval.passes_requested
     );
-    assert!(outcome.report.trie_hits > 0);
+    assert!(eval.passes_memoized > 0);
+    assert_eq!(
+        eval.passes_applied + eval.passes_memoized,
+        eval.passes_requested
+    );
     // And it is still bit-identical to the batch engine.
-    let reference = reference_labels(&designs, &flows);
-    for label in &outcome.labels {
+    assert_labels_match(&outcome.labels, &reference_labels(&designs, &flows));
+}
+
+/// What a run is compared on: every counter but wall time and `trie_hits`,
+/// which depends on how a flow list is cut into calls.
+fn counters(stats: EvalStats) -> EvalStats {
+    EvalStats {
+        wall_s: 0.0,
+        trie_hits: 0,
+        ..stats
+    }
+}
+
+/// A cache budget of a few graphs: most states are evicted and re-applied,
+/// so the counts depend on the order work is committed in — which must not
+/// depend on the thread count.
+fn tight_budget(designs: &[aig::Aig]) -> EngineConfig {
+    EngineConfig {
+        cache_budget_aig_nodes: 4 * designs.iter().map(aig::Aig::len).max().unwrap(),
+        ..EngineConfig::default()
+    }
+}
+
+#[test]
+fn search_counters_equal_the_batch_path_at_any_worker_count() {
+    // 40 flows go to the batch path in one call per design, exactly as the
+    // reference makes them.  Some labels are known beforehand, so store hits
+    // are counted too.
+    let designs = designs();
+    let flows = FlowSource::Random { seed: 5, count: 40 }.resolve();
+    let tight = tight_budget(&designs);
+    let primed = |config: &EngineConfig| {
+        let engine = EvalEngine::new(config.clone());
+        engine.evaluate_batch(&designs[1], &flows[..7]);
+        engine
+    };
+    let batch_counters = |config: &EngineConfig| {
+        let engine = primed(config);
+        let before = engine.stats();
+        for design in &designs {
+            engine.evaluate_batch(design, &flows);
+        }
+        engine.stats().since(&before)
+    };
+    let expected = batch_counters(&tight);
+    assert_eq!(expected.store_hits, 7);
+    assert!(
+        expected.passes_applied > batch_counters(&EngineConfig::default()).passes_applied,
+        "the budget must force re-application"
+    );
+    for workers in [1, 2, 4, 1] {
+        let engine = primed(&tight);
+        let before = engine.stats();
+        let report = engine
+            .search_flows(&designs, &flows, &with_workers(workers))
+            .report;
+        assert_eq!(report.jobs, report.eval.flows_requested);
         assert_eq!(
-            qor_bits(&label.qor),
-            qor_bits(&reference[label.design][label.flow])
+            counters(report.eval),
+            counters(expected),
+            "workers={workers}: the report's counters"
+        );
+        assert_eq!(
+            counters(engine.stats().since(&before)),
+            counters(expected),
+            "workers={workers}: what the engine accumulated"
         );
     }
+}
+
+#[test]
+fn search_over_several_chunks_is_deterministic_and_tracks_progress() {
+    // A list long enough to be cut into several calls to the batch path:
+    // under eviction what is re-applied then also depends on the cut, but
+    // still not on the threads.  Each call is one trajectory point.
+    let designs = [Design::Aes128.generate(DesignScale::Tiny)];
+    let flows = FlowSource::Random {
+        seed: 6,
+        count: 100,
+    }
+    .resolve();
+    let runs = [1, 2, 4].map(|workers| {
+        let engine = EvalEngine::new(tight_budget(&designs));
+        let report = engine
+            .search_flows(&designs, &flows, &with_workers(workers))
+            .report;
+        let trajectory = &report.trajectory;
+        assert!(trajectory.len() > 1 && trajectory.len() <= 120);
+        assert!(trajectory.windows(2).all(|w| w[0].t_s <= w[1].t_s));
+        assert!(trajectory
+            .windows(2)
+            .all(|w| w[0].completed < w[1].completed));
+        assert_eq!(trajectory.last().unwrap().completed, report.evaluated);
+        assert_eq!(report.evaluated, 100);
+        counters(report.eval)
+    });
+    assert_eq!(runs[0], runs[1]);
+    assert_eq!(runs[0], runs[2]);
 }

@@ -270,7 +270,7 @@ fn single_flow_batch_and_search_share_one_graph() {
         let labels: Vec<Qor> = outcome.labels.iter().map(|l| l.qor).collect();
         assert_eq!(labels, reference, "search with {workers} workers diverged");
         assert_eq!(outcome.report.evaluated, flows.len());
-        assert_eq!(outcome.report.passes_applied, 0);
+        assert_eq!(outcome.report.eval.passes_applied, 0);
     }
     let total = engine.stats();
     assert_eq!(total.store_hits, 0);

@@ -15,7 +15,7 @@
 use std::sync::Arc;
 
 use aig::Aig;
-use floweval::{EngineConfig, EvalEngine, EvalStats, SearchConfig};
+use floweval::{EngineConfig, EvalEngine, EvalStats};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -56,12 +56,6 @@ pub struct FrameworkConfig {
     /// so the selection accuracy (Section 4.1) can be reported.  This is what
     /// the paper does for its evaluation; it dominates runtime.
     pub evaluate_samples: bool,
-    /// When non-zero, label collection runs through the sharded work-stealing
-    /// search orchestrator ([`floweval::EvalEngine::search_flows`]) with this
-    /// many workers instead of the in-process batch evaluator.  Labels are
-    /// bit-identical either way; the orchestrator overlaps evaluation across
-    /// cores.  `0` (the default) keeps the single-threaded batch path.
-    pub search_workers: usize,
 }
 
 impl FrameworkConfig {
@@ -80,7 +74,6 @@ impl FrameworkConfig {
             classifier: ClassifierConfig::default(),
             seed: 0xF10,
             evaluate_samples: true,
-            search_workers: 0,
         }
     }
 
@@ -98,7 +91,6 @@ impl FrameworkConfig {
             classifier: ClassifierConfig::paper(),
             seed: 0xF10,
             evaluate_samples: true,
-            search_workers: 0,
         }
     }
 }
@@ -211,28 +203,6 @@ impl Framework {
         &self.engine
     }
 
-    /// Labels one batch of flows, through the sharded search orchestrator
-    /// when [`FrameworkConfig::search_workers`] is non-zero and through the
-    /// in-process batch evaluator otherwise.  Both paths return bit-identical
-    /// QoR in flow order.
-    fn collect_labels(&self, design: &Aig, flows: &[Vec<synth::Transform>]) -> Vec<Qor> {
-        if self.config.search_workers == 0 {
-            return self.engine.evaluate_batch(design, flows);
-        }
-        let config = SearchConfig {
-            workers: self.config.search_workers,
-            ..SearchConfig::default()
-        };
-        let outcome = self
-            .engine
-            .search_flows(std::slice::from_ref(design), flows, &config);
-        debug_assert_eq!(outcome.labels.len(), flows.len());
-        // One design and no eval budget: the sorted label set is exactly the
-        // flow list in order.
-        debug_assert!(outcome.labels.iter().enumerate().all(|(i, l)| l.flow == i));
-        outcome.labels.into_iter().map(|l| l.qor).collect()
-    }
-
     /// Runs the complete pipeline on `design` (the "HDL input" of Figure 2).
     pub fn run(&self, design: &Aig) -> FrameworkReport {
         let start = std::time::Instant::now();
@@ -260,7 +230,7 @@ impl Framework {
             let chunk = &all_training_flows[cursor..end];
             let chunk_flows: Vec<Vec<synth::Transform>> =
                 chunk.iter().map(|f| f.transforms().to_vec()).collect();
-            let qors = self.collect_labels(design, &chunk_flows);
+            let qors = self.engine.evaluate_batch(design, &chunk_flows);
             collected_flows.extend_from_slice(chunk);
             collected_qors.extend_from_slice(&qors);
             cursor = end;
@@ -314,7 +284,7 @@ impl Framework {
                 .iter()
                 .map(|f| f.transforms().to_vec())
                 .collect();
-            let qors = self.collect_labels(design, &flows_as_transforms);
+            let qors = self.engine.evaluate_batch(design, &flows_as_transforms);
             let sample_values: Vec<f64> = qors.iter().map(|q| q.metric(cfg.metric)).collect();
             let sample_labeler =
                 Labeler::from_percentiles(cfg.metric, &sample_values, &percentiles);
@@ -454,29 +424,6 @@ mod tests {
         );
         assert_eq!(again.eval_stats.passes_applied, 0);
         assert_eq!(again.sample_qors, report.sample_qors);
-    }
-
-    #[test]
-    fn orchestrated_label_collection_matches_direct() {
-        let design = Design::Alu64.generate(DesignScale::Tiny);
-        let direct = Framework::new(quick_config(QorMetric::Area)).run(&design);
-        let orchestrated = Framework::new(FrameworkConfig {
-            search_workers: 3,
-            ..quick_config(QorMetric::Area)
-        })
-        .run(&design);
-        // Same seed, bit-identical labels → identical dataset, identical
-        // sample QoR, identical selection.
-        assert_eq!(orchestrated.sample_qors, direct.sample_qors);
-        assert_eq!(orchestrated.sample_labels, direct.sample_labels);
-        let indices = |s: &Selection| {
-            (
-                s.angel_flows.iter().map(|f| f.index).collect::<Vec<_>>(),
-                s.devil_flows.iter().map(|f| f.index).collect::<Vec<_>>(),
-            )
-        };
-        assert_eq!(indices(&orchestrated.selection), indices(&direct.selection));
-        assert!(orchestrated.eval_stats.mappings_run > 0);
     }
 
     #[test]

@@ -239,8 +239,8 @@ impl IsopCache {
 
 /// A process-wide, thread-safe tier of the ISOP memo shared across contexts.
 ///
-/// `evaluate_batch` and the exploration orchestrator hand one clone of this
-/// to every worker's [`crate::PassContext`]; covers are pure functions of the
+/// `floweval`'s engine hands one clone of this to every
+/// [`crate::PassContext`] it creates; covers are pure functions of the
 /// truth table and `isop` is deterministic, so a cross-worker hit returns
 /// exactly the cover the worker would have computed — sharing is QoR-neutral
 /// by construction and only saves the Minato–Morreale recursion.
