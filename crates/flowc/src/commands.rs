@@ -246,9 +246,10 @@ fn parse_num<T: std::str::FromStr>(value: Option<String>, name: &str) -> Result<
 ///
 /// The passes run again here rather than reusing the engine's evaluation: the
 /// engine returns QoR only (its intermediate AIGs stay inside its state
-/// graph).  Both paths are deterministic and bit-identical, and when the flow
-/// was answered from the persistent store the engine applied no passes at
-/// all, so the flow runs at most once plus this export.
+/// graph).  `apply_sequence` is the same `PassContext` pipeline the engine
+/// runs, so the exported netlist is the one the QoR was measured on; when the
+/// flow was answered from the persistent store the engine applied no passes
+/// at all, so the flow runs at most once plus this export.
 fn export_netlist(
     design: &Aig,
     flow: &[synth::Transform],

@@ -35,10 +35,6 @@ OPTIONS:
     --verify              verify every evaluated flow by random simulation
     --cache-nodes <n>     process-wide budget for resident intermediate
                           AIGs, in total AIG nodes (LRU)  [default: 4000000]
-    --edit-mode <mode>    how passes apply replacements: `inplace` mutates
-                          the resident graph, `rebuild` is the pinned
-                          re-emit path (bit-identical QoR)
-                                                            [default: inplace]
 
 ENDPOINTS:
     POST /run       evaluate a flow on the design in the request body
@@ -120,46 +116,12 @@ fn parse_config(args: &mut Args) -> Result<ServerConfig, String> {
     if let Some(n) = args.take_value("cache-nodes")? {
         config.engine.cache_budget_aig_nodes = parse_number(&n, "cache-nodes")?;
     }
-    if let Some(mode) = args.take_value("edit-mode")? {
-        config.engine.edit_mode = parse_edit_mode(&mode)?;
-    }
     config.engine.verify = args.take_flag("verify");
     Ok(config)
-}
-
-fn parse_edit_mode(value: &str) -> Result<synth::EditMode, String> {
-    match value {
-        "inplace" | "in-place" => Ok(synth::EditMode::InPlace),
-        "rebuild" => Ok(synth::EditMode::Rebuild),
-        other => Err(format!(
-            "--edit-mode must be `inplace` or `rebuild`, got `{other}`"
-        )),
-    }
 }
 
 fn parse_number(value: &str, name: &str) -> Result<usize, String> {
     value
         .parse::<usize>()
         .map_err(|_| format!("--{name} needs a number, got `{value}`"))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn edit_mode_flag_parses() {
-        assert_eq!(parse_edit_mode("inplace"), Ok(synth::EditMode::InPlace));
-        assert_eq!(parse_edit_mode("in-place"), Ok(synth::EditMode::InPlace));
-        assert_eq!(parse_edit_mode("rebuild"), Ok(synth::EditMode::Rebuild));
-        assert!(parse_edit_mode("frobnicate").is_err());
-    }
-
-    #[test]
-    fn edit_mode_flag_reaches_engine_config() {
-        let mut args = Args::new(vec!["--edit-mode".into(), "rebuild".into()]);
-        let config = parse_config(&mut args).expect("valid flags");
-        args.finish().expect("all flags consumed");
-        assert_eq!(config.engine.edit_mode, synth::EditMode::Rebuild);
-    }
 }

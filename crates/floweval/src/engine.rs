@@ -25,10 +25,7 @@ use std::sync::{Condvar, Mutex};
 
 use aig::{Aig, NodeKind};
 use flow_core::{CancelToken, Cancelled, Fingerprint, Fnv64};
-use synth::{
-    CellLibrary, CutEngine, EditMode, FlowRunner, MapperParams, PassContext, PassTimings, Qor,
-    Transform,
-};
+use synth::{CellLibrary, FlowRunner, MapperParams, PassContext, PassTimings, Qor, Transform};
 
 use crate::kernel::Contexts;
 use crate::state::{CacheSummary, StateGraph, MAX_STATES};
@@ -53,11 +50,6 @@ pub struct EngineConfig {
     /// distinct (design, final graph) pair is checked at least once.
     /// A verification failure panics: it means a synthesis pass is broken.
     pub verify: bool,
-    /// How pass sweeps apply accepted replacements in the evaluation
-    /// contexts this engine creates ([`EditMode::InPlace`] mutates the
-    /// resident graph; [`EditMode::Rebuild`] is the pinned re-emit path).
-    /// QoR is bit-identical either way; only throughput differs.
-    pub edit_mode: EditMode,
     /// Back every evaluation context with one engine-wide
     /// [`synth::SharedIsopCache`], so ISOP covers computed by one worker (or
     /// one flow of a batch) serve every other.  Covers are pure functions of
@@ -73,7 +65,6 @@ impl Default for EngineConfig {
             store_path: None,
             store_options: crate::store::StoreOptions::default(),
             verify: false,
-            edit_mode: EditMode::default(),
             share_isop_cache: true,
         }
     }
@@ -176,7 +167,6 @@ impl EvalEngine {
     pub fn from_runner(runner: &FlowRunner, config: EngineConfig) -> Self {
         let config = EngineConfig {
             verify: config.verify || runner.verification_enabled(),
-            edit_mode: runner.edit_mode(),
             ..config
         };
         Self::with_library(runner.library().clone(), runner.mapper_params(), config)
@@ -411,12 +401,11 @@ impl EvalEngine {
         }
     }
 
-    /// A fresh evaluation context configured with this engine's
-    /// [`EngineConfig::edit_mode`], backed by the engine-wide ISOP memo when
+    /// A fresh evaluation context, backed by the engine-wide ISOP memo when
     /// [`EngineConfig::share_isop_cache`] is on.  The kernel creates its
     /// pooled contexts through here so every batch shares one cover memo.
     pub(crate) fn pass_context(&self) -> PassContext {
-        let ctx = PassContext::with_modes(CutEngine::default(), self.config.edit_mode);
+        let ctx = PassContext::default();
         if self.config.share_isop_cache {
             ctx.share_isop_cache(self.isop.clone())
         } else {

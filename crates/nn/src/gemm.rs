@@ -2,10 +2,8 @@
 //! kernels plus the `im2col`/`col2im` packing that turns convolutions into
 //! matrix multiplications.
 //!
-//! This module mirrors the `synth::CutEngine::{Reference, Fast}` pattern of
-//! PR 2 at the neural-network level: every hot layer ([`crate::Conv2d`],
-//! [`crate::Dense`], [`crate::LocallyConnected2d`], [`crate::MaxPool2d`]) can
-//! run either its original scalar loop nest ([`Backend::Reference`]) or an
+//! Every hot layer ([`crate::Conv2d`], [`crate::Dense`],
+//! [`crate::LocallyConnected2d`], [`crate::MaxPool2d`]) can run either its original scalar loop nest ([`Backend::Reference`]) or an
 //! im2col + GEMM formulation built on the kernels here ([`Backend::Fast`],
 //! the default).
 //!

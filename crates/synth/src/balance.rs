@@ -8,34 +8,18 @@
 use aig::{Aig, Lit};
 
 use crate::pass::{pool_give, PassContext};
+use crate::passes::Transform;
 
 /// Applies AND-tree balancing and returns the rebuilt network.
 ///
 /// The result computes the same functions as the input; its depth is usually
 /// lower and its node count comparable (structural hashing removes duplicates).
 pub fn balance(aig: &Aig) -> Aig {
-    let mut src = aig.cleanup();
-    src.compute_fanouts();
-    let mut out = Aig::with_name(src.name().to_string());
-    let mut map: Vec<Option<Lit>> = vec![None; src.len()];
-    map[0] = Some(Lit::FALSE);
-    for (i, &id) in src.input_ids().iter().enumerate() {
-        map[id] = Some(out.add_input(src.input_name(i).to_string()));
-    }
-    for id in src.node_ids() {
-        if src.node(id).is_and() {
-            build_balanced(&src, &mut out, &mut map, id);
-        }
-    }
-    for (i, &l) in src.outputs().iter().enumerate() {
-        let nl = map[l.node()].expect("output cone built") ^ l.is_complemented();
-        out.add_output(src.output_name(i).to_string(), nl);
-    }
-    out.cleanup()
+    Transform::Balance.apply(aig)
 }
 
-/// The context path of [`balance`]: transforms `g` in place through the
-/// context's recycled buffers, producing identical bits.
+/// `balance` on a [`PassContext`]: transforms `g` in place through the
+/// context's recycled buffers.
 pub(crate) fn balance_ctx(g: &mut Aig, ctx: &mut PassContext) {
     ctx.ensure_clean(g);
     g.compute_fanouts_cached();
@@ -73,7 +57,12 @@ pub(crate) fn balance_ctx(g: &mut Aig, ctx: &mut PassContext) {
 }
 
 /// Builds the balanced implementation of node `id` into `out`, memoising in `map`.
-fn build_balanced(src: &Aig, out: &mut Aig, map: &mut Vec<Option<Lit>>, id: usize) -> Lit {
+pub(crate) fn build_balanced(
+    src: &Aig,
+    out: &mut Aig,
+    map: &mut Vec<Option<Lit>>,
+    id: usize,
+) -> Lit {
     if let Some(l) = map[id] {
         return l;
     }

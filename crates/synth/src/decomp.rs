@@ -73,9 +73,9 @@ pub(crate) fn build_shannon_edit(
 ///
 /// The estimate is conservative (an upper bound): it assumes the recursion
 /// creates fresh nodes whenever either mux operand is itself fresh.  This is
-/// the reference entry point; the restructure fast path uses
-/// [`count_shannon_nodes_fast`], which returns the identical count without
-/// allocating during the recursion.
+/// the oracle; `restructure` runs `count_shannon_nodes_sweep`, which returns
+/// the identical count (or `None` past its budget) without allocating during
+/// the recursion.
 pub fn count_shannon_nodes(
     aig: &Aig,
     f: &TruthTable,
@@ -85,28 +85,8 @@ pub fn count_shannon_nodes(
     count_rec(&|x, y| aig.find_and(x, y), f, leaves, excluded).1
 }
 
-/// Allocation-free variant of [`count_shannon_nodes`] for functions of up to
-/// [`SmallTruth::MAX_VARS`] variables (wider functions fall back).
-pub fn count_shannon_nodes_fast(
-    aig: &Aig,
-    f: &TruthTable,
-    leaves: &[Lit],
-    excluded: impl Fn(NodeId) -> bool + Copy,
-) -> usize {
-    if f.num_vars() > SmallTruth::MAX_VARS {
-        return count_shannon_nodes(aig, f, leaves, excluded);
-    }
-    count_rec(
-        &|x, y| aig.find_and(x, y),
-        &SmallTruth::from_table(f),
-        leaves,
-        excluded,
-    )
-    .1
-}
-
-/// [`count_shannon_nodes_fast`] served by the per-sweep strash snapshot and
-/// capped at `budget` — the in-place propose pipeline's estimator.
+/// [`count_shannon_nodes`] on inline tables, served by the per-sweep strash
+/// snapshot and capped at `budget` — the passes' estimator.
 ///
 /// Returns `None` as soon as the count provably exceeds `budget`, `Some(n)`
 /// with the exact count otherwise.  The cap is lossless for the sweep's
@@ -578,18 +558,23 @@ mod tests {
 
     #[test]
     fn fast_count_is_identical_to_reference() {
+        // Unlimited budget, every table width the estimator specialises on:
+        // one `u64` word (≤ 6 variables), `SmallTruth` (7–8) and the generic
+        // heap-table fallback (9).
         let mut g = Aig::new();
-        let inputs = g.add_inputs("x", 6);
+        let inputs = g.add_inputs("x", 9);
         let pre0 = g.and(inputs[0], inputs[1]);
         let pre1 = g.mux(inputs[2], pre0, inputs[3]);
         g.add_output("keep", pre1);
-        for nv in 2..=6usize {
+        let mut strash = crate::strash::SweepStrash::default();
+        strash.rebuild(&g);
+        for nv in 2..=9usize {
             for seed in 1..=10u64 {
                 let f = random_truth(nv, seed * 31 + nv as u64);
                 let leaves = &inputs[..nv];
                 let reference = count_shannon_nodes(&g, &f, leaves, |_| false);
-                let fast = count_shannon_nodes_fast(&g, &f, leaves, |_| false);
-                assert_eq!(reference, fast, "nv={nv} seed={seed}");
+                let fast = count_shannon_nodes_sweep(&strash, &f, leaves, |_| false, usize::MAX);
+                assert_eq!(Some(reference), fast, "nv={nv} seed={seed}");
             }
         }
     }
@@ -630,7 +615,7 @@ mod tests {
                 let f = random_truth(nv, seed * 13 + nv as u64);
                 let leaves = &inputs[..nv];
                 let excluded = |n: aig::NodeId| n % 7 == 3;
-                let reference = count_shannon_nodes_fast(&g, &f, leaves, excluded);
+                let reference = count_shannon_nodes(&g, &f, leaves, excluded);
                 for budget in [
                     0usize,
                     1,

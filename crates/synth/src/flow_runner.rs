@@ -10,7 +10,6 @@ use aig::{random_equivalence_check, Aig, AigStats};
 use flow_core::{CancelToken, Cancelled};
 use rayon::prelude::*;
 
-use crate::engine::{CutEngine, EditMode};
 use crate::library::CellLibrary;
 use crate::mapper::{map_with_ctx, MapperParams};
 use crate::pass::PassContext;
@@ -23,7 +22,6 @@ pub struct FlowRunner {
     library: CellLibrary,
     mapper_params: MapperParams,
     verify: bool,
-    edit_mode: EditMode,
 }
 
 /// The result of running one flow.
@@ -46,7 +44,6 @@ impl FlowRunner {
             library: CellLibrary::nangate14(),
             mapper_params: MapperParams::default(),
             verify: false,
-            edit_mode: EditMode::default(),
         }
     }
 
@@ -56,24 +53,7 @@ impl FlowRunner {
             library,
             mapper_params,
             verify: false,
-            edit_mode: EditMode::default(),
         }
-    }
-
-    /// Selects how passes apply accepted replacements ([`EditMode::InPlace`]
-    /// mutates the resident graph, [`EditMode::Rebuild`] re-emits into a
-    /// fresh buffer — the pinned PR 5 shape).  Both modes are bit-identical;
-    /// only throughput differs.  Applies to the contexts this runner creates
-    /// itself ([`run`](Self::run) / [`run_batch`](Self::run_batch)); the
-    /// `*_with_ctx` entry points follow the caller's context instead.
-    pub fn with_edit_mode(mut self, edit_mode: EditMode) -> Self {
-        self.edit_mode = edit_mode;
-        self
-    }
-
-    /// The edit mode used for runner-created contexts.
-    pub fn edit_mode(&self) -> EditMode {
-        self.edit_mode
     }
 
     /// Enables per-flow functional verification by random simulation.
@@ -103,11 +83,9 @@ impl FlowRunner {
     /// Runs a single flow on `design` and returns its outcome.
     ///
     /// Evaluation goes through a fresh [`PassContext`] (the arena-recycling
-    /// pass pipeline); results are bit-identical to the Reference
-    /// free-function path (`apply_sequence` + `map_qor`).
+    /// pass pipeline).
     pub fn run(&self, design: &Aig, flow: &[Transform]) -> FlowOutcome {
-        let mut ctx = PassContext::with_modes(CutEngine::default(), self.edit_mode);
-        self.run_with_ctx(design, flow, &mut ctx)
+        self.run_with_ctx(design, flow, &mut PassContext::default())
     }
 
     /// Runs a single flow through a caller-owned [`PassContext`], so batch
@@ -235,27 +213,6 @@ mod tests {
             );
             assert!((single.delay_ps - q.delay_ps).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn edit_modes_agree_bit_for_bit() {
-        let design = Design::Montgomery64.generate(DesignScale::Tiny);
-        let flow = [
-            Transform::Balance,
-            Transform::Rewrite,
-            Transform::Refactor,
-            Transform::Restructure,
-        ];
-        let rebuild = FlowRunner::new()
-            .with_edit_mode(EditMode::Rebuild)
-            .run(&design, &flow);
-        let inplace = FlowRunner::new()
-            .with_edit_mode(EditMode::InPlace)
-            .run(&design, &flow);
-        assert_eq!(rebuild.optimized.num_ands, inplace.optimized.num_ands);
-        assert_eq!(rebuild.optimized.depth, inplace.optimized.depth);
-        assert_eq!(rebuild.qor.area_um2, inplace.qor.area_um2);
-        assert_eq!(rebuild.qor.delay_ps, inplace.qor.delay_ps);
     }
 
     #[test]

@@ -39,7 +39,6 @@
 
 pub mod balance;
 pub mod decomp;
-pub mod engine;
 pub mod flow_runner;
 pub mod library;
 pub mod mapper;
@@ -50,6 +49,8 @@ pub mod passes;
 pub mod qor;
 pub mod reconv;
 pub mod refactor;
+#[doc(hidden)]
+pub mod reference;
 pub mod restructure;
 pub mod resyn;
 pub mod rewrite;
@@ -57,13 +58,10 @@ pub mod sop;
 mod strash;
 
 pub use balance::balance;
-pub use engine::{apply_sequence_with_engine, CutEngine, EditMode};
 pub use flow_runner::{FlowOutcome, FlowRunner};
 pub use library::{Cell, CellId, CellLibrary};
-pub use mapper::{
-    map, map_qor, map_with_ctx, map_with_engine, MapMode, MappedGate, MappedNetlist, MapperParams,
-};
-pub use pass::{apply_sequence_ctx, ApplyStats, Pass, PassContext, PassStat, PassTimings};
+pub use mapper::{map, map_qor, map_with_ctx, MapMode, MappedGate, MappedNetlist, MapperParams};
+pub use pass::{ApplyStats, Pass, PassContext, PassStat, PassTimings};
 pub use passes::{apply_sequence, Transform};
 pub use qor::{Qor, QorMetric};
 pub use refactor::refactor;

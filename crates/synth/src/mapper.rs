@@ -7,13 +7,9 @@
 //! and summarised as area (sum of cell areas) and delay (static timing with a
 //! fanout-dependent load term), the two QoR metrics the paper reports.
 
-use aig::{
-    cut_truth, truth4_pad, truth4_reduce, truth4_support, Aig, Cut4Enumerator, CutEnumerator,
-    CutParams, NodeId,
-};
+use aig::{truth4_pad, truth4_reduce, truth4_support, Aig, Cut4Enumerator, CutParams, NodeId};
 use serde::{Deserialize, Serialize};
 
-use crate::engine::CutEngine;
 use crate::library::{CellId, CellLibrary};
 use crate::npn4::npn4;
 use crate::pass::{CancelCell, PassContext};
@@ -33,7 +29,8 @@ pub enum MapMode {
 pub struct MapperParams {
     /// Maximum cut size considered for matching (≤ 4: library cells have ≤ 4 pins).
     pub cut_size: usize,
-    /// Number of cuts kept per node during enumeration.
+    /// Number of cuts kept per node during enumeration; values above
+    /// [`aig::CUT4_SET_CAPACITY`] (16) are clamped to it.
     pub cuts_per_node: usize,
     /// Mapping objective.
     pub mode: MapMode,
@@ -91,7 +88,7 @@ impl MappedNetlist {
 }
 
 #[derive(Debug, Clone)]
-struct Choice {
+pub(crate) struct Choice {
     cell: CellId,
     leaves: Vec<NodeId>,
     arrival: f64,
@@ -101,28 +98,118 @@ struct Choice {
 /// Maps `aig` onto `library` and returns the mapped netlist.
 ///
 /// Mapping is deterministic for a given graph, library and parameter set.
+/// A thin front over [`map_with_ctx`] on a fresh [`PassContext`].
 pub fn map(aig: &Aig, library: &CellLibrary, params: MapperParams) -> MappedNetlist {
-    map_with_engine(aig, library, params, CutEngine::default())
+    let mut ctx = PassContext::default();
+    let mut subject = ctx.run_flow(aig, &[]);
+    map_with_ctx(&mut subject, library, params, &mut ctx)
 }
 
-/// Per-node matching state shared by both cut engines.
-struct Matcher<'a> {
+/// Maps `g` through an arena-recycling [`PassContext`].
+///
+/// The analysis front of the mapper runs on the context's epoch-stamped
+/// caches: the cleanup at the head is skipped when the graph is known clean
+/// (every pass output is), fanouts recompute only when stale, and the cut
+/// sets land in the context's recycled enumeration buffer.  Cuts are inline
+/// 4-cuts with fused `u16` truths, support is reduced with bitwise operations
+/// and cells are matched through the precomputed NPN4 table.
+pub fn map_with_ctx(
+    g: &mut Aig,
+    library: &CellLibrary,
+    params: MapperParams,
+    ctx: &mut PassContext,
+) -> MappedNetlist {
+    let start = std::time::Instant::now();
+    ctx.ensure_clean(g);
+    g.compute_fanouts_cached();
+    Cut4Enumerator::new(mapper_cut_params(params)).enumerate_into(g, &mut ctx.cut4_sets);
+    let netlist = map_core(g, library, params.mode, &ctx.cut4_sets, &mut ctx.cancel);
+    ctx.record_mapping(start.elapsed().as_secs_f64());
+    netlist
+}
+
+pub(crate) fn mapper_cut_params(params: MapperParams) -> CutParams {
+    CutParams {
+        max_cut_size: params.cut_size.min(aig::CUT4_MAX_LEAVES),
+        max_cuts_per_node: params.cuts_per_node.min(aig::CUT4_SET_CAPACITY),
+        include_trivial: false,
+    }
+}
+
+/// Matching over an already cleaned, fanout-annotated subject graph with
+/// pre-enumerated cuts.
+fn map_core(
+    subject: &Aig,
+    library: &CellLibrary,
+    mode: MapMode,
+    cut_sets: &[aig::CutSet4],
+    cancel: &mut CancelCell,
+) -> MappedNetlist {
+    let mut matcher = Matcher::new(subject, library, mode);
+    // Scratch buffer for the reduced leaf list.
+    let mut leaf_buf: Vec<NodeId> = Vec::with_capacity(4);
+    for id in subject.and_ids() {
+        cancel.checkpoint();
+        let mut best: Option<Choice> = None;
+        for cut in cut_sets[id].cuts() {
+            let nv = cut.size();
+            let truth = cut.truth();
+            // Reduce to the true support so e.g. a 3-leaf cut computing a
+            // 2-input function can match 2-input cells.
+            let support = truth4_support(truth, nv);
+            if support == 0 {
+                continue; // constant functions never reach the cover
+            }
+            let (reduced, rnv) = truth4_reduce(truth, nv, support);
+            leaf_buf.clear();
+            for (v, &leaf) in cut.leaves().iter().enumerate() {
+                if support >> v & 1 == 1 {
+                    leaf_buf.push(leaf as NodeId);
+                }
+            }
+            let canon = npn4().canonical(truth4_pad(reduced, rnv));
+            matcher.consider(&mut best, id, &leaf_buf, library.matches_npn4(canon));
+        }
+        matcher.commit(id, best);
+    }
+    matcher.into_netlist()
+}
+
+/// Per-node matching state and cover extraction, shared by [`map_core`] and
+/// the oracle ([`crate::reference::map`]): the two differ only in how a
+/// node's candidate `(leaves, cells)` pairs are found.
+pub(crate) struct Matcher<'a> {
+    subject: &'a Aig,
     library: &'a CellLibrary,
     mode: MapMode,
-    arrivals: &'a [f64],
-    area_flows: &'a [f64],
+    // Dense, node-id-indexed tables: every AND gets exactly one entry, so a
+    // Vec beats a HashMap on both insert and the cover-extraction reads.
+    choices: Vec<Option<Choice>>,
+    arrivals: Vec<f64>,
+    area_flows: Vec<f64>,
 }
 
-impl Matcher<'_> {
+impl<'a> Matcher<'a> {
+    pub(crate) fn new(subject: &'a Aig, library: &'a CellLibrary, mode: MapMode) -> Self {
+        Matcher {
+            subject,
+            library,
+            mode,
+            choices: vec![None; subject.len()],
+            arrivals: vec![0.0; subject.len()],
+            area_flows: vec![0.0; subject.len()],
+        }
+    }
+
     /// Scores every `cell` implementing `leaves -> id` and keeps the best.
-    fn consider(
+    pub(crate) fn consider(
         &self,
         best: &mut Option<Choice>,
-        subject: &Aig,
         id: NodeId,
         leaves: &[NodeId],
         cells: &[CellId],
     ) {
+        let subject = self.subject;
         for &cell_id in cells {
             let cell = self.library.cell(cell_id);
             let leaf_arrival = leaves
@@ -158,167 +245,26 @@ impl Matcher<'_> {
             }
         }
     }
-}
 
-/// Maps `aig` onto `library` with an explicit [`CutEngine`].
-///
-/// Both engines produce bit-identical netlists and QoR; `Fast` enumerates
-/// inline 4-cuts with fused `u16` truths, reduces support with bitwise
-/// operations and matches through the precomputed NPN4 table, eliminating the
-/// per-cut cone walk and orbit search of the reference path.
-pub fn map_with_engine(
-    aig: &Aig,
-    library: &CellLibrary,
-    params: MapperParams,
-    engine: CutEngine,
-) -> MappedNetlist {
-    let mut subject = aig.cleanup();
-    subject.compute_fanouts();
-    let cut_params = mapper_cut_params(params);
-    let fast = engine == CutEngine::Fast && params.cuts_per_node <= aig::CUT4_SET_CAPACITY;
-    let cut_sets = if fast {
-        Vec::new()
-    } else {
-        CutEnumerator::new(cut_params).enumerate(&subject)
-    };
-    let cut4_sets = if fast {
-        Cut4Enumerator::new(cut_params).enumerate(&subject)
-    } else {
-        Vec::new()
-    };
-    map_core(
-        &subject,
-        library,
-        params,
-        fast,
-        &cut_sets,
-        &cut4_sets,
-        &mut CancelCell::default(),
-    )
-}
-
-/// Maps `g` through an arena-recycling [`PassContext`].
-///
-/// The analysis front of the mapper runs on the context's epoch-stamped
-/// caches: the cleanup at the head is skipped when the graph is known clean
-/// (every pass output is), fanouts recompute only when stale, and the fast
-/// path's cut sets land in the context's recycled enumeration buffer.  The
-/// netlist is bit-identical to [`map_with_engine`] on the context's engine.
-pub fn map_with_ctx(
-    g: &mut Aig,
-    library: &CellLibrary,
-    params: MapperParams,
-    ctx: &mut PassContext,
-) -> MappedNetlist {
-    let start = std::time::Instant::now();
-    ctx.ensure_clean(g);
-    g.compute_fanouts_cached();
-    let cut_params = mapper_cut_params(params);
-    let fast = ctx.engine() == CutEngine::Fast && params.cuts_per_node <= aig::CUT4_SET_CAPACITY;
-    let netlist = if fast {
-        Cut4Enumerator::new(cut_params).enumerate_into(g, &mut ctx.cut4_sets);
-        let PassContext {
-            cut4_sets, cancel, ..
-        } = ctx;
-        map_core(g, library, params, true, &[], cut4_sets, cancel)
-    } else {
-        let cut_sets = CutEnumerator::new(cut_params).enumerate(g);
-        map_core(g, library, params, false, &cut_sets, &[], &mut ctx.cancel)
-    };
-    ctx.record_mapping(start.elapsed().as_secs_f64());
-    netlist
-}
-
-fn mapper_cut_params(params: MapperParams) -> CutParams {
-    CutParams {
-        max_cut_size: params.cut_size.min(4),
-        max_cuts_per_node: params.cuts_per_node,
-        include_trivial: false,
-    }
-}
-
-/// Matching + cover extraction over an already cleaned, fanout-annotated
-/// subject graph with pre-enumerated cuts (shared by both mapper entries).
-fn map_core(
-    subject: &Aig,
-    library: &CellLibrary,
-    params: MapperParams,
-    fast: bool,
-    cut_sets: &[aig::CutSet],
-    cut4_sets: &[aig::CutSet4],
-    cancel: &mut CancelCell,
-) -> MappedNetlist {
-    // Dense, node-id-indexed choice table: every AND gets exactly one entry,
-    // so a Vec beats a HashMap on both insert and the cover-extraction reads.
-    let mut choices: Vec<Option<Choice>> = vec![None; subject.len()];
-    let mut arrivals: Vec<f64> = vec![0.0; subject.len()];
-    let mut area_flows: Vec<f64> = vec![0.0; subject.len()];
-    // Scratch buffer for the fast path's reduced leaf list.
-    let mut leaf_buf: Vec<NodeId> = Vec::with_capacity(4);
-
-    for id in subject.node_ids() {
-        if !subject.node(id).is_and() {
-            continue;
-        }
-        cancel.checkpoint();
-        let matcher = Matcher {
-            library,
-            mode: params.mode,
-            arrivals: &arrivals,
-            area_flows: &area_flows,
-        };
-        let mut best: Option<Choice> = None;
-        if fast {
-            for cut in cut4_sets[id].cuts() {
-                let nv = cut.size();
-                let truth = cut.truth();
-                // Reduce to the true support so e.g. a 3-leaf cut computing a
-                // 2-input function can match 2-input cells.
-                let support = truth4_support(truth, nv);
-                if support == 0 {
-                    continue; // constant functions never reach the cover
-                }
-                let (reduced, rnv) = truth4_reduce(truth, nv, support);
-                leaf_buf.clear();
-                for (v, &leaf) in cut.leaves().iter().enumerate() {
-                    if support >> v & 1 == 1 {
-                        leaf_buf.push(leaf as NodeId);
-                    }
-                }
-                let canon = npn4().canonical(truth4_pad(reduced, rnv));
-                matcher.consider(
-                    &mut best,
-                    subject,
-                    id,
-                    &leaf_buf,
-                    library.matches_npn4(canon),
-                );
-            }
-        } else {
-            for cut in cut_sets[id].cuts() {
-                let Ok(truth) = cut_truth(subject, id, cut) else {
-                    continue;
-                };
-                let support = truth.support();
-                if support.is_empty() {
-                    continue;
-                }
-                let (reduced, leaves) = reduce_support(&truth, &support, cut.leaves());
-                matcher.consider(&mut best, subject, id, &leaves, library.matches(&reduced));
-            }
-        }
+    /// Records the choice for AND node `id` (nodes are committed in
+    /// topological order, so later nodes read its arrival and area flow).
+    pub(crate) fn commit(&mut self, id: NodeId, best: Option<Choice>) {
         let choice = best.unwrap_or_else(|| {
             // Fallback: implement the bare AND of the two fanins with an AND2
             // cell (always present in the library).
-            let (a, b) = subject.node(id).fanins().expect("AND node");
+            let (a, b) = self.subject.node(id).fanins().expect("AND node");
             let leaves = vec![a.node(), b.node()];
-            let and2 = library
+            let and2 = self
+                .library
                 .cells()
                 .iter()
                 .position(|c| c.name.starts_with("AND2"))
                 .expect("library provides AND2");
-            let cell = library.cell(and2);
-            let leaf_arrival = leaves.iter().map(|&l| arrivals[l]).fold(0.0f64, f64::max);
+            let cell = self.library.cell(and2);
+            let leaf_arrival = leaves
+                .iter()
+                .map(|&l| self.arrivals[l])
+                .fold(0.0f64, f64::max);
             Choice {
                 cell: and2,
                 leaves,
@@ -326,94 +272,77 @@ fn map_core(
                 area_flow: cell.area,
             }
         });
-        arrivals[id] = choice.arrival;
-        area_flows[id] = choice.area_flow;
-        choices[id] = Some(choice);
+        self.arrivals[id] = choice.arrival;
+        self.area_flows[id] = choice.area_flow;
+        self.choices[id] = Some(choice);
     }
 
-    // Cover extraction from the primary outputs.
-    let mut required: Vec<NodeId> = subject
-        .outputs()
-        .iter()
-        .map(|l| l.node())
-        .filter(|&n| subject.node(n).is_and())
-        .collect();
-    required.sort_unstable();
-    required.dedup();
-    let mut in_cover: Vec<bool> = vec![false; subject.len()];
-    let mut stack = required;
-    let mut cover_nodes: Vec<NodeId> = Vec::new();
-    while let Some(id) = stack.pop() {
-        if in_cover[id] || !subject.node(id).is_and() {
-            continue;
-        }
-        in_cover[id] = true;
-        cover_nodes.push(id);
-        for &leaf in &choices[id].as_ref().expect("AND node has a choice").leaves {
-            if subject.node(leaf).is_and() && !in_cover[leaf] {
-                stack.push(leaf);
+    /// Extracts the cover from the primary outputs and sums area and delay.
+    pub(crate) fn into_netlist(self) -> MappedNetlist {
+        let Matcher {
+            subject,
+            library,
+            choices,
+            arrivals,
+            ..
+        } = self;
+        let mut required: Vec<NodeId> = subject
+            .outputs()
+            .iter()
+            .map(|l| l.node())
+            .filter(|&n| subject.node(n).is_and())
+            .collect();
+        required.sort_unstable();
+        required.dedup();
+        let mut in_cover: Vec<bool> = vec![false; subject.len()];
+        let mut stack = required;
+        let mut cover_nodes: Vec<NodeId> = Vec::new();
+        while let Some(id) = stack.pop() {
+            if in_cover[id] || !subject.node(id).is_and() {
+                continue;
+            }
+            in_cover[id] = true;
+            cover_nodes.push(id);
+            for &leaf in &choices[id].as_ref().expect("AND node has a choice").leaves {
+                if subject.node(leaf).is_and() && !in_cover[leaf] {
+                    stack.push(leaf);
+                }
             }
         }
-    }
-    cover_nodes.sort_unstable();
+        cover_nodes.sort_unstable();
 
-    let inv = library.cell(library.inverter());
-    let mut area = 0.0;
-    let mut gates = Vec::with_capacity(cover_nodes.len());
-    for id in cover_nodes {
-        let c = choices[id].as_ref().expect("cover node has a choice");
-        area += library.cell(c.cell).area;
-        gates.push(MappedGate {
-            root: id,
-            cell: c.cell,
-            leaves: c.leaves.clone(),
-            arrival_ps: c.arrival,
-        });
-    }
-    // Complemented primary outputs need an output inverter.
-    let mut delay: f64 = 0.0;
-    for &po in subject.outputs() {
-        let mut t = arrivals[po.node()];
-        if po.is_complemented() && subject.node(po.node()).is_and() {
-            area += inv.area;
-            t += inv.delay_ps;
+        let inv = library.cell(library.inverter());
+        let mut area = 0.0;
+        let mut gates = Vec::with_capacity(cover_nodes.len());
+        for id in cover_nodes {
+            let c = choices[id].as_ref().expect("cover node has a choice");
+            area += library.cell(c.cell).area;
+            gates.push(MappedGate {
+                root: id,
+                cell: c.cell,
+                leaves: c.leaves.clone(),
+                arrival_ps: c.arrival,
+            });
         }
-        delay = delay.max(t);
-    }
-
-    MappedNetlist {
-        gates,
-        area,
-        delay_ps: delay,
-        subject_ands: subject.num_ands(),
-        subject_depth: subject.depth(),
-    }
-}
-
-/// Projects `truth` onto its support variables and returns the reduced table
-/// together with the corresponding leaf nodes.
-fn reduce_support(
-    truth: &aig::TruthTable,
-    support: &[usize],
-    leaves: &[NodeId],
-) -> (aig::TruthTable, Vec<NodeId>) {
-    if support.len() == truth.num_vars() {
-        return (truth.clone(), leaves.to_vec());
-    }
-    let mut reduced = aig::TruthTable::zeros(support.len());
-    for row in 0..reduced.num_rows() {
-        // Build a full-width row where support variables take the bits of `row`
-        // and non-support variables are zero.
-        let mut full = 0usize;
-        for (new_pos, &old_var) in support.iter().enumerate() {
-            if row >> new_pos & 1 == 1 {
-                full |= 1 << old_var;
+        // Complemented primary outputs need an output inverter.
+        let mut delay: f64 = 0.0;
+        for &po in subject.outputs() {
+            let mut t = arrivals[po.node()];
+            if po.is_complemented() && subject.node(po.node()).is_and() {
+                area += inv.area;
+                t += inv.delay_ps;
             }
+            delay = delay.max(t);
         }
-        reduced.set(row, truth.get(full));
+
+        MappedNetlist {
+            gates,
+            area,
+            delay_ps: delay,
+            subject_ands: subject.num_ands(),
+            subject_depth: subject.depth(),
+        }
     }
-    let new_leaves = support.iter().map(|&v| leaves[v]).collect();
-    (reduced, new_leaves)
 }
 
 /// Convenience wrapper: maps the graph and returns only the QoR summary.
@@ -517,11 +446,28 @@ mod tests {
     }
 
     #[test]
+    fn oversized_cuts_per_node_is_clamped() {
+        // 64 is past what a `CutSet4` holds; it must map, as the cap does.
+        let g = Design::Alu64.generate(DesignScale::Tiny);
+        let with = |cuts_per_node| MapperParams {
+            cuts_per_node,
+            ..Default::default()
+        };
+        let wide = map(&g, &lib(), with(64));
+        let capped = map(&g, &lib(), with(aig::CUT4_SET_CAPACITY));
+        assert_eq!(wide.qor(), capped.qor());
+        assert_eq!(wide.gates.len(), capped.gates.len());
+        for (w, c) in wide.gates.iter().zip(&capped.gates) {
+            assert_eq!((w.root, w.cell, &w.leaves), (c.root, c.cell, &c.leaves));
+        }
+    }
+
+    #[test]
     fn support_reduction_matches_smaller_cells() {
         // f over a 3-leaf cut that only depends on two leaves must map as a
         // 2-input cell, not fail to match.
         let t = aig::TruthTable::var(0, 3).and(&aig::TruthTable::var(2, 3));
-        let (reduced, leaves) = reduce_support(&t, &[0, 2], &[10, 11, 12]);
+        let (reduced, leaves) = crate::reference::reduce_support(&t, &[0, 2], &[10, 11, 12]);
         assert_eq!(reduced.num_vars(), 2);
         assert_eq!(leaves, vec![10, 12]);
         assert!(reduced.get(0b11));

@@ -1,13 +1,12 @@
 //! The pass pipeline: a [`Pass`] trait over an arena-recycling [`PassContext`].
 //!
-//! The seed entry points (`Transform::apply`, `apply_sequence`, `map`) rebuild
-//! a brand-new [`Aig`] — node vector, strash table, name lists — for every
-//! intermediate graph of a flow, and recompute fanouts at the top of every
-//! pass.  A 10–25-pass flow therefore performs ~50 full-graph reallocations,
-//! and at data-collection scale (the paper labels 100,000 flows per design)
-//! this allocation churn dominates flow-evaluation cost.
-//!
-//! [`PassContext`] removes it without changing a single result bit:
+//! This is the one production path of the crate: every public entry point
+//! (`Transform::apply`, `apply_sequence`, `map`, [`crate::FlowRunner`]) runs
+//! its passes on a [`PassContext`].  A naive pipeline rebuilds a brand-new
+//! [`Aig`] — node vector, strash table, name lists — for every intermediate
+//! graph of a flow and recomputes fanouts at the top of every pass; at
+//! data-collection scale (the paper labels 100,000 flows per design) that
+//! allocation churn dominates flow-evaluation cost.  The context removes it:
 //!
 //! * **Ping-pong graph buffers** — a small pool of recycled [`Aig`]s; every
 //!   rebuild goes through [`Aig::cleanup_into_with`] / the sweep's
@@ -23,16 +22,15 @@
 //!   remap tables and the sweep's decision map are context-owned and reused
 //!   by all passes of a flow.
 //!
-//! The seed free functions remain callable as the **Reference** path
-//! (mirroring the [`CutEngine`] two-path pattern); the context path is pinned
-//! bit-identical to it by differential tests (`tests/pass_context.rs`).
+//! The seed implementation of every pass survives as the test-only oracle,
+//! [`crate::reference`]; the differential suite
+//! (`tests/reference_differential/`) pins this pipeline bit-identical to it.
 
 use std::time::Instant;
 
 use aig::{Aig, AigScratch, CutSet4, CutTruthScratch, EditScratch, Lit, NodeId};
 use flow_core::{fail_point, CancelToken, Cancelled};
 
-use crate::engine::{CutEngine, EditMode};
 use crate::passes::Transform;
 use crate::reconv::ReconvScratch;
 use crate::resyn::{DecisionTable, Proposal};
@@ -46,7 +44,7 @@ const POOL_CAPACITY: usize = 8;
 ///
 /// Implementations transform `g` **in place** (ping-ponging through the
 /// context's buffers) and must be deterministic: the built-in passes are
-/// bit-identical to their free-function Reference counterparts.
+/// bit-identical to their [`crate::reference`] oracles.
 pub trait Pass {
     /// The ABC-style command name of the pass.
     fn name(&self) -> &'static str;
@@ -184,28 +182,24 @@ pub(crate) struct SweepScratch {
     pub(crate) out_lits: Vec<Lit>,
 }
 
-/// How the resynthesis sweeps applied their accepted decisions so far —
-/// observability for the [`EditMode`] dispatch (tests and benchmarks read
-/// this to assert which path actually ran).
+/// How the resynthesis sweeps applied their accepted decisions so far.  The
+/// route is picked per sweep from the observed dirty fraction; tests and
+/// benchmarks read this to see which one ran.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ApplyStats {
     /// Sweeps applied by mutating the resident graph in place.
     pub in_place: u64,
-    /// Sweeps applied through the ping-pong rebuild (either because the
-    /// context runs in [`EditMode::Rebuild`] or because the estimated dirty
-    /// fraction crossed the in-place threshold).
+    /// Sweeps applied through the ping-pong rebuild, because the estimated
+    /// dirty fraction crossed the in-place threshold.
     pub rebuilt: u64,
-    /// Sweeps that accepted no replacement and left the graph untouched
-    /// (only possible in [`EditMode::InPlace`], where identity is free).
+    /// Sweeps that accepted no replacement and left the graph untouched.
     pub identity: u64,
 }
 
 /// Reusable buffers of the per-node proposal generators: the cut-truth cone
 /// walk, the reconvergence-cut visited stamps, the SOP cost dry-run and the
-/// memoizing ISOP cache all survive across every node of every pass of a flow.
-///
-/// The in-place pipeline additionally keeps the per-sweep strash snapshot and
-/// the leaf-literal staging buffer of the winner-only propose path here.
+/// memoizing ISOP cache all survive across every node of every pass of a flow,
+/// as do the per-sweep strash snapshot and the leaf staging buffers.
 #[derive(Debug, Default)]
 pub(crate) struct ProposeScratch {
     pub(crate) truth: CutTruthScratch,
@@ -229,15 +223,13 @@ pub(crate) struct ProposeScratch {
 /// let design = Design::Alu64.generate(DesignScale::Tiny);
 /// let mut ctx = PassContext::default();
 /// let optimized = ctx.run_flow(&design, &[Transform::Balance, Transform::Rewrite]);
-/// // Bit-identical to the Reference free-function path:
-/// let reference = synth::apply_sequence(&design, &[Transform::Balance, Transform::Rewrite]);
-/// assert_eq!(optimized.num_ands(), reference.num_ands());
-/// assert_eq!(optimized.depth(), reference.depth());
+/// // The free functions are fronts over a fresh context:
+/// let again = synth::apply_sequence(&design, &[Transform::Balance, Transform::Rewrite]);
+/// assert_eq!(optimized.num_ands(), again.num_ands());
+/// assert_eq!(optimized.depth(), again.depth());
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct PassContext {
-    pub(crate) engine: CutEngine,
-    pub(crate) edit_mode: EditMode,
     pub(crate) pool: Vec<Aig>,
     pub(crate) scratch: AigScratch,
     pub(crate) propose: ProposeScratch,
@@ -250,37 +242,7 @@ pub struct PassContext {
     timings: PassTimings,
 }
 
-impl Default for PassContext {
-    fn default() -> Self {
-        Self::new(CutEngine::default())
-    }
-}
-
 impl PassContext {
-    /// Creates a context whose passes run on the given cut engine (and the
-    /// default [`EditMode`]).
-    pub fn new(engine: CutEngine) -> Self {
-        Self::with_modes(engine, EditMode::default())
-    }
-
-    /// Creates a context with explicit cut-engine and edit-mode selections.
-    pub fn with_modes(engine: CutEngine, edit_mode: EditMode) -> Self {
-        PassContext {
-            engine,
-            edit_mode,
-            pool: Vec::new(),
-            scratch: AigScratch::default(),
-            propose: ProposeScratch::default(),
-            cut4_sets: Vec::new(),
-            balance_map: Vec::new(),
-            sweep: SweepScratch::default(),
-            edit: EditScratch::default(),
-            apply_stats: ApplyStats::default(),
-            cancel: CancelCell::default(),
-            timings: PassTimings::default(),
-        }
-    }
-
     /// Arms cooperative cancellation: until [`disarm_cancel`](Self::disarm_cancel),
     /// passes and the mapper poll `token` at pass boundaries and inside their
     /// per-node loops, unwinding with a [`Cancelled`] panic payload once it
@@ -310,16 +272,6 @@ impl PassContext {
     /// [`share_isop_cache`](Self::share_isop_cache) on an existing context.
     pub fn set_shared_isop_cache(&mut self, shared: Option<crate::SharedIsopCache>) {
         self.propose.isop.set_shared(shared);
-    }
-
-    /// The cut engine the context's passes run on.
-    pub fn engine(&self) -> CutEngine {
-        self.engine
-    }
-
-    /// The edit mode the context's resynthesis sweeps apply their decisions in.
-    pub fn edit_mode(&self) -> EditMode {
-        self.edit_mode
     }
 
     /// How the sweeps have applied their decisions so far (in-place vs
@@ -383,8 +335,7 @@ impl PassContext {
 
     /// Runs a whole flow on `design` and returns the optimized network.
     ///
-    /// Semantics (and bits) match [`apply_sequence`](crate::apply_sequence):
-    /// the design is cleaned first, then each transform applies in order.
+    /// The design is cleaned first, then each transform applies in order.
     pub fn run_flow(&mut self, design: &Aig, flow: &[Transform]) -> Aig {
         let mut g = self.take_buf();
         g.copy_from(design);
@@ -532,14 +483,6 @@ impl Transform {
             Transform::RefactorZ => &RefactorPass { zero_cost: true },
         }
     }
-}
-
-/// Applies a sequence of transformations through a caller-owned context.
-///
-/// Bit-identical to [`apply_sequence`](crate::apply_sequence); the context's
-/// buffers are recycled across all passes of the sequence.
-pub fn apply_sequence_ctx(design: &Aig, transforms: &[Transform], ctx: &mut PassContext) -> Aig {
-    ctx.run_flow(design, transforms)
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 use aig::Aig;
 use serde::{Deserialize, Serialize};
 
-use crate::engine::CutEngine;
+use crate::pass::PassContext;
 
 /// One element of the paper's transformation set `S` (n = 6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -76,8 +76,11 @@ impl Transform {
     }
 
     /// Applies this transformation to a network and returns the result.
+    ///
+    /// A thin front over a fresh [`PassContext`]; callers applying many
+    /// transformations keep one context and use [`PassContext::apply`].
     pub fn apply(self, aig: &Aig) -> Aig {
-        self.apply_with_engine(aig, CutEngine::default())
+        apply_sequence(aig, &[self])
     }
 }
 
@@ -90,12 +93,9 @@ impl std::fmt::Display for Transform {
 /// Applies a sequence of transformations in order and returns the final network.
 ///
 /// This is exactly what running a synthesis flow inside ABC does to the design.
+/// A thin front over [`PassContext::run_flow`] on a fresh context.
 pub fn apply_sequence(aig: &Aig, transforms: &[Transform]) -> Aig {
-    let mut current = aig.cleanup();
-    for &t in transforms {
-        current = t.apply(&current);
-    }
-    current
+    PassContext::default().run_flow(aig, transforms)
 }
 
 #[cfg(test)]

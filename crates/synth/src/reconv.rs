@@ -76,10 +76,9 @@ pub fn reconv_cut(aig: &Aig, root: NodeId, params: ReconvParams) -> Vec<NodeId> 
     leaves
 }
 
-/// Reusable state of [`reconv_cut_with`]: an epoch-stamped visited set that
-/// replaces the reference implementation's linear `visited.contains` scans,
-/// plus a leaf-membership stamp used by the sweep-path cut growth
-/// (`reconv_cut_sweep`).
+/// Reusable state of `reconv_cut_sweep`: an epoch-stamped visited set and an
+/// epoch-stamped leaf-membership set, replacing [`reconv_cut`]'s linear
+/// `visited.contains` / `leaves.contains` scans.
 #[derive(Debug, Default)]
 pub struct ReconvScratch {
     stamp: Vec<u32>,
@@ -127,73 +126,15 @@ impl ReconvScratch {
     }
 }
 
-/// [`reconv_cut`] through recycled scratch: identical growth decisions and
-/// leaf set, with visited-set membership answered by an epoch stamp instead
-/// of a growing vector scanned linearly per candidate.
-pub fn reconv_cut_with(
-    aig: &Aig,
-    root: NodeId,
-    params: ReconvParams,
-    scratch: &mut ReconvScratch,
-) -> Vec<NodeId> {
-    scratch.begin(aig.len());
-    let mut leaves: Vec<NodeId> = Vec::new();
-    scratch.visit(root);
-    match aig.node(root).fanins() {
-        Some((a, b)) => {
-            push_unique(&mut leaves, a.node());
-            push_unique(&mut leaves, b.node());
-        }
-        None => return vec![root],
-    }
-
-    loop {
-        let mut best: Option<(usize, i32)> = None;
-        for (i, &leaf) in leaves.iter().enumerate() {
-            if !aig.node(leaf).is_and() {
-                continue;
-            }
-            let (a, b) = aig.node(leaf).fanins().expect("AND node");
-            let mut cost = -1i32; // removing the leaf itself
-            for f in [a.node(), b.node()] {
-                if !leaves.contains(&f) && !scratch.visited(f) {
-                    cost += 1;
-                }
-            }
-            if leaves.len() as i32 + cost > params.max_leaves as i32 {
-                continue;
-            }
-            if best.is_none_or(|(_, c)| cost < c) {
-                best = Some((i, cost));
-            }
-            if cost <= 0 {
-                break; // cannot do better than free
-            }
-        }
-        let Some((idx, _)) = best else { break };
-        let leaf = leaves.swap_remove(idx);
-        scratch.visit(leaf);
-        let (a, b) = aig.node(leaf).fanins().expect("AND node");
-        for f in [a.node(), b.node()] {
-            if !scratch.visited(f) {
-                push_unique(&mut leaves, f);
-            }
-        }
-    }
-    leaves.sort_unstable();
-    leaves
-}
-
-/// [`reconv_cut_with`] with O(1) leaf-membership tests, growing the leaf set
-/// into the caller-recycled `leaves` buffer — the in-place propose
-/// pipeline's variant.
+/// [`reconv_cut`] on recycled scratch, growing the leaf set into the
+/// caller-recycled `leaves` buffer — what the passes run.
 ///
-/// The growth loop's cost check asks "is this fanin already a leaf?" for
-/// every candidate on every iteration; the reference answers with a linear
-/// scan of the leaf vector, this variant with a second epoch stamp
-/// maintained as leaves enter and leave the set.  Iteration order, growth
-/// decisions, tie-breaks and the produced leaf set are identical (pinned by
-/// `sweep_cut_is_identical_to_reference`).
+/// The growth loop's cost check asks "was this fanin visited?" and "is it
+/// already a leaf?" for every candidate on every iteration; the oracle
+/// answers both with linear scans, this variant with two epoch stamps
+/// maintained as nodes are expanded and leaves enter and leave the set.
+/// Iteration order, growth decisions, tie-breaks and the produced leaf set
+/// are identical (pinned by `sweep_cut_is_identical_to_reference`).
 pub(crate) fn reconv_cut_sweep(
     aig: &Aig,
     root: NodeId,
@@ -311,44 +252,33 @@ mod tests {
 
     #[test]
     fn scratch_cut_is_identical_to_reference() {
-        // Random graphs: every node's cut must match the reference exactly,
-        // with one scratch reused across all nodes (and stale stamps).
-        let mut state = 0xD1F7u64;
-        let mut rng = move || {
-            state ^= state >> 12;
-            state ^= state << 25;
-            state ^= state >> 27;
-            state.wrapping_mul(0x2545_F491_4F6C_DD1D)
-        };
+        // The stamps survive an epoch wrap-around: start the scratch a few
+        // cuts short of `u32::MAX` and keep matching the oracle across it.
+        let mut g = Aig::new();
+        let xs = g.add_inputs("x", 6);
+        let mut acc = xs[0];
+        for &x in &xs[1..] {
+            acc = g.xor(acc, x);
+        }
+        g.add_output("f", acc);
         let mut scratch = ReconvScratch::default();
-        for _ in 0..5 {
-            let mut g = Aig::new();
-            let mut lits: Vec<aig::Lit> = g.add_inputs("x", 6);
-            for _ in 0..60 {
-                let a = lits[(rng() % lits.len() as u64) as usize];
-                let b = lits[(rng() % lits.len() as u64) as usize];
-                let a = if rng() & 1 == 1 { !a } else { a };
-                let b = if rng() & 1 == 1 { !b } else { b };
-                let l = g.and(a, b);
-                if !l.is_const() {
-                    lits.push(l);
-                }
-            }
-            for max_leaves in [4usize, 6, 8] {
-                for id in 0..g.len() {
-                    let params = ReconvParams { max_leaves };
-                    let reference = reconv_cut(&g, id, params);
-                    let fast = reconv_cut_with(&g, id, params, &mut scratch);
-                    assert_eq!(reference, fast, "node {id} max_leaves {max_leaves}");
-                }
+        scratch.begin(g.len());
+        scratch.epoch = u32::MAX - 3;
+        let params = ReconvParams { max_leaves: 6 };
+        let mut fast = Vec::new();
+        for round in 0..3 {
+            for id in 0..g.len() {
+                reconv_cut_sweep(&g, id, params, &mut scratch, &mut fast);
+                assert_eq!(reconv_cut(&g, id, params), fast, "round {round} node {id}");
             }
         }
+        assert!(scratch.epoch < 1000, "the epoch wrapped and restarted");
     }
 
     #[test]
     fn sweep_cut_is_identical_to_reference() {
-        // Same shape as `scratch_cut_is_identical_to_reference`, pinning the
-        // leaf-stamped variant used by the in-place propose pipeline.
+        // Random graphs: every node's cut must match the oracle exactly,
+        // with one scratch reused across all nodes (and stale stamps).
         let mut state = 0xABCD_1234u64;
         let mut rng = move || {
             state ^= state >> 12;

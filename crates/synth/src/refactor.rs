@@ -6,15 +6,13 @@
 //! irredundant SOP and rebuilt.  Because the cut is much larger than rewrite's
 //! 4-feasible cuts, refactoring restructures whole fanin cones at once.
 
-use aig::{cut_truth, cut_truth_with, Aig, Cut, CutTruthScratch, Lit, Mffc, NodeId, TruthTable};
+use aig::{cut_truth_with, Aig, Cut, Lit, Mffc, NodeId};
 
-use crate::engine::{CutEngine, EditMode};
 use crate::pass::{PassContext, ProposeScratch};
-use crate::reconv::{reconv_cut, reconv_cut_sweep, reconv_cut_with, ReconvParams};
-use crate::resyn::{
-    resynthesis_sweep, resynthesis_sweep_ctx, Acceptance, Proposal, Structure, SweepApply,
-};
-use crate::sop::{count_sop_nodes, count_sop_nodes_sweep, count_sop_nodes_with, isop, isop_fast};
+use crate::passes::Transform;
+use crate::reconv::{reconv_cut_sweep, ReconvParams};
+use crate::resyn::{resynthesis_sweep_ctx, Acceptance, Proposal, Structure};
+use crate::sop::count_sop_nodes_sweep;
 
 /// Parameters of the refactor pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,40 +34,15 @@ impl Default for RefactorParams {
 
 /// Applies large-cut refactoring; `zero_cost` selects the `-z` behaviour.
 pub fn refactor(aig: &Aig, zero_cost: bool) -> Aig {
-    refactor_with_params(aig, zero_cost, RefactorParams::default())
-}
-
-/// Applies large-cut refactoring with explicit parameters.
-pub fn refactor_with_params(aig: &Aig, zero_cost: bool, params: RefactorParams) -> Aig {
-    refactor_with_engine(aig, zero_cost, params, CutEngine::default())
-}
-
-/// Applies large-cut refactoring with explicit parameters and cut engine.
-///
-/// Both engines produce bit-identical results; `Fast` computes the cut
-/// function through the scratch-based allocation-free cone walk
-/// ([`cut_truth_with`]) instead of rebuilding a hash map per node.
-pub fn refactor_with_engine(
-    aig: &Aig,
-    zero_cost: bool,
-    params: RefactorParams,
-    engine: CutEngine,
-) -> Aig {
-    let acceptance = if zero_cost {
-        Acceptance::zero_cost()
+    if zero_cost {
+        Transform::RefactorZ.apply(aig)
     } else {
-        Acceptance::strict()
-    };
-    let mut scratch = CutTruthScratch::new();
-    resynthesis_sweep(aig, acceptance, |graph, id| {
-        let mut proposals = Vec::new();
-        propose(graph, id, params, engine, &mut scratch, &mut proposals);
-        proposals
-    })
+        Transform::Refactor.apply(aig)
+    }
 }
 
-/// The context path of [`refactor`]: transforms `g` in place, reusing the
-/// context's cut-truth scratch and sweep buffers, producing identical bits.
+/// `refactor` on a [`PassContext`]: transforms `g` in place, reusing the
+/// context's cut-truth scratch and sweep buffers.
 pub(crate) fn refactor_ctx(
     g: &mut Aig,
     zero_cost: bool,
@@ -81,55 +54,19 @@ pub(crate) fn refactor_ctx(
     } else {
         Acceptance::strict()
     };
-    ctx.ensure_clean(g);
-    let PassContext {
-        engine,
-        edit_mode,
-        pool,
-        scratch,
-        propose: ps,
-        sweep,
-        edit,
-        apply_stats,
-        cancel,
-        ..
-    } = ctx;
-    let engine = *engine;
-    // The in-place pipeline runs the allocation-light propose path on top of
-    // the per-sweep strash snapshot (bit-identical proposals, cheaper
-    // lookups); the Rebuild mode keeps the pinned PR 5 propose path.
-    let sweep_fast = *edit_mode == EditMode::InPlace && engine == CutEngine::Fast;
-    if sweep_fast {
-        ps.strash.rebuild(g);
-    }
-    resynthesis_sweep_ctx(
-        g,
-        acceptance,
-        sweep,
-        pool,
-        scratch,
-        cancel,
-        SweepApply {
-            mode: *edit_mode,
-            edit,
-            stats: apply_stats,
-        },
-        |graph, id, out| {
-            if sweep_fast {
-                propose_sweep(graph, id, params, acceptance.min_gain, ps, out)
-            } else {
-                propose_ctx(graph, id, params, engine, ps, out)
-            }
-        },
-    );
+    let min_gain = acceptance.min_gain;
+    resynthesis_sweep_ctx(g, acceptance, ctx, |graph, id, ps, _, out| {
+        propose_sweep(graph, id, params, min_gain, ps, out)
+    });
 }
 
-/// The in-place pipeline's proposal generator: emits exactly the proposals
-/// of [`propose_ctx`] that the sweep's accept loop can accept (cost capped
-/// at `mffc_size - min_gain`; dearer cones are rejected without finishing
-/// the count), with the reconvergence cut grown through the leaf-stamped
-/// variant and the SOP cost dry-run answered by the per-sweep strash
-/// snapshot.
+/// The proposal generator: the ISOP re-expression of `id`'s
+/// reconvergence-driven cut function, emitted only when the sweep's accept
+/// loop can accept it (cost capped at `mffc_size - min_gain`; dearer cones
+/// are rejected without finishing the count).  The cut grows on stamped
+/// scratch, the cut function comes from the scratch-based cone walk
+/// ([`cut_truth_with`]) and the SOP cost dry-run is answered by the
+/// per-sweep strash snapshot.
 fn propose_sweep(
     graph: &mut Aig,
     id: NodeId,
@@ -191,103 +128,6 @@ fn propose_sweep(
         mffc_size: mffc.size(),
     });
     ps.cut_leaves = cut.into_leaves();
-}
-
-/// The context-path proposal generator: identical proposals to [`propose`],
-/// computed through the context's recycled reconv/ISOP/cost scratch.
-fn propose_ctx(
-    graph: &mut Aig,
-    id: NodeId,
-    params: RefactorParams,
-    engine: CutEngine,
-    ps: &mut ProposeScratch,
-    proposals: &mut Vec<Proposal>,
-) {
-    let leaves = reconv_cut_with(
-        graph,
-        id,
-        ReconvParams {
-            max_leaves: params.max_leaves,
-        },
-        &mut ps.reconv,
-    );
-    if leaves.len() < 3 || leaves.len() > aig::MAX_TRUTH_VARS {
-        return;
-    }
-    let cut = Cut::from_leaves(leaves.clone());
-    let Ok(truth) = compute_truth(graph, id, &cut, engine, &mut ps.truth) else {
-        return;
-    };
-    let sop = match engine {
-        CutEngine::Reference => isop(&truth),
-        CutEngine::Fast => ps.isop.isop(&truth),
-    };
-    if sop.num_cubes() > params.max_cubes {
-        return;
-    }
-    let leaf_lits: Vec<Lit> = leaves.iter().map(|&n| Lit::from_node(n, false)).collect();
-    let mffc = Mffc::compute(graph, id, &leaves);
-    let added = count_sop_nodes_with(graph, &sop, &leaf_lits, |n| mffc.contains(n), &mut ps.cost);
-    proposals.push(Proposal {
-        leaves,
-        structure: Structure::SumOfProducts(sop),
-        added,
-        mffc_size: mffc.size(),
-    });
-}
-
-fn propose(
-    graph: &mut Aig,
-    id: NodeId,
-    params: RefactorParams,
-    engine: CutEngine,
-    scratch: &mut CutTruthScratch,
-    proposals: &mut Vec<Proposal>,
-) {
-    let leaves = reconv_cut(
-        graph,
-        id,
-        ReconvParams {
-            max_leaves: params.max_leaves,
-        },
-    );
-    if leaves.len() < 3 || leaves.len() > aig::MAX_TRUTH_VARS {
-        return;
-    }
-    let cut = Cut::from_leaves(leaves.clone());
-    let Ok(truth) = compute_truth(graph, id, &cut, engine, scratch) else {
-        return;
-    };
-    let sop = match engine {
-        CutEngine::Reference => isop(&truth),
-        CutEngine::Fast => isop_fast(&truth),
-    };
-    if sop.num_cubes() > params.max_cubes {
-        return;
-    }
-    let leaf_lits: Vec<Lit> = leaves.iter().map(|&n| Lit::from_node(n, false)).collect();
-    let mffc = Mffc::compute(graph, id, &leaves);
-    let added = count_sop_nodes(graph, &sop, &leaf_lits, |n| mffc.contains(n));
-    proposals.push(Proposal {
-        leaves,
-        structure: Structure::SumOfProducts(sop),
-        added,
-        mffc_size: mffc.size(),
-    });
-}
-
-/// Engine dispatch for the cut-function computation of the large-cut passes.
-pub(crate) fn compute_truth(
-    graph: &Aig,
-    root: NodeId,
-    cut: &Cut,
-    engine: CutEngine,
-    scratch: &mut CutTruthScratch,
-) -> aig::Result<TruthTable> {
-    match engine {
-        CutEngine::Reference => cut_truth(graph, root, cut),
-        CutEngine::Fast => cut_truth_with(graph, root, cut, scratch),
-    }
 }
 
 #[cfg(test)]

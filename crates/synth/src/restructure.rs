@@ -9,16 +9,13 @@
 //! optimisation opportunities they cannot reach on their own — which is exactly
 //! why the ordering of transformations matters (Section 1 of the paper).
 
-use aig::{Aig, Cut, CutTruthScratch, Lit, Mffc, NodeId};
+use aig::{Aig, Cut, Lit, Mffc, NodeId};
 
-use crate::decomp::{count_shannon_nodes, count_shannon_nodes_fast, count_shannon_nodes_sweep};
-use crate::engine::{CutEngine, EditMode};
+use crate::decomp::count_shannon_nodes_sweep;
 use crate::pass::{PassContext, ProposeScratch};
-use crate::reconv::{reconv_cut, reconv_cut_sweep, reconv_cut_with, ReconvParams};
-use crate::refactor::compute_truth;
-use crate::resyn::{
-    resynthesis_sweep, resynthesis_sweep_ctx, Acceptance, Proposal, Structure, SweepApply,
-};
+use crate::passes::Transform;
+use crate::reconv::{reconv_cut_sweep, ReconvParams};
+use crate::resyn::{resynthesis_sweep_ctx, Acceptance, Proposal, Structure};
 
 /// Parameters of the restructure pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,79 +32,24 @@ impl Default for RestructureParams {
 
 /// Applies Shannon-decomposition restructuring.
 pub fn restructure(aig: &Aig) -> Aig {
-    restructure_with_params(aig, RestructureParams::default())
+    Transform::Restructure.apply(aig)
 }
 
-/// Applies Shannon-decomposition restructuring with explicit parameters.
-pub fn restructure_with_params(aig: &Aig, params: RestructureParams) -> Aig {
-    restructure_with_engine(aig, params, CutEngine::default())
-}
-
-/// Applies Shannon-decomposition restructuring with an explicit cut engine.
-///
-/// Both engines produce bit-identical results; `Fast` uses the scratch-based
-/// allocation-free cone walk for the cut function.
-pub fn restructure_with_engine(aig: &Aig, params: RestructureParams, engine: CutEngine) -> Aig {
-    let mut scratch = CutTruthScratch::new();
-    resynthesis_sweep(aig, Acceptance::strict(), |graph, id| {
-        let mut proposals = Vec::new();
-        propose(graph, id, params, engine, &mut scratch, &mut proposals);
-        proposals
-    })
-}
-
-/// The context path of [`restructure`]: transforms `g` in place, reusing the
-/// context's cut-truth scratch and sweep buffers, producing identical bits.
+/// `restructure` on a [`PassContext`]: transforms `g` in place, reusing the
+/// context's cut-truth scratch and sweep buffers.
 pub(crate) fn restructure_ctx(g: &mut Aig, params: RestructureParams, ctx: &mut PassContext) {
-    ctx.ensure_clean(g);
-    let PassContext {
-        engine,
-        edit_mode,
-        pool,
-        scratch,
-        propose: ps,
-        sweep,
-        edit,
-        apply_stats,
-        cancel,
-        ..
-    } = ctx;
-    let engine = *engine;
-    // The in-place pipeline runs the allocation-light propose path on top of
-    // the per-sweep strash snapshot (bit-identical proposals, cheaper
-    // lookups); the Rebuild mode keeps the pinned PR 5 propose path.
-    let sweep_fast = *edit_mode == EditMode::InPlace && engine == CutEngine::Fast;
-    if sweep_fast {
-        ps.strash.rebuild(g);
-    }
-    resynthesis_sweep_ctx(
-        g,
-        Acceptance::strict(),
-        sweep,
-        pool,
-        scratch,
-        cancel,
-        SweepApply {
-            mode: *edit_mode,
-            edit,
-            stats: apply_stats,
-        },
-        |graph, id, out| {
-            if sweep_fast {
-                propose_sweep(graph, id, params, Acceptance::strict().min_gain, ps, out)
-            } else {
-                propose_ctx(graph, id, params, engine, ps, out)
-            }
-        },
-    );
+    let acceptance = Acceptance::strict();
+    resynthesis_sweep_ctx(g, acceptance, ctx, |graph, id, ps, _, out| {
+        propose_sweep(graph, id, params, acceptance.min_gain, ps, out)
+    });
 }
 
-/// The in-place pipeline's proposal generator: emits exactly the proposals
-/// of [`propose_ctx`] that the sweep's accept loop can accept (cost capped
-/// at `mffc_size - min_gain`; dearer cones are rejected without finishing
-/// the count), with the reconvergence cut grown through the leaf-stamped
-/// variant and the Shannon cost dry-run answered by the per-sweep strash
-/// snapshot.
+/// The proposal generator: the Shannon re-decomposition of `id`'s
+/// reconvergence-driven cut function, emitted only when the sweep's accept
+/// loop can accept it (cost capped at `mffc_size - min_gain`; dearer cones
+/// are rejected without finishing the count).  The cut grows on stamped
+/// scratch, the cut function comes from the scratch-based cone walk and the
+/// Shannon cost dry-run is answered by the per-sweep strash snapshot.
 fn propose_sweep(
     graph: &mut Aig,
     id: NodeId,
@@ -160,90 +102,6 @@ fn propose_sweep(
         mffc_size: mffc.size(),
     });
     ps.cut_leaves = cut.into_leaves();
-}
-
-/// The context-path proposal generator: identical proposals to [`propose`],
-/// computed through the context's recycled reconv/cut-truth scratch (the
-/// Shannon cost estimator is already allocation-free).
-fn propose_ctx(
-    graph: &mut Aig,
-    id: NodeId,
-    params: RestructureParams,
-    engine: CutEngine,
-    ps: &mut ProposeScratch,
-    proposals: &mut Vec<Proposal>,
-) {
-    let leaves = reconv_cut_with(
-        graph,
-        id,
-        ReconvParams {
-            max_leaves: params.max_leaves,
-        },
-        &mut ps.reconv,
-    );
-    if leaves.len() < 3 || leaves.len() > aig::MAX_TRUTH_VARS {
-        return;
-    }
-    let cut = Cut::from_leaves(leaves.clone());
-    let Ok(truth) = compute_truth(graph, id, &cut, engine, &mut ps.truth) else {
-        return;
-    };
-    let leaf_lits: Vec<Lit> = leaves.iter().map(|&n| Lit::from_node(n, false)).collect();
-    let mffc = Mffc::compute(graph, id, &leaves);
-    let added = match engine {
-        CutEngine::Reference => {
-            count_shannon_nodes(graph, &truth, &leaf_lits, |n| mffc.contains(n))
-        }
-        CutEngine::Fast => {
-            count_shannon_nodes_fast(graph, &truth, &leaf_lits, |n| mffc.contains(n))
-        }
-    };
-    proposals.push(Proposal {
-        leaves,
-        structure: Structure::Shannon(truth),
-        added,
-        mffc_size: mffc.size(),
-    });
-}
-
-fn propose(
-    graph: &mut Aig,
-    id: NodeId,
-    params: RestructureParams,
-    engine: CutEngine,
-    scratch: &mut CutTruthScratch,
-    proposals: &mut Vec<Proposal>,
-) {
-    let leaves = reconv_cut(
-        graph,
-        id,
-        ReconvParams {
-            max_leaves: params.max_leaves,
-        },
-    );
-    if leaves.len() < 3 || leaves.len() > aig::MAX_TRUTH_VARS {
-        return;
-    }
-    let cut = Cut::from_leaves(leaves.clone());
-    let Ok(truth) = compute_truth(graph, id, &cut, engine, scratch) else {
-        return;
-    };
-    let leaf_lits: Vec<Lit> = leaves.iter().map(|&n| Lit::from_node(n, false)).collect();
-    let mffc = Mffc::compute(graph, id, &leaves);
-    let added = match engine {
-        CutEngine::Reference => {
-            count_shannon_nodes(graph, &truth, &leaf_lits, |n| mffc.contains(n))
-        }
-        CutEngine::Fast => {
-            count_shannon_nodes_fast(graph, &truth, &leaf_lits, |n| mffc.contains(n))
-        }
-    };
-    proposals.push(Proposal {
-        leaves,
-        structure: Structure::Shannon(truth),
-        added,
-        mffc_size: mffc.size(),
-    });
 }
 
 #[cfg(test)]

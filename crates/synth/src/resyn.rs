@@ -12,13 +12,10 @@
 //! This module owns steps 1, 3 and 4; each pass provides step 2 as a
 //! [`Proposal`] generator.
 
-use std::collections::HashMap;
-
-use aig::{Aig, AigScratch, EditScratch, InPlaceEditor, Lit, NodeId, TruthTable};
+use aig::{Aig, CutSet4, EditScratch, InPlaceEditor, Lit, NodeId, TruthTable};
 
 use crate::decomp::{build_shannon, build_shannon_edit};
-use crate::engine::EditMode;
-use crate::pass::{pool_give, pool_take, ApplyStats, CancelCell, SweepScratch};
+use crate::pass::{pool_give, pool_take, PassContext, ProposeScratch, SweepScratch};
 use crate::sop::{build_sop, build_sop_edit, Sop};
 
 /// How the new implementation of a node's cut function is expressed.
@@ -58,32 +55,9 @@ pub struct Proposal {
     pub mffc_size: usize,
 }
 
-/// Read-only view of the accepted decisions keyed by node id.
-///
-/// The rebuild/apply machinery is generic over this so the Reference path's
-/// `HashMap` and the context path's dense [`DecisionTable`] replay decisions
-/// through literally the same code — the two tables differ only in lookup
-/// cost, never in contents, keeping the paths bit-identical by construction.
-pub(crate) trait DecisionLookup {
-    /// The decision recorded for `id`, if any.
-    fn lookup(&self, id: NodeId) -> Option<&Decision>;
-    /// Whether no decision was recorded at all.
-    fn is_empty(&self) -> bool;
-}
-
-impl DecisionLookup for HashMap<NodeId, Decision> {
-    fn lookup(&self, id: NodeId) -> Option<&Decision> {
-        self.get(&id)
-    }
-    fn is_empty(&self) -> bool {
-        HashMap::is_empty(self)
-    }
-}
-
-/// Dense decision table indexed by node id — the context path's replacement
-/// for the `HashMap`.  The rebuild loop queries *every* AND of the graph, so
-/// the flat slot vector turns each probe into one bounds-checked load instead
-/// of a hash + bucket walk; the slots recycle across sweeps through
+/// Dense decision table indexed by node id.  The apply step queries *every*
+/// AND of the graph, so the flat slot vector makes each probe one
+/// bounds-checked load; the slots recycle across sweeps through
 /// [`crate::pass::SweepScratch`].
 #[derive(Debug, Default)]
 pub(crate) struct DecisionTable {
@@ -108,12 +82,13 @@ impl DecisionTable {
             self.len += 1;
         }
     }
-}
 
-impl DecisionLookup for DecisionTable {
+    /// The decision recorded for `id`, if any.
     fn lookup(&self, id: NodeId) -> Option<&Decision> {
         self.slots.get(id).and_then(Option::as_ref)
     }
+
+    /// Whether no decision was recorded at all.
     fn is_empty(&self) -> bool {
         self.len == 0
     }
@@ -139,73 +114,44 @@ impl Acceptance {
     }
 }
 
-/// Runs a resynthesis sweep over `aig`.
+/// Runs a resynthesis sweep over `g`, transforming it **in place** through
+/// the context's recycled buffers.  Same decisions and same resulting network
+/// as the oracle, [`crate::reference::resynthesis_sweep`].
 ///
 /// `propose` is called for every AND node (with up-to-date fanout counts) and
-/// may return any number of candidate implementations; the best accepted one is
-/// recorded.  The function returns the rebuilt, cleaned-up network.
-pub fn resynthesis_sweep<F>(aig: &Aig, acceptance: Acceptance, mut propose: F) -> Aig
-where
-    F: FnMut(&mut Aig, NodeId) -> Vec<Proposal>,
-{
-    let mut work = aig.cleanup();
-    work.compute_fanouts();
-    let ids: Vec<NodeId> = work.and_ids().collect();
-    let mut decisions: HashMap<NodeId, Decision> = HashMap::new();
-
-    for id in ids {
-        if work.fanout_count(id) == 0 {
-            continue;
-        }
-        let proposals = propose(&mut work, id);
-        let mut best: Option<Decision> = None;
-        for p in proposals {
-            let gain = p.mffc_size as i64 - p.added as i64;
-            if gain < acceptance.min_gain {
-                continue;
-            }
-            if best.as_ref().is_none_or(|b| gain > b.gain) {
-                best = Some(Decision {
-                    leaves: p.leaves,
-                    structure: p.structure,
-                    gain,
-                });
-            }
-        }
-        if let Some(d) = best {
-            decisions.insert(id, d);
-        }
-    }
-
-    rebuild_with_decisions(&work, &decisions).cleanup()
-}
-
-/// The context-path resynthesis sweep: same decisions, same rebuilt network as
-/// [`resynthesis_sweep`], but `g` is transformed **in place** through recycled
-/// buffers and the decision map / id list / proposal vector live in the
-/// caller's [`SweepScratch`].
-///
-/// `g` must already be dangling-free (the context ensures this); fanouts are
-/// refreshed only when the epoch stamp says they are stale.
+/// pushes any number of candidate implementations; the best accepted one is
+/// recorded.  It is handed the context's [`ProposeScratch`], whose strash
+/// snapshot is taken here, and the cut sets last enumerated into the context.
+/// `g` is cleaned first if its epoch stamp does not prove it clean; fanouts
+/// are refreshed only when theirs says they are stale.
 ///
 /// The per-node loop polls `cancel` and may unwind; `g` is only mutated by
-/// the rebuild *after* the full sweep, so a cancelled sweep leaves it exactly
-/// as it was on entry.
-#[allow(clippy::too_many_arguments)]
+/// the apply step *after* the full sweep, so a cancelled sweep leaves it
+/// exactly as it was on entry.
 pub(crate) fn resynthesis_sweep_ctx<F>(
     g: &mut Aig,
     acceptance: Acceptance,
-    sweep: &mut SweepScratch,
-    pool: &mut Vec<Aig>,
-    scratch: &mut AigScratch,
-    cancel: &mut CancelCell,
-    apply: SweepApply<'_>,
+    ctx: &mut PassContext,
     mut propose: F,
 ) where
-    F: FnMut(&mut Aig, NodeId, &mut Vec<Proposal>),
+    F: FnMut(&mut Aig, NodeId, &mut ProposeScratch, &[CutSet4], &mut Vec<Proposal>),
 {
-    debug_assert!(g.is_clean(), "caller must ensure_clean first");
+    ctx.ensure_clean(g);
     g.compute_fanouts_cached();
+    // Disjoint borrows: the propose callback works on its scratch and the
+    // cut sets while the sweep owns the rest.
+    let PassContext {
+        pool,
+        scratch,
+        propose: ps,
+        cut4_sets,
+        sweep,
+        edit,
+        apply_stats,
+        cancel,
+        ..
+    } = ctx;
+    ps.strash.rebuild(g);
     let SweepScratch {
         ids,
         decisions,
@@ -228,7 +174,7 @@ pub(crate) fn resynthesis_sweep_ctx<F>(
         }
         cancel.checkpoint();
         proposals.clear();
-        propose(g, id, proposals);
+        propose(g, id, ps, cut4_sets, proposals);
         let mut best: Option<Decision> = None;
         let mut best_touch = 0usize;
         for p in proposals.drain(..) {
@@ -251,45 +197,35 @@ pub(crate) fn resynthesis_sweep_ctx<F>(
         }
     }
 
-    // Apply the decisions.  Both arms are bit-identical (pinned by the
-    // differential tests); only the cost differs.
-    if apply.mode == EditMode::InPlace {
-        if decisions.is_empty() {
-            // Identity sweep: a clean graph rebuilt with no decisions is the
-            // graph itself, so skip the apply entirely.
-            apply.stats.identity += 1;
-            return;
-        }
-        // The editor's per-node bookkeeping only wins while the dirty region
-        // is a minority of the graph; past that the plain rebuild is cheaper.
-        if estimated_touched * 2 < g.num_ands() {
-            apply_decisions_in_place(g, decisions, apply.edit, rebuild_map, leaf_lits, out_lits);
-            apply.stats.in_place += 1;
-            return;
-        }
+    // Apply the decisions.  The routes are bit-identical (pinned by the
+    // differential tests); the observed dirty fraction picks the cheapest.
+    if decisions.is_empty() {
+        // Identity sweep: a clean graph rebuilt with no decisions is the
+        // graph itself, so skip the apply entirely.
+        apply_stats.identity += 1;
+        return;
+    }
+    // The editor's per-node bookkeeping only wins while the dirty region
+    // is a minority of the graph; past that the plain rebuild is cheaper.
+    if estimated_touched * 2 < g.num_ands() {
+        apply_decisions_in_place(g, decisions, edit, rebuild_map, leaf_lits, out_lits);
+        apply_stats.in_place += 1;
+        return;
     }
     let mut rebuilt = pool_take(pool);
-    rebuild_with_decisions_into(g, decisions, &mut rebuilt, rebuild_map);
+    rebuild_with_decisions_into(g, |id| decisions.lookup(id), &mut rebuilt, rebuild_map);
     rebuilt.cleanup_into_with(g, scratch);
     pool_give(pool, rebuilt);
-    apply.stats.rebuilt += 1;
-}
-
-/// The [`EditMode`] selection and its observability counters, passed into a
-/// sweep after the caller destructured its [`crate::PassContext`].
-pub(crate) struct SweepApply<'a> {
-    pub(crate) mode: EditMode,
-    pub(crate) edit: &'a mut EditScratch,
-    pub(crate) stats: &'a mut ApplyStats,
+    apply_stats.rebuilt += 1;
 }
 
 /// Applies the decisions by mutating `g` through an [`InPlaceEditor`]:
 /// the same sweep order as [`rebuild_with_decisions_into`] followed by the
 /// compacting `finish`, producing node-for-node identical bits (see the
 /// `aig::edit` module docs for the argument).
-fn apply_decisions_in_place<D: DecisionLookup>(
+fn apply_decisions_in_place(
     g: &mut Aig,
-    decisions: &D,
+    decisions: &DecisionTable,
     edit: &mut EditScratch,
     map: &mut Vec<Lit>,
     leaf_lits: &mut Vec<Lit>,
@@ -328,20 +264,12 @@ fn apply_decisions_in_place<D: DecisionLookup>(
     ed.finish(out_lits);
 }
 
-/// Rebuilds `src` into a fresh graph, replacing each decided node by its new
-/// structure over the mapped cut leaves and copying every other node verbatim.
-pub fn rebuild_with_decisions(src: &Aig, decisions: &HashMap<NodeId, Decision>) -> Aig {
-    let mut out = Aig::new();
-    let mut map = Vec::new();
-    rebuild_with_decisions_into(src, decisions, &mut out, &mut map);
-    out
-}
-
-/// [`rebuild_with_decisions`] into a recycled destination graph and remap
-/// table (both cleared and pre-sized here), producing identical bits.
-pub(crate) fn rebuild_with_decisions_into<D: DecisionLookup>(
+/// Rebuilds `src` into `out`, replacing each node `decision_for` answers by
+/// its new structure over the mapped cut leaves and copying every other node
+/// verbatim.  `out` and the remap table `map` are cleared and pre-sized here.
+pub(crate) fn rebuild_with_decisions_into<'d>(
     src: &Aig,
-    decisions: &D,
+    decision_for: impl Fn(NodeId) -> Option<&'d Decision>,
     out: &mut Aig,
     map: &mut Vec<Lit>,
 ) {
@@ -357,7 +285,7 @@ pub(crate) fn rebuild_with_decisions_into<D: DecisionLookup>(
         let Some((a, b)) = src.node(id).fanins() else {
             continue;
         };
-        if let Some(d) = decisions.lookup(id) {
+        if let Some(d) = decision_for(id) {
             let leaf_lits: Vec<Lit> = d.leaves.iter().map(|&l| map[l]).collect();
             map[id] = match &d.structure {
                 Structure::SumOfProducts(sop) => build_sop(out, sop, &leaf_lits),
@@ -380,8 +308,24 @@ pub(crate) fn rebuild_with_decisions_into<D: DecisionLookup>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::rebuild_with_decisions;
     use crate::sop::isop;
     use aig::{cut_truth, random_equivalence_check, Cut};
+    use std::collections::HashMap;
+
+    /// One production sweep over a copy of `g` on a fresh context.
+    fn sweep(
+        g: &Aig,
+        acceptance: Acceptance,
+        mut propose: impl FnMut(&mut Aig, NodeId, &mut Vec<Proposal>),
+    ) -> Aig {
+        let mut ctx = PassContext::default();
+        let mut work = ctx.run_flow(g, &[]);
+        resynthesis_sweep_ctx(&mut work, acceptance, &mut ctx, |graph, id, _, _, out| {
+            propose(graph, id, out)
+        });
+        work
+    }
 
     /// f = (a & b) | (a & c) has a redundant two-node structure when written as
     /// a & (b | c); a sweep proposing the ISOP of the 3-leaf cut should shrink it.
@@ -401,22 +345,22 @@ mod tests {
     fn sweep_preserves_function_and_reduces_nodes() {
         let g = redundant_aig();
         let before = g.num_ands();
-        let result = resynthesis_sweep(&g, Acceptance::strict(), |work, id| {
+        let result = sweep(&g, Acceptance::strict(), |work, id, out| {
             let leaves: Vec<NodeId> = work.input_ids().to_vec();
             let cut = Cut::from_leaves(leaves.clone());
             let Ok(truth) = cut_truth(work, id, &cut) else {
-                return vec![];
+                return;
             };
             let sop = isop(&truth);
             let leaf_lits: Vec<Lit> = leaves.iter().map(|&n| Lit::from_node(n, false)).collect();
             let mffc = aig::Mffc::compute(work, id, &leaves);
             let added = crate::sop::count_sop_nodes(work, &sop, &leaf_lits, |n| mffc.contains(n));
-            vec![Proposal {
+            out.push(Proposal {
                 leaves,
                 structure: Structure::SumOfProducts(sop),
                 added,
                 mffc_size: mffc.size(),
-            }]
+            });
         });
         assert!(
             random_equivalence_check(&g, &result, 8, 3),
@@ -433,7 +377,7 @@ mod tests {
     #[test]
     fn sweep_without_proposals_is_identity_up_to_cleanup() {
         let g = redundant_aig();
-        let result = resynthesis_sweep(&g, Acceptance::strict(), |_, _| vec![]);
+        let result = sweep(&g, Acceptance::strict(), |_, _, _| {});
         assert!(random_equivalence_check(&g, &result, 8, 5));
         assert_eq!(result.num_ands(), g.cleanup().num_ands());
     }

@@ -7,21 +7,21 @@
 //! accepts zero-gain replacements, which changes structure and can enable later
 //! passes — the reason the paper's flows interleave it with the other passes.
 
-use aig::{cut_truth, Aig, Cut4Enumerator, CutEnumerator, CutParams, Lit, NodeId};
+use aig::{Aig, Cut4Enumerator, CutParams, Lit, NodeId};
 
-use crate::engine::{CutEngine, EditMode};
 use crate::pass::{PassContext, ProposeScratch};
-use crate::resyn::{
-    resynthesis_sweep, resynthesis_sweep_ctx, Acceptance, Proposal, Structure, SweepApply,
-};
-use crate::sop::{count_sop_nodes, count_sop_nodes_sweep, count_sop_nodes_with, isop, isop_fast};
+use crate::passes::Transform;
+use crate::resyn::{resynthesis_sweep_ctx, Acceptance, Proposal, Structure};
+use crate::sop::count_sop_nodes_sweep;
 
 /// Parameters of the rewrite pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RewriteParams {
-    /// Cut size used for local rewriting (ABC uses 4).
+    /// Cut size used for local rewriting (ABC uses 4, which is also the
+    /// most [`Cut4Enumerator`] holds).
     pub cut_size: usize,
-    /// Number of cuts kept per node during enumeration.
+    /// Number of cuts kept per node during enumeration (at most
+    /// [`aig::CUT4_SET_CAPACITY`]).
     pub cuts_per_node: usize,
 }
 
@@ -36,61 +36,15 @@ impl Default for RewriteParams {
 
 /// Applies cut-based rewriting; `zero_cost` selects the `-z` behaviour.
 pub fn rewrite(aig: &Aig, zero_cost: bool) -> Aig {
-    rewrite_with_params(aig, zero_cost, RewriteParams::default())
-}
-
-/// Applies cut-based rewriting with explicit parameters.
-pub fn rewrite_with_params(aig: &Aig, zero_cost: bool, params: RewriteParams) -> Aig {
-    rewrite_with_engine(aig, zero_cost, params, CutEngine::default())
-}
-
-/// Applies cut-based rewriting with explicit parameters and cut engine.
-///
-/// Both engines produce bit-identical results; `Fast` runs on the
-/// zero-allocation [`Cut4Enumerator`] with fused truth tables when the
-/// parameters fit (`cut_size <= 4`), falling back to the reference machinery
-/// otherwise.
-pub fn rewrite_with_engine(
-    aig: &Aig,
-    zero_cost: bool,
-    params: RewriteParams,
-    engine: CutEngine,
-) -> Aig {
-    let acceptance = if zero_cost {
-        Acceptance::zero_cost()
+    if zero_cost {
+        Transform::RewriteZ.apply(aig)
     } else {
-        Acceptance::strict()
-    };
-    // Cuts are enumerated once on the cleaned-up working copy used by the
-    // sweep (the sweep applies all decisions in one rebuild, so the graph the
-    // cuts were enumerated on stays valid for the whole pass).
-    let work = aig.cleanup();
-    let cut_params = CutParams {
-        max_cut_size: params.cut_size,
-        max_cuts_per_node: params.cuts_per_node,
-        include_trivial: false,
-    };
-    let fast_capable =
-        params.cut_size <= aig::CUT4_MAX_LEAVES && params.cuts_per_node <= aig::CUT4_SET_CAPACITY;
-    if engine == CutEngine::Fast && fast_capable {
-        let cut_sets = Cut4Enumerator::new(cut_params).enumerate(&work);
-        resynthesis_sweep(&work, acceptance, |graph, id| {
-            let mut proposals = Vec::new();
-            propose_fast(graph, id, &cut_sets, &mut proposals);
-            proposals
-        })
-    } else {
-        let cut_sets = CutEnumerator::new(cut_params).enumerate(&work);
-        resynthesis_sweep(&work, acceptance, |graph, id| {
-            let mut proposals = Vec::new();
-            propose(graph, id, &cut_sets, &mut proposals);
-            proposals
-        })
+        Transform::Rewrite.apply(aig)
     }
 }
 
-/// The context path of [`rewrite`]: transforms `g` in place, recycling the
-/// context's cut-set vector and sweep buffers, producing identical bits.
+/// `rewrite` on a [`PassContext`]: transforms `g` in place, recycling the
+/// context's cut-set vector and sweep buffers.
 pub(crate) fn rewrite_ctx(
     g: &mut Aig,
     zero_cost: bool,
@@ -108,79 +62,22 @@ pub(crate) fn rewrite_ctx(
         max_cuts_per_node: params.cuts_per_node,
         include_trivial: false,
     };
-    let fast_capable =
-        params.cut_size <= aig::CUT4_MAX_LEAVES && params.cuts_per_node <= aig::CUT4_SET_CAPACITY;
-    // Split the context into disjoint borrows: the enumeration buffer feeds
-    // the propose closure while the sweep owns the remaining scratch.
-    let PassContext {
-        engine,
-        edit_mode,
-        pool,
-        scratch,
-        propose: ps,
-        cut4_sets,
-        sweep,
-        edit,
-        apply_stats,
-        cancel,
-        ..
-    } = ctx;
-    if *engine == CutEngine::Fast && fast_capable {
-        // The in-place pipeline materializes only the winning cut's proposal
-        // (bit-identical to the full enumeration: the sweep's accept loop keeps
-        // the first strictly-best gain, which is exactly what the winner scan
-        // reproduces); the Rebuild mode keeps the pinned PR 5 propose path.
-        let sweep_fast = *edit_mode == EditMode::InPlace;
-        if sweep_fast {
-            ps.strash.rebuild(g);
-        }
-        let min_gain = acceptance.min_gain;
-        Cut4Enumerator::new(cut_params).enumerate_into(g, cut4_sets);
-        resynthesis_sweep_ctx(
-            g,
-            acceptance,
-            sweep,
-            pool,
-            scratch,
-            cancel,
-            SweepApply {
-                mode: *edit_mode,
-                edit,
-                stats: apply_stats,
-            },
-            |graph, id, out| {
-                if sweep_fast {
-                    propose_sweep(graph, id, cut4_sets, min_gain, ps, out)
-                } else {
-                    propose_fast_ctx(graph, id, cut4_sets, ps, out)
-                }
-            },
-        );
-    } else {
-        let cut_sets = CutEnumerator::new(cut_params).enumerate(g);
-        resynthesis_sweep_ctx(
-            g,
-            acceptance,
-            sweep,
-            pool,
-            scratch,
-            cancel,
-            SweepApply {
-                mode: *edit_mode,
-                edit,
-                stats: apply_stats,
-            },
-            |graph, id, out| propose(graph, id, &cut_sets, out),
-        );
-    }
+    // Cuts are enumerated once: the sweep applies all decisions after the
+    // last propose call, so they stay valid for the whole pass.
+    Cut4Enumerator::new(cut_params).enumerate_into(g, &mut ctx.cut4_sets);
+    let min_gain = acceptance.min_gain;
+    resynthesis_sweep_ctx(g, acceptance, ctx, |graph, id, ps, cut_sets, out| {
+        propose_sweep(graph, id, cut_sets, min_gain, ps, out)
+    });
 }
 
-/// The in-place pipeline's proposal generator: scans every cut like
-/// [`propose_fast_ctx`] but only materializes the winning proposal — the one
-/// the sweep's accept loop would select (first cut with the strictly largest
-/// gain at or above `min_gain`).  Cut costs are answered by the per-sweep
-/// strash snapshot and the SOP covers are borrowed from the ISOP cache, so
-/// losing cuts allocate nothing.
+/// The proposal generator: costs the ISOP re-expression of every 4-cut of
+/// `id` (the fused truth makes the per-cut cone walk unnecessary) but only
+/// materializes the winning proposal — the one the sweep's accept loop would
+/// select among all of them (first cut with the strictly largest gain at or
+/// above `min_gain`).  Cut costs are answered by the per-sweep strash
+/// snapshot and the SOP covers are borrowed from the ISOP cache, so losing
+/// cuts allocate nothing.
 fn propose_sweep(
     graph: &mut Aig,
     id: NodeId,
@@ -212,6 +109,8 @@ fn propose_sweep(
         ps.leaf_lits.clear();
         ps.leaf_lits
             .extend(leaves.iter().map(|&n| Lit::from_node(n, false)));
+        // Nodes inside the MFFC will be freed by the replacement, so reusing
+        // them must not be counted as free.
         let mffc = aig::Mffc::compute(graph, id, leaves);
         let budget = (mffc.size() as i64 - min_gain).max(0) as usize;
         let Some(added) = count_sop_nodes_sweep(
@@ -242,103 +141,6 @@ fn propose_sweep(
         structure: Structure::SumOfProducts(sop),
         added,
         mffc_size,
-    });
-}
-
-/// The context-path proposal generator: identical proposals to
-/// [`propose_fast`], computed through the context's recycled ISOP arena and
-/// SOP cost scratch.
-fn propose_fast_ctx(
-    graph: &mut Aig,
-    id: NodeId,
-    cut_sets: &[aig::CutSet4],
-    ps: &mut ProposeScratch,
-    proposals: &mut Vec<Proposal>,
-) {
-    if id >= cut_sets.len() {
-        return;
-    }
-    for cut in cut_sets[id].cuts() {
-        if cut.size() < 2 {
-            continue;
-        }
-        let truth = cut.truth_table();
-        let sop = ps.isop.isop(&truth);
-        // Very large covers cannot win at cut size 4; skip pathological cases.
-        if sop.num_cubes() > 16 {
-            continue;
-        }
-        let leaves = cut.leaf_ids();
-        let leaf_lits: Vec<Lit> = leaves.iter().map(|&n| Lit::from_node(n, false)).collect();
-        let mffc = aig::Mffc::compute(graph, id, &leaves);
-        let added =
-            count_sop_nodes_with(graph, &sop, &leaf_lits, |n| mffc.contains(n), &mut ps.cost);
-        proposals.push(Proposal {
-            leaves,
-            structure: Structure::SumOfProducts(sop),
-            added,
-            mffc_size: mffc.size(),
-        });
-    }
-}
-
-fn propose(graph: &mut Aig, id: NodeId, cut_sets: &[aig::CutSet], proposals: &mut Vec<Proposal>) {
-    if id >= cut_sets.len() {
-        return;
-    }
-    for cut in cut_sets[id].cuts() {
-        if cut.size() < 2 {
-            continue;
-        }
-        let Ok(truth) = cut_truth(graph, id, cut) else {
-            continue;
-        };
-        push_proposal(graph, id, cut.leaves().to_vec(), &truth, false, proposals);
-    }
-}
-
-fn propose_fast(
-    graph: &mut Aig,
-    id: NodeId,
-    cut_sets: &[aig::CutSet4],
-    proposals: &mut Vec<Proposal>,
-) {
-    if id >= cut_sets.len() {
-        return;
-    }
-    for cut in cut_sets[id].cuts() {
-        if cut.size() < 2 {
-            continue;
-        }
-        // The fused truth makes the per-cut cone walk unnecessary.
-        let truth = cut.truth_table();
-        push_proposal(graph, id, cut.leaf_ids(), &truth, true, proposals);
-    }
-}
-
-fn push_proposal(
-    graph: &mut Aig,
-    id: NodeId,
-    leaves: Vec<NodeId>,
-    truth: &aig::TruthTable,
-    fast: bool,
-    proposals: &mut Vec<Proposal>,
-) {
-    let sop = if fast { isop_fast(truth) } else { isop(truth) };
-    // Very large covers cannot win at cut size 4; skip pathological cases.
-    if sop.num_cubes() > 16 {
-        return;
-    }
-    let leaf_lits: Vec<Lit> = leaves.iter().map(|&n| Lit::from_node(n, false)).collect();
-    // Nodes inside the MFFC will be freed by the replacement, so reusing
-    // them must not be counted as free.
-    let mffc = aig::Mffc::compute(graph, id, &leaves);
-    let added = count_sop_nodes(graph, &sop, &leaf_lits, |n| mffc.contains(n));
-    proposals.push(Proposal {
-        leaves,
-        structure: Structure::SumOfProducts(sop),
-        added,
-        mffc_size: mffc.size(),
     });
 }
 

@@ -90,40 +90,26 @@ impl Sop {
 
 /// Computes an irredundant sum-of-products cover of `f` (Minato–Morreale).
 ///
-/// The cover is exact: `isop(f).truth(n) == *f`.  This is the reference
-/// entry point working on heap-backed tables; the resynthesis fast paths use
-/// [`isop_fast`], which produces the identical cover without allocating.
+/// The cover is exact: `isop(f).truth(n) == *f`.  This is the oracle working
+/// on heap-backed tables; the passes go through [`IsopCache`], which produces
+/// the identical cover from inline tables and memoizes it.
 pub fn isop(f: &TruthTable) -> Sop {
     let n = f.num_vars();
     let (cover, _) = isop_rec(f, f, n, n);
     cover
 }
 
-/// Allocation-free variant of [`isop`] for functions of up to
-/// [`SmallTruth::MAX_VARS`] variables (wider functions fall back).
+/// [`isop`] on inline [`SmallTruth`] tables through a caller-owned cube arena
+/// (the pass pipeline's recycled buffer); functions of more than
+/// [`SmallTruth::MAX_VARS`] variables fall back to [`isop`].
 ///
-/// The recursion is the same generic code as [`isop`] running on inline
-/// [`SmallTruth`] tables, so the cover is bit-identical.
-pub fn isop_fast(f: &TruthTable) -> Sop {
-    let n = f.num_vars();
-    if n > SmallTruth::MAX_VARS {
-        return isop(f);
-    }
-    let sf = SmallTruth::from_table(f);
-    let (cover, _) = isop_rec(&sf, &sf, n, n);
-    cover
-}
-
-/// [`isop_fast`] through a caller-owned cube arena (the pass pipeline's
-/// recycled buffer).
-///
-/// The reference recursion builds one `Vec<Cube>` per interior call and
+/// The oracle recursion builds one `Vec<Cube>` per interior call and
 /// copies child cubes into the parent at every level; here every interior
 /// cover is a contiguous range of `arena` (cleared on entry) and the
 /// variable-insertion step mutates the ranges in place, so one ISOP performs
 /// a single allocation — the returned cover — and zero cube copies.  The
-/// cover is bit-identical to [`isop`]/[`isop_fast`] (same recursion, same
-/// cube order: `!v`-cubes, then `v`-cubes, then the shared remainder).
+/// cover is bit-identical to [`isop`] (same recursion, same cube order:
+/// `!v`-cubes, then `v`-cubes, then the shared remainder).
 pub fn isop_fast_with(f: &TruthTable, arena: &mut Vec<Cube>) -> Sop {
     let n = f.num_vars();
     if n > SmallTruth::MAX_VARS {
@@ -170,7 +156,7 @@ impl IsopCache {
         self.shared = shared;
     }
 
-    /// [`isop_fast`] with memoization; the cover is bit-identical.
+    /// [`isop_fast_with`] with memoization; the cover is bit-identical.
     pub fn isop(&mut self, f: &TruthTable) -> Sop {
         let n = f.num_vars();
         if n > SmallTruth::MAX_VARS {
@@ -612,28 +598,17 @@ pub fn count_sop_nodes(
     counter.added
 }
 
-/// Reusable buffers of [`count_sop_nodes_with`].
+/// Reusable buffers of the passes' SOP cost dry-run.
 #[derive(Debug, Default)]
 pub struct SopCostScratch {
     cube_signals: Vec<CostSignal>,
     lits: Vec<CostSignal>,
 }
 
-/// [`count_sop_nodes`] through caller-owned scratch buffers: the dry-run
-/// allocates nothing (cube/literal signal vectors are recycled and the
-/// balanced reduction runs in place) and returns the identical count.
-pub fn count_sop_nodes_with(
-    aig: &Aig,
-    sop: &Sop,
-    leaves: &[Lit],
-    excluded: impl Fn(NodeId) -> bool,
-    scratch: &mut SopCostScratch,
-) -> usize {
-    count_sop_nodes_with_finder(|x, y| aig.find_and(x, y), sop, leaves, excluded, scratch)
-}
-
-/// [`count_sop_nodes_with`] served by the per-sweep strash snapshot and
-/// capped at `budget` — the in-place propose pipeline's cost estimator.
+/// [`count_sop_nodes`] served by the per-sweep strash snapshot, allocating
+/// nothing (cube/literal signal vectors are recycled and the balanced
+/// reduction runs in place) and capped at `budget` — the passes' cost
+/// estimator.
 ///
 /// Returns `None` as soon as the count provably exceeds `budget`, `Some(n)`
 /// with the exact count otherwise.  The cap is lossless for the sweep's
@@ -685,45 +660,6 @@ pub(crate) fn count_sop_nodes_sweep(
         return None;
     }
     Some(counter.added)
-}
-
-fn count_sop_nodes_with_finder(
-    find: impl Fn(Lit, Lit) -> Option<Lit>,
-    sop: &Sop,
-    leaves: &[Lit],
-    excluded: impl Fn(NodeId) -> bool,
-    scratch: &mut SopCostScratch,
-) -> usize {
-    let mut counter = CostCounter {
-        find,
-        excluded,
-        added: 0,
-    };
-    if sop.num_cubes() == 0 {
-        return 0; // emit_sop returns the constant; nothing is added
-    }
-    let SopCostScratch { cube_signals, lits } = scratch;
-    cube_signals.clear();
-    for cube in sop.cubes() {
-        lits.clear();
-        for (v, &leaf) in leaves.iter().enumerate() {
-            if cube.pos >> v & 1 == 1 {
-                lits.push(counter.leaf(leaf));
-            } else if cube.neg >> v & 1 == 1 {
-                let l = counter.leaf(leaf);
-                lits.push(counter.not(l));
-            }
-        }
-        let product = reduce_balanced_in_place(&mut counter, lits, true);
-        cube_signals.push(product);
-    }
-    // OR of cubes: complement, AND, complement — same shape as emit_sop.
-    for s in cube_signals.iter_mut() {
-        *s = counter.not(*s);
-    }
-    let all_off = reduce_balanced_in_place(&mut counter, cube_signals, true);
-    let _ = counter.not(all_off);
-    counter.added
 }
 
 /// [`reduce_balanced`] over a recycled vector: identical pairing order, the
@@ -784,41 +720,41 @@ mod tests {
 
     #[test]
     fn isop_fast_is_identical_to_reference() {
-        for num_vars in 1..=8 {
+        let mut arena = Vec::new();
+        // Nine variables is past `SmallTruth::MAX_VARS`: the fallback arm.
+        for num_vars in 1..=9 {
             for seed in 1..=12u64 {
                 let f = random_truth(num_vars, seed * 13 + num_vars as u64);
-                assert_eq!(isop(&f), isop_fast(&f), "nv={num_vars} seed={seed}");
+                assert_eq!(
+                    isop(&f),
+                    isop_fast_with(&f, &mut arena),
+                    "nv={num_vars} seed={seed}"
+                );
             }
         }
-        assert_eq!(
-            isop(&TruthTable::zeros(4)),
-            isop_fast(&TruthTable::zeros(4))
-        );
-        assert_eq!(isop(&TruthTable::ones(4)), isop_fast(&TruthTable::ones(4)));
+        for f in [TruthTable::zeros(4), TruthTable::ones(4)] {
+            assert_eq!(isop(&f), isop_fast_with(&f, &mut arena));
+        }
     }
 
     #[test]
     fn isop_arena_and_cache_are_identical_to_reference() {
-        let mut arena = Vec::new();
         let mut cache = IsopCache::default();
         for num_vars in 1..=8 {
             for seed in 1..=12u64 {
                 let f = random_truth(num_vars, seed * 13 + num_vars as u64);
                 let reference = isop(&f);
-                assert_eq!(
-                    reference,
-                    isop_fast_with(&f, &mut arena),
-                    "arena nv={num_vars} seed={seed}"
-                );
-                // Twice through the cache: miss then hit, both identical.
+                // Twice through the cache: miss then hit, both identical,
+                // owned and borrowed.
                 assert_eq!(reference, cache.isop(&f), "miss nv={num_vars} seed={seed}");
                 assert_eq!(reference, cache.isop(&f), "hit nv={num_vars} seed={seed}");
+                assert_eq!(
+                    &reference,
+                    cache.isop_ref(&f),
+                    "ref nv={num_vars} seed={seed}"
+                );
             }
         }
-        assert_eq!(
-            isop(&TruthTable::zeros(4)),
-            isop_fast_with(&TruthTable::zeros(4), &mut arena)
-        );
         assert_eq!(isop(&TruthTable::ones(4)), cache.isop(&TruthTable::ones(4)));
     }
 
@@ -831,6 +767,8 @@ mod tests {
         let cd = g.and(inputs[2], !inputs[3]);
         let top = g.and(ab, cd);
         g.add_output("keep", top);
+        let mut strash = crate::strash::SweepStrash::default();
+        strash.rebuild(&g);
         let mut scratch = SopCostScratch::default();
         for num_vars in 1..=6usize {
             for seed in 1..=15u64 {
@@ -839,9 +777,19 @@ mod tests {
                 let leaves = &inputs[..num_vars];
                 for excluded in [ab.node(), top.node(), usize::MAX] {
                     let reference = count_sop_nodes(&g, &sop, leaves, |n| n == excluded);
-                    let fast =
-                        count_sop_nodes_with(&g, &sop, leaves, |n| n == excluded, &mut scratch);
-                    assert_eq!(reference, fast, "nv={num_vars} seed={seed}");
+                    // Some(exact count) within the budget, None past it.
+                    for budget in [0, reference.saturating_sub(1), reference, usize::MAX] {
+                        let fast = count_sop_nodes_sweep(
+                            &strash,
+                            &sop,
+                            leaves,
+                            |n| n == excluded,
+                            &mut scratch,
+                            budget,
+                        );
+                        let want = (reference <= budget).then_some(reference);
+                        assert_eq!(want, fast, "nv={num_vars} seed={seed} budget={budget}");
+                    }
                 }
             }
         }

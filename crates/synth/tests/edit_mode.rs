@@ -1,129 +1,61 @@
-//! Differential tests for the [`EditMode`] axis of the two-path pattern:
-//! `EditMode::InPlace` (incremental editing of the resident graph) must be
-//! node-for-node identical to `EditMode::Rebuild` (the PR 5 ping-pong path)
-//! and to the Reference free functions, and the dirty-fraction crossover must
-//! route sweeps to the path the heuristic picked.
+//! Differential suite, part 3: how a sweep applies its decisions.  The route
+//! — identity, in place through `aig::InPlaceEditor`, or rebuild — is picked
+//! per sweep from the observed dirty fraction; every route must produce the
+//! oracle's bits (the oracle always rebuilds) and leave honest epoch stamps.
+//! Harness and conventions: `reference_differential/mod.rs`.
+
+mod reference_differential;
 
 use aig::Aig;
 use circuits::{Design, DesignScale};
-use synth::{apply_sequence_with_engine, CutEngine, EditMode, PassContext, Transform};
+use reference_differential::*;
+use synth::{reference, PassContext, Transform};
 
-/// Node-for-node structural identity: ids, kinds, levels, interface, names.
-fn assert_identical(reference: &Aig, other: &Aig, what: &str) {
-    assert_eq!(reference.len(), other.len(), "{what}: node count");
-    for id in 0..reference.len() {
-        assert_eq!(
-            reference.node(id).kind(),
-            other.node(id).kind(),
-            "{what}: node {id} kind"
-        );
-        assert_eq!(
-            reference.node(id).level(),
-            other.node(id).level(),
-            "{what}: node {id} level"
-        );
-    }
-    assert_eq!(reference.outputs(), other.outputs(), "{what}: outputs");
-    assert_eq!(reference.input_ids(), other.input_ids(), "{what}: inputs");
-    for i in 0..reference.num_inputs() {
-        assert_eq!(
-            reference.input_name(i),
-            other.input_name(i),
-            "{what}: input name {i}"
-        );
-    }
-    for i in 0..reference.num_outputs() {
-        assert_eq!(
-            reference.output_name(i),
-            other.output_name(i),
-            "{what}: output name {i}"
-        );
-    }
-}
-
-/// Deterministic xorshift for seeded random paper-space flows.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 >> 12;
-        self.0 ^= self.0 << 25;
-        self.0 ^= self.0 >> 27;
-        self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-}
-
-/// A random flow from the paper's space: length 10..=25 over the 6 transforms.
-fn random_flow(seed: u64) -> Vec<Transform> {
-    let mut rng = Rng(seed | 1);
-    let len = 10 + (rng.next() % 16) as usize;
-    (0..len)
-        .map(|_| Transform::from_index((rng.next() % Transform::COUNT as u64) as usize))
-        .collect()
-}
-
-#[test]
-fn default_edit_mode_is_in_place() {
-    assert_eq!(EditMode::default(), EditMode::InPlace);
-    assert_eq!(PassContext::default().edit_mode(), EditMode::InPlace);
-}
-
+/// Every pass alone on the two smaller designs: whichever route the sweep
+/// took, the result is the oracle's rebuild.
 #[test]
 fn in_place_matches_rebuild_and_reference_per_transform() {
-    for design in [
-        Design::Alu64.generate(DesignScale::Tiny),
-        Design::Montgomery64.generate(DesignScale::Tiny),
-    ] {
+    for design in [Design::Alu64, Design::Montgomery64] {
+        let g = design.generate(DesignScale::Tiny);
         for t in Transform::ALL {
-            let flow = [t];
-            let reference = apply_sequence_with_engine(&design, &flow, CutEngine::Fast);
-            let mut rebuild_ctx = PassContext::with_modes(CutEngine::Fast, EditMode::Rebuild);
-            let rebuilt = rebuild_ctx.run_flow(&design, &flow);
-            let mut inplace_ctx = PassContext::with_modes(CutEngine::Fast, EditMode::InPlace);
-            let inplace = inplace_ctx.run_flow(&design, &flow);
-            assert_identical(&reference, &rebuilt, &format!("{t}: rebuild vs reference"));
-            assert_identical(&reference, &inplace, &format!("{t}: in-place vs reference"));
+            assert_identical(
+                &reference::apply(t, &g),
+                &t.apply(&g),
+                &format!("{design} {t}"),
+            );
         }
     }
 }
 
+/// Random 24-pass flows on small graphs, where one decision is most of the
+/// graph, and on alu64: between them every route is taken and matches.
 #[test]
 fn seeded_random_paper_flows_are_mode_identical() {
-    let design = Design::Alu64.generate(DesignScale::Tiny);
-    for seed in [0xBEEFu64, 0xFACADE, 0x5EED] {
-        let flow = random_flow(seed);
-        let mut rebuild_ctx = PassContext::with_modes(CutEngine::Fast, EditMode::Rebuild);
-        let rebuilt = rebuild_ctx.run_flow(&design, &flow);
-        let mut inplace_ctx = PassContext::with_modes(CutEngine::Fast, EditMode::InPlace);
-        let inplace = inplace_ctx.run_flow(&design, &flow);
-        assert_identical(&rebuilt, &inplace, &format!("random-{seed:#x}"));
-    }
+    let alu = Design::Alu64.generate(DesignScale::Tiny);
+    let small = [3u64, 17, 99].map(|seed| random_aig(seed * 0xBEEF, 10, 80));
+    let flows = [0xBEEF, 0xFACADE, 0x5EED].map(random_flow);
+    let mut jobs: Vec<_> = flows.iter().map(|f| (&alu, f)).collect();
+    jobs.extend(small.iter().zip(&flows));
+    assert_every_route_taken(check_jobs(&jobs));
 }
 
 #[test]
 fn in_place_mode_actually_takes_the_in_place_path() {
     let design = Design::Alu64.generate(DesignScale::Tiny);
     let flow = [Transform::Balance, Transform::Rewrite, Transform::Refactor];
-    let mut ctx = PassContext::with_modes(CutEngine::Fast, EditMode::InPlace);
+    let mut ctx = PassContext::default();
     let _ = ctx.run_flow(&design, &flow);
     let stats = ctx.apply_stats();
     assert!(
         stats.in_place > 0,
         "a realistic flow must route sweeps through the in-place editor: {stats:?}"
     );
-
-    let mut ctx = PassContext::with_modes(CutEngine::Fast, EditMode::Rebuild);
-    let _ = ctx.run_flow(&design, &flow);
-    let stats = ctx.apply_stats();
-    assert_eq!(stats.in_place, 0, "rebuild mode must never edit in place");
-    assert_eq!(stats.identity, 0, "rebuild mode has no identity fast path");
-    assert!(stats.rebuilt > 0);
 }
 
 #[test]
 fn identity_sweeps_are_free_in_in_place_mode() {
     // A minimal optimal graph: strict rewrite can free no nodes, so the
-    // sweep accepts nothing and the in-place apply is skipped entirely.
+    // sweep accepts nothing and the apply is skipped entirely.
     let mut g = Aig::new();
     let a = g.add_input("a");
     let b = g.add_input("b");
@@ -132,7 +64,7 @@ fn identity_sweeps_are_free_in_in_place_mode() {
     let f = g.and(ab, c);
     g.add_output("f", f);
 
-    let mut ctx = PassContext::with_modes(CutEngine::Fast, EditMode::InPlace);
+    let mut ctx = PassContext::default();
     let mut work = ctx.take_buf();
     work.copy_from(&g);
     ctx.ensure_clean(&mut work);
@@ -146,18 +78,19 @@ fn identity_sweeps_are_free_in_in_place_mode() {
     assert_eq!(
         work.generation(),
         generation,
-        "the identity fast path must not touch the graph at all"
+        "the identity route must not touch the graph at all"
     );
     // The untouched graph keeps its fresh epoch caches.
     assert!(work.is_clean());
     assert!(work.fanouts_fresh());
+    assert_identical(&reference::apply(Transform::Rewrite, &g), &work, "identity");
 }
 
 #[test]
 fn dirty_threshold_crossover_falls_back_to_rebuild() {
     // A tiny redundant graph where one accepted decision touches most of the
-    // AND nodes: the estimated dirty fraction crosses 50%, so even
-    // EditMode::InPlace must route the apply through the rebuild path.
+    // AND nodes: the estimated dirty fraction crosses 50%, so the sweep must
+    // route the apply through the rebuild.
     let mut g = Aig::new();
     let a = g.add_input("a");
     let b = g.add_input("b");
@@ -167,7 +100,7 @@ fn dirty_threshold_crossover_falls_back_to_rebuild() {
     let f = g.or(ab, ac);
     g.add_output("f", f);
 
-    let mut ctx = PassContext::with_modes(CutEngine::Fast, EditMode::InPlace);
+    let mut ctx = PassContext::default();
     let mut work = ctx.take_buf();
     work.copy_from(&g);
     ctx.ensure_clean(&mut work);
@@ -178,9 +111,12 @@ fn dirty_threshold_crossover_falls_back_to_rebuild() {
         "a whole-graph decision must cross the dirty threshold: {stats:?}"
     );
     assert_eq!(stats.in_place, 0);
-    // And the result is still the reference one.
-    let reference = apply_sequence_with_engine(&g, &[Transform::Refactor], CutEngine::Fast);
-    assert_identical(&reference, &work, "threshold-crossover result");
+    assert!(work.is_clean(), "the rebuild route must end clean");
+    assert_identical(
+        &reference::apply(Transform::Refactor, &g),
+        &work,
+        "threshold-crossover result",
+    );
 }
 
 #[test]
@@ -189,13 +125,17 @@ fn in_place_passes_leave_fresh_epochs() {
     // fanouts without any recompute — that is the "analyses survive the
     // edit" contract the next pass relies on.
     let design = Design::Montgomery64.generate(DesignScale::Tiny);
-    let mut ctx = PassContext::with_modes(CutEngine::Fast, EditMode::InPlace);
+    let mut ctx = PassContext::default();
     let mut g = ctx.take_buf();
     g.copy_from(&design);
     ctx.ensure_clean(&mut g);
     for t in Transform::ALL {
+        let before = ctx.apply_stats().in_place;
         ctx.apply(t, &mut g);
         assert!(g.is_clean(), "{t}: must end clean");
+        if ctx.apply_stats().in_place > before {
+            assert!(g.fanouts_fresh(), "{t}: the editor patches fanouts");
+        }
     }
     assert!(ctx.apply_stats().in_place > 0);
 }

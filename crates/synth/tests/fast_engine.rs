@@ -1,52 +1,16 @@
-//! Differential tests of the small-cut fast path against the reference
-//! machinery: cut enumeration with fused truths, NPN4 matching, and
-//! end-to-end QoR identity of full flow evaluations.
+//! Differential suite, part 1: the production engine (inline 4-cuts with
+//! fused truths, NPN4 matching, budget-capped estimators) against the oracle
+//! — cut enumeration, every pass alone, the preset flows on every design, and
+//! the mapper.  Harness and conventions: `reference_differential/mod.rs`.
 
-use aig::{cut_truth, Aig, Cut4Enumerator, CutEnumerator, CutParams, Lit};
+mod reference_differential;
+
+use aig::{cut_truth, Cut4Enumerator, CutEnumerator, CutParams};
 use circuits::{Design, DesignScale};
-use synth::{
-    apply_sequence_with_engine, map_with_engine, CellLibrary, CutEngine, MapperParams, Transform,
-};
+use reference_differential::*;
+use synth::{reference, PassContext, Transform};
 
-/// Deterministic xorshift generator for structure-only randomness.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 >> 12;
-        self.0 ^= self.0 << 25;
-        self.0 ^= self.0 >> 27;
-        self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-}
-
-/// Builds a random AIG with `num_inputs` inputs and roughly `num_ands` ANDs.
-fn random_aig(seed: u64, num_inputs: usize, num_ands: usize) -> Aig {
-    let mut rng = Rng(seed | 1);
-    let mut g = Aig::new();
-    let mut lits: Vec<Lit> = g.add_inputs("x", num_inputs);
-    for _ in 0..num_ands {
-        let a = lits[rng.below(lits.len())];
-        let b = lits[rng.below(lits.len())];
-        let a = if rng.next() & 1 == 1 { !a } else { a };
-        let b = if rng.next() & 1 == 1 { !b } else { b };
-        let l = g.and(a, b);
-        if !l.is_const() {
-            lits.push(l);
-        }
-    }
-    // Make the last few signals outputs so most of the graph stays reachable.
-    for (i, &l) in lits.iter().rev().take(4).enumerate() {
-        g.add_output(format!("o{i}"), l);
-    }
-    g
-}
-
-/// The fused-truth enumeration must match reference cut enumeration plus
+/// The fused-truth enumeration must match the oracle's cut enumeration plus
 /// per-cut cone walks on random graphs, cut for cut.
 #[test]
 fn cut4_enumeration_matches_reference_on_random_aigs() {
@@ -58,16 +22,16 @@ fn cut4_enumeration_matches_reference_on_random_aigs() {
                 max_cuts_per_node: 8,
                 include_trivial,
             };
-            let reference = CutEnumerator::new(params).enumerate(&g);
+            let oracle = CutEnumerator::new(params).enumerate(&g);
             let fast = Cut4Enumerator::new(params).enumerate(&g);
-            assert_eq!(reference.len(), fast.len());
+            assert_eq!(oracle.len(), fast.len());
             for id in 0..g.len() {
                 assert_eq!(
-                    reference[id].len(),
+                    oracle[id].len(),
                     fast[id].len(),
                     "seed={seed} node={id}: cut count"
                 );
-                for (rc, fc) in reference[id].cuts().iter().zip(fast[id].cuts()) {
+                for (rc, fc) in oracle[id].cuts().iter().zip(fast[id].cuts()) {
                     assert_eq!(
                         rc.leaves(),
                         fc.leaf_ids().as_slice(),
@@ -87,103 +51,43 @@ fn cut4_enumeration_matches_reference_on_random_aigs() {
     }
 }
 
-/// Every pass must produce a structurally identical network on both engines.
+/// Every pass alone, on random graphs: node for node, function preserved.
 #[test]
 fn passes_are_bit_identical_across_engines_on_random_aigs() {
     for seed in [3u64, 17, 99] {
         let g = random_aig(seed * 0xBEEF, 10, 80);
         for t in Transform::ALL {
-            let reference = t.apply_with_engine(&g, CutEngine::Reference);
-            let fast = t.apply_with_engine(&g, CutEngine::Fast);
-            assert_eq!(reference.num_ands(), fast.num_ands(), "seed={seed} {t}");
-            assert_eq!(reference.depth(), fast.depth(), "seed={seed} {t}");
+            let oracle = reference::apply(t, &g);
+            let production = t.apply(&g);
+            assert_identical(&oracle, &production, &format!("seed={seed} {t}"));
             assert!(
-                aig::random_equivalence_check(&g, &fast, 8, seed ^ 0x51),
-                "seed={seed} {t}: fast pass changed the function"
-            );
-            assert!(
-                aig::random_equivalence_check(&reference, &fast, 8, seed ^ 0x52),
-                "seed={seed} {t}: engines diverged"
+                aig::random_equivalence_check(&g, &production, 8, seed ^ 0x51),
+                "seed={seed} {t}: the pass changed the function"
             );
         }
     }
 }
 
-/// Full flow evaluation (passes + mapping) must yield bit-identical QoR —
-/// the fast path changes cost, not results.
+/// Every design × every preset: optimized graph node for node, then the
+/// mapped netlist gate for gate in both modes.
 #[test]
 fn flow_evaluation_qor_is_bit_identical() {
-    use Transform::*;
-    let lib = CellLibrary::nangate14();
-    let flows: [&[Transform]; 3] = [
-        &[Balance, Rewrite, RewriteZ, Balance, Rewrite],
-        &[Balance, Rewrite, Refactor, Balance, RewriteZ, RefactorZ],
-        &[Restructure, Rewrite, Balance, Refactor],
-    ];
-    for design in Design::ALL {
-        let g = design.generate(DesignScale::Tiny);
-        for flow in flows {
-            let opt_ref = apply_sequence_with_engine(&g, flow, CutEngine::Reference);
-            let opt_fast = apply_sequence_with_engine(&g, flow, CutEngine::Fast);
-            let qr = map_with_engine(
-                &opt_ref,
-                &lib,
-                MapperParams::default(),
-                CutEngine::Reference,
-            )
-            .qor();
-            let qf =
-                map_with_engine(&opt_fast, &lib, MapperParams::default(), CutEngine::Fast).qor();
-            assert_eq!(
-                qr.area_um2.to_bits(),
-                qf.area_um2.to_bits(),
-                "{design} {flow:?}: area"
-            );
-            assert_eq!(
-                qr.delay_ps.to_bits(),
-                qf.delay_ps.to_bits(),
-                "{design} {flow:?}: delay"
-            );
-            assert_eq!(qr.gates, qf.gates, "{design} {flow:?}: gate count");
-            assert_eq!(
-                qr.and_nodes, qf.and_nodes,
-                "{design} {flow:?}: subject ANDs"
-            );
-            assert_eq!(qr.depth, qf.depth, "{design} {flow:?}: depth");
-        }
-    }
+    // Largest first: aes128 is an order of magnitude bigger than the others.
+    let designs = [Design::Aes128, Design::Montgomery64, Design::Alu64];
+    let designs = designs.map(|d| d.generate(DesignScale::Tiny));
+    let flows = presets();
+    let jobs: Vec<_> = designs
+        .iter()
+        .flat_map(|g| flows.iter().map(move |f| (g, f)))
+        .collect();
+    assert_every_route_taken(check_jobs(&jobs));
 }
 
-/// Mapping alone, in both modes, is bit-identical across engines.
+/// Mapping alone, on the untouched designs, in both modes.
 #[test]
 fn mapping_is_bit_identical_in_both_modes() {
-    let lib = CellLibrary::nangate14();
     for design in Design::ALL {
-        let g = design.generate(DesignScale::Tiny);
-        for mode in [synth::MapMode::Delay, synth::MapMode::Area] {
-            let params = MapperParams {
-                mode,
-                ..Default::default()
-            };
-            let r = map_with_engine(&g, &lib, params, CutEngine::Reference);
-            let f = map_with_engine(&g, &lib, params, CutEngine::Fast);
-            assert_eq!(r.gates.len(), f.gates.len(), "{design} {mode:?}");
-            for (gr, gf) in r.gates.iter().zip(&f.gates) {
-                assert_eq!(gr.root, gf.root, "{design} {mode:?}");
-                assert_eq!(gr.cell, gf.cell, "{design} {mode:?}");
-                assert_eq!(gr.leaves, gf.leaves, "{design} {mode:?}");
-                assert_eq!(
-                    gr.arrival_ps.to_bits(),
-                    gf.arrival_ps.to_bits(),
-                    "{design} {mode:?}"
-                );
-            }
-            assert_eq!(r.area.to_bits(), f.area.to_bits(), "{design} {mode:?}");
-            assert_eq!(
-                r.delay_ps.to_bits(),
-                f.delay_ps.to_bits(),
-                "{design} {mode:?}"
-            );
-        }
+        let mut g = design.generate(DesignScale::Tiny);
+        assert_mapping_identical(&mut g, &mut PassContext::default(), design.name());
     }
 }

@@ -1,196 +1,101 @@
-//! Differential tests pinning the arena-recycling `PassContext` path
-//! **bit-identical** to the Reference free-function path: same final graph
-//! node for node, same QoR bits, across the checked-in fixture corpus and
-//! seeded random paper-space flows.
+//! Differential suite, part 2: whole flows through `PassContext` (and the
+//! free functions in front of it) against the oracle — seeded random
+//! paper-length flows on every design, the checked-in fixture corpus, and
+//! one context reused across flows and designs.  Harness and conventions:
+//! `reference_differential/mod.rs`.
+
+mod reference_differential;
 
 use std::path::PathBuf;
 
 use aig::Aig;
 use circuits::{Design, DesignScale};
-use synth::{
-    apply_sequence_with_engine, map_with_ctx, map_with_engine, CellLibrary, CutEngine,
-    MapperParams, PassContext, Transform,
-};
+use reference_differential::*;
+use synth::{map_with_ctx, CellLibrary, MapperParams, PassContext, Transform};
 
-/// Node-for-node structural identity: ids, kinds, levels, interface, names.
-fn assert_identical(reference: &Aig, ctx_result: &Aig, what: &str) {
-    assert_eq!(reference.len(), ctx_result.len(), "{what}: node count");
-    for id in 0..reference.len() {
-        assert_eq!(
-            reference.node(id).kind(),
-            ctx_result.node(id).kind(),
-            "{what}: node {id} kind"
-        );
-        assert_eq!(
-            reference.node(id).level(),
-            ctx_result.node(id).level(),
-            "{what}: node {id} level"
-        );
-    }
-    assert_eq!(reference.outputs(), ctx_result.outputs(), "{what}: outputs");
-    assert_eq!(
-        reference.input_ids(),
-        ctx_result.input_ids(),
-        "{what}: inputs"
-    );
-    for i in 0..reference.num_inputs() {
-        assert_eq!(
-            reference.input_name(i),
-            ctx_result.input_name(i),
-            "{what}: input name {i}"
-        );
-    }
-    for i in 0..reference.num_outputs() {
-        assert_eq!(
-            reference.output_name(i),
-            ctx_result.output_name(i),
-            "{what}: output name {i}"
-        );
-    }
-    assert_eq!(reference.name(), ctx_result.name(), "{what}: design name");
-}
-
-fn fixture_corpus() -> Vec<(String, Aig)> {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../fixtures/tiny");
-    let mut designs = Vec::new();
-    for file in ["alu64.aag", "montgomery64.aag", "aes128.aag"] {
-        let path = dir.join(file);
-        let aig = aig::io::read_design(&path)
-            .unwrap_or_else(|e| panic!("fixture {}: {e}", path.display()));
-        designs.push((file.to_string(), aig));
-    }
-    designs
-}
-
-fn representative_flows() -> Vec<(&'static str, Vec<Transform>)> {
-    use Transform::*;
-    vec![
-        (
-            "compress",
-            vec![Balance, Rewrite, RewriteZ, Balance, Rewrite],
-        ),
-        (
-            "resyn2",
-            vec![Balance, Rewrite, Refactor, Balance, RewriteZ, RefactorZ],
-        ),
-        ("mixed", vec![Restructure, RefactorZ, Balance, Rewrite]),
-        ("empty", vec![]),
-    ]
-}
-
-/// Deterministic xorshift for seeded random paper-space flows.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 >> 12;
-        self.0 ^= self.0 << 25;
-        self.0 ^= self.0 >> 27;
-        self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-}
-
-/// A random flow from the paper's space: length 10..=25 over the 6 transforms.
-fn random_flow(seed: u64) -> Vec<Transform> {
-    let mut rng = Rng(seed | 1);
-    let len = 10 + (rng.next() % 16) as usize;
-    (0..len)
-        .map(|_| Transform::from_index((rng.next() % Transform::COUNT as u64) as usize))
-        .collect()
-}
-
-fn assert_flow_identical(design: &Aig, flow: &[Transform], engine: CutEngine, what: &str) {
-    let lib = CellLibrary::nangate14();
-    let params = MapperParams::default();
-
-    let reference = apply_sequence_with_engine(design, flow, engine);
-    let reference_qor = map_with_engine(&reference, &lib, params, engine).qor();
-
-    let mut ctx = PassContext::new(engine);
-    let mut optimized = ctx.run_flow(design, flow);
-    assert_identical(&reference, &optimized, what);
-
-    let ctx_qor = map_with_ctx(&mut optimized, &lib, params, &mut ctx).qor();
-    assert_eq!(
-        reference_qor.area_um2.to_bits(),
-        ctx_qor.area_um2.to_bits(),
-        "{what}: area bits"
-    );
-    assert_eq!(
-        reference_qor.delay_ps.to_bits(),
-        ctx_qor.delay_ps.to_bits(),
-        "{what}: delay bits"
-    );
-    assert_eq!(reference_qor.gates, ctx_qor.gates, "{what}: gates");
-    assert_eq!(reference_qor.and_nodes, ctx_qor.and_nodes, "{what}: ANDs");
-    assert_eq!(reference_qor.depth, ctx_qor.depth, "{what}: depth");
-}
-
-#[test]
-fn fixture_corpus_is_bit_identical_across_paths() {
-    for (name, design) in fixture_corpus() {
-        // aes128 is the largest fixture; one deep flow keeps runtime sane.
-        let flows = if name.starts_with("aes") {
-            vec![representative_flows().remove(1)]
-        } else {
-            representative_flows()
-        };
-        for (flow_name, flow) in flows {
-            assert_flow_identical(
-                &design,
-                &flow,
-                CutEngine::Fast,
-                &format!("{name}/{flow_name}"),
-            );
-        }
-    }
-}
-
+/// Every design × seeded random 24-pass flows.
 #[test]
 fn seeded_random_paper_flows_are_bit_identical() {
-    let design = Design::Alu64.generate(DesignScale::Tiny);
-    for seed in [0xA5A5u64, 0x1CEB00DA, 0x7E57] {
-        let flow = random_flow(seed);
-        assert_flow_identical(
-            &design,
-            &flow,
-            CutEngine::Fast,
-            &format!("alu64/random-{seed:#x}"),
-        );
-    }
+    let aes = Design::Aes128.generate(DesignScale::Tiny);
+    let mont = Design::Montgomery64.generate(DesignScale::Tiny);
+    let alu = Design::Alu64.generate(DesignScale::Tiny);
+    let flows = [0xA5A5, 0x1CEB00DA, 0x7E57].map(random_flow);
+    // aes128 is an order of magnitude larger and the oracle is slow: one flow.
+    let mut jobs = vec![(&aes, &flows[0])];
+    jobs.extend(flows.iter().map(|f| (&mont, f)));
+    jobs.extend(flows.iter().map(|f| (&alu, f)));
+    assert_every_route_taken(check_jobs(&jobs));
 }
 
+/// The checked-in fixture corpus (designs read from `.aag`, so names and
+/// node order come from the file, not from the generators).
 #[test]
-fn reference_cut_engine_context_matches_reference_path() {
-    // The context recycles buffers on either cut engine; pin the Reference
-    // cut engine too (smaller design: the reference machinery is slow).
-    let design = Design::Montgomery64.generate(DesignScale::Tiny);
-    let flow = representative_flows().remove(0).1;
-    assert_flow_identical(
-        &design,
-        &flow,
-        CutEngine::Reference,
-        "mont/reference-engine",
-    );
+fn fixture_corpus_is_bit_identical_across_paths() {
+    use Transform::*;
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../fixtures/tiny");
+    let flows = [
+        (
+            "mixed".to_string(),
+            vec![Restructure, RefactorZ, Balance, Rewrite],
+        ),
+        ("empty".to_string(), vec![]),
+    ];
+    let read = |file: &str| {
+        let path = dir.join(file);
+        aig::io::read_design(&path).unwrap_or_else(|e| panic!("fixture {}: {e}", path.display()))
+    };
+    let (alu, mont) = (read("alu64.aag"), read("montgomery64.aag"));
+    let jobs: Vec<_> = [&mont, &alu]
+        .into_iter()
+        .flat_map(|g| flows.iter().map(move |f| (g, f)))
+        .collect();
+    check_jobs(&jobs);
 }
 
+/// Buffer recycling must not leak state between flows or designs: ONE
+/// context serves graphs of different sizes in turn (stale stamps, buffers
+/// longer and shorter than the next graph), each compared against a fresh
+/// oracle run.
 #[test]
 fn one_context_reused_across_many_flows_stays_identical() {
-    // Buffer recycling must not leak state between flows: run all flows
-    // through ONE context and compare each against a fresh reference.
-    let design = Design::Montgomery64.generate(DesignScale::Tiny);
+    let alu = Design::Alu64.generate(DesignScale::Tiny);
+    let mont = Design::Montgomery64.generate(DesignScale::Tiny);
+    let small = random_aig(0x5EED, 10, 80);
+    let resyn2 = presets().swap_remove(3).1;
     let mut ctx = PassContext::default();
-    for (flow_name, flow) in representative_flows() {
-        let reference = apply_sequence_with_engine(&design, &flow, CutEngine::Fast);
-        let optimized = ctx.run_flow(&design, &flow);
-        assert_identical(&reference, &optimized, &format!("shared-ctx/{flow_name}"));
-        ctx.recycle(optimized);
+    let rounds: [(&Aig, Vec<Transform>); 5] = [
+        (&alu, random_flow(1).1),
+        (&mont, resyn2.clone()),
+        (&small, random_flow(2).1),
+        (&alu, resyn2),
+        (&small, random_flow(3).1),
+    ];
+    for (round, (design, flow)) in rounds.iter().enumerate() {
+        assert_flow_identical(design, flow, &mut ctx, &format!("shared-ctx/round-{round}"));
     }
-    for seed in [1u64, 2, 3] {
-        let flow = random_flow(seed);
-        let reference = apply_sequence_with_engine(&design, &flow, CutEngine::Fast);
-        let optimized = ctx.run_flow(&design, &flow);
-        assert_identical(&reference, &optimized, &format!("shared-ctx/random-{seed}"));
-        ctx.recycle(optimized);
+}
+
+/// The public free functions are fronts over a fresh context: same bits.
+#[test]
+fn free_functions_are_the_context_path() {
+    let lib = CellLibrary::nangate14();
+    let g = Design::Alu64.generate(DesignScale::Tiny);
+    let flow = presets().swap_remove(3).1;
+    let mut ctx = PassContext::default();
+    let mut via_ctx = ctx.run_flow(&g, &flow);
+    assert_identical(
+        &synth::apply_sequence(&g, &flow),
+        &via_ctx,
+        "apply_sequence",
+    );
+    let mut step = g.cleanup();
+    for &t in &flow {
+        step = t.apply(&step);
     }
+    assert_identical(&step, &via_ctx, "Transform::apply chain");
+    let params = MapperParams::default();
+    let front = synth::map(&via_ctx, &lib, params);
+    let direct = map_with_ctx(&mut via_ctx, &lib, params, &mut ctx);
+    assert_netlists_identical(&front, &direct, "map");
+    assert_eq!(synth::map_qor(&via_ctx, &lib, params), direct.qor());
 }

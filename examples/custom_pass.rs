@@ -1,4 +1,4 @@
-//! Authoring a custom resynthesis pass against the public sweep API.
+//! Prototyping a custom resynthesis pass on the oracle's sweep harness.
 //!
 //! ```text
 //! cargo run --release --example custom_pass
@@ -6,7 +6,9 @@
 //!
 //! This is the compiling companion of `docs/pass-authoring.md`: a complete
 //! pass — "restructure, but only through 4-leaf cuts" — written from scratch
-//! on top of `synth::resyn::resynthesis_sweep`.  A pass only has to answer
+//! on top of `synth::reference::resynthesis_sweep` (the first rung of the
+//! ladder in the doc: prototype on the oracle, then write the production
+//! propose against it).  A pass only has to answer
 //! one question per node ("how else could this node's cut function be
 //! implemented, and at what cost?"); the sweep owns everything else:
 //! fanout-aware node iteration, gain thresholding, conflict-free decision
@@ -16,7 +18,8 @@ use aig::{cut_truth, random_equivalence_check, Aig, Cut, Lit, Mffc};
 use circuits::{Design, DesignScale};
 use synth::decomp::count_shannon_nodes;
 use synth::reconv::{reconv_cut, ReconvParams};
-use synth::resyn::{resynthesis_sweep, Acceptance, Proposal, Structure};
+use synth::reference::resynthesis_sweep;
+use synth::resyn::{Acceptance, Proposal, Structure};
 
 /// The propose callback: called once per live AND node, returns any number
 /// of candidate re-implementations of that node's function.
@@ -88,9 +91,8 @@ fn main() {
     );
 
     // Every pass must preserve the function.  Random simulation is the cheap
-    // always-on check; the repo's test suite additionally pins passes
-    // bit-identical across the Reference/Fast engines and the
-    // Rebuild/InPlace edit modes.
+    // always-on check; the repo's test suite additionally pins every
+    // production pass bit-identical to its oracle in `synth::reference`.
     assert!(
         random_equivalence_check(&design, &result, 8, 0xC0FFEE),
         "a pass must never change the network's function"
