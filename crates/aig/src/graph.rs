@@ -402,16 +402,6 @@ impl Aig {
         self.nodes[id].fanout_count()
     }
 
-    pub(crate) fn dec_fanout(&mut self, id: NodeId) -> u32 {
-        self.nodes[id].sub_fanout();
-        self.nodes[id].fanout_count()
-    }
-
-    pub(crate) fn inc_fanout(&mut self, id: NodeId) -> u32 {
-        self.nodes[id].add_fanout();
-        self.nodes[id].fanout_count()
-    }
-
     // ------------------------------------------------------------------
     // Cleanup / cone extraction
     // ------------------------------------------------------------------

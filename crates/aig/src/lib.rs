@@ -55,7 +55,7 @@ pub use cut4::{
 pub use edit::{EditScratch, InPlaceEditor};
 pub use graph::{Aig, AigScratch, NodeId};
 pub use lit::Lit;
-pub use mffc::Mffc;
+pub use mffc::{Mffc, MffcScratch};
 pub use node::{Node, NodeKind};
 pub use simulate::{random_equivalence_check, SimVector, Simulator};
 pub use stats::AigStats;

@@ -104,11 +104,6 @@ impl Node {
         self.fanout += 1;
     }
 
-    pub(crate) fn sub_fanout(&mut self) {
-        debug_assert!(self.fanout > 0, "fanout underflow");
-        self.fanout -= 1;
-    }
-
     pub(crate) fn reset_fanout(&mut self) {
         self.fanout = 0;
     }
@@ -141,8 +136,6 @@ mod tests {
         n.add_fanout();
         n.add_fanout();
         assert_eq!(n.fanout_count(), 2);
-        n.sub_fanout();
-        assert_eq!(n.fanout_count(), 1);
         n.reset_fanout();
         assert_eq!(n.fanout_count(), 0);
     }

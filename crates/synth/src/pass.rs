@@ -20,7 +20,13 @@
 //!   that invalidate on graph mutation instead of being recomputed.
 //! * **Shared scratch** — cut-set vectors, the cut-truth cone-walk scratch,
 //!   remap tables and the sweep's decision map are context-owned and reused
-//!   by all passes of a flow.
+//!   by all passes of a flow.  The propose scratch is a small pool: a sweep
+//!   on a graph of 32 Ki nodes or more proposes over node chunks on the
+//!   `rayon` pool, one scratch per chunk running at once.
+//!
+//! Cancellation unwinds out of a pass with the graph unchanged because the
+//! only code a checkpoint can interrupt — the per-node loops — only reads
+//! it (the reasoning sits on the crate-private `CancelCell`).
 //!
 //! The seed implementation of every pass survives as the test-only oracle,
 //! [`crate::reference`]; the differential suite
@@ -28,13 +34,13 @@
 
 use std::time::Instant;
 
-use aig::{Aig, AigScratch, CutSet4, CutTruthScratch, EditScratch, Lit, NodeId};
+use aig::{Aig, AigScratch, CutSet4, CutTruthScratch, EditScratch, Lit, MffcScratch, NodeId};
 use flow_core::{fail_point, CancelToken, Cancelled};
 
 use crate::passes::Transform;
 use crate::reconv::ReconvScratch;
 use crate::resyn::{DecisionTable, Proposal};
-use crate::sop::{IsopCache, SopCostScratch};
+use crate::sop::{IsopCache, SharedIsopCache, SopCostScratch};
 use crate::strash::SweepStrash;
 
 /// Maximum number of recycled graph buffers a context keeps around.
@@ -118,7 +124,13 @@ impl PassTimings {
 /// rebuild step after the full sweep), and all sweep scratch is cleared at
 /// the start of each use — so a cancelled context is immediately reusable and
 /// its next run is bit-identical to a fresh context's (pinned by
-/// `tests/cancellation.rs`).
+/// `tests/cancellation.rs`).  For the resynthesis sweeps the first half is
+/// enforced by the types: their propose phase, the only code a checkpoint
+/// can interrupt, holds the graph as `&Aig` (the MFFC keeps its dereferenced
+/// fanout counts in a side table), and the apply step that takes `&mut`
+/// starts only after every propose chunk has returned.  A chunk that unwinds
+/// drops the propose scratch it had checked out; the next sweep makes a new
+/// one.
 #[derive(Debug, Default)]
 pub(crate) struct CancelCell {
     token: Option<CancelToken>,
@@ -136,6 +148,15 @@ impl CancelCell {
 
     fn disarm(&mut self) {
         self.token = None;
+    }
+
+    /// The same token on a countdown of its own, for one chunk of a
+    /// parallel sweep (chunks on different threads cannot share one).
+    pub(crate) fn for_chunk(&self) -> CancelCell {
+        CancelCell {
+            token: self.token.clone(),
+            countdown: 0,
+        }
     }
 
     /// Strided poll for inner per-node loops.
@@ -174,9 +195,11 @@ impl CancelCell {
 /// and `restructure`.
 #[derive(Debug, Default)]
 pub(crate) struct SweepScratch {
-    pub(crate) ids: Vec<NodeId>,
+    /// The per-sweep strash snapshot every propose chunk reads.
+    pub(crate) strash: SweepStrash,
     pub(crate) decisions: DecisionTable,
-    pub(crate) proposals: Vec<Proposal>,
+    /// `(decisions, estimated touched nodes)` of each propose chunk.
+    pub(crate) tallies: Vec<(usize, usize)>,
     pub(crate) rebuild_map: Vec<Lit>,
     pub(crate) leaf_lits: Vec<Lit>,
     pub(crate) out_lits: Vec<Lit>,
@@ -197,18 +220,29 @@ pub struct ApplyStats {
 }
 
 /// Reusable buffers of the per-node proposal generators: the cut-truth cone
-/// walk, the reconvergence-cut visited stamps, the SOP cost dry-run and the
-/// memoizing ISOP cache all survive across every node of every pass of a flow,
-/// as do the per-sweep strash snapshot and the leaf staging buffers.
+/// walk, the reconvergence-cut visited stamps, the MFFC side table, the SOP
+/// cost dry-run and the memoizing ISOP cache all survive across every node of
+/// every pass of a flow, as do the leaf and proposal staging buffers.  One
+/// propose chunk uses one scratch at a time.
 #[derive(Debug, Default)]
 pub(crate) struct ProposeScratch {
     pub(crate) truth: CutTruthScratch,
     pub(crate) reconv: ReconvScratch,
+    pub(crate) mffc: MffcScratch,
     pub(crate) cost: SopCostScratch,
     pub(crate) isop: IsopCache,
-    pub(crate) strash: SweepStrash,
     pub(crate) leaf_lits: Vec<Lit>,
     pub(crate) cut_leaves: Vec<NodeId>,
+    pub(crate) proposals: Vec<Proposal>,
+}
+
+impl ProposeScratch {
+    /// A fresh scratch whose ISOP memo is backed by `shared`.
+    pub(crate) fn with_shared_isop(shared: Option<SharedIsopCache>) -> Self {
+        let mut ps = ProposeScratch::default();
+        ps.isop.set_shared(shared);
+        ps
+    }
 }
 
 /// The arena-recycling execution context of a synthesis flow.
@@ -232,7 +266,11 @@ pub(crate) struct ProposeScratch {
 pub struct PassContext {
     pub(crate) pool: Vec<Aig>,
     pub(crate) scratch: AigScratch,
-    pub(crate) propose: ProposeScratch,
+    /// Idle propose scratch, one per chunk that ran at once: empty until the
+    /// first sweep, then as many as the sweeps' thread count.
+    pub(crate) propose: Vec<ProposeScratch>,
+    /// The ISOP tier every propose scratch of this context is backed by.
+    pub(crate) shared_isop: Option<SharedIsopCache>,
     pub(crate) cut4_sets: Vec<CutSet4>,
     pub(crate) balance_map: Vec<Option<Lit>>,
     pub(crate) sweep: SweepScratch,
@@ -258,20 +296,23 @@ impl PassContext {
     }
 
     /// Backs this context's ISOP memo with a process-wide
-    /// [`SharedIsopCache`](crate::SharedIsopCache) tier: local misses probe
+    /// [`SharedIsopCache`] tier: local misses probe
     /// the shared map before computing and publish what they compute.
     ///
     /// Covers are pure functions of the truth table, so sharing never changes
     /// a result bit — concurrent workers just stop re-deriving each other's
     /// covers.  Returns `self` for builder-style chaining.
-    pub fn share_isop_cache(mut self, shared: crate::SharedIsopCache) -> Self {
-        self.propose.isop.set_shared(Some(shared));
+    pub fn share_isop_cache(mut self, shared: SharedIsopCache) -> Self {
+        self.set_shared_isop_cache(Some(shared));
         self
     }
 
     /// [`share_isop_cache`](Self::share_isop_cache) on an existing context.
-    pub fn set_shared_isop_cache(&mut self, shared: Option<crate::SharedIsopCache>) {
-        self.propose.isop.set_shared(shared);
+    pub fn set_shared_isop_cache(&mut self, shared: Option<SharedIsopCache>) {
+        for ps in &mut self.propose {
+            ps.isop.set_shared(shared.clone());
+        }
+        self.shared_isop = shared;
     }
 
     /// How the sweeps have applied their decisions so far (in-place vs

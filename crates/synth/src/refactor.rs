@@ -13,6 +13,7 @@ use crate::passes::Transform;
 use crate::reconv::{reconv_cut_sweep, ReconvParams};
 use crate::resyn::{resynthesis_sweep_ctx, Acceptance, Proposal, Structure};
 use crate::sop::count_sop_nodes_sweep;
+use crate::strash::SweepStrash;
 
 /// Parameters of the refactor pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,8 +56,8 @@ pub(crate) fn refactor_ctx(
         Acceptance::strict()
     };
     let min_gain = acceptance.min_gain;
-    resynthesis_sweep_ctx(g, acceptance, ctx, |graph, id, ps, _, out| {
-        propose_sweep(graph, id, params, min_gain, ps, out)
+    resynthesis_sweep_ctx(g, acceptance, ctx, |graph, id, strash, ps, _, out| {
+        propose_sweep(graph, id, strash, params, min_gain, ps, out)
     });
 }
 
@@ -68,8 +69,9 @@ pub(crate) fn refactor_ctx(
 /// ([`cut_truth_with`]) and the SOP cost dry-run is answered by the
 /// per-sweep strash snapshot.
 fn propose_sweep(
-    graph: &mut Aig,
+    graph: &Aig,
     id: NodeId,
+    strash: &SweepStrash,
     params: RefactorParams,
     min_gain: i64,
     ps: &mut ProposeScratch,
@@ -107,10 +109,10 @@ fn propose_sweep(
     ps.leaf_lits.clear();
     ps.leaf_lits
         .extend(cut.leaves().iter().map(|&n| Lit::from_node(n, false)));
-    let mffc = Mffc::compute(graph, id, cut.leaves());
+    let mffc = Mffc::compute_with(graph, id, cut.leaves(), &mut ps.mffc);
     let budget = (mffc.size() as i64 - min_gain).max(0) as usize;
     let Some(added) = count_sop_nodes_sweep(
-        &ps.strash,
+        strash,
         sop,
         &ps.leaf_lits,
         |n| mffc.contains(n),

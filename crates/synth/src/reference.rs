@@ -149,7 +149,7 @@ fn reconv_cut_function(
 
 /// The ISOP re-expression of `truth` over `leaves`, costed against the graph.
 fn sop_proposal(
-    graph: &mut Aig,
+    graph: &Aig,
     id: NodeId,
     leaves: Vec<NodeId>,
     truth: &TruthTable,
@@ -181,7 +181,7 @@ fn sop_proposal(
 /// recorded.  The function returns the rebuilt, cleaned-up network.
 pub fn resynthesis_sweep<F>(aig: &Aig, acceptance: Acceptance, mut propose: F) -> Aig
 where
-    F: FnMut(&mut Aig, NodeId) -> Vec<Proposal>,
+    F: FnMut(&Aig, NodeId) -> Vec<Proposal>,
 {
     let mut work = aig.cleanup();
     work.compute_fanouts();
@@ -192,7 +192,7 @@ where
         if work.fanout_count(id) == 0 {
             continue;
         }
-        let proposals = propose(&mut work, id);
+        let proposals = propose(&work, id);
         let mut best: Option<Decision> = None;
         for p in proposals {
             let gain = p.mffc_size as i64 - p.added as i64;

@@ -16,6 +16,7 @@ use crate::pass::{PassContext, ProposeScratch};
 use crate::passes::Transform;
 use crate::reconv::{reconv_cut_sweep, ReconvParams};
 use crate::resyn::{resynthesis_sweep_ctx, Acceptance, Proposal, Structure};
+use crate::strash::SweepStrash;
 
 /// Parameters of the restructure pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,8 +40,8 @@ pub fn restructure(aig: &Aig) -> Aig {
 /// context's cut-truth scratch and sweep buffers.
 pub(crate) fn restructure_ctx(g: &mut Aig, params: RestructureParams, ctx: &mut PassContext) {
     let acceptance = Acceptance::strict();
-    resynthesis_sweep_ctx(g, acceptance, ctx, |graph, id, ps, _, out| {
-        propose_sweep(graph, id, params, acceptance.min_gain, ps, out)
+    resynthesis_sweep_ctx(g, acceptance, ctx, |graph, id, strash, ps, _, out| {
+        propose_sweep(graph, id, strash, params, acceptance.min_gain, ps, out)
     });
 }
 
@@ -51,8 +52,9 @@ pub(crate) fn restructure_ctx(g: &mut Aig, params: RestructureParams, ctx: &mut 
 /// scratch, the cut function comes from the scratch-based cone walk and the
 /// Shannon cost dry-run is answered by the per-sweep strash snapshot.
 fn propose_sweep(
-    graph: &mut Aig,
+    graph: &Aig,
     id: NodeId,
+    strash: &SweepStrash,
     params: RestructureParams,
     min_gain: i64,
     ps: &mut ProposeScratch,
@@ -83,15 +85,11 @@ fn propose_sweep(
     ps.leaf_lits.clear();
     ps.leaf_lits
         .extend(cut.leaves().iter().map(|&n| Lit::from_node(n, false)));
-    let mffc = Mffc::compute(graph, id, cut.leaves());
+    let mffc = Mffc::compute_with(graph, id, cut.leaves(), &mut ps.mffc);
     let budget = (mffc.size() as i64 - min_gain).max(0) as usize;
-    let Some(added) = count_shannon_nodes_sweep(
-        &ps.strash,
-        &truth,
-        &ps.leaf_lits,
-        |n| mffc.contains(n),
-        budget,
-    ) else {
+    let Some(added) =
+        count_shannon_nodes_sweep(strash, &truth, &ps.leaf_lits, |n| mffc.contains(n), budget)
+    else {
         ps.cut_leaves = cut.into_leaves();
         return;
     };

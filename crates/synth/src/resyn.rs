@@ -2,7 +2,7 @@
 //!
 //! `rewrite`, `refactor` and `restructure` all follow the same scheme:
 //!
-//! 1. sweep the nodes in topological order,
+//! 1. sweep the live AND nodes,
 //! 2. for each node pick a cut, compute the cut function, and propose a new
 //!    implementation of that function over the cut leaves,
 //! 3. accept the proposal when the estimated gain (MFFC nodes freed minus new
@@ -11,12 +11,23 @@
 //!
 //! This module owns steps 1, 3 and 4; each pass provides step 2 as a
 //! [`Proposal`] generator.
+//!
+//! Steps 1–3 only read the graph (`&Aig`; even the MFFC keeps its
+//! dereferenced counts in a side table), so every node's decision depends on
+//! the graph as the sweep found it and on nothing else: the sweep proposes
+//! over chunks of nodes on the `rayon` pool, and step 4 is the one write.
+//! That split is also why a cancellation — which can only fire inside steps
+//! 1–3 — leaves the graph untouched, as `CancelCell` promises.
+
+use std::sync::{Mutex, PoisonError};
 
 use aig::{Aig, CutSet4, EditScratch, InPlaceEditor, Lit, NodeId, TruthTable};
+use rayon::prelude::*;
 
 use crate::decomp::{build_shannon, build_shannon_edit};
 use crate::pass::{pool_give, pool_take, PassContext, ProposeScratch, SweepScratch};
 use crate::sop::{build_sop, build_sop_edit, Sop};
+use crate::strash::SweepStrash;
 
 /// How the new implementation of a node's cut function is expressed.
 #[derive(Debug, Clone)]
@@ -57,12 +68,11 @@ pub struct Proposal {
 
 /// Dense decision table indexed by node id.  The apply step queries *every*
 /// AND of the graph, so the flat slot vector makes each probe one
-/// bounds-checked load; the slots recycle across sweeps through
-/// [`crate::pass::SweepScratch`].
+/// bounds-checked load; the propose chunks fill disjoint ranges of it, and
+/// the slots recycle across sweeps through [`crate::pass::SweepScratch`].
 #[derive(Debug, Default)]
 pub(crate) struct DecisionTable {
     slots: Vec<Option<Decision>>,
-    len: usize,
 }
 
 impl DecisionTable {
@@ -70,29 +80,23 @@ impl DecisionTable {
     pub(crate) fn reset(&mut self, n: usize) {
         self.slots.clear();
         self.slots.resize(n, None);
-        self.len = 0;
-    }
-
-    /// Records (or replaces) the decision for `id`.
-    pub(crate) fn insert(&mut self, id: NodeId, d: Decision) {
-        if id >= self.slots.len() {
-            self.slots.resize(id + 1, None);
-        }
-        if self.slots[id].replace(d).is_none() {
-            self.len += 1;
-        }
     }
 
     /// The decision recorded for `id`, if any.
     fn lookup(&self, id: NodeId) -> Option<&Decision> {
         self.slots.get(id).and_then(Option::as_ref)
     }
-
-    /// Whether no decision was recorded at all.
-    fn is_empty(&self) -> bool {
-        self.len == 0
-    }
 }
+
+/// Graphs with fewer nodes than this are proposed as one chunk, inline on
+/// the calling thread: below it a pool hand-off costs more than the second
+/// core returns, and a helper woken for a small request competes with the
+/// threads serving others.
+const PARALLEL_MIN_NODES: usize = 32 * 1024;
+
+/// Nodes per propose chunk on graphs of [`PARALLEL_MIN_NODES`] or more.
+/// Fixed, so chunk boundaries never depend on the thread count.
+const CHUNK_NODES: usize = 1024;
 
 /// Acceptance policy of a pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,34 +120,44 @@ impl Acceptance {
 
 /// Runs a resynthesis sweep over `g`, transforming it **in place** through
 /// the context's recycled buffers.  Same decisions and same resulting network
-/// as the oracle, [`crate::reference::resynthesis_sweep`].
+/// as the oracle, [`crate::reference::resynthesis_sweep`], at any thread
+/// count.
 ///
-/// `propose` is called for every AND node (with up-to-date fanout counts) and
-/// pushes any number of candidate implementations; the best accepted one is
-/// recorded.  It is handed the context's [`ProposeScratch`], whose strash
-/// snapshot is taken here, and the cut sets last enumerated into the context.
-/// `g` is cleaned first if its epoch stamp does not prove it clean; fanouts
-/// are refreshed only when theirs says they are stale.
+/// `propose` is called for every live AND node (fanout counts are current)
+/// and pushes any number of candidate implementations; the best accepted one
+/// is recorded.  It reads the graph, the strash snapshot taken here and the
+/// cut sets last enumerated into the context, and works on a
+/// [`ProposeScratch`] no other call uses at the same time.  `g` is cleaned
+/// first if its epoch stamp does not prove it clean; fanouts are refreshed
+/// only when theirs says they are stale.
 ///
-/// The per-node loop polls `cancel` and may unwind; `g` is only mutated by
-/// the apply step *after* the full sweep, so a cancelled sweep leaves it
-/// exactly as it was on entry.
+/// **Propose runs in parallel.**  It only reads `g`, so a node's decision
+/// depends on the snapshot alone, never on which nodes were proposed before
+/// it.  The sweep splits the decision table into chunks of [`CHUNK_NODES`]
+/// slots and hands them to the `rayon` pool, each chunk with a scratch
+/// checked out of the context.  A graph under [`PARALLEL_MIN_NODES`] nodes is
+/// one chunk, which the pool runs on the caller without waking a helper.
+///
+/// Each chunk polls `cancel` on a countdown of its own and may unwind; `g` is
+/// only mutated by the apply step, *after* every chunk has returned, so a
+/// cancelled sweep leaves it exactly as it was on entry.
 pub(crate) fn resynthesis_sweep_ctx<F>(
     g: &mut Aig,
     acceptance: Acceptance,
     ctx: &mut PassContext,
-    mut propose: F,
+    propose: F,
 ) where
-    F: FnMut(&mut Aig, NodeId, &mut ProposeScratch, &[CutSet4], &mut Vec<Proposal>),
+    F: Fn(&Aig, NodeId, &SweepStrash, &mut ProposeScratch, &[CutSet4], &mut Vec<Proposal>) + Sync,
 {
     ctx.ensure_clean(g);
     g.compute_fanouts_cached();
-    // Disjoint borrows: the propose callback works on its scratch and the
-    // cut sets while the sweep owns the rest.
+    // Disjoint borrows: the propose chunks read the snapshot, the cut sets
+    // and the token and check scratch out of `idle`; the sweep owns the rest.
     let PassContext {
         pool,
         scratch,
-        propose: ps,
+        propose: idle,
+        shared_isop,
         cut4_sets,
         sweep,
         edit,
@@ -151,55 +165,65 @@ pub(crate) fn resynthesis_sweep_ctx<F>(
         cancel,
         ..
     } = ctx;
-    ps.strash.rebuild(g);
     let SweepScratch {
-        ids,
+        strash,
         decisions,
-        proposals,
+        tallies,
         rebuild_map,
         leaf_lits,
         out_lits,
     } = sweep;
-    ids.clear();
-    ids.extend(g.and_ids());
-    decisions.reset(g.len());
-    // Estimated number of nodes the accepted decisions will structurally
+    strash.rebuild(g);
+    let n = g.len();
+    decisions.reset(n);
+    let chunk = if n < PARALLEL_MIN_NODES {
+        n
+    } else {
+        CHUNK_NODES
+    };
+    tallies.clear();
+    tallies.resize(n.div_ceil(chunk), (0, 0));
+
+    let graph: &Aig = g;
+    let (strash, cut_sets, cancel, shared_isop) =
+        (&*strash, &cut4_sets[..], &*cancel, &*shared_isop);
+    let idle = Mutex::new(idle);
+    decisions
+        .slots
+        .par_chunks_mut(chunk)
+        .zip(tallies.par_chunks_mut(1))
+        .enumerate()
+        .for_each(|(index, (slots, tally))| {
+            let checked_out = idle.lock().unwrap_or_else(PoisonError::into_inner).pop();
+            let mut ps = checked_out
+                .unwrap_or_else(|| ProposeScratch::with_shared_isop(shared_isop.clone()));
+            let mut proposals = std::mem::take(&mut ps.proposals);
+            let mut cancel = cancel.for_chunk();
+            for (id, slot) in (index * chunk..).zip(slots.iter_mut()) {
+                if !graph.node(id).is_and() || graph.fanout_count(id) == 0 {
+                    continue;
+                }
+                cancel.checkpoint();
+                propose(graph, id, strash, &mut ps, cut_sets, &mut proposals);
+                if let Some((decision, touched)) = best_decision(&mut proposals, acceptance) {
+                    tally[0].0 += 1;
+                    tally[0].1 += touched;
+                    *slot = Some(decision);
+                }
+            }
+            ps.proposals = proposals;
+            idle.lock().unwrap_or_else(PoisonError::into_inner).push(ps);
+        });
+    // Decisions taken, and the estimated number of nodes they structurally
     // change (freed MFFC + emitted replacement), driving the in-place /
     // rebuild crossover below.
-    let mut estimated_touched = 0usize;
-
-    for &id in ids.iter() {
-        if g.fanout_count(id) == 0 {
-            continue;
-        }
-        cancel.checkpoint();
-        proposals.clear();
-        propose(g, id, ps, cut4_sets, proposals);
-        let mut best: Option<Decision> = None;
-        let mut best_touch = 0usize;
-        for p in proposals.drain(..) {
-            let gain = p.mffc_size as i64 - p.added as i64;
-            if gain < acceptance.min_gain {
-                continue;
-            }
-            if best.as_ref().is_none_or(|b| gain > b.gain) {
-                best_touch = p.mffc_size + p.added;
-                best = Some(Decision {
-                    leaves: p.leaves,
-                    structure: p.structure,
-                    gain,
-                });
-            }
-        }
-        if let Some(d) = best {
-            estimated_touched += best_touch;
-            decisions.insert(id, d);
-        }
-    }
+    let (decided, estimated_touched) = tallies
+        .iter()
+        .fold((0, 0), |(d, t), &(cd, ct)| (d + cd, t + ct));
 
     // Apply the decisions.  The routes are bit-identical (pinned by the
     // differential tests); the observed dirty fraction picks the cheapest.
-    if decisions.is_empty() {
+    if decided == 0 {
         // Identity sweep: a clean graph rebuilt with no decisions is the
         // graph itself, so skip the apply entirely.
         apply_stats.identity += 1;
@@ -217,6 +241,32 @@ pub(crate) fn resynthesis_sweep_ctx<F>(
     rebuilt.cleanup_into_with(g, scratch);
     pool_give(pool, rebuilt);
     apply_stats.rebuilt += 1;
+}
+
+/// Drains `proposals` and returns the one to apply — the first with the
+/// strictly largest gain at or above the pass's threshold — with the number
+/// of nodes it is estimated to touch (freed MFFC + emitted replacement).
+fn best_decision(
+    proposals: &mut Vec<Proposal>,
+    acceptance: Acceptance,
+) -> Option<(Decision, usize)> {
+    let mut best: Option<(Decision, usize)> = None;
+    for p in proposals.drain(..) {
+        let gain = p.mffc_size as i64 - p.added as i64;
+        if gain < acceptance.min_gain {
+            continue;
+        }
+        if best.as_ref().is_none_or(|(b, _)| gain > b.gain) {
+            let touched = p.mffc_size + p.added;
+            let decision = Decision {
+                leaves: p.leaves,
+                structure: p.structure,
+                gain,
+            };
+            best = Some((decision, touched));
+        }
+    }
+    best
 }
 
 /// Applies the decisions by mutating `g` through an [`InPlaceEditor`]:
@@ -317,13 +367,16 @@ mod tests {
     fn sweep(
         g: &Aig,
         acceptance: Acceptance,
-        mut propose: impl FnMut(&mut Aig, NodeId, &mut Vec<Proposal>),
+        propose: impl Fn(&Aig, NodeId, &mut Vec<Proposal>) + Sync,
     ) -> Aig {
         let mut ctx = PassContext::default();
         let mut work = ctx.run_flow(g, &[]);
-        resynthesis_sweep_ctx(&mut work, acceptance, &mut ctx, |graph, id, _, _, out| {
-            propose(graph, id, out)
-        });
+        resynthesis_sweep_ctx(
+            &mut work,
+            acceptance,
+            &mut ctx,
+            |graph, id, _, _, _, out| propose(graph, id, out),
+        );
         work
     }
 

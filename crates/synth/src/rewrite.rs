@@ -7,12 +7,13 @@
 //! accepts zero-gain replacements, which changes structure and can enable later
 //! passes — the reason the paper's flows interleave it with the other passes.
 
-use aig::{Aig, Cut4Enumerator, CutParams, Lit, NodeId};
+use aig::{Aig, Cut4Enumerator, CutParams, Lit, Mffc, NodeId};
 
 use crate::pass::{PassContext, ProposeScratch};
 use crate::passes::Transform;
 use crate::resyn::{resynthesis_sweep_ctx, Acceptance, Proposal, Structure};
 use crate::sop::count_sop_nodes_sweep;
+use crate::strash::SweepStrash;
 
 /// Parameters of the rewrite pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,9 +67,14 @@ pub(crate) fn rewrite_ctx(
     // last propose call, so they stay valid for the whole pass.
     Cut4Enumerator::new(cut_params).enumerate_into(g, &mut ctx.cut4_sets);
     let min_gain = acceptance.min_gain;
-    resynthesis_sweep_ctx(g, acceptance, ctx, |graph, id, ps, cut_sets, out| {
-        propose_sweep(graph, id, cut_sets, min_gain, ps, out)
-    });
+    resynthesis_sweep_ctx(
+        g,
+        acceptance,
+        ctx,
+        |graph, id, strash, ps, cut_sets, out| {
+            propose_sweep(graph, id, strash, cut_sets, min_gain, ps, out)
+        },
+    );
 }
 
 /// The proposal generator: costs the ISOP re-expression of every 4-cut of
@@ -79,8 +85,9 @@ pub(crate) fn rewrite_ctx(
 /// snapshot and the SOP covers are borrowed from the ISOP cache, so losing
 /// cuts allocate nothing.
 fn propose_sweep(
-    graph: &mut Aig,
+    graph: &Aig,
     id: NodeId,
+    strash: &SweepStrash,
     cut_sets: &[aig::CutSet4],
     min_gain: i64,
     ps: &mut ProposeScratch,
@@ -111,10 +118,10 @@ fn propose_sweep(
             .extend(leaves.iter().map(|&n| Lit::from_node(n, false)));
         // Nodes inside the MFFC will be freed by the replacement, so reusing
         // them must not be counted as free.
-        let mffc = aig::Mffc::compute(graph, id, leaves);
+        let mffc = Mffc::compute_with(graph, id, leaves, &mut ps.mffc);
         let budget = (mffc.size() as i64 - min_gain).max(0) as usize;
         let Some(added) = count_sop_nodes_sweep(
-            &ps.strash,
+            strash,
             sop,
             &ps.leaf_lits,
             |n| mffc.contains(n),

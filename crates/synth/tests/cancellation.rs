@@ -5,7 +5,7 @@
 //! [`PassContext`] serves the next request with bit-identical results — no
 //! context rebuild, no residue from the cancelled evaluation.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use aig::io::{render_design, Format};
 use circuits::{Design, DesignScale};
@@ -76,6 +76,46 @@ fn cancelled_context_reruns_bit_identical_to_a_fresh_one() {
     // only after the full sweep, never the input graph.
     let original = Design::Aes128.generate(DesignScale::Tiny);
     assert_eq!(bits(&design), bits(&original));
+}
+
+#[test]
+fn cancellation_inside_a_parallel_sweep_reaches_the_caller_typed() {
+    // aes128@Full is above the size gate, so at two threads its sweep
+    // proposes on the caller and a pool helper at once, each chunk polling
+    // the token on its own countdown; whichever participant sees it fire
+    // first, the caller gets the typed error.
+    let design = Design::Aes128.generate(DesignScale::Full);
+    let flow = [Transform::Refactor];
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(2)
+        .build()
+        .expect("pool");
+    pool.install(|| {
+        let mut ctx = PassContext::default();
+        // Time whole runs, then give the next half of the faster one: the
+        // propose phase is nearly all of a refactor pass, so the deadline
+        // passes inside it.
+        let mut whole = Duration::MAX;
+        for _ in 0..2 {
+            let start = Instant::now();
+            let warm = ctx.run_flow(&design, &flow);
+            whole = whole.min(start.elapsed());
+            ctx.recycle(warm);
+        }
+        let token = CancelToken::with_deadline(whole / 2);
+        let err = ctx
+            .run_flow_cancellable(&design, &flow, &token)
+            .expect_err("half the time of a run must cancel it");
+        assert_eq!(err.reason, CancelReason::DeadlineExceeded);
+
+        let reused = ctx.run_flow(&design, &flow);
+        let fresh = PassContext::default().run_flow(&design, &flow);
+        assert_eq!(
+            bits(&reused),
+            bits(&fresh),
+            "a context cancelled mid-sweep must rerun like a fresh one"
+        );
+    });
 }
 
 #[test]

@@ -8,7 +8,8 @@
 //! `mod` it in; they keep the file and test names the tier-1 floor knows them
 //! by (part 1: cuts, single passes, the presets, the mapper; part 2: random
 //! flows, fixtures, context reuse; part 3: the apply routes of a sweep and
-//! the epochs they leave).
+//! the epochs they leave).  `parallel_sweep.rs` borrows the node-for-node
+//! comparison to hold the chunked sweep to itself across thread counts.
 
 #![allow(dead_code)] // each test binary uses its own subset
 

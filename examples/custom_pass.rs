@@ -32,7 +32,7 @@ use synth::resyn::{Acceptance, Proposal, Structure};
 ///   reuse of existing graph nodes as free **except** nodes inside the
 ///   node's MFFC (they die when the proposal is accepted),
 /// * report `mffc_size` so the sweep can score `gain = mffc_size - added`.
-fn propose_small_shannon(graph: &mut Aig, id: aig::NodeId, proposals: &mut Vec<Proposal>) {
+fn propose_small_shannon(graph: &Aig, id: aig::NodeId, proposals: &mut Vec<Proposal>) {
     // 1. Grow a reconvergence-driven cut.  Tighter than the built-in
     //    restructure pass (4 leaves instead of 6): this is the knob that
     //    makes the example pass behave differently.
