@@ -39,6 +39,7 @@
 //! editor's per-node bookkeeping only wins while the dirty region is small);
 //! the `synth` crate gates this on a dirty-fraction threshold.
 
+use crate::graph::trivial_and;
 use crate::{Aig, Lit, Node, NodeId};
 
 /// Rank value of a node the editor has not touched yet.
@@ -61,9 +62,9 @@ pub struct EditScratch {
     perm: Vec<u32>,
     /// Staging area for the renumbered node records.
     nodes_tmp: Vec<Node>,
-    /// Re-keyed strash entries of the incremental repair: the post-compaction
-    /// `(key, id)` pairs to insert after the stale entries were removed.
-    repairs: Vec<((u32, u32), NodeId)>,
+    /// Post-compaction ids of the re-keyed survivors of the incremental
+    /// strash repair, inserted once the stale entries are gone.
+    repairs: Vec<NodeId>,
 }
 
 /// An in-place editing session over one resident [`Aig`].
@@ -169,29 +170,23 @@ impl<'a> InPlaceEditor<'a> {
     /// not reached it yet — that is the rebuild creating the duplicate this
     /// node would later merge into.
     pub fn and(&mut self, a: Lit, b: Lit) -> Lit {
-        if a == Lit::FALSE || b == Lit::FALSE || a == !b {
-            return Lit::FALSE;
+        if let Some(l) = trivial_and(a, b) {
+            return l;
         }
-        if a == Lit::TRUE {
-            return b;
-        }
-        if b == Lit::TRUE || a == b {
-            return a;
-        }
-        // The strash key uses live-graph id order (consistent with the
-        // pre-existing entries); the stored fanin pair uses reference order.
-        let (x, y) = if a.raw() <= b.raw() { (a, b) } else { (b, a) };
-        if let Some(&id) = self.g.strash.get(&(x.raw(), y.raw())) {
+        // The strash key is the unordered pair of live-graph literals
+        // (consistent with the pre-existing entries); the stored fanin pair
+        // uses reference order.
+        if let Some(id) = self.g.strash.find(&self.g.nodes, a, b) {
             self.touch(id);
             return Lit::from_node(id, false);
         }
         let (ra, rb) = self.ref_order(a, b);
-        let level = 1 + self.g.nodes[x.node()]
+        let level = 1 + self.g.nodes[a.node()]
             .level()
-            .max(self.g.nodes[y.node()].level());
+            .max(self.g.nodes[b.node()].level());
         let id = self.g.nodes.len();
         self.g.nodes.push(Node::and(ra, rb, level));
-        self.g.strash.insert((x.raw(), y.raw()), id);
+        self.g.strash.insert(&self.g.nodes, id);
         self.scratch.rank.push(self.next_rank);
         self.next_rank += 1;
         self.touched += 1;
@@ -214,16 +209,12 @@ impl<'a> InPlaceEditor<'a> {
     /// * key collides with existing structure → merged into it (this node's
     ///   storage is orphaned and reclaimed at [`finish`](Self::finish)),
     /// * otherwise the node's storage is recycled: old strash entry removed,
-    ///   fanins/level rewritten, new entry inserted.
+    ///   fanins/level rewritten, new entry inserted.  A strash slot reads its
+    ///   key from the node record, so the removal must come before the
+    ///   rewrite and the insertion after it.
     pub fn copy(&mut self, id: NodeId, na: Lit, nb: Lit) -> Lit {
-        if na == Lit::FALSE || nb == Lit::FALSE || na == !nb {
-            return Lit::FALSE;
-        }
-        if na == Lit::TRUE {
-            return nb;
-        }
-        if nb == Lit::TRUE || na == nb {
-            return na;
+        if let Some(l) = trivial_and(na, nb) {
+            return l;
         }
         let (x, y) = if na.raw() <= nb.raw() {
             (na, nb)
@@ -235,7 +226,7 @@ impl<'a> InPlaceEditor<'a> {
             self.touch(id);
             return Lit::from_node(id, false);
         }
-        if let Some(&m) = self.g.strash.get(&(x.raw(), y.raw())) {
+        if let Some(m) = self.g.strash.find(&self.g.nodes, x, y) {
             self.touch(m);
             return Lit::from_node(m, false);
         }
@@ -244,14 +235,13 @@ impl<'a> InPlaceEditor<'a> {
             // earlier strash hit; the remapped copy needs a fresh node.
             return self.and(x, y);
         }
-        let removed = self.g.strash.remove(&(fa.raw(), fb.raw()));
-        debug_assert_eq!(removed, Some(id), "strash entry owned by the node");
+        self.g.strash.remove(&self.g.nodes, id);
         let (ra, rb) = self.ref_order(x, y);
         let level = 1 + self.g.nodes[x.node()]
             .level()
             .max(self.g.nodes[y.node()].level());
         self.g.nodes[id] = Node::and(ra, rb, level);
-        self.g.strash.insert((x.raw(), y.raw()), id);
+        self.g.strash.insert(&self.g.nodes, id);
         self.scratch.rank[id] = self.next_rank;
         self.next_rank += 1;
         self.touched += 1;
@@ -325,46 +315,30 @@ impl<'a> InPlaceEditor<'a> {
 
         // Strash maintenance is either *incremental* (repair exactly the
         // moved / dead entries) or the full clear + re-insert.  Mid-edit the
-        // map holds exactly one entry per AND record — live or orphaned —
+        // table holds exactly one entry per AND record — live or orphaned —
         // keyed by the unordered raw pair of its stored fanins, so a survivor
         // whose id and key are both unchanged already has the correct
-        // post-compaction entry and costs nothing.  A repair is ~2 hash ops
+        // post-compaction entry and costs nothing.  A repair is ~2 table ops
         // (remove + insert) against 1 insert per survivor for the rebuild,
         // so patch only while the dirty region is the minority.
         let incremental = 2 * moved + dead < s.survivors.len();
         if incremental {
             s.repairs.clear();
-            // Phase 1: drop every stale entry (and collect the re-keyed
-            // inserts) before any new key lands — a repair's new key may
+            // Phase 1, while every record still holds the fanins its entry
+            // was keyed by: drop every stale entry (and collect the re-keyed
+            // survivors) before any new key lands — a repair's new key may
             // equal another entry's not-yet-removed old key.
             for (i, &id) in s.survivors.iter().enumerate() {
-                let (a, b) = g.nodes[id].fanins().expect("survivor is an AND");
-                let staged = s.nodes_tmp[i];
-                let (na, nb) = staged.fanins().expect("staged survivor is an AND");
-                if s.perm[id] as usize == id && na == a && nb == b {
+                if s.perm[id] as usize == id && s.nodes_tmp[i].fanins() == g.nodes[id].fanins() {
                     continue;
                 }
-                let old_key = if a.raw() <= b.raw() {
-                    (a.raw(), b.raw())
-                } else {
-                    (b.raw(), a.raw())
-                };
-                let removed = g.strash.remove(&old_key);
-                debug_assert_eq!(removed, Some(id), "survivor owns its strash entry");
-                s.repairs.push(((na.raw(), nb.raw()), s.perm[id] as usize));
+                g.strash.remove(&g.nodes, id);
+                s.repairs.push(s.perm[id] as usize);
             }
             for id in base..g.nodes.len() {
-                if s.reachable[id] {
-                    continue;
+                if !s.reachable[id] {
+                    g.strash.remove(&g.nodes, id);
                 }
-                let (a, b) = g.nodes[id].fanins().expect("AND tail");
-                let key = if a.raw() <= b.raw() {
-                    (a.raw(), b.raw())
-                } else {
-                    (b.raw(), a.raw())
-                };
-                let removed = g.strash.remove(&key);
-                debug_assert_eq!(removed, Some(id), "orphan owns its strash entry");
             }
         }
 
@@ -382,12 +356,12 @@ impl<'a> InPlaceEditor<'a> {
             n.reset_fanout();
         }
         if incremental {
-            // Phase 2: land the re-keyed entries.  Post-compaction keys are
-            // unique (the reference rebuild would have merged duplicates), so
-            // no repair may collide with a kept entry.
-            for &(key, id) in &s.repairs {
-                let prev = g.strash.insert(key, id);
-                debug_assert!(prev.is_none(), "repair key collides with a kept entry");
+            // Phase 2, now that the records hold their renumbered fanins:
+            // land the re-keyed entries.  Post-compaction keys are unique
+            // (the reference rebuild would have merged duplicates), so no
+            // repair may collide with a kept entry.
+            for &id in &s.repairs {
+                g.strash.insert(&g.nodes, id);
             }
             for id in base..g.nodes.len() {
                 let (a, b) = g.nodes[id].fanins().expect("AND tail");
@@ -400,7 +374,7 @@ impl<'a> InPlaceEditor<'a> {
             g.strash.clear();
             for id in base..g.nodes.len() {
                 let (a, b) = g.nodes[id].fanins().expect("AND tail");
-                g.strash.insert((a.raw(), b.raw()), id);
+                g.strash.insert(&g.nodes, id);
                 g.nodes[a.node()].add_fanout();
                 g.nodes[b.node()].add_fanout();
             }
@@ -413,6 +387,7 @@ impl<'a> InPlaceEditor<'a> {
         g.generation += 1;
         g.clean_at = g.generation;
         g.fanouts_at = g.generation;
+        debug_assert_eq!(g.strash.len(), g.num_ands(), "one strash entry per AND");
     }
 }
 

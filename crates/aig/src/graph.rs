@@ -1,9 +1,8 @@
 //! The And-Inverter Graph container.
 
-use std::collections::HashMap;
-
 use serde::Serialize;
 
+use crate::strash::Strash;
 use crate::{AigError, Lit, Node, Result};
 
 /// Index of a node inside an [`Aig`].
@@ -40,7 +39,7 @@ pub struct Aig {
     pub(crate) outputs: Vec<Lit>,
     output_names: Vec<String>,
     #[serde(skip)]
-    pub(crate) strash: HashMap<(u32, u32), NodeId>,
+    pub(crate) strash: Strash,
     /// Structural mutation counter: bumped whenever the graph changes shape
     /// (node added, input added, output registered, buffer recycled).  The
     /// epoch-stamped analysis flags below compare against it.
@@ -53,6 +52,21 @@ pub struct Aig {
     /// [`Aig::cleanup`] would be the identity (0 = unknown).
     #[serde(skip)]
     pub(crate) clean_at: u64,
+}
+
+/// The trivial ANDs (`x & 0 = 0`, `x & 1 = x`, `x & x = x`, `x & !x = 0`),
+/// answered without a node; `None` when the AND needs the strash.
+#[inline]
+pub(crate) fn trivial_and(a: Lit, b: Lit) -> Option<Lit> {
+    if a == Lit::FALSE || b == Lit::FALSE || a == !b {
+        Some(Lit::FALSE)
+    } else if a == Lit::TRUE {
+        Some(b)
+    } else if b == Lit::TRUE || a == b {
+        Some(a)
+    } else {
+        None
+    }
 }
 
 /// Reusable scratch buffers for [`Aig::cleanup_into_with`]: the remap table,
@@ -77,7 +91,7 @@ impl serde::Deserialize for Aig {
             input_names: Vec::from_value(serde::field(value, "input_names", "Aig")?)?,
             outputs: Vec::from_value(serde::field(value, "outputs", "Aig")?)?,
             output_names: Vec::from_value(serde::field(value, "output_names", "Aig")?)?,
-            strash: HashMap::new(),
+            strash: Strash::default(),
             generation: 1,
             fanouts_at: 0,
             clean_at: 0,
@@ -103,7 +117,7 @@ impl Aig {
             input_names: Vec::new(),
             outputs: Vec::new(),
             output_names: Vec::new(),
-            strash: HashMap::new(),
+            strash: Strash::default(),
             generation: 1,
             fanouts_at: 0,
             clean_at: 0,
@@ -168,27 +182,20 @@ impl Aig {
     /// merged, so the returned literal may refer to an existing node or a
     /// constant.
     pub fn and(&mut self, a: Lit, b: Lit) -> Lit {
-        // Trivial simplifications.
-        if a == Lit::FALSE || b == Lit::FALSE || a == !b {
-            return Lit::FALSE;
+        if let Some(l) = trivial_and(a, b) {
+            return l;
         }
-        if a == Lit::TRUE {
-            return b;
-        }
-        if b == Lit::TRUE || a == b {
-            return a;
+        if let Some(id) = self.strash.find(&self.nodes, a, b) {
+            return Lit::from_node(id, false);
         }
         // Canonical fanin order for structural hashing.
         let (x, y) = if a.raw() <= b.raw() { (a, b) } else { (b, a) };
-        if let Some(&id) = self.strash.get(&(x.raw(), y.raw())) {
-            return Lit::from_node(id, false);
-        }
         let level = 1 + self.nodes[x.node()]
             .level()
             .max(self.nodes[y.node()].level());
         let id = self.nodes.len();
         self.nodes.push(Node::and(x, y, level));
-        self.strash.insert((x.raw(), y.raw()), id);
+        self.strash.insert(&self.nodes, id);
         self.generation += 1;
         Lit::from_node(id, false)
     }
@@ -524,7 +531,7 @@ impl Aig {
     /// subsequent construction does not reallocate or rehash.
     pub fn reserve_for(&mut self, nodes: usize, ands: usize) {
         self.nodes.reserve(nodes.saturating_sub(self.nodes.len()));
-        self.strash.reserve(ands.saturating_sub(self.strash.len()));
+        self.strash.reserve(&self.nodes, ands);
     }
 
     /// Returns the set of node ids in the transitive fanin cone of `roots`
@@ -549,13 +556,23 @@ impl Aig {
     }
 
     /// Rebuilds the structural-hash table (needed after deserialisation).
+    /// Of several ANDs over the same fanin pair, the last one is found.
     pub fn rebuild_strash(&mut self) {
         self.strash.clear();
+        self.strash.reserve(&self.nodes, self.num_ands());
         for id in 1..self.nodes.len() {
             if let Some((a, b)) = self.nodes[id].fanins() {
-                self.strash.insert((a.raw(), b.raw()), id);
+                if let Some(old) = self.strash.find(&self.nodes, a, b) {
+                    self.strash.remove(&self.nodes, old);
+                }
+                self.strash.insert(&self.nodes, id);
             }
         }
+    }
+
+    /// Number of slots in the structural-hash table (4 bytes each).
+    pub fn strash_capacity(&self) -> usize {
+        self.strash.capacity()
     }
 
     /// Looks up an existing AND node over `(a, b)` without creating one.
@@ -563,19 +580,10 @@ impl Aig {
     /// Returns the literal of the existing node after trivial simplification,
     /// or `None` if the AND would require creating a new node.
     pub fn find_and(&self, a: Lit, b: Lit) -> Option<Lit> {
-        if a == Lit::FALSE || b == Lit::FALSE || a == !b {
-            return Some(Lit::FALSE);
-        }
-        if a == Lit::TRUE {
-            return Some(b);
-        }
-        if b == Lit::TRUE || a == b {
-            return Some(a);
-        }
-        let (x, y) = if a.raw() <= b.raw() { (a, b) } else { (b, a) };
-        self.strash
-            .get(&(x.raw(), y.raw()))
-            .map(|&id| Lit::from_node(id, false))
+        trivial_and(a, b).or_else(|| {
+            let id = self.strash.find(&self.nodes, a, b)?;
+            Some(Lit::from_node(id, false))
+        })
     }
 }
 

@@ -42,6 +42,7 @@ mod mffc;
 mod node;
 mod simulate;
 mod stats;
+mod strash;
 mod truth;
 
 pub use cut::{

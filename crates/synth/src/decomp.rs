@@ -82,11 +82,11 @@ pub fn count_shannon_nodes(
     leaves: &[Lit],
     excluded: impl Fn(NodeId) -> bool + Copy,
 ) -> usize {
-    count_rec(&|x, y| aig.find_and(x, y), f, leaves, excluded).1
+    count_rec(aig, f, leaves, excluded).1
 }
 
-/// [`count_shannon_nodes`] on inline tables, served by the per-sweep strash
-/// snapshot and capped at `budget` — the passes' estimator.
+/// [`count_shannon_nodes`] on inline tables, capped at `budget` — the
+/// passes' estimator.
 ///
 /// Returns `None` as soon as the count provably exceeds `budget`, `Some(n)`
 /// with the exact count otherwise.  The cap is lossless for the sweep's
@@ -96,23 +96,22 @@ pub fn count_shannon_nodes(
 /// bit-identical to the uncapped recursion (same split variables, same
 /// reuse probes).
 pub(crate) fn count_shannon_nodes_sweep(
-    strash: &crate::strash::SweepStrash,
+    aig: &Aig,
     f: &TruthTable,
     leaves: &[Lit],
     excluded: impl Fn(NodeId) -> bool + Copy,
     budget: usize,
 ) -> Option<usize> {
-    let find = |x, y| strash.find_and(x, y);
     if f.num_vars() > SmallTruth::MAX_VARS {
-        return count_rec_budget(&find, f, leaves, excluded, budget).map(|(_, n)| n);
+        return count_rec_budget(aig, f, leaves, excluded, budget).map(|(_, n)| n);
     }
     if f.num_vars() <= 6 {
         // Single-word functions: the whole table is one u64.
         let word = f.words()[0];
-        return count_rec_budget_u64(&find, word, f.num_vars(), leaves, excluded, budget)
+        return count_rec_budget_u64(aig, word, f.num_vars(), leaves, excluded, budget)
             .map(|(_, n)| n);
     }
-    count_rec_budget_small(&find, &SmallTruth::from_table(f), leaves, excluded, budget)
+    count_rec_budget_small(aig, &SmallTruth::from_table(f), leaves, excluded, budget)
         .map(|(_, n)| n)
 }
 
@@ -134,7 +133,7 @@ const VAR_MASKS_U64: [u64; 6] = [
 /// exactly `SmallTruth`'s word-0 arithmetic, so split choices, probes and
 /// counts stay identical (pinned by `budgeted_sweep_count_matches_reference`).
 fn count_rec_budget_u64(
-    find: &impl Fn(Lit, Lit) -> Option<Lit>,
+    aig: &Aig,
     f: u64,
     nv: usize,
     leaves: &[Lit],
@@ -188,36 +187,10 @@ fn count_rec_budget_u64(
         }
     }
     let (f0, f1) = cof[v];
-    let (l0, c0) = count_rec_budget_u64(find, f0, nv, leaves, excluded, budget)?;
-    let (l1, c1) = count_rec_budget_u64(find, f1, nv, leaves, excluded, budget - c0)?;
-    let mut added = c0 + c1;
-    let sel = leaves[v];
-    let reuse = |x: Lit, y: Lit| -> Option<Lit> {
-        find(x, y).filter(|l| l.is_const() || !excluded(l.node()))
-    };
-    let (lit, added) = match (l1, l0) {
-        (Some(t), Some(e)) => {
-            let a = reuse(sel, t);
-            let b = reuse(!sel, e);
-            if a.is_none() {
-                added += 1;
-            }
-            if b.is_none() {
-                added += 1;
-            }
-            match (a, b) {
-                (Some(x), Some(y)) => {
-                    if let Some(o) = reuse(!x, !y) {
-                        (Some(!o), added)
-                    } else {
-                        (None, added + 1)
-                    }
-                }
-                _ => (None, added + 1),
-            }
-        }
-        _ => (None, added + 3),
-    };
+    let (l0, c0) = count_rec_budget_u64(aig, f0, nv, leaves, excluded, budget)?;
+    let (l1, c1) = count_rec_budget_u64(aig, f1, nv, leaves, excluded, budget - c0)?;
+    let (lit, mux) = mux_cost(aig, excluded, leaves[v], l1, l0);
+    let added = c0 + c1 + mux;
     if added > budget {
         return None;
     }
@@ -230,7 +203,7 @@ fn count_rec_budget_u64(
 /// scoring and the recursion itself — the generic path recomputes them in
 /// each of those places.  Split choices, probes and counts are identical.
 fn count_rec_budget_small(
-    find: &impl Fn(Lit, Lit) -> Option<Lit>,
+    aig: &Aig,
     f: &SmallTruth,
     leaves: &[Lit],
     excluded: impl Fn(NodeId) -> bool + Copy,
@@ -279,36 +252,10 @@ fn count_rec_budget_small(
         }
     }
     let (f0, f1) = &cof[v];
-    let (l0, c0) = count_rec_budget_small(find, f0, leaves, excluded, budget)?;
-    let (l1, c1) = count_rec_budget_small(find, f1, leaves, excluded, budget - c0)?;
-    let mut added = c0 + c1;
-    let sel = leaves[v];
-    let reuse = |x: Lit, y: Lit| -> Option<Lit> {
-        find(x, y).filter(|l| l.is_const() || !excluded(l.node()))
-    };
-    let (lit, added) = match (l1, l0) {
-        (Some(t), Some(e)) => {
-            let a = reuse(sel, t);
-            let b = reuse(!sel, e);
-            if a.is_none() {
-                added += 1;
-            }
-            if b.is_none() {
-                added += 1;
-            }
-            match (a, b) {
-                (Some(x), Some(y)) => {
-                    if let Some(o) = reuse(!x, !y) {
-                        (Some(!o), added)
-                    } else {
-                        (None, added + 1)
-                    }
-                }
-                _ => (None, added + 1),
-            }
-        }
-        _ => (None, added + 3),
-    };
+    let (l0, c0) = count_rec_budget_small(aig, f0, leaves, excluded, budget)?;
+    let (l1, c1) = count_rec_budget_small(aig, f1, leaves, excluded, budget - c0)?;
+    let (lit, mux) = mux_cost(aig, excluded, leaves[v], l1, l0);
+    let added = c0 + c1 + mux;
     if added > budget {
         return None;
     }
@@ -317,7 +264,7 @@ fn count_rec_budget_small(
 
 /// Returns `(existing_literal_if_free, added_nodes)`.
 fn count_rec<T: TruthOps>(
-    find: &impl Fn(Lit, Lit) -> Option<Lit>,
+    aig: &Aig,
     f: &T,
     leaves: &[Lit],
     excluded: impl Fn(NodeId) -> bool + Copy,
@@ -348,36 +295,37 @@ fn count_rec<T: TruthOps>(
         return (Some(lit), 0);
     }
     let v = pick_split_var(f, support);
-    let (l0, c0) = count_rec(find, &f0_of(f, v), leaves, excluded);
-    let (l1, c1) = count_rec(find, &f1_of(f, v), leaves, excluded);
-    let mut added = c0 + c1;
-    // The mux needs sel&t, !sel&e and an OR node unless the pieces already exist.
-    let sel = leaves[v];
-    let reuse = |x: Lit, y: Lit| -> Option<Lit> {
-        find(x, y).filter(|l| l.is_const() || !excluded(l.node()))
+    let (l0, c0) = count_rec(aig, &f0_of(f, v), leaves, excluded);
+    let (l1, c1) = count_rec(aig, &f1_of(f, v), leaves, excluded);
+    let (lit, mux) = mux_cost(aig, excluded, leaves[v], l1, l0);
+    (lit, c0 + c1 + mux)
+}
+
+/// The estimators' combine step: the mux `sel ? t : e` over the cofactors'
+/// existing literals `l1`, `l0` (`None` = would be fresh) needs `sel & t`,
+/// `!sel & e` and their OR, each free only when `aig` already holds it
+/// outside `excluded`.  Returns the mux's literal when it is free, and the
+/// number of nodes it adds.
+fn mux_cost(
+    aig: &Aig,
+    excluded: impl Fn(NodeId) -> bool,
+    sel: Lit,
+    l1: Option<Lit>,
+    l0: Option<Lit>,
+) -> (Option<Lit>, usize) {
+    let reuse = |x: Lit, y: Lit| {
+        aig.find_and(x, y)
+            .filter(|l| l.is_const() || !excluded(l.node()))
     };
-    match (l1, l0) {
-        (Some(t), Some(e)) => {
-            let a = reuse(sel, t);
-            let b = reuse(!sel, e);
-            if a.is_none() {
-                added += 1;
-            }
-            if b.is_none() {
-                added += 1;
-            }
-            match (a, b) {
-                (Some(x), Some(y)) => {
-                    if let Some(o) = reuse(!x, !y) {
-                        (Some(!o), added)
-                    } else {
-                        (None, added + 1)
-                    }
-                }
-                _ => (None, added + 1),
-            }
-        }
-        _ => (None, added + 3),
+    let (Some(t), Some(e)) = (l1, l0) else {
+        return (None, 3);
+    };
+    match (reuse(sel, t), reuse(!sel, e)) {
+        (Some(x), Some(y)) => match reuse(!x, !y) {
+            Some(o) => (Some(!o), 0),
+            None => (None, 1),
+        },
+        (a, b) => (None, 1 + a.is_none() as usize + b.is_none() as usize),
     }
 }
 
@@ -385,7 +333,7 @@ fn count_rec<T: TruthOps>(
 /// variables, same probes) but bails with `None` the moment the accumulated
 /// count exceeds `budget`.  A `Some` result is the exact uncapped count.
 fn count_rec_budget<T: TruthOps>(
-    find: &impl Fn(Lit, Lit) -> Option<Lit>,
+    aig: &Aig,
     f: &T,
     leaves: &[Lit],
     excluded: impl Fn(NodeId) -> bool + Copy,
@@ -417,36 +365,10 @@ fn count_rec_budget<T: TruthOps>(
         return Some((Some(lit), 0));
     }
     let v = pick_split_var(f, support);
-    let (l0, c0) = count_rec_budget(find, &f0_of(f, v), leaves, excluded, budget)?;
-    let (l1, c1) = count_rec_budget(find, &f1_of(f, v), leaves, excluded, budget - c0)?;
-    let mut added = c0 + c1;
-    let sel = leaves[v];
-    let reuse = |x: Lit, y: Lit| -> Option<Lit> {
-        find(x, y).filter(|l| l.is_const() || !excluded(l.node()))
-    };
-    let (lit, added) = match (l1, l0) {
-        (Some(t), Some(e)) => {
-            let a = reuse(sel, t);
-            let b = reuse(!sel, e);
-            if a.is_none() {
-                added += 1;
-            }
-            if b.is_none() {
-                added += 1;
-            }
-            match (a, b) {
-                (Some(x), Some(y)) => {
-                    if let Some(o) = reuse(!x, !y) {
-                        (Some(!o), added)
-                    } else {
-                        (None, added + 1)
-                    }
-                }
-                _ => (None, added + 1),
-            }
-        }
-        _ => (None, added + 3),
-    };
+    let (l0, c0) = count_rec_budget(aig, &f0_of(f, v), leaves, excluded, budget)?;
+    let (l1, c1) = count_rec_budget(aig, &f1_of(f, v), leaves, excluded, budget - c0)?;
+    let (lit, mux) = mux_cost(aig, excluded, leaves[v], l1, l0);
+    let added = c0 + c1 + mux;
     if added > budget {
         return None;
     }
@@ -566,14 +488,12 @@ mod tests {
         let pre0 = g.and(inputs[0], inputs[1]);
         let pre1 = g.mux(inputs[2], pre0, inputs[3]);
         g.add_output("keep", pre1);
-        let mut strash = crate::strash::SweepStrash::default();
-        strash.rebuild(&g);
         for nv in 2..=9usize {
             for seed in 1..=10u64 {
                 let f = random_truth(nv, seed * 31 + nv as u64);
                 let leaves = &inputs[..nv];
                 let reference = count_shannon_nodes(&g, &f, leaves, |_| false);
-                let fast = count_shannon_nodes_sweep(&strash, &f, leaves, |_| false, usize::MAX);
+                let fast = count_shannon_nodes_sweep(&g, &f, leaves, |_| false, usize::MAX);
                 assert_eq!(Some(reference), fast, "nv={nv} seed={seed}");
             }
         }
@@ -581,7 +501,7 @@ mod tests {
 
     #[test]
     fn budgeted_sweep_count_matches_reference() {
-        // Random graphs + random truths: the budget-capped strash-snapshot
+        // Random graphs + random truths: the budget-capped
         // counter must return Some(exact reference count) whenever the
         // reference count fits the budget and None otherwise.
         let mut state = 0x5EEDu64;
@@ -603,8 +523,6 @@ mod tests {
                 lits.push(l);
             }
         }
-        let mut strash = crate::strash::SweepStrash::default();
-        strash.rebuild(&g);
         let inputs: Vec<Lit> = g
             .input_ids()
             .iter()
@@ -624,7 +542,7 @@ mod tests {
                     reference,
                     reference + 5,
                 ] {
-                    let got = count_shannon_nodes_sweep(&strash, &f, leaves, excluded, budget);
+                    let got = count_shannon_nodes_sweep(&g, &f, leaves, excluded, budget);
                     if reference <= budget {
                         assert_eq!(got, Some(reference), "nv={nv} seed={seed} budget={budget}");
                     } else {

@@ -55,7 +55,6 @@ pub mod restructure;
 pub mod resyn;
 pub mod rewrite;
 pub mod sop;
-mod strash;
 
 pub use balance::balance;
 pub use flow_runner::{FlowOutcome, FlowRunner};

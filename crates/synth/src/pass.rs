@@ -41,7 +41,6 @@ use crate::passes::Transform;
 use crate::reconv::ReconvScratch;
 use crate::resyn::{DecisionTable, Proposal};
 use crate::sop::{IsopCache, SharedIsopCache, SopCostScratch};
-use crate::strash::SweepStrash;
 
 /// Maximum number of recycled graph buffers a context keeps around.
 const POOL_CAPACITY: usize = 8;
@@ -195,8 +194,6 @@ impl CancelCell {
 /// and `restructure`.
 #[derive(Debug, Default)]
 pub(crate) struct SweepScratch {
-    /// The per-sweep strash snapshot every propose chunk reads.
-    pub(crate) strash: SweepStrash,
     pub(crate) decisions: DecisionTable,
     /// `(decisions, estimated touched nodes)` of each propose chunk.
     pub(crate) tallies: Vec<(usize, usize)>,

@@ -13,7 +13,6 @@ use crate::passes::Transform;
 use crate::reconv::{reconv_cut_sweep, ReconvParams};
 use crate::resyn::{resynthesis_sweep_ctx, Acceptance, Proposal, Structure};
 use crate::sop::count_sop_nodes_sweep;
-use crate::strash::SweepStrash;
 
 /// Parameters of the refactor pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,8 +55,8 @@ pub(crate) fn refactor_ctx(
         Acceptance::strict()
     };
     let min_gain = acceptance.min_gain;
-    resynthesis_sweep_ctx(g, acceptance, ctx, |graph, id, strash, ps, _, out| {
-        propose_sweep(graph, id, strash, params, min_gain, ps, out)
+    resynthesis_sweep_ctx(g, acceptance, ctx, |graph, id, ps, _, out| {
+        propose_sweep(graph, id, params, min_gain, ps, out)
     });
 }
 
@@ -66,12 +65,10 @@ pub(crate) fn refactor_ctx(
 /// loop can accept it (cost capped at `mffc_size - min_gain`; dearer cones
 /// are rejected without finishing the count).  The cut grows on stamped
 /// scratch, the cut function comes from the scratch-based cone walk
-/// ([`cut_truth_with`]) and the SOP cost dry-run is answered by the
-/// per-sweep strash snapshot.
+/// ([`cut_truth_with`]) and the SOP cost dry-run probes the graph's strash.
 fn propose_sweep(
     graph: &Aig,
     id: NodeId,
-    strash: &SweepStrash,
     params: RefactorParams,
     min_gain: i64,
     ps: &mut ProposeScratch,
@@ -112,7 +109,7 @@ fn propose_sweep(
     let mffc = Mffc::compute_with(graph, id, cut.leaves(), &mut ps.mffc);
     let budget = (mffc.size() as i64 - min_gain).max(0) as usize;
     let Some(added) = count_sop_nodes_sweep(
-        strash,
+        graph,
         sop,
         &ps.leaf_lits,
         |n| mffc.contains(n),

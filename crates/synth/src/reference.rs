@@ -3,7 +3,7 @@
 //! `synth` has exactly two implementations per concern.  The **production
 //! path** is [`PassContext`](crate::PassContext): inline 4-cuts with fused
 //! truths, the NPN4 table, the memoizing ISOP cache, the budget-capped cost
-//! estimators over a per-sweep strash snapshot, and the sweep that applies
+//! estimators probing the graph's own strash, and the sweep that applies
 //! decisions in place or by rebuild depending on the dirty fraction.  Every
 //! public entry point ([`Transform::apply`], [`crate::apply_sequence`],
 //! [`crate::map`], [`crate::FlowRunner`]) runs it.

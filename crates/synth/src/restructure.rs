@@ -16,7 +16,6 @@ use crate::pass::{PassContext, ProposeScratch};
 use crate::passes::Transform;
 use crate::reconv::{reconv_cut_sweep, ReconvParams};
 use crate::resyn::{resynthesis_sweep_ctx, Acceptance, Proposal, Structure};
-use crate::strash::SweepStrash;
 
 /// Parameters of the restructure pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,8 +39,8 @@ pub fn restructure(aig: &Aig) -> Aig {
 /// context's cut-truth scratch and sweep buffers.
 pub(crate) fn restructure_ctx(g: &mut Aig, params: RestructureParams, ctx: &mut PassContext) {
     let acceptance = Acceptance::strict();
-    resynthesis_sweep_ctx(g, acceptance, ctx, |graph, id, strash, ps, _, out| {
-        propose_sweep(graph, id, strash, params, acceptance.min_gain, ps, out)
+    resynthesis_sweep_ctx(g, acceptance, ctx, |graph, id, ps, _, out| {
+        propose_sweep(graph, id, params, acceptance.min_gain, ps, out)
     });
 }
 
@@ -50,11 +49,10 @@ pub(crate) fn restructure_ctx(g: &mut Aig, params: RestructureParams, ctx: &mut 
 /// loop can accept it (cost capped at `mffc_size - min_gain`; dearer cones
 /// are rejected without finishing the count).  The cut grows on stamped
 /// scratch, the cut function comes from the scratch-based cone walk and the
-/// Shannon cost dry-run is answered by the per-sweep strash snapshot.
+/// Shannon cost dry-run probes the graph's strash.
 fn propose_sweep(
     graph: &Aig,
     id: NodeId,
-    strash: &SweepStrash,
     params: RestructureParams,
     min_gain: i64,
     ps: &mut ProposeScratch,
@@ -88,7 +86,7 @@ fn propose_sweep(
     let mffc = Mffc::compute_with(graph, id, cut.leaves(), &mut ps.mffc);
     let budget = (mffc.size() as i64 - min_gain).max(0) as usize;
     let Some(added) =
-        count_shannon_nodes_sweep(strash, &truth, &ps.leaf_lits, |n| mffc.contains(n), budget)
+        count_shannon_nodes_sweep(graph, &truth, &ps.leaf_lits, |n| mffc.contains(n), budget)
     else {
         ps.cut_leaves = cut.into_leaves();
         return;

@@ -27,7 +27,6 @@ use rayon::prelude::*;
 use crate::decomp::{build_shannon, build_shannon_edit};
 use crate::pass::{pool_give, pool_take, PassContext, ProposeScratch, SweepScratch};
 use crate::sop::{build_sop, build_sop_edit, Sop};
-use crate::strash::SweepStrash;
 
 /// How the new implementation of a node's cut function is expressed.
 #[derive(Debug, Clone)]
@@ -125,18 +124,19 @@ impl Acceptance {
 ///
 /// `propose` is called for every live AND node (fanout counts are current)
 /// and pushes any number of candidate implementations; the best accepted one
-/// is recorded.  It reads the graph, the strash snapshot taken here and the
-/// cut sets last enumerated into the context, and works on a
+/// is recorded.  It reads the graph (reuse probes go to [`Aig::find_and`])
+/// and the cut sets last enumerated into the context, and works on a
 /// [`ProposeScratch`] no other call uses at the same time.  `g` is cleaned
 /// first if its epoch stamp does not prove it clean; fanouts are refreshed
 /// only when theirs says they are stale.
 ///
 /// **Propose runs in parallel.**  It only reads `g`, so a node's decision
-/// depends on the snapshot alone, never on which nodes were proposed before
-/// it.  The sweep splits the decision table into chunks of [`CHUNK_NODES`]
-/// slots and hands them to the `rayon` pool, each chunk with a scratch
-/// checked out of the context.  A graph under [`PARALLEL_MIN_NODES`] nodes is
-/// one chunk, which the pool runs on the caller without waking a helper.
+/// depends on the graph as the sweep found it, never on which nodes were
+/// proposed before it.  The sweep splits the decision table into chunks of
+/// [`CHUNK_NODES`] slots and hands them to the `rayon` pool, each chunk with
+/// a scratch checked out of the context.  A graph under
+/// [`PARALLEL_MIN_NODES`] nodes is one chunk, which the pool runs on the
+/// caller without waking a helper.
 ///
 /// Each chunk polls `cancel` on a countdown of its own and may unwind; `g` is
 /// only mutated by the apply step, *after* every chunk has returned, so a
@@ -147,12 +147,12 @@ pub(crate) fn resynthesis_sweep_ctx<F>(
     ctx: &mut PassContext,
     propose: F,
 ) where
-    F: Fn(&Aig, NodeId, &SweepStrash, &mut ProposeScratch, &[CutSet4], &mut Vec<Proposal>) + Sync,
+    F: Fn(&Aig, NodeId, &mut ProposeScratch, &[CutSet4], &mut Vec<Proposal>) + Sync,
 {
     ctx.ensure_clean(g);
     g.compute_fanouts_cached();
-    // Disjoint borrows: the propose chunks read the snapshot, the cut sets
-    // and the token and check scratch out of `idle`; the sweep owns the rest.
+    // Disjoint borrows: the propose chunks read the cut sets and the token
+    // and check scratch out of `idle`; the sweep owns the rest.
     let PassContext {
         pool,
         scratch,
@@ -166,14 +166,12 @@ pub(crate) fn resynthesis_sweep_ctx<F>(
         ..
     } = ctx;
     let SweepScratch {
-        strash,
         decisions,
         tallies,
         rebuild_map,
         leaf_lits,
         out_lits,
     } = sweep;
-    strash.rebuild(g);
     let n = g.len();
     decisions.reset(n);
     let chunk = if n < PARALLEL_MIN_NODES {
@@ -185,8 +183,7 @@ pub(crate) fn resynthesis_sweep_ctx<F>(
     tallies.resize(n.div_ceil(chunk), (0, 0));
 
     let graph: &Aig = g;
-    let (strash, cut_sets, cancel, shared_isop) =
-        (&*strash, &cut4_sets[..], &*cancel, &*shared_isop);
+    let (cut_sets, cancel, shared_isop) = (&cut4_sets[..], &*cancel, &*shared_isop);
     let idle = Mutex::new(idle);
     decisions
         .slots
@@ -204,7 +201,7 @@ pub(crate) fn resynthesis_sweep_ctx<F>(
                     continue;
                 }
                 cancel.checkpoint();
-                propose(graph, id, strash, &mut ps, cut_sets, &mut proposals);
+                propose(graph, id, &mut ps, cut_sets, &mut proposals);
                 if let Some((decision, touched)) = best_decision(&mut proposals, acceptance) {
                     tally[0].0 += 1;
                     tally[0].1 += touched;
@@ -371,12 +368,9 @@ mod tests {
     ) -> Aig {
         let mut ctx = PassContext::default();
         let mut work = ctx.run_flow(g, &[]);
-        resynthesis_sweep_ctx(
-            &mut work,
-            acceptance,
-            &mut ctx,
-            |graph, id, _, _, _, out| propose(graph, id, out),
-        );
+        resynthesis_sweep_ctx(&mut work, acceptance, &mut ctx, |graph, id, _, _, out| {
+            propose(graph, id, out)
+        });
         work
     }
 

@@ -13,7 +13,6 @@ use crate::pass::{PassContext, ProposeScratch};
 use crate::passes::Transform;
 use crate::resyn::{resynthesis_sweep_ctx, Acceptance, Proposal, Structure};
 use crate::sop::count_sop_nodes_sweep;
-use crate::strash::SweepStrash;
 
 /// Parameters of the rewrite pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,27 +66,20 @@ pub(crate) fn rewrite_ctx(
     // last propose call, so they stay valid for the whole pass.
     Cut4Enumerator::new(cut_params).enumerate_into(g, &mut ctx.cut4_sets);
     let min_gain = acceptance.min_gain;
-    resynthesis_sweep_ctx(
-        g,
-        acceptance,
-        ctx,
-        |graph, id, strash, ps, cut_sets, out| {
-            propose_sweep(graph, id, strash, cut_sets, min_gain, ps, out)
-        },
-    );
+    resynthesis_sweep_ctx(g, acceptance, ctx, |graph, id, ps, cut_sets, out| {
+        propose_sweep(graph, id, cut_sets, min_gain, ps, out)
+    });
 }
 
 /// The proposal generator: costs the ISOP re-expression of every 4-cut of
 /// `id` (the fused truth makes the per-cut cone walk unnecessary) but only
 /// materializes the winning proposal — the one the sweep's accept loop would
 /// select among all of them (first cut with the strictly largest gain at or
-/// above `min_gain`).  Cut costs are answered by the per-sweep strash
-/// snapshot and the SOP covers are borrowed from the ISOP cache, so losing
-/// cuts allocate nothing.
+/// above `min_gain`).  Cut costs probe the graph's strash and the SOP
+/// covers are borrowed from the ISOP cache, so losing cuts allocate nothing.
 fn propose_sweep(
     graph: &Aig,
     id: NodeId,
-    strash: &SweepStrash,
     cut_sets: &[aig::CutSet4],
     min_gain: i64,
     ps: &mut ProposeScratch,
@@ -121,7 +113,7 @@ fn propose_sweep(
         let mffc = Mffc::compute_with(graph, id, leaves, &mut ps.mffc);
         let budget = (mffc.size() as i64 - min_gain).max(0) as usize;
         let Some(added) = count_sop_nodes_sweep(
-            strash,
+            graph,
             sop,
             &ps.leaf_lits,
             |n| mffc.contains(n),

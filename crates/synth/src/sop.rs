@@ -447,17 +447,16 @@ enum CostSignal {
     Virtual { complemented: bool },
 }
 
-struct CostCounter<F: Fn(NodeId) -> bool, G: Fn(Lit, Lit) -> Option<Lit>> {
-    /// Structural lookup: [`Aig::find_and`] or the per-sweep snapshot
-    /// ([`crate::strash::SweepStrash`]) — both answer identically.
-    find: G,
+struct CostCounter<'a, F: Fn(NodeId) -> bool> {
+    /// The graph being costed; reuse is probed with [`Aig::find_and`].
+    aig: &'a Aig,
     /// Nodes that may *not* be counted as free reuse (e.g. the MFFC that the
     /// rewrite is about to delete).
     excluded: F,
     added: usize,
 }
 
-impl<F: Fn(NodeId) -> bool, G: Fn(Lit, Lit) -> Option<Lit>> GateSink for CostCounter<F, G> {
+impl<F: Fn(NodeId) -> bool> GateSink for CostCounter<'_, F> {
     type Signal = CostSignal;
 
     fn leaf(&mut self, lit: Lit) -> CostSignal {
@@ -468,7 +467,7 @@ impl<F: Fn(NodeId) -> bool, G: Fn(Lit, Lit) -> Option<Lit>> GateSink for CostCou
     }
     fn and(&mut self, a: CostSignal, b: CostSignal) -> CostSignal {
         if let (CostSignal::Existing(x), CostSignal::Existing(y)) = (a, b) {
-            if let Some(found) = (self.find)(x, y) {
+            if let Some(found) = self.aig.find_and(x, y) {
                 if found.is_const() || !(self.excluded)(found.node()) {
                     return CostSignal::Existing(found);
                 }
@@ -590,7 +589,7 @@ pub fn count_sop_nodes(
     excluded: impl Fn(NodeId) -> bool,
 ) -> usize {
     let mut counter = CostCounter {
-        find: |x, y| aig.find_and(x, y),
+        aig,
         excluded,
         added: 0,
     };
@@ -605,10 +604,9 @@ pub struct SopCostScratch {
     lits: Vec<CostSignal>,
 }
 
-/// [`count_sop_nodes`] served by the per-sweep strash snapshot, allocating
-/// nothing (cube/literal signal vectors are recycled and the balanced
-/// reduction runs in place) and capped at `budget` — the passes' cost
-/// estimator.
+/// [`count_sop_nodes`] allocating nothing (cube/literal signal vectors are
+/// recycled and the balanced reduction runs in place) and capped at
+/// `budget` — the passes' cost estimator.
 ///
 /// Returns `None` as soon as the count provably exceeds `budget`, `Some(n)`
 /// with the exact count otherwise.  The cap is lossless for the sweep's
@@ -617,7 +615,7 @@ pub struct SopCostScratch {
 /// exactly the ones the accept loop would reject, and surviving counts are
 /// bit-identical to the uncapped dry-run.
 pub(crate) fn count_sop_nodes_sweep(
-    strash: &crate::strash::SweepStrash,
+    aig: &Aig,
     sop: &Sop,
     leaves: &[Lit],
     excluded: impl Fn(NodeId) -> bool,
@@ -625,7 +623,7 @@ pub(crate) fn count_sop_nodes_sweep(
     budget: usize,
 ) -> Option<usize> {
     let mut counter = CostCounter {
-        find: |x, y| strash.find_and(x, y),
+        aig,
         excluded,
         added: 0,
     };
@@ -767,8 +765,6 @@ mod tests {
         let cd = g.and(inputs[2], !inputs[3]);
         let top = g.and(ab, cd);
         g.add_output("keep", top);
-        let mut strash = crate::strash::SweepStrash::default();
-        strash.rebuild(&g);
         let mut scratch = SopCostScratch::default();
         for num_vars in 1..=6usize {
             for seed in 1..=15u64 {
@@ -780,7 +776,7 @@ mod tests {
                     // Some(exact count) within the budget, None past it.
                     for budget in [0, reference.saturating_sub(1), reference, usize::MAX] {
                         let fast = count_sop_nodes_sweep(
-                            &strash,
+                            &g,
                             &sop,
                             leaves,
                             |n| n == excluded,
