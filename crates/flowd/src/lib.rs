@@ -18,8 +18,9 @@
 //! | `POST /shutdown`  | graceful drain: stop accepting, finish queued work   |
 //!
 //! The `qor` section of a `/run` response is **bit-identical** to an
-//! in-process `flowc run` of the same design and flow (the integration tests
-//! and the `flowd_perf` load generator assert this).
+//! in-process `flowc run` of the same design and flow (`tests/service.rs`
+//! asserts this, and `flowbench`'s `flowd_mix` workload re-checks sampled
+//! replies against an in-process `FlowRunner`).
 //!
 //! ## Backpressure
 //!

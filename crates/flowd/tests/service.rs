@@ -2,7 +2,8 @@
 
 use std::io::BufReader;
 use std::net::TcpStream;
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::{Duration, Instant};
 
 use circuits::{Design, DesignScale};
 use flowc::report::RunReport;
@@ -245,6 +246,72 @@ fn shutdown_drains_gracefully() {
     }
 }
 
+/// The stall burst: one worker of three evaluates a stream of fresh flows on
+/// one keep-alive connection while warmed, cached requests keep arriving.
+/// Every cached request must come back `200` from the store inside a
+/// generous bound (5 s, so a loaded debug build cannot trip it), and
+/// `/shutdown` must still drain the pool with the busy worker mid-flow.
+#[test]
+fn cached_runs_answer_while_a_worker_evaluates_fresh_flows() {
+    let server = tiny_server(3);
+    let addr = server.addr();
+    let cached = run_request(&Design::Alu64.generate(DesignScale::Tiny), "flow=resyn2");
+    assert_eq!(roundtrip(addr, &cached).status, 200, "warm-up");
+
+    let fresh = Design::Aes128.generate(DesignScale::Tiny);
+    let busy = AtomicBool::new(false);
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let burst = scope.spawn(|| {
+            // One keep-alive connection pins one worker for the whole burst.
+            let stream = TcpStream::connect(addr).expect("connect");
+            let mut writer = stream.try_clone().unwrap();
+            let mut reader = BufReader::new(stream);
+            for seed in 9_000u64.. {
+                let request = run_request(&fresh, &format!("random={seed}"));
+                let answer = write_request(&mut writer, &request)
+                    .map_err(httpwire::HttpError::from)
+                    .and_then(|()| read_response(&mut reader, &Limits::default()));
+                match answer {
+                    Ok(response) => {
+                        assert_eq!(response.status, 200, "body: {}", body_text(&response));
+                        busy.store(true, Ordering::SeqCst);
+                    }
+                    // The drain may close the connection before reading a
+                    // request sent after the last answer; nothing else may.
+                    Err(e) => assert!(stop.load(Ordering::SeqCst), "burst failed: {e:?}"),
+                }
+                if stop.load(Ordering::SeqCst) {
+                    break;
+                }
+            }
+        });
+        while !busy.load(Ordering::SeqCst) {
+            assert!(!burst.is_finished(), "the burst client failed");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        for i in 0..10 {
+            let t = Instant::now();
+            let response = roundtrip(addr, &cached);
+            let latency = t.elapsed();
+            assert_eq!(response.status, 200, "body: {}", body_text(&response));
+            let report: RunReport = serde_json::from_str(&body_text(&response)).expect("report");
+            assert_eq!(report.eval.store_hits, 1, "a warmed request is a store hit");
+            assert!(
+                latency <= Duration::from_secs(5),
+                "cached request {i} took {latency:?} beside a busy worker"
+            );
+        }
+        // Drain with the busy worker mid-flow: its in-flight request still
+        // gets an answer before the pool stops.
+        stop.store(true, Ordering::SeqCst);
+        let bye = roundtrip(addr, &Request::new("POST", "/shutdown"));
+        assert_eq!(bye.status, 200);
+        burst.join().expect("burst client");
+    });
+    server.join().expect("drain");
+}
+
 #[test]
 fn cooperative_deadline_answers_504_and_worker_survives() {
     let server = tiny_server(1);
@@ -318,10 +385,19 @@ fn evaluate_flow_with_ctx_matches_batch_engine() {
 /// Drain + restart on the same store: every record acked before the drain
 /// (the drain checkpoint fsyncs the store) must come back, and the restarted
 /// daemon must answer the same flows bit-identically from the store without
-/// re-evaluating.
+/// re-evaluating.  Run twice: on the cleanly drained store, and on the same
+/// store after a torn record was appended to its live segment (a crash
+/// mid-append), which the restart must quarantine while staying healthy.
 #[test]
 fn restart_on_same_store_loses_no_acked_records() {
-    let dir = std::env::temp_dir().join(format!("flowd-restart-{}", std::process::id()));
+    for torn_tail in [false, true] {
+        restart_serves_every_acked_record(torn_tail);
+    }
+}
+
+fn restart_serves_every_acked_record(torn_tail: bool) {
+    let dir =
+        std::env::temp_dir().join(format!("flowd-restart-{}-{torn_tail}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let store_path = dir.join("qor.jsonl");
@@ -355,9 +431,33 @@ fn restart_on_same_store_loses_no_acked_records() {
     assert_eq!(bye.status, 200);
     server.join().expect("drain + store checkpoint");
 
+    if torn_tail {
+        // Half a record after the last acked one, as a crash mid-append
+        // leaves it: the live segment is the last in name order.
+        let mut segments: Vec<std::path::PathBuf> = std::fs::read_dir(&dir)
+            .expect("scan store dir")
+            .map(|entry| entry.expect("dir entry").path())
+            .filter(|path| path.extension().is_some_and(|ext| ext == "seg"))
+            .collect();
+        segments.sort();
+        let live = segments.pop().expect("at least one segment");
+        let mut file = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&live)
+            .expect("open live segment");
+        std::io::Write::write_all(&mut file, b"v2 00000000 {\"design\":\"torn").expect("tear");
+    }
+
     // Second life: every acked record is already there before any request.
     let server = store_server();
     let addr = server.addr();
+    let health = roundtrip(addr, &Request::new("GET", "/healthz"));
+    assert_eq!(health.status, 200);
+    assert!(
+        body_text(&health).contains("\"store_mode\":\"ok\""),
+        "restart is healthy (torn tail: {torn_tail}): {}",
+        body_text(&health)
+    );
     let stats = roundtrip(addr, &Request::new("GET", "/stats"));
     let text = body_text(&stats);
     assert!(
@@ -366,12 +466,9 @@ fn restart_on_same_store_loses_no_acked_records() {
         seeds.len()
     );
     assert!(
-        text.contains("\"store_mode\":\"ok\""),
-        "restart on a cleanly drained store is healthy: {text}"
-    );
-    assert!(
-        text.contains("\"torn_tail\":0") && text.contains("\"corrupt_records\":0"),
-        "a drained store reopens without damage: {text}"
+        text.contains(&format!("\"torn_tail\":{}", u8::from(torn_tail)))
+            && text.contains("\"corrupt_records\":0"),
+        "the restart quarantines exactly the torn record, nothing else: {text}"
     );
     for (seed, (script, qor)) in seeds.iter().zip(&first) {
         let response = roundtrip(addr, &run_request(&design, &format!("random={seed}")));

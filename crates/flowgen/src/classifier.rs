@@ -7,7 +7,7 @@
 //! configurable because the paper studies each of them (Figures 4–7).
 
 use nn::{
-    Activation, ActivationLayer, Backend, Conv2d, Dense, Dropout, Flatten, GradientDescent,
+    Activation, ActivationLayer, Conv2d, Dense, Dropout, Flatten, GradientDescent,
     LocallyConnected2d, MaxPool2d, Network, Optimizer, Tensor,
 };
 use rand::SeedableRng;
@@ -40,17 +40,14 @@ pub struct ClassifierConfig {
     pub batch_size: usize,
     /// RNG seed for weight initialisation, dropout and batch sampling.
     pub seed: u64,
-    /// Compute backend for the network layers ([`Backend::Fast`] by default;
-    /// [`Backend::Reference`] keeps the scalar loops for differential tests).
-    pub backend: Backend,
 }
 
 impl Default for ClassifierConfig {
     /// A small configuration for quick experiments and unit tests: the
     /// paper's architecture with fewer kernels.  The full-size network is no
-    /// longer off-limits on a CPU — the GEMM-backed [`Backend::Fast`] trains
-    /// it in minutes, not hours (see the `nn_perf` bench and
-    /// `BENCH_PR3.json`); select it with [`ClassifierConfig::paper_scale`].
+    /// longer off-limits on a CPU — `nn`'s GEMM-backed layers train it in
+    /// minutes, not hours (the `cnn_train` workload of `flowbench` measures
+    /// it); select it with [`ClassifierConfig::paper_scale`].
     fn default() -> Self {
         ClassifierConfig {
             kernel: (3, 6),
@@ -63,7 +60,6 @@ impl Default for ClassifierConfig {
             learning_rate: 1e-3,
             batch_size: 5,
             seed: 0xDAC18,
-            backend: Backend::Fast,
         }
     }
 }
@@ -84,20 +80,7 @@ impl ClassifierConfig {
             learning_rate: 1e-4,
             batch_size: 5,
             seed: 0xDAC18,
-            backend: Backend::Fast,
         }
-    }
-
-    /// Alias of [`ClassifierConfig::paper_scale`] (kept for callers of the
-    /// pre-backend API).
-    pub fn paper() -> Self {
-        Self::paper_scale()
-    }
-
-    /// Returns the configuration with the given compute backend selected.
-    pub fn with_backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
-        self
     }
 }
 
@@ -148,7 +131,6 @@ impl FlowClassifier {
         network.push(ActivationLayer::new(config.activation));
         network.push(Dropout::new(config.dropout, config.seed ^ 0x5EED));
         network.push(Dense::new(config.dense_units, config.num_classes, &mut rng));
-        network.set_backend(config.backend);
 
         let optimizer = Optimizer::new(config.optimizer, config.learning_rate);
         FlowClassifier {
@@ -270,7 +252,7 @@ mod tests {
 
     #[test]
     fn paper_config_matches_published_hyperparameters() {
-        let c = ClassifierConfig::paper();
+        let c = ClassifierConfig::paper_scale();
         assert_eq!(c.num_kernels, 200);
         assert_eq!(c.kernel, (6, 12));
         assert_eq!(c.num_classes, 7);

@@ -42,9 +42,9 @@ impl Dataset {
     /// label depends on an easily-learnable feature (the position of the
     /// first `Balance` transform), plus the flows it was built from.
     ///
-    /// Used by the classifier tests and the `nn_perf` benchmark: it gives
-    /// every harness the exact same learnable workload without evaluating
-    /// real designs.
+    /// Used by the classifier tests and `flowbench`'s `cnn_train` workload:
+    /// it gives every harness the exact same learnable workload without
+    /// evaluating real designs.
     pub fn synthetic_balance(count: usize, num_classes: usize) -> (Dataset, Vec<Flow>) {
         use rand::SeedableRng;
         let space = crate::space::FlowSpace::paper();

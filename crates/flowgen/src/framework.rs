@@ -88,7 +88,7 @@ impl FrameworkConfig {
             steps_per_round: 5_000,
             sample_flows: 100_000,
             output_flows: 200,
-            classifier: ClassifierConfig::paper(),
+            classifier: ClassifierConfig::paper_scale(),
             seed: 0xF10,
             evaluate_samples: true,
         }

@@ -1,11 +1,11 @@
-//! The fast compute backend: blocked, cache-tiled, parallel f32 matrix
-//! kernels plus the `im2col`/`col2im` packing that turns convolutions into
-//! matrix multiplications.
+//! The compute path of the trainable layers: blocked, cache-tiled, parallel
+//! f32 matrix kernels plus the `im2col`/`col2im` packing that turns
+//! convolutions into matrix multiplications.
 //!
-//! Every hot layer ([`crate::Conv2d`], [`crate::Dense`],
-//! [`crate::LocallyConnected2d`], [`crate::MaxPool2d`]) can run either its original scalar loop nest ([`Backend::Reference`]) or an
-//! im2col + GEMM formulation built on the kernels here ([`Backend::Fast`],
-//! the default).
+//! [`crate::Conv2d`], [`crate::Dense`] and [`crate::LocallyConnected2d`] run
+//! forward and backward as GEMMs built on the kernels here; this is the only
+//! way they compute.  The scalar loop nests the crate started from live on as
+//! a test-only oracle in `nn::reference`.
 //!
 //! ## Determinism
 //!
@@ -24,24 +24,6 @@
 //! stays resident while `MC` rows reuse it.  [`matmul_nt`] (the `A·Bᵀ` form
 //! used by backward passes) tiles the rows of `B` in `NC`-row groups and
 //! computes unrolled 8-lane dot products of contiguous rows.
-
-use serde::{Deserialize, Serialize};
-
-/// Selects the compute implementation used by the trainable layers.
-///
-/// `Reference` is the original scalar loop nest, kept callable for
-/// differential testing; `Fast` (the default) routes through the GEMM kernels
-/// in this module.  Both produce the same mathematics; floating-point results
-/// agree to tight relative tolerance (summation order differs) and `Fast` is
-/// itself bit-deterministic across thread counts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
-pub enum Backend {
-    /// Original scalar loops (the seed implementation).
-    Reference,
-    /// Blocked parallel GEMM + im2col packing.
-    #[default]
-    Fast,
-}
 
 /// Output rows per parallel block (fixed: thread-count independence).
 const MC: usize = 64;

@@ -2,7 +2,7 @@
 
 use rand::Rng;
 
-use crate::gemm::{self, Backend, ConvGeom};
+use crate::gemm::{self, ConvGeom};
 use crate::init::Param;
 use crate::layers::Layer;
 use crate::tensor::Tensor;
@@ -24,28 +24,28 @@ use crate::tensor::Tensor;
 /// right/bottom).  This matches TensorFlow's `SAME` convention
 /// (`pad_before = ⌊(k - 1) / 2⌋`, remainder after), which the paper's r1.3
 /// implementation used for its even-width `n × 2n` kernels (3×6, 6×12).
-/// Both backends implement exactly this convention; regression tests below
-/// pin the window alignment for even kernels on each of them.
+/// Regression tests below pin the window alignment for even kernels on this
+/// layer and on its scalar oracle.
 ///
-/// # Backends
+/// # Computation
 ///
-/// [`Backend::Fast`] (the default) lowers the convolution to a patch matrix
-/// with [`gemm::im2col_same`] and runs one blocked parallel GEMM per pass;
-/// the packing buffers are owned by the layer and reused across steps.
-/// [`Backend::Reference`] is the original scalar loop nest, kept for
-/// differential testing.
+/// Forward lowers the convolution to a patch matrix with
+/// [`gemm::im2col_same`] and runs one blocked parallel GEMM; backward reuses
+/// that patch matrix for `dW` and scatters `dY · Wᵀ` back with
+/// [`gemm::col2im_same`].  The packing buffers are owned by the layer and
+/// reused across steps.
 #[derive(Debug)]
 pub struct Conv2d {
-    kernel_h: usize,
-    kernel_w: usize,
-    in_channels: usize,
-    out_channels: usize,
+    pub(crate) kernel_h: usize,
+    pub(crate) kernel_w: usize,
+    pub(crate) in_channels: usize,
+    pub(crate) out_channels: usize,
     /// Weights laid out as `[kh, kw, in_c, out_c]`.
-    weights: Param,
-    bias: Param,
-    backend: Backend,
-    cached_input: Option<Tensor>,
-    /// im2col patch matrix of the last fast forward (`rows × patch`).
+    pub(crate) weights: Param,
+    pub(crate) bias: Param,
+    /// Geometry of the last forward, whose patches `cols` holds.
+    cached_geom: Option<ConvGeom>,
+    /// im2col patch matrix of the last forward (`rows × patch`).
     cols: Vec<f32>,
     /// Transposed patch matrix scratch (`patch × rows`), reused across steps.
     cols_t: Vec<f32>,
@@ -79,8 +79,7 @@ impl Conv2d {
             out_channels,
             weights,
             bias: Param::zeros(out_channels),
-            backend: Backend::default(),
-            cached_input: None,
+            cached_geom: None,
             cols: Vec::new(),
             cols_t: Vec::new(),
             w_t: Vec::new(),
@@ -97,71 +96,21 @@ impl Conv2d {
     pub fn out_channels(&self) -> usize {
         self.out_channels
     }
+}
 
-    #[inline]
-    fn w_at(&self, kh: usize, kw: usize, ic: usize, oc: usize) -> f32 {
-        self.weights.value
-            [((kh * self.kernel_w + kw) * self.in_channels + ic) * self.out_channels + oc]
-    }
-
-    #[inline]
-    fn w_grad_at(&mut self, kh: usize, kw: usize, ic: usize, oc: usize) -> &mut f32 {
-        &mut self.weights.grad
-            [((kh * self.kernel_w + kw) * self.in_channels + ic) * self.out_channels + oc]
-    }
-
-    fn geom(&self, shape: &[usize]) -> ConvGeom {
-        ConvGeom {
+impl Layer for Conv2d {
+    fn forward(&mut self, input: &Tensor, _training: bool) -> Tensor {
+        assert_eq!(input.shape().len(), 4, "Conv2d expects NHWC input");
+        assert_eq!(input.shape()[3], self.in_channels, "channel mismatch");
+        let shape = input.shape();
+        let geom = ConvGeom {
             n: shape[0],
             h: shape[1],
             w: shape[2],
             c: shape[3],
             kh: self.kernel_h,
             kw: self.kernel_w,
-        }
-    }
-
-    fn forward_reference(&mut self, input: &Tensor) -> Tensor {
-        let (n, h, w, _) = (
-            input.shape()[0],
-            input.shape()[1],
-            input.shape()[2],
-            input.shape()[3],
-        );
-        let pad_h = (self.kernel_h - 1) / 2;
-        let pad_w = (self.kernel_w - 1) / 2;
-        let mut out = Tensor::zeros(&[n, h, w, self.out_channels]);
-        for b in 0..n {
-            for oh in 0..h {
-                for ow in 0..w {
-                    for oc in 0..self.out_channels {
-                        let mut acc = self.bias.value[oc];
-                        for kh in 0..self.kernel_h {
-                            let ih = oh as isize + kh as isize - pad_h as isize;
-                            if ih < 0 || ih >= h as isize {
-                                continue;
-                            }
-                            for kw in 0..self.kernel_w {
-                                let iw = ow as isize + kw as isize - pad_w as isize;
-                                if iw < 0 || iw >= w as isize {
-                                    continue;
-                                }
-                                for ic in 0..self.in_channels {
-                                    acc += input.at4(b, ih as usize, iw as usize, ic)
-                                        * self.w_at(kh, kw, ic, oc);
-                                }
-                            }
-                        }
-                        *out.at4_mut(b, oh, ow, oc) = acc;
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    fn forward_fast(&mut self, input: &Tensor) -> Tensor {
-        let geom = self.geom(input.shape());
+        };
         gemm::im2col_same(geom, input.data(), &mut self.cols);
         let (rows, patch) = (geom.rows(), geom.patch());
         let mut out = Tensor::zeros(&[geom.n, geom.h, geom.w, self.out_channels]);
@@ -174,61 +123,13 @@ impl Conv2d {
             out.data_mut(),
         );
         gemm::add_bias_rows(rows, self.out_channels, &self.bias.value, out.data_mut());
+        self.cached_geom = Some(geom);
         out
     }
 
-    fn backward_reference(&mut self, input: &Tensor, grad_output: &Tensor) -> Tensor {
-        let (n, h, w, _) = (
-            input.shape()[0],
-            input.shape()[1],
-            input.shape()[2],
-            input.shape()[3],
-        );
-        let pad_h = (self.kernel_h - 1) / 2;
-        let pad_w = (self.kernel_w - 1) / 2;
-        let mut grad_input = Tensor::zeros(input.shape());
-        for b in 0..n {
-            for oh in 0..h {
-                for ow in 0..w {
-                    for oc in 0..self.out_channels {
-                        let go = grad_output.at4(b, oh, ow, oc);
-                        if go == 0.0 {
-                            continue;
-                        }
-                        self.bias.grad[oc] += go;
-                        for kh in 0..self.kernel_h {
-                            let ih = oh as isize + kh as isize - pad_h as isize;
-                            if ih < 0 || ih >= h as isize {
-                                continue;
-                            }
-                            for kw in 0..self.kernel_w {
-                                let iw = ow as isize + kw as isize - pad_w as isize;
-                                if iw < 0 || iw >= w as isize {
-                                    continue;
-                                }
-                                for ic in 0..self.in_channels {
-                                    let x = input.at4(b, ih as usize, iw as usize, ic);
-                                    let wv = self.w_at(kh, kw, ic, oc);
-                                    *self.w_grad_at(kh, kw, ic, oc) += go * x;
-                                    *grad_input.at4_mut(b, ih as usize, iw as usize, ic) += go * wv;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        grad_input
-    }
-
-    fn backward_fast(&mut self, input: &Tensor, grad_output: &Tensor) -> Tensor {
-        let geom = self.geom(input.shape());
+    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+        let geom = self.cached_geom.expect("forward before backward");
         let (rows, patch) = (geom.rows(), geom.patch());
-        if self.cols.len() != rows * patch {
-            // Forward ran on the other backend (or not at all on this shape);
-            // rebuild the patch matrix from the cached input.
-            gemm::im2col_same(geom, input.data(), &mut self.cols);
-        }
         let dy = grad_output.data();
         // db += column sums of dY.
         gemm::col_sums_acc(rows, self.out_channels, dy, &mut self.bias.grad);
@@ -262,45 +163,13 @@ impl Conv2d {
             &self.w_t,
             &mut self.dcols,
         );
-        let mut grad_input = Tensor::zeros(input.shape());
+        let mut grad_input = Tensor::zeros(&[geom.n, geom.h, geom.w, geom.c]);
         gemm::col2im_same(geom, &self.dcols, grad_input.data_mut());
         grad_input
-    }
-}
-
-impl Layer for Conv2d {
-    fn forward(&mut self, input: &Tensor, _training: bool) -> Tensor {
-        assert_eq!(input.shape().len(), 4, "Conv2d expects NHWC input");
-        assert_eq!(input.shape()[3], self.in_channels, "channel mismatch");
-        let out = match self.backend {
-            Backend::Reference => {
-                self.cols.clear();
-                self.forward_reference(input)
-            }
-            Backend::Fast => self.forward_fast(input),
-        };
-        self.cached_input = Some(input.clone());
-        out
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let input = self
-            .cached_input
-            .as_ref()
-            .expect("forward before backward")
-            .clone();
-        match self.backend {
-            Backend::Reference => self.backward_reference(&input, grad_output),
-            Backend::Fast => self.backward_fast(&input, grad_output),
-        }
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
         vec![&mut self.weights, &mut self.bias]
-    }
-
-    fn set_backend(&mut self, backend: Backend) {
-        self.backend = backend;
     }
 
     fn name(&self) -> String {
@@ -314,11 +183,31 @@ impl Layer for Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::Scalar;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
     fn rng() -> ChaCha8Rng {
         ChaCha8Rng::seed_from_u64(7)
+    }
+
+    /// The production layer and its scalar oracle, built from one seeded RNG
+    /// (so with identical weights), each with a label for messages.
+    fn both(
+        kernel: (usize, usize),
+        in_c: usize,
+        out_c: usize,
+    ) -> [(&'static str, Box<dyn Layer>); 2] {
+        [
+            (
+                "production",
+                Box::new(Conv2d::new(kernel, in_c, out_c, &mut rng())),
+            ),
+            (
+                "reference",
+                Box::new(Scalar::new(Conv2d::new(kernel, in_c, out_c, &mut rng()))),
+            ),
+        ]
     }
 
     fn seeded_input(shape: &[usize], seed: u64) -> Tensor {
@@ -333,64 +222,53 @@ mod tests {
     #[test]
     fn identity_kernel_reproduces_input() {
         // 1x1 kernel with weight 1 and zero bias is the identity map.
-        for backend in [Backend::Reference, Backend::Fast] {
-            let mut conv = Conv2d::new((1, 1), 1, 1, &mut rng());
-            conv.set_backend(backend);
-            conv.weights.value[0] = 1.0;
-            conv.bias.value[0] = 0.0;
+        for (label, mut conv) in both((1, 1), 1, 1) {
+            conv.params_mut()[0].value[0] = 1.0;
+            conv.params_mut()[1].value[0] = 0.0;
             let input = Tensor::from_vec(&[1, 2, 2, 1], vec![1.0, 2.0, 3.0, 4.0]);
             let out = conv.forward(&input, false);
-            assert_eq!(out.data(), input.data(), "{backend:?}");
+            assert_eq!(out.data(), input.data(), "{label}");
         }
     }
 
     #[test]
     fn output_shape_preserves_spatial_dims() {
-        for backend in [Backend::Reference, Backend::Fast] {
-            let mut conv = Conv2d::new((3, 6), 1, 4, &mut rng());
-            conv.set_backend(backend);
+        for (label, mut conv) in both((3, 6), 1, 4) {
             let input = Tensor::zeros(&[2, 12, 6, 1]);
             let out = conv.forward(&input, false);
-            assert_eq!(out.shape(), &[2, 12, 6, 4], "{backend:?}");
-            assert_eq!(conv.kernel(), (3, 6));
-            assert_eq!(conv.out_channels(), 4);
+            assert_eq!(out.shape(), &[2, 12, 6, 4], "{label}");
         }
+        let conv = Conv2d::new((3, 6), 1, 4, &mut rng());
+        assert_eq!(conv.kernel(), (3, 6));
+        assert_eq!(conv.out_channels(), 4);
     }
 
     /// Even-kernel "same" padding: output shape equals input shape for the
-    /// paper's even-width kernels, on both backends.
+    /// paper's even-width kernels, on the layer and on its oracle.
     #[test]
     fn even_kernels_preserve_shape_on_both_backends() {
         for kernel in [(3, 6), (6, 12), (2, 2), (4, 4)] {
-            for backend in [Backend::Reference, Backend::Fast] {
-                let mut conv = Conv2d::new(kernel, 2, 3, &mut rng());
-                conv.set_backend(backend);
+            for (label, mut conv) in both(kernel, 2, 3) {
                 let input = seeded_input(&[2, 12, 12, 2], 5);
                 let out = conv.forward(&input, false);
-                assert_eq!(
-                    out.shape(),
-                    &[2, 12, 12, 3],
-                    "kernel {kernel:?} on {backend:?}"
-                );
+                assert_eq!(out.shape(), &[2, 12, 12, 3], "kernel {kernel:?} on {label}");
             }
         }
     }
 
     /// Window alignment for even kernels: `pad_before = (k - 1) / 2`, so a
     /// `1×2` kernel's window at output `o` is `[x_o, x_{o+1}]` (no padding
-    /// before, one zero after).  Pinned on both backends.
+    /// before, one zero after).  Pinned on the layer and on its oracle.
     #[test]
     fn even_kernel_window_alignment() {
-        for backend in [Backend::Reference, Backend::Fast] {
-            let mut conv = Conv2d::new((1, 2), 1, 1, &mut rng());
-            conv.set_backend(backend);
+        for (label, mut conv) in both((1, 2), 1, 1) {
             // w = [w0, w1] over the window [x_o, x_{o+1}].
-            conv.weights.value = vec![10.0, 1.0];
-            conv.bias.value[0] = 0.0;
+            conv.params_mut()[0].value = vec![10.0, 1.0];
+            conv.params_mut()[1].value[0] = 0.0;
             let input = Tensor::from_vec(&[1, 1, 3, 1], vec![1.0, 2.0, 3.0]);
             let out = conv.forward(&input, false);
             // o=0: 10*1 + 1*2 = 12; o=1: 10*2 + 1*3 = 23; o=2: 10*3 + 0 = 30.
-            assert_eq!(out.data(), &[12.0, 23.0, 30.0], "{backend:?}");
+            assert_eq!(out.data(), &[12.0, 23.0, 30.0], "{label}");
         }
     }
 
@@ -398,15 +276,13 @@ mod tests {
     /// vector that selects the first window cell.
     #[test]
     fn six_wide_kernel_pads_two_before() {
-        for backend in [Backend::Reference, Backend::Fast] {
-            let mut conv = Conv2d::new((1, 6), 1, 1, &mut rng());
-            conv.set_backend(backend);
-            conv.weights.value = vec![1.0, 0.0, 0.0, 0.0, 0.0, 0.0];
-            conv.bias.value[0] = 0.0;
+        for (label, mut conv) in both((1, 6), 1, 1) {
+            conv.params_mut()[0].value = vec![1.0, 0.0, 0.0, 0.0, 0.0, 0.0];
+            conv.params_mut()[1].value[0] = 0.0;
             let input = Tensor::from_vec(&[1, 1, 6, 1], vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
             let out = conv.forward(&input, false);
             // Window at o starts at input index o - 2 ((6-1)/2 = 2).
-            assert_eq!(out.data(), &[0.0, 0.0, 1.0, 2.0, 3.0, 4.0], "{backend:?}");
+            assert_eq!(out.data(), &[0.0, 0.0, 1.0, 2.0, 3.0, 4.0], "{label}");
         }
     }
 
@@ -419,10 +295,7 @@ mod tests {
             ((2, 2), 3, 2, [1, 4, 4, 3]),
         ] {
             let input = seeded_input(&shape, 21);
-            let mut conv_ref = Conv2d::new(kernel, in_c, out_c, &mut rng());
-            conv_ref.set_backend(Backend::Reference);
-            let mut conv_fast = Conv2d::new(kernel, in_c, out_c, &mut rng());
-            conv_fast.set_backend(Backend::Fast);
+            let [(_, mut conv_fast), (_, mut conv_ref)] = both(kernel, in_c, out_c);
             let a = conv_ref.forward(&input, true);
             let b = conv_fast.forward(&input, true);
             assert_eq!(a.shape(), b.shape());
@@ -438,26 +311,26 @@ mod tests {
     #[test]
     fn fast_backward_matches_reference() {
         let input = seeded_input(&[2, 6, 6, 2], 33);
-        let mut conv_ref = Conv2d::new((3, 6), 2, 3, &mut rng());
-        conv_ref.set_backend(Backend::Reference);
-        let mut conv_fast = Conv2d::new((3, 6), 2, 3, &mut rng());
-        conv_fast.set_backend(Backend::Fast);
+        let [(_, mut conv_fast), (_, mut conv_ref)] = both((3, 6), 2, 3);
         // Same seed ⇒ same weights.
-        assert_eq!(conv_ref.weights.value, conv_fast.weights.value);
+        assert_eq!(
+            conv_ref.params_mut()[0].value,
+            conv_fast.params_mut()[0].value
+        );
 
         let out_ref = conv_ref.forward(&input, true);
-        let out_fast = conv_fast.forward(&input, true);
+        let _ = conv_fast.forward(&input, true);
         let grad_out = seeded_input(out_ref.shape(), 34);
-        let _ = out_fast;
         let gi_ref = conv_ref.backward(&grad_out);
         let gi_fast = conv_fast.backward(&grad_out);
         for (x, y) in gi_ref.data().iter().zip(gi_fast.data()) {
             assert!((x - y).abs() <= 1e-4 * x.abs().max(1.0), "dX: {x} vs {y}");
         }
-        for (x, y) in conv_ref.weights.grad.iter().zip(&conv_fast.weights.grad) {
+        let (p_ref, p_fast) = (conv_ref.params_mut(), conv_fast.params_mut());
+        for (x, y) in p_ref[0].grad.iter().zip(&p_fast[0].grad) {
             assert!((x - y).abs() <= 1e-3 * x.abs().max(1.0), "dW: {x} vs {y}");
         }
-        for (x, y) in conv_ref.bias.grad.iter().zip(&conv_fast.bias.grad) {
+        for (x, y) in p_ref[1].grad.iter().zip(&p_fast[1].grad) {
             assert!((x - y).abs() <= 1e-3 * x.abs().max(1.0), "db: {x} vs {y}");
         }
     }
@@ -465,10 +338,8 @@ mod tests {
     #[test]
     fn gradient_check_small_conv() {
         // Numeric gradient check of dLoss/dW for a tiny convolution where the
-        // loss is the sum of outputs, on both backends.
-        for backend in [Backend::Reference, Backend::Fast] {
-            let mut conv = Conv2d::new((3, 3), 1, 2, &mut rng());
-            conv.set_backend(backend);
+        // loss is the sum of outputs, on the layer and on its oracle.
+        for (label, mut conv) in both((3, 3), 1, 2) {
             let input = Tensor::from_vec(
                 &[1, 3, 3, 1],
                 vec![0.5, -1.0, 2.0, 0.0, 1.5, -0.5, 1.0, 0.25, -2.0],
@@ -480,17 +351,17 @@ mod tests {
 
             let eps = 1e-2f32;
             for &wi in &[0usize, 3, 7, 11] {
-                let analytic = conv.weights.grad[wi];
-                let orig = conv.weights.value[wi];
-                conv.weights.value[wi] = orig + eps;
+                let analytic = conv.params_mut()[0].grad[wi];
+                let orig = conv.params_mut()[0].value[wi];
+                conv.params_mut()[0].value[wi] = orig + eps;
                 let up = conv.forward(&input, true).sum();
-                conv.weights.value[wi] = orig - eps;
+                conv.params_mut()[0].value[wi] = orig - eps;
                 let down = conv.forward(&input, true).sum();
-                conv.weights.value[wi] = orig;
+                conv.params_mut()[0].value[wi] = orig;
                 let numeric = (up - down) / (2.0 * eps);
                 assert!(
                     (analytic - numeric).abs() < 1e-2,
-                    "{backend:?} weight {wi}: analytic {analytic} vs numeric {numeric}"
+                    "{label} weight {wi}: analytic {analytic} vs numeric {numeric}"
                 );
             }
         }
@@ -498,9 +369,7 @@ mod tests {
 
     #[test]
     fn input_gradient_check() {
-        for backend in [Backend::Reference, Backend::Fast] {
-            let mut conv = Conv2d::new((3, 3), 1, 1, &mut rng());
-            conv.set_backend(backend);
+        for (label, mut conv) in both((3, 3), 1, 1) {
             let mut input = Tensor::from_vec(
                 &[1, 3, 3, 1],
                 vec![0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9],
@@ -519,7 +388,7 @@ mod tests {
                 let numeric = (up - down) / (2.0 * eps);
                 assert!(
                     (grad_in.data()[idx] - numeric).abs() < 1e-2,
-                    "{backend:?} input {idx}: analytic {} vs numeric {numeric}",
+                    "{label} input {idx}: analytic {} vs numeric {numeric}",
                     grad_in.data()[idx]
                 );
             }

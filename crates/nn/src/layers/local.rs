@@ -3,7 +3,7 @@
 use rand::Rng;
 use rayon::prelude::*;
 
-use crate::gemm::{self, Backend};
+use crate::gemm;
 use crate::init::Param;
 use crate::layers::Layer;
 use crate::tensor::Tensor;
@@ -15,25 +15,25 @@ use crate::tensor::Tensor;
 /// feature extractor and the dense classifier head; this is its implementation.
 /// The layer uses valid padding and stride 1.
 ///
-/// Under [`Backend::Fast`] (the default) the layer packs every position's
-/// input patches into a position-major buffer and runs one small matmul per
-/// position against that position's contiguous weight block — positions are
-/// processed in parallel and all packing buffers are reused across steps.
+/// The layer packs every position's input patches into a position-major
+/// buffer and runs one small matmul per position against that position's
+/// contiguous weight block — positions are processed in parallel and all
+/// packing buffers are reused across steps.
 #[derive(Debug)]
 pub struct LocallyConnected2d {
-    kernel_h: usize,
-    kernel_w: usize,
-    in_h: usize,
-    in_w: usize,
-    in_channels: usize,
-    out_channels: usize,
+    pub(crate) kernel_h: usize,
+    pub(crate) kernel_w: usize,
+    pub(crate) in_h: usize,
+    pub(crate) in_w: usize,
+    pub(crate) in_channels: usize,
+    pub(crate) out_channels: usize,
     /// Weights laid out `[oh, ow, kh, kw, ic, oc]` — one contiguous
     /// `[kh*kw*ic, oc]` matrix per output position.
-    weights: Param,
+    pub(crate) weights: Param,
     /// Bias laid out `[oh, ow, oc]`.
-    bias: Param,
-    backend: Backend,
-    cached_input: Option<Tensor>,
+    pub(crate) bias: Param,
+    /// Batch size of the last forward, whose patches `pack` holds.
+    cached_batch: Option<usize>,
     /// Position-major packed patches `[positions][batch][kh*kw*ic]`.
     pack: Vec<f32>,
     /// Position-major outputs `[positions][batch][oc]`, reused across steps.
@@ -75,8 +75,7 @@ impl LocallyConnected2d {
             out_channels,
             weights,
             bias: Param::zeros(oh * ow * out_channels),
-            backend: Backend::default(),
-            cached_input: None,
+            cached_batch: None,
             pack: Vec::new(),
             out_scratch: Vec::new(),
             dy_pack: Vec::new(),
@@ -84,23 +83,13 @@ impl LocallyConnected2d {
         }
     }
 
-    fn out_dims(&self) -> (usize, usize) {
+    pub(crate) fn out_dims(&self) -> (usize, usize) {
         (self.in_h - self.kernel_h + 1, self.in_w - self.kernel_w + 1)
     }
 
     /// Patch length: `kh * kw * ic`.
     fn patch(&self) -> usize {
         self.kernel_h * self.kernel_w * self.in_channels
-    }
-
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    fn w_index(&self, oh: usize, ow_: usize, kh: usize, kw: usize, ic: usize, oc: usize) -> usize {
-        let (_, ow_total) = self.out_dims();
-        ((((oh * ow_total + ow_) * self.kernel_h + kh) * self.kernel_w + kw) * self.in_channels
-            + ic)
-            * self.out_channels
-            + oc
     }
 
     /// Rebuilds the position-major patch pack from `input`.
@@ -131,34 +120,18 @@ impl LocallyConnected2d {
                 }
             });
     }
+}
 
-    fn forward_reference(&mut self, input: &Tensor) -> Tensor {
-        let n = input.shape()[0];
-        let (oh_total, ow_total) = self.out_dims();
-        let mut out = Tensor::zeros(&[n, oh_total, ow_total, self.out_channels]);
-        for b in 0..n {
-            for oh in 0..oh_total {
-                for ow_ in 0..ow_total {
-                    for oc in 0..self.out_channels {
-                        let mut acc =
-                            self.bias.value[(oh * ow_total + ow_) * self.out_channels + oc];
-                        for kh in 0..self.kernel_h {
-                            for kw in 0..self.kernel_w {
-                                for ic in 0..self.in_channels {
-                                    acc += input.at4(b, oh + kh, ow_ + kw, ic)
-                                        * self.weights.value[self.w_index(oh, ow_, kh, kw, ic, oc)];
-                                }
-                            }
-                        }
-                        *out.at4_mut(b, oh, ow_, oc) = acc;
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    fn forward_fast(&mut self, input: &Tensor) -> Tensor {
+impl Layer for LocallyConnected2d {
+    fn forward(&mut self, input: &Tensor, _training: bool) -> Tensor {
+        assert_eq!(
+            input.shape().len(),
+            4,
+            "LocallyConnected2d expects NHWC input"
+        );
+        assert_eq!(input.shape()[1], self.in_h, "height mismatch");
+        assert_eq!(input.shape()[2], self.in_w, "width mismatch");
+        assert_eq!(input.shape()[3], self.in_channels, "channel mismatch");
         let n = input.shape()[0];
         let (oh_total, ow_total) = self.out_dims();
         let positions = oh_total * ow_total;
@@ -204,49 +177,16 @@ impl LocallyConnected2d {
                         .copy_from_slice(&scratch[(pos * n + b) * oc..(pos * n + b + 1) * oc]);
                 }
             });
+        self.cached_batch = Some(n);
         out
     }
 
-    fn backward_reference(&mut self, input: &Tensor, grad_output: &Tensor) -> Tensor {
-        let n = input.shape()[0];
-        let (oh_total, ow_total) = self.out_dims();
-        let mut grad_input = Tensor::zeros(input.shape());
-        for b in 0..n {
-            for oh in 0..oh_total {
-                for ow_ in 0..ow_total {
-                    for oc in 0..self.out_channels {
-                        let go = grad_output.at4(b, oh, ow_, oc);
-                        if go == 0.0 {
-                            continue;
-                        }
-                        self.bias.grad[(oh * ow_total + ow_) * self.out_channels + oc] += go;
-                        for kh in 0..self.kernel_h {
-                            for kw in 0..self.kernel_w {
-                                for ic in 0..self.in_channels {
-                                    let wi = self.w_index(oh, ow_, kh, kw, ic, oc);
-                                    self.weights.grad[wi] +=
-                                        go * input.at4(b, oh + kh, ow_ + kw, ic);
-                                    *grad_input.at4_mut(b, oh + kh, ow_ + kw, ic) +=
-                                        go * self.weights.value[wi];
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        grad_input
-    }
-
-    fn backward_fast(&mut self, input: &Tensor, grad_output: &Tensor) -> Tensor {
-        let n = input.shape()[0];
+    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+        let n = self.cached_batch.expect("forward before backward");
         let (oh_total, ow_total) = self.out_dims();
         let positions = oh_total * ow_total;
         let patch = self.patch();
         let oc = self.out_channels;
-        if self.pack.len() != positions * n * patch {
-            self.build_pack(input);
-        }
         // Gather dY into position-major order.
         if self.dy_pack.len() != positions * n * oc {
             self.dy_pack.resize(positions * n * oc, 0.0);
@@ -314,7 +254,7 @@ impl LocallyConnected2d {
         }
         // Scatter-add patch gradients back onto the input (parallel over batch
         // images — the only overlapping writes are within one image).
-        let mut grad_input = Tensor::zeros(input.shape());
+        let mut grad_input = Tensor::zeros(&[n, self.in_h, self.in_w, self.in_channels]);
         let (h, w, c) = (self.in_h, self.in_w, self.in_channels);
         let (kh, kw) = (self.kernel_h, self.kernel_w);
         let dpatch = &self.dpatch;
@@ -338,47 +278,9 @@ impl LocallyConnected2d {
             });
         grad_input
     }
-}
-
-impl Layer for LocallyConnected2d {
-    fn forward(&mut self, input: &Tensor, _training: bool) -> Tensor {
-        assert_eq!(
-            input.shape().len(),
-            4,
-            "LocallyConnected2d expects NHWC input"
-        );
-        assert_eq!(input.shape()[1], self.in_h, "height mismatch");
-        assert_eq!(input.shape()[2], self.in_w, "width mismatch");
-        assert_eq!(input.shape()[3], self.in_channels, "channel mismatch");
-        let out = match self.backend {
-            Backend::Reference => {
-                self.pack.clear();
-                self.forward_reference(input)
-            }
-            Backend::Fast => self.forward_fast(input),
-        };
-        self.cached_input = Some(input.clone());
-        out
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let input = self
-            .cached_input
-            .as_ref()
-            .expect("forward before backward")
-            .clone();
-        match self.backend {
-            Backend::Reference => self.backward_reference(&input, grad_output),
-            Backend::Fast => self.backward_fast(&input, grad_output),
-        }
-    }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
         vec![&mut self.weights, &mut self.bias]
-    }
-
-    fn set_backend(&mut self, backend: Backend) {
-        self.backend = backend;
     }
 
     fn name(&self) -> String {
@@ -392,36 +294,65 @@ impl Layer for LocallyConnected2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::Scalar;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
+    /// The production layer and its scalar oracle, built from one seeded RNG
+    /// (so with identical weights), each with a label for messages.
+    fn both(
+        input_shape: (usize, usize, usize),
+        kernel: (usize, usize),
+        out_c: usize,
+        seed: u64,
+    ) -> [(&'static str, Box<dyn Layer>); 2] {
+        let rng = || ChaCha8Rng::seed_from_u64(seed);
+        [
+            (
+                "production",
+                Box::new(LocallyConnected2d::new(
+                    input_shape,
+                    kernel,
+                    out_c,
+                    &mut rng(),
+                )),
+            ),
+            (
+                "reference",
+                Box::new(Scalar::new(LocallyConnected2d::new(
+                    input_shape,
+                    kernel,
+                    out_c,
+                    &mut rng(),
+                ))),
+            ),
+        ]
+    }
+
     #[test]
     fn output_shape_is_valid_convolution_shape() {
-        for backend in [Backend::Reference, Backend::Fast] {
-            let mut rng = ChaCha8Rng::seed_from_u64(11);
-            let mut layer = LocallyConnected2d::new((4, 4, 2), (2, 2), 3, &mut rng);
-            layer.set_backend(backend);
+        for (label, mut layer) in both((4, 4, 2), (2, 2), 3, 11) {
             let input = Tensor::zeros(&[2, 4, 4, 2]);
             let out = layer.forward(&input, false);
-            assert_eq!(out.shape(), &[2, 3, 3, 3], "{backend:?}");
+            assert_eq!(out.shape(), &[2, 3, 3, 3], "{label}");
             assert!(layer.name().contains("LocallyConnected2d"));
         }
     }
 
     #[test]
     fn positions_have_independent_weights() {
-        for backend in [Backend::Reference, Backend::Fast] {
-            let mut rng = ChaCha8Rng::seed_from_u64(13);
-            let mut layer = LocallyConnected2d::new((2, 2, 1), (1, 1), 1, &mut rng);
-            layer.set_backend(backend);
+        for (label, mut layer) in both((2, 2, 1), (1, 1), 1, 13) {
             // Set each position's weight differently; a shared-weight conv could not do this.
-            for (i, w) in layer.weights.value.iter_mut().enumerate() {
+            for (i, w) in layer.params_mut()[0].value.iter_mut().enumerate() {
                 *w = (i + 1) as f32;
             }
-            layer.bias.value.iter_mut().for_each(|b| *b = 0.0);
+            layer.params_mut()[1]
+                .value
+                .iter_mut()
+                .for_each(|b| *b = 0.0);
             let input = Tensor::full(&[1, 2, 2, 1], 1.0);
             let out = layer.forward(&input, false);
-            assert_eq!(out.data(), &[1.0, 2.0, 3.0, 4.0], "{backend:?}");
+            assert_eq!(out.data(), &[1.0, 2.0, 3.0, 4.0], "{label}");
         }
     }
 
@@ -435,12 +366,7 @@ mod tests {
                 .map(|_| drng.gen_range(-1.0..1.0))
                 .collect(),
         );
-        let mut a =
-            LocallyConnected2d::new((5, 4, 2), (2, 3), 3, &mut ChaCha8Rng::seed_from_u64(2));
-        a.set_backend(Backend::Reference);
-        let mut b =
-            LocallyConnected2d::new((5, 4, 2), (2, 3), 3, &mut ChaCha8Rng::seed_from_u64(2));
-        b.set_backend(Backend::Fast);
+        let [(_, mut b), (_, mut a)] = both((5, 4, 2), (2, 3), 3, 2);
         let ya = a.forward(&input, true);
         let yb = b.forward(&input, true);
         assert_eq!(ya.shape(), yb.shape());
@@ -456,20 +382,18 @@ mod tests {
         for (p, q) in ga.data().iter().zip(gb.data()) {
             assert!((p - q).abs() <= 1e-4 * p.abs().max(1.0), "dX {p} vs {q}");
         }
-        for (p, q) in a.weights.grad.iter().zip(&b.weights.grad) {
+        let (pa, pb) = (a.params_mut(), b.params_mut());
+        for (p, q) in pa[0].grad.iter().zip(&pb[0].grad) {
             assert!((p - q).abs() <= 1e-4 * p.abs().max(1.0), "dW {p} vs {q}");
         }
-        for (p, q) in a.bias.grad.iter().zip(&b.bias.grad) {
+        for (p, q) in pa[1].grad.iter().zip(&pb[1].grad) {
             assert!((p - q).abs() <= 1e-4 * p.abs().max(1.0), "db {p} vs {q}");
         }
     }
 
     #[test]
     fn gradient_check() {
-        for backend in [Backend::Reference, Backend::Fast] {
-            let mut rng = ChaCha8Rng::seed_from_u64(17);
-            let mut layer = LocallyConnected2d::new((3, 3, 1), (2, 2), 2, &mut rng);
-            layer.set_backend(backend);
+        for (label, mut layer) in both((3, 3, 1), (2, 2), 2, 17) {
             let input = Tensor::from_vec(
                 &[1, 3, 3, 1],
                 vec![0.2, -0.4, 0.6, 1.0, -1.2, 0.3, 0.7, 0.1, -0.9],
@@ -479,18 +403,18 @@ mod tests {
             let grad_in = layer.backward(&grad_out);
             assert_eq!(grad_in.shape(), input.shape());
             let eps = 1e-2f32;
-            for wi in (0..layer.weights.len()).step_by(7) {
-                let analytic = layer.weights.grad[wi];
-                let orig = layer.weights.value[wi];
-                layer.weights.value[wi] = orig + eps;
+            for wi in (0..layer.params_mut()[0].len()).step_by(7) {
+                let analytic = layer.params_mut()[0].grad[wi];
+                let orig = layer.params_mut()[0].value[wi];
+                layer.params_mut()[0].value[wi] = orig + eps;
                 let up = layer.forward(&input, true).sum();
-                layer.weights.value[wi] = orig - eps;
+                layer.params_mut()[0].value[wi] = orig - eps;
                 let down = layer.forward(&input, true).sum();
-                layer.weights.value[wi] = orig;
+                layer.params_mut()[0].value[wi] = orig;
                 let numeric = (up - down) / (2.0 * eps);
                 assert!(
                     (analytic - numeric).abs() < 1e-2,
-                    "{backend:?} w{wi}: {analytic} vs {numeric}"
+                    "{label} w{wi}: {analytic} vs {numeric}"
                 );
             }
         }

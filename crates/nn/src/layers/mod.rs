@@ -21,7 +21,6 @@ pub use flatten::Flatten;
 pub use local::LocallyConnected2d;
 pub use pool::MaxPool2d;
 
-use crate::gemm::Backend;
 use crate::init::Param;
 use crate::tensor::Tensor;
 
@@ -44,11 +43,6 @@ pub trait Layer: std::fmt::Debug + Send {
     fn params_mut(&mut self) -> Vec<&mut Param> {
         Vec::new()
     }
-
-    /// Selects the compute [`Backend`] for layers that have a fast path.
-    ///
-    /// Takes effect from the next `forward`; parameter-free layers ignore it.
-    fn set_backend(&mut self, _backend: Backend) {}
 
     /// Human-readable layer name for summaries.
     fn name(&self) -> String;

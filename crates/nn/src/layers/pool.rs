@@ -2,7 +2,6 @@
 
 use rayon::prelude::*;
 
-use crate::gemm::Backend;
 use crate::layers::Layer;
 use crate::tensor::Tensor;
 
@@ -10,14 +9,13 @@ use crate::tensor::Tensor;
 /// stride 1×1 specified for conv layers; pooling stride equals the window here,
 /// the conventional reading of the architecture in Figure 3).
 ///
-/// Under [`Backend::Fast`] (the default) the batch images are pooled in
-/// parallel; the scan order within each window is identical to the reference
-/// loop, so both backends produce bit-identical outputs and argmax routing.
+/// The batch images are pooled in parallel, one image per task; within an
+/// image every window is scanned in the same fixed order, so outputs and
+/// argmax routing do not depend on the thread count.
 #[derive(Debug)]
 pub struct MaxPool2d {
     window_h: usize,
     window_w: usize,
-    backend: Backend,
     /// Flat indices (into the input) of each output element's maximum.
     cached_argmax: Vec<usize>,
     cached_input_shape: Vec<usize>,
@@ -29,14 +27,9 @@ impl MaxPool2d {
         MaxPool2d {
             window_h: window.0,
             window_w: window.1,
-            backend: Backend::default(),
             cached_argmax: Vec::new(),
             cached_input_shape: Vec::new(),
         }
-    }
-
-    fn flat(shape: &[usize], n: usize, h: usize, w: usize, c: usize) -> usize {
-        ((n * shape[1] + h) * shape[2] + w) * shape[3] + c
     }
 
     /// Pools one batch image; `data` is the full NHWC input.  Free of `self`
@@ -101,55 +94,17 @@ impl Layer for MaxPool2d {
         let mut out = Tensor::zeros(&[n, oh, ow, c]);
         self.cached_argmax = vec![0; out.len()];
         self.cached_input_shape = input.shape().to_vec();
-        match self.backend {
-            Backend::Reference => {
-                for b in 0..n {
-                    for y in 0..oh {
-                        for x in 0..ow {
-                            for ch in 0..c {
-                                let mut best = f32::NEG_INFINITY;
-                                let mut best_idx = 0;
-                                for dy in 0..self.window_h {
-                                    let iy = y * self.window_h + dy;
-                                    if iy >= h {
-                                        continue;
-                                    }
-                                    for dx in 0..self.window_w {
-                                        let ix = x * self.window_w + dx;
-                                        if ix >= w {
-                                            continue;
-                                        }
-                                        let v = input.at4(b, iy, ix, ch);
-                                        if v > best {
-                                            best = v;
-                                            best_idx = Self::flat(input.shape(), b, iy, ix, ch);
-                                        }
-                                    }
-                                }
-                                let out_idx = Self::flat(out.shape(), b, y, x, ch);
-                                out.data_mut()[out_idx] = best;
-                                self.cached_argmax[out_idx] = best_idx;
-                            }
-                        }
-                    }
-                }
-            }
-            Backend::Fast => {
-                // Batch-parallel: values and argmax routing are written
-                // straight into disjoint per-image chunks of the output and
-                // the cache (no temporaries), with the same scan order as the
-                // reference loop — so both backends are bit-identical.
-                let data = input.data();
-                let window = (self.window_h, self.window_w);
-                out.data_mut()
-                    .par_chunks_mut(oh * ow * c)
-                    .zip(self.cached_argmax.par_chunks_mut(oh * ow * c))
-                    .enumerate()
-                    .for_each(|(b, (vals, idxs))| {
-                        Self::pool_image(window, data, b, h, w, c, oh, ow, vals, idxs);
-                    });
-            }
-        }
+        // Values and argmax routing are written straight into disjoint
+        // per-image chunks of the output and the cache (no temporaries).
+        let data = input.data();
+        let window = (self.window_h, self.window_w);
+        out.data_mut()
+            .par_chunks_mut(oh * ow * c)
+            .zip(self.cached_argmax.par_chunks_mut(oh * ow * c))
+            .enumerate()
+            .for_each(|(b, (vals, idxs))| {
+                Self::pool_image(window, data, b, h, w, c, oh, ow, vals, idxs);
+            });
         out
     }
 
@@ -163,10 +118,6 @@ impl Layer for MaxPool2d {
             grad_input.data_mut()[in_idx] += grad_output.data()[out_idx];
         }
         grad_input
-    }
-
-    fn set_backend(&mut self, backend: Backend) {
-        self.backend = backend;
     }
 
     fn name(&self) -> String {
@@ -203,28 +154,5 @@ mod tests {
         let out = pool.forward(&input, false);
         assert_eq!(out.shape(), &[1, 2, 1, 2]);
         assert!(pool.name().contains("MaxPool2d"));
-    }
-
-    #[test]
-    fn fast_is_bit_identical_to_reference() {
-        use crate::gemm::Backend;
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(19);
-        let input = Tensor::from_vec(
-            &[3, 5, 6, 2],
-            (0..3 * 5 * 6 * 2)
-                .map(|_| rng.gen_range(-1.0..1.0))
-                .collect(),
-        );
-        let mut a = MaxPool2d::new((2, 2));
-        a.set_backend(Backend::Reference);
-        let mut b = MaxPool2d::new((2, 2));
-        b.set_backend(Backend::Fast);
-        let ya = a.forward(&input, true);
-        let yb = b.forward(&input, true);
-        assert_eq!(ya, yb, "pool values must be bit-identical");
-        assert_eq!(a.cached_argmax, b.cached_argmax, "argmax routing identical");
-        let grad_out = Tensor::full(ya.shape(), 0.5);
-        assert_eq!(a.backward(&grad_out), b.backward(&grad_out));
     }
 }

@@ -12,13 +12,13 @@
 //! * the five [`GradientDescent`] algorithms compared in Figures 4–5, and
 //! * a sequential [`Network`] with mini-batch training.
 //!
-//! Two compute [`Backend`]s are available (see the [`gemm`] module):
-//! [`Backend::Fast`] — the default — runs the trainable layers as blocked,
+//! The trainable layers compute one way (see the [`gemm`] module): blocked,
 //! cache-tiled, parallel GEMMs over `im2col`-packed patches, which is what
 //! makes the paper's full-size 2×200-kernel classifier trainable in minutes
-//! on a CPU; [`Backend::Reference`] keeps the original scalar loops for
-//! differential testing.  The fast path is bit-deterministic across thread
-//! counts.
+//! on a CPU.  That path is bit-deterministic across thread counts.  The
+//! scalar loop nests the crate started from are kept only as a test oracle
+//! (`nn::reference`, hidden from the docs), which the differential tests hold
+//! the GEMM path to.
 //!
 //! ## Quick example
 //!
@@ -49,10 +49,11 @@ mod loss;
 mod metrics;
 mod network;
 mod optim;
+#[doc(hidden)]
+pub mod reference;
 mod tensor;
 
 pub use activation::Activation;
-pub use gemm::Backend;
 pub use init::Param;
 pub use layers::{
     ActivationLayer, Conv2d, Dense, Dropout, Flatten, Layer, LocallyConnected2d, MaxPool2d,

@@ -1,6 +1,5 @@
 //! Sequential network container and mini-batch training.
 
-use crate::gemm::Backend;
 use crate::layers::Layer;
 use crate::loss::{sparse_softmax_cross_entropy, LossOutput};
 use crate::optim::Optimizer;
@@ -37,15 +36,6 @@ impl Network {
     /// Appends a layer to the network.
     pub fn push(&mut self, layer: impl Layer + 'static) {
         self.layers.push(Box::new(layer));
-    }
-
-    /// Selects the compute [`Backend`] for every layer (effective from the
-    /// next forward pass).  Layers default to [`Backend::Fast`]; the scalar
-    /// [`Backend::Reference`] path is kept callable for differential testing.
-    pub fn set_backend(&mut self, backend: Backend) {
-        for layer in &mut self.layers {
-            layer.set_backend(backend);
-        }
     }
 
     /// Number of layers.

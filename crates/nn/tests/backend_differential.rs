@@ -1,49 +1,88 @@
-//! Differential tests for the two compute backends: the GEMM-backed
-//! `Backend::Fast` path must match the scalar `Backend::Reference` loops on
-//! the full Figure-3 layer stack — logits within tight relative tolerance,
-//! argmax predictions identical — and must itself be bit-identical across
+//! Differential tests for the one compute path: the GEMM-backed layers must
+//! match the scalar oracle (`nn::reference`) on the full Figure-3 layer stack
+//! — logits within tight relative tolerance, argmax predictions identical,
+//! training losses in step — and must themselves be bit-identical across
 //! thread counts.
 
 use nn::{
-    Activation, ActivationLayer, Backend, Conv2d, Dense, Dropout, Flatten, GradientDescent,
-    LocallyConnected2d, MaxPool2d, Network, Optimizer, Tensor,
+    reference::Scalar, Activation, ActivationLayer, Conv2d, Dense, Dropout, Flatten,
+    GradientDescent, LocallyConnected2d, MaxPool2d, Network, Optimizer, Tensor,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 const CLASSES: usize = 7;
+/// Kernels per convolution stage.
+const K: usize = 8;
+/// Input height and width (the paper's 12×12 flow encoding).
+const SIDE: usize = 12;
+/// Spatial side after the two 2×2 pools.
+const SIDE2: usize = SIDE / 4;
+/// Width of the flattened locally-connected output (2×2 kernel, `K / 2` out).
+const FLAT: usize = (SIDE2 - 1) * (SIDE2 - 1) * (K / 2);
 
-/// A small version of the paper's Figure 3 stack (two conv+pool stages with an
-/// even-width rectangular kernel, a locally-connected layer, dense head).
-fn figure3_net(seed: u64, backend: Backend) -> Network {
+/// A small version of the paper's Figure 3 stack, layer for layer the one
+/// `flowgen::FlowClassifier::new` builds (two conv+pool stages with an
+/// even-width rectangular kernel, a locally-connected layer, dense head with
+/// dropout) at 8 kernels and 16 dense units, drawing weights from the RNG in
+/// the same order.
+fn figure3_net(seed: u64) -> Network {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let k = 8;
-    let (h, w) = (12, 12);
     let mut net = Network::new();
-    net.push(Conv2d::new((3, 6), 1, k, &mut rng));
+    net.push(Conv2d::new((3, 6), 1, K, &mut rng));
     net.push(ActivationLayer::new(Activation::Selu));
     net.push(MaxPool2d::new((2, 2)));
-    net.push(Conv2d::new((3, 6), k, k, &mut rng));
+    net.push(Conv2d::new((3, 6), K, K, &mut rng));
     net.push(ActivationLayer::new(Activation::Selu));
     net.push(MaxPool2d::new((2, 2)));
-    let (h2, w2) = (h / 4, w / 4);
-    net.push(LocallyConnected2d::new((h2, w2, k), (2, 2), 4, &mut rng));
+    net.push(LocallyConnected2d::new(
+        (SIDE2, SIDE2, K),
+        (2, 2),
+        K / 2,
+        &mut rng,
+    ));
     net.push(ActivationLayer::new(Activation::Selu));
     net.push(Flatten::new());
-    let flat = (h2 - 1) * (w2 - 1) * 4;
-    net.push(Dense::new(flat, 16, &mut rng));
+    net.push(Dense::new(FLAT, 16, &mut rng));
     net.push(ActivationLayer::new(Activation::Selu));
     net.push(Dropout::new(0.4, seed ^ 0x5EED));
     net.push(Dense::new(16, CLASSES, &mut rng));
-    net.set_backend(backend);
+    net
+}
+
+/// [`figure3_net`] with every trainable layer wrapped in its scalar oracle;
+/// the same seed gives the same weights.
+fn figure3_reference_net(seed: u64) -> Network {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut net = Network::new();
+    net.push(Scalar::new(Conv2d::new((3, 6), 1, K, &mut rng)));
+    net.push(ActivationLayer::new(Activation::Selu));
+    net.push(MaxPool2d::new((2, 2)));
+    net.push(Scalar::new(Conv2d::new((3, 6), K, K, &mut rng)));
+    net.push(ActivationLayer::new(Activation::Selu));
+    net.push(MaxPool2d::new((2, 2)));
+    net.push(Scalar::new(LocallyConnected2d::new(
+        (SIDE2, SIDE2, K),
+        (2, 2),
+        K / 2,
+        &mut rng,
+    )));
+    net.push(ActivationLayer::new(Activation::Selu));
+    net.push(Flatten::new());
+    net.push(Scalar::new(Dense::new(FLAT, 16, &mut rng)));
+    net.push(ActivationLayer::new(Activation::Selu));
+    net.push(Dropout::new(0.4, seed ^ 0x5EED));
+    net.push(Scalar::new(Dense::new(16, CLASSES, &mut rng)));
     net
 }
 
 fn seeded_batch(n: usize, seed: u64) -> (Tensor, Vec<usize>) {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let data = (0..n * 12 * 12).map(|_| rng.gen_range(-1.0..1.0)).collect();
+    let data = (0..n * SIDE * SIDE)
+        .map(|_| rng.gen_range(-1.0..1.0))
+        .collect();
     let labels = (0..n).map(|_| rng.gen_range(0..CLASSES)).collect();
-    (Tensor::from_vec(&[n, 12, 12, 1], data), labels)
+    (Tensor::from_vec(&[n, SIDE, SIDE, 1], data), labels)
 }
 
 fn argmax_rows(t: &Tensor) -> Vec<usize> {
@@ -62,8 +101,8 @@ fn argmax_rows(t: &Tensor) -> Vec<usize> {
 
 #[test]
 fn fast_logits_match_reference_within_tolerance() {
-    let mut reference = figure3_net(42, Backend::Reference);
-    let mut fast = figure3_net(42, Backend::Fast);
+    let mut reference = figure3_reference_net(42);
+    let mut fast = figure3_net(42);
     for seed in [1u64, 2, 3] {
         let (x, _) = seeded_batch(5, seed);
         let logits_ref = reference.forward(&x, false);
@@ -85,8 +124,8 @@ fn fast_logits_match_reference_within_tolerance() {
 
 #[test]
 fn training_steps_agree_between_backends() {
-    let mut reference = figure3_net(7, Backend::Reference);
-    let mut fast = figure3_net(7, Backend::Fast);
+    let mut reference = figure3_reference_net(7);
+    let mut fast = figure3_net(7);
     let mut opt_ref = Optimizer::new(GradientDescent::RmsProp { decay: 0.9 }, 1e-3);
     let mut opt_fast = Optimizer::new(GradientDescent::RmsProp { decay: 0.9 }, 1e-3);
     for step in 0..5 {
@@ -105,7 +144,7 @@ fn training_steps_agree_between_backends() {
     assert_eq!(p_ref, p_fast, "post-training predictions diverged");
 }
 
-/// The fast backend is bit-deterministic across worker-thread counts: work is
+/// The GEMM path is bit-deterministic across worker-thread counts: work is
 /// split into fixed blocks and every reduction runs in a fixed order.  All
 /// thread-count variations run inside one `#[test]` (mirroring the PR 1
 /// `runner_determinism` pattern) because the pool size is process-global.
@@ -117,7 +156,7 @@ fn fast_training_is_bit_identical_across_thread_counts() {
             .build()
             .expect("pool");
         pool.install(|| {
-            let mut net = figure3_net(11, Backend::Fast);
+            let mut net = figure3_net(11);
             let mut opt = Optimizer::new(GradientDescent::RmsProp { decay: 0.9 }, 1e-3);
             let mut losses = Vec::new();
             for step in 0..4 {
