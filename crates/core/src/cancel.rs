@@ -4,17 +4,13 @@
 //! imposing a budget (a service request handler, a watchdog) and the code
 //! doing the work (synthesis passes, the mapper).  Workers poll
 //! [`CancelToken::check`] at natural checkpoints — pass boundaries and
-//! per-node sweep loops — and unwind when the token reports [`Cancelled`].
-//!
-//! The unwind itself is panic-based: deep pass internals return `()` and
-//! thread no `Result` type, so the cancelling caller wraps the work in
-//! `std::panic::catch_unwind` and downcasts the payload to [`Cancelled`].
-//! Real panics (bugs) are re-raised; cancellation is converted into a typed
-//! error.  [`silence_cancel_unwinds`] installs a panic-hook filter so these
-//! intentional unwinds do not spam stderr with backtraces.
+//! per-node sweep loops — and, once the token has fired, return
+//! `Err(`[`Cancelled`]`)`, which every layer above passes up with `?`.
+//! Cancellation is an ordinary return value: nothing unwinds and no panic
+//! hook is involved.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Why a unit of work was asked to stop.
@@ -27,9 +23,7 @@ pub enum CancelReason {
     DeadlineExceeded,
 }
 
-/// The typed payload carried by a cancellation unwind.
-///
-/// Also serves as the error type returned by cancellable entry points.
+/// The error returned by cancellable entry points once their token fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cancelled {
     /// Why the work was stopped.
@@ -133,22 +127,6 @@ impl Default for CancelToken {
     }
 }
 
-/// Installs (once per process) a panic-hook filter that swallows unwinds
-/// whose payload is [`Cancelled`], keeping intentional cancellation quiet
-/// while leaving real panics on the previous hook.
-pub fn silence_cancel_unwinds() {
-    static INSTALLED: OnceLock<()> = OnceLock::new();
-    INSTALLED.get_or_init(|| {
-        let previous = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if info.payload().is::<Cancelled>() {
-                return;
-            }
-            previous(info);
-        }));
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,18 +159,5 @@ mod tests {
         let token = CancelToken::with_deadline(Duration::ZERO);
         assert_eq!(token.state(), Some(CancelReason::DeadlineExceeded));
         assert_eq!(token.remaining(), Some(Duration::ZERO));
-    }
-
-    #[test]
-    fn cancelled_payload_roundtrips_through_catch_unwind() {
-        silence_cancel_unwinds();
-        let outcome = std::panic::catch_unwind(|| {
-            std::panic::panic_any(Cancelled {
-                reason: CancelReason::DeadlineExceeded,
-            });
-        });
-        let payload = outcome.unwrap_err();
-        let cancelled = payload.downcast::<Cancelled>().expect("typed payload");
-        assert_eq!(cancelled.reason, CancelReason::DeadlineExceeded);
     }
 }

@@ -178,7 +178,7 @@ fn flag(request: &Request, name: &str) -> bool {
     )
 }
 
-/// The `504` answer for an evaluation that unwound on its cancel token.
+/// The `504` answer for an evaluation stopped by its cancel token.
 /// The connection closes: the response raced the evaluation, so any
 /// pipelined follow-up belongs on a fresh connection.
 fn cancelled_response(shared: &Shared, cancelled: &Cancelled) -> Response {

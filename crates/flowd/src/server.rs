@@ -35,7 +35,7 @@ pub struct ServerConfig {
     pub max_body_bytes: usize,
     /// Per-request evaluation deadline.  A request may lower it with the
     /// `deadline_ms` query parameter but never raise it.  An evaluation past
-    /// its deadline unwinds cooperatively and answers `504`.
+    /// its deadline stops cooperatively and answers `504`.
     pub deadline_ms: u64,
     /// Extra time past the deadline before the watchdog declares a worker
     /// wedged (cancellation ignored), answers `504` on its behalf, and
@@ -84,7 +84,7 @@ pub(crate) struct Counters {
     pub(crate) handler_panics: AtomicU64,
     /// `504` responses written, cooperative or by the watchdog.
     pub(crate) deadline_exceeded: AtomicU64,
-    /// Evaluations unwound by an explicit `CancelToken::cancel()`.
+    /// Evaluations stopped by an explicit `CancelToken::cancel()`.
     pub(crate) cancelled: AtomicU64,
     /// Wedged workers retired and replaced by the watchdog.
     pub(crate) watchdog_restarts: AtomicU64,
@@ -107,7 +107,7 @@ struct ActiveRequest {
     /// Deadline + grace: past this instant the worker counts as wedged.
     hard_kill: Instant,
     /// The request's token, re-cancelled at hijack so the stuck evaluation
-    /// unwinds whenever its stall finally ends.
+    /// returns whenever its stall finally ends.
     token: CancelToken,
 }
 
@@ -410,7 +410,7 @@ fn watchdog_loop(shared: &Arc<Shared>) {
                 }
             };
             let Some(request) = hijacked else { continue };
-            // Re-cancel so the stuck evaluation unwinds when its stall ends;
+            // Re-cancel so the stuck evaluation returns when its stall ends;
             // the zombie thread then notices the generation bump and exits.
             request.token.cancel();
             let mut stream = request.stream;
@@ -588,6 +588,11 @@ fn serve_connection(shared: &Shared, job: Job, pctx: &mut PassContext, slot: usi
 
 /// Routes one request, converting handler panics into `500`s so a poisoned
 /// request can never thin out the worker pool.
+///
+/// This is the one `catch_unwind` outside tests, and it catches bugs only:
+/// cancellation reaches the handler as `Err(Cancelled)` and never unwinds.
+/// Per-request panic isolation is pinned by `tests/chaos.rs`, which injects
+/// a panic at `pass.apply` and expects a `500` from a surviving worker.
 fn dispatch(
     shared: &Shared,
     request: &httpwire::Request,

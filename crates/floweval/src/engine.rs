@@ -50,12 +50,6 @@ pub struct EngineConfig {
     /// distinct (design, final graph) pair is checked at least once.
     /// A verification failure panics: it means a synthesis pass is broken.
     pub verify: bool,
-    /// Back every evaluation context with one engine-wide
-    /// [`synth::SharedIsopCache`], so ISOP covers computed by one worker (or
-    /// one flow of a batch) serve every other.  Covers are pure functions of
-    /// the truth table, so sharing is QoR-neutral; disable only to measure
-    /// its effect.
-    pub share_isop_cache: bool,
 }
 
 impl Default for EngineConfig {
@@ -65,7 +59,6 @@ impl Default for EngineConfig {
             store_path: None,
             store_options: crate::store::StoreOptions::default(),
             verify: false,
-            share_isop_cache: true,
         }
     }
 }
@@ -114,7 +107,9 @@ pub struct EvalEngine {
     pub(crate) contexts: Mutex<Vec<PassContext>>,
     stats: Mutex<StatsState>,
     /// Engine-wide ISOP-cover memo handed to every context the engine
-    /// creates (when [`EngineConfig::share_isop_cache`] is on).
+    /// creates, so covers computed by one worker (or one flow of a batch)
+    /// serve every other.  Covers are pure functions of the truth table, so
+    /// sharing is QoR-neutral.
     isop: synth::SharedIsopCache,
 }
 
@@ -278,8 +273,8 @@ impl EvalEngine {
     /// result.
     pub fn evaluate_batch(&self, design: &Aig, flows: &[Vec<Transform>]) -> Vec<Qor> {
         let (qors, _) = self
-            .evaluate(design, flows, None, &CancelToken::never())
-            .expect("a never-firing token cannot cancel");
+            .evaluate(design, flows, None)
+            .expect("pooled contexts cannot cancel");
         qors
     }
 
@@ -308,8 +303,8 @@ impl EvalEngine {
     /// [`evaluate_flow_with_ctx`](Self::evaluate_flow_with_ctx) under a
     /// cancellation budget.
     ///
-    /// The evaluation (which runs outside every engine lock) arms `pctx`
-    /// with `cancel`; passes, verification and mapping poll it and unwind
+    /// The evaluation (which runs outside every engine lock) runs its passes
+    /// and mappings on `pctx` under `cancel`; they poll it and return `Err`
     /// once it fires.  On cancellation nothing half-built is published — the
     /// state graph keeps only the edges of passes that completed, which are
     /// pure facts — no store record is written, and the context stays
@@ -322,20 +317,20 @@ impl EvalEngine {
         pctx: &mut PassContext,
         cancel: &CancelToken,
     ) -> Result<Qor, Cancelled> {
-        self.evaluate(design, &[flow], Some(pctx), cancel)
+        self.evaluate(design, &[flow], Some((pctx, cancel)))
             .map(|(qors, _)| qors[0])
     }
 
     /// Store lookup → kernel → store insert → statistics, for a batch on
-    /// pooled contexts or one request on a `lent` (cancellable) one.  Returns
-    /// the QoR in input order with the counters of this call alone — what it
-    /// added to [`stats`](Self::stats), whoever else is using the engine.
+    /// pooled contexts or one request on a `lent` context under its cancel
+    /// token (the only way this returns `Err`).  Returns the QoR in input
+    /// order with the counters of this call alone — what it added to
+    /// [`stats`](Self::stats), whoever else is using the engine.
     pub(crate) fn evaluate<F: AsRef<[Transform]>>(
         &self,
         design: &Aig,
         flows: &[F],
-        mut lent: Option<&mut PassContext>,
-        cancel: &CancelToken,
+        lent: Option<(&mut PassContext, &CancelToken)>,
     ) -> Result<(Vec<Qor>, EvalStats), Cancelled> {
         let start = std::time::Instant::now();
         let design_fp = fingerprint_design(design);
@@ -351,26 +346,16 @@ impl EvalEngine {
         batch.flows_evaluated = misses.len();
 
         let mut timings = PassTimings::default();
-        let mut cancelled = None;
+        let mut outcome = Ok(());
         if !misses.is_empty() {
             let miss_flows: Vec<&[Transform]> = misses.iter().map(|&i| flows[i].as_ref()).collect();
-            // No engine lock is held while the armed context runs, so a
-            // cancellation unwind can never poison the store or the graph.
-            if let Some(pctx) = lent.as_deref_mut() {
-                pctx.arm_cancel(cancel.clone());
-            }
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let contexts = match lent.as_deref_mut() {
-                    Some(pctx) => Contexts::Lent(pctx, cancel),
-                    None => Contexts::Pooled(&mut timings),
-                };
-                self.drive(design, design_fp, &miss_flows, contexts, &mut batch)
-            }));
-            if let Some(pctx) = lent {
-                pctx.disarm_cancel();
-            }
-            match outcome {
-                Ok(qors) => {
+            let contexts = match lent {
+                Some((pctx, cancel)) => Contexts::Lent(pctx, cancel),
+                None => Contexts::Pooled(&mut timings),
+            };
+            outcome = self
+                .drive(design, design_fp, &miss_flows, contexts, &mut batch)
+                .map(|qors| {
                     // Durability (fsync) happens at drain/compact time via
                     // `flush_store`, not per batch.
                     let entries = misses
@@ -381,36 +366,22 @@ impl EvalEngine {
                     for (&i, qor) in misses.iter().zip(qors) {
                         results[i] = Some(qor);
                     }
-                }
-                Err(payload) => match payload.downcast::<Cancelled>() {
-                    Ok(reason) => cancelled = Some(*reason),
-                    Err(other) => std::panic::resume_unwind(other),
-                },
-            }
+                });
         }
         batch.wall_s = start.elapsed().as_secs_f64();
         self.commit_stats(&batch, Some(&timings));
-        match cancelled {
-            Some(reason) => Err(reason),
-            None => {
-                let qors = results
-                    .into_iter()
-                    .map(|q| q.expect("every flow evaluated"));
-                Ok((qors.collect(), batch))
-            }
-        }
+        outcome?;
+        let qors = results
+            .into_iter()
+            .map(|q| q.expect("every flow evaluated"));
+        Ok((qors.collect(), batch))
     }
 
-    /// A fresh evaluation context, backed by the engine-wide ISOP memo when
-    /// [`EngineConfig::share_isop_cache`] is on.  The kernel creates its
-    /// pooled contexts through here so every batch shares one cover memo.
+    /// A fresh evaluation context, backed by the engine-wide ISOP memo.  The
+    /// kernel creates its pooled contexts through here so every batch shares
+    /// one cover memo.
     pub(crate) fn pass_context(&self) -> PassContext {
-        let ctx = PassContext::default();
-        if self.config.share_isop_cache {
-            ctx.share_isop_cache(self.isop.clone())
-        } else {
-            ctx
-        }
+        PassContext::default().share_isop_cache(self.isop.clone())
     }
 
     /// Cross-context hit/miss counters of the engine-wide ISOP memo.

@@ -17,9 +17,9 @@ use std::sync::{Arc, MutexGuard};
 use std::time::Duration;
 
 use aig::{random_equivalence_check, Aig};
-use flow_core::{CancelToken, Fingerprint};
+use flow_core::{CancelToken, Cancelled, Fingerprint};
 use rayon::prelude::*;
-use synth::{map_with_ctx, PassContext, PassTimings, Qor, Transform};
+use synth::{map_with_ctx, try_map_with_ctx, PassContext, PassTimings, Qor, Transform};
 
 use crate::engine::{flow_script, EvalEngine};
 use crate::state::{StateGraph, StateId, WorkKey};
@@ -49,8 +49,8 @@ struct Cursor {
 }
 
 /// Work this call has claimed in the graph, released on drop — also when a
-/// cancellation unwinds through the kernel — so that no other caller waits
-/// for work nobody is doing.
+/// cancellation returns early out of the kernel — so that no other caller
+/// waits for work nobody is doing.
 struct Claims<'a> {
     engine: &'a EvalEngine,
     keys: Vec<WorkKey>,
@@ -86,10 +86,11 @@ enum Done {
 
 /// The evaluation contexts a [`EvalEngine::drive`] call works on.
 pub(crate) enum Contexts<'a> {
-    /// The caller's own context, on the calling thread; its timings stay in
-    /// it.  The caller may have armed it with the cancellation token: no
-    /// lock is held while a pass or the mapper runs, so an unwind leaves the
-    /// graph with completed edges only.
+    /// The caller's own context, on the calling thread, and the token its
+    /// passes and mappings poll; its timings stay in it.  No lock is held
+    /// while a pass or the mapper runs, and a wave commits only once all its
+    /// work is done, so a cancellation leaves the graph with the completed
+    /// edges of earlier waves only.
     Lent(&'a mut PassContext, &'a CancelToken),
     /// The engine's pooled contexts, each wave fanned out over rayon; what
     /// they time is merged into the sink.
@@ -123,8 +124,8 @@ impl EvalEngine {
     }
 
     /// Evaluates `flows` on `design`, returning QoR in input order,
-    /// bit-identical to `FlowRunner::run`.  Counters accumulate into `stats`
-    /// as waves complete.
+    /// bit-identical to `FlowRunner::run`, or `Err` once a lent context's
+    /// token fires.  Counters accumulate into `stats` as waves complete.
     pub(crate) fn drive<F: AsRef<[Transform]>>(
         &self,
         design: &Aig,
@@ -132,7 +133,7 @@ impl EvalEngine {
         flows: &[F],
         mut contexts: Contexts<'_>,
         stats: &mut EvalStats,
-    ) -> Vec<Qor> {
+    ) -> Result<Vec<Qor>, Cancelled> {
         let (root, root_aig) = self.root_state(design, design_fp);
         let verified_for = self.config.verify.then_some(root);
         // Every in-flight flow may pin one AIG outside the graph's LRU, so
@@ -211,9 +212,7 @@ impl EvalEngine {
                     let waited = self.graph_changed.wait_timeout(graph, CLAIM_POLL);
                     drop(waited.expect("state graph lock"));
                     if let Contexts::Lent(_, cancel) = &contexts {
-                        if let Err(cancelled) = cancel.check() {
-                            std::panic::panic_any(cancelled); // as a pass would
-                        }
+                        cancel.check()?;
                     }
                 }
             }
@@ -223,17 +222,19 @@ impl EvalEngine {
 
             // Execute it: no lock held, nothing published yet.
             let mut done: Vec<Done> = match &mut contexts {
-                Contexts::Lent(pctx, _) => work
+                Contexts::Lent(pctx, cancel) => work
                     .iter()
-                    .map(|item| self.execute(item, design, pctx))
-                    .collect(),
+                    .map(|item| self.execute(item, design, pctx, Some(cancel)))
+                    .collect::<Result<_, _>>()?,
                 Contexts::Pooled(timings) => {
                     let outs: Vec<(Done, PassTimings)> = work
                         .par_iter()
                         .map(|item| {
                             let pooled = self.contexts.lock().expect("context pool lock").pop();
                             let mut pctx = pooled.unwrap_or_else(|| self.pass_context());
-                            let done = self.execute(item, design, &mut pctx);
+                            let done = self
+                                .execute(item, design, &mut pctx, None)
+                                .expect("a context without a token cannot cancel");
                             let spent = pctx.take_timings();
                             self.contexts.lock().expect("context pool lock").push(pctx);
                             (done, spent)
@@ -299,31 +300,52 @@ impl EvalEngine {
                 }
             });
         }
-        qors.into_iter()
+        Ok(qors
+            .into_iter()
             .map(|q| q.expect("every flow evaluated"))
-            .collect()
+            .collect())
     }
 
     /// Executes one work item on `pctx` — the only place a pass or the
-    /// mapper runs in this crate.
-    fn execute(&self, item: &Work, design: &Aig, pctx: &mut PassContext) -> Done {
+    /// mapper runs in this crate — polling `cancel` when there is one.
+    /// Pooled contexts run without a token and always return `Ok`.
+    fn execute(
+        &self,
+        item: &Work,
+        design: &Aig,
+        pctx: &mut PassContext,
+        cancel: Option<&CancelToken>,
+    ) -> Result<Done, Cancelled> {
         let mut g = pctx.take_buf();
         g.copy_from(&item.src);
         let Some(t) = item.t else {
             let equivalent =
                 !self.config.verify || random_equivalence_check(design, &g, 8, VERIFY_SEED);
-            let qor = map_with_ctx(&mut g, &self.library, self.mapper, pctx).qor();
+            let mapped = match cancel {
+                Some(cancel) => try_map_with_ctx(&mut g, &self.library, self.mapper, pctx, cancel),
+                None => Ok(map_with_ctx(&mut g, &self.library, self.mapper, pctx)),
+            };
             pctx.recycle(g);
-            return Done::Mapped(qor, equivalent);
+            return mapped.map(|netlist| Done::Mapped(netlist.qor(), equivalent));
         };
         let identities = pctx.apply_stats().identity;
-        pctx.apply(t, &mut g);
+        let applied = match cancel {
+            Some(cancel) => pctx.try_apply(t, &mut g, cancel),
+            None => {
+                pctx.apply(t, &mut g);
+                Ok(())
+            }
+        };
+        if let Err(cancelled) = applied {
+            pctx.recycle(g);
+            return Err(cancelled);
+        }
         if pctx.apply_stats().identity != identities {
             // The sweep accepted nothing: same graph, no need to hash it.
             pctx.recycle(g);
-            Done::Moved(item.from, Arc::clone(&item.src))
+            Ok(Done::Moved(item.from, Arc::clone(&item.src)))
         } else {
-            Done::Moved(StateId::of(&g), Arc::new(g))
+            Ok(Done::Moved(StateId::of(&g), Arc::new(g)))
         }
     }
 }

@@ -31,7 +31,6 @@ use std::collections::HashSet;
 use std::time::Instant;
 
 use aig::Aig;
-use flow_core::CancelToken;
 use serde::Serialize;
 use synth::{Qor, Transform};
 
@@ -314,10 +313,8 @@ impl EvalEngine {
                 let chunk_flows: Vec<&[Transform]> =
                     chunk.iter().map(|&f| flows[f].as_slice()).collect();
                 let (qors, stats) = pool
-                    .install(|| {
-                        self.evaluate(&designs[d], &chunk_flows, None, &CancelToken::never())
-                    })
-                    .expect("a never-firing token cannot cancel");
+                    .install(|| self.evaluate(&designs[d], &chunk_flows, None))
+                    .expect("pooled contexts cannot cancel");
                 report.eval.absorb(&stats);
                 report.evaluated += chunk.len();
                 labels.extend(chunk.iter().zip(qors).map(|(&flow, qor)| SearchLabel {

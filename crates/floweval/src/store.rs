@@ -321,9 +321,8 @@ impl QorStore {
                     ids
                 }
             };
-            for (pos, id) in store.segments.clone().iter().enumerate() {
-                let is_live = pos + 1 == store.segments.len();
-                store.scrub_file(&layout.segment(*id), is_live)?;
+            for id in store.segments.clone() {
+                store.scrub_file(&layout.segment(id))?;
             }
             let live = layout.segment(*store.segments.last().expect("non-empty"));
             let writer = OpenOptions::new().create(true).append(true).open(&live)?;
@@ -332,7 +331,7 @@ impl QorStore {
         } else if layout.base.exists() {
             // Legacy plain-JSONL store: read (and heal) it in place; the
             // first compact() upgrades it to the segmented format.
-            store.scrub_file(&layout.base.clone(), true)?;
+            store.scrub_file(&layout.base.clone())?;
             let writer = OpenOptions::new()
                 .create(true)
                 .append(true)
@@ -355,8 +354,8 @@ impl QorStore {
     }
 
     /// Scrubs one JSONL file into the index, quarantining and healing any
-    /// damage.  `is_live` marks the file whose tail may legitimately be torn.
-    fn scrub_file(&mut self, path: &Path, is_live: bool) -> std::io::Result<()> {
+    /// damage.
+    fn scrub_file(&mut self, path: &Path) -> std::io::Result<()> {
         let data = match std::fs::read(path) {
             Ok(data) => data,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
@@ -400,9 +399,8 @@ impl QorStore {
                 }
                 None if !newline => {
                     // A bad final line without its newline: the classic
-                    // crash-torn append.  (`is_live` is advisory — a sealed
-                    // segment can carry one from a crash during rotation.)
-                    let _ = is_live;
+                    // crash-torn append — in the live segment, or in a
+                    // sealed one after a crash during rotation.
                     torn_span = Some((no, s, e));
                 }
                 None => corrupt_spans.push((no, s, e)),

@@ -6,8 +6,9 @@
 //! given leaf levels (a Huffman-style construction).
 
 use aig::{Aig, Lit};
+use flow_core::{CancelToken, Cancelled};
 
-use crate::pass::{pool_give, PassContext};
+use crate::pass::{pool_give, CancelCell, PassContext};
 use crate::passes::Transform;
 
 /// Applies AND-tree balancing and returns the rebuilt network.
@@ -19,23 +20,27 @@ pub fn balance(aig: &Aig) -> Aig {
 }
 
 /// `balance` on a [`PassContext`]: transforms `g` in place through the
-/// context's recycled buffers.
-pub(crate) fn balance_ctx(g: &mut Aig, ctx: &mut PassContext) {
+/// context's recycled buffers, polling `cancel` between trees.
+pub(crate) fn balance_ctx(
+    g: &mut Aig,
+    ctx: &mut PassContext,
+    cancel: Option<&CancelToken>,
+) -> Result<(), Cancelled> {
     ctx.ensure_clean(g);
     g.compute_fanouts_cached();
     let mut out = ctx.take_buf();
     out.set_name(g.name().to_string());
     out.reserve_for(g.len(), g.num_ands());
-    // Disjoint borrows: the remap table feeds the build loop while the
-    // cancel cell polls between trees.  `g` is only overwritten by the final
-    // `cleanup_into_with`, so a cancellation unwind leaves it untouched.
+    // Disjoint borrows: the remap table feeds the build loop, and the pool
+    // takes `out` back on both exits.  `g` is only overwritten by the final
+    // `cleanup_into_with`, so a cancelled build leaves it untouched.
     let PassContext {
         pool,
         scratch,
         balance_map: map,
-        cancel,
         ..
     } = ctx;
+    let mut cancel = CancelCell::new(cancel);
     map.clear();
     map.resize(g.len(), None);
     map[0] = Some(Lit::FALSE);
@@ -44,7 +49,10 @@ pub(crate) fn balance_ctx(g: &mut Aig, ctx: &mut PassContext) {
     }
     for id in g.node_ids() {
         if g.node(id).is_and() {
-            cancel.checkpoint();
+            if let Err(cancelled) = cancel.checkpoint() {
+                pool_give(pool, out);
+                return Err(cancelled);
+            }
             build_balanced(g, &mut out, map, id);
         }
     }
@@ -54,6 +62,7 @@ pub(crate) fn balance_ctx(g: &mut Aig, ctx: &mut PassContext) {
     }
     out.cleanup_into_with(g, scratch);
     pool_give(pool, out);
+    Ok(())
 }
 
 /// Builds the balanced implementation of node `id` into `out`, memoising in `map`.

@@ -11,7 +11,7 @@ use flow_core::{CancelToken, Cancelled};
 use rayon::prelude::*;
 
 use crate::library::CellLibrary;
-use crate::mapper::{map_with_ctx, MapperParams};
+use crate::mapper::{try_map_with_ctx, MapperParams};
 use crate::pass::PassContext;
 use crate::passes::Transform;
 use crate::qor::Qor;
@@ -101,8 +101,8 @@ impl FlowRunner {
     }
 
     /// [`run_with_ctx`](Self::run_with_ctx) under a cancellation budget:
-    /// passes, verification and mapping poll `cancel` and unwind into `Err`
-    /// once it fires.  The context stays reusable after cancellation.
+    /// passes and mapping poll `cancel` and return `Err` once it fires.  The
+    /// context stays reusable after cancellation.
     pub fn try_run_with_ctx(
         &self,
         design: &Aig,
@@ -110,35 +110,26 @@ impl FlowRunner {
         ctx: &mut PassContext,
         cancel: &CancelToken,
     ) -> Result<FlowOutcome, Cancelled> {
-        ctx.arm_cancel(cancel.clone());
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.run_armed(design, flow, ctx)
-        }));
-        ctx.disarm_cancel();
-        match outcome {
-            Ok(result) => Ok(result),
-            Err(payload) => match payload.downcast::<Cancelled>() {
-                Ok(cancelled) => Err(*cancelled),
-                Err(other) => std::panic::resume_unwind(other),
-            },
-        }
-    }
-
-    fn run_armed(&self, design: &Aig, flow: &[Transform], ctx: &mut PassContext) -> FlowOutcome {
         let start = std::time::Instant::now();
-        let mut optimized = ctx.run_flow(design, flow);
+        let mut optimized = ctx.run_flow_cancellable(design, flow, cancel)?;
         let verified = if self.verify {
             random_equivalence_check(design, &optimized, 8, 0x5EED)
         } else {
             false
         };
-        let qor = map_with_ctx(&mut optimized, &self.library, self.mapper_params, ctx).qor();
-        let outcome = FlowOutcome {
-            qor,
+        let mapped = try_map_with_ctx(
+            &mut optimized,
+            &self.library,
+            self.mapper_params,
+            ctx,
+            cancel,
+        );
+        let outcome = mapped.map(|netlist| FlowOutcome {
+            qor: netlist.qor(),
             optimized: AigStats::of(&optimized),
             runtime_s: start.elapsed().as_secs_f64(),
             verified,
-        };
+        });
         ctx.recycle(optimized);
         outcome
     }

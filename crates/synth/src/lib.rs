@@ -59,8 +59,10 @@ pub mod sop;
 pub use balance::balance;
 pub use flow_runner::{FlowOutcome, FlowRunner};
 pub use library::{Cell, CellId, CellLibrary};
-pub use mapper::{map, map_qor, map_with_ctx, MapMode, MappedGate, MappedNetlist, MapperParams};
-pub use pass::{ApplyStats, Pass, PassContext, PassStat, PassTimings};
+pub use mapper::{
+    map, map_qor, map_with_ctx, try_map_with_ctx, MapMode, MappedGate, MappedNetlist, MapperParams,
+};
+pub use pass::{ApplyStats, PassContext, PassStat, PassTimings};
 pub use passes::{apply_sequence, Transform};
 pub use qor::{Qor, QorMetric};
 pub use refactor::refactor;

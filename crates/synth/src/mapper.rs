@@ -8,11 +8,12 @@
 //! fanout-dependent load term), the two QoR metrics the paper reports.
 
 use aig::{truth4_pad, truth4_reduce, truth4_support, Aig, Cut4Enumerator, CutParams, NodeId};
+use flow_core::{CancelToken, Cancelled};
 use serde::{Deserialize, Serialize};
 
 use crate::library::{CellId, CellLibrary};
 use crate::npn4::npn4;
-use crate::pass::{CancelCell, PassContext};
+use crate::pass::{CancelCell, PassContext, UNARMED};
 use crate::qor::Qor;
 
 /// Objective used to choose among matched cells.
@@ -119,13 +120,35 @@ pub fn map_with_ctx(
     params: MapperParams,
     ctx: &mut PassContext,
 ) -> MappedNetlist {
+    map_checked(g, library, params, ctx, None).expect(UNARMED)
+}
+
+/// [`map_with_ctx`] under a cancellation budget: the matching loop polls
+/// `cancel` and returns `Err` once it fires.
+pub fn try_map_with_ctx(
+    g: &mut Aig,
+    library: &CellLibrary,
+    params: MapperParams,
+    ctx: &mut PassContext,
+    cancel: &CancelToken,
+) -> Result<MappedNetlist, Cancelled> {
+    map_checked(g, library, params, ctx, Some(cancel))
+}
+
+fn map_checked(
+    g: &mut Aig,
+    library: &CellLibrary,
+    params: MapperParams,
+    ctx: &mut PassContext,
+    cancel: Option<&CancelToken>,
+) -> Result<MappedNetlist, Cancelled> {
     let start = std::time::Instant::now();
     ctx.ensure_clean(g);
     g.compute_fanouts_cached();
     Cut4Enumerator::new(mapper_cut_params(params)).enumerate_into(g, &mut ctx.cut4_sets);
-    let netlist = map_core(g, library, params.mode, &ctx.cut4_sets, &mut ctx.cancel);
+    let netlist = map_core(g, library, params.mode, &ctx.cut4_sets, cancel)?;
     ctx.record_mapping(start.elapsed().as_secs_f64());
-    netlist
+    Ok(netlist)
 }
 
 pub(crate) fn mapper_cut_params(params: MapperParams) -> CutParams {
@@ -143,13 +166,14 @@ fn map_core(
     library: &CellLibrary,
     mode: MapMode,
     cut_sets: &[aig::CutSet4],
-    cancel: &mut CancelCell,
-) -> MappedNetlist {
+    cancel: Option<&CancelToken>,
+) -> Result<MappedNetlist, Cancelled> {
+    let mut cancel = CancelCell::new(cancel);
     let mut matcher = Matcher::new(subject, library, mode);
     // Scratch buffer for the reduced leaf list.
     let mut leaf_buf: Vec<NodeId> = Vec::with_capacity(4);
     for id in subject.and_ids() {
-        cancel.checkpoint();
+        cancel.checkpoint()?;
         let mut best: Option<Choice> = None;
         for cut in cut_sets[id].cuts() {
             let nv = cut.size();
@@ -172,7 +196,7 @@ fn map_core(
         }
         matcher.commit(id, best);
     }
-    matcher.into_netlist()
+    Ok(matcher.into_netlist())
 }
 
 /// Per-node matching state and cover extraction, shared by [`map_core`] and

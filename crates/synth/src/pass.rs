@@ -1,12 +1,14 @@
-//! The pass pipeline: a [`Pass`] trait over an arena-recycling [`PassContext`].
+//! The pass pipeline: an arena-recycling [`PassContext`].
 //!
 //! This is the one production path of the crate: every public entry point
 //! (`Transform::apply`, `apply_sequence`, `map`, [`crate::FlowRunner`]) runs
-//! its passes on a [`PassContext`].  A naive pipeline rebuilds a brand-new
-//! [`Aig`] — node vector, strash table, name lists — for every intermediate
-//! graph of a flow and recomputes fanouts at the top of every pass; at
-//! data-collection scale (the paper labels 100,000 flows per design) that
-//! allocation churn dominates flow-evaluation cost.  The context removes it:
+//! its passes on a [`PassContext`], whose [`apply`](PassContext::apply)
+//! dispatches each [`Transform`] to its pass.  A naive pipeline rebuilds a
+//! brand-new [`Aig`] — node vector, strash table, name lists — for every
+//! intermediate graph of a flow and recomputes fanouts at the top of every
+//! pass; at data-collection scale (the paper labels 100,000 flows per
+//! design) that allocation churn dominates flow-evaluation cost.  The
+//! context removes it:
 //!
 //! * **Ping-pong graph buffers** — a small pool of recycled [`Aig`]s; every
 //!   rebuild goes through [`Aig::cleanup_into_with`] / the sweep's
@@ -24,9 +26,16 @@
 //!   on a graph of 32 Ki nodes or more proposes over node chunks on the
 //!   `rayon` pool, one scratch per chunk running at once.
 //!
-//! Cancellation unwinds out of a pass with the graph unchanged because the
-//! only code a checkpoint can interrupt — the per-node loops — only reads
-//! it (the reasoning sits on the crate-private `CancelCell`).
+//! Cancellation is a return value.  The cancellable entry points
+//! ([`PassContext::try_apply`], [`PassContext::run_flow_cancellable`],
+//! `try_map_with_ctx`, `FlowRunner::try_run_with_ctx`) take the
+//! [`CancelToken`] as an argument; once it fires, the per-node loops return
+//! `Err(Cancelled)` and every layer passes it up with `?`.  The graph comes
+//! back unchanged because the only code a checkpoint can interrupt — the
+//! per-node loops — only reads it, and every early return hands the buffers
+//! it checked out back to the context (the reasoning sits on the
+//! crate-private `CancelCell`).  The plain entry points take no token and
+//! cannot fail.
 //!
 //! The seed implementation of every pass survives as the test-only oracle,
 //! [`crate::reference`]; the differential suite
@@ -37,25 +46,17 @@ use std::time::Instant;
 use aig::{Aig, AigScratch, CutSet4, CutTruthScratch, EditScratch, Lit, MffcScratch, NodeId};
 use flow_core::{fail_point, CancelToken, Cancelled};
 
+use crate::balance::balance_ctx;
 use crate::passes::Transform;
 use crate::reconv::ReconvScratch;
+use crate::refactor::{refactor_ctx, RefactorParams};
+use crate::restructure::{restructure_ctx, RestructureParams};
 use crate::resyn::{DecisionTable, Proposal};
+use crate::rewrite::{rewrite_ctx, RewriteParams};
 use crate::sop::{IsopCache, SharedIsopCache, SopCostScratch};
 
 /// Maximum number of recycled graph buffers a context keeps around.
 const POOL_CAPACITY: usize = 8;
-
-/// A synthesis pass running through an arena-recycling [`PassContext`].
-///
-/// Implementations transform `g` **in place** (ping-ponging through the
-/// context's buffers) and must be deterministic: the built-in passes are
-/// bit-identical to their [`crate::reference`] oracles.
-pub trait Pass {
-    /// The ABC-style command name of the pass.
-    fn name(&self) -> &'static str;
-    /// Applies the pass to `g` using the context's recycled buffers.
-    fn run(&self, g: &mut Aig, ctx: &mut PassContext);
-}
 
 /// Wall-clock statistics of one pass kind.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -108,85 +109,58 @@ impl PassTimings {
     }
 }
 
-/// The context's cooperative-cancellation checkpoint.
+/// A per-loop cooperative-cancellation checkpoint.
 ///
-/// Holds the request's [`CancelToken`] (when one is armed) plus a countdown
-/// that strides the actual clock/flag poll: inner per-node loops call
-/// [`checkpoint`](Self::checkpoint) on every iteration, but only every
-/// `STRIDE`-th call reads the token, so an unarmed or quiet token costs one
-/// branch per node.  A fired token unwinds the current evaluation with a
-/// typed [`Cancelled`] payload; the cancelling caller catches it with
-/// `std::panic::catch_unwind`.
+/// Borrows the call's [`CancelToken`] (`None` on the plain, token-less entry
+/// points) plus a countdown that strides the actual clock/flag poll: inner
+/// per-node loops call [`checkpoint`](Self::checkpoint) on every iteration,
+/// but only every `STRIDE`-th call reads the token, so an absent or quiet
+/// token costs one branch per node.  Once the token has fired the checkpoint
+/// returns `Err(Cancelled)` and the loop returns it.  Each loop — and each
+/// propose chunk of a parallel sweep — makes a cell of its own.
 ///
-/// The unwind is safe for the context by construction: every pass mutates its
-/// subject graph only at the very end (the `cleanup_into_with` /
-/// rebuild step after the full sweep), and all sweep scratch is cleared at
-/// the start of each use — so a cancelled context is immediately reusable and
-/// its next run is bit-identical to a fresh context's (pinned by
-/// `tests/cancellation.rs`).  For the resynthesis sweeps the first half is
-/// enforced by the types: their propose phase, the only code a checkpoint
-/// can interrupt, holds the graph as `&Aig` (the MFFC keeps its dereferenced
-/// fanout counts in a side table), and the apply step that takes `&mut`
-/// starts only after every propose chunk has returned.  A chunk that unwinds
-/// drops the propose scratch it had checked out; the next sweep makes a new
-/// one.
-#[derive(Debug, Default)]
-pub(crate) struct CancelCell {
-    token: Option<CancelToken>,
+/// An early return is safe for the context by construction: every pass
+/// mutates its subject graph only at the very end (the `cleanup_into_with` /
+/// rebuild step after the full sweep), every buffer a pass checks out of the
+/// context goes back to it on the `Err` path too, and all sweep scratch is
+/// cleared at the start of each use — so a cancelled context is immediately
+/// reusable and its next run is bit-identical to a fresh context's (pinned
+/// by `tests/cancellation.rs`).  For the resynthesis sweeps the first half
+/// is enforced by the types: their propose phase, the only code a
+/// checkpoint can interrupt, holds the graph as `&Aig` (the MFFC keeps its
+/// dereferenced fanout counts in a side table), and the apply step that
+/// takes `&mut` starts only after every propose chunk has returned `Ok`.  A
+/// cancelled chunk stops polling and pushes its propose scratch back to the
+/// context's idle list before it reports.
+#[derive(Debug)]
+pub(crate) struct CancelCell<'a> {
+    token: Option<&'a CancelToken>,
     countdown: u32,
 }
 
-impl CancelCell {
+impl<'a> CancelCell<'a> {
     const STRIDE: u32 = 64;
 
-    fn arm(&mut self, token: CancelToken) {
-        flow_core::silence_cancel_unwinds();
-        self.token = Some(token);
-        self.countdown = 0;
-    }
-
-    fn disarm(&mut self) {
-        self.token = None;
-    }
-
-    /// The same token on a countdown of its own, for one chunk of a
-    /// parallel sweep (chunks on different threads cannot share one).
-    pub(crate) fn for_chunk(&self) -> CancelCell {
+    /// A checkpoint over `token` whose first call polls.
+    pub(crate) fn new(token: Option<&'a CancelToken>) -> Self {
         CancelCell {
-            token: self.token.clone(),
+            token,
             countdown: 0,
         }
     }
 
     /// Strided poll for inner per-node loops.
     #[inline]
-    pub(crate) fn checkpoint(&mut self) {
-        if self.token.is_none() {
-            return;
-        }
+    pub(crate) fn checkpoint(&mut self) -> Result<(), Cancelled> {
+        let Some(token) = self.token else {
+            return Ok(());
+        };
         if let Some(next) = self.countdown.checked_sub(1) {
             self.countdown = next;
-            return;
+            return Ok(());
         }
         self.countdown = Self::STRIDE - 1;
-        self.poll();
-    }
-
-    /// Unstrided poll for pass boundaries.
-    fn force_checkpoint(&mut self) {
-        if self.token.is_some() {
-            self.countdown = Self::STRIDE - 1;
-            self.poll();
-        }
-    }
-
-    #[cold]
-    fn poll(&self) {
-        if let Some(token) = &self.token {
-            if let Err(cancelled) = token.check() {
-                std::panic::panic_any(cancelled);
-            }
-        }
+        token.check()
     }
 }
 
@@ -195,8 +169,9 @@ impl CancelCell {
 #[derive(Debug, Default)]
 pub(crate) struct SweepScratch {
     pub(crate) decisions: DecisionTable,
-    /// `(decisions, estimated touched nodes)` of each propose chunk.
-    pub(crate) tallies: Vec<(usize, usize)>,
+    /// `(decisions, estimated touched nodes)` of each propose chunk, or the
+    /// cancellation that stopped it.
+    pub(crate) tallies: Vec<Result<(usize, usize), Cancelled>>,
     pub(crate) rebuild_map: Vec<Lit>,
     pub(crate) leaf_lits: Vec<Lit>,
     pub(crate) out_lits: Vec<Lit>,
@@ -273,25 +248,10 @@ pub struct PassContext {
     pub(crate) sweep: SweepScratch,
     pub(crate) edit: EditScratch,
     pub(crate) apply_stats: ApplyStats,
-    pub(crate) cancel: CancelCell,
     timings: PassTimings,
 }
 
 impl PassContext {
-    /// Arms cooperative cancellation: until [`disarm_cancel`](Self::disarm_cancel),
-    /// passes and the mapper poll `token` at pass boundaries and inside their
-    /// per-node loops, unwinding with a [`Cancelled`] panic payload once it
-    /// fires.  Callers pair this with `std::panic::catch_unwind` (or use
-    /// [`run_flow_cancellable`](Self::run_flow_cancellable)).
-    pub fn arm_cancel(&mut self, token: CancelToken) {
-        self.cancel.arm(token);
-    }
-
-    /// Disarms cooperative cancellation (idempotent).
-    pub fn disarm_cancel(&mut self) {
-        self.cancel.disarm();
-    }
-
     /// Backs this context's ISOP memo with a process-wide
     /// [`SharedIsopCache`] tier: local misses probe
     /// the shared map before computing and publish what they compute.
@@ -300,16 +260,11 @@ impl PassContext {
     /// a result bit — concurrent workers just stop re-deriving each other's
     /// covers.  Returns `self` for builder-style chaining.
     pub fn share_isop_cache(mut self, shared: SharedIsopCache) -> Self {
-        self.set_shared_isop_cache(Some(shared));
-        self
-    }
-
-    /// [`share_isop_cache`](Self::share_isop_cache) on an existing context.
-    pub fn set_shared_isop_cache(&mut self, shared: Option<SharedIsopCache>) {
         for ps in &mut self.propose {
-            ps.isop.set_shared(shared.clone());
+            ps.isop.set_shared(Some(shared.clone()));
         }
-        self.shared_isop = shared;
+        self.shared_isop = Some(shared);
+        self
     }
 
     /// How the sweeps have applied their decisions so far (in-place vs
@@ -362,54 +317,92 @@ impl PassContext {
 
     /// Applies one transformation to `g` in place, recording its wall time.
     pub fn apply(&mut self, t: Transform, g: &mut Aig) {
-        self.cancel.force_checkpoint();
+        self.apply_checked(t, g, None).expect(UNARMED);
+    }
+
+    /// [`apply`](Self::apply) under a cancellation budget: polls `cancel`
+    /// before the pass and inside its per-node loops, and returns `Err` once
+    /// it fires.  `g` is then exactly as it was on entry, and the context is
+    /// as reusable as after a completed pass.
+    pub fn try_apply(
+        &mut self,
+        t: Transform,
+        g: &mut Aig,
+        cancel: &CancelToken,
+    ) -> Result<(), Cancelled> {
+        self.apply_checked(t, g, Some(cancel))
+    }
+
+    fn apply_checked(
+        &mut self,
+        t: Transform,
+        g: &mut Aig,
+        cancel: Option<&CancelToken>,
+    ) -> Result<(), Cancelled> {
+        if let Some(token) = cancel {
+            token.check()?;
+        }
         fail_point!("pass.apply");
         let start = Instant::now();
-        t.as_pass().run(g, self);
+        match t {
+            Transform::Balance => balance_ctx(g, self, cancel),
+            Transform::Restructure => {
+                restructure_ctx(g, RestructureParams::default(), self, cancel)
+            }
+            Transform::Rewrite => rewrite_ctx(g, false, RewriteParams::default(), self, cancel),
+            Transform::RewriteZ => rewrite_ctx(g, true, RewriteParams::default(), self, cancel),
+            Transform::Refactor => refactor_ctx(g, false, RefactorParams::default(), self, cancel),
+            Transform::RefactorZ => refactor_ctx(g, true, RefactorParams::default(), self, cancel),
+        }?;
         let stat = &mut self.timings.passes[t.index()];
         stat.calls += 1;
         stat.seconds += start.elapsed().as_secs_f64();
+        Ok(())
     }
 
     /// Runs a whole flow on `design` and returns the optimized network.
     ///
     /// The design is cleaned first, then each transform applies in order.
     pub fn run_flow(&mut self, design: &Aig, flow: &[Transform]) -> Aig {
-        let mut g = self.take_buf();
-        g.copy_from(design);
-        self.ensure_clean(&mut g);
-        for &t in flow {
-            self.apply(t, &mut g);
-        }
-        g
+        self.run_flow_checked(design, flow, None).expect(UNARMED)
     }
 
     /// [`run_flow`](Self::run_flow) under a cancellation budget.
     ///
-    /// Polls `cancel` at every pass boundary and inside the per-node loops;
-    /// once it fires, the evaluation unwinds and `Err` is returned.  The
-    /// context survives cancellation fully reusable: the next
-    /// [`run_flow`](Self::run_flow) on it is bit-identical to one on a fresh
-    /// context.  Non-cancellation panics are re-raised.
+    /// Polls `cancel` at every pass boundary and inside the per-node loops,
+    /// and returns `Err` once it fires.  The context survives cancellation
+    /// fully reusable: the next [`run_flow`](Self::run_flow) on it is
+    /// bit-identical to one on a fresh context.
     pub fn run_flow_cancellable(
         &mut self,
         design: &Aig,
         flow: &[Transform],
         cancel: &CancelToken,
     ) -> Result<Aig, Cancelled> {
-        self.arm_cancel(cancel.clone());
-        let outcome =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.run_flow(design, flow)));
-        self.disarm_cancel();
-        match outcome {
-            Ok(g) => Ok(g),
-            Err(payload) => match payload.downcast::<Cancelled>() {
-                Ok(cancelled) => Err(*cancelled),
-                Err(other) => std::panic::resume_unwind(other),
-            },
+        self.run_flow_checked(design, flow, Some(cancel))
+    }
+
+    fn run_flow_checked(
+        &mut self,
+        design: &Aig,
+        flow: &[Transform],
+        cancel: Option<&CancelToken>,
+    ) -> Result<Aig, Cancelled> {
+        let mut g = self.take_buf();
+        g.copy_from(design);
+        self.ensure_clean(&mut g);
+        for &t in flow {
+            if let Err(cancelled) = self.apply_checked(t, &mut g, cancel) {
+                self.recycle(g);
+                return Err(cancelled);
+            }
         }
+        Ok(g)
     }
 }
+
+/// The `expect` message of the token-less fronts, which poll nothing.
+pub(crate) const UNARMED: &str = "a call without a token cannot cancel";
 
 /// Pool primitives usable after destructuring a [`PassContext`] into disjoint
 /// field borrows (the passes split the context between closure and sweep).
@@ -429,111 +422,10 @@ pub(crate) fn pool_give(pool: &mut Vec<Aig>, g: Aig) {
     }
 }
 
-/// `balance` through the context.
-pub struct BalancePass;
-
-impl Pass for BalancePass {
-    fn name(&self) -> &'static str {
-        "balance"
-    }
-
-    fn run(&self, g: &mut Aig, ctx: &mut PassContext) {
-        crate::balance::balance_ctx(g, ctx);
-    }
-}
-
-/// `restructure` through the context.
-pub struct RestructurePass;
-
-impl Pass for RestructurePass {
-    fn name(&self) -> &'static str {
-        "restructure"
-    }
-
-    fn run(&self, g: &mut Aig, ctx: &mut PassContext) {
-        crate::restructure::restructure_ctx(
-            g,
-            crate::restructure::RestructureParams::default(),
-            ctx,
-        );
-    }
-}
-
-/// `rewrite` / `rewrite -z` through the context.
-pub struct RewritePass {
-    /// Accept zero-gain replacements (the `-z` flavour).
-    pub zero_cost: bool,
-}
-
-impl Pass for RewritePass {
-    fn name(&self) -> &'static str {
-        if self.zero_cost {
-            "rewrite -z"
-        } else {
-            "rewrite"
-        }
-    }
-
-    fn run(&self, g: &mut Aig, ctx: &mut PassContext) {
-        crate::rewrite::rewrite_ctx(
-            g,
-            self.zero_cost,
-            crate::rewrite::RewriteParams::default(),
-            ctx,
-        );
-    }
-}
-
-/// `refactor` / `refactor -z` through the context.
-pub struct RefactorPass {
-    /// Accept zero-gain replacements (the `-z` flavour).
-    pub zero_cost: bool,
-}
-
-impl Pass for RefactorPass {
-    fn name(&self) -> &'static str {
-        if self.zero_cost {
-            "refactor -z"
-        } else {
-            "refactor"
-        }
-    }
-
-    fn run(&self, g: &mut Aig, ctx: &mut PassContext) {
-        crate::refactor::refactor_ctx(
-            g,
-            self.zero_cost,
-            crate::refactor::RefactorParams::default(),
-            ctx,
-        );
-    }
-}
-
-impl Transform {
-    /// The context-path [`Pass`] implementing this transformation.
-    pub fn as_pass(self) -> &'static dyn Pass {
-        match self {
-            Transform::Balance => &BalancePass,
-            Transform::Restructure => &RestructurePass,
-            Transform::Rewrite => &RewritePass { zero_cost: false },
-            Transform::Refactor => &RefactorPass { zero_cost: false },
-            Transform::RewriteZ => &RewritePass { zero_cost: true },
-            Transform::RefactorZ => &RefactorPass { zero_cost: true },
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use circuits::{Design, DesignScale};
-
-    #[test]
-    fn pass_names_match_transform_commands() {
-        for t in Transform::ALL {
-            assert_eq!(t.as_pass().name(), t.command());
-        }
-    }
 
     #[test]
     fn every_pass_leaves_a_clean_graph_with_fresh_epochs() {
@@ -571,6 +463,45 @@ mod tests {
         assert_eq!(entries.len(), Transform::COUNT + 1);
         assert_eq!(entries.last().unwrap().0, "map");
         assert_eq!(ctx.timings().passes[0].calls, 0, "take_timings resets");
+    }
+
+    #[test]
+    fn cancelled_parallel_sweep_gives_its_propose_scratch_back() {
+        // aes128@Full is above the parallel size gate, so at two threads the
+        // refactor sweep proposes on the caller and a pool helper at once; a
+        // deadline of half a warm run lands inside that propose phase.
+        let design = Design::Aes128.generate(DesignScale::Full);
+        let flow = [Transform::Refactor];
+        let bits = |g: &Aig| aig::io::render_design(g, aig::io::Format::AigerAscii);
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(2)
+            .build()
+            .expect("pool");
+        pool.install(|| {
+            let mut ctx = PassContext::default();
+            let mut whole = std::time::Duration::MAX;
+            for _ in 0..2 {
+                let start = Instant::now();
+                let warm = ctx.run_flow(&design, &flow);
+                whole = whole.min(start.elapsed());
+                ctx.recycle(warm);
+            }
+            let idle = ctx.propose.len();
+            let token = CancelToken::with_deadline(whole / 2);
+            let err = ctx
+                .run_flow_cancellable(&design, &flow, &token)
+                .expect_err("half the time of a run must cancel it");
+            assert_eq!(err.reason, flow_core::CancelReason::DeadlineExceeded);
+            assert!(
+                ctx.propose.len() >= idle,
+                "cancelled chunks must return their scratch ({} idle, was {idle})",
+                ctx.propose.len()
+            );
+
+            let reused = ctx.run_flow(&design, &flow);
+            let fresh = PassContext::default().run_flow(&design, &flow);
+            assert_eq!(bits(&reused), bits(&fresh));
+        });
     }
 
     #[test]

@@ -8,6 +8,8 @@
 
 use aig::{cut_truth_with, Aig, Cut, Lit, Mffc, NodeId};
 
+use flow_core::{CancelToken, Cancelled};
+
 use crate::pass::{PassContext, ProposeScratch};
 use crate::passes::Transform;
 use crate::reconv::{reconv_cut_sweep, ReconvParams};
@@ -48,16 +50,17 @@ pub(crate) fn refactor_ctx(
     zero_cost: bool,
     params: RefactorParams,
     ctx: &mut PassContext,
-) {
+    cancel: Option<&CancelToken>,
+) -> Result<(), Cancelled> {
     let acceptance = if zero_cost {
         Acceptance::zero_cost()
     } else {
         Acceptance::strict()
     };
     let min_gain = acceptance.min_gain;
-    resynthesis_sweep_ctx(g, acceptance, ctx, |graph, id, ps, _, out| {
+    resynthesis_sweep_ctx(g, acceptance, ctx, cancel, |graph, id, ps, _, out| {
         propose_sweep(graph, id, params, min_gain, ps, out)
-    });
+    })
 }
 
 /// The proposal generator: the ISOP re-expression of `id`'s

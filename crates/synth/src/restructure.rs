@@ -10,6 +10,7 @@
 //! why the ordering of transformations matters (Section 1 of the paper).
 
 use aig::{Aig, Cut, Lit, Mffc, NodeId};
+use flow_core::{CancelToken, Cancelled};
 
 use crate::decomp::count_shannon_nodes_sweep;
 use crate::pass::{PassContext, ProposeScratch};
@@ -37,11 +38,16 @@ pub fn restructure(aig: &Aig) -> Aig {
 
 /// `restructure` on a [`PassContext`]: transforms `g` in place, reusing the
 /// context's cut-truth scratch and sweep buffers.
-pub(crate) fn restructure_ctx(g: &mut Aig, params: RestructureParams, ctx: &mut PassContext) {
+pub(crate) fn restructure_ctx(
+    g: &mut Aig,
+    params: RestructureParams,
+    ctx: &mut PassContext,
+    cancel: Option<&CancelToken>,
+) -> Result<(), Cancelled> {
     let acceptance = Acceptance::strict();
-    resynthesis_sweep_ctx(g, acceptance, ctx, |graph, id, ps, _, out| {
+    resynthesis_sweep_ctx(g, acceptance, ctx, cancel, |graph, id, ps, _, out| {
         propose_sweep(graph, id, params, acceptance.min_gain, ps, out)
-    });
+    })
 }
 
 /// The proposal generator: the Shannon re-decomposition of `id`'s

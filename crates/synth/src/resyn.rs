@@ -17,15 +17,17 @@
 //! the graph as the sweep found it and on nothing else: the sweep proposes
 //! over chunks of nodes on the `rayon` pool, and step 4 is the one write.
 //! That split is also why a cancellation — which can only fire inside steps
-//! 1–3 — leaves the graph untouched, as `CancelCell` promises.
+//! 1–3, and returns `Err` before step 4 starts — leaves the graph untouched,
+//! as `CancelCell` promises.
 
 use std::sync::{Mutex, PoisonError};
 
 use aig::{Aig, CutSet4, EditScratch, InPlaceEditor, Lit, NodeId, TruthTable};
+use flow_core::{CancelToken, Cancelled};
 use rayon::prelude::*;
 
 use crate::decomp::{build_shannon, build_shannon_edit};
-use crate::pass::{pool_give, pool_take, PassContext, ProposeScratch, SweepScratch};
+use crate::pass::{pool_give, pool_take, CancelCell, PassContext, ProposeScratch, SweepScratch};
 use crate::sop::{build_sop, build_sop_edit, Sop};
 
 /// How the new implementation of a node's cut function is expressed.
@@ -138,15 +140,19 @@ impl Acceptance {
 /// [`PARALLEL_MIN_NODES`] nodes is one chunk, which the pool runs on the
 /// caller without waking a helper.
 ///
-/// Each chunk polls `cancel` on a countdown of its own and may unwind; `g` is
-/// only mutated by the apply step, *after* every chunk has returned, so a
-/// cancelled sweep leaves it exactly as it was on entry.
+/// Each chunk polls `cancel` on a countdown of its own and returns `Err`
+/// once it fires, after putting its scratch back; the sweep then returns the
+/// first `Err` in chunk order.  `g` is only mutated by the apply step,
+/// *after* every chunk has returned `Ok`, so a cancelled sweep leaves it
+/// exactly as it was on entry.
 pub(crate) fn resynthesis_sweep_ctx<F>(
     g: &mut Aig,
     acceptance: Acceptance,
     ctx: &mut PassContext,
+    cancel: Option<&CancelToken>,
     propose: F,
-) where
+) -> Result<(), Cancelled>
+where
     F: Fn(&Aig, NodeId, &mut ProposeScratch, &[CutSet4], &mut Vec<Proposal>) + Sync,
 {
     ctx.ensure_clean(g);
@@ -162,7 +168,6 @@ pub(crate) fn resynthesis_sweep_ctx<F>(
         sweep,
         edit,
         apply_stats,
-        cancel,
         ..
     } = ctx;
     let SweepScratch {
@@ -180,10 +185,10 @@ pub(crate) fn resynthesis_sweep_ctx<F>(
         CHUNK_NODES
     };
     tallies.clear();
-    tallies.resize(n.div_ceil(chunk), (0, 0));
+    tallies.resize(n.div_ceil(chunk), Ok((0, 0)));
 
     let graph: &Aig = g;
-    let (cut_sets, cancel, shared_isop) = (&cut4_sets[..], &*cancel, &*shared_isop);
+    let (cut_sets, shared_isop) = (&cut4_sets[..], &*shared_isop);
     let idle = Mutex::new(idle);
     decisions
         .slots
@@ -195,28 +200,33 @@ pub(crate) fn resynthesis_sweep_ctx<F>(
             let mut ps = checked_out
                 .unwrap_or_else(|| ProposeScratch::with_shared_isop(shared_isop.clone()));
             let mut proposals = std::mem::take(&mut ps.proposals);
-            let mut cancel = cancel.for_chunk();
-            for (id, slot) in (index * chunk..).zip(slots.iter_mut()) {
-                if !graph.node(id).is_and() || graph.fanout_count(id) == 0 {
-                    continue;
-                }
-                cancel.checkpoint();
-                propose(graph, id, &mut ps, cut_sets, &mut proposals);
-                if let Some((decision, touched)) = best_decision(&mut proposals, acceptance) {
-                    tally[0].0 += 1;
-                    tally[0].1 += touched;
-                    *slot = Some(decision);
-                }
-            }
+            let mut cancel = CancelCell::new(cancel);
+            let mut counts = (0, 0);
+            let swept = (index * chunk..)
+                .zip(slots.iter_mut())
+                .try_for_each(|(id, slot)| {
+                    if !graph.node(id).is_and() || graph.fanout_count(id) == 0 {
+                        return Ok(());
+                    }
+                    cancel.checkpoint()?;
+                    propose(graph, id, &mut ps, cut_sets, &mut proposals);
+                    if let Some((decision, touched)) = best_decision(&mut proposals, acceptance) {
+                        counts.0 += 1;
+                        counts.1 += touched;
+                        *slot = Some(decision);
+                    }
+                    Ok(())
+                });
+            tally[0] = swept.map(|()| counts);
             ps.proposals = proposals;
             idle.lock().unwrap_or_else(PoisonError::into_inner).push(ps);
         });
     // Decisions taken, and the estimated number of nodes they structurally
     // change (freed MFFC + emitted replacement), driving the in-place /
-    // rebuild crossover below.
-    let (decided, estimated_touched) = tallies
-        .iter()
-        .fold((0, 0), |(d, t), &(cd, ct)| (d + cd, t + ct));
+    // rebuild crossover below.  A cancelled chunk ends the sweep here.
+    let (decided, estimated_touched) = tallies.iter().try_fold((0, 0), |(d, t), tally| {
+        tally.map(|(cd, ct)| (d + cd, t + ct))
+    })?;
 
     // Apply the decisions.  The routes are bit-identical (pinned by the
     // differential tests); the observed dirty fraction picks the cheapest.
@@ -224,20 +234,21 @@ pub(crate) fn resynthesis_sweep_ctx<F>(
         // Identity sweep: a clean graph rebuilt with no decisions is the
         // graph itself, so skip the apply entirely.
         apply_stats.identity += 1;
-        return;
+        return Ok(());
     }
     // The editor's per-node bookkeeping only wins while the dirty region
     // is a minority of the graph; past that the plain rebuild is cheaper.
     if estimated_touched * 2 < g.num_ands() {
         apply_decisions_in_place(g, decisions, edit, rebuild_map, leaf_lits, out_lits);
         apply_stats.in_place += 1;
-        return;
+        return Ok(());
     }
     let mut rebuilt = pool_take(pool);
     rebuild_with_decisions_into(g, |id| decisions.lookup(id), &mut rebuilt, rebuild_map);
     rebuilt.cleanup_into_with(g, scratch);
     pool_give(pool, rebuilt);
     apply_stats.rebuilt += 1;
+    Ok(())
 }
 
 /// Drains `proposals` and returns the one to apply — the first with the
@@ -368,9 +379,14 @@ mod tests {
     ) -> Aig {
         let mut ctx = PassContext::default();
         let mut work = ctx.run_flow(g, &[]);
-        resynthesis_sweep_ctx(&mut work, acceptance, &mut ctx, |graph, id, _, _, out| {
-            propose(graph, id, out)
-        });
+        resynthesis_sweep_ctx(
+            &mut work,
+            acceptance,
+            &mut ctx,
+            None,
+            |graph, id, _, _, out| propose(graph, id, out),
+        )
+        .expect(crate::pass::UNARMED);
         work
     }
 

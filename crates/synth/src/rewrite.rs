@@ -9,6 +9,8 @@
 
 use aig::{Aig, Cut4Enumerator, CutParams, Lit, Mffc, NodeId};
 
+use flow_core::{CancelToken, Cancelled};
+
 use crate::pass::{PassContext, ProposeScratch};
 use crate::passes::Transform;
 use crate::resyn::{resynthesis_sweep_ctx, Acceptance, Proposal, Structure};
@@ -50,7 +52,8 @@ pub(crate) fn rewrite_ctx(
     zero_cost: bool,
     params: RewriteParams,
     ctx: &mut PassContext,
-) {
+    cancel: Option<&CancelToken>,
+) -> Result<(), Cancelled> {
     let acceptance = if zero_cost {
         Acceptance::zero_cost()
     } else {
@@ -66,9 +69,13 @@ pub(crate) fn rewrite_ctx(
     // last propose call, so they stay valid for the whole pass.
     Cut4Enumerator::new(cut_params).enumerate_into(g, &mut ctx.cut4_sets);
     let min_gain = acceptance.min_gain;
-    resynthesis_sweep_ctx(g, acceptance, ctx, |graph, id, ps, cut_sets, out| {
-        propose_sweep(graph, id, cut_sets, min_gain, ps, out)
-    });
+    resynthesis_sweep_ctx(
+        g,
+        acceptance,
+        ctx,
+        cancel,
+        |graph, id, ps, cut_sets, out| propose_sweep(graph, id, cut_sets, min_gain, ps, out),
+    )
 }
 
 /// The proposal generator: costs the ISOP re-expression of every 4-cut of
