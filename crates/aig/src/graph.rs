@@ -33,10 +33,10 @@ pub type NodeId = usize;
 #[derive(Debug, Clone, Serialize)]
 pub struct Aig {
     name: String,
-    pub(crate) nodes: Vec<Node>,
-    pub(crate) inputs: Vec<NodeId>,
+    nodes: Vec<Node>,
+    inputs: Vec<NodeId>,
     input_names: Vec<String>,
-    pub(crate) outputs: Vec<Lit>,
+    outputs: Vec<Lit>,
     output_names: Vec<String>,
     #[serde(skip)]
     pub(crate) strash: Strash,
@@ -44,14 +44,14 @@ pub struct Aig {
     /// (node added, input added, output registered, buffer recycled).  The
     /// epoch-stamped analysis flags below compare against it.
     #[serde(skip)]
-    pub(crate) generation: u64,
+    generation: u64,
     /// Generation at which [`Aig::compute_fanouts`] last ran (0 = never).
     #[serde(skip)]
-    pub(crate) fanouts_at: u64,
+    fanouts_at: u64,
     /// Generation at which the graph was last known dangling-free, i.e. a
     /// [`Aig::cleanup`] would be the identity (0 = unknown).
     #[serde(skip)]
-    pub(crate) clean_at: u64,
+    clean_at: u64,
 }
 
 /// The trivial ANDs (`x & 0 = 0`, `x & 1 = x`, `x & x = x`, `x & !x = 0`),

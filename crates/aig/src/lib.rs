@@ -34,7 +34,6 @@
 
 mod cut;
 mod cut4;
-mod edit;
 mod graph;
 pub mod io;
 mod lit;
@@ -53,7 +52,6 @@ pub use cut4::{
     truth4_pad, truth4_reduce, truth4_support, Cut4, Cut4Enumerator, CutSet4, CUT4_MAX_LEAVES,
     CUT4_SET_CAPACITY,
 };
-pub use edit::{EditScratch, InPlaceEditor};
 pub use graph::{Aig, AigScratch, NodeId};
 pub use lit::Lit;
 pub use mffc::{Mffc, MffcScratch};

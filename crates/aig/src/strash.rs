@@ -59,6 +59,7 @@ fn key_of(node: &Node) -> (u32, u32) {
 }
 
 impl Strash {
+    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.len
     }

@@ -60,11 +60,21 @@ impl Flow {
             .join("; ")
     }
 
-    /// The named flow presets: the classic ABC optimization scripts expressed
-    /// over this reproduction's transformation set, in a stable order.
+    /// The named flow presets, in a stable order.  They borrow the names of
+    /// ABC's `abc.rc` aliases, but only `compress2` is the same script:
+    ///
+    /// * `compress2` = `b; rw; rf; b; rw; rwz; b; rfz; rwz; b`, which is
+    ///   ABC's `resyn2` (and its `compress2` without `-l`).
+    /// * `resyn` = `b; rw; rw; b; rw`; ABC's is `b; rw; rwz; b; rwz; b`.
+    /// * `resyn2` = `b; rw; rf; b; rwz; rfz`; ABC's is the script above.
+    /// * `compress` = `b; rw; rwz; b; rw`; ABC's is
+    ///   `b -l; rw -l; rwz -l; b -l; rwz -l; b -l`.
+    /// * `resyn3` = `b; restructure; rwz; b; rfz; restructure`; ABC's runs
+    ///   resubstitution (`rs`), which this transformation set lacks.
     ///
     /// These are the flows users reach for by name (`flowc run --flow resyn2`)
-    /// and the fixed workloads of the perf harness.
+    /// and the fixed workloads of the benchmark's `qor_area_ratio`, so they
+    /// stay as they are.
     pub fn presets() -> &'static [(&'static str, &'static [Transform])] {
         use Transform::*;
         &[

@@ -5,28 +5,12 @@
 //! structurally different network than the sum-of-products form used by
 //! `rewrite`/`refactor`.
 
-use aig::{Aig, InPlaceEditor, Lit, NodeId, SmallTruth, TruthOps, TruthTable};
+use aig::{Aig, Lit, NodeId, TruthOps, TruthTable};
 
-/// Abstraction over "building a mux" so the fresh-graph construction and the
-/// in-place editing session share the identical recursion (and therefore emit
-/// gates in the identical order — required for bit-identity).
-trait MuxSink {
-    fn mux(&mut self, sel: Lit, t: Lit, e: Lit) -> Lit;
-}
-
-impl MuxSink for Aig {
-    fn mux(&mut self, sel: Lit, t: Lit, e: Lit) -> Lit {
-        Aig::mux(self, sel, t, e)
-    }
-}
-
-impl MuxSink for InPlaceEditor<'_> {
-    fn mux(&mut self, sel: Lit, t: Lit, e: Lit) -> Lit {
-        InPlaceEditor::mux(self, sel, t, e)
-    }
-}
-
-fn build_shannon_rec<S: MuxSink>(sink: &mut S, f: &TruthTable, leaves: &[Lit]) -> Lit {
+/// Builds the Shannon decomposition of `f` into `aig` over the leaf literals.
+///
+/// Leaf `i` of the function corresponds to `leaves[i]`.  Returns the root literal.
+pub fn build_shannon(aig: &mut Aig, f: &TruthTable, leaves: &[Lit]) -> Lit {
     if f.is_zero() {
         return Lit::FALSE;
     }
@@ -44,28 +28,9 @@ fn build_shannon_rec<S: MuxSink>(sink: &mut S, f: &TruthTable, leaves: &[Lit]) -
         };
     }
     let v = pick_split_var(f, &support);
-    let f0 = f.cofactor0(v);
-    let f1 = f.cofactor1(v);
-    let s0 = build_shannon_rec(sink, &f0, leaves);
-    let s1 = build_shannon_rec(sink, &f1, leaves);
-    sink.mux(leaves[v], s1, s0)
-}
-
-/// Builds the Shannon decomposition of `f` into `aig` over the leaf literals.
-///
-/// Leaf `i` of the function corresponds to `leaves[i]`.  Returns the root literal.
-pub fn build_shannon(aig: &mut Aig, f: &TruthTable, leaves: &[Lit]) -> Lit {
-    build_shannon_rec(aig, f, leaves)
-}
-
-/// [`build_shannon`] into a live [`InPlaceEditor`] session over the (already
-/// remapped) leaf literals — the in-place counterpart used by `restructure`.
-pub(crate) fn build_shannon_edit(
-    ed: &mut InPlaceEditor<'_>,
-    f: &TruthTable,
-    leaves: &[Lit],
-) -> Lit {
-    build_shannon_rec(ed, f, leaves)
+    let s0 = build_shannon(aig, &f.cofactor0(v), leaves);
+    let s1 = build_shannon(aig, &f.cofactor1(v), leaves);
+    aig.mux(leaves[v], s1, s0)
 }
 
 /// Estimates how many new AND nodes [`build_shannon`] would add to `aig`,
@@ -85,8 +50,7 @@ pub fn count_shannon_nodes(
     count_rec(aig, f, leaves, excluded).1
 }
 
-/// [`count_shannon_nodes`] on inline tables, capped at `budget` — the
-/// passes' estimator.
+/// [`count_shannon_nodes`] capped at `budget` — the passes' estimator.
 ///
 /// Returns `None` as soon as the count provably exceeds `budget`, `Some(n)`
 /// with the exact count otherwise.  The cap is lossless for the sweep's
@@ -94,7 +58,10 @@ pub fn count_shannon_nodes(
 /// min_gain`, so callers pass that bound as the budget — capped cones are
 /// exactly the ones the accept loop would reject, and surviving counts are
 /// bit-identical to the uncapped recursion (same split variables, same
-/// reuse probes).
+/// reuse probes).  Functions of up to six variables — every production cut —
+/// run the single-word recursion, which bails as soon as the budget is spent;
+/// wider ones run the oracle's recursion and are checked against the budget
+/// once.
 pub(crate) fn count_shannon_nodes_sweep(
     aig: &Aig,
     f: &TruthTable,
@@ -102,21 +69,15 @@ pub(crate) fn count_shannon_nodes_sweep(
     excluded: impl Fn(NodeId) -> bool + Copy,
     budget: usize,
 ) -> Option<usize> {
-    if f.num_vars() > SmallTruth::MAX_VARS {
-        return count_rec_budget(aig, f, leaves, excluded, budget).map(|(_, n)| n);
+    if f.num_vars() > 6 {
+        return Some(count_rec(aig, f, leaves, excluded).1).filter(|&n| n <= budget);
     }
-    if f.num_vars() <= 6 {
-        // Single-word functions: the whole table is one u64.
-        let word = f.words()[0];
-        return count_rec_budget_u64(aig, word, f.num_vars(), leaves, excluded, budget)
-            .map(|(_, n)| n);
-    }
-    count_rec_budget_small(aig, &SmallTruth::from_table(f), leaves, excluded, budget)
-        .map(|(_, n)| n)
+    let word = f.words()[0];
+    count_rec_budget_u64(aig, word, f.num_vars(), leaves, excluded, budget).map(|(_, n)| n)
 }
 
 /// Truth-table bit masks of the first six variables over a 6-variable domain
-/// (identical to the word-0 masks `SmallTruth` uses internally).
+/// (identical to the word-0 masks of [`TruthTable`]).
 const VAR_MASKS_U64: [u64; 6] = [
     0xAAAA_AAAA_AAAA_AAAA,
     0xCCCC_CCCC_CCCC_CCCC,
@@ -126,12 +87,13 @@ const VAR_MASKS_U64: [u64; 6] = [
     0xFFFF_FFFF_0000_0000,
 ];
 
-/// [`count_rec_budget_small`] specialised further to functions of at most six
-/// variables, whose whole table is one `u64` word: cofactors, constancy and
-/// ones-counts are single bitwise operations on the word, replacing the
-/// 40-byte `SmallTruth` copies of the general small path.  The operations are
-/// exactly `SmallTruth`'s word-0 arithmetic, so split choices, probes and
-/// counts stay identical (pinned by `budgeted_sweep_count_matches_reference`).
+/// Budget-capped [`count_rec`] on functions of at most six variables, whose
+/// whole table is one `u64` word: cofactors, constancy and ones-counts are
+/// single bitwise operations on the word, and each support variable's
+/// cofactor pair is computed once and shared by the support test, the split
+/// scoring and the recursion.  Split choices, probes and counts are the
+/// oracle's (pinned by `budgeted_sweep_count_matches_reference`); the
+/// recursion returns `None` the moment its count exceeds `budget`.
 fn count_rec_budget_u64(
     aig: &Aig,
     f: u64,
@@ -197,71 +159,6 @@ fn count_rec_budget_u64(
     Some((lit, added))
 }
 
-/// [`count_rec_budget`] specialised to [`SmallTruth`]: every support
-/// variable's cofactor pair is computed once per recursion node and shared
-/// between the support test (`c0 != c1`, exactly `depends_on`), the split
-/// scoring and the recursion itself — the generic path recomputes them in
-/// each of those places.  Split choices, probes and counts are identical.
-fn count_rec_budget_small(
-    aig: &Aig,
-    f: &SmallTruth,
-    leaves: &[Lit],
-    excluded: impl Fn(NodeId) -> bool + Copy,
-    budget: usize,
-) -> Option<(Option<Lit>, usize)> {
-    if f.is_zero() {
-        return Some((Some(Lit::FALSE), 0));
-    }
-    if f.is_one() {
-        return Some((Some(Lit::TRUE), 0));
-    }
-    let nv = TruthOps::num_vars(f);
-    let mut cof = [(*f, *f); SmallTruth::MAX_VARS];
-    let mut support = [0usize; SmallTruth::MAX_VARS];
-    let mut num_support = 0usize;
-    for (v, slot) in cof.iter_mut().enumerate().take(nv) {
-        let c0 = f.cofactor0(v);
-        let c1 = f.cofactor1(v);
-        if c0 != c1 {
-            *slot = (c0, c1);
-            support[num_support] = v;
-            num_support += 1;
-        }
-    }
-    let support = &support[..num_support];
-    if support.len() == 1 {
-        let v = support[0];
-        let leaf = leaves[v];
-        let lit = if f == &SmallTruth::var_like(v, nv) {
-            leaf
-        } else {
-            !leaf
-        };
-        return Some((Some(lit), 0));
-    }
-    // `pick_split_var` over the cached pairs: same scores, same tie-breaks.
-    let half = (1i64 << nv) / 2;
-    let mut v = support[0];
-    let mut best_score = -1i64;
-    for &cand in support {
-        let (c0, c1) = &cof[cand];
-        let score = (c0.count_ones() as i64 - half).abs() + (c1.count_ones() as i64 - half).abs();
-        if score > best_score {
-            best_score = score;
-            v = cand;
-        }
-    }
-    let (f0, f1) = &cof[v];
-    let (l0, c0) = count_rec_budget_small(aig, f0, leaves, excluded, budget)?;
-    let (l1, c1) = count_rec_budget_small(aig, f1, leaves, excluded, budget - c0)?;
-    let (lit, mux) = mux_cost(aig, excluded, leaves[v], l1, l0);
-    let added = c0 + c1 + mux;
-    if added > budget {
-        return None;
-    }
-    Some((lit, added))
-}
-
 /// Returns `(existing_literal_if_free, added_nodes)`.
 fn count_rec<T: TruthOps>(
     aig: &Aig,
@@ -295,8 +192,8 @@ fn count_rec<T: TruthOps>(
         return (Some(lit), 0);
     }
     let v = pick_split_var(f, support);
-    let (l0, c0) = count_rec(aig, &f0_of(f, v), leaves, excluded);
-    let (l1, c1) = count_rec(aig, &f1_of(f, v), leaves, excluded);
+    let (l0, c0) = count_rec(aig, &f.cofactor0(v), leaves, excluded);
+    let (l1, c1) = count_rec(aig, &f.cofactor1(v), leaves, excluded);
     let (lit, mux) = mux_cost(aig, excluded, leaves[v], l1, l0);
     (lit, c0 + c1 + mux)
 }
@@ -327,60 +224,6 @@ fn mux_cost(
         },
         (a, b) => (None, 1 + a.is_none() as usize + b.is_none() as usize),
     }
-}
-
-/// Budget-capped twin of [`count_rec`]: identical recursion (same split
-/// variables, same probes) but bails with `None` the moment the accumulated
-/// count exceeds `budget`.  A `Some` result is the exact uncapped count.
-fn count_rec_budget<T: TruthOps>(
-    aig: &Aig,
-    f: &T,
-    leaves: &[Lit],
-    excluded: impl Fn(NodeId) -> bool + Copy,
-    budget: usize,
-) -> Option<(Option<Lit>, usize)> {
-    if f.is_zero() {
-        return Some((Some(Lit::FALSE), 0));
-    }
-    if f.is_one() {
-        return Some((Some(Lit::TRUE), 0));
-    }
-    let mut support = [0usize; aig::MAX_TRUTH_VARS];
-    let mut num_support = 0usize;
-    for v in 0..TruthOps::num_vars(f) {
-        if f.depends_on(v) {
-            support[num_support] = v;
-            num_support += 1;
-        }
-    }
-    let support = &support[..num_support];
-    if support.len() == 1 {
-        let v = support[0];
-        let leaf = leaves[v];
-        let lit = if f == &T::var_like(v, TruthOps::num_vars(f)) {
-            leaf
-        } else {
-            !leaf
-        };
-        return Some((Some(lit), 0));
-    }
-    let v = pick_split_var(f, support);
-    let (l0, c0) = count_rec_budget(aig, &f0_of(f, v), leaves, excluded, budget)?;
-    let (l1, c1) = count_rec_budget(aig, &f1_of(f, v), leaves, excluded, budget - c0)?;
-    let (lit, mux) = mux_cost(aig, excluded, leaves[v], l1, l0);
-    let added = c0 + c1 + mux;
-    if added > budget {
-        return None;
-    }
-    Some((lit, added))
-}
-
-fn f0_of<T: TruthOps>(f: &T, v: usize) -> T {
-    f.cofactor0(v)
-}
-
-fn f1_of<T: TruthOps>(f: &T, v: usize) -> T {
-    f.cofactor1(v)
 }
 
 /// Picks the splitting variable: the support variable whose cofactors are most
@@ -480,9 +323,8 @@ mod tests {
 
     #[test]
     fn fast_count_is_identical_to_reference() {
-        // Unlimited budget, every table width the estimator specialises on:
-        // one `u64` word (≤ 6 variables), `SmallTruth` (7–8) and the generic
-        // heap-table fallback (9).
+        // Unlimited budget, both of the estimator's paths: one `u64` word
+        // (≤ 6 variables) and the oracle recursion on wider tables (7–9).
         let mut g = Aig::new();
         let inputs = g.add_inputs("x", 9);
         let pre0 = g.and(inputs[0], inputs[1]);
@@ -512,7 +354,7 @@ mod tests {
             state.wrapping_mul(0x2545_F491_4F6C_DD1D)
         };
         let mut g = Aig::new();
-        let mut lits: Vec<Lit> = g.add_inputs("x", 6);
+        let mut lits: Vec<Lit> = g.add_inputs("x", 9);
         for _ in 0..80 {
             let a = lits[(rng() % lits.len() as u64) as usize];
             let b = lits[(rng() % lits.len() as u64) as usize];
@@ -528,7 +370,7 @@ mod tests {
             .iter()
             .map(|&n| Lit::from_node(n, false))
             .collect();
-        for nv in 3..=6usize {
+        for nv in 3..=9usize {
             for seed in 1..=12u64 {
                 let f = random_truth(nv, seed * 13 + nv as u64);
                 let leaves = &inputs[..nv];

@@ -43,7 +43,7 @@
 
 use std::time::Instant;
 
-use aig::{Aig, AigScratch, CutSet4, CutTruthScratch, EditScratch, Lit, MffcScratch, NodeId};
+use aig::{Aig, AigScratch, CutSet4, CutTruthScratch, Lit, MffcScratch, NodeId};
 use flow_core::{fail_point, CancelToken, Cancelled};
 
 use crate::balance::balance_ctx;
@@ -169,23 +169,23 @@ impl<'a> CancelCell<'a> {
 #[derive(Debug, Default)]
 pub(crate) struct SweepScratch {
     pub(crate) decisions: DecisionTable,
-    /// `(decisions, estimated touched nodes)` of each propose chunk, or the
-    /// cancellation that stopped it.
-    pub(crate) tallies: Vec<Result<(usize, usize), Cancelled>>,
+    /// Decisions taken by each propose chunk, or the cancellation that
+    /// stopped it.
+    pub(crate) tallies: Vec<Result<usize, Cancelled>>,
     pub(crate) rebuild_map: Vec<Lit>,
-    pub(crate) leaf_lits: Vec<Lit>,
-    pub(crate) out_lits: Vec<Lit>,
 }
 
-/// How the resynthesis sweeps applied their accepted decisions so far.  The
-/// route is picked per sweep from the observed dirty fraction; tests and
-/// benchmarks read this to see which one ran.
+/// How the resynthesis sweeps applied their accepted decisions so far: a
+/// sweep that accepted a decision rebuilds the graph, one that accepted none
+/// leaves it as it is.  Tests and benchmarks read this to see which ran.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ApplyStats {
-    /// Sweeps applied by mutating the resident graph in place.
+    /// Always 0: the in-place apply route is gone and every accepted
+    /// decision is rebuilt.  Kept because flowbench reads it; drop it with
+    /// the next change to the benchmark.
     pub in_place: u64,
-    /// Sweeps applied through the ping-pong rebuild, because the estimated
-    /// dirty fraction crossed the in-place threshold.
+    /// Every sweep that accepted a decision: applied through the ping-pong
+    /// rebuild.
     pub rebuilt: u64,
     /// Sweeps that accepted no replacement and left the graph untouched.
     pub identity: u64,
@@ -246,7 +246,6 @@ pub struct PassContext {
     pub(crate) cut4_sets: Vec<CutSet4>,
     pub(crate) balance_map: Vec<Option<Lit>>,
     pub(crate) sweep: SweepScratch,
-    pub(crate) edit: EditScratch,
     pub(crate) apply_stats: ApplyStats,
     timings: PassTimings,
 }
@@ -267,8 +266,8 @@ impl PassContext {
         self
     }
 
-    /// How the sweeps have applied their decisions so far (in-place vs
-    /// rebuild vs free identity).
+    /// How the sweeps have applied their decisions so far (rebuild vs free
+    /// identity).
     pub fn apply_stats(&self) -> ApplyStats {
         self.apply_stats
     }

@@ -3,8 +3,8 @@
 //! `synth` has exactly two implementations per concern.  The **production
 //! path** is [`PassContext`](crate::PassContext): inline 4-cuts with fused
 //! truths, the NPN4 table, the memoizing ISOP cache, the budget-capped cost
-//! estimators probing the graph's own strash, and the sweep that applies
-//! decisions in place or by rebuild depending on the dirty fraction.  Every
+//! estimators probing the graph's own strash, and the sweep that proposes
+//! over node chunks in parallel.  Every
 //! public entry point ([`Transform::apply`], [`crate::apply_sequence`],
 //! [`crate::map`], [`crate::FlowRunner`]) runs it.
 //!
@@ -12,8 +12,9 @@
 //! structured code the crate started from — [`aig::CutEnumerator`] plus one
 //! [`aig::cut_truth`] cone walk per cut, [`isop`] on heap tables,
 //! [`reconv_cut`] with linear scans, the uncapped cost estimators, exhaustive
-//! NPN orbit search in [`CellLibrary::matches`], and a sweep that always
-//! rebuilds.  It exists so the differential suite
+//! NPN orbit search in [`CellLibrary::matches`], and a sequential sweep.  Both
+//! sweeps apply their decisions through the same rebuild
+//! ([`rebuild_with_decisions`]).  It exists so the differential suite
 //! (`tests/reference_differential/`) can hold production to it **bit for
 //! bit**; nothing that ships calls it.  An optimisation *replaces* production
 //! code and is checked against this module; it never adds a third

@@ -22,13 +22,13 @@
 
 use std::sync::{Mutex, PoisonError};
 
-use aig::{Aig, CutSet4, EditScratch, InPlaceEditor, Lit, NodeId, TruthTable};
+use aig::{Aig, CutSet4, Lit, NodeId, TruthTable};
 use flow_core::{CancelToken, Cancelled};
 use rayon::prelude::*;
 
-use crate::decomp::{build_shannon, build_shannon_edit};
+use crate::decomp::build_shannon;
 use crate::pass::{pool_give, pool_take, CancelCell, PassContext, ProposeScratch, SweepScratch};
-use crate::sop::{build_sop, build_sop_edit, Sop};
+use crate::sop::{build_sop, Sop};
 
 /// How the new implementation of a node's cut function is expressed.
 #[derive(Debug, Clone)]
@@ -119,10 +119,10 @@ impl Acceptance {
     }
 }
 
-/// Runs a resynthesis sweep over `g`, transforming it **in place** through
+/// Runs a resynthesis sweep over `g` and replaces it by the result, built in
 /// the context's recycled buffers.  Same decisions and same resulting network
 /// as the oracle, [`crate::reference::resynthesis_sweep`], at any thread
-/// count.
+/// count: the apply step is the oracle's own rebuild.
 ///
 /// `propose` is called for every live AND node (fanout counts are current)
 /// and pushes any number of candidate implementations; the best accepted one
@@ -166,7 +166,6 @@ where
         shared_isop,
         cut4_sets,
         sweep,
-        edit,
         apply_stats,
         ..
     } = ctx;
@@ -174,8 +173,6 @@ where
         decisions,
         tallies,
         rebuild_map,
-        leaf_lits,
-        out_lits,
     } = sweep;
     let n = g.len();
     decisions.reset(n);
@@ -185,7 +182,7 @@ where
         CHUNK_NODES
     };
     tallies.clear();
-    tallies.resize(n.div_ceil(chunk), Ok((0, 0)));
+    tallies.resize(n.div_ceil(chunk), Ok(0));
 
     let graph: &Aig = g;
     let (cut_sets, shared_isop) = (&cut4_sets[..], &*shared_isop);
@@ -201,7 +198,7 @@ where
                 .unwrap_or_else(|| ProposeScratch::with_shared_isop(shared_isop.clone()));
             let mut proposals = std::mem::take(&mut ps.proposals);
             let mut cancel = CancelCell::new(cancel);
-            let mut counts = (0, 0);
+            let mut decided = 0;
             let swept = (index * chunk..)
                 .zip(slots.iter_mut())
                 .try_for_each(|(id, slot)| {
@@ -210,39 +207,29 @@ where
                     }
                     cancel.checkpoint()?;
                     propose(graph, id, &mut ps, cut_sets, &mut proposals);
-                    if let Some((decision, touched)) = best_decision(&mut proposals, acceptance) {
-                        counts.0 += 1;
-                        counts.1 += touched;
+                    if let Some(decision) = best_decision(&mut proposals, acceptance) {
+                        decided += 1;
                         *slot = Some(decision);
                     }
                     Ok(())
                 });
-            tally[0] = swept.map(|()| counts);
+            tally[0] = swept.map(|()| decided);
             ps.proposals = proposals;
             idle.lock().unwrap_or_else(PoisonError::into_inner).push(ps);
         });
-    // Decisions taken, and the estimated number of nodes they structurally
-    // change (freed MFFC + emitted replacement), driving the in-place /
-    // rebuild crossover below.  A cancelled chunk ends the sweep here.
-    let (decided, estimated_touched) = tallies.iter().try_fold((0, 0), |(d, t), tally| {
-        tally.map(|(cd, ct)| (d + cd, t + ct))
-    })?;
+    // Decisions taken; a cancelled chunk ends the sweep here.
+    let decided = tallies
+        .iter()
+        .try_fold(0, |d, tally| tally.map(|cd| d + cd))?;
 
-    // Apply the decisions.  The routes are bit-identical (pinned by the
-    // differential tests); the observed dirty fraction picks the cheapest.
     if decided == 0 {
         // Identity sweep: a clean graph rebuilt with no decisions is the
         // graph itself, so skip the apply entirely.
         apply_stats.identity += 1;
         return Ok(());
     }
-    // The editor's per-node bookkeeping only wins while the dirty region
-    // is a minority of the graph; past that the plain rebuild is cheaper.
-    if estimated_touched * 2 < g.num_ands() {
-        apply_decisions_in_place(g, decisions, edit, rebuild_map, leaf_lits, out_lits);
-        apply_stats.in_place += 1;
-        return Ok(());
-    }
+    // Apply the decisions exactly as the oracle does: replay the sweep into
+    // a recycled buffer, then clean it back into `g`.
     let mut rebuilt = pool_take(pool);
     rebuild_with_decisions_into(g, |id| decisions.lookup(id), &mut rebuilt, rebuild_map);
     rebuilt.cleanup_into_with(g, scratch);
@@ -251,75 +238,24 @@ where
     Ok(())
 }
 
-/// Drains `proposals` and returns the one to apply — the first with the
-/// strictly largest gain at or above the pass's threshold — with the number
-/// of nodes it is estimated to touch (freed MFFC + emitted replacement).
-fn best_decision(
-    proposals: &mut Vec<Proposal>,
-    acceptance: Acceptance,
-) -> Option<(Decision, usize)> {
-    let mut best: Option<(Decision, usize)> = None;
+/// Drains `proposals` and returns the one to apply: the first with the
+/// strictly largest gain at or above the pass's threshold.
+fn best_decision(proposals: &mut Vec<Proposal>, acceptance: Acceptance) -> Option<Decision> {
+    let mut best: Option<Decision> = None;
     for p in proposals.drain(..) {
         let gain = p.mffc_size as i64 - p.added as i64;
         if gain < acceptance.min_gain {
             continue;
         }
-        if best.as_ref().is_none_or(|(b, _)| gain > b.gain) {
-            let touched = p.mffc_size + p.added;
-            let decision = Decision {
+        if best.as_ref().is_none_or(|b| gain > b.gain) {
+            best = Some(Decision {
                 leaves: p.leaves,
                 structure: p.structure,
                 gain,
-            };
-            best = Some((decision, touched));
+            });
         }
     }
     best
-}
-
-/// Applies the decisions by mutating `g` through an [`InPlaceEditor`]:
-/// the same sweep order as [`rebuild_with_decisions_into`] followed by the
-/// compacting `finish`, producing node-for-node identical bits (see the
-/// `aig::edit` module docs for the argument).
-fn apply_decisions_in_place(
-    g: &mut Aig,
-    decisions: &DecisionTable,
-    edit: &mut EditScratch,
-    map: &mut Vec<Lit>,
-    leaf_lits: &mut Vec<Lit>,
-    out_lits: &mut Vec<Lit>,
-) {
-    let n = g.len();
-    map.clear();
-    map.resize(n, Lit::FALSE);
-    for &id in g.input_ids() {
-        map[id] = Lit::from_node(id, false);
-    }
-    out_lits.clear();
-    out_lits.extend_from_slice(g.outputs());
-
-    let mut ed = InPlaceEditor::begin(g, edit);
-    for id in 0..n {
-        let Some((a, b)) = ed.graph().node(id).fanins() else {
-            continue;
-        };
-        if let Some(d) = decisions.lookup(id) {
-            leaf_lits.clear();
-            leaf_lits.extend(d.leaves.iter().map(|&l| map[l]));
-            map[id] = match &d.structure {
-                Structure::SumOfProducts(sop) => build_sop_edit(&mut ed, sop, leaf_lits),
-                Structure::Shannon(truth) => build_shannon_edit(&mut ed, truth, leaf_lits),
-            };
-        } else {
-            let na = map[a.node()] ^ a.is_complemented();
-            let nb = map[b.node()] ^ b.is_complemented();
-            map[id] = ed.copy(id, na, nb);
-        }
-    }
-    for l in out_lits.iter_mut() {
-        *l = map[l.node()] ^ l.is_complemented();
-    }
-    ed.finish(out_lits);
 }
 
 /// Rebuilds `src` into `out`, replacing each node `decision_for` answers by

@@ -158,31 +158,7 @@ impl IsopCache {
 
     /// [`isop_fast_with`] with memoization; the cover is bit-identical.
     pub fn isop(&mut self, f: &TruthTable) -> Sop {
-        let n = f.num_vars();
-        if n > SmallTruth::MAX_VARS {
-            return isop(f);
-        }
-        let mut key = [0u64; 4];
-        for (slot, &word) in key.iter_mut().zip(f.words()) {
-            *slot = word;
-        }
-        if let Some(sop) = self.map.get(&(n, key)) {
-            return sop.clone();
-        }
-        let sop = match self.shared.as_ref().and_then(|s| s.probe(n, key)) {
-            Some(sop) => sop,
-            None => {
-                let sop = isop_fast_with(f, &mut self.arena);
-                if let Some(s) = &self.shared {
-                    s.publish(n, key, &sop);
-                }
-                sop
-            }
-        };
-        if self.map.len() < ISOP_CACHE_CAP {
-            self.map.insert((n, key), sop.clone());
-        }
-        sop
+        self.isop_ref(f).clone()
     }
 
     /// [`isop`](Self::isop) returning a borrowed cover: the winner-only
@@ -542,40 +518,6 @@ fn reduce_balanced<S: GateSink>(
 /// Leaf `i` of the SOP corresponds to `leaves[i]`.
 pub fn build_sop(aig: &mut Aig, sop: &Sop, leaves: &[Lit]) -> Lit {
     let mut builder = RealBuilder { aig };
-    emit_sop(&mut builder, sop, leaves)
-}
-
-/// [`build_sop`] through an in-place editing session: same gate emission
-/// order, so the same structural merges, producing identical bits.
-struct EditBuilder<'a, 'b> {
-    ed: &'a mut aig::InPlaceEditor<'b>,
-}
-
-impl GateSink for EditBuilder<'_, '_> {
-    type Signal = Lit;
-
-    fn leaf(&mut self, lit: Lit) -> Lit {
-        lit
-    }
-    fn constant(&mut self, value: bool) -> Lit {
-        if value {
-            Lit::TRUE
-        } else {
-            Lit::FALSE
-        }
-    }
-    fn and(&mut self, a: Lit, b: Lit) -> Lit {
-        self.ed.and(a, b)
-    }
-    fn not(&mut self, a: Lit) -> Lit {
-        !a
-    }
-}
-
-/// Builds the SOP into a live [`aig::InPlaceEditor`] session over the (already
-/// remapped) leaf literals — the in-place counterpart of [`build_sop`].
-pub(crate) fn build_sop_edit(ed: &mut aig::InPlaceEditor<'_>, sop: &Sop, leaves: &[Lit]) -> Lit {
-    let mut builder = EditBuilder { ed };
     emit_sop(&mut builder, sop, leaves)
 }
 

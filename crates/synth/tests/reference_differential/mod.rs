@@ -191,12 +191,10 @@ pub fn check_jobs(jobs: &[(&Aig, &NamedFlow)]) -> ApplyStats {
     })
 }
 
-/// Each side of the dirty-fraction branch must have been held to the oracle.
+/// Both apply routes — the rebuild and the free identity — must have been
+/// held to the oracle, and nothing may report the retired in-place route.
 pub fn assert_every_route_taken(routes: ApplyStats) {
-    assert!(routes.in_place > 0, "no sweep applied in place: {routes:?}");
-    assert!(
-        routes.rebuilt > 0,
-        "no sweep crossed into rebuild: {routes:?}"
-    );
+    assert!(routes.rebuilt > 0, "no sweep rebuilt: {routes:?}");
     assert!(routes.identity > 0, "no sweep was an identity: {routes:?}");
+    assert_eq!(routes.in_place, 0, "a sweep applied in place: {routes:?}");
 }
