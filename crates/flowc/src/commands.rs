@@ -519,8 +519,9 @@ fn annotate_eval(
 
 /// `flowc store`: maintenance of a persistent QoR store.
 ///
-/// A store is addressed by its base path: either a legacy plain-JSONL file
-/// or the base of a v2 segmented store (`<base>.manifest` + segments).
+/// A store is addressed by the base path of its segmented layout
+/// (`<base>.manifest` + segments); a legacy plain-JSONL file at the base path
+/// is upgraded to that layout when opened.
 pub fn store(mut args: Args) -> Result<(), String> {
     const USAGE: &str = "usage: flowc store <compact|stats|fsck> <path>";
     let action = args.take_positional().ok_or(USAGE)?;
@@ -549,7 +550,6 @@ pub fn store(mut args: Args) -> Result<(), String> {
                 torn_tail: usize,
                 corrupt_records: usize,
                 malformed_lines: usize,
-                segmented: bool,
                 segments: usize,
                 bytes: u64,
             }
@@ -559,17 +559,16 @@ pub fn store(mut args: Args) -> Result<(), String> {
                 torn_tail: store.torn_tail_records(),
                 corrupt_records: store.corrupt_records(),
                 malformed_lines: store.skipped_records(),
-                segmented: store.is_segmented(),
                 segments: store.segment_count(),
                 bytes: store.disk_bytes(),
             };
             emit_json(&stats, json_path.as_deref())
         }
         "fsck" => {
-            // Opening IS the scrub: checksums verified, torn tails and
-            // corrupt lines quarantined and healed.  `--repair` additionally
-            // compacts, which drops superseded duplicates and upgrades a
-            // legacy store to the checksummed segmented format.
+            // Opening IS the scrub (and the upgrade of a legacy store):
+            // checksums verified, torn tails and corrupt lines quarantined
+            // and healed.  `--repair` additionally
+            // compacts, which drops superseded duplicates.
             let repaired = if repair {
                 Some(store.compact().map_err(|e| format!("repair: {e}"))?)
             } else {
@@ -583,7 +582,6 @@ pub fn store(mut args: Args) -> Result<(), String> {
                 corrupt_records: usize,
                 quarantined: usize,
                 duplicate_records: usize,
-                segmented: bool,
                 segments: usize,
                 bytes: u64,
                 repaired: Option<floweval::CompactionReport>,
@@ -595,7 +593,6 @@ pub fn store(mut args: Args) -> Result<(), String> {
                 corrupt_records: store.corrupt_records(),
                 quarantined: store.quarantined_records(),
                 duplicate_records: store.duplicate_records(),
-                segmented: store.is_segmented(),
                 segments: store.segment_count(),
                 bytes: store.disk_bytes(),
                 repaired,
@@ -618,7 +615,7 @@ pub fn store(mut args: Args) -> Result<(), String> {
     }
 }
 
-/// A store exists when its base file or its segmented-layout manifest does.
+/// A store exists when its manifest does, or a legacy base file to upgrade.
 fn store_exists(path: &str) -> bool {
     Path::new(path).exists() || Path::new(&format!("{path}.manifest")).exists()
 }

@@ -65,11 +65,9 @@ COMMANDS:
                      --json <path>                  also write the report here
                      --verify                       verify by random simulation
     store          Maintain a persistent QoR store (checksummed segmented log;
-                   legacy plain-JSONL stores are read transparently)
+                   opening a legacy plain-JSONL store upgrades it)
                      flowc store compact <path>     drop duplicate/quarantined
-                                                    records atomically; upgrades
-                                                    a legacy store to the
-                                                    segmented format
+                                                    records atomically
                      flowc store stats <path>       print record counts as JSON
                                                     (torn_tail/corrupt split)
                      flowc store fsck <path>        verify checksums, quarantine

@@ -27,8 +27,7 @@ OPTIONS:
                                                             [default: 10000]
     --idle-ms <n>         keep-alive idle timeout           [default: 2000]
     --store <path>        persistent QoR store (checksummed segmented log;
-                          legacy plain JSONL stores are read and upgraded on
-                          their first compaction)
+                          a legacy plain JSONL store is upgraded on open)
     --segment-bytes <n>   rotate the live store segment at this size
                                                             [default: 8388608]
     --probe-ms <n>        degraded-store recovery probe period [default: 500]

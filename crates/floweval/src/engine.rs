@@ -1,9 +1,9 @@
 //! The cache-aware evaluation engine.
 //!
-//! [`EvalEngine::evaluate_batch`] replaces naive `FlowRunner::run_batch`
-//! calls on the framework's hot path; [`EvalEngine::evaluate_flow_with_ctx`]
-//! is the same thing for one flow on a caller-owned context (the `flowd`
-//! request path).  Both are served in two layers:
+//! [`EvalEngine::evaluate_batch`] is the one batch driver (the framework's
+//! hot path, dataset collection and search);
+//! [`EvalEngine::evaluate_flow_with_ctx`] is the same thing for one flow on a
+//! caller-owned context (the `flowd` request path).  Both are served in two layers:
 //!
 //! 1. **Persistent QoR store** — flows already evaluated for this design and
 //!    configuration (in this process or a previous one) are answered without
@@ -39,8 +39,8 @@ pub struct EngineConfig {
     /// **process-wide**: one least-recently-used budget over every design
     /// this engine evaluates.  What is evicted is recomputed on demand.
     pub cache_budget_aig_nodes: usize,
-    /// Optional base path backing the persistent QoR store (a legacy
-    /// JSON-lines file, or the base of a v2 segmented store).
+    /// Optional base path backing the persistent QoR store (the base of a v2
+    /// segmented store; a legacy JSON-lines file there is upgraded on open).
     pub store_path: Option<PathBuf>,
     /// Durability tunables for the persistent store (segment rotation size,
     /// degraded-mode threshold, parked-queue bound).

@@ -4,8 +4,8 @@
 //! flows and evaluating 100,000 sample flows takes 3–4 days on a 2 × 12-core
 //! machine (Yu, Xiao, De Micheli — DAC 2018), yet flows drawn from the §2.1
 //! search space keep reaching the same few intermediate AIGs — over half of
-//! all sweeps change nothing, and different orders converge — which a naive
-//! `run_batch` recomputes from scratch for every flow.
+//! all sweeps change nothing, and different orders converge — which running
+//! each flow on its own (`synth::FlowRunner::run`) recomputes from scratch.
 //!
 //! This crate is the evaluation layer the rest of the workspace goes through:
 //!
@@ -15,12 +15,14 @@
 //!   budget — so evaluation costs one pass per **distinct
 //!   `(graph, transform)` pair** instead of one per flow step, however the
 //!   graph was reached;
-//! * [`QorStore`] — a persistent JSON-lines store of evaluation results,
+//! * [`QorStore`] — a persistent, checksummed, segmented store of evaluation
+//!   results (a legacy plain JSON-lines file is upgraded when opened),
 //!   content-addressed by design fingerprint + configuration fingerprint +
 //!   flow script, so repeated runs, benches and ablations never re-evaluate a
 //!   known flow;
 //! * [`EvalEngine`] — the store in front of one evaluation kernel
 //!   (`kernel.rs`) that batches, single requests and searches all call;
+//!   [`EvalEngine::evaluate_batch`] is the workspace's one batch driver;
 //! * [`EvalStats`] — hit/miss/passes-avoided counters surfaced through
 //!   `flowgen::FrameworkReport`.
 //!

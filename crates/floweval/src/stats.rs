@@ -4,8 +4,8 @@ use serde::{Deserialize, Serialize};
 
 /// Counters describing how a batch (or a whole run) was evaluated.
 ///
-/// `passes_requested` is what a naive `FlowRunner::run_batch` would apply:
-/// the sum of all requested flow lengths.  `passes_applied` is what the
+/// `passes_requested` is what running every flow on its own
+/// (`FlowRunner::run`) would apply: the sum of all requested flow lengths.  `passes_applied` is what the
 /// engine actually executed after store hits and state-graph sharing; the
 /// difference is pure savings.  For the flows that were evaluated (not
 /// cancelled), every requested pass is either applied or memoized, and every

@@ -7,19 +7,23 @@
 //!
 //! ## On-disk format
 //!
-//! Records live in JSON-lines files.  Since format version 2 each line is
-//! framed as `v2 <crc32-hex8> <json>` — the checksum covers the JSON bytes,
-//! so a bit flip anywhere in a record is detected rather than silently
-//! served.  Legacy stores (plain `{...}` lines without a checksum) are still
-//! read; `#`-prefixed comment lines (probe writes) are skipped silently.
+//! Records live in JSON-lines files, each line framed as
+//! `v2 <crc32-hex8> <json>` — the checksum covers the JSON bytes, so a bit
+//! flip anywhere in a record is detected rather than silently served.
+//! `#`-prefixed comment lines (probe writes) are skipped silently.
 //!
-//! A version-2 store is **segmented**: records append to a live segment
+//! The store is **segmented**: records append to a live segment
 //! (`<base>.NNNNNN.seg`) with size-based rotation, under a small manifest
 //! (`<base>.manifest`) naming the ordered segment list.  The manifest is
 //! replaced atomically (temp file, fsync, rename, parent-directory fsync),
 //! as is every compaction — a crash at any point leaves the old store or the
-//! new one, never a hybrid.  A legacy store keeps appending to its original
-//! file until the first [`QorStore::compact`], which upgrades it in place.
+//! new one, never a hybrid.
+//!
+//! A bare base file with no manifest and no segments is a **legacy** store
+//! from before format v2 (plain `{...}` lines without a checksum, possibly
+//! followed by framed appends).  [`QorStore::open`] imports it: the file is
+//! scrubbed into the index, published as a v2 store through the compaction
+//! writer, and removed.  That import is the only reader of plain lines.
 //!
 //! ## Scrub and quarantine
 //!
@@ -136,9 +140,7 @@ pub struct StoreSummary {
     pub mode: String,
     /// Records in the in-memory index.
     pub records: usize,
-    /// Whether the store uses the v2 segmented layout.
-    pub segmented: bool,
-    /// Segments in the manifest (0 for legacy and in-memory stores).
+    /// Segments in the manifest (0 for in-memory stores).
     pub segments: usize,
     /// Total on-disk bytes.
     pub disk_bytes: u64,
@@ -223,9 +225,8 @@ pub struct QorStore {
     index: HashMap<StoreKey, Qor>,
     writer: Option<File>,
     layout: Option<Layout>,
-    /// Manifest-ordered segment ids; empty while reading a legacy store.
+    /// Manifest-ordered segment ids; empty for an in-memory store.
     segments: Vec<u64>,
-    segmented: bool,
     live_bytes: u64,
     options: StoreOptions,
     mode: StoreMode,
@@ -248,7 +249,6 @@ impl QorStore {
             writer: None,
             layout: None,
             segments: Vec::new(),
-            segmented: false,
             live_bytes: 0,
             options: StoreOptions::default(),
             mode: StoreMode::Ok,
@@ -274,9 +274,13 @@ impl QorStore {
     /// a torn final line is counted in [`QorStore::torn_tail_records`],
     /// any other bad line in [`QorStore::corrupt_records`].  Bad spans are
     /// copied to the `.quarantine` sidecar and the damaged file healed, so
-    /// an immediate reopen reports a clean store.  Plain-JSONL stores from
-    /// before format v2 are read transparently and upgraded on the first
-    /// [`QorStore::compact`].
+    /// an immediate reopen reports a clean store.
+    ///
+    /// A bare legacy base file (from before format v2) is imported: scrubbed
+    /// into the index (bad lines quarantined, the file itself not healed),
+    /// published as a v2 store through the compaction writer, and removed.
+    /// If that publish fails, `open` returns the error and leaves the legacy
+    /// file as it was, so the next open imports it again.
     ///
     /// Duplicate keys (concatenated stores, racing appenders) resolve
     /// **last-write-wins** in append order; the superseded count is reported
@@ -297,65 +301,72 @@ impl QorStore {
         store.layout = Some(layout.clone());
         store.options = options;
 
-        // Decide the layout generation: a manifest (or stray segments) means
-        // v2 segmented; a bare base file means legacy; nothing means fresh.
         let on_disk = layout.scan_segments();
         let manifest = read_manifest(&layout);
-        let segmented = !matches!(manifest, ManifestState::Missing) || !on_disk.is_empty();
-
-        if segmented {
-            store.segmented = true;
-            store.segments = match manifest {
-                ManifestState::Present(ids) if !ids.is_empty() => ids,
-                ManifestState::Present(_) | ManifestState::Missing | ManifestState::Corrupt => {
-                    // A torn or missing manifest with segments on disk:
-                    // recover the listing from the directory (append order is
-                    // id order by construction) and rewrite it.
-                    if matches!(manifest, ManifestState::Corrupt) {
-                        store.corrupt += 1;
-                        store.quarantined +=
-                            quarantine_file(&layout, &layout.manifest(), "corrupt-manifest")?;
-                    }
-                    let ids = if on_disk.is_empty() { vec![1] } else { on_disk };
-                    write_manifest(&layout, &ids)?;
-                    ids
-                }
-            };
-            for id in store.segments.clone() {
-                store.scrub_file(&layout.segment(id))?;
-            }
-            let live = layout.segment(*store.segments.last().expect("non-empty"));
-            let writer = OpenOptions::new().create(true).append(true).open(&live)?;
-            store.live_bytes = writer.metadata()?.len();
-            store.writer = Some(writer);
-        } else if layout.base.exists() {
-            // Legacy plain-JSONL store: read (and heal) it in place; the
-            // first compact() upgrades it to the segmented format.
-            store.scrub_file(&layout.base.clone())?;
-            let writer = OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&layout.base)?;
-            store.live_bytes = writer.metadata()?.len();
-            store.writer = Some(writer);
-        } else {
-            // Fresh store: segment 1 plus a manifest, both durable before
-            // the first record is acknowledged.
-            store.segmented = true;
-            store.segments = vec![1];
-            let seg = layout.segment(1);
-            let file = OpenOptions::new().create(true).append(true).open(&seg)?;
-            file.sync_all()?;
-            fsync_dir(&layout.dir())?;
-            write_manifest(&layout, &store.segments)?;
-            store.writer = Some(OpenOptions::new().append(true).open(&seg)?);
+        if manifest == ManifestState::Missing && on_disk.is_empty() && layout.base.exists() {
+            store.import_legacy(&layout)?;
+            return Ok(store);
         }
+        store.segments = match manifest {
+            ManifestState::Present(ids) if !ids.is_empty() => ids,
+            manifest => {
+                // A fresh store, or a torn or missing manifest with segments
+                // on disk: recover the listing from the directory (append
+                // order is id order by construction) and rewrite it.
+                if manifest == ManifestState::Corrupt {
+                    store.corrupt += 1;
+                    store.quarantined +=
+                        quarantine_file(&layout, &layout.manifest(), "corrupt-manifest")?;
+                }
+                let ids = if on_disk.is_empty() {
+                    // Segment 1 is durable before the manifest names it.
+                    let seg = layout.segment(1);
+                    OpenOptions::new()
+                        .create(true)
+                        .append(true)
+                        .open(&seg)?
+                        .sync_all()?;
+                    fsync_dir(&layout.dir())?;
+                    vec![1]
+                } else {
+                    on_disk
+                };
+                write_manifest(&layout, &ids)?;
+                ids
+            }
+        };
+        for id in store.segments.clone() {
+            store.scrub_file(&layout.segment(id), false)?;
+        }
+        store.open_live(&layout)?;
         Ok(store)
     }
 
+    /// Imports a legacy base file: scrubs it into the index, publishes the
+    /// index as a v2 store and removes the file.  The file is not healed —
+    /// a failed publish must leave it as it was.
+    fn import_legacy(&mut self, layout: &Layout) -> std::io::Result<()> {
+        self.scrub_file(&layout.base, true)?;
+        let (id, _) = self.publish_index(layout)?;
+        // The manifest is durable: the base file is superseded.
+        let _ = std::fs::remove_file(&layout.base);
+        self.segments = vec![id];
+        self.open_live(layout)
+    }
+
+    /// Opens the append writer on the last manifest segment.
+    fn open_live(&mut self, layout: &Layout) -> std::io::Result<()> {
+        let live = layout.segment(*self.segments.last().expect("a live segment"));
+        let writer = OpenOptions::new().create(true).append(true).open(&live)?;
+        self.live_bytes = writer.metadata()?.len();
+        self.writer = Some(writer);
+        Ok(())
+    }
+
     /// Scrubs one JSONL file into the index, quarantining and healing any
-    /// damage.
-    fn scrub_file(&mut self, path: &Path) -> std::io::Result<()> {
+    /// damage.  A `legacy` base file is parsed with the legacy reader and
+    /// only quarantined, never healed: the import replaces it whole.
+    fn scrub_file(&mut self, path: &Path, legacy: bool) -> std::io::Result<()> {
         let data = match std::fs::read(path) {
             Ok(data) => data,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
@@ -387,7 +398,12 @@ impl QorStore {
             if trimmed.is_empty() || trimmed.starts_with('#') {
                 continue;
             }
-            match parse_line(trimmed) {
+            let parsed = if legacy {
+                parse_legacy_line(trimmed)
+            } else {
+                parse_line(trimmed)
+            };
+            match parsed {
                 Some((key, qor)) => {
                     if self.index.insert(key, qor).is_some() {
                         self.duplicates += 1;
@@ -410,7 +426,7 @@ impl QorStore {
         self.corrupt += corrupt_spans.len();
 
         if corrupt_spans.is_empty() && torn_span.is_none() {
-            if needs_newline {
+            if needs_newline && !legacy {
                 // A parseable final record missing only its newline: close
                 // the line so the next append starts fresh.
                 let mut f = OpenOptions::new().append(true).open(path)?;
@@ -441,6 +457,9 @@ impl QorStore {
                 self.quarantined += 1;
             }
             q.sync_all()?;
+        }
+        if legacy {
+            return Ok(());
         }
 
         if corrupt_spans.is_empty() {
@@ -521,12 +540,7 @@ impl QorStore {
         self.duplicates
     }
 
-    /// Whether the store uses the v2 segmented layout (vs legacy JSONL).
-    pub fn is_segmented(&self) -> bool {
-        self.segmented
-    }
-
-    /// Number of segments in the manifest (0 for legacy and in-memory).
+    /// Number of segments in the manifest (0 for an in-memory store).
     pub fn segment_count(&self) -> usize {
         self.segments.len()
     }
@@ -546,20 +560,14 @@ impl QorStore {
         self.parked_dropped
     }
 
-    /// Total bytes of the on-disk store (segments or legacy file).
+    /// Total bytes of the on-disk store's segments.
     pub fn disk_bytes(&self) -> u64 {
         let Some(layout) = &self.layout else { return 0 };
-        if self.segmented {
-            self.segments
-                .iter()
-                .filter_map(|id| std::fs::metadata(layout.segment(*id)).ok())
-                .map(|m| m.len())
-                .sum()
-        } else {
-            std::fs::metadata(&layout.base)
-                .map(|m| m.len())
-                .unwrap_or(0)
-        }
+        self.segments
+            .iter()
+            .filter_map(|id| std::fs::metadata(layout.segment(*id)).ok())
+            .map(|m| m.len())
+            .sum()
     }
 
     /// A point-in-time summary of the persistent layer.
@@ -567,7 +575,6 @@ impl QorStore {
         StoreSummary {
             mode: self.mode.as_str().to_string(),
             records: self.index.len(),
-            segmented: self.segmented,
             segments: self.segments.len(),
             disk_bytes: self.disk_bytes(),
             torn_tail: self.torn_tail,
@@ -656,14 +663,14 @@ impl QorStore {
     /// failed rotation is not an error: appends continue into the oversized
     /// segment and rotation is retried on the next insert.
     fn maybe_rotate(&mut self) {
-        if self.segmented && self.live_bytes >= self.options.segment_max_bytes {
+        if self.live_bytes >= self.options.segment_max_bytes {
             let _ = self.rotate();
         }
     }
 
     fn rotate(&mut self) -> std::io::Result<()> {
         flow_core::fail_point!("store.rotate", |_| Err(injected_io_error("rotate")));
-        let layout = self.layout.clone().expect("segmented store");
+        let layout = self.layout.clone().expect("disk-backed");
         // Seal the outgoing segment: everything in it is durable before the
         // manifest stops calling it live.
         self.writer.as_mut().expect("disk-backed").sync_all()?;
@@ -739,8 +746,7 @@ impl QorStore {
     /// The survivors land in a single **new** segment published by an
     /// atomic manifest replacement (temp file, fsync, rename, directory
     /// fsync): a crash at any point leaves either the old store or the new
-    /// one, never a hybrid.  Compacting a legacy plain-JSONL store upgrades
-    /// it to the checksummed segmented format.  No-op for in-memory stores.
+    /// one, never a hybrid.  No-op for in-memory stores.
     pub fn compact(&mut self) -> std::io::Result<CompactionReport> {
         let Some(layout) = self.layout.clone() else {
             return Ok(CompactionReport {
@@ -753,7 +759,48 @@ impl QorStore {
         };
         self.flush()?;
         let bytes_before = self.disk_bytes();
+        // Drop the append handle before replacing the files it points at.
+        self.writer = None;
+        let (new_id, bytes_after) = match self.publish_index(&layout) {
+            Ok(published) => published,
+            Err(e) => {
+                // The old store is still the published one; restore the
+                // append handle onto its live segment and report the failure.
+                self.open_live(&layout)?;
+                return Err(e);
+            }
+        };
 
+        // The new manifest is durable: retire every superseded segment.
+        // Purely cosmetic from here on, so errors are ignored.
+        for id in layout.scan_segments() {
+            if id != new_id {
+                let _ = std::fs::remove_file(layout.segment(id));
+            }
+        }
+        self.segments = vec![new_id];
+        self.open_live(&layout)?;
+
+        let report = CompactionReport {
+            records: self.index.len(),
+            duplicates_dropped: self.duplicates,
+            malformed_dropped: self.torn_tail + self.corrupt,
+            bytes_before,
+            bytes_after,
+        };
+        self.loaded = self.index.len();
+        self.duplicates = 0;
+        self.torn_tail = 0;
+        self.corrupt = 0;
+        Ok(report)
+    }
+
+    /// The compaction writer: writes the index, one line per key in a stable
+    /// order, to a new segment and publishes it as the whole store (temp
+    /// file, fsync, rename, directory fsync, manifest).  Returns the segment
+    /// id and size.  A failure before the manifest names the new segment
+    /// removes it again, leaving the disk as it was.
+    fn publish_index(&self, layout: &Layout) -> std::io::Result<(u64, u64)> {
         let mut entries: Vec<(&StoreKey, &Qor)> = self.index.iter().collect();
         entries.sort_unstable_by(|(a, _), (b, _)| {
             (a.design.0, a.config.0, &a.flow).cmp(&(b.design.0, b.config.0, &b.flow))
@@ -766,66 +813,22 @@ impl QorStore {
         let new_id = layout.scan_segments().last().copied().unwrap_or(0) + 1;
         let new_seg = layout.segment(new_id);
         let tmp = layout.sibling(".compact.tmp");
-        // Drop the append handle before replacing the files it points at.
-        self.writer = None;
-        let published = (|| -> std::io::Result<()> {
-            self.write_compacted(&tmp, body.as_bytes())?;
+        let staged = (|| -> std::io::Result<()> {
+            write_compacted(&tmp, body.as_bytes())?;
             std::fs::rename(&tmp, &new_seg)?;
             fsync_dir(&layout.dir())?;
             flow_core::fail_point!("store.compact.publish", |_| Err(injected_io_error(
                 "compact.publish"
             )));
-            write_manifest(&layout, &[new_id])
+            Ok(())
         })();
-        if let Err(e) = published {
-            // The old store is still the published one; restore the append
-            // handle onto its live file and report the failure.
+        if let Err(e) = staged {
             let _ = std::fs::remove_file(&tmp);
-            let live = if self.segmented {
-                layout.segment(*self.segments.last().expect("segmented"))
-            } else {
-                layout.base.clone()
-            };
-            self.writer = Some(OpenOptions::new().create(true).append(true).open(&live)?);
+            let _ = std::fs::remove_file(&new_seg);
             return Err(e);
         }
-
-        // The new manifest is durable: retire every superseded file.  Purely
-        // cosmetic from here on, so errors are ignored.
-        for id in layout.scan_segments() {
-            if id != new_id {
-                let _ = std::fs::remove_file(layout.segment(id));
-            }
-        }
-        if !self.segmented {
-            let _ = std::fs::remove_file(&layout.base);
-        }
-        self.segmented = true;
-        self.segments = vec![new_id];
-        self.live_bytes = body.len() as u64;
-        self.writer = Some(OpenOptions::new().append(true).open(&new_seg)?);
-
-        let report = CompactionReport {
-            records: self.index.len(),
-            duplicates_dropped: self.duplicates,
-            malformed_dropped: self.torn_tail + self.corrupt,
-            bytes_before,
-            bytes_after: body.len() as u64,
-        };
-        self.loaded = self.index.len();
-        self.duplicates = 0;
-        self.torn_tail = 0;
-        self.corrupt = 0;
-        Ok(report)
-    }
-
-    /// Writes and `sync_all`s the compaction temp file, so the atomic rename
-    /// never publishes a file whose contents could still be lost to a crash.
-    fn write_compacted(&mut self, tmp: &Path, body: &[u8]) -> std::io::Result<()> {
-        flow_core::fail_point!("store.compact", |_| Err(injected_io_error("compact")));
-        let mut file = File::create(tmp)?;
-        file.write_all(body)?;
-        file.sync_all()
+        write_manifest(layout, &[new_id])?;
+        Ok((new_id, body.len() as u64))
     }
 
     /// Makes every appended record durable: records are written unbuffered,
@@ -848,8 +851,8 @@ impl QorStore {
     /// state.
     pub fn checkpoint(&mut self) -> std::io::Result<()> {
         self.flush()?;
-        if let (Some(layout), true) = (self.layout.clone(), self.segmented) {
-            write_manifest(&layout, &self.segments)?;
+        if let Some(layout) = &self.layout {
+            write_manifest(layout, &self.segments)?;
         }
         Ok(())
     }
@@ -868,21 +871,30 @@ fn record_line(key: &StoreKey, qor: &Qor) -> std::io::Result<String> {
     Ok(format!("v2 {:08x} {json}\n", crc32::of(json.as_bytes())))
 }
 
-/// Parses a record line, v2-framed (checksum verified) or legacy plain JSON.
+/// Parses a framed v2 record line, verifying its checksum.
 fn parse_line(line: &str) -> Option<(StoreKey, Qor)> {
-    let json = if let Some(rest) = line.strip_prefix("v2 ") {
-        let (crc_hex, json) = rest.split_at_checked(8)?;
-        let json = json.strip_prefix(' ')?;
-        let crc = u32::from_str_radix(crc_hex, 16).ok()?;
-        if crc32::of(json.as_bytes()) != crc {
-            return None;
-        }
-        json
-    } else if line.starts_with('{') {
-        line
-    } else {
+    let rest = line.strip_prefix("v2 ")?;
+    let (crc_hex, json) = rest.split_at_checked(8)?;
+    let json = json.strip_prefix(' ')?;
+    let crc = u32::from_str_radix(crc_hex, 16).ok()?;
+    if crc32::of(json.as_bytes()) != crc {
         return None;
-    };
+    }
+    parse_record(json)
+}
+
+/// Parses a line of a legacy base file: plain JSON from before format v2, or
+/// a framed line appended to the file later.
+fn parse_legacy_line(line: &str) -> Option<(StoreKey, Qor)> {
+    if line.starts_with('{') {
+        parse_record(line)
+    } else {
+        parse_line(line)
+    }
+}
+
+/// Parses the JSON payload of a record.
+fn parse_record(json: &str) -> Option<(StoreKey, Qor)> {
     let record: QorRecord = serde_json::from_str(json).ok()?;
     let key = StoreKey {
         design: Fingerprint::parse(&record.design)?,
@@ -890,6 +902,15 @@ fn parse_line(line: &str) -> Option<(StoreKey, Qor)> {
         flow: record.flow,
     };
     Some((key, record.qor))
+}
+
+/// Writes and `sync_all`s the compaction temp file, so the atomic rename
+/// never publishes a file whose contents could still be lost to a crash.
+fn write_compacted(tmp: &Path, body: &[u8]) -> std::io::Result<()> {
+    flow_core::fail_point!("store.compact", |_| Err(injected_io_error("compact")));
+    let mut file = File::create(tmp)?;
+    file.write_all(body)?;
+    file.sync_all()
 }
 
 /// One unbuffered append (failpoint-instrumented).
@@ -1045,15 +1066,14 @@ mod tests {
         dir
     }
 
-    /// The live file new records land in: last manifest segment, or the
-    /// base file for a legacy store.
+    /// The live segment new records land in: the last in the manifest.
     fn live_file(base: &Path) -> PathBuf {
         let layout = Layout {
             base: base.to_path_buf(),
         };
         match read_manifest(&layout) {
-            ManifestState::Present(ids) if !ids.is_empty() => layout.segment(*ids.last().unwrap()),
-            _ => base.to_path_buf(),
+            ManifestState::Present(ids) => layout.segment(*ids.last().expect("a live segment")),
+            other => panic!("no manifest: {other:?}"),
         }
     }
 
@@ -1094,7 +1114,6 @@ mod tests {
         let dir = temp_dir("fresh");
         let path = dir.join("qor.jsonl");
         let mut store = QorStore::open(&path).expect("open");
-        assert!(store.is_segmented());
         assert_eq!(store.segment_count(), 1);
         store.insert(key("balance"), qor(1.0)).unwrap();
         store.flush().unwrap();
@@ -1134,23 +1153,57 @@ mod tests {
     }
 
     #[test]
-    fn legacy_plain_jsonl_is_read_in_place() {
+    fn legacy_plain_jsonl_is_imported_on_open() {
         let dir = temp_dir("legacy");
         let path = dir.join("qor.jsonl");
         append_raw(&path, &key("balance"), 1.0);
         append_raw(&path, &key("rewrite"), 2.0);
         let mut store = QorStore::open(&path).expect("open");
-        assert!(!store.is_segmented());
         assert_eq!(store.loaded_records(), 2);
+        assert_eq!(store.segment_count(), 1);
         assert_eq!(store.get(&key("balance")), Some(qor(1.0)));
-        // New appends join the legacy file (as framed lines) until the
-        // first compact() upgrades the layout.
+        // The import replaced the plain file by a framed v2 segment, which
+        // takes the new appends.
+        assert!(!path.exists(), "legacy file replaced by a segment");
         store.insert(key("refactor"), qor(3.0)).unwrap();
         drop(store);
+        let text = std::fs::read_to_string(live_file(&path)).unwrap();
+        assert_eq!(text.lines().count(), 3);
+        assert!(text.lines().all(|l| l.starts_with("v2 ")), "{text}");
         let store = QorStore::open(&path).expect("reopen");
-        assert!(!store.is_segmented());
         assert_eq!(store.len(), 3);
+        assert_eq!(store.skipped_records(), 0);
         assert_eq!(store.get(&key("refactor")), Some(qor(3.0)));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn plain_json_line_in_a_segment_is_corrupt() {
+        // Only the legacy import reads plain JSON: inside a v2 segment a
+        // line without a checksum is damage, not a record.
+        let dir = temp_dir("plain");
+        let path = dir.join("qor.jsonl");
+        {
+            let mut store = QorStore::open(&path).expect("open");
+            store.insert(key("balance"), qor(1.0)).unwrap();
+        }
+        append_raw(&live_file(&path), &key("rewrite"), 2.0);
+        let store = QorStore::open(&path).expect("reopen");
+        assert_eq!(store.corrupt_records(), 1, "an unchecked line is damage");
+        assert_eq!(store.quarantined_records(), 1);
+        assert_eq!(store.loaded_records(), 1);
+        assert_eq!(store.get(&key("rewrite")), None);
+        drop(store);
+        let layout = Layout { base: path.clone() };
+        let sidecar = std::fs::read_to_string(layout.quarantine()).unwrap();
+        assert!(sidecar.contains("# corrupt"), "sidecar: {sidecar}");
+        assert!(
+            sidecar.contains("\"flow\":\"rewrite\""),
+            "sidecar: {sidecar}"
+        );
+        let store = QorStore::open(&path).expect("clean reopen");
+        assert_eq!(store.corrupt_records(), 0, "healed on the previous open");
+        assert_eq!(store.len(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1303,7 +1356,7 @@ mod tests {
     }
 
     #[test]
-    fn compact_upgrades_legacy_drops_duplicates_and_is_idempotent() {
+    fn legacy_import_drops_duplicates_and_compaction_is_idempotent() {
         let dir = temp_dir("compact");
         let path = dir.join("qor.jsonl");
         for area in [1.0, 2.0, 3.0] {
@@ -1315,17 +1368,17 @@ mod tests {
             write!(f, "{{\"design\":\"torn").unwrap();
         }
         let mut store = QorStore::open(&path).expect("open");
-        assert!(!store.is_segmented());
-        let report = store.compact().expect("compact");
-        assert_eq!(report.records, 2);
-        assert_eq!(report.duplicates_dropped, 2);
-        assert_eq!(report.malformed_dropped, 1);
-        assert!(report.bytes_after < report.bytes_before);
-        // The upgrade retired the legacy file in favor of the segment tree.
-        assert!(store.is_segmented());
-        assert!(!path.exists(), "legacy file replaced by segments");
+        assert_eq!(store.len(), 2);
+        assert_eq!(store.duplicate_records(), 2);
+        assert_eq!(store.torn_tail_records(), 1);
+        assert_eq!(store.quarantined_records(), 1);
+        // The import wrote one line per key and retired the legacy file.
+        assert!(!path.exists(), "legacy file replaced by a segment");
+        let imported = std::fs::read_to_string(live_file(&path)).unwrap();
+        assert_eq!(imported.lines().count(), 2, "{imported}");
+        assert_eq!(store.get(&key("balance")), Some(qor(3.0)));
 
-        // Appends after compaction still land in the (new) live segment.
+        // Appends after the import land in the live segment.
         store.insert(key("refactor"), qor(7.0)).unwrap();
         drop(store);
 

@@ -1,6 +1,6 @@
 //! Engine-level integration tests: cached and uncached evaluation must be
 //! bit-identical, repeated batches must hit the caches, and state-graph
-//! evaluation must apply strictly fewer passes than naive `run_batch`.
+//! evaluation must apply strictly fewer passes than running each flow alone.
 
 use circuits::{Design, DesignScale};
 use floweval::{EngineConfig, EvalEngine};
@@ -66,7 +66,7 @@ fn engine_matches_flow_runner_bit_for_bit() {
     let runner = FlowRunner::new();
     let engine = EvalEngine::default();
     let flows = random_flows(12, 1, 0xBEEF);
-    let naive: Vec<Qor> = runner.run_batch(&design, &flows);
+    let naive: Vec<Qor> = flows.iter().map(|f| runner.run(&design, f).qor).collect();
     let cached: Vec<Qor> = engine.evaluate_batch(&design, &flows);
     assert_eq!(naive.len(), cached.len());
     for (i, (a, b)) in naive.iter().zip(&cached).enumerate() {

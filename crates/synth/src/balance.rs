@@ -9,15 +9,6 @@ use aig::{Aig, Lit};
 use flow_core::{CancelToken, Cancelled};
 
 use crate::pass::{pool_give, CancelCell, PassContext};
-use crate::passes::Transform;
-
-/// Applies AND-tree balancing and returns the rebuilt network.
-///
-/// The result computes the same functions as the input; its depth is usually
-/// lower and its node count comparable (structural hashing removes duplicates).
-pub fn balance(aig: &Aig) -> Aig {
-    Transform::Balance.apply(aig)
-}
 
 /// `balance` on a [`PassContext`]: transforms `g` in place through the
 /// context's recycled buffers, polling `cancel` between trees.
@@ -132,6 +123,7 @@ fn balanced_and(out: &mut Aig, mut operands: Vec<Lit>) -> Lit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::passes::Transform;
     use aig::random_equivalence_check;
 
     /// A deliberately skewed AND chain: depth = n - 1 before balancing.
@@ -150,7 +142,7 @@ mod tests {
     fn balancing_reduces_chain_depth_to_logarithmic() {
         let g = and_chain(16);
         assert_eq!(g.depth(), 15);
-        let b = balance(&g);
+        let b = Transform::Balance.apply(&g);
         assert_eq!(b.depth(), 4, "16-input AND balances to depth log2(16)");
         assert!(random_equivalence_check(&g, &b, 8, 42));
         assert_eq!(b.num_ands(), 15, "AND count is unchanged for a pure tree");
@@ -168,7 +160,7 @@ mod tests {
         let f = g.mux(xs[0], e, b);
         g.add_output("f", f);
         g.add_output("e", e);
-        let bal = balance(&g);
+        let bal = Transform::Balance.apply(&g);
         assert!(random_equivalence_check(&g, &bal, 16, 7));
         assert!(bal.depth() <= g.depth());
     }
@@ -176,8 +168,8 @@ mod tests {
     #[test]
     fn balancing_is_idempotent_on_depth() {
         let g = and_chain(13);
-        let once = balance(&g);
-        let twice = balance(&once);
+        let once = Transform::Balance.apply(&g);
+        let twice = Transform::Balance.apply(&once);
         assert_eq!(once.depth(), twice.depth());
         assert!(random_equivalence_check(&once, &twice, 8, 9));
     }
@@ -193,7 +185,7 @@ mod tests {
         let abcde = g.and(abcd, xs[4]);
         g.add_output("f", abcde);
         g.add_output("mid", abc);
-        let b = balance(&g);
+        let b = Transform::Balance.apply(&g);
         assert!(random_equivalence_check(&g, &b, 8, 21));
         // The shared node `abc` is a tree boundary, so node count cannot grow.
         assert!(b.num_ands() <= g.num_ands());
@@ -207,7 +199,7 @@ mod tests {
         let n1 = g.and(n0, !xs[2]);
         let n2 = g.and(n1, xs[3]);
         g.add_output("f", !n2);
-        let b = balance(&g);
+        let b = Transform::Balance.apply(&g);
         assert!(random_equivalence_check(&g, &b, 8, 77));
     }
 }

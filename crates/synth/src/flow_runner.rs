@@ -2,13 +2,12 @@
 //!
 //! This is the reproduction of component 1 of the paper's framework (Figure 2):
 //! the "synthesis tool" box that takes the HDL/design plus a flow and returns
-//! labelled QoR data.  Flows are evaluated independently, so large batches are
-//! data-parallel across CPU cores (the paper uses a 2 × 12-core machine for the
-//! same reason: dataset collection dominates total runtime).
+//! labelled QoR data.  One runner evaluates one flow at a time; batches (the
+//! paper's 10,000-flow training sets) go through `floweval::EvalEngine`,
+//! which shares the work common to many flows.
 
 use aig::{random_equivalence_check, Aig, AigStats};
 use flow_core::{CancelToken, Cancelled};
-use rayon::prelude::*;
 
 use crate::library::CellLibrary;
 use crate::mapper::{try_map_with_ctx, MapperParams};
@@ -133,17 +132,6 @@ impl FlowRunner {
         ctx.recycle(optimized);
         outcome
     }
-
-    /// Runs many flows in parallel and returns their QoR in input order.
-    ///
-    /// This is the bulk data-collection primitive used to build training
-    /// datasets (10,000 flows in the paper) and evaluation sets (100,000 flows).
-    pub fn run_batch(&self, design: &Aig, flows: &[Vec<Transform>]) -> Vec<Qor> {
-        flows
-            .par_iter()
-            .map(|flow| self.run(design, flow).qor)
-            .collect()
-    }
 }
 
 impl Default for FlowRunner {
@@ -183,27 +171,6 @@ mod tests {
         let differs =
             (q1.area_um2 - q2.area_um2).abs() > 1e-9 || (q1.delay_ps - q2.delay_ps).abs() > 1e-9;
         assert!(differs, "the premise of the paper: flow choice changes QoR");
-    }
-
-    #[test]
-    fn batch_matches_individual_runs() {
-        let design = Design::Montgomery64.generate(DesignScale::Tiny);
-        let runner = FlowRunner::new();
-        let flows = vec![
-            vec![Transform::Rewrite],
-            vec![Transform::Balance, Transform::Refactor],
-            vec![],
-        ];
-        let batch = runner.run_batch(&design, &flows);
-        assert_eq!(batch.len(), 3);
-        for (flow, q) in flows.iter().zip(&batch) {
-            let single = runner.run(&design, flow).qor;
-            assert!(
-                (single.area_um2 - q.area_um2).abs() < 1e-9,
-                "deterministic evaluation"
-            );
-            assert!((single.delay_ps - q.delay_ps).abs() < 1e-9);
-        }
     }
 
     #[test]

@@ -9,8 +9,15 @@
 //! * a cut-based technology [`mapper`] over a synthetic 14 nm-like
 //!   standard-cell [`library`], producing the area/delay QoR the paper labels
 //!   flows with, and
-//! * a [`FlowRunner`] that applies whole flows and collects QoR in parallel —
-//!   the "synthesis tool" box of the paper's framework (Figure 2, component 1).
+//! * a [`FlowRunner`] that applies one whole flow and collects its QoR — the
+//!   "synthesis tool" box of the paper's framework (Figure 2, component 1);
+//!   batches of flows go through `floweval::EvalEngine`.
+//!
+//! Every pass has one front, [`Transform::apply`] (and [`apply_sequence`] for
+//! a flow), over one production path, [`PassContext`]; the mapper matches
+//! cut functions through one index, [`CellLibrary::matches_npn4`].  The
+//! slow, obviously structured oracle every production path is held to bit
+//! for bit lives in `synth::reference` and is used by tests only.
 //!
 //! ## Quick example
 //!
@@ -42,7 +49,6 @@ pub mod decomp;
 pub mod flow_runner;
 pub mod library;
 pub mod mapper;
-pub mod npn;
 pub mod npn4;
 pub mod pass;
 pub mod passes;
@@ -56,7 +62,6 @@ pub mod resyn;
 pub mod rewrite;
 pub mod sop;
 
-pub use balance::balance;
 pub use flow_runner::{FlowOutcome, FlowRunner};
 pub use library::{Cell, CellId, CellLibrary};
 pub use mapper::{
@@ -65,7 +70,4 @@ pub use mapper::{
 pub use pass::{ApplyStats, PassContext, PassStat, PassTimings};
 pub use passes::{apply_sequence, Transform};
 pub use qor::{Qor, QorMetric};
-pub use refactor::refactor;
-pub use restructure::restructure;
-pub use rewrite::rewrite;
 pub use sop::SharedIsopCache;

@@ -13,7 +13,6 @@ use std::collections::HashMap;
 use aig::TruthTable;
 use serde::{Deserialize, Serialize};
 
-use crate::npn::npn_canonical;
 use crate::npn4::canonical4_padded;
 
 /// One combinational standard cell.
@@ -41,10 +40,9 @@ pub type CellId = usize;
 pub struct CellLibrary {
     name: String,
     cells: Vec<Cell>,
-    npn_index: HashMap<(usize, Vec<u64>), Vec<CellId>>,
-    /// Fast-path index keyed by the padded-to-4-variables NPN4 canonical form
+    /// Matching index keyed by the padded-to-4-variables NPN4 canonical form
     /// (see [`crate::npn4`]): NPN transforms preserve support size, so the
-    /// padded grouping is identical to the per-arity grouping of `npn_index`.
+    /// padded grouping is the per-arity NPN grouping of full-support cells.
     npn4_index: HashMap<u16, Vec<CellId>>,
     inverter: CellId,
 }
@@ -58,19 +56,15 @@ impl CellLibrary {
     /// function is the complement of its input), because technology mapping
     /// needs one.
     pub fn new(name: impl Into<String>, cells: Vec<Cell>) -> Self {
-        let mut npn_index: HashMap<(usize, Vec<u64>), Vec<CellId>> = HashMap::new();
         let mut npn4_index: HashMap<u16, Vec<CellId>> = HashMap::new();
         let mut inverter = None;
         for (id, cell) in cells.iter().enumerate() {
-            let canon = npn_canonical(&cell.function);
-            let key = (cell.function.num_vars(), canon.canonical.words().to_vec());
-            npn_index.entry(key).or_default().push(id);
-            // The padded NPN4 fast index relies on a cell depending on all of
-            // its pins (padding erases the declared arity).  A dead-pin cell
-            // is unreachable through `matches` anyway — queries are reduced to
-            // their support, so their canonical class always has full support
-            // while the cell's does not — so leaving it out of the fast index
-            // keeps both mappers bit-identical without rejecting the library.
+            // The padded NPN4 index relies on a cell depending on all of its
+            // pins (padding erases the declared arity).  A dead-pin cell can
+            // never match anyway — queries are reduced to their support, so
+            // their class always has full support while the cell's does not —
+            // so leaving it out keeps the mapper bit-identical to the orbit
+            // oracle without rejecting the library.
             if cell.function.support().len() == cell.num_inputs {
                 npn4_index
                     .entry(canonical4_padded(&cell.function))
@@ -85,7 +79,6 @@ impl CellLibrary {
         CellLibrary {
             name: name.into(),
             cells,
-            npn_index,
             npn4_index,
             inverter,
         }
@@ -116,25 +109,16 @@ impl CellLibrary {
         self.inverter
     }
 
-    /// Returns the ids of cells whose function is NPN-equivalent to `f`.
+    /// Returns the ids of cells whose function's padded NPN4 canonical form is
+    /// `canon4` (see [`crate::npn4::canonical4_padded`]), in cell-id order.
     ///
     /// Matching is done on the NPN class, i.e. input permutation, input phase
     /// and output phase are considered free (see the crate documentation for
-    /// the fidelity discussion).
-    pub fn matches(&self, f: &TruthTable) -> &[CellId] {
-        let canon = npn_canonical(f);
-        let key = (f.num_vars(), canon.canonical.words().to_vec());
-        self.npn_index.get(&key).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Returns the ids of cells whose function's padded NPN4 canonical form is
-    /// `canon4` (see [`crate::npn4::canonical4_padded`]).
-    ///
-    /// This is the orbit-search-free fast path of [`CellLibrary::matches`]:
-    /// for *full-support* queries (the mapper reduces every cut function to
-    /// its support before matching, and every library cell depends on all its
-    /// pins) both produce the same cell lists in the same order.  A query with
-    /// dead variables would additionally match cells of smaller arity here,
+    /// the fidelity discussion).  The mapper reduces every cut function to its
+    /// support before matching, and for such *full-support* queries the list
+    /// is exactly the cells of the query's arity and NPN class — the orbit
+    /// oracle [`crate::reference::matching_cells`].  A query with dead
+    /// variables would additionally match cells of smaller arity here,
     /// because padding erases the declared variable count.
     pub fn matches_npn4(&self, canon4: u16) -> &[CellId] {
         self.npn4_index
@@ -260,6 +244,12 @@ fn standard_cells() -> Vec<Cell> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{cell_classes, matching_cells};
+
+    /// The cells matching a full-support function.
+    fn matches<'l>(lib: &'l CellLibrary, f: &TruthTable) -> &'l [CellId] {
+        lib.matches_npn4(canonical4_padded(f))
+    }
 
     #[test]
     fn builtin_library_is_well_formed() {
@@ -283,7 +273,7 @@ mod tests {
         let a = TruthTable::var(0, 2);
         let b = TruthTable::var(1, 2);
         let f = a.and(&b);
-        let matches = lib.matches(&f);
+        let matches = matches(&lib, &f);
         assert!(!matches.is_empty());
         let names: Vec<&str> = matches
             .iter()
@@ -303,7 +293,7 @@ mod tests {
         let lib = CellLibrary::nangate14();
         let a = TruthTable::var(0, 2);
         let b = TruthTable::var(1, 2);
-        let matches = lib.matches(&a.xor(&b));
+        let matches = matches(&lib, &a.xor(&b));
         let names: Vec<&str> = matches
             .iter()
             .map(|&id| lib.cell(id).name.as_str())
@@ -324,9 +314,9 @@ mod tests {
         let b = TruthTable::var(1, 3);
         let c = TruthTable::var(2, 3);
         let maj = a.and(&b).or(&a.and(&c)).or(&b.and(&c));
-        assert!(!lib.matches(&maj).is_empty());
+        assert!(!matches(&lib, &maj).is_empty());
         let mux = c.and(&b).or(&c.not().and(&a));
-        assert!(!lib.matches(&mux).is_empty());
+        assert!(!matches(&lib, &mux).is_empty());
     }
 
     #[test]
@@ -339,53 +329,15 @@ mod tests {
                 parity.set(row, true);
             }
         }
-        assert!(lib.matches(&parity).is_empty());
-    }
-
-    #[test]
-    fn npn4_index_agrees_with_orbit_index() {
-        let lib = CellLibrary::nangate14();
-        for cell in lib.cells() {
-            let via_orbit = lib.matches(&cell.function);
-            let via_table = lib.matches_npn4(canonical4_padded(&cell.function));
-            assert_eq!(via_orbit, via_table, "{}", cell.name);
-        }
-        // Random *full-support* functions of every arity take the same path
-        // (the mapper reduces to the support before matching, so these are the
-        // only queries the fast path ever receives).
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        for nv in 1..=4usize {
-            let mut checked = 0;
-            while checked < 25 {
-                state ^= state >> 12;
-                state ^= state << 25;
-                state ^= state >> 27;
-                let bits = state.wrapping_mul(0x2545_F491_4F6C_DD1D);
-                let mut f = TruthTable::zeros(nv);
-                for row in 0..f.num_rows() {
-                    if bits >> row & 1 == 1 {
-                        f.set(row, true);
-                    }
-                }
-                if f.support().len() != nv {
-                    continue;
-                }
-                checked += 1;
-                assert_eq!(
-                    lib.matches(&f),
-                    lib.matches_npn4(canonical4_padded(&f)),
-                    "nv={nv} f={f}"
-                );
-            }
-        }
+        assert!(matches(&lib, &parity).is_empty());
     }
 
     #[test]
     fn dead_pin_cell_is_accepted_and_never_fast_matched() {
         // A cell whose function ignores a declared pin must not panic at
-        // construction, and must stay invisible to both matching paths (the
-        // reference path can never reach it either: queries are reduced to
-        // their support first).
+        // construction, and must stay invisible to the matcher (the oracle
+        // can never match it either: queries are reduced to their support
+        // first).
         let inv = Cell {
             name: "INV".into(),
             area: 1.0,
@@ -403,16 +355,15 @@ mod tests {
             function: TruthTable::var(0, 2),
         };
         let lib = CellLibrary::new("deadpin", vec![inv, dead_pin]);
-        // A full-support 1-var query matches only the inverter family.
+        // A full-support 1-var query matches only the inverter family, and a
+        // full-support 2-var query matches nothing — as in the orbit oracle.
+        let classes = cell_classes(&lib);
         let buf1 = TruthTable::var(0, 1);
-        assert_eq!(
-            lib.matches(&buf1),
-            lib.matches_npn4(canonical4_padded(&buf1))
-        );
-        // A full-support 2-var query matches nothing in either path.
+        assert_eq!(matches(&lib, &buf1), [0]);
+        assert_eq!(matching_cells(&classes, &buf1), [0]);
         let and2 = TruthTable::var(0, 2).and(&TruthTable::var(1, 2));
-        assert!(lib.matches(&and2).is_empty());
-        assert!(lib.matches_npn4(canonical4_padded(&and2)).is_empty());
+        assert!(matches(&lib, &and2).is_empty());
+        assert!(matching_cells(&classes, &and2).is_empty());
     }
 
     #[test]

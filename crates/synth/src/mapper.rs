@@ -449,7 +449,7 @@ mod tests {
         // typical case it decreases.  This ties the optimisation passes to QoR.
         let g = Design::Alu64.generate(DesignScale::Tiny);
         let before = map_qor(&g, &lib(), MapperParams::default());
-        let optimised = crate::rewrite::rewrite(&g, false);
+        let optimised = crate::Transform::Rewrite.apply(&g);
         let after = map_qor(&optimised, &lib(), MapperParams::default());
         assert!(
             after.area_um2 <= before.area_um2 * 1.05,

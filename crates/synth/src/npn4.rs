@@ -1,7 +1,7 @@
 //! Precomputed NPN canonization of all 4-variable functions.
 //!
-//! [`npn_canonical`](crate::npn::npn_canonical) finds the canonical form of a
-//! function by searching its full orbit (up to `2 · 4! · 2^4 = 768` members) —
+//! The oracle [`npn_canonical`](crate::reference::npn_canonical) finds the
+//! canonical form of a function by searching its full orbit (up to `2 · 4! · 2^4 = 768` members) —
 //! exact, but far too slow to sit under technology mapping, where every cut of
 //! every node needs a canonical form.  This module instead fills a
 //! 65,536-entry table once (orbit by orbit: processing functions in increasing
@@ -52,7 +52,7 @@ pub const PERMS4: [[u8; 4]; 24] = permutations4();
 
 /// The NPN transform recovering the canonical form of a function: apply output
 /// negation, then the permutation, then the input negations — the same
-/// operation order as [`npn_canonical`](crate::npn::npn_canonical).
+/// operation order as [`npn_canonical`](crate::reference::npn_canonical).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Npn4Transform {
     /// Whether the output is complemented.
@@ -233,7 +233,7 @@ pub fn canonical4_padded(t: &aig::TruthTable) -> u16 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::npn::npn_canonical;
+    use crate::reference::npn_canonical;
     use aig::TruthTable;
 
     fn table_from_u16(bits: u16) -> TruthTable {

@@ -11,7 +11,6 @@ use aig::{cut_truth_with, Aig, Cut, Lit, Mffc, NodeId};
 use flow_core::{CancelToken, Cancelled};
 
 use crate::pass::{PassContext, ProposeScratch};
-use crate::passes::Transform;
 use crate::reconv::{reconv_cut_sweep, ReconvParams};
 use crate::resyn::{resynthesis_sweep_ctx, Acceptance, Proposal, Structure};
 use crate::sop::count_sop_nodes_sweep;
@@ -31,15 +30,6 @@ impl Default for RefactorParams {
             max_leaves: 8,
             max_cubes: 24,
         }
-    }
-}
-
-/// Applies large-cut refactoring; `zero_cost` selects the `-z` behaviour.
-pub fn refactor(aig: &Aig, zero_cost: bool) -> Aig {
-    if zero_cost {
-        Transform::RefactorZ.apply(aig)
-    } else {
-        Transform::Refactor.apply(aig)
     }
 }
 
@@ -135,6 +125,7 @@ fn propose_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::passes::Transform;
     use aig::random_equivalence_check;
     use circuits::{Design, DesignScale};
 
@@ -158,14 +149,14 @@ mod tests {
     #[test]
     fn refactor_preserves_function() {
         let g = bloated_cone();
-        let r = refactor(&g, false);
+        let r = Transform::Refactor.apply(&g);
         assert!(random_equivalence_check(&g, &r, 16, 3));
     }
 
     #[test]
     fn refactor_collapses_redundant_cone() {
         let g = bloated_cone();
-        let r = refactor(&g, false);
+        let r = Transform::Refactor.apply(&g);
         assert!(
             r.num_ands() < g.num_ands(),
             "refactor should simplify: {} -> {}",
@@ -178,7 +169,7 @@ mod tests {
     fn refactor_on_designs_preserves_function_and_size_bound() {
         for design in [Design::Montgomery64, Design::Alu64] {
             let g = design.generate(DesignScale::Tiny);
-            let r = refactor(&g, false);
+            let r = Transform::Refactor.apply(&g);
             assert!(random_equivalence_check(&g, &r, 4, 11), "{design}");
             assert!(
                 r.num_ands() <= g.cleanup().num_ands() + g.cleanup().num_ands() / 20,
@@ -192,7 +183,7 @@ mod tests {
     #[test]
     fn zero_cost_refactor_preserves_function() {
         let g = bloated_cone();
-        let r = refactor(&g, true);
+        let r = Transform::RefactorZ.apply(&g);
         assert!(random_equivalence_check(&g, &r, 16, 19));
     }
 

@@ -12,10 +12,11 @@
 //! structured code the crate started from — [`aig::CutEnumerator`] plus one
 //! [`aig::cut_truth`] cone walk per cut, [`isop`] on heap tables,
 //! [`reconv_cut`] with linear scans, the uncapped cost estimators, exhaustive
-//! NPN orbit search in [`CellLibrary::matches`], and a sequential sweep.  Both
+//! NPN orbit search ([`npn_canonical`]) compared against every cell in
+//! [`matching_cells`], and a sequential sweep.  Both
 //! sweeps apply their decisions through the same rebuild
 //! ([`rebuild_with_decisions`]).  It exists so the differential suite
-//! (`tests/reference_differential/`) can hold production to it **bit for
+//! (`tests/differential.rs`) can hold production to it **bit for
 //! bit**; nothing that ships calls it.  An optimisation *replaces* production
 //! code and is checked against this module; it never adds a third
 //! implementation or a switch between two.
@@ -26,7 +27,7 @@ use aig::{cut_truth, Aig, Cut, CutEnumerator, CutParams, Lit, Mffc, NodeId, Trut
 
 use crate::balance::build_balanced;
 use crate::decomp::count_shannon_nodes;
-use crate::library::CellLibrary;
+use crate::library::{CellId, CellLibrary};
 use crate::mapper::{mapper_cut_params, MappedNetlist, MapperParams, Matcher};
 use crate::passes::Transform;
 use crate::reconv::{reconv_cut, ReconvParams};
@@ -230,6 +231,7 @@ pub fn map(aig: &Aig, library: &CellLibrary, params: MapperParams) -> MappedNetl
     let mut subject = aig.cleanup();
     subject.compute_fanouts();
     let cut_sets = CutEnumerator::new(mapper_cut_params(params)).enumerate(&subject);
+    let classes = cell_classes(library);
     let mut matcher = Matcher::new(&subject, library, params.mode);
     for id in subject.and_ids() {
         let mut best = None;
@@ -244,7 +246,8 @@ pub fn map(aig: &Aig, library: &CellLibrary, params: MapperParams) -> MappedNetl
                 continue; // constant functions never reach the cover
             }
             let (reduced, leaves) = reduce_support(&truth, &support, cut.leaves());
-            matcher.consider(&mut best, id, &leaves, library.matches(&reduced));
+            let cells = matching_cells(&classes, &reduced);
+            matcher.consider(&mut best, id, &leaves, &cells);
         }
         matcher.commit(id, best);
     }
@@ -275,4 +278,218 @@ pub(crate) fn reduce_support(
     }
     let new_leaves = support.iter().map(|&v| leaves[v]).collect();
     (reduced, new_leaves)
+}
+
+/// The orbit-canonical form of every cell's function, in cell-id order (the
+/// library side of [`matching_cells`]).
+pub fn cell_classes(library: &CellLibrary) -> Vec<TruthTable> {
+    let cells = library.cells().iter();
+    cells
+        .map(|c| npn_canonical(&c.function).canonical)
+        .collect()
+}
+
+/// The ids, in cell-id order, of the library cells whose function has `f`'s
+/// arity and `f`'s NPN class (`classes` from [`cell_classes`]; table equality
+/// includes the arity): the oracle of [`CellLibrary::matches_npn4`].  A
+/// dead-pin cell is compared too; its class never equals that of a
+/// full-support query of its arity.
+pub fn matching_cells(classes: &[TruthTable], f: &TruthTable) -> Vec<CellId> {
+    let canon = npn_canonical(f).canonical;
+    let ids = classes.iter().enumerate();
+    ids.filter(|(_, class)| **class == canon)
+        .map(|(id, _)| id)
+        .collect()
+}
+
+/// Maximum function arity supported by the orbit search (library cells are
+/// ≤ 4 inputs).
+pub const MAX_NPN_VARS: usize = 4;
+
+/// The canonical representative of an NPN class together with the
+/// transformation that maps the original function onto it.
+///
+/// Two functions belong to the same NPN class when one can be obtained from
+/// the other by Negating inputs, Permuting inputs and/or Negating the output.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NpnClass {
+    /// Canonical truth table (lexicographically smallest over the orbit).
+    pub canonical: TruthTable,
+    /// Whether the output had to be complemented to reach the canonical form.
+    pub output_negated: bool,
+    /// Permutation applied to the inputs: `perm[i]` is the original variable
+    /// placed at canonical position `i`.
+    pub permutation: Vec<usize>,
+    /// Input complementation mask (bit `i` set means canonical input `i` is the
+    /// complement of the original variable `perm[i]`).
+    pub input_negation: u32,
+}
+
+/// Computes the NPN canonical form of a function by exhaustive orbit search:
+/// the oracle of [`crate::npn4`]'s table.
+///
+/// The orbit of an `n`-input function has at most `2 * n! * 2^n` members
+/// (≤ 768 for `n = 4`), so exhaustive search is cheap and exact.
+///
+/// # Panics
+///
+/// Panics if the function has more than [`MAX_NPN_VARS`] variables.
+pub fn npn_canonical(f: &TruthTable) -> NpnClass {
+    let n = f.num_vars();
+    assert!(
+        n <= MAX_NPN_VARS,
+        "NPN canonization supports at most {MAX_NPN_VARS} inputs"
+    );
+    let mut best: Option<NpnClass> = None;
+    let perms = permutations(n);
+    for out_neg in [false, true] {
+        let base = if out_neg { f.not() } else { f.clone() };
+        for perm in &perms {
+            let permuted = apply_permutation(&base, perm);
+            for neg_mask in 0u32..(1 << n) {
+                let candidate = apply_negation(&permuted, neg_mask);
+                let better = match &best {
+                    None => true,
+                    Some(b) => candidate.cmp_bits(&b.canonical) == std::cmp::Ordering::Less,
+                };
+                if better {
+                    best = Some(NpnClass {
+                        canonical: candidate,
+                        output_negated: out_neg,
+                        permutation: perm.clone(),
+                        input_negation: neg_mask,
+                    });
+                }
+            }
+        }
+    }
+    best.expect("orbit is never empty")
+}
+
+fn permutations(n: usize) -> Vec<Vec<usize>> {
+    let mut out = Vec::new();
+    let mut items: Vec<usize> = (0..n).collect();
+    permute_rec(&mut items, 0, &mut out);
+    out
+}
+
+fn permute_rec(items: &mut Vec<usize>, start: usize, out: &mut Vec<Vec<usize>>) {
+    if start == items.len() {
+        out.push(items.clone());
+        return;
+    }
+    for i in start..items.len() {
+        items.swap(start, i);
+        permute_rec(items, start + 1, out);
+        items.swap(start, i);
+    }
+}
+
+/// Applies an input permutation: canonical variable `i` reads original variable `perm[i]`.
+fn apply_permutation(f: &TruthTable, perm: &[usize]) -> TruthTable {
+    let n = f.num_vars();
+    let mut out = TruthTable::zeros(n);
+    for row in 0..f.num_rows() {
+        // Build the original-row index corresponding to canonical row `row`.
+        let mut src = 0usize;
+        for (canon_var, &orig_var) in perm.iter().enumerate() {
+            if row >> canon_var & 1 == 1 {
+                src |= 1 << orig_var;
+            }
+        }
+        out.set(row, f.get(src));
+    }
+    out
+}
+
+fn apply_negation(f: &TruthTable, mask: u32) -> TruthTable {
+    let mut out = f.clone();
+    for v in 0..f.num_vars() {
+        if mask >> v & 1 == 1 {
+            out = out.flip_var(v);
+        }
+    }
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn npn_merges_and_family() {
+        // AND, NAND, NOR, OR and all their input-phase variants form one class.
+        let a = TruthTable::var(0, 2);
+        let b = TruthTable::var(1, 2);
+        let variants = [
+            a.and(&b),
+            a.and(&b).not(),
+            a.not().and(&b.not()),
+            a.or(&b),
+            a.and(&b.not()),
+        ];
+        let canon: Vec<TruthTable> = variants
+            .iter()
+            .map(|f| npn_canonical(f).canonical)
+            .collect();
+        for c in &canon[1..] {
+            assert_eq!(c, &canon[0]);
+        }
+    }
+
+    #[test]
+    fn npn_separates_and_from_xor() {
+        let a = TruthTable::var(0, 2);
+        let b = TruthTable::var(1, 2);
+        let and_c = npn_canonical(&a.and(&b)).canonical;
+        let xor_c = npn_canonical(&a.xor(&b)).canonical;
+        assert_ne!(and_c, xor_c);
+    }
+
+    #[test]
+    fn canonical_is_idempotent() {
+        let f = TruthTable::var(0, 2).and(&TruthTable::var(1, 2));
+        let c1 = npn_canonical(&f);
+        let c2 = npn_canonical(&c1.canonical);
+        assert_eq!(c1.canonical, c2.canonical);
+    }
+
+    #[test]
+    fn three_input_majority_class() {
+        let a = TruthTable::var(0, 3);
+        let b = TruthTable::var(1, 3);
+        let c = TruthTable::var(2, 3);
+        let maj = a.and(&b).or(&a.and(&c)).or(&b.and(&c));
+        let maj_neg_inputs = a
+            .not()
+            .and(&b.not())
+            .or(&a.not().and(&c.not()))
+            .or(&b.not().and(&c.not()));
+        assert_eq!(
+            npn_canonical(&maj).canonical,
+            npn_canonical(&maj_neg_inputs).canonical,
+            "majority is NPN-equivalent to its input-negated version"
+        );
+    }
+
+    #[test]
+    fn permutation_application_is_consistent() {
+        // f = x0 & !x1; permuting [1, 0] must swap the roles of the variables.
+        let a = TruthTable::var(0, 2);
+        let b = TruthTable::var(1, 2);
+        let f = a.and(&b.not());
+        let swapped = apply_permutation(&f, &[1, 0]);
+        assert_eq!(swapped, b.and(&a.not()));
+    }
+
+    #[test]
+    fn constants_are_their_own_class() {
+        let zero = TruthTable::zeros(2);
+        let one = TruthTable::ones(2);
+        // Output negation folds them into one class.
+        assert_eq!(
+            npn_canonical(&zero).canonical,
+            npn_canonical(&one).canonical
+        );
+    }
 }

@@ -14,7 +14,6 @@ use flow_core::{CancelToken, Cancelled};
 
 use crate::decomp::count_shannon_nodes_sweep;
 use crate::pass::{PassContext, ProposeScratch};
-use crate::passes::Transform;
 use crate::reconv::{reconv_cut_sweep, ReconvParams};
 use crate::resyn::{resynthesis_sweep_ctx, Acceptance, Proposal, Structure};
 
@@ -29,11 +28,6 @@ impl Default for RestructureParams {
     fn default() -> Self {
         RestructureParams { max_leaves: 6 }
     }
-}
-
-/// Applies Shannon-decomposition restructuring.
-pub fn restructure(aig: &Aig) -> Aig {
-    Transform::Restructure.apply(aig)
 }
 
 /// `restructure` on a [`PassContext`]: transforms `g` in place, reusing the
@@ -109,6 +103,7 @@ fn propose_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::passes::Transform;
     use aig::random_equivalence_check;
     use circuits::{Design, DesignScale};
 
@@ -130,14 +125,14 @@ mod tests {
     #[test]
     fn restructure_preserves_function() {
         let g = mux_as_sop();
-        let r = restructure(&g);
+        let r = Transform::Restructure.apply(&g);
         assert!(random_equivalence_check(&g, &r, 16, 3));
     }
 
     #[test]
     fn restructure_simplifies_mux_shaped_logic() {
         let g = mux_as_sop();
-        let r = restructure(&g);
+        let r = Transform::Restructure.apply(&g);
         assert!(
             r.num_ands() < g.num_ands(),
             "restructure should shrink: {} -> {}",
@@ -150,7 +145,7 @@ mod tests {
     fn restructure_on_designs_preserves_function() {
         for design in Design::ALL {
             let g = design.generate(DesignScale::Tiny);
-            let r = restructure(&g);
+            let r = Transform::Restructure.apply(&g);
             assert!(random_equivalence_check(&g, &r, 4, 13), "{design}");
         }
     }
@@ -160,8 +155,8 @@ mod tests {
         // Both preserve function, but the node counts / depths generally differ,
         // demonstrating that the passes are not redundant with each other.
         let g = Design::Alu64.generate(DesignScale::Tiny);
-        let rs = restructure(&g);
-        let rf = crate::refactor::refactor(&g, false);
+        let rs = Transform::Restructure.apply(&g);
+        let rf = Transform::Refactor.apply(&g);
         assert!(random_equivalence_check(&rs, &rf, 4, 29));
         let same_size = rs.num_ands() == rf.num_ands() && rs.depth() == rf.depth();
         assert!(

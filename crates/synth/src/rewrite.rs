@@ -12,7 +12,6 @@ use aig::{Aig, Cut4Enumerator, CutParams, Lit, Mffc, NodeId};
 use flow_core::{CancelToken, Cancelled};
 
 use crate::pass::{PassContext, ProposeScratch};
-use crate::passes::Transform;
 use crate::resyn::{resynthesis_sweep_ctx, Acceptance, Proposal, Structure};
 use crate::sop::count_sop_nodes_sweep;
 
@@ -33,15 +32,6 @@ impl Default for RewriteParams {
             cut_size: 4,
             cuts_per_node: 8,
         }
-    }
-}
-
-/// Applies cut-based rewriting; `zero_cost` selects the `-z` behaviour.
-pub fn rewrite(aig: &Aig, zero_cost: bool) -> Aig {
-    if zero_cost {
-        Transform::RewriteZ.apply(aig)
-    } else {
-        Transform::Rewrite.apply(aig)
     }
 }
 
@@ -153,6 +143,7 @@ fn propose_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::passes::Transform;
     use aig::random_equivalence_check;
     use circuits::{Design, DesignScale};
 
@@ -177,14 +168,14 @@ mod tests {
     #[test]
     fn rewrite_preserves_function() {
         let g = redundant_network();
-        let r = rewrite(&g, false);
+        let r = Transform::Rewrite.apply(&g);
         assert!(random_equivalence_check(&g, &r, 16, 3));
     }
 
     #[test]
     fn rewrite_reduces_redundant_logic() {
         let g = redundant_network();
-        let r = rewrite(&g, false);
+        let r = Transform::Rewrite.apply(&g);
         assert!(
             r.num_ands() < g.num_ands(),
             "rewrite should shrink the redundant network: {} -> {}",
@@ -197,7 +188,7 @@ mod tests {
     fn strict_rewrite_never_grows() {
         for design in [Design::Alu64, Design::Montgomery64] {
             let g = design.generate(DesignScale::Tiny);
-            let r = rewrite(&g, false);
+            let r = Transform::Rewrite.apply(&g);
             assert!(
                 r.num_ands() <= g.cleanup().num_ands(),
                 "{design}: {} -> {}",
@@ -214,15 +205,15 @@ mod tests {
     #[test]
     fn zero_cost_rewrite_preserves_function() {
         let g = Design::Alu64.generate(DesignScale::Tiny);
-        let r = rewrite(&g, true);
+        let r = Transform::RewriteZ.apply(&g);
         assert!(random_equivalence_check(&g, &r, 4, 17));
     }
 
     #[test]
     fn rewrite_is_stable_after_convergence() {
         let g = redundant_network();
-        let once = rewrite(&g, false);
-        let twice = rewrite(&once, false);
+        let once = Transform::Rewrite.apply(&g);
+        let twice = Transform::Rewrite.apply(&once);
         assert!(twice.num_ands() <= once.num_ands());
         assert!(random_equivalence_check(&once, &twice, 8, 23));
     }

@@ -4,12 +4,12 @@
 //!
 //! Graphs are compared **node for node** and mapped netlists **gate for
 //! gate** with `to_bits()` area and delay — "equivalent" is not enough.  The
-//! suite's tests live in the three test files beside this directory, which
-//! `mod` it in; they keep the file and test names the tier-1 floor knows them
-//! by (part 1: cuts, single passes, the presets, the mapper; part 2: random
-//! flows, fixtures, context reuse; part 3: the apply routes of a sweep and
-//! the epochs they leave).  `parallel_sweep.rs` borrows the node-for-node
-//! comparison to hold the chunked sweep to itself across thread counts.
+//! suite's tests live in `differential.rs` beside this directory, which
+//! `mod`s it in (cuts, cell matching, single passes, the presets, random
+//! flows, fixtures, context reuse, the mapper, and the apply routes of a
+//! sweep and the epochs they leave).  `parallel_sweep.rs` borrows the
+//! node-for-node comparison to hold the chunked sweep to itself across
+//! thread counts.
 
 #![allow(dead_code)] // each test binary uses its own subset
 

@@ -3,13 +3,14 @@
 //! CNN training -> angel/devil selection.
 
 use circuits::{Design, DesignScale};
+use floweval::EvalEngine;
 use flowgen::{
     select_angel_devil_flows, ClassifierConfig, Dataset, FlowClassifier, FlowEncoder, FlowSpace,
     Framework, FrameworkConfig, Labeler,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use synth::{FlowRunner, QorMetric, Transform};
+use synth::{Qor, QorMetric, Transform};
 
 #[test]
 fn manual_pipeline_produces_consistent_artifacts() {
@@ -20,10 +21,19 @@ fn manual_pipeline_produces_consistent_artifacts() {
     let flows = space.random_unique_flows(30, &mut rng);
     assert!(flows.iter().all(|f| f.is_m_repetition(6, 4)));
 
-    // 2. QoR collection.
-    let runner = FlowRunner::new();
+    // 2. QoR collection through the batch driver, at 1, 2 and 4 threads:
+    // the labels must not depend on the machine.
     let seqs: Vec<Vec<Transform>> = flows.iter().map(|f| f.transforms().to_vec()).collect();
-    let qors = runner.run_batch(&design, &seqs);
+    let collect = |threads: usize| -> Vec<Qor> {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("pool");
+        pool.install(|| EvalEngine::default().evaluate_batch(&design, &seqs))
+    };
+    let qors = collect(1);
+    assert_eq!(collect(2), qors, "2 threads changed the QoR");
+    assert_eq!(collect(4), qors, "4 threads changed the QoR");
     assert_eq!(qors.len(), flows.len());
     assert!(qors.iter().all(|q| q.area_um2 > 0.0 && q.delay_ps > 0.0));
 
