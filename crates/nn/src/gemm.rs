@@ -1,11 +1,10 @@
-//! The compute path of the trainable layers: blocked, cache-tiled, parallel
-//! f32 matrix kernels plus the `im2col`/`col2im` packing that turns
-//! convolutions into matrix multiplications.
+//! Blocked, cache-tiled, parallel f32 matrix kernels.
 //!
-//! [`crate::Conv2d`], [`crate::Dense`] and [`crate::LocallyConnected2d`] run
-//! forward and backward as GEMMs built on the kernels here; this is the only
-//! way they compute.  The scalar loop nests the crate started from live on as
-//! a test-only oracle in `nn::reference`.
+//! [`crate::Dense`] and [`crate::LocallyConnected2d`] run forward and
+//! backward as GEMMs built on the kernels here; [`crate::Conv2d`] computes
+//! its taps directly over the valid window (see its "Computation" notes) and
+//! uses only the bias helpers.  The scalar loop nests the crate started from
+//! live on as a test-only oracle in `nn::reference`.
 //!
 //! ## Determinism
 //!
@@ -254,137 +253,6 @@ pub fn col_sums_acc(rows: usize, n: usize, src: &[f32], acc: &mut [f32]) {
     }
 }
 
-/// Geometry of a stride-1 "same"-padded convolution lowering.
-///
-/// Padding follows the TensorFlow `SAME` convention the reference loops
-/// implement: `pad_before = (k - 1) / 2` (integer division), so even kernel
-/// widths pad one less cell before than after — see `conv.rs` for the full
-/// convention note.
-#[derive(Debug, Clone, Copy)]
-pub struct ConvGeom {
-    /// Batch size.
-    pub n: usize,
-    /// Input (and output) height.
-    pub h: usize,
-    /// Input (and output) width.
-    pub w: usize,
-    /// Input channels.
-    pub c: usize,
-    /// Kernel height.
-    pub kh: usize,
-    /// Kernel width.
-    pub kw: usize,
-}
-
-impl ConvGeom {
-    /// Rows of the lowered patch matrix: one per output position.
-    pub fn rows(&self) -> usize {
-        self.n * self.h * self.w
-    }
-
-    /// Columns of the lowered patch matrix: `kh * kw * c`, matching the
-    /// `[kh, kw, ic, oc]` weight layout of [`crate::Conv2d`].
-    pub fn patch(&self) -> usize {
-        self.kh * self.kw * self.c
-    }
-
-    fn pads(&self) -> (usize, usize) {
-        ((self.kh - 1) / 2, (self.kw - 1) / 2)
-    }
-}
-
-/// Lowers an NHWC input into the patch matrix `cols[rows() × patch()]`.
-///
-/// Row `(b, oh, ow)` holds the zero-padded `kh × kw × c` input window centred
-/// per the "same" convention; multiplying by the `[patch × out_c]` weight
-/// matrix yields the convolution output in NHWC order directly.  Parallel
-/// over batch images (each image's rows are a disjoint contiguous chunk).
-pub fn im2col_same(geom: ConvGeom, input: &[f32], cols: &mut Vec<f32>) {
-    let ConvGeom { n, h, w, c, kh, kw } = geom;
-    assert_eq!(input.len(), n * h * w * c, "input volume mismatch");
-    let patch = geom.patch();
-    let (ph, pw) = geom.pads();
-    // Every element (including zero padding) is written below, so a
-    // same-size buffer is reused without re-zeroing.
-    if cols.len() != geom.rows() * patch {
-        cols.resize(geom.rows() * patch, 0.0);
-    }
-    use rayon::prelude::*;
-    cols.par_chunks_mut(h * w * patch)
-        .enumerate()
-        .for_each(|(b, image_cols)| {
-            let image = &input[b * h * w * c..(b + 1) * h * w * c];
-            for oh in 0..h {
-                for ow in 0..w {
-                    let row = &mut image_cols[(oh * w + ow) * patch..(oh * w + ow + 1) * patch];
-                    for dkh in 0..kh {
-                        let ih = oh as isize + dkh as isize - ph as isize;
-                        let dst = &mut row[dkh * kw * c..(dkh + 1) * kw * c];
-                        if ih < 0 || ih >= h as isize {
-                            dst.fill(0.0);
-                            continue;
-                        }
-                        let ih = ih as usize;
-                        // Clip the kw window to the valid input columns and
-                        // copy it as one contiguous NHWC run.
-                        let iw0 = ow as isize - pw as isize;
-                        let lo = (-iw0).max(0) as usize; // first in-range dkw
-                        let hi = (w as isize - iw0).clamp(0, kw as isize) as usize;
-                        dst[..lo * c].fill(0.0);
-                        dst[hi * c..].fill(0.0);
-                        if lo < hi {
-                            let src0 = (ih * w) as isize + iw0 + lo as isize;
-                            let src = &image[src0 as usize * c..(src0 as usize + hi - lo) * c];
-                            dst[lo * c..hi * c].copy_from_slice(src);
-                        }
-                    }
-                }
-            }
-        });
-}
-
-/// Scatter-adds patch-matrix gradients back onto the NHWC input gradient
-/// (the adjoint of [`im2col_same`]).  Parallel over batch images; within an
-/// image the accumulation order is the fixed `(oh, ow, kh, kw)` scan.
-pub fn col2im_same(geom: ConvGeom, dcols: &[f32], dinput: &mut [f32]) {
-    let ConvGeom { n, h, w, c, kh, kw } = geom;
-    assert_eq!(dinput.len(), n * h * w * c, "input volume mismatch");
-    let patch = geom.patch();
-    assert!(dcols.len() >= geom.rows() * patch, "dcols too small");
-    let (ph, pw) = geom.pads();
-    use rayon::prelude::*;
-    dinput
-        .par_chunks_mut(h * w * c)
-        .enumerate()
-        .for_each(|(b, dimage)| {
-            let image_cols = &dcols[b * h * w * patch..(b + 1) * h * w * patch];
-            for oh in 0..h {
-                for ow in 0..w {
-                    let row = &image_cols[(oh * w + ow) * patch..(oh * w + ow + 1) * patch];
-                    for dkh in 0..kh {
-                        let ih = oh as isize + dkh as isize - ph as isize;
-                        if ih < 0 || ih >= h as isize {
-                            continue;
-                        }
-                        let ih = ih as usize;
-                        let iw0 = ow as isize - pw as isize;
-                        let lo = (-iw0).max(0) as usize;
-                        let hi = (w as isize - iw0).clamp(0, kw as isize) as usize;
-                        if lo >= hi {
-                            continue;
-                        }
-                        let src = &row[dkh * kw * c + lo * c..dkh * kw * c + hi * c];
-                        let dst0 = (ih * w) as isize + iw0 + lo as isize;
-                        let dst = &mut dimage[dst0 as usize * c..(dst0 as usize + hi - lo) * c];
-                        for (dv, &sv) in dst.iter_mut().zip(src) {
-                            *dv += sv;
-                        }
-                    }
-                }
-            }
-        });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -515,64 +383,5 @@ mod tests {
         let mut acc = vec![0.5f32, 0.0];
         col_sums_acc(3, 2, &c, &mut acc);
         assert_eq!(acc, vec![3.5, -6.0]);
-    }
-
-    #[test]
-    fn im2col_centre_row_of_odd_kernel() {
-        // 1x3 kernel over a 1x1x4x1 input: row at ow=0 is [0, x0, x1].
-        let geom = ConvGeom {
-            n: 1,
-            h: 1,
-            w: 4,
-            c: 1,
-            kh: 1,
-            kw: 3,
-        };
-        let input = [1.0, 2.0, 3.0, 4.0];
-        let mut cols = Vec::new();
-        im2col_same(geom, &input, &mut cols);
-        assert_eq!(cols.len(), 4 * 3);
-        assert_eq!(&cols[0..3], &[0.0, 1.0, 2.0]);
-        assert_eq!(&cols[3..6], &[1.0, 2.0, 3.0]);
-        assert_eq!(&cols[9..12], &[3.0, 4.0, 0.0]);
-    }
-
-    #[test]
-    fn im2col_even_kernel_pads_less_before() {
-        // k = 2 ⇒ pad_before = 0, pad_after = 1: window at ow is [x_ow, x_ow+1].
-        let geom = ConvGeom {
-            n: 1,
-            h: 1,
-            w: 3,
-            c: 1,
-            kh: 1,
-            kw: 2,
-        };
-        let input = [5.0, 6.0, 7.0];
-        let mut cols = Vec::new();
-        im2col_same(geom, &input, &mut cols);
-        assert_eq!(cols, vec![5.0, 6.0, 6.0, 7.0, 7.0, 0.0]);
-    }
-
-    #[test]
-    fn col2im_is_adjoint_of_im2col() {
-        // <im2col(x), y> == <x, col2im(y)> for random x, y.
-        let geom = ConvGeom {
-            n: 2,
-            h: 3,
-            w: 4,
-            c: 2,
-            kh: 2,
-            kw: 3,
-        };
-        let x = seeded(2 * 3 * 4 * 2, 10);
-        let y = seeded(geom.rows() * geom.patch(), 11);
-        let mut cols = Vec::new();
-        im2col_same(geom, &x, &mut cols);
-        let lhs: f32 = cols.iter().zip(&y).map(|(a, b)| a * b).sum();
-        let mut dx = vec![0.0f32; x.len()];
-        col2im_same(geom, &y, &mut dx);
-        let rhs: f32 = x.iter().zip(&dx).map(|(a, b)| a * b).sum();
-        assert!((lhs - rhs).abs() < 1e-3, "{lhs} vs {rhs}");
     }
 }

@@ -31,15 +31,26 @@ impl ActivationLayer {
 }
 
 impl Layer for ActivationLayer {
-    fn forward(&mut self, input: &Tensor, _training: bool) -> Tensor {
-        self.cached_input = Some(input.clone());
+    fn forward(&mut self, input: &Tensor, training: bool) -> Tensor {
+        // Only a training pass is followed by `backward`; inference keeps
+        // no copy of its input.
+        self.cached_input = training.then(|| input.clone());
         input.map(|x| self.activation.apply(x))
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let input = self.cached_input.as_ref().expect("forward before backward");
-        let deriv = input.map(|x| self.activation.derivative(x));
-        grad_output.mul(&deriv)
+        let input = self
+            .cached_input
+            .as_ref()
+            .expect("training forward before backward");
+        assert_eq!(grad_output.shape(), input.shape(), "shape mismatch");
+        let data = grad_output
+            .data()
+            .iter()
+            .zip(input.data())
+            .map(|(&g, &x)| g * self.activation.derivative(x))
+            .collect();
+        Tensor::from_vec(input.shape(), data)
     }
 
     fn name(&self) -> String {

@@ -32,7 +32,8 @@ use crate::tensor::Tensor;
 /// panics.
 pub trait Layer: std::fmt::Debug + Send {
     /// Computes the layer output.  `training` enables behaviour that differs
-    /// between training and inference (e.g. dropout).
+    /// between training and inference (e.g. dropout); only a training
+    /// forward keeps what [`Layer::backward`] needs.
     fn forward(&mut self, input: &Tensor, training: bool) -> Tensor;
 
     /// Back-propagates `grad_output` (gradient of the loss w.r.t. this layer's

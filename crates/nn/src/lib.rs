@@ -12,13 +12,15 @@
 //! * the five [`GradientDescent`] algorithms compared in Figures 4–5, and
 //! * a sequential [`Network`] with mini-batch training.
 //!
-//! The trainable layers compute one way (see the [`gemm`] module): blocked,
-//! cache-tiled, parallel GEMMs over `im2col`-packed patches, which is what
-//! makes the paper's full-size 2×200-kernel classifier trainable in minutes
-//! on a CPU.  That path is bit-deterministic across thread counts.  The
+//! The trainable layers compute one way: blocked, cache-tiled, parallel GEMMs
+//! (the [`gemm`] module) for the dense and locally-connected layers, and a
+//! direct per-tap convolution over the valid window for [`Conv2d`], which
+//! skips the zero padding and the zero gradients max-pooling leaves.  That is
+//! what makes the paper's full-size 2×200-kernel classifier trainable in
+//! minutes on a CPU.  The path is bit-deterministic across thread counts.  The
 //! scalar loop nests the crate started from are kept only as a test oracle
 //! (`nn::reference`, hidden from the docs), which the differential tests hold
-//! the GEMM path to.
+//! the production path to.
 //!
 //! ## Quick example
 //!

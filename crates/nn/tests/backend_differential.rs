@@ -1,12 +1,12 @@
-//! Differential tests for the one compute path: the GEMM-backed layers must
+//! Differential tests for the one compute path: the production layers must
 //! match the scalar oracle (`nn::reference`) on the full Figure-3 layer stack
 //! — logits within tight relative tolerance, argmax predictions identical,
-//! training losses in step — and must themselves be bit-identical across
-//! thread counts.
+//! training losses in step — must themselves be bit-identical across thread
+//! counts, and must keep the pinned training-loss bits.
 
 use nn::{
     reference::Scalar, Activation, ActivationLayer, Conv2d, Dense, Dropout, Flatten,
-    GradientDescent, LocallyConnected2d, MaxPool2d, Network, Optimizer, Tensor,
+    GradientDescent, Layer, LocallyConnected2d, MaxPool2d, Network, Optimizer, Tensor,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -27,12 +27,19 @@ const FLAT: usize = (SIDE2 - 1) * (SIDE2 - 1) * (K / 2);
 /// dropout) at 8 kernels and 16 dense units, drawing weights from the RNG in
 /// the same order.
 fn figure3_net(seed: u64) -> Network {
+    figure3_net_with_kernel((3, 6), seed)
+}
+
+/// [`figure3_net`] with both convolutions using `kernel`; `(6, 12)` is the
+/// paper-scale `n × 2n` kernel, which on the second stage's 6 × 6 map has
+/// taps that never land inside the input.
+fn figure3_net_with_kernel(kernel: (usize, usize), seed: u64) -> Network {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut net = Network::new();
-    net.push(Conv2d::new((3, 6), 1, K, &mut rng));
+    net.push(Conv2d::new(kernel, 1, K, &mut rng));
     net.push(ActivationLayer::new(Activation::Selu));
     net.push(MaxPool2d::new((2, 2)));
-    net.push(Conv2d::new((3, 6), K, K, &mut rng));
+    net.push(Conv2d::new(kernel, K, K, &mut rng));
     net.push(ActivationLayer::new(Activation::Selu));
     net.push(MaxPool2d::new((2, 2)));
     net.push(LocallyConnected2d::new(
@@ -144,13 +151,45 @@ fn training_steps_agree_between_backends() {
     assert_eq!(p_ref, p_fast, "post-training predictions diverged");
 }
 
-/// The GEMM path is bit-deterministic across worker-thread counts: work is
+/// The paper's second convolution — a 6×12 kernel on a 6×6 map — with more
+/// channels than one parallel channel block: the bits of its output, input
+/// gradient and weight gradient after one forward and backward.
+fn second_stage_conv_bits() -> Vec<u32> {
+    let mut rng = ChaCha8Rng::seed_from_u64(5);
+    let mut conv = Conv2d::new((6, 12), 40, 36, &mut rng);
+    let x = Tensor::from_vec(
+        &[5, 6, 6, 40],
+        (0..5 * 6 * 6 * 40)
+            .map(|_| rng.gen_range(-1.0..1.0))
+            .collect(),
+    );
+    let out = conv.forward(&x, true);
+    // Three in four gradient entries exactly zero, as 2×2 max-pooling leaves.
+    let dy = Tensor::from_vec(
+        out.shape(),
+        (0..out.len())
+            .map(|_| match rng.gen_range(0..4) {
+                0 => rng.gen_range(-1.0..1.0),
+                _ => 0.0,
+            })
+            .collect(),
+    );
+    let dx = conv.backward(&dy);
+    let dw = conv.params_mut()[0].grad.clone();
+    [out.data(), dx.data(), &dw]
+        .into_iter()
+        .flatten()
+        .map(|v| v.to_bits())
+        .collect()
+}
+
+/// The production path is bit-deterministic across worker-thread counts: work is
 /// split into fixed blocks and every reduction runs in a fixed order.  All
 /// thread-count variations run inside one `#[test]` (mirroring the PR 1
 /// `runner_determinism` pattern) because the pool size is process-global.
 #[test]
 fn fast_training_is_bit_identical_across_thread_counts() {
-    let run = |threads: usize| -> (Vec<f32>, Vec<usize>) {
+    let run = |threads: usize| -> (Vec<f32>, Vec<usize>, Vec<u32>) {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
@@ -164,17 +203,54 @@ fn fast_training_is_bit_identical_across_thread_counts() {
                 losses.push(net.train_step(&x, &y, &mut opt).loss);
             }
             let (x, _) = seeded_batch(8, 555);
-            (losses, net.predict(&x))
+            (losses, net.predict(&x), second_stage_conv_bits())
         })
     };
-    let (losses_1, preds_1) = run(1);
+    let (losses_1, preds_1, conv_1) = run(1);
     for threads in [2usize, 4, 8] {
-        let (losses_n, preds_n) = run(threads);
+        let (losses_n, preds_n, conv_n) = run(threads);
         assert_eq!(
             losses_1.iter().map(|l| l.to_bits()).collect::<Vec<_>>(),
             losses_n.iter().map(|l| l.to_bits()).collect::<Vec<_>>(),
             "{threads} threads changed training losses bitwise"
         );
         assert_eq!(preds_1, preds_n, "{threads} threads changed predictions");
+        assert!(
+            conv_1 == conv_n,
+            "{threads} threads changed the 6x12-on-6x6 convolution bitwise"
+        );
+    }
+}
+
+/// Literal loss bits of a few seeded training steps, recorded from the
+/// im2col + GEMM formulation the convolution used before it computed taps
+/// directly.  The production path must keep reproducing them bit for bit on
+/// the default `3 × 6` kernel and on the paper's `6 × 12` kernel.
+#[test]
+fn training_losses_are_pinned_bit_for_bit() {
+    let pinned: [((usize, usize), [u32; 6]); 2] = [
+        (
+            (3, 6),
+            [
+                1075163002, 1074390727, 1071551053, 1073617803, 1073356762, 1073004917,
+            ],
+        ),
+        (
+            (6, 12),
+            [
+                1075097402, 1075160354, 1074725371, 1075906870, 1072298995, 1074124529,
+            ],
+        ),
+    ];
+    for (kernel, want) in pinned {
+        let mut net = figure3_net_with_kernel(kernel, 23);
+        let mut opt = Optimizer::new(GradientDescent::RmsProp { decay: 0.9 }, 1e-3);
+        let got: Vec<u32> = (0..6)
+            .map(|step| {
+                let (x, y) = seeded_batch(5, 300 + step);
+                net.train_step(&x, &y, &mut opt).loss.to_bits()
+            })
+            .collect();
+        assert_eq!(got, want, "kernel {kernel:?}: loss bits moved");
     }
 }
