@@ -283,9 +283,16 @@ impl RawAiger {
     /// Literals are validated (every referenced variable must be the constant,
     /// an input, or an AND defined earlier in the file), and construction goes
     /// through [`Aig::and`], so duplicate or trivial gates in the file are
-    /// structurally hashed away.
+    /// structurally hashed away.  The graph and its strash are sized for
+    /// every declared node up front — the constant, the inputs and the gates
+    /// already read — so a reservation never exceeds what assembly would
+    /// allocate anyway.
     pub(crate) fn build(self) -> IoResult<Aig> {
         let mut aig = Aig::with_name(self.name.as_deref().unwrap_or("aiger"));
+        aig.reserve_for(
+            1 + self.num_inputs as usize + self.ands.len(),
+            self.ands.len(),
+        );
         // `lit_of[var]` — the in-memory literal for each defined AIGER variable.
         let mut lit_of: Vec<Option<Lit>> = vec![None; self.max_var as usize + 1];
         lit_of[0] = Some(Lit::FALSE);

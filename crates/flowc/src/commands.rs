@@ -5,11 +5,12 @@ use std::path::{Path, PathBuf};
 use aig::io::Format;
 use aig::Aig;
 use circuits::{Design, DesignScale};
+use flow_core::CancelToken;
 use floweval::{EngineConfig, EvalEngine};
 use flowgen::{Flow, FlowSpace};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use synth::apply_sequence;
+use synth::{apply_sequence, PassContext};
 
 use crate::args::Args;
 use crate::design::{parse_scale, resolve_design};
@@ -60,7 +61,18 @@ pub fn run(mut args: Args) -> Result<(), String> {
         verify,
         ..EngineConfig::default()
     });
-    let qors = engine.evaluate_batch(&resolved.aig, &[flow.transforms().to_vec()]);
+    let fingerprint = floweval::fingerprint_design(&resolved.aig);
+    let mut pctx = PassContext::default();
+    let qor = engine
+        .try_evaluate_flow_with_ctx(
+            &resolved.aig,
+            fingerprint,
+            flow.transforms(),
+            &mut pctx,
+            &CancelToken::never(),
+        )
+        .expect("a never-firing token cannot cancel");
+    engine.absorb_timings(&pctx.take_timings());
 
     let export = match out {
         Some(path) => Some(export_netlist(&resolved.aig, flow.transforms(), &path)?),
@@ -68,14 +80,14 @@ pub fn run(mut args: Args) -> Result<(), String> {
     };
 
     let report = RunReport {
-        design: DesignReport::of(&resolved.aig, &resolved.source),
+        design: DesignReport::of(&resolved.aig, fingerprint, &resolved.source),
         flow: FlowReport {
             script: flow.to_script(),
             preset,
             random_seed,
             length: flow.len(),
         },
-        qor: qors[0],
+        qor,
         eval: engine.stats(),
         timing: timing.then(|| TimingReport::of(&engine.pass_timings())),
         export,
@@ -166,15 +178,15 @@ pub fn search(mut args: Args) -> Result<(), String> {
         };
 
     let mut designs = Vec::new();
-    let mut design_reports = Vec::new();
+    let mut sources = Vec::new();
     for spec in designs_spec.split(',') {
         let spec = spec.trim();
         if spec.is_empty() {
             continue;
         }
         let resolved = resolve_design(spec)?;
-        design_reports.push(DesignReport::of(&resolved.aig, &resolved.source));
         designs.push(resolved.aig);
+        sources.push(resolved.source);
     }
     if designs.is_empty() {
         return Err("--designs names no designs".to_string());
@@ -192,6 +204,12 @@ pub fn search(mut args: Args) -> Result<(), String> {
         max_evals,
     };
     let outcome = engine.search_flows(&designs, &flows, &config);
+    let design_reports: Vec<DesignReport> = designs
+        .iter()
+        .zip(&outcome.fingerprints)
+        .zip(&sources)
+        .map(|((aig, &fingerprint), source)| DesignReport::of(aig, fingerprint, source))
+        .collect();
 
     if let Some(path) = labels_path {
         #[derive(serde::Serialize)]
@@ -655,7 +673,8 @@ pub fn stats(mut args: Args) -> Result<(), String> {
     let json_path = args.take_value("json")?;
     args.finish()?;
     let resolved = resolve_design(&spec)?;
-    let report = DesignReport::of(&resolved.aig, &resolved.source);
+    let fingerprint = floweval::fingerprint_design(&resolved.aig);
+    let report = DesignReport::of(&resolved.aig, fingerprint, &resolved.source);
     emit_json(&report, json_path.as_deref())
 }
 

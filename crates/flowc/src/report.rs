@@ -6,12 +6,13 @@
 //! (wall time, cache hits) and is explicitly excluded from such comparisons.
 
 use aig::Aig;
+use flow_core::Fingerprint;
 use floweval::EvalStats;
 use serde::{Deserialize, Serialize};
 use synth::Qor;
 
 /// The `design` section: identity and structural statistics.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DesignReport {
     pub name: String,
     /// `file:<path>` or `generated:<name>:<scale>`.
@@ -25,7 +26,10 @@ pub struct DesignReport {
 }
 
 impl DesignReport {
-    pub fn of(aig: &Aig, source: &str) -> Self {
+    /// The section for `aig`, whose [`floweval::fingerprint_design`] the
+    /// caller already holds (the one its evaluation was keyed by), so the
+    /// graph is hashed once per report.
+    pub fn of(aig: &Aig, fingerprint: Fingerprint, source: &str) -> Self {
         DesignReport {
             name: aig.name().to_string(),
             source: source.to_string(),
@@ -33,7 +37,7 @@ impl DesignReport {
             outputs: aig.num_outputs(),
             ands: aig.num_ands(),
             depth: aig.depth(),
-            fingerprint: floweval::fingerprint_design(aig).to_string(),
+            fingerprint: fingerprint.to_string(),
         }
     }
 }

@@ -14,13 +14,18 @@
 //! |-------------------|------------------------------------------------------|
 //! | `POST /run`       | body = design (AIGER/BLIF); query `flow`/`random`, `format`, `timing`, `verify`, `export` — answers `flowc run`'s JSON report |
 //! | `GET /healthz`    | liveness (`{"status":"ok"}`)                         |
-//! | `GET /stats`      | uptime, queue depth, worker utilization, [`floweval::EvalStats`], cache summary |
+//! | `GET /stats`      | uptime, queue depth, worker utilization, [`floweval::EvalStats`], cache summary, design-table counters |
 //! | `POST /shutdown`  | graceful drain: stop accepting, finish queued work   |
 //!
 //! The `qor` section of a `/run` response is **bit-identical** to an
 //! in-process `flowc run` of the same design and flow (`tests/service.rs`
 //! asserts this, and `flowbench`'s `flowd_mix` workload re-checks sampled
 //! replies against an in-process `FlowRunner`).
+//!
+//! A design the daemon has parsed once is remembered by a digest of its
+//! request body (at most [`MAX_KNOWN_DESIGNS`] of them): a repeat of that body
+//! with a flow whose QoR is stored is answered by one store lookup, without
+//! parsing it again.
 //!
 //! ## Backpressure
 //!
@@ -35,7 +40,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod designs;
 mod protocol;
 mod server;
 
+pub use designs::MAX_KNOWN_DESIGNS;
 pub use server::{Server, ServerConfig};

@@ -3,16 +3,18 @@
 use std::sync::atomic::Ordering;
 
 use aig::io::Format;
-use aig::{random_equivalence_check, Aig};
+use aig::random_equivalence_check;
 use flow_core::{CancelReason, CancelToken, Cancelled};
 use flowc::report::{DesignReport, ExportReport, FlowReport, RunReport, TimingReport};
+use floweval::EvalStats;
 use flowgen::{Flow, FlowSpace};
 use httpwire::{Request, Response};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
-use synth::PassContext;
+use synth::{PassContext, PassTimings, Qor};
 
+use crate::designs::{DesignSummary, KnownDesign};
 use crate::server::Shared;
 
 /// Seed used for `verify=1` random-simulation checks; matches the engine's.
@@ -63,12 +65,13 @@ struct StatsReport {
     workers: WorkerStats,
     queue: QueueStats,
     requests: RequestStats,
-    eval: floweval::EvalStats,
+    eval: EvalStats,
     store_hit_rate: f64,
     store_len: usize,
     store_mode: String,
     store: floweval::StoreSummary,
     cache: floweval::CacheSummary,
+    designs: DesignSummary,
 }
 
 #[derive(Debug, Serialize)]
@@ -163,6 +166,7 @@ fn stats_response(shared: &Shared) -> Response {
         store_mode: shared.engine.store_mode().as_str().to_string(),
         store: shared.engine.store_summary(),
         cache: shared.engine.cache_summary(),
+        designs: shared.designs.summary(),
     };
     match serde_json::to_string(&report) {
         Ok(json) => Response::json(200, json),
@@ -189,90 +193,177 @@ fn cancelled_response(shared: &Shared, cancelled: &Cancelled) -> Response {
         .with_header("connection", "close")
 }
 
+/// A `/run` request's query, validated in full before the body is read.
+struct RunParams {
+    flow: Flow,
+    preset: Option<String>,
+    random_seed: Option<u64>,
+    /// `None`: detect the format from the body.
+    format: Option<Format>,
+    export: Option<Format>,
+    timing: bool,
+    verify: bool,
+}
+
+impl RunParams {
+    /// Reads `flow`/`random`, `format`, `export`, `timing` and `verify`;
+    /// the first invalid one answers `400` with its kind.
+    fn of(request: &Request) -> Result<RunParams, Response> {
+        let flow_param = request.query_param("flow");
+        let random_param = request.query_param("random");
+        let (flow, preset, random_seed) = match (&flow_param, &random_param) {
+            (Some(_), Some(_)) => {
+                return Err(error_response(
+                    400,
+                    "flow",
+                    "flow and random are mutually exclusive",
+                ))
+            }
+            (Some(spec), None) => {
+                let preset = Flow::named(spec.trim()).map(|_| spec.trim().to_string());
+                match Flow::parse(spec) {
+                    Ok(flow) => (flow, preset, None),
+                    Err(cmd) => {
+                        return Err(error_response(
+                            400,
+                            "flow",
+                            &format!("`{cmd}` is neither a preset nor a transform"),
+                        ))
+                    }
+                }
+            }
+            (None, Some(seed)) => match seed.parse::<u64>() {
+                Ok(seed) => {
+                    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                    (FlowSpace::paper().random_flow(&mut rng), None, Some(seed))
+                }
+                Err(_) => return Err(error_response(400, "flow", "random needs a numeric seed")),
+            },
+            (None, None) => {
+                return Err(error_response(
+                    400,
+                    "flow",
+                    "one of flow=<spec> or random=<seed> is required",
+                ))
+            }
+        };
+        let format = match request.query_param("format").as_deref() {
+            None => None,
+            Some("aag") => Some(Format::AigerAscii),
+            Some("aig") => Some(Format::AigerBinary),
+            Some("blif") => Some(Format::Blif),
+            Some(other) => {
+                return Err(error_response(
+                    400,
+                    "design",
+                    &format!("unknown format `{other}`"),
+                ))
+            }
+        };
+        let export = match request.query_param("export").as_deref() {
+            None => None,
+            Some("aag") => Some(Format::AigerAscii),
+            Some("blif") => Some(Format::Blif),
+            Some("aig") => {
+                return Err(error_response(
+                    400,
+                    "export",
+                    "binary AIGER cannot ride a JSON string; request export=aag",
+                ))
+            }
+            Some(other) => {
+                return Err(error_response(
+                    400,
+                    "export",
+                    &format!("unknown format `{other}`"),
+                ))
+            }
+        };
+        Ok(RunParams {
+            flow,
+            preset,
+            random_seed,
+            format,
+            export,
+            timing: flag(request, "timing"),
+            verify: flag(request, "verify"),
+        })
+    }
+}
+
 fn run_response(
     shared: &Shared,
     request: &Request,
     pctx: &mut PassContext,
     cancel: &CancelToken,
 ) -> Response {
-    // --- Parse the flow specification. ---
-    let flow_param = request.query_param("flow");
-    let random_param = request.query_param("random");
-    let (flow, preset, random_seed) = match (&flow_param, &random_param) {
-        (Some(_), Some(_)) => {
-            return error_response(400, "flow", "flow and random are mutually exclusive")
-        }
-        (Some(spec), None) => {
-            let preset = Flow::named(spec.trim()).map(|_| spec.trim().to_string());
-            match Flow::parse(spec) {
-                Ok(flow) => (flow, preset, None),
-                Err(cmd) => {
-                    return error_response(
-                        400,
-                        "flow",
-                        &format!("`{cmd}` is neither a preset nor a transform"),
-                    )
-                }
-            }
-        }
-        (None, Some(seed)) => match seed.parse::<u64>() {
-            Ok(seed) => {
-                let mut rng = ChaCha8Rng::seed_from_u64(seed);
-                (FlowSpace::paper().random_flow(&mut rng), None, Some(seed))
-            }
-            Err(_) => return error_response(400, "flow", "random needs a numeric seed"),
-        },
-        (None, None) => {
-            return error_response(
-                400,
-                "flow",
-                "one of flow=<spec> or random=<seed> is required",
-            )
-        }
+    let params = match RunParams::of(request) {
+        Ok(params) => params,
+        Err(response) => return response,
     };
-
-    // --- Parse the design from the body. ---
     if request.body.is_empty() {
         return error_response(400, "design", "request body must carry a design netlist");
     }
-    let format = match request.query_param("format").as_deref() {
-        Some("aag") => Format::AigerAscii,
-        Some("aig") => Format::AigerBinary,
-        Some("blif") => Format::Blif,
-        Some(other) => return error_response(400, "design", &format!("unknown format `{other}`")),
-        None => match Format::from_content(&request.body) {
-            Ok(format) => format,
-            Err(e) => return error_response(400, "design", &e.to_string()),
-        },
+    let format = match params
+        .format
+        .map_or_else(|| Format::from_content(&request.body), Ok)
+    {
+        Ok(format) => format,
+        Err(e) => return error_response(400, "design", &e.to_string()),
     };
+    let body_key = shared.designs.key(format, &request.body);
+    let stats_before = shared.engine.stats();
+
+    // --- A design read before, with its QoR stored: no parse. ---
+    // Export and verification need the netlist, so they always parse.
+    if params.export.is_none() && !params.verify {
+        if let Some(known) = shared.designs.get(&body_key) {
+            let stored = shared
+                .engine
+                .stored_qor(known.fingerprint, params.flow.transforms());
+            if let Some(qor) = stored {
+                shared.designs.count_hit();
+                let timings = PassTimings::default();
+                return report_response(
+                    shared,
+                    &params,
+                    known.report,
+                    qor,
+                    &timings,
+                    None,
+                    &stats_before,
+                );
+            }
+        }
+    }
+
+    // --- Parse the design from the body and remember it. ---
+    shared.designs.count_miss();
     let design = match aig::io::parse_design(&request.body, format) {
         Ok(design) => design,
         Err(e) => return error_response(400, "parse", &e.to_string()),
     };
-
-    let export_format = match request.query_param("export").as_deref() {
-        None => None,
-        Some("aag") => Some(Format::AigerAscii),
-        Some("blif") => Some(Format::Blif),
-        Some("aig") => {
-            return error_response(
-                400,
-                "export",
-                "binary AIGER cannot ride a JSON string; request export=aag",
-            )
-        }
-        Some(other) => return error_response(400, "export", &format!("unknown format `{other}`")),
-    };
-    let want_timing = flag(request, "timing");
-    let want_verify = flag(request, "verify");
+    let fingerprint = floweval::fingerprint_design(&design);
+    let design_report = DesignReport::of(
+        &design,
+        fingerprint,
+        &format!("wire:{}", format.extension()),
+    );
+    shared.designs.remember(
+        body_key,
+        KnownDesign {
+            fingerprint,
+            report: design_report.clone(),
+        },
+    );
 
     // --- Evaluate through the shared engine with this worker's context. ---
-    let stats_before = shared.engine.stats();
+    let flow = params.flow.transforms();
     let _ = pctx.take_timings(); // request-local breakdown starts here
     let qor =
         match shared
             .engine
-            .try_evaluate_flow_with_ctx(&design, flow.transforms(), pctx, cancel)
+            .try_evaluate_flow_with_ctx(&design, fingerprint, flow, pctx, cancel)
         {
             Ok(qor) => qor,
             Err(cancelled) => return cancelled_response(shared, &cancelled),
@@ -282,19 +373,19 @@ fn run_response(
     // which the engine keeps inside its cache; rerun the flow through the
     // recycling context.  Both paths are deterministic and bit-identical.
     let mut export = None;
-    if export_format.is_some() || want_verify {
-        let optimized = match pctx.run_flow_cancellable(&design, flow.transforms(), cancel) {
+    if params.export.is_some() || params.verify {
+        let optimized = match pctx.run_flow_cancellable(&design, flow, cancel) {
             Ok(optimized) => optimized,
             Err(cancelled) => return cancelled_response(shared, &cancelled),
         };
-        if want_verify && !random_equivalence_check(&design, &optimized, 8, VERIFY_SEED) {
+        if params.verify && !random_equivalence_check(&design, &optimized, 8, VERIFY_SEED) {
             return error_response(
                 500,
                 "verify",
                 "optimized network is not equivalent to the input design",
             );
         }
-        if let Some(format) = export_format {
+        if let Some(format) = params.export {
             let rendered = aig::io::render_design(&optimized, format);
             match String::from_utf8(rendered) {
                 Ok(netlist) => {
@@ -313,26 +404,42 @@ fn run_response(
     }
     let timings = pctx.take_timings();
     shared.engine.absorb_timings(&timings);
+    report_response(
+        shared,
+        &params,
+        design_report,
+        qor,
+        &timings,
+        export,
+        &stats_before,
+    )
+}
 
+/// The `200` answer: `flowc run`'s report for one evaluated request.
+fn report_response(
+    shared: &Shared,
+    params: &RunParams,
+    design: DesignReport,
+    qor: Qor,
+    timings: &PassTimings,
+    export: Option<ExportReport>,
+    stats_before: &EvalStats,
+) -> Response {
     let report = RunReport {
-        design: design_report(&design, format),
+        design,
         flow: FlowReport {
-            script: flow.to_script(),
-            preset,
-            random_seed,
-            length: flow.len(),
+            script: params.flow.to_script(),
+            preset: params.preset.clone(),
+            random_seed: params.random_seed,
+            length: params.flow.len(),
         },
         qor,
-        eval: shared.engine.stats().since(&stats_before),
-        timing: want_timing.then(|| TimingReport::of(&timings)),
+        eval: shared.engine.stats().since(stats_before),
+        timing: params.timing.then(|| TimingReport::of(timings)),
         export,
     };
     match serde_json::to_string(&report) {
         Ok(json) => Response::json(200, json),
         Err(e) => error_response(500, "internal", &format!("report serialization: {e}")),
     }
-}
-
-fn design_report(design: &Aig, format: Format) -> DesignReport {
-    DesignReport::of(design, &format!("wire:{}", format.extension()))
 }

@@ -12,6 +12,7 @@ use floweval::{EngineConfig, EvalEngine};
 use httpwire::{read_request, write_response, HttpError, Limits, Response};
 use synth::PassContext;
 
+use crate::designs::DesignTable;
 use crate::protocol;
 
 /// Configuration of one daemon instance.
@@ -131,6 +132,8 @@ struct WorkerHandle {
 /// State shared by the acceptor, the workers, the watchdog and `/stats`.
 pub(crate) struct Shared {
     pub(crate) engine: EvalEngine,
+    /// Bodies already parsed, mapped to their fingerprint and report.
+    pub(crate) designs: DesignTable,
     pub(crate) config: ServerConfig,
     pub(crate) counters: Counters,
     pub(crate) busy_workers: AtomicUsize,
@@ -179,6 +182,7 @@ impl Server {
         let worker_count = config.workers.max(1);
         let shared = Arc::new(Shared {
             engine,
+            designs: DesignTable::default(),
             config,
             counters: Counters::default(),
             busy_workers: AtomicUsize::new(0),

@@ -486,3 +486,311 @@ fn restart_serves_every_acked_record(torn_tail: bool) {
     server.join().expect("second drain");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `/stats` as a JSON tree.
+fn stats_json(addr: std::net::SocketAddr) -> serde::Value {
+    let response = roundtrip(addr, &Request::new("GET", "/stats"));
+    assert_eq!(response.status, 200);
+    serde_json::parse_value(&body_text(&response)).expect("/stats is JSON")
+}
+
+fn counter(stats: &serde::Value, section: &str, name: &str) -> u64 {
+    match stats.get(section).and_then(|s| s.get(name)) {
+        Some(serde::Value::U64(v)) => *v,
+        other => panic!("/stats {section}.{name} is {other:?}"),
+    }
+}
+
+/// The `/stats` counters a request moved, as `(section, name, delta)`.
+fn stats_delta(before: &serde::Value, after: &serde::Value) -> Vec<(&'static str, u64)> {
+    [
+        ("eval", "flows_requested"),
+        ("eval", "store_hits"),
+        ("eval", "passes_requested"),
+        ("eval", "flows_evaluated"),
+        ("designs", "hits"),
+        ("designs", "misses"),
+    ]
+    .into_iter()
+    .map(|(section, name)| {
+        (
+            name,
+            counter(after, section, name) - counter(before, section, name),
+        )
+    })
+    .collect()
+}
+
+/// A `200` reply as a JSON tree.
+fn reply_json(response: &Response) -> serde::Value {
+    assert_eq!(response.status, 200, "body: {}", body_text(response));
+    serde_json::parse_value(&body_text(response)).expect("reply is JSON")
+}
+
+fn flow_runner_qor(design: &aig::Aig, spec: &str) -> synth::Qor {
+    let flow = flowgen::Flow::parse(spec).expect("flow");
+    synth::FlowRunner::new().run(design, flow.transforms()).qor
+}
+
+#[test]
+fn repeated_body_is_answered_from_the_design_table_like_a_parsed_hit() {
+    let server = tiny_server(1);
+    let addr = server.addr();
+    let design = Design::Alu64.generate(DesignScale::Tiny);
+    let mut renamed = design.clone();
+    renamed.set_name("alu64_renamed");
+
+    let first = reply_json(&roundtrip(addr, &run_request(&design, "flow=resyn2")));
+    // A parsed store hit: the same structure under another body.
+    let s0 = stats_json(addr);
+    let parsed = reply_json(&roundtrip(addr, &run_request(&renamed, "flow=resyn2")));
+    let s1 = stats_json(addr);
+    // The repeated body: answered from the table and the store.
+    let repeated = reply_json(&roundtrip(addr, &run_request(&design, "flow=resyn2")));
+    let s2 = stats_json(addr);
+
+    assert_eq!(repeated.get("design"), first.get("design"));
+    assert_eq!(repeated.get("qor"), first.get("qor"));
+    assert_eq!(parsed.get("qor"), first.get("qor"));
+    assert_eq!(
+        parsed.get("design").and_then(|d| d.get("fingerprint")),
+        first.get("design").and_then(|d| d.get("fingerprint"))
+    );
+    let parsed_delta = stats_delta(&s0, &s1);
+    let table_delta = stats_delta(&s1, &s2);
+    let resyn2_len = flowgen::Flow::parse("resyn2").expect("flow").len() as u64;
+    assert_eq!(
+        parsed_delta[..4],
+        table_delta[..4],
+        "eval counters of a table hit equal a parsed hit's"
+    );
+    assert_eq!(
+        table_delta,
+        [
+            ("flows_requested", 1),
+            ("store_hits", 1),
+            ("passes_requested", resyn2_len),
+            ("flows_evaluated", 0),
+            ("hits", 1),
+            ("misses", 0),
+        ]
+    );
+    assert_eq!(parsed_delta[4..], [("hits", 0), ("misses", 1)]);
+    assert_eq!(counter(&s2, "designs", "known"), 2);
+    server.shutdown();
+    server.join().expect("drain");
+}
+
+#[test]
+fn one_more_output_is_parsed_not_served_from_the_table() {
+    let server = tiny_server(1);
+    let addr = server.addr();
+    let design = Design::Montgomery64.generate(DesignScale::Tiny);
+    let mut wider = design.clone();
+    wider.add_output("extra", design.outputs()[0]);
+    assert_eq!(
+        roundtrip(addr, &run_request(&design, "flow=resyn")).status,
+        200
+    );
+
+    let before = stats_json(addr);
+    let response = roundtrip(addr, &run_request(&wider, "flow=resyn"));
+    let after = stats_json(addr);
+    assert_eq!(response.status, 200, "body: {}", body_text(&response));
+    let report: RunReport = serde_json::from_str(&body_text(&response)).expect("report");
+    assert_eq!(report.design.outputs, design.num_outputs() + 1);
+    assert_eq!(
+        report.design.fingerprint,
+        floweval::fingerprint_design(&wider).to_string()
+    );
+    assert_eq!(report.qor, flow_runner_qor(&wider, "resyn"));
+    assert_eq!(
+        counter(&after, "designs", "misses"),
+        counter(&before, "designs", "misses") + 1
+    );
+    assert_eq!(counter(&after, "designs", "hits"), 0);
+    server.shutdown();
+    server.join().expect("drain");
+}
+
+#[test]
+fn unparseable_body_is_never_remembered() {
+    let server = tiny_server(1);
+    let addr = server.addr();
+    let garbage =
+        Request::new("POST", "/run?flow=resyn2").with_body(b"aag 3 2 0 1 1\n2\n".to_vec());
+    for _ in 0..2 {
+        let response = roundtrip(addr, &garbage);
+        assert_eq!(response.status, 400, "body: {}", body_text(&response));
+        assert!(body_text(&response).contains("\"kind\":\"parse\""));
+    }
+    let stats = stats_json(addr);
+    assert_eq!(counter(&stats, "designs", "known"), 0);
+    assert_eq!(counter(&stats, "designs", "misses"), 2);
+    server.shutdown();
+    server.join().expect("drain");
+}
+
+#[test]
+fn export_and_verify_parse_a_known_body_and_match_flow_runner() {
+    let server = tiny_server(1);
+    let addr = server.addr();
+    let design = Design::Alu64.generate(DesignScale::Tiny);
+    let expected = flow_runner_qor(&design, "compress");
+    let warm: RunReport = serde_json::from_str(&body_text(&roundtrip(
+        addr,
+        &run_request(&design, "flow=compress"),
+    )))
+    .expect("report");
+    assert_eq!(warm.qor, expected);
+    for query in ["flow=compress&export=aag", "flow=compress&verify=1"] {
+        let before = stats_json(addr);
+        let response = roundtrip(addr, &run_request(&design, query));
+        let after = stats_json(addr);
+        assert_eq!(response.status, 200, "{query}: {}", body_text(&response));
+        let report: RunReport = serde_json::from_str(&body_text(&response)).expect("report");
+        assert_eq!(report.qor, expected, "{query}");
+        assert_eq!(
+            report.eval.store_hits, 1,
+            "{query}: QoR still comes from the store"
+        );
+        assert_eq!(
+            counter(&after, "designs", "misses"),
+            counter(&before, "designs", "misses") + 1,
+            "{query} parses its body"
+        );
+        assert_eq!(counter(&after, "designs", "hits"), 0, "{query}");
+        if query.contains("export") {
+            let netlist = report
+                .export
+                .and_then(|e| e.netlist)
+                .expect("inline netlist");
+            let optimized =
+                aig::io::parse_design(netlist.as_bytes(), aig::io::Format::AigerAscii).unwrap();
+            assert_eq!(optimized.num_ands(), expected.and_nodes);
+        }
+    }
+    server.shutdown();
+    server.join().expect("drain");
+}
+
+#[test]
+fn known_body_with_an_unstored_flow_is_evaluated() {
+    let server = tiny_server(1);
+    let addr = server.addr();
+    let design = Design::Aes128.generate(DesignScale::Tiny);
+    assert_eq!(
+        roundtrip(addr, &run_request(&design, "flow=resyn")).status,
+        200
+    );
+    let spec = "balance; rewrite -z; refactor";
+    let query = format!("flow={}", httpwire::percent_encode(spec));
+    let before = stats_json(addr);
+    let response = roundtrip(addr, &run_request(&design, &query));
+    let after = stats_json(addr);
+    assert_eq!(response.status, 200, "body: {}", body_text(&response));
+    let report: RunReport = serde_json::from_str(&body_text(&response)).expect("report");
+    assert_eq!(report.eval.flows_evaluated, 1);
+    assert_eq!(report.qor, flow_runner_qor(&design, spec));
+    assert_eq!(
+        counter(&after, "designs", "misses"),
+        counter(&before, "designs", "misses") + 1
+    );
+    server.shutdown();
+    server.join().expect("drain");
+}
+
+#[test]
+fn answers_stay_correct_past_the_design_table_bound() {
+    let server = tiny_server(1);
+    let addr = server.addr();
+    // A small design under distinct names: distinct bodies, one structure.
+    let mut base = aig::Aig::with_name("base");
+    let inputs: Vec<aig::Lit> = (0..4).map(|i| base.add_input(format!("x{i}"))).collect();
+    let ab = base.and(inputs[0], inputs[1]);
+    let cd = base.and(inputs[2], !inputs[3]);
+    let f = base.and(ab, !cd);
+    base.add_output("f", f);
+    let g = base.and(!ab, cd);
+    base.add_output("g", g);
+    let expected = flow_runner_qor(&base, "resyn2");
+    let named = |i: usize| {
+        let mut design = base.clone();
+        design.set_name(format!("copy{i}"));
+        run_request(&design, "flow=resyn2")
+    };
+
+    // One keep-alive connection at a time, renewed at the per-connection cap.
+    let total = flowd::MAX_KNOWN_DESIGNS + 8;
+    let mut connection: Option<(TcpStream, BufReader<TcpStream>)> = None;
+    for i in 0..total {
+        let (writer, reader) = connection.get_or_insert_with(|| {
+            let stream = TcpStream::connect(addr).expect("connect");
+            stream
+                .set_read_timeout(Some(Duration::from_secs(30)))
+                .unwrap();
+            stream.set_nodelay(true).unwrap();
+            (stream.try_clone().unwrap(), BufReader::new(stream))
+        });
+        write_request(writer, &named(i)).expect("send");
+        let response = read_response(reader, &Limits::default()).expect("response");
+        if response.closes_connection() {
+            connection = None;
+        }
+        let report: RunReport = serde_json::from_str(&body_text(&response)).expect("report");
+        assert_eq!(report.design.name, format!("copy{i}"));
+        assert_eq!(report.qor, expected, "body {i}");
+    }
+    connection.take();
+
+    // The oldest body was forgotten and is parsed again; the newest is known.
+    for (i, parsed) in [(0, true), (total - 1, false)] {
+        let before = stats_json(addr);
+        let report: RunReport =
+            serde_json::from_str(&body_text(&roundtrip(addr, &named(i)))).expect("report");
+        let after = stats_json(addr);
+        assert_eq!(report.design.name, format!("copy{i}"));
+        assert_eq!(report.qor, expected, "body {i}");
+        assert_eq!(
+            counter(&after, "designs", "misses") - counter(&before, "designs", "misses"),
+            u64::from(parsed),
+            "body {i}"
+        );
+    }
+    assert_eq!(
+        counter(&stats_json(addr), "designs", "known"),
+        flowd::MAX_KNOWN_DESIGNS as u64
+    );
+    server.shutdown();
+    server.join().expect("drain");
+}
+
+#[test]
+fn every_query_parameter_is_checked_before_the_body() {
+    let server = tiny_server(1);
+    let addr = server.addr();
+    let garbage = b"not a netlist at all".to_vec();
+    for (query, kind) in [
+        ("flow=resyn2&export=aig", "export"),
+        ("flow=resyn2&export=svg", "export"),
+        ("flow=resyn2&format=svg", "design"),
+        ("flow=frobnicate&export=aag", "flow"),
+        ("random=soon", "flow"),
+    ] {
+        let request = Request::new("POST", &format!("/run?{query}")).with_body(garbage.clone());
+        let response = roundtrip(addr, &request);
+        assert_eq!(response.status, 400, "{query}: {}", body_text(&response));
+        assert!(
+            body_text(&response).contains(&format!("\"kind\":\"{kind}\"")),
+            "{query}: {}",
+            body_text(&response)
+        );
+    }
+    assert_eq!(
+        counter(&stats_json(addr), "designs", "misses"),
+        0,
+        "no body was parsed"
+    );
+    server.shutdown();
+    server.join().expect("drain");
+}

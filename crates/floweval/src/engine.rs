@@ -273,7 +273,7 @@ impl EvalEngine {
     /// result.
     pub fn evaluate_batch(&self, design: &Aig, flows: &[Vec<Transform>]) -> Vec<Qor> {
         let (qors, _) = self
-            .evaluate(design, flows, None)
+            .evaluate(design, fingerprint_design(design), flows, None)
             .expect("pooled contexts cannot cancel");
         qors
     }
@@ -296,12 +296,15 @@ impl EvalEngine {
         flow: &[Transform],
         pctx: &mut PassContext,
     ) -> Qor {
-        self.try_evaluate_flow_with_ctx(design, flow, pctx, &CancelToken::never())
+        let design_fp = fingerprint_design(design);
+        self.try_evaluate_flow_with_ctx(design, design_fp, flow, pctx, &CancelToken::never())
             .expect("a never-firing token cannot cancel")
     }
 
     /// [`evaluate_flow_with_ctx`](Self::evaluate_flow_with_ctx) under a
-    /// cancellation budget.
+    /// cancellation budget, on the design the caller already fingerprinted:
+    /// `design_fp` must be [`fingerprint_design`]`(design)`, so a request
+    /// that also reports the fingerprint hashes its design once.
     ///
     /// The evaluation (which runs outside every engine lock) runs its passes
     /// and mappings on `pctx` under `cancel`; they poll it and return `Err`
@@ -313,37 +316,79 @@ impl EvalEngine {
     pub fn try_evaluate_flow_with_ctx(
         &self,
         design: &Aig,
+        design_fp: Fingerprint,
         flow: &[Transform],
         pctx: &mut PassContext,
         cancel: &CancelToken,
     ) -> Result<Qor, Cancelled> {
-        self.evaluate(design, &[flow], Some((pctx, cancel)))
+        self.evaluate(design, design_fp, &[flow], Some((pctx, cancel)))
             .map(|(qors, _)| qors[0])
+    }
+
+    /// The stored QoR of `flow` on the design fingerprinted `design_fp`, with
+    /// no graph at hand.  A hit is counted in [`stats`](Self::stats) exactly
+    /// as a store hit of [`evaluate_batch`](Self::evaluate_batch) is; a miss
+    /// counts nothing, so the caller can evaluate the flow through the
+    /// design (`flowd` answers a design it has already read this way).
+    pub fn stored_qor(&self, design_fp: Fingerprint, flow: &[Transform]) -> Option<Qor> {
+        let start = std::time::Instant::now();
+        let mut lookup = self.store_front(design_fp, &[flow]);
+        let qor = lookup.results[0]?;
+        lookup.batch.wall_s = start.elapsed().as_secs_f64();
+        self.commit_stats(&lookup.batch, None);
+        Some(qor)
+    }
+
+    /// The store-lookup front of every evaluation: the keys of `flows` on
+    /// the design fingerprinted `design_fp`, what the store holds for them,
+    /// and the request/hit counters of the lookup.
+    fn store_front<F: AsRef<[Transform]>>(
+        &self,
+        design_fp: Fingerprint,
+        flows: &[F],
+    ) -> StoreFront {
+        let keys = self.store_keys(design_fp, flows);
+        let results = self.store_lookup_batch(&keys);
+        let store_hits = results.iter().filter(|q| q.is_some()).count();
+        let batch = EvalStats {
+            flows_requested: flows.len(),
+            passes_requested: flows.iter().map(|f| f.as_ref().len()).sum(),
+            store_hits,
+            flows_evaluated: flows.len() - store_hits,
+            ..EvalStats::default()
+        };
+        StoreFront {
+            keys,
+            results,
+            batch,
+        }
     }
 
     /// Store lookup → kernel → store insert → statistics, for a batch on
     /// pooled contexts or one request on a `lent` context under its cancel
-    /// token (the only way this returns `Err`).  Returns the QoR in input
-    /// order with the counters of this call alone — what it added to
-    /// [`stats`](Self::stats), whoever else is using the engine.
+    /// token (the only way this returns `Err`), on the design fingerprinted
+    /// `design_fp`.  Returns the QoR in input order with the counters of
+    /// this call alone — what it added to [`stats`](Self::stats), whoever
+    /// else is using the engine.
     pub(crate) fn evaluate<F: AsRef<[Transform]>>(
         &self,
         design: &Aig,
+        design_fp: Fingerprint,
         flows: &[F],
         lent: Option<(&mut PassContext, &CancelToken)>,
     ) -> Result<(Vec<Qor>, EvalStats), Cancelled> {
+        debug_assert_eq!(
+            design_fp,
+            fingerprint_design(design),
+            "caller's fingerprint"
+        );
         let start = std::time::Instant::now();
-        let design_fp = fingerprint_design(design);
-        let mut batch = EvalStats {
-            flows_requested: flows.len(),
-            passes_requested: flows.iter().map(|f| f.as_ref().len()).sum(),
-            ..EvalStats::default()
-        };
-        let keys = self.store_keys(design_fp, flows);
-        let mut results = self.store_lookup_batch(&keys);
+        let StoreFront {
+            keys,
+            mut results,
+            mut batch,
+        } = self.store_front(design_fp, flows);
         let misses: Vec<usize> = (0..flows.len()).filter(|&i| results[i].is_none()).collect();
-        batch.store_hits = flows.len() - misses.len();
-        batch.flows_evaluated = misses.len();
 
         let mut timings = PassTimings::default();
         let mut outcome = Ok(());
@@ -423,6 +468,13 @@ impl EvalEngine {
         }
         errors
     }
+}
+
+/// What the store answered for one call's flows (see `EvalEngine::store_front`).
+struct StoreFront {
+    keys: Vec<StoreKey>,
+    results: Vec<Option<Qor>>,
+    batch: EvalStats,
 }
 
 /// Renders a transform sequence as the canonical ABC-style script, identical

@@ -31,6 +31,7 @@ use std::collections::HashSet;
 use std::time::Instant;
 
 use aig::Aig;
+use flow_core::Fingerprint;
 use serde::Serialize;
 use synth::{Qor, Transform};
 
@@ -229,6 +230,9 @@ pub struct SearchOutcome {
     /// evaluation budget stopped the run early, in which case undispatched
     /// jobs are absent.
     pub labels: Vec<SearchLabel>,
+    /// Each design's [`fingerprint_design`], in `designs` order: the
+    /// fingerprint its labels are stored under.
+    pub fingerprints: Vec<Fingerprint>,
     /// Counters and throughput of the run.
     pub report: SearchReport,
 }
@@ -266,8 +270,9 @@ impl EvalEngine {
         // Store prefilter: known labels are returned whatever the budgets.
         let mut labels: Vec<SearchLabel> = Vec::with_capacity(report.jobs);
         let mut misses: Vec<Vec<usize>> = Vec::with_capacity(designs.len());
-        for (d, design) in designs.iter().enumerate() {
-            let keys = self.store_keys(fingerprint_design(design), flows);
+        let fingerprints: Vec<Fingerprint> = designs.iter().map(fingerprint_design).collect();
+        for (d, &design_fp) in fingerprints.iter().enumerate() {
+            let keys = self.store_keys(design_fp, flows);
             let mut missing = Vec::new();
             for (f, cached) in self.store_lookup_batch(&keys).into_iter().enumerate() {
                 match cached {
@@ -313,7 +318,7 @@ impl EvalEngine {
                 let chunk_flows: Vec<&[Transform]> =
                     chunk.iter().map(|&f| flows[f].as_slice()).collect();
                 let (qors, stats) = pool
-                    .install(|| self.evaluate(&designs[d], &chunk_flows, None))
+                    .install(|| self.evaluate(&designs[d], fingerprints[d], &chunk_flows, None))
                     .expect("pooled contexts cannot cancel");
                 report.eval.absorb(&stats);
                 report.evaluated += chunk.len();
@@ -337,7 +342,11 @@ impl EvalEngine {
         } else {
             0.0
         };
-        SearchOutcome { labels, report }
+        SearchOutcome {
+            labels,
+            fingerprints,
+            report,
+        }
     }
 }
 

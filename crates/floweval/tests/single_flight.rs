@@ -39,7 +39,8 @@ fn a_caller_waiting_on_claimed_work_honours_its_deadline() {
         let mut pctx = PassContext::default();
         let start = Instant::now();
         let cancel = CancelToken::with_deadline(Duration::from_millis(100));
-        let waited = engine.try_evaluate_flow_with_ctx(&twin, &flow, &mut pctx, &cancel);
+        let twin_fp = floweval::fingerprint_design(&twin);
+        let waited = engine.try_evaluate_flow_with_ctx(&twin, twin_fp, &flow, &mut pctx, &cancel);
         let cancelled = waited.expect_err("the claimer is stalled for 1.5 s");
         assert_eq!(cancelled.reason, CancelReason::DeadlineExceeded);
         assert!(
