@@ -1,150 +1,13 @@
-//! K-feasible cut enumeration.
+//! Cut parameters and cut functions.
+//!
+//! A *cut* of a node is a set of leaf nodes such that every path from the
+//! primary inputs to the node passes through a leaf.  Cuts are passed around
+//! as their leaves, sorted by strictly increasing node id; the production
+//! 4-cut enumerator is [`Cut4Enumerator`](crate::Cut4Enumerator).
 
 use std::collections::HashMap;
 
 use crate::{Aig, Lit, NodeId, TruthTable};
-
-/// A *cut* of a node: a set of leaf nodes such that every path from the primary
-/// inputs to the node passes through a leaf.
-///
-/// Leaves are stored sorted by node id.  The `signature` is a 64-bit Bloom-style
-/// hash used for fast dominance checks during enumeration.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Cut {
-    leaves: Vec<NodeId>,
-    signature: u64,
-}
-
-impl Cut {
-    /// Creates the trivial cut `{node}`.
-    pub fn trivial(node: NodeId) -> Self {
-        Cut {
-            leaves: vec![node],
-            signature: Self::sig_of(node),
-        }
-    }
-
-    /// Creates a cut from a sorted, de-duplicated list of leaves.
-    pub fn from_leaves(mut leaves: Vec<NodeId>) -> Self {
-        leaves.sort_unstable();
-        leaves.dedup();
-        let signature = leaves.iter().fold(0u64, |s, &l| s | Self::sig_of(l));
-        Cut { leaves, signature }
-    }
-
-    fn sig_of(node: NodeId) -> u64 {
-        1u64 << (node % 64)
-    }
-
-    /// The leaf nodes of the cut, sorted by id.
-    pub fn leaves(&self) -> &[NodeId] {
-        &self.leaves
-    }
-
-    /// Consumes the cut and returns the leaf vector (for buffer recycling).
-    pub fn into_leaves(self) -> Vec<NodeId> {
-        self.leaves
-    }
-
-    /// Number of leaves.
-    pub fn size(&self) -> usize {
-        self.leaves.len()
-    }
-
-    /// Returns `true` if `self`'s leaves are a subset of `other`'s leaves.
-    ///
-    /// A cut dominates another when its leaves are a subset: the dominated cut
-    /// can never lead to a better implementation and is pruned.
-    pub fn dominates(&self, other: &Cut) -> bool {
-        if self.leaves.len() > other.leaves.len() {
-            return false;
-        }
-        if self.signature & !other.signature != 0 {
-            return false;
-        }
-        self.leaves
-            .iter()
-            .all(|l| other.leaves.binary_search(l).is_ok())
-    }
-
-    /// Merges two cuts; returns `None` if the union has more than `k` leaves.
-    pub fn merge(&self, other: &Cut, k: usize) -> Option<Cut> {
-        if (self.signature | other.signature).count_ones() as usize > k {
-            // Cheap necessary condition only when signatures do not collide;
-            // fall through to the precise merge otherwise.
-        }
-        let mut leaves = Vec::with_capacity(self.leaves.len() + other.leaves.len());
-        let (mut i, mut j) = (0, 0);
-        while i < self.leaves.len() || j < other.leaves.len() {
-            if leaves.len() > k {
-                return None;
-            }
-            let next = match (self.leaves.get(i), other.leaves.get(j)) {
-                (Some(&a), Some(&b)) if a == b => {
-                    i += 1;
-                    j += 1;
-                    a
-                }
-                (Some(&a), Some(&b)) if a < b => {
-                    i += 1;
-                    a
-                }
-                (Some(_), Some(&b)) => {
-                    j += 1;
-                    b
-                }
-                (Some(&a), None) => {
-                    i += 1;
-                    a
-                }
-                (None, Some(&b)) => {
-                    j += 1;
-                    b
-                }
-                (None, None) => break,
-            };
-            leaves.push(next);
-        }
-        if leaves.len() > k {
-            return None;
-        }
-        let signature = self.signature | other.signature;
-        Some(Cut { leaves, signature })
-    }
-}
-
-/// The set of cuts enumerated for one node.
-#[derive(Debug, Clone, Default)]
-pub struct CutSet {
-    cuts: Vec<Cut>,
-}
-
-impl CutSet {
-    /// Returns the cuts, best-first in enumeration order.
-    pub fn cuts(&self) -> &[Cut] {
-        &self.cuts
-    }
-
-    /// Number of cuts stored for the node.
-    pub fn len(&self) -> usize {
-        self.cuts.len()
-    }
-
-    /// Returns `true` when no cut is stored.
-    pub fn is_empty(&self) -> bool {
-        self.cuts.is_empty()
-    }
-
-    fn push_filtered(&mut self, cut: Cut, limit: usize) {
-        if self.cuts.iter().any(|c| c.dominates(&cut)) {
-            return;
-        }
-        self.cuts.retain(|c| !cut.dominates(c));
-        if self.cuts.len() < limit {
-            self.cuts.push(cut);
-        }
-    }
-}
 
 /// Parameters of cut enumeration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -153,8 +16,6 @@ pub struct CutParams {
     pub max_cut_size: usize,
     /// Maximum number of cuts kept per node.
     pub max_cuts_per_node: usize,
-    /// When `true`, the trivial cut `{node}` is included in each node's cut set.
-    pub include_trivial: bool,
 }
 
 impl Default for CutParams {
@@ -162,62 +23,14 @@ impl Default for CutParams {
         CutParams {
             max_cut_size: 4,
             max_cuts_per_node: 8,
-            include_trivial: true,
         }
     }
 }
 
-/// Enumerates k-feasible cuts for every node of an AIG in one topological sweep.
-#[derive(Debug, Clone)]
-pub struct CutEnumerator {
-    params: CutParams,
-}
-
-impl CutEnumerator {
-    /// Creates an enumerator with the given parameters.
-    pub fn new(params: CutParams) -> Self {
-        CutEnumerator { params }
-    }
-
-    /// Returns the parameters in use.
-    pub fn params(&self) -> CutParams {
-        self.params
-    }
-
-    /// Enumerates cuts for every node; the result is indexed by node id.
-    pub fn enumerate(&self, aig: &Aig) -> Vec<CutSet> {
-        let mut sets: Vec<CutSet> = vec![CutSet::default(); aig.len()];
-        sets[0].cuts.push(Cut::trivial(0));
-        for &pi in aig.input_ids() {
-            sets[pi].cuts.push(Cut::trivial(pi));
-        }
-        for id in aig.node_ids() {
-            let Some((a, b)) = aig.node(id).fanins() else {
-                continue;
-            };
-            let mut set = CutSet::default();
-            // Cross-merge the fanin cut sets.
-            let limit = self.params.max_cuts_per_node;
-            for ca in &sets[a.node()].cuts {
-                for cb in &sets[b.node()].cuts {
-                    if let Some(m) = ca.merge(cb, self.params.max_cut_size) {
-                        set.push_filtered(m, limit);
-                    }
-                }
-            }
-            if self.params.include_trivial || set.is_empty() {
-                set.push_filtered(Cut::trivial(id), limit.max(1));
-            }
-            sets[id] = set;
-        }
-        sets
-    }
-}
-
-/// Computes the truth table of `root` expressed over the leaves of `cut`.
+/// Computes the truth table of `root` expressed over the cut `leaves`.
 ///
-/// The leaf order of the cut defines the variable order of the table
-/// (leaf `i` is variable `i`).
+/// `leaves` must be sorted by strictly increasing node id; that order defines
+/// the variable order of the table (leaf `i` is variable `i`).
 ///
 /// # Errors
 ///
@@ -225,16 +38,25 @@ impl CutEnumerator {
 /// [`crate::truth::MAX_TRUTH_VARS`] leaves, and
 /// [`crate::AigError::InvalidLiteral`] if the cone of `root` reaches a primary
 /// input that is not covered by the cut.
-pub fn cut_truth(aig: &Aig, root: NodeId, cut: &Cut) -> crate::Result<TruthTable> {
-    let nv = cut.size();
+pub fn cut_truth(aig: &Aig, root: NodeId, leaves: &[NodeId]) -> crate::Result<TruthTable> {
+    debug_assert_sorted(leaves);
+    let nv = leaves.len();
     if nv > crate::truth::MAX_TRUTH_VARS {
         return Err(crate::AigError::CutTooWide(nv));
     }
     let mut memo: HashMap<NodeId, TruthTable> = HashMap::new();
-    for (i, &leaf) in cut.leaves().iter().enumerate() {
+    for (i, &leaf) in leaves.iter().enumerate() {
         memo.insert(leaf, TruthTable::var(i, nv));
     }
     eval_node(aig, root, nv, &mut memo)
+}
+
+#[inline]
+fn debug_assert_sorted(leaves: &[NodeId]) {
+    debug_assert!(
+        leaves.windows(2).all(|w| w[0] < w[1]),
+        "cut leaves must strictly increase: {leaves:?}"
+    );
 }
 
 /// Maximum cut width supported by the scratch-based fast path of
@@ -296,7 +118,7 @@ fn var_words8(v: usize) -> [u64; 4] {
     }
 }
 
-/// Computes the truth table of `root` over the leaves of `cut`, reusing the
+/// Computes the truth table of `root` over the cut `leaves`, reusing the
 /// buffers of `scratch` so the cone walk itself performs no heap allocation.
 ///
 /// Produces exactly the same result as [`cut_truth`]; cuts wider than
@@ -308,15 +130,16 @@ fn var_words8(v: usize) -> [u64; 4] {
 pub fn cut_truth_with(
     aig: &Aig,
     root: NodeId,
-    cut: &Cut,
+    leaves: &[NodeId],
     scratch: &mut CutTruthScratch,
 ) -> crate::Result<TruthTable> {
-    let nv = cut.size();
+    let nv = leaves.len();
     if nv > MAX_SCRATCH_TRUTH_VARS {
-        return cut_truth(aig, root, cut);
+        return cut_truth(aig, root, leaves);
     }
+    debug_assert_sorted(leaves);
     scratch.begin(aig.len());
-    for (i, &leaf) in cut.leaves().iter().enumerate() {
+    for (i, &leaf) in leaves.iter().enumerate() {
         scratch.set(leaf, var_words8(i));
     }
     if !scratch.stamped(root) {
@@ -419,49 +242,11 @@ mod tests {
     }
 
     #[test]
-    fn cut_merge_respects_limit() {
-        let c1 = Cut::from_leaves(vec![1, 2]);
-        let c2 = Cut::from_leaves(vec![3, 4]);
-        assert!(c1.merge(&c2, 4).is_some());
-        assert!(c1.merge(&c2, 3).is_none());
-        let shared = Cut::from_leaves(vec![2, 3]);
-        let m = c1.merge(&shared, 3).expect("merge fits");
-        assert_eq!(m.leaves(), &[1, 2, 3]);
-    }
-
-    #[test]
-    fn dominance() {
-        let small = Cut::from_leaves(vec![1, 2]);
-        let big = Cut::from_leaves(vec![1, 2, 3]);
-        assert!(small.dominates(&big));
-        assert!(!big.dominates(&small));
-        assert!(small.dominates(&small.clone()));
-    }
-
-    #[test]
-    fn enumeration_produces_pi_cut() {
-        let (g, a, b, c, f, _) = sample_aig();
-        let sets = CutEnumerator::new(CutParams::default()).enumerate(&g);
-        let root_cuts = &sets[f.node()];
-        assert!(!root_cuts.is_empty());
-        // The full-support cut {a,b,c,d} must be found with k = 4.
-        let want: Vec<NodeId> = vec![a.node(), b.node(), c.node(), g.input_ids()[3]];
-        assert!(
-            root_cuts
-                .cuts()
-                .iter()
-                .any(|cut| cut.leaves() == want.as_slice()),
-            "expected PI cut in {root_cuts:?}"
-        );
-        let _ = c;
-    }
-
-    #[test]
     fn cut_truth_matches_function() {
         let (g, a, b, c, f, _) = sample_aig();
         let d = g.input_ids()[3];
-        let cut = Cut::from_leaves(vec![a.node(), b.node(), c.node(), d]);
-        let t = cut_truth(&g, f.node(), &cut).expect("cut covers cone");
+        let leaves = [a.node(), b.node(), c.node(), d];
+        let t = cut_truth(&g, f.node(), &leaves).expect("cut covers cone");
         // f = a & b & c & d: exactly one satisfying row.
         assert_eq!(t.count_ones(), 1);
         assert!(t.get(0b1111));
@@ -471,8 +256,8 @@ mod tests {
     fn cut_truth_intermediate_leaf() {
         let (g, _, _, c, f, ab) = sample_aig();
         let d = g.input_ids()[3];
-        let cut = Cut::from_leaves(vec![ab.node(), c.node(), d]);
-        let t = cut_truth(&g, f.node(), &cut).expect("cut covers cone");
+        let leaves = [c.node(), d, ab.node()];
+        let t = cut_truth(&g, f.node(), &leaves).expect("cut covers cone");
         assert_eq!(t.num_vars(), 3);
         assert_eq!(t.count_ones(), 1);
         assert!(t.get(0b111));
@@ -481,15 +266,13 @@ mod tests {
     #[test]
     fn cut_truth_rejects_uncovered_cone() {
         let (g, a, b, _, f, _) = sample_aig();
-        let cut = Cut::from_leaves(vec![a.node(), b.node()]);
-        assert!(cut_truth(&g, f.node(), &cut).is_err());
+        assert!(cut_truth(&g, f.node(), &[a.node(), b.node()]).is_err());
     }
 
     #[test]
     fn trivial_cut_truth_is_projection() {
         let (g, _, _, _, f, _) = sample_aig();
-        let cut = Cut::trivial(f.node());
-        let t = cut_truth(&g, f.node(), &cut).expect("trivial cut");
+        let t = cut_truth(&g, f.node(), &[f.node()]).expect("trivial cut");
         assert_eq!(t, TruthTable::var(0, 1));
     }
 
@@ -498,35 +281,21 @@ mod tests {
         let (g, a, b, c, f, ab) = sample_aig();
         let d = g.input_ids()[3];
         let mut scratch = CutTruthScratch::new();
-        let cuts = [
-            Cut::from_leaves(vec![a.node(), b.node(), c.node(), d]),
-            Cut::from_leaves(vec![ab.node(), c.node(), d]),
-            Cut::trivial(f.node()),
+        let cuts: [&[NodeId]; 3] = [
+            &[a.node(), b.node(), c.node(), d],
+            &[c.node(), d, ab.node()],
+            &[f.node()],
         ];
-        for cut in &cuts {
-            let want = cut_truth(&g, f.node(), cut).expect("covered");
-            let got = cut_truth_with(&g, f.node(), cut, &mut scratch).expect("covered");
-            assert_eq!(want, got, "cut {:?}", cut.leaves());
+        for leaves in cuts {
+            let want = cut_truth(&g, f.node(), leaves).expect("covered");
+            let got = cut_truth_with(&g, f.node(), leaves, &mut scratch).expect("covered");
+            assert_eq!(want, got, "cut {leaves:?}");
         }
         // Uncovered cones error identically.
-        let bad = Cut::from_leaves(vec![a.node(), b.node()]);
+        let bad = [a.node(), b.node()];
         assert_eq!(
             cut_truth(&g, f.node(), &bad),
             cut_truth_with(&g, f.node(), &bad, &mut scratch)
         );
-    }
-
-    #[test]
-    fn cuts_bounded_by_limit() {
-        let params = CutParams {
-            max_cut_size: 4,
-            max_cuts_per_node: 3,
-            include_trivial: true,
-        };
-        let (g, ..) = sample_aig();
-        let sets = CutEnumerator::new(params).enumerate(&g);
-        for s in &sets {
-            assert!(s.len() <= 4, "at most limit + trivial cuts per node");
-        }
     }
 }

@@ -1,6 +1,6 @@
 //! Zero-allocation 4-feasible cut enumeration with fused truth computation.
 //!
-//! This is the fast path under every 4-cut consumer (`rewrite`, the technology
+//! This is the enumerator under every 4-cut consumer (`rewrite`, the technology
 //! mapper): cuts carry their leaves inline (`[u32; 4]` plus a length), the
 //! cross-merge loop never touches the heap, and — crucially — every cut carries
 //! the function of its root over its leaves as a packed `u16` truth table,
@@ -8,10 +8,11 @@
 //! leaf set with bitwise operations.  This eliminates the per-(node, cut)
 //! hash-map cone walk of [`cut_truth`](crate::cut_truth) entirely.
 //!
-//! The enumeration mirrors [`CutEnumerator`](crate::CutEnumerator) exactly
-//! (same merge order, same dominance filtering, same per-node limit), so for
-//! `max_cut_size <= 4` both produce identical cut sets — a property the
-//! differential tests pin down.
+//! Each AND node's cut set is the dominance-filtered cross-merge of its
+//! fanins' sets, capped at `max_cuts_per_node`; a node gets its unit cut
+//! `{node}` only when no merged cut survives.  `synth`'s test-only oracle
+//! enumerates the same cuts on heap-allocated leaf vectors, and its
+//! differential tests hold this module to it cut for cut.
 
 use crate::{Aig, NodeId, TruthTable};
 
@@ -257,7 +258,9 @@ impl CutSet4 {
         self.len += 1;
     }
 
-    /// Dominance-filtered insert, mirroring `CutSet::push_filtered`.
+    /// Dominance-filtered insert: a cut dominated by a stored one is dropped,
+    /// stored cuts it dominates are evicted, and it is kept while the set
+    /// holds fewer than `limit` cuts.
     fn push_filtered(&mut self, cut: Cut4, limit: usize) {
         if self.cuts().iter().any(|c| c.dominates(&cut)) {
             return;
@@ -276,10 +279,8 @@ impl CutSet4 {
     }
 }
 
-/// Enumerates 4-feasible cuts with fused truth tables in one topological sweep.
-///
-/// Mirrors [`CutEnumerator`](crate::CutEnumerator) for `max_cut_size <= 4`
-/// while never allocating inside the cross-merge loop.
+/// Enumerates 4-feasible cuts with fused truth tables in one topological sweep,
+/// never allocating inside the cross-merge loop.
 #[derive(Debug, Clone)]
 pub struct Cut4Enumerator {
     params: crate::CutParams,
@@ -290,8 +291,7 @@ impl Cut4Enumerator {
     ///
     /// # Panics
     ///
-    /// Panics if `max_cut_size > 4` or `max_cuts_per_node > CUT4_SET_CAPACITY`;
-    /// callers needing larger cuts must use [`CutEnumerator`](crate::CutEnumerator).
+    /// Panics if `max_cut_size > 4` or `max_cuts_per_node > CUT4_SET_CAPACITY`.
     pub fn new(params: crate::CutParams) -> Self {
         assert!(
             params.max_cut_size <= CUT4_MAX_LEAVES,
@@ -357,7 +357,7 @@ impl Cut4Enumerator {
                     }
                 }
             }
-            if self.params.include_trivial || set.is_empty() {
+            if set.is_empty() {
                 set.push_filtered(Cut4::trivial(id), limit.max(1));
             }
         }
@@ -433,7 +433,6 @@ pub fn truth4_pad(truth: u16, nv: usize) -> u16 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{cut_truth, Cut, CutEnumerator, CutParams};
 
     fn sample_aig() -> Aig {
         let mut g = Aig::new();
@@ -478,42 +477,38 @@ mod tests {
 
     #[test]
     fn enumeration_matches_reference_with_truths() {
+        // Every enumerated cut's fused truth equals the reference cone walk
+        // over its leaves.
         let g = sample_aig();
-        let params = CutParams {
-            max_cut_size: 4,
-            max_cuts_per_node: 8,
-            include_trivial: false,
-        };
-        let reference = CutEnumerator::new(params).enumerate(&g);
-        let fast = Cut4Enumerator::new(params).enumerate(&g);
-        for id in 0..g.len() {
-            let r = &reference[id];
-            let f = &fast[id];
-            assert_eq!(r.len(), f.len(), "node {id}: cut count");
-            for (rc, fc) in r.cuts().iter().zip(f.cuts()) {
-                assert_eq!(rc.leaves(), fc.leaf_ids().as_slice(), "node {id}: leaves");
-                if g.node(id).is_and() {
-                    let want = cut_truth(&g, id, rc).expect("cut covers cone");
-                    assert_eq!(want, fc.truth_table(), "node {id}: fused truth");
-                }
+        let sets = Cut4Enumerator::new(crate::CutParams::default()).enumerate(&g);
+        for id in g.and_ids() {
+            assert!(!sets[id].is_empty(), "node {id}");
+            for cut in sets[id].cuts() {
+                let want = crate::cut_truth(&g, id, &cut.leaf_ids()).expect("cut covers cone");
+                assert_eq!(want, cut.truth_table(), "node {id}: fused truth");
             }
         }
     }
 
     #[test]
     fn dominance_matches_reference() {
-        let cases: [(&[u32], &[u32]); 4] = [
+        // The reference is the plain subset test.  The last three pairs
+        // collide in the signature (65 ≡ 1, 66 ≡ 2 mod 64), so the subset
+        // scan, not the prefilter, decides them.
+        let cases: [(&[u32], &[u32]); 5] = [
             (&[1, 2], &[1, 2, 3]),
             (&[1, 2, 3], &[1, 2]),
             (&[1, 65], &[1, 65]),
             (&[2, 66], &[2, 3, 66]),
+            (&[1, 66], &[2, 65]),
         ];
         for (a, b) in cases {
-            let ca = cut_from(a);
-            let cb = cut_from(b);
-            let ra = Cut::from_leaves(a.iter().map(|&x| x as NodeId).collect());
-            let rb = Cut::from_leaves(b.iter().map(|&x| x as NodeId).collect());
-            assert_eq!(ca.dominates(&cb), ra.dominates(&rb), "{a:?} vs {b:?}");
+            let subset = a.iter().all(|l| b.contains(l));
+            assert_eq!(
+                cut_from(a).dominates(&cut_from(b)),
+                subset,
+                "{a:?} vs {b:?}"
+            );
         }
     }
 

@@ -44,10 +44,7 @@ mod stats;
 mod strash;
 mod truth;
 
-pub use cut::{
-    cut_truth, cut_truth_with, Cut, CutEnumerator, CutParams, CutSet, CutTruthScratch,
-    MAX_SCRATCH_TRUTH_VARS,
-};
+pub use cut::{cut_truth, cut_truth_with, CutParams, CutTruthScratch, MAX_SCRATCH_TRUTH_VARS};
 pub use cut4::{
     truth4_pad, truth4_reduce, truth4_support, Cut4, Cut4Enumerator, CutSet4, CUT4_MAX_LEAVES,
     CUT4_SET_CAPACITY,

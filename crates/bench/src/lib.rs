@@ -13,8 +13,9 @@
 //! All QoR collection goes through one process-wide [`floweval::EvalEngine`],
 //! so binaries that revisit a design (ablations sweep several configurations
 //! over the same flows) reuse earlier evaluations.  Set `FLOWGEN_QOR_STORE`
-//! to a JSON-lines file path to persist evaluations across runs of different
-//! binaries.
+//! to a store base path (the store writes `<base>.manifest` and
+//! `<base>.NNNNNN.seg` beside it) to persist evaluations across runs of
+//! different binaries.
 
 pub mod studies;
 

@@ -8,7 +8,7 @@
 //!
 //! ```text
 //! flowc run --design fixtures/tiny/alu64.aag --flow resyn2 --out alu64.opt.aig
-//! flowc run --design montgomery64:small --random 42 --store qor-store.jsonl
+//! flowc run --design montgomery64:small --random 42 --store qor-store
 //! flowc convert design.blif design.aig
 //! flowc stats aes128:tiny
 //! flowc export-corpus --dir fixtures/tiny --scale tiny --format aag
@@ -36,7 +36,9 @@ COMMANDS:
                      --random <seed>                random paper-space flow
                      --out <path>                   export the optimized netlist
                      --json <path>                  also write the report here
-                     --store <path>                 persistent QoR store (JSONL)
+                     --store <path>                 persistent QoR store: base of
+                                                    <path>.manifest and
+                                                    <path>.NNNNNN.seg
                      --verify                       verify by random simulation
                      --timing                       include the per-pass timing
                                                     breakdown in the report

@@ -1,8 +1,11 @@
 //! The `flowd` binary: parse options, start the daemon, wait for drain.
 //!
 //! ```text
-//! flowd --addr 127.0.0.1:7171 --workers 4 --store qor-store.jsonl
+//! flowd --addr 127.0.0.1:7171 --workers 4 --store qor-store
 //! ```
+//!
+//! `--store` names the base of the checksummed, segmented QoR store
+//! (`qor-store.manifest` + `qor-store.NNNNNN.seg`).
 //!
 //! The daemon runs until `POST /shutdown` arrives, then drains gracefully.
 //! Exit codes: `0` clean drain, `1` usage error, `2` runtime failure.

@@ -23,9 +23,9 @@
 use std::path::PathBuf;
 use std::sync::{Condvar, Mutex};
 
-use aig::{Aig, NodeKind};
+use aig::{Aig, CutParams, NodeKind};
 use flow_core::{CancelToken, Cancelled, Fingerprint, Fnv64};
-use synth::{CellLibrary, FlowRunner, MapperParams, PassContext, PassTimings, Qor, Transform};
+use synth::{CellLibrary, MapperParams, PassContext, PassTimings, Qor, Transform};
 
 use crate::kernel::Contexts;
 use crate::state::{CacheSummary, StateGraph, MAX_STATES};
@@ -91,7 +91,6 @@ struct StatsState {
 #[derive(Debug)]
 pub struct EvalEngine {
     pub(crate) library: CellLibrary,
-    pub(crate) mapper: MapperParams,
     config_fp: Fingerprint,
     pub(crate) config: EngineConfig,
     /// The persistent QoR store.  Lookups and appends are short critical
@@ -122,11 +121,6 @@ impl Default for EvalEngine {
 impl EvalEngine {
     /// Creates an engine with the built-in library and default mapping.
     pub fn new(config: EngineConfig) -> Self {
-        Self::with_library(CellLibrary::nangate14(), MapperParams::default(), config)
-    }
-
-    /// Creates an engine with an explicit library and mapper configuration.
-    pub fn with_library(library: CellLibrary, mapper: MapperParams, config: EngineConfig) -> Self {
         let store = match &config.store_path {
             Some(path) => QorStore::open_with(path, config.store_options).unwrap_or_else(|e| {
                 eprintln!(
@@ -142,10 +136,10 @@ impl EvalEngine {
         let mut stats = StatsState::default();
         stats.stats.store_torn_tail = store.torn_tail_records();
         stats.stats.store_corrupt = store.corrupt_records();
-        let config_fp = fingerprint_config(&library, mapper);
+        let library = CellLibrary::nangate14();
+        let config_fp = fingerprint_config(&library, MapperParams::default());
         EvalEngine {
             library,
-            mapper,
             config_fp,
             graph: Mutex::new(StateGraph::new(config.cache_budget_aig_nodes, MAX_STATES)),
             graph_changed: Condvar::new(),
@@ -155,26 +149,6 @@ impl EvalEngine {
             stats: Mutex::new(stats),
             isop: synth::SharedIsopCache::new(),
         }
-    }
-
-    /// Creates an engine that evaluates exactly like `runner`: same library,
-    /// mapper parameters and verification setting.
-    pub fn from_runner(runner: &FlowRunner, config: EngineConfig) -> Self {
-        let config = EngineConfig {
-            verify: config.verify || runner.verification_enabled(),
-            ..config
-        };
-        Self::with_library(runner.library().clone(), runner.mapper_params(), config)
-    }
-
-    /// The cell library in use.
-    pub fn library(&self) -> &CellLibrary {
-        &self.library
-    }
-
-    /// The mapper parameters in use.
-    pub fn mapper_params(&self) -> MapperParams {
-        self.mapper
     }
 
     /// Cumulative statistics since engine creation.
@@ -528,8 +502,10 @@ pub fn fingerprint_config(library: &CellLibrary, params: MapperParams) -> Finger
             h.write_u64(word);
         }
     }
-    h.write_usize(params.cut_size);
-    h.write_usize(params.cuts_per_node);
+    // The mapper's cut enumeration: 4 leaves, 8 cuts per node.
+    let cuts = CutParams::default();
+    h.write_usize(cuts.max_cut_size);
+    h.write_usize(cuts.max_cuts_per_node);
     h.write_u32(match params.mode {
         synth::MapMode::Delay => 0,
         synth::MapMode::Area => 1,
@@ -540,6 +516,7 @@ pub fn fingerprint_config(library: &CellLibrary, params: MapperParams) -> Finger
 #[cfg(test)]
 mod tests {
     use super::*;
+    use synth::MapMode;
 
     #[test]
     fn fingerprints_are_stable_and_content_sensitive() {
@@ -568,11 +545,26 @@ mod tests {
         let area = fingerprint_config(
             &lib,
             MapperParams {
-                mode: synth::MapMode::Area,
-                ..MapperParams::default()
+                mode: MapMode::Area,
             },
         );
         assert_ne!(delay, area);
+    }
+
+    /// Every stored QoR is keyed by this fingerprint: a change to the hashed
+    /// words (or their order) orphans the whole store.
+    #[test]
+    fn config_fingerprint_is_pinned() {
+        let lib = CellLibrary::nangate14();
+        let delay = fingerprint_config(&lib, MapperParams::default());
+        let area = fingerprint_config(
+            &lib,
+            MapperParams {
+                mode: MapMode::Area,
+            },
+        );
+        assert_eq!(delay, Fingerprint(0x06af_081c_24de_3714));
+        assert_eq!(area, Fingerprint(0xa6a9_b424_7b13_f3a5));
     }
 
     #[test]

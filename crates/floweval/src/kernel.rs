@@ -19,7 +19,9 @@ use std::time::Duration;
 use aig::{random_equivalence_check, Aig};
 use flow_core::{CancelToken, Cancelled, Fingerprint};
 use rayon::prelude::*;
-use synth::{map_with_ctx, try_map_with_ctx, PassContext, PassTimings, Qor, Transform};
+use synth::{
+    map_with_ctx, try_map_with_ctx, MapperParams, PassContext, PassTimings, Qor, Transform,
+};
 
 use crate::engine::{flow_script, EvalEngine};
 use crate::state::{StateGraph, StateId, WorkKey};
@@ -321,9 +323,10 @@ impl EvalEngine {
         let Some(t) = item.t else {
             let equivalent =
                 !self.config.verify || random_equivalence_check(design, &g, 8, VERIFY_SEED);
+            let params = MapperParams::default();
             let mapped = match cancel {
-                Some(cancel) => try_map_with_ctx(&mut g, &self.library, self.mapper, pctx, cancel),
-                None => Ok(map_with_ctx(&mut g, &self.library, self.mapper, pctx)),
+                Some(cancel) => try_map_with_ctx(&mut g, &self.library, params, pctx, cancel),
+                None => Ok(map_with_ctx(&mut g, &self.library, params, pctx)),
             };
             pctx.recycle(g);
             return mapped.map(|netlist| Done::Mapped(netlist.qor(), equivalent));

@@ -176,10 +176,12 @@ fn memory_budget_keeps_results_correct() {
 }
 
 #[test]
-fn verification_mode_is_carried_over_from_runner() {
+fn verification_mode_keeps_qor_bit_identical() {
     let design = small_design();
-    let runner = FlowRunner::new().with_verification(true);
-    let engine = EvalEngine::from_runner(&runner, EngineConfig::default());
+    let engine = EvalEngine::new(EngineConfig {
+        verify: true,
+        ..EngineConfig::default()
+    });
     let flows = random_flows(6, 1, 0xFACE);
     // Correct passes must verify cleanly (a failure panics) and still give
     // bit-identical QoR to an unverified engine.

@@ -19,7 +19,7 @@ use floweval::{EngineConfig, EvalEngine, EvalStats};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-use synth::{FlowRunner, Qor, QorMetric};
+use synth::{Qor, QorMetric};
 
 use crate::classifier::{ClassifierConfig, FlowClassifier};
 use crate::dataset::Dataset;
@@ -173,16 +173,6 @@ impl Framework {
         Framework {
             config,
             engine: Arc::new(EvalEngine::new(EngineConfig::default())),
-        }
-    }
-
-    /// Creates a framework evaluating exactly like `runner` (custom library,
-    /// mapper parameters, verification).
-    pub fn with_runner(config: FrameworkConfig, runner: FlowRunner) -> Self {
-        let engine = EvalEngine::from_runner(&runner, EngineConfig::default());
-        Framework {
-            config,
-            engine: Arc::new(engine),
         }
     }
 

@@ -19,7 +19,6 @@ use crate::qor::Qor;
 #[derive(Debug, Clone)]
 pub struct FlowRunner {
     library: CellLibrary,
-    mapper_params: MapperParams,
     verify: bool,
 }
 
@@ -41,16 +40,6 @@ impl FlowRunner {
     pub fn new() -> Self {
         FlowRunner {
             library: CellLibrary::nangate14(),
-            mapper_params: MapperParams::default(),
-            verify: false,
-        }
-    }
-
-    /// Creates a runner with an explicit library and mapper configuration.
-    pub fn with_library(library: CellLibrary, mapper_params: MapperParams) -> Self {
-        FlowRunner {
-            library,
-            mapper_params,
             verify: false,
         }
     }
@@ -62,21 +51,6 @@ impl FlowRunner {
     pub fn with_verification(mut self, verify: bool) -> Self {
         self.verify = verify;
         self
-    }
-
-    /// The cell library in use.
-    pub fn library(&self) -> &CellLibrary {
-        &self.library
-    }
-
-    /// The mapper parameters in use.
-    pub fn mapper_params(&self) -> MapperParams {
-        self.mapper_params
-    }
-
-    /// Whether per-flow functional verification is enabled.
-    pub fn verification_enabled(&self) -> bool {
-        self.verify
     }
 
     /// Runs a single flow on `design` and returns its outcome.
@@ -119,7 +93,7 @@ impl FlowRunner {
         let mapped = try_map_with_ctx(
             &mut optimized,
             &self.library,
-            self.mapper_params,
+            MapperParams::default(),
             ctx,
             cancel,
         );

@@ -17,7 +17,13 @@
 //! a flow), over one production path, [`PassContext`]; the mapper matches
 //! cut functions through one index, [`CellLibrary::matches_npn4`].  The
 //! slow, obviously structured oracle every production path is held to bit
-//! for bit lives in `synth::reference` and is used by tests only.
+//! for bit lives in `synth::reference` and is used by tests only; it owns
+//! the only other cut type (heap-allocated cuts and their enumerator).
+//!
+//! Synthesis runs at one configuration: each pass's cut and cover limits
+//! are private constants beside it, `rewrite` and the mapper both enumerate
+//! [`aig::CutParams::default`], and [`MapperParams`] carries only the
+//! mapping objective.
 //!
 //! ## Quick example
 //!

@@ -26,13 +26,11 @@ pub enum MapMode {
 }
 
 /// Parameters of the technology mapper.
+///
+/// Cuts are always [`CutParams::default`] (4 leaves — library cells have at
+/// most 4 pins — and 8 cuts per node), the same cuts `rewrite` enumerates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MapperParams {
-    /// Maximum cut size considered for matching (≤ 4: library cells have ≤ 4 pins).
-    pub cut_size: usize,
-    /// Number of cuts kept per node during enumeration; values above
-    /// [`aig::CUT4_SET_CAPACITY`] (16) are clamped to it.
-    pub cuts_per_node: usize,
     /// Mapping objective.
     pub mode: MapMode,
 }
@@ -40,8 +38,6 @@ pub struct MapperParams {
 impl Default for MapperParams {
     fn default() -> Self {
         MapperParams {
-            cut_size: 4,
-            cuts_per_node: 8,
             mode: MapMode::Delay,
         }
     }
@@ -145,18 +141,10 @@ fn map_checked(
     let start = std::time::Instant::now();
     ctx.ensure_clean(g);
     g.compute_fanouts_cached();
-    Cut4Enumerator::new(mapper_cut_params(params)).enumerate_into(g, &mut ctx.cut4_sets);
+    Cut4Enumerator::new(CutParams::default()).enumerate_into(g, &mut ctx.cut4_sets);
     let netlist = map_core(g, library, params.mode, &ctx.cut4_sets, cancel)?;
     ctx.record_mapping(start.elapsed().as_secs_f64());
     Ok(netlist)
-}
-
-pub(crate) fn mapper_cut_params(params: MapperParams) -> CutParams {
-    CutParams {
-        max_cut_size: params.cut_size.min(aig::CUT4_MAX_LEAVES),
-        max_cuts_per_node: params.cuts_per_node.min(aig::CUT4_SET_CAPACITY),
-        include_trivial: false,
-    }
 }
 
 /// Matching over an already cleaned, fanout-annotated subject graph with
@@ -409,7 +397,6 @@ mod tests {
             &lib(),
             MapperParams {
                 mode: MapMode::Delay,
-                ..Default::default()
             },
         );
         let area_q = map_qor(
@@ -417,7 +404,6 @@ mod tests {
             &lib(),
             MapperParams {
                 mode: MapMode::Area,
-                ..Default::default()
             },
         );
         assert!(delay_q.delay_ps <= area_q.delay_ps + 1e-6);
@@ -467,23 +453,6 @@ mod tests {
         assert_eq!(q.gates, mapped.gates.len());
         assert!((q.area_um2 - mapped.area).abs() < 1e-9);
         assert!(q.depth > 0);
-    }
-
-    #[test]
-    fn oversized_cuts_per_node_is_clamped() {
-        // 64 is past what a `CutSet4` holds; it must map, as the cap does.
-        let g = Design::Alu64.generate(DesignScale::Tiny);
-        let with = |cuts_per_node| MapperParams {
-            cuts_per_node,
-            ..Default::default()
-        };
-        let wide = map(&g, &lib(), with(64));
-        let capped = map(&g, &lib(), with(aig::CUT4_SET_CAPACITY));
-        assert_eq!(wide.qor(), capped.qor());
-        assert_eq!(wide.gates.len(), capped.gates.len());
-        for (w, c) in wide.gates.iter().zip(&capped.gates) {
-            assert_eq!((w.root, w.cell, &w.leaves), (c.root, c.cell, &c.leaves));
-        }
     }
 
     #[test]

@@ -49,10 +49,10 @@ use flow_core::{fail_point, CancelToken, Cancelled};
 use crate::balance::balance_ctx;
 use crate::passes::Transform;
 use crate::reconv::ReconvScratch;
-use crate::refactor::{refactor_ctx, RefactorParams};
-use crate::restructure::{restructure_ctx, RestructureParams};
+use crate::refactor::refactor_ctx;
+use crate::restructure::restructure_ctx;
 use crate::resyn::{DecisionTable, Proposal};
-use crate::rewrite::{rewrite_ctx, RewriteParams};
+use crate::rewrite::rewrite_ctx;
 use crate::sop::{IsopCache, SharedIsopCache, SopCostScratch};
 
 /// Maximum number of recycled graph buffers a context keeps around.
@@ -345,13 +345,11 @@ impl PassContext {
         let start = Instant::now();
         match t {
             Transform::Balance => balance_ctx(g, self, cancel),
-            Transform::Restructure => {
-                restructure_ctx(g, RestructureParams::default(), self, cancel)
-            }
-            Transform::Rewrite => rewrite_ctx(g, false, RewriteParams::default(), self, cancel),
-            Transform::RewriteZ => rewrite_ctx(g, true, RewriteParams::default(), self, cancel),
-            Transform::Refactor => refactor_ctx(g, false, RefactorParams::default(), self, cancel),
-            Transform::RefactorZ => refactor_ctx(g, true, RefactorParams::default(), self, cancel),
+            Transform::Restructure => restructure_ctx(g, self, cancel),
+            Transform::Rewrite => rewrite_ctx(g, false, self, cancel),
+            Transform::RewriteZ => rewrite_ctx(g, true, self, cancel),
+            Transform::Refactor => refactor_ctx(g, false, self, cancel),
+            Transform::RefactorZ => refactor_ctx(g, true, self, cancel),
         }?;
         let stat = &mut self.timings.passes[t.index()];
         stat.calls += 1;

@@ -8,25 +8,13 @@
 
 use aig::{Aig, NodeId};
 
-/// Parameters of the reconvergence-driven cut growth.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReconvParams {
-    /// Maximum number of cut leaves.
-    pub max_leaves: usize,
-}
-
-impl Default for ReconvParams {
-    fn default() -> Self {
-        ReconvParams { max_leaves: 8 }
-    }
-}
-
-/// Computes a reconvergence-driven cut of `root`, returning the sorted leaf set.
+/// Computes a reconvergence-driven cut of `root` with at most `max_leaves`
+/// leaves, returning the sorted leaf set.
 ///
 /// The cut always covers the cone of `root`: every path from a primary input to
 /// `root` goes through a leaf.  Primary inputs and the constant node are never
 /// expanded.
-pub fn reconv_cut(aig: &Aig, root: NodeId, params: ReconvParams) -> Vec<NodeId> {
+pub fn reconv_cut(aig: &Aig, root: NodeId, max_leaves: usize) -> Vec<NodeId> {
     let mut leaves: Vec<NodeId> = Vec::new();
     let mut visited: Vec<NodeId> = vec![root];
     match aig.node(root).fanins() {
@@ -52,7 +40,7 @@ pub fn reconv_cut(aig: &Aig, root: NodeId, params: ReconvParams) -> Vec<NodeId> 
                     cost += 1;
                 }
             }
-            if leaves.len() as i32 + cost > params.max_leaves as i32 {
+            if leaves.len() as i32 + cost > max_leaves as i32 {
                 continue;
             }
             if best.is_none_or(|(_, c)| cost < c) {
@@ -138,7 +126,7 @@ impl ReconvScratch {
 pub(crate) fn reconv_cut_sweep(
     aig: &Aig,
     root: NodeId,
-    params: ReconvParams,
+    max_leaves: usize,
     scratch: &mut ReconvScratch,
     leaves: &mut Vec<NodeId>,
 ) {
@@ -173,7 +161,7 @@ pub(crate) fn reconv_cut_sweep(
                     cost += 1;
                 }
             }
-            if leaves.len() as i32 + cost > params.max_leaves as i32 {
+            if leaves.len() as i32 + cost > max_leaves as i32 {
                 continue;
             }
             if best.is_none_or(|(_, c)| cost < c) {
@@ -207,13 +195,13 @@ fn push_unique(v: &mut Vec<NodeId>, x: NodeId) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aig::{cut_truth, Cut};
+    use aig::cut_truth;
 
     #[test]
     fn cut_of_input_is_trivial() {
         let mut g = Aig::new();
         let a = g.add_input("a");
-        let cut = reconv_cut(&g, a.node(), ReconvParams::default());
+        let cut = reconv_cut(&g, a.node(), 8);
         assert_eq!(cut, vec![a.node()]);
     }
 
@@ -228,11 +216,10 @@ mod tests {
         }
         g.add_output("f", acc);
         for max_leaves in [4usize, 6, 8] {
-            let leaves = reconv_cut(&g, acc.node(), ReconvParams { max_leaves });
+            let leaves = reconv_cut(&g, acc.node(), max_leaves);
             assert!(leaves.len() <= max_leaves, "limit {max_leaves}");
             // The leaf set must be a valid cut: truth computation succeeds.
-            let cut = Cut::from_leaves(leaves);
-            assert!(cut_truth(&g, acc.node(), &cut).is_ok());
+            assert!(cut_truth(&g, acc.node(), &leaves).is_ok());
         }
     }
 
@@ -244,7 +231,7 @@ mod tests {
         let cd = g.and(xs[2], xs[3]);
         let f = g.and(ab, cd);
         g.add_output("f", f);
-        let leaves = reconv_cut(&g, f.node(), ReconvParams { max_leaves: 8 });
+        let leaves = reconv_cut(&g, f.node(), 8);
         let mut want: Vec<NodeId> = xs.iter().map(|l| l.node()).collect();
         want.sort_unstable();
         assert_eq!(leaves, want);
@@ -264,12 +251,11 @@ mod tests {
         let mut scratch = ReconvScratch::default();
         scratch.begin(g.len());
         scratch.epoch = u32::MAX - 3;
-        let params = ReconvParams { max_leaves: 6 };
         let mut fast = Vec::new();
         for round in 0..3 {
             for id in 0..g.len() {
-                reconv_cut_sweep(&g, id, params, &mut scratch, &mut fast);
-                assert_eq!(reconv_cut(&g, id, params), fast, "round {round} node {id}");
+                reconv_cut_sweep(&g, id, 6, &mut scratch, &mut fast);
+                assert_eq!(reconv_cut(&g, id, 6), fast, "round {round} node {id}");
             }
         }
         assert!(scratch.epoch < 1000, "the epoch wrapped and restarted");
@@ -302,10 +288,9 @@ mod tests {
             }
             for max_leaves in [4usize, 6, 8] {
                 for id in 0..g.len() {
-                    let params = ReconvParams { max_leaves };
-                    let reference = reconv_cut(&g, id, params);
+                    let reference = reconv_cut(&g, id, max_leaves);
                     let mut fast = Vec::new();
-                    reconv_cut_sweep(&g, id, params, &mut scratch, &mut fast);
+                    reconv_cut_sweep(&g, id, max_leaves, &mut scratch, &mut fast);
                     assert_eq!(reference, fast, "node {id} max_leaves {max_leaves}");
                 }
             }
@@ -323,7 +308,7 @@ mod tests {
         let ac = g.and(a, c);
         let f = g.and(ab, ac);
         g.add_output("f", f);
-        let leaves = reconv_cut(&g, f.node(), ReconvParams { max_leaves: 3 });
+        let leaves = reconv_cut(&g, f.node(), 3);
         let mut want = vec![a.node(), b.node(), c.node()];
         want.sort_unstable();
         assert_eq!(leaves, want);

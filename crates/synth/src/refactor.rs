@@ -1,44 +1,31 @@
 //! The `refactor` pass: large-cut resynthesis.
 //!
 //! Analogue of ABC's `refactor` (`rf`) and `refactor -z` (`rfz`) commands: a
-//! single reconvergence-driven cut (up to eight leaves by default) is computed
+//! single reconvergence-driven cut (up to eight leaves) is computed
 //! per node, the cut function is collapsed to a truth table, re-expressed as an
 //! irredundant SOP and rebuilt.  Because the cut is much larger than rewrite's
 //! 4-feasible cuts, refactoring restructures whole fanin cones at once.
 
-use aig::{cut_truth_with, Aig, Cut, Lit, Mffc, NodeId};
+use aig::{cut_truth_with, Aig, Lit, Mffc, NodeId};
 
 use flow_core::{CancelToken, Cancelled};
 
 use crate::pass::{PassContext, ProposeScratch};
-use crate::reconv::{reconv_cut_sweep, ReconvParams};
+use crate::reconv::reconv_cut_sweep;
 use crate::resyn::{resynthesis_sweep_ctx, Acceptance, Proposal, Structure};
 use crate::sop::count_sop_nodes_sweep;
 
-/// Parameters of the refactor pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RefactorParams {
-    /// Maximum number of leaves of the reconvergence-driven cut.
-    pub max_leaves: usize,
-    /// Covers with more cubes than this are not considered (keeps the pass fast).
-    pub max_cubes: usize,
-}
+/// Maximum number of leaves of the reconvergence-driven cut.
+pub(crate) const MAX_LEAVES: usize = 8;
 
-impl Default for RefactorParams {
-    fn default() -> Self {
-        RefactorParams {
-            max_leaves: 8,
-            max_cubes: 24,
-        }
-    }
-}
+/// Covers with more cubes than this are not considered (keeps the pass fast).
+pub(crate) const MAX_CUBES: usize = 24;
 
 /// `refactor` on a [`PassContext`]: transforms `g` in place, reusing the
 /// context's cut-truth scratch and sweep buffers.
 pub(crate) fn refactor_ctx(
     g: &mut Aig,
     zero_cost: bool,
-    params: RefactorParams,
     ctx: &mut PassContext,
     cancel: Option<&CancelToken>,
 ) -> Result<(), Cancelled> {
@@ -49,7 +36,7 @@ pub(crate) fn refactor_ctx(
     };
     let min_gain = acceptance.min_gain;
     resynthesis_sweep_ctx(g, acceptance, ctx, cancel, |graph, id, ps, _, out| {
-        propose_sweep(graph, id, params, min_gain, ps, out)
+        propose_sweep(graph, id, min_gain, ps, out)
     })
 }
 
@@ -62,44 +49,28 @@ pub(crate) fn refactor_ctx(
 fn propose_sweep(
     graph: &Aig,
     id: NodeId,
-    params: RefactorParams,
     min_gain: i64,
     ps: &mut ProposeScratch,
     proposals: &mut Vec<Proposal>,
 ) {
-    let mut cut_leaves = std::mem::take(&mut ps.cut_leaves);
-    reconv_cut_sweep(
-        graph,
-        id,
-        ReconvParams {
-            max_leaves: params.max_leaves,
-        },
-        &mut ps.reconv,
-        &mut cut_leaves,
-    );
-    if cut_leaves.len() < 3 || cut_leaves.len() > aig::MAX_TRUTH_VARS {
-        ps.cut_leaves = cut_leaves;
+    reconv_cut_sweep(graph, id, MAX_LEAVES, &mut ps.reconv, &mut ps.cut_leaves);
+    let leaves = &ps.cut_leaves;
+    if leaves.len() < 3 || leaves.len() > aig::MAX_TRUTH_VARS {
         return;
     }
-    let cut = Cut::from_leaves(cut_leaves);
-    let truth = match cut_truth_with(graph, id, &cut, &mut ps.truth) {
-        Ok(t) => t,
-        Err(_) => {
-            ps.cut_leaves = cut.into_leaves();
-            return;
-        }
+    let Ok(truth) = cut_truth_with(graph, id, leaves, &mut ps.truth) else {
+        return;
     };
     // Borrowed cover for the cheap reject paths; the owned clone is
     // materialised only for a surviving proposal.
     let sop = ps.isop.isop_ref(&truth);
-    if sop.num_cubes() > params.max_cubes {
-        ps.cut_leaves = cut.into_leaves();
+    if sop.num_cubes() > MAX_CUBES {
         return;
     }
     ps.leaf_lits.clear();
     ps.leaf_lits
-        .extend(cut.leaves().iter().map(|&n| Lit::from_node(n, false)));
-    let mffc = Mffc::compute_with(graph, id, cut.leaves(), &mut ps.mffc);
+        .extend(leaves.iter().map(|&n| Lit::from_node(n, false)));
+    let mffc = Mffc::compute_with(graph, id, leaves, &mut ps.mffc);
     let budget = (mffc.size() as i64 - min_gain).max(0) as usize;
     let Some(added) = count_sop_nodes_sweep(
         graph,
@@ -109,23 +80,22 @@ fn propose_sweep(
         &mut ps.cost,
         budget,
     ) else {
-        ps.cut_leaves = cut.into_leaves();
         return;
     };
     let sop = ps.isop.isop(&truth);
     proposals.push(Proposal {
-        leaves: cut.leaves().to_vec(),
+        leaves: leaves.clone(),
         structure: Structure::SumOfProducts(sop),
         added,
         mffc_size: mffc.size(),
     });
-    ps.cut_leaves = cut.into_leaves();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::passes::Transform;
+    use crate::reconv::reconv_cut;
     use aig::random_equivalence_check;
     use circuits::{Design, DesignScale};
 
@@ -189,8 +159,9 @@ mod tests {
 
     #[test]
     fn default_params_are_sane() {
-        let p = RefactorParams::default();
-        assert!(p.max_leaves >= 6 && p.max_leaves <= 12);
-        assert!(p.max_cubes >= p.max_leaves);
+        // The leaf limit binds on a real design.
+        let g = Design::Alu64.generate(DesignScale::Tiny);
+        let widest = g.and_ids().map(|id| reconv_cut(&g, id, MAX_LEAVES).len());
+        assert_eq!(widest.max(), Some(MAX_LEAVES));
     }
 }

@@ -9,8 +9,9 @@
 //! [`crate::map`], [`crate::FlowRunner`]) runs it.
 //!
 //! This module is the other one: the slow, allocation-heavy, obviously
-//! structured code the crate started from — [`aig::CutEnumerator`] plus one
-//! [`aig::cut_truth`] cone walk per cut, [`isop`] on heap tables,
+//! structured code the crate started from — [`CutEnumerator`] over
+//! heap-allocated [`Cut`]s plus one [`aig::cut_truth`] cone walk per cut,
+//! [`isop`] on heap tables,
 //! [`reconv_cut`] with linear scans, the uncapped cost estimators, exhaustive
 //! NPN orbit search ([`npn_canonical`]) compared against every cell in
 //! [`matching_cells`], and a sequential sweep.  Both
@@ -23,19 +24,154 @@
 
 use std::collections::HashMap;
 
-use aig::{cut_truth, Aig, Cut, CutEnumerator, CutParams, Lit, Mffc, NodeId, TruthTable};
+use aig::{cut_truth, Aig, CutParams, Lit, Mffc, NodeId, TruthTable};
 
 use crate::balance::build_balanced;
 use crate::decomp::count_shannon_nodes;
 use crate::library::{CellId, CellLibrary};
-use crate::mapper::{mapper_cut_params, MappedNetlist, MapperParams, Matcher};
+use crate::mapper::{MappedNetlist, MapperParams, Matcher};
 use crate::passes::Transform;
-use crate::reconv::{reconv_cut, ReconvParams};
-use crate::refactor::RefactorParams;
-use crate::restructure::RestructureParams;
+use crate::reconv::reconv_cut;
 use crate::resyn::{rebuild_with_decisions_into, Acceptance, Decision, Proposal, Structure};
-use crate::rewrite::RewriteParams;
 use crate::sop::{count_sop_nodes, isop};
+use crate::{refactor, restructure, rewrite};
+
+/// A cut of a node: its leaves, sorted by strictly increasing node id, plus a
+/// 64-bit Bloom-style signature for fast dominance rejection.  The oracle of
+/// [`aig::Cut4`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Cut {
+    leaves: Vec<NodeId>,
+    signature: u64,
+}
+
+impl Cut {
+    /// The unit cut `{node}`.
+    pub fn trivial(node: NodeId) -> Self {
+        Cut {
+            leaves: vec![node],
+            signature: Self::sig_of(node),
+        }
+    }
+
+    /// A cut over `leaves` (sorted and de-duplicated here).
+    pub fn from_leaves(mut leaves: Vec<NodeId>) -> Self {
+        leaves.sort_unstable();
+        leaves.dedup();
+        let signature = leaves.iter().fold(0u64, |s, &l| s | Self::sig_of(l));
+        Cut { leaves, signature }
+    }
+
+    fn sig_of(node: NodeId) -> u64 {
+        1u64 << (node % 64)
+    }
+
+    /// The leaf nodes, sorted by id.
+    pub fn leaves(&self) -> &[NodeId] {
+        &self.leaves
+    }
+
+    /// Number of leaves.
+    pub fn size(&self) -> usize {
+        self.leaves.len()
+    }
+
+    /// `true` if `self`'s leaves are a subset of `other`'s: the dominated cut
+    /// can never lead to a better implementation and is pruned.
+    pub fn dominates(&self, other: &Cut) -> bool {
+        if self.leaves.len() > other.leaves.len() {
+            return false;
+        }
+        if self.signature & !other.signature != 0 {
+            return false;
+        }
+        self.leaves
+            .iter()
+            .all(|l| other.leaves.binary_search(l).is_ok())
+    }
+
+    /// The union of two cuts, or `None` when it has more than `k` leaves.
+    pub fn merge(&self, other: &Cut, k: usize) -> Option<Cut> {
+        let union = Cut::from_leaves([self.leaves(), other.leaves()].concat());
+        (union.size() <= k).then_some(union)
+    }
+}
+
+/// The cuts enumerated for one node, in enumeration order.
+#[derive(Debug, Clone, Default)]
+pub struct CutSet {
+    cuts: Vec<Cut>,
+}
+
+impl CutSet {
+    /// The cuts, in enumeration order.
+    pub fn cuts(&self) -> &[Cut] {
+        &self.cuts
+    }
+
+    /// Number of cuts stored for the node.
+    pub fn len(&self) -> usize {
+        self.cuts.len()
+    }
+
+    /// Returns `true` when no cut is stored.
+    pub fn is_empty(&self) -> bool {
+        self.cuts.is_empty()
+    }
+
+    fn push_filtered(&mut self, cut: Cut, limit: usize) {
+        if self.cuts.iter().any(|c| c.dominates(&cut)) {
+            return;
+        }
+        self.cuts.retain(|c| !cut.dominates(c));
+        if self.cuts.len() < limit {
+            self.cuts.push(cut);
+        }
+    }
+}
+
+/// Enumerates k-feasible cuts for every node in one topological sweep: the
+/// oracle of [`aig::Cut4Enumerator`], with the same merge order, dominance
+/// filter, per-node limit and unit-cut rule.
+#[derive(Debug, Clone)]
+pub struct CutEnumerator {
+    params: CutParams,
+}
+
+impl CutEnumerator {
+    /// Creates an enumerator with the given parameters.
+    pub fn new(params: CutParams) -> Self {
+        CutEnumerator { params }
+    }
+
+    /// Enumerates cuts for every node; the result is indexed by node id.
+    pub fn enumerate(&self, aig: &Aig) -> Vec<CutSet> {
+        let mut sets: Vec<CutSet> = vec![CutSet::default(); aig.len()];
+        sets[0].cuts.push(Cut::trivial(0));
+        for &pi in aig.input_ids() {
+            sets[pi].cuts.push(Cut::trivial(pi));
+        }
+        for id in aig.node_ids() {
+            let Some((a, b)) = aig.node(id).fanins() else {
+                continue;
+            };
+            let mut set = CutSet::default();
+            let limit = self.params.max_cuts_per_node;
+            for ca in &sets[a.node()].cuts {
+                for cb in &sets[b.node()].cuts {
+                    if let Some(m) = ca.merge(cb, self.params.max_cut_size) {
+                        set.push_filtered(m, limit);
+                    }
+                }
+            }
+            if set.is_empty() {
+                set.push_filtered(Cut::trivial(id), limit.max(1));
+            }
+            sets[id] = set;
+        }
+        sets
+    }
+}
 
 /// Applies one transformation through the oracle.
 pub fn apply(t: Transform, aig: &Aig) -> Aig {
@@ -80,47 +216,44 @@ fn balance(aig: &Aig) -> Aig {
 }
 
 fn rewrite(aig: &Aig, acceptance: Acceptance) -> Aig {
-    let params = RewriteParams::default();
     // Cuts are enumerated once on the cleaned-up working copy used by the
     // sweep (the sweep applies all decisions in one rebuild, so the graph the
     // cuts were enumerated on stays valid for the whole pass).
     let work = aig.cleanup();
-    let cut_sets = CutEnumerator::new(CutParams {
-        max_cut_size: params.cut_size,
-        max_cuts_per_node: params.cuts_per_node,
-        include_trivial: false,
-    })
-    .enumerate(&work);
+    let cut_sets = CutEnumerator::new(CutParams::default()).enumerate(&work);
     resynthesis_sweep(&work, acceptance, |graph, id| {
         let mut proposals = Vec::new();
         for cut in cut_sets[id].cuts() {
             if cut.size() < 2 {
                 continue;
             }
-            let Ok(truth) = cut_truth(graph, id, cut) else {
+            let Ok(truth) = cut_truth(graph, id, cut.leaves()) else {
                 continue;
             };
-            // Very large covers cannot win at cut size 4.
-            proposals.extend(sop_proposal(graph, id, cut.leaves().to_vec(), &truth, 16));
+            proposals.extend(sop_proposal(
+                graph,
+                id,
+                cut.leaves().to_vec(),
+                &truth,
+                rewrite::MAX_CUBES,
+            ));
         }
         proposals
     })
 }
 
 fn refactor(aig: &Aig, acceptance: Acceptance) -> Aig {
-    let params = RefactorParams::default();
     resynthesis_sweep(aig, acceptance, |graph, id| {
-        let Some((leaves, truth)) = reconv_cut_function(graph, id, params.max_leaves) else {
+        let Some((leaves, truth)) = reconv_cut_function(graph, id, refactor::MAX_LEAVES) else {
             return Vec::new();
         };
-        Vec::from_iter(sop_proposal(graph, id, leaves, &truth, params.max_cubes))
+        Vec::from_iter(sop_proposal(graph, id, leaves, &truth, refactor::MAX_CUBES))
     })
 }
 
 fn restructure(aig: &Aig) -> Aig {
-    let params = RestructureParams::default();
     resynthesis_sweep(aig, Acceptance::strict(), |graph, id| {
-        let Some((leaves, truth)) = reconv_cut_function(graph, id, params.max_leaves) else {
+        let Some((leaves, truth)) = reconv_cut_function(graph, id, restructure::MAX_LEAVES) else {
             return Vec::new();
         };
         let leaf_lits: Vec<Lit> = leaves.iter().map(|&n| Lit::from_node(n, false)).collect();
@@ -141,11 +274,11 @@ fn reconv_cut_function(
     id: NodeId,
     max_leaves: usize,
 ) -> Option<(Vec<NodeId>, TruthTable)> {
-    let leaves = reconv_cut(graph, id, ReconvParams { max_leaves });
+    let leaves = reconv_cut(graph, id, max_leaves);
     if leaves.len() < 3 || leaves.len() > aig::MAX_TRUTH_VARS {
         return None;
     }
-    let truth = cut_truth(graph, id, &Cut::from_leaves(leaves.clone())).ok()?;
+    let truth = cut_truth(graph, id, &leaves).ok()?;
     Some((leaves, truth))
 }
 
@@ -230,13 +363,13 @@ pub fn rebuild_with_decisions(src: &Aig, decisions: &HashMap<NodeId, Decision>) 
 pub fn map(aig: &Aig, library: &CellLibrary, params: MapperParams) -> MappedNetlist {
     let mut subject = aig.cleanup();
     subject.compute_fanouts();
-    let cut_sets = CutEnumerator::new(mapper_cut_params(params)).enumerate(&subject);
+    let cut_sets = CutEnumerator::new(CutParams::default()).enumerate(&subject);
     let classes = cell_classes(library);
     let mut matcher = Matcher::new(&subject, library, params.mode);
     for id in subject.and_ids() {
         let mut best = None;
         for cut in cut_sets[id].cuts() {
-            let Ok(truth) = cut_truth(&subject, id, cut) else {
+            let Ok(truth) = cut_truth(&subject, id, cut.leaves()) else {
                 continue;
             };
             // Reduce to the true support so e.g. a 3-leaf cut computing a
@@ -415,6 +548,70 @@ fn apply_negation(f: &TruthTable, mask: u32) -> TruthTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `f = (a & b) & (c & d)` over four inputs.
+    fn and4() -> (Aig, Lit) {
+        let mut g = Aig::new();
+        let xs = g.add_inputs("x", 4);
+        let ab = g.and(xs[0], xs[1]);
+        let cd = g.and(xs[2], xs[3]);
+        let f = g.and(ab, cd);
+        g.add_output("f", f);
+        (g, f)
+    }
+
+    #[test]
+    fn cut_merge_respects_limit() {
+        let c1 = Cut::from_leaves(vec![1, 2]);
+        let c2 = Cut::from_leaves(vec![3, 4]);
+        assert!(c1.merge(&c2, 4).is_some());
+        assert!(c1.merge(&c2, 3).is_none());
+        let shared = Cut::from_leaves(vec![2, 3]);
+        let m = c1.merge(&shared, 3).expect("merge fits");
+        assert_eq!(m.leaves(), &[1, 2, 3]);
+    }
+
+    #[test]
+    fn dominance() {
+        let small = Cut::from_leaves(vec![1, 2]);
+        let big = Cut::from_leaves(vec![1, 2, 3]);
+        assert!(small.dominates(&big));
+        assert!(!big.dominates(&small));
+        assert!(small.dominates(&small.clone()));
+        // 65 collides with 1 in the signature; the subset check decides.
+        let collide = Cut::from_leaves(vec![2, 65]);
+        assert!(!small.dominates(&collide));
+    }
+
+    #[test]
+    fn enumeration_produces_pi_cut() {
+        let (g, f) = and4();
+        let sets = CutEnumerator::new(CutParams::default()).enumerate(&g);
+        let root_cuts = &sets[f.node()];
+        // The full-support cut {a,b,c,d} must be found with k = 4.
+        assert!(
+            root_cuts
+                .cuts()
+                .iter()
+                .any(|cut| cut.leaves() == g.input_ids()),
+            "expected PI cut in {root_cuts:?}"
+        );
+        // A node with a surviving merged cut gets no unit cut.
+        assert!(root_cuts.cuts().iter().all(|c| c.leaves() != [f.node()]));
+    }
+
+    #[test]
+    fn cuts_bounded_by_limit() {
+        let params = CutParams {
+            max_cut_size: 4,
+            max_cuts_per_node: 3,
+        };
+        let (g, _) = and4();
+        let sets = CutEnumerator::new(params).enumerate(&g);
+        for s in &sets {
+            assert!(!s.is_empty() && s.len() <= 3, "1..=limit cuts per node");
+        }
+    }
 
     #[test]
     fn npn_merges_and_family() {

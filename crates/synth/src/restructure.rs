@@ -9,38 +9,27 @@
 //! optimisation opportunities they cannot reach on their own — which is exactly
 //! why the ordering of transformations matters (Section 1 of the paper).
 
-use aig::{Aig, Cut, Lit, Mffc, NodeId};
+use aig::{cut_truth_with, Aig, Lit, Mffc, NodeId};
 use flow_core::{CancelToken, Cancelled};
 
 use crate::decomp::count_shannon_nodes_sweep;
 use crate::pass::{PassContext, ProposeScratch};
-use crate::reconv::{reconv_cut_sweep, ReconvParams};
+use crate::reconv::reconv_cut_sweep;
 use crate::resyn::{resynthesis_sweep_ctx, Acceptance, Proposal, Structure};
 
-/// Parameters of the restructure pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RestructureParams {
-    /// Maximum number of leaves of the reconvergence-driven cut.
-    pub max_leaves: usize,
-}
-
-impl Default for RestructureParams {
-    fn default() -> Self {
-        RestructureParams { max_leaves: 6 }
-    }
-}
+/// Maximum number of leaves of the reconvergence-driven cut.
+pub(crate) const MAX_LEAVES: usize = 6;
 
 /// `restructure` on a [`PassContext`]: transforms `g` in place, reusing the
 /// context's cut-truth scratch and sweep buffers.
 pub(crate) fn restructure_ctx(
     g: &mut Aig,
-    params: RestructureParams,
     ctx: &mut PassContext,
     cancel: Option<&CancelToken>,
 ) -> Result<(), Cancelled> {
     let acceptance = Acceptance::strict();
     resynthesis_sweep_ctx(g, acceptance, ctx, cancel, |graph, id, ps, _, out| {
-        propose_sweep(graph, id, params, acceptance.min_gain, ps, out)
+        propose_sweep(graph, id, acceptance.min_gain, ps, out)
     })
 }
 
@@ -53,57 +42,41 @@ pub(crate) fn restructure_ctx(
 fn propose_sweep(
     graph: &Aig,
     id: NodeId,
-    params: RestructureParams,
     min_gain: i64,
     ps: &mut ProposeScratch,
     proposals: &mut Vec<Proposal>,
 ) {
-    let mut cut_leaves = std::mem::take(&mut ps.cut_leaves);
-    reconv_cut_sweep(
-        graph,
-        id,
-        ReconvParams {
-            max_leaves: params.max_leaves,
-        },
-        &mut ps.reconv,
-        &mut cut_leaves,
-    );
-    if cut_leaves.len() < 3 || cut_leaves.len() > aig::MAX_TRUTH_VARS {
-        ps.cut_leaves = cut_leaves;
+    reconv_cut_sweep(graph, id, MAX_LEAVES, &mut ps.reconv, &mut ps.cut_leaves);
+    let leaves = &ps.cut_leaves;
+    if leaves.len() < 3 || leaves.len() > aig::MAX_TRUTH_VARS {
         return;
     }
-    let cut = Cut::from_leaves(cut_leaves);
-    let truth = match aig::cut_truth_with(graph, id, &cut, &mut ps.truth) {
-        Ok(t) => t,
-        Err(_) => {
-            ps.cut_leaves = cut.into_leaves();
-            return;
-        }
+    let Ok(truth) = cut_truth_with(graph, id, leaves, &mut ps.truth) else {
+        return;
     };
     ps.leaf_lits.clear();
     ps.leaf_lits
-        .extend(cut.leaves().iter().map(|&n| Lit::from_node(n, false)));
-    let mffc = Mffc::compute_with(graph, id, cut.leaves(), &mut ps.mffc);
+        .extend(leaves.iter().map(|&n| Lit::from_node(n, false)));
+    let mffc = Mffc::compute_with(graph, id, leaves, &mut ps.mffc);
     let budget = (mffc.size() as i64 - min_gain).max(0) as usize;
     let Some(added) =
         count_shannon_nodes_sweep(graph, &truth, &ps.leaf_lits, |n| mffc.contains(n), budget)
     else {
-        ps.cut_leaves = cut.into_leaves();
         return;
     };
     proposals.push(Proposal {
-        leaves: cut.leaves().to_vec(),
+        leaves: leaves.clone(),
         structure: Structure::Shannon(truth),
         added,
         mffc_size: mffc.size(),
     });
-    ps.cut_leaves = cut.into_leaves();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::passes::Transform;
+    use crate::reconv::reconv_cut;
     use aig::random_equivalence_check;
     use circuits::{Design, DesignScale};
 
@@ -167,6 +140,9 @@ mod tests {
 
     #[test]
     fn default_params_are_sane() {
-        assert!(RestructureParams::default().max_leaves >= 4);
+        // The leaf limit binds on a real design.
+        let g = Design::Alu64.generate(DesignScale::Tiny);
+        let widest = g.and_ids().map(|id| reconv_cut(&g, id, MAX_LEAVES).len());
+        assert_eq!(widest.max(), Some(MAX_LEAVES));
     }
 }

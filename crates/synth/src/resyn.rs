@@ -304,7 +304,7 @@ mod tests {
     use super::*;
     use crate::reference::rebuild_with_decisions;
     use crate::sop::isop;
-    use aig::{cut_truth, random_equivalence_check, Cut};
+    use aig::{cut_truth, random_equivalence_check};
     use std::collections::HashMap;
 
     /// One production sweep over a copy of `g` on a fresh context.
@@ -346,8 +346,7 @@ mod tests {
         let before = g.num_ands();
         let result = sweep(&g, Acceptance::strict(), |work, id, out| {
             let leaves: Vec<NodeId> = work.input_ids().to_vec();
-            let cut = Cut::from_leaves(leaves.clone());
-            let Ok(truth) = cut_truth(work, id, &cut) else {
+            let Ok(truth) = cut_truth(work, id, &leaves) else {
                 return;
             };
             let sop = isop(&truth);
@@ -387,8 +386,7 @@ mod tests {
         // Decide to replace the top OR node by the SOP over the primary inputs.
         let root = g.outputs()[0].node();
         let leaves: Vec<NodeId> = g.input_ids().to_vec();
-        let cut = Cut::from_leaves(leaves.clone());
-        let truth = cut_truth(&g, root, &cut).expect("covered");
+        let truth = cut_truth(&g, root, &leaves).expect("covered");
         let mut decisions = HashMap::new();
         decisions.insert(
             root,

@@ -15,32 +15,17 @@ use crate::pass::{PassContext, ProposeScratch};
 use crate::resyn::{resynthesis_sweep_ctx, Acceptance, Proposal, Structure};
 use crate::sop::count_sop_nodes_sweep;
 
-/// Parameters of the rewrite pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RewriteParams {
-    /// Cut size used for local rewriting (ABC uses 4, which is also the
-    /// most [`Cut4Enumerator`] holds).
-    pub cut_size: usize,
-    /// Number of cuts kept per node during enumeration (at most
-    /// [`aig::CUT4_SET_CAPACITY`]).
-    pub cuts_per_node: usize,
-}
-
-impl Default for RewriteParams {
-    fn default() -> Self {
-        RewriteParams {
-            cut_size: 4,
-            cuts_per_node: 8,
-        }
-    }
-}
+/// Covers with more cubes than this are not considered: very large covers
+/// cannot win at cut size 4.
+pub(crate) const MAX_CUBES: usize = 16;
 
 /// `rewrite` on a [`PassContext`]: transforms `g` in place, recycling the
-/// context's cut-set vector and sweep buffers.
+/// context's cut-set vector and sweep buffers.  Cuts are
+/// [`CutParams::default`] (4 leaves, as in ABC; 8 cuts per node), the same
+/// cuts the mapper enumerates.
 pub(crate) fn rewrite_ctx(
     g: &mut Aig,
     zero_cost: bool,
-    params: RewriteParams,
     ctx: &mut PassContext,
     cancel: Option<&CancelToken>,
 ) -> Result<(), Cancelled> {
@@ -50,14 +35,9 @@ pub(crate) fn rewrite_ctx(
         Acceptance::strict()
     };
     ctx.ensure_clean(g);
-    let cut_params = CutParams {
-        max_cut_size: params.cut_size,
-        max_cuts_per_node: params.cuts_per_node,
-        include_trivial: false,
-    };
     // Cuts are enumerated once: the sweep applies all decisions after the
     // last propose call, so they stay valid for the whole pass.
-    Cut4Enumerator::new(cut_params).enumerate_into(g, &mut ctx.cut4_sets);
+    Cut4Enumerator::new(CutParams::default()).enumerate_into(g, &mut ctx.cut4_sets);
     let min_gain = acceptance.min_gain;
     resynthesis_sweep_ctx(
         g,
@@ -93,8 +73,7 @@ fn propose_sweep(
         }
         let truth = cut.truth_table();
         let sop = ps.isop.isop_ref(&truth);
-        // Very large covers cannot win at cut size 4; skip pathological cases.
-        if sop.num_cubes() > 16 {
+        if sop.num_cubes() > MAX_CUBES {
             continue;
         }
         let mut leaf_buf = [0 as NodeId; aig::CUT4_MAX_LEAVES];
@@ -220,8 +199,9 @@ mod tests {
 
     #[test]
     fn params_default_matches_abc_convention() {
-        let p = RewriteParams::default();
-        assert_eq!(p.cut_size, 4);
-        assert!(p.cuts_per_node >= 4);
+        // Rewrite enumerates `CutParams::default()`.
+        let p = CutParams::default();
+        assert_eq!(p.max_cut_size, 4);
+        assert!(p.max_cuts_per_node >= 4);
     }
 }

@@ -9,51 +9,77 @@ mod reference_differential;
 
 use std::path::PathBuf;
 
-use aig::{cut_truth, Aig, Cut4Enumerator, CutEnumerator, CutParams, TruthTable};
+use aig::{cut_truth, Aig, Cut4Enumerator, CutParams, TruthTable};
 use circuits::{Design, DesignScale};
 use reference_differential::*;
 use synth::npn4::canonical4_padded;
 use synth::{map_with_ctx, reference, CellLibrary, MapperParams, PassContext, Transform};
 
 /// The fused-truth enumeration must match the oracle's cut enumeration plus
-/// per-cut cone walks on random graphs, cut for cut.
+/// per-cut cone walks, cut for cut, and `Cut4::dominates` must agree with the
+/// oracle's on every pair of enumerated cuts — random graphs of ~70 nodes
+/// hold leaves 64 ids apart, whose signatures collide.
 #[test]
 fn cut4_enumeration_matches_reference_on_random_aigs() {
-    for seed in 1..=10u64 {
-        let g = random_aig(seed * 0x9E37, 8, 60);
-        for include_trivial in [false, true] {
-            let params = CutParams {
-                max_cut_size: 4,
-                max_cuts_per_node: 8,
-                include_trivial,
-            };
-            let oracle = CutEnumerator::new(params).enumerate(&g);
-            let fast = Cut4Enumerator::new(params).enumerate(&g);
-            assert_eq!(oracle.len(), fast.len());
-            for id in 0..g.len() {
+    let params = CutParams::default();
+    let graphs = (1..=10u64).map(|seed| (seed, random_aig(seed * 0x9E37, 8, 60)));
+    for (seed, g) in graphs.chain([(0, xor_mux_aig())]) {
+        let oracle = reference::CutEnumerator::new(params).enumerate(&g);
+        let fast = Cut4Enumerator::new(params).enumerate(&g);
+        assert_eq!(oracle.len(), fast.len());
+        for id in 0..g.len() {
+            assert_eq!(
+                oracle[id].len(),
+                fast[id].len(),
+                "seed={seed} node={id}: cut count"
+            );
+            for (rc, fc) in oracle[id].cuts().iter().zip(fast[id].cuts()) {
                 assert_eq!(
-                    oracle[id].len(),
-                    fast[id].len(),
-                    "seed={seed} node={id}: cut count"
+                    rc.leaves(),
+                    fc.leaf_ids().as_slice(),
+                    "seed={seed} node={id}: leaves"
                 );
-                for (rc, fc) in oracle[id].cuts().iter().zip(fast[id].cuts()) {
+                if g.node(id).is_and() {
+                    let walked = cut_truth(&g, id, rc.leaves()).expect("enumerated cuts cover");
                     assert_eq!(
-                        rc.leaves(),
-                        fc.leaf_ids().as_slice(),
-                        "seed={seed} node={id}: leaves"
+                        walked,
+                        fc.truth_table(),
+                        "seed={seed} node={id}: fused truth"
                     );
-                    if g.node(id).is_and() {
-                        let walked = cut_truth(&g, id, rc).expect("enumerated cuts cover");
-                        assert_eq!(
-                            walked,
-                            fc.truth_table(),
-                            "seed={seed} node={id}: fused truth"
-                        );
-                    }
                 }
             }
         }
+        let pairs: Vec<_> = oracle
+            .iter()
+            .zip(&fast)
+            .flat_map(|(r, f)| r.cuts().iter().zip(f.cuts()))
+            .collect();
+        for (ra, fa) in &pairs {
+            for (rb, fb) in &pairs {
+                assert_eq!(
+                    ra.dominates(rb),
+                    fa.dominates(fb),
+                    "seed={seed}: {:?} vs {:?}",
+                    ra.leaves(),
+                    rb.leaves()
+                );
+            }
+        }
     }
+}
+
+/// Five inputs feeding an AND tree, an XOR and a mux that reuses a fanin.
+fn xor_mux_aig() -> Aig {
+    let mut g = Aig::new();
+    let xs = g.add_inputs("x", 5);
+    let ab = g.and(xs[0], xs[1]);
+    let cd = g.and(xs[2], xs[3]);
+    let f = g.and(ab, cd);
+    let x = g.xor(f, xs[4]);
+    let m = g.mux(xs[0], x, cd);
+    g.add_output("x", x);
+    g.add_output("m", m);
+    g
 }
 
 /// The mapper's one index, `matches_npn4`, returns the orbit oracle's cell

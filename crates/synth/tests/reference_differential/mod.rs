@@ -143,10 +143,7 @@ pub fn assert_netlists_identical(oracle: &MappedNetlist, production: &MappedNetl
 pub fn assert_mapping_identical(g: &mut Aig, ctx: &mut PassContext, what: &str) {
     let lib = CellLibrary::nangate14();
     for mode in [MapMode::Delay, MapMode::Area] {
-        let params = MapperParams {
-            mode,
-            ..Default::default()
-        };
+        let params = MapperParams { mode };
         let oracle = reference::map(g, &lib, params);
         let production = map_with_ctx(g, &lib, params, ctx);
         assert_netlists_identical(&oracle, &production, &format!("{what} {mode:?}"));

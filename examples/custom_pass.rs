@@ -14,10 +14,10 @@
 //! fanout-aware node iteration, gain thresholding, conflict-free decision
 //! replay and the final cleanup.
 
-use aig::{cut_truth, random_equivalence_check, Aig, Cut, Lit, Mffc};
+use aig::{cut_truth, random_equivalence_check, Aig, Lit, Mffc};
 use circuits::{Design, DesignScale};
 use synth::decomp::count_shannon_nodes;
-use synth::reconv::{reconv_cut, ReconvParams};
+use synth::reconv::reconv_cut;
 use synth::reference::resynthesis_sweep;
 use synth::resyn::{Acceptance, Proposal, Structure};
 
@@ -34,16 +34,15 @@ use synth::resyn::{Acceptance, Proposal, Structure};
 /// * report `mffc_size` so the sweep can score `gain = mffc_size - added`.
 fn propose_small_shannon(graph: &Aig, id: aig::NodeId, proposals: &mut Vec<Proposal>) {
     // 1. Grow a reconvergence-driven cut.  Tighter than the built-in
-    //    restructure pass (4 leaves instead of 6): this is the knob that
-    //    makes the example pass behave differently.
-    let leaves = reconv_cut(graph, id, ReconvParams { max_leaves: 4 });
+    //    restructure pass (4 leaves instead of 6): this is what makes the
+    //    example pass behave differently.
+    let leaves = reconv_cut(graph, id, 4);
     if leaves.len() < 3 || leaves.len() > aig::MAX_TRUTH_VARS {
         return;
     }
 
-    // 2. Compute the cut function.
-    let cut = Cut::from_leaves(leaves.clone());
-    let Ok(truth) = cut_truth(graph, id, &cut) else {
+    // 2. Compute the cut function over the sorted leaves.
+    let Ok(truth) = cut_truth(graph, id, &leaves) else {
         return; // the cone escaped the cut; not a usable candidate
     };
 

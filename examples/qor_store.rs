@@ -1,12 +1,14 @@
 //! Persistent QoR store demo: evaluate a batch, restart, evaluate again.
 //!
 //! ```text
-//! cargo run --release --example qor_store -- /tmp/qor.jsonl
+//! cargo run --release --example qor_store -- /tmp/qor-store
 //! ```
 //!
 //! The first run evaluates 16 random flows on the tiny ALU and appends them
-//! to the JSON-lines store; running the same command again answers every flow
-//! from the store without applying a single synthesis pass.
+//! to the store — a checksummed, segmented log under the given base path
+//! (`<base>.manifest` + `<base>.NNNNNN.seg`); running the same command again
+//! answers every flow from the store without applying a single synthesis
+//! pass.
 
 use circuits::{Design, DesignScale};
 use floweval::{EngineConfig, EvalEngine};
@@ -17,7 +19,7 @@ use rand_chacha::ChaCha8Rng;
 fn main() {
     let store_path = std::env::args()
         .nth(1)
-        .unwrap_or_else(|| "target/qor-store.jsonl".to_string());
+        .unwrap_or_else(|| "target/qor-store".to_string());
     let design = Design::Alu64.generate(DesignScale::Tiny);
     let engine = EvalEngine::new(EngineConfig {
         store_path: Some(store_path.clone().into()),

@@ -35,4 +35,5 @@ fn main() {
     println!("result: {}", outcome.qor);
     println!("optimized network: {}", outcome.optimized);
     println!("functionally verified: {}", outcome.verified);
+    assert!(outcome.verified, "the flow changed the design's function");
 }

@@ -50,10 +50,7 @@ const GOLDEN: &[Row] = &[
 ];
 
 fn params(mode: MapMode) -> MapperParams {
-    MapperParams {
-        mode,
-        ..Default::default()
-    }
+    MapperParams { mode }
 }
 
 #[test]
