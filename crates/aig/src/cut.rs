@@ -30,20 +30,18 @@ impl Default for CutParams {
 /// Computes the truth table of `root` expressed over the cut `leaves`.
 ///
 /// `leaves` must be sorted by strictly increasing node id; that order defines
-/// the variable order of the table (leaf `i` is variable `i`).
+/// the variable order of the table (leaf `i` is variable `i`).  This is the
+/// memoised recursive walk kept as the oracle of [`cut_truth_with`].
 ///
 /// # Errors
 ///
 /// Returns [`crate::AigError::CutTooWide`] when the cut has more than
-/// [`crate::truth::MAX_TRUTH_VARS`] leaves, and
+/// [`crate::MAX_TRUTH_VARS`] leaves, and
 /// [`crate::AigError::InvalidLiteral`] if the cone of `root` reaches a primary
 /// input that is not covered by the cut.
 pub fn cut_truth(aig: &Aig, root: NodeId, leaves: &[NodeId]) -> crate::Result<TruthTable> {
-    debug_assert_sorted(leaves);
+    check_cut(leaves)?;
     let nv = leaves.len();
-    if nv > crate::truth::MAX_TRUTH_VARS {
-        return Err(crate::AigError::CutTooWide(nv));
-    }
     let mut memo: HashMap<NodeId, TruthTable> = HashMap::new();
     for (i, &leaf) in leaves.iter().enumerate() {
         memo.insert(leaf, TruthTable::var(i, nv));
@@ -51,28 +49,29 @@ pub fn cut_truth(aig: &Aig, root: NodeId, leaves: &[NodeId]) -> crate::Result<Tr
     eval_node(aig, root, nv, &mut memo)
 }
 
+/// The checks both cut-function walks share: sorted leaves (debug builds)
+/// and a width a [`TruthTable`] can hold.
 #[inline]
-fn debug_assert_sorted(leaves: &[NodeId]) {
+fn check_cut(leaves: &[NodeId]) -> crate::Result<()> {
     debug_assert!(
         leaves.windows(2).all(|w| w[0] < w[1]),
         "cut leaves must strictly increase: {leaves:?}"
     );
+    if leaves.len() > crate::MAX_TRUTH_VARS {
+        return Err(crate::AigError::CutTooWide(leaves.len()));
+    }
+    Ok(())
 }
-
-/// Maximum cut width supported by the scratch-based fast path of
-/// [`cut_truth_with`] (wider cuts fall back to [`cut_truth`]).
-pub const MAX_SCRATCH_TRUTH_VARS: usize = 8;
 
 /// Reusable buffers for allocation-free cut-function computation.
 ///
 /// The resynthesis passes compute one cut function per node per sweep; with a
 /// scratch carried across calls, [`cut_truth_with`] performs the cone walk
-/// iteratively over dense, stamped word buffers instead of rebuilding a
-/// `HashMap<NodeId, TruthTable>` (and one heap allocation per cone node) on
-/// every call.
+/// iteratively over a dense, stamped table buffer instead of rebuilding a
+/// `HashMap<NodeId, TruthTable>` on every call.
 #[derive(Debug, Default)]
 pub struct CutTruthScratch {
-    words: Vec<[u64; 4]>,
+    tables: Vec<TruthTable>,
     stamp: Vec<u32>,
     epoch: u32,
     stack: Vec<NodeId>,
@@ -87,7 +86,7 @@ impl CutTruthScratch {
     fn begin(&mut self, len: usize) {
         if self.stamp.len() < len {
             self.stamp.resize(len, 0);
-            self.words.resize(len, [0; 4]);
+            self.tables.resize(len, TruthTable::zeros(0));
         }
         if self.epoch == u32::MAX {
             self.stamp.iter_mut().for_each(|s| *s = 0);
@@ -102,27 +101,16 @@ impl CutTruthScratch {
     }
 
     #[inline]
-    fn set(&mut self, id: NodeId, w: [u64; 4]) {
-        self.words[id] = w;
+    fn set(&mut self, id: NodeId, t: TruthTable) {
+        self.tables[id] = t;
         self.stamp[id] = self.epoch;
-    }
-}
-
-/// Truth-table words of variable `v` over the full 8-variable scratch domain.
-#[inline]
-fn var_words8(v: usize) -> [u64; 4] {
-    match v {
-        0..=5 => [crate::truth::VAR_MASKS[v]; 4],
-        6 => [0, u64::MAX, 0, u64::MAX],
-        _ => [0, 0, u64::MAX, u64::MAX],
     }
 }
 
 /// Computes the truth table of `root` over the cut `leaves`, reusing the
 /// buffers of `scratch` so the cone walk itself performs no heap allocation.
 ///
-/// Produces exactly the same result as [`cut_truth`]; cuts wider than
-/// [`MAX_SCRATCH_TRUTH_VARS`] fall back to it.
+/// Produces exactly the same result as [`cut_truth`].
 ///
 /// # Errors
 ///
@@ -133,68 +121,53 @@ pub fn cut_truth_with(
     leaves: &[NodeId],
     scratch: &mut CutTruthScratch,
 ) -> crate::Result<TruthTable> {
+    check_cut(leaves)?;
     let nv = leaves.len();
-    if nv > MAX_SCRATCH_TRUTH_VARS {
-        return cut_truth(aig, root, leaves);
-    }
-    debug_assert_sorted(leaves);
     scratch.begin(aig.len());
     for (i, &leaf) in leaves.iter().enumerate() {
-        scratch.set(leaf, var_words8(i));
+        scratch.set(leaf, TruthTable::var(i, nv));
     }
-    if !scratch.stamped(root) {
-        // The computation runs over the full 8-variable domain (leaf patterns
-        // replicate), so complement and AND are plain word operations; the
-        // result is truncated to `nv` variables at the end.
-        let mut stack = std::mem::take(&mut scratch.stack);
-        stack.clear();
-        stack.push(root);
-        while let Some(&id) = stack.last() {
-            if scratch.stamped(id) {
-                stack.pop();
-                continue;
-            }
-            if id == 0 {
-                scratch.set(0, [0; 4]);
-                stack.pop();
-                continue;
-            }
-            let Some((a, b)) = aig.node(id).fanins() else {
-                // A primary input not covered by the cut.
-                scratch.stack = stack;
-                return Err(crate::AigError::InvalidLiteral(Lit::from_node(id, false)));
-            };
-            let (an, bn) = (a.node(), b.node());
-            let mut ready = true;
-            // Push `b` first so `a`'s subtree is evaluated first, mirroring the
-            // recursive reference (relevant for which uncovered input errors).
-            if !scratch.stamped(bn) {
-                stack.push(bn);
-                ready = false;
-            }
-            if !scratch.stamped(an) {
-                stack.push(an);
-                ready = false;
-            }
-            if !ready {
-                continue;
-            }
-            let wa = scratch.words[an];
-            let wb = scratch.words[bn];
-            let mut w = [0u64; 4];
-            for (i, slot) in w.iter_mut().enumerate() {
-                let x = if a.is_complemented() { !wa[i] } else { wa[i] };
-                let y = if b.is_complemented() { !wb[i] } else { wb[i] };
-                *slot = x & y;
-            }
-            scratch.set(id, w);
+    let mut stack = std::mem::take(&mut scratch.stack);
+    stack.clear();
+    stack.push(root);
+    while let Some(&id) = stack.last() {
+        if scratch.stamped(id) {
             stack.pop();
+            continue;
         }
-        scratch.stack = stack;
+        if id == 0 {
+            scratch.set(0, TruthTable::zeros(nv));
+            stack.pop();
+            continue;
+        }
+        let Some((a, b)) = aig.node(id).fanins() else {
+            // A primary input not covered by the cut.
+            scratch.stack = stack;
+            return Err(crate::AigError::InvalidLiteral(Lit::from_node(id, false)));
+        };
+        let (an, bn) = (a.node(), b.node());
+        let mut ready = true;
+        // Push `b` first so `a`'s subtree is evaluated first, mirroring the
+        // recursive reference (relevant for which uncovered input errors).
+        if !scratch.stamped(bn) {
+            stack.push(bn);
+            ready = false;
+        }
+        if !scratch.stamped(an) {
+            stack.push(an);
+            ready = false;
+        }
+        if !ready {
+            continue;
+        }
+        let (ta, tb) = (scratch.tables[an], scratch.tables[bn]);
+        let ta = if a.is_complemented() { ta.not() } else { ta };
+        let tb = if b.is_complemented() { tb.not() } else { tb };
+        scratch.set(id, ta.and(&tb));
+        stack.pop();
     }
-    let result = scratch.words[root];
-    let word_count = if nv <= 6 { 1 } else { 1 << (nv - 6) };
-    Ok(TruthTable::from_words(nv, result[..word_count].to_vec()))
+    scratch.stack = stack;
+    Ok(scratch.tables[root])
 }
 
 fn eval_node(
@@ -203,12 +176,12 @@ fn eval_node(
     nv: usize,
     memo: &mut HashMap<NodeId, TruthTable>,
 ) -> crate::Result<TruthTable> {
-    if let Some(t) = memo.get(&id) {
-        return Ok(t.clone());
+    if let Some(&t) = memo.get(&id) {
+        return Ok(t);
     }
     if id == 0 {
         let t = TruthTable::zeros(nv);
-        memo.insert(id, t.clone());
+        memo.insert(id, t);
         return Ok(t);
     }
     let Some((a, b)) = aig.node(id).fanins() else {
@@ -220,7 +193,7 @@ fn eval_node(
     let ta = if a.is_complemented() { ta.not() } else { ta };
     let tb = if b.is_complemented() { tb.not() } else { tb };
     let t = ta.and(&tb);
-    memo.insert(id, t.clone());
+    memo.insert(id, t);
     Ok(t)
 }
 
@@ -297,5 +270,25 @@ mod tests {
             cut_truth(&g, f.node(), &bad),
             cut_truth_with(&g, f.node(), &bad, &mut scratch)
         );
+    }
+
+    /// Nine leaves is one past what a `TruthTable` holds: both walks refuse
+    /// the cut with the same error.
+    #[test]
+    fn nine_leaf_cut_is_too_wide_for_both_walks() {
+        let mut g = Aig::new();
+        let xs = g.add_inputs("x", 9);
+        let low = g.and_many(&xs[..8]);
+        let f = g.and(low, xs[8]);
+        g.add_output("f", f);
+        let leaves: Vec<NodeId> = xs.iter().map(|l| l.node()).collect();
+        let want = Err(crate::AigError::CutTooWide(9));
+        assert_eq!(cut_truth(&g, f.node(), &leaves), want);
+        let mut scratch = CutTruthScratch::new();
+        assert_eq!(cut_truth_with(&g, f.node(), &leaves, &mut scratch), want);
+        // Eight leaves still fit.
+        let t = cut_truth_with(&g, low.node(), &leaves[..8], &mut scratch);
+        assert_eq!(t, cut_truth(&g, low.node(), &leaves[..8]));
+        assert_eq!(t.map(|t| t.count_ones()), Ok(1));
     }
 }

@@ -129,7 +129,7 @@ impl Cut4 {
 
     /// The fused function as a [`TruthTable`] over `size()` variables.
     pub fn truth_table(&self) -> TruthTable {
-        TruthTable::from_words(self.size(), vec![u64::from(self.truth)])
+        TruthTable::from_words(self.size(), &[u64::from(self.truth)])
     }
 
     /// Returns `true` if `self`'s leaves are a subset of `other`'s leaves.

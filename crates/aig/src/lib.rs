@@ -44,7 +44,7 @@ mod stats;
 mod strash;
 mod truth;
 
-pub use cut::{cut_truth, cut_truth_with, CutParams, CutTruthScratch, MAX_SCRATCH_TRUTH_VARS};
+pub use cut::{cut_truth, cut_truth_with, CutParams, CutTruthScratch};
 pub use cut4::{
     truth4_pad, truth4_reduce, truth4_support, Cut4, Cut4Enumerator, CutSet4, CUT4_MAX_LEAVES,
     CUT4_SET_CAPACITY,
@@ -55,7 +55,7 @@ pub use mffc::{Mffc, MffcScratch};
 pub use node::{Node, NodeKind};
 pub use simulate::{random_equivalence_check, SimVector, Simulator};
 pub use stats::AigStats;
-pub use truth::{SmallTruth, TruthOps, TruthTable, MAX_TRUTH_VARS};
+pub use truth::{TruthTable, MAX_TRUTH_VARS, VAR_MASKS};
 
 /// Errors produced by AIG construction and analysis.
 #[derive(Debug, Clone, PartialEq, Eq)]

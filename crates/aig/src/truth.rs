@@ -1,16 +1,16 @@
-//! Bit-parallel truth tables for small functions (up to 16 variables).
-
-use serde::{Deserialize, Serialize};
+//! Bit-parallel truth tables for small functions (up to 8 variables).
 
 /// Maximum number of variables supported by [`TruthTable`].
-pub const MAX_TRUTH_VARS: usize = 16;
+pub const MAX_TRUTH_VARS: usize = 8;
 
-/// A complete truth table over a fixed number of variables.
+/// A complete truth table over at most [`MAX_TRUTH_VARS`] variables.
 ///
 /// Bit `i` of the table is the function value for the input assignment whose
 /// binary encoding is `i` (variable 0 is the least-significant input).  Tables
 /// with up to six variables fit into a single `u64` word; wider tables use
-/// multiple words.
+/// two or four.  The words live inline, so the type is `Copy` and no
+/// operation allocates; words past the table's width are always zero, so the
+/// derived equality and hash mean "same function".
 ///
 /// ```
 /// use aig::TruthTable;
@@ -21,14 +21,14 @@ pub const MAX_TRUTH_VARS: usize = 16;
 /// assert!(f.get(3));
 /// assert!(!f.get(1));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TruthTable {
     num_vars: usize,
-    words: Vec<u64>,
+    words: [u64; 4],
 }
 
 /// Pattern of variable `v` within one 64-bit word, for `v < 6`.
-pub(crate) const VAR_MASKS: [u64; 6] = [
+pub const VAR_MASKS: [u64; 6] = [
     0xAAAA_AAAA_AAAA_AAAA,
     0xCCCC_CCCC_CCCC_CCCC,
     0xF0F0_F0F0_F0F0_F0F0,
@@ -37,8 +37,25 @@ pub(crate) const VAR_MASKS: [u64; 6] = [
     0xFFFF_FFFF_0000_0000,
 ];
 
+/// `ONES[n]`: the words of the constant-true table over `n` variables, so
+/// the operations that must keep unused bits zero run over all four words
+/// without branching on the width.
+const ONES: [[u64; 4]; MAX_TRUTH_VARS + 1] = {
+    let mut ones = [[0; 4]; MAX_TRUTH_VARS + 1];
+    let mut n = 0;
+    while n <= MAX_TRUTH_VARS {
+        let mut i = 0;
+        while i < TruthTable::word_count(n) {
+            ones[n][i] = TruthTable::tail_mask(n);
+            i += 1;
+        }
+        n += 1;
+    }
+    ones
+};
+
 impl TruthTable {
-    fn word_count(num_vars: usize) -> usize {
+    const fn word_count(num_vars: usize) -> usize {
         if num_vars <= 6 {
             1
         } else {
@@ -47,7 +64,7 @@ impl TruthTable {
     }
 
     /// Mask of the bits that are meaningful in the last word.
-    pub fn tail_mask(num_vars: usize) -> u64 {
+    pub const fn tail_mask(num_vars: usize) -> u64 {
         if num_vars >= 6 {
             u64::MAX
         } else {
@@ -59,7 +76,7 @@ impl TruthTable {
     ///
     /// # Panics
     ///
-    /// Panics if `num_vars > 16`.
+    /// Panics if `num_vars > MAX_TRUTH_VARS`.
     pub fn zeros(num_vars: usize) -> Self {
         assert!(
             num_vars <= MAX_TRUTH_VARS,
@@ -67,17 +84,14 @@ impl TruthTable {
         );
         TruthTable {
             num_vars,
-            words: vec![0; Self::word_count(num_vars)],
+            words: [0; 4],
         }
     }
 
     /// The constant-true function over `num_vars` variables.
     pub fn ones(num_vars: usize) -> Self {
         let mut t = Self::zeros(num_vars);
-        let tail = Self::tail_mask(num_vars);
-        for w in &mut t.words {
-            *w = tail;
-        }
+        t.words = ONES[num_vars];
         t
     }
 
@@ -90,13 +104,10 @@ impl TruthTable {
         assert!(var < num_vars, "variable index out of range");
         let mut t = Self::zeros(num_vars);
         if var < 6 {
-            let mask = VAR_MASKS[var] & Self::tail_mask(num_vars);
-            for w in &mut t.words {
-                *w = mask;
-            }
+            t.words = ONES[num_vars].map(|w| w & VAR_MASKS[var]);
         } else {
             let block = 1 << (var - 6);
-            for (i, w) in t.words.iter_mut().enumerate() {
+            for (i, w) in t.words_mut().iter_mut().enumerate() {
                 if (i / block) % 2 == 1 {
                     *w = u64::MAX;
                 }
@@ -106,13 +117,14 @@ impl TruthTable {
     }
 
     /// Builds a table from raw bits packed little-endian into `u64` words.
-    pub fn from_words(num_vars: usize, words: Vec<u64>) -> Self {
-        assert_eq!(words.len(), Self::word_count(num_vars));
-        let mut t = TruthTable { num_vars, words };
-        let tail = Self::tail_mask(num_vars);
-        if let Some(last) = t.words.last_mut() {
-            *last &= tail;
-        }
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words` does not hold exactly the table's word count.
+    pub fn from_words(num_vars: usize, words: &[u64]) -> Self {
+        let mut t = Self::zeros(num_vars);
+        t.words_mut().copy_from_slice(words);
+        t.words[Self::word_count(num_vars) - 1] &= Self::tail_mask(num_vars);
         t
     }
 
@@ -126,9 +138,13 @@ impl TruthTable {
         1usize << self.num_vars
     }
 
-    /// Returns the raw word storage.
+    /// Returns the table's words (one, two or four, by width).
     pub fn words(&self) -> &[u64] {
-        &self.words
+        &self.words[..Self::word_count(self.num_vars)]
+    }
+
+    fn words_mut(&mut self) -> &mut [u64] {
+        &mut self.words[..Self::word_count(self.num_vars)]
     }
 
     /// Returns the function value for assignment `row`.
@@ -168,36 +184,31 @@ impl TruthTable {
 
     /// Complement of the table.
     pub fn not(&self) -> Self {
-        let tail = Self::tail_mask(self.num_vars);
-        let words = self.words.iter().map(|w| !w & tail).collect();
-        TruthTable {
-            num_vars: self.num_vars,
-            words,
+        let mut out = *self;
+        for (w, ones) in out.words.iter_mut().zip(ONES[self.num_vars]) {
+            *w ^= ones;
         }
+        out
     }
 
+    /// Word-wise combination; `f(0, 0)` must be 0 so unused words stay zero.
     fn zip(&self, other: &Self, f: impl Fn(u64, u64) -> u64) -> Self {
         assert_eq!(self.num_vars, other.num_vars, "variable count mismatch");
-        let words = self
-            .words
-            .iter()
-            .zip(&other.words)
-            .map(|(&a, &b)| f(a, b))
-            .collect();
-        TruthTable {
-            num_vars: self.num_vars,
-            words,
+        let mut out = *self;
+        for (w, &o) in out.words.iter_mut().zip(&other.words) {
+            *w = f(*w, o);
         }
+        out
     }
 
     /// Returns `true` if the table is constant false.
     pub fn is_zero(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
+        self.words == [0; 4]
     }
 
     /// Returns `true` if the table is constant true.
     pub fn is_one(&self) -> bool {
-        *self == Self::ones(self.num_vars)
+        self.words == ONES[self.num_vars]
     }
 
     /// Number of satisfying assignments.
@@ -209,7 +220,7 @@ impl TruthTable {
     /// replicated so the result is still over `num_vars` variables).
     pub fn cofactor0(&self, var: usize) -> Self {
         assert!(var < self.num_vars);
-        let mut out = self.clone();
+        let mut out = *self;
         if var < 6 {
             let shift = 1usize << var;
             let mask = !VAR_MASKS[var];
@@ -219,13 +230,9 @@ impl TruthTable {
             }
         } else {
             let block = 1 << (var - 6);
-            let n = out.words.len();
-            let mut i = 0;
-            while i < n {
-                for j in 0..block {
-                    out.words[i + block + j] = out.words[i + j];
-                }
-                i += 2 * block;
+            for pair in out.words_mut().chunks_exact_mut(2 * block) {
+                let (low, high) = pair.split_at_mut(block);
+                high.copy_from_slice(low);
             }
         }
         out
@@ -234,7 +241,7 @@ impl TruthTable {
     /// Positive cofactor with respect to `var` (the value with `var = 1`).
     pub fn cofactor1(&self, var: usize) -> Self {
         assert!(var < self.num_vars);
-        let mut out = self.clone();
+        let mut out = *self;
         if var < 6 {
             let shift = 1usize << var;
             let mask = VAR_MASKS[var];
@@ -244,13 +251,9 @@ impl TruthTable {
             }
         } else {
             let block = 1 << (var - 6);
-            let n = out.words.len();
-            let mut i = 0;
-            while i < n {
-                for j in 0..block {
-                    out.words[i + j] = out.words[i + block + j];
-                }
-                i += 2 * block;
+            for pair in out.words_mut().chunks_exact_mut(2 * block) {
+                let (low, high) = pair.split_at_mut(block);
+                low.copy_from_slice(high);
             }
         }
         out
@@ -270,7 +273,7 @@ impl TruthTable {
     pub fn swap_vars(&self, a: usize, b: usize) -> Self {
         assert!(a < self.num_vars && b < self.num_vars);
         if a == b {
-            return self.clone();
+            return *self;
         }
         let mut out = Self::zeros(self.num_vars);
         for row in 0..self.num_rows() {
@@ -297,9 +300,6 @@ impl TruthTable {
     /// does not depend on the added variables).
     pub fn extend_to(&self, new_vars: usize) -> Self {
         assert!(new_vars >= self.num_vars && new_vars <= MAX_TRUTH_VARS);
-        if new_vars == self.num_vars {
-            return self.clone();
-        }
         let mut out = Self::zeros(new_vars);
         for row in 0..out.num_rows() {
             out.set(row, self.get(row & (self.num_rows() - 1)));
@@ -309,278 +309,14 @@ impl TruthTable {
 
     /// Returns the lexicographically-compared raw bits, used for canonical ordering.
     pub fn cmp_bits(&self, other: &Self) -> std::cmp::Ordering {
-        self.words.iter().rev().cmp(other.words.iter().rev())
-    }
-}
-
-/// Shared interface of [`TruthTable`] and [`SmallTruth`].
-///
-/// Recursive truth-table algorithms (ISOP extraction, Shannon decomposition)
-/// are written once against this trait; running them on [`SmallTruth`] makes
-/// the recursion allocation-free for functions of up to
-/// [`SmallTruth::MAX_VARS`] variables while producing bit-identical results.
-pub trait TruthOps: Sized + Clone + PartialEq {
-    /// The constant-false function over `num_vars` variables.
-    fn zeros_like(num_vars: usize) -> Self;
-    /// The constant-true function over `num_vars` variables.
-    fn ones_like(num_vars: usize) -> Self;
-    /// The projection of variable `var` over `num_vars` variables.
-    fn var_like(var: usize, num_vars: usize) -> Self;
-    /// Number of variables.
-    fn num_vars(&self) -> usize;
-    /// `true` if constant false.
-    fn is_zero(&self) -> bool;
-    /// `true` if constant true.
-    fn is_one(&self) -> bool;
-    /// Number of satisfying assignments.
-    fn count_ones(&self) -> u32;
-    /// Complement.
-    fn not(&self) -> Self;
-    /// Conjunction.
-    fn and(&self, other: &Self) -> Self;
-    /// Disjunction.
-    fn or(&self, other: &Self) -> Self;
-    /// Negative cofactor (replicated over the full domain).
-    fn cofactor0(&self, var: usize) -> Self;
-    /// Positive cofactor (replicated over the full domain).
-    fn cofactor1(&self, var: usize) -> Self;
-
-    /// `true` if the function depends on `var`.
-    fn depends_on(&self, var: usize) -> bool {
-        self.cofactor0(var) != self.cofactor1(var)
-    }
-}
-
-impl TruthOps for TruthTable {
-    fn zeros_like(num_vars: usize) -> Self {
-        TruthTable::zeros(num_vars)
-    }
-    fn ones_like(num_vars: usize) -> Self {
-        TruthTable::ones(num_vars)
-    }
-    fn var_like(var: usize, num_vars: usize) -> Self {
-        TruthTable::var(var, num_vars)
-    }
-    fn num_vars(&self) -> usize {
-        TruthTable::num_vars(self)
-    }
-    fn is_zero(&self) -> bool {
-        TruthTable::is_zero(self)
-    }
-    fn is_one(&self) -> bool {
-        TruthTable::is_one(self)
-    }
-    fn count_ones(&self) -> u32 {
-        TruthTable::count_ones(self)
-    }
-    fn not(&self) -> Self {
-        TruthTable::not(self)
-    }
-    fn and(&self, other: &Self) -> Self {
-        TruthTable::and(self, other)
-    }
-    fn or(&self, other: &Self) -> Self {
-        TruthTable::or(self, other)
-    }
-    fn cofactor0(&self, var: usize) -> Self {
-        TruthTable::cofactor0(self, var)
-    }
-    fn cofactor1(&self, var: usize) -> Self {
-        TruthTable::cofactor1(self, var)
-    }
-    fn depends_on(&self, var: usize) -> bool {
-        TruthTable::depends_on(self, var)
-    }
-}
-
-/// An inline, heap-free truth table over at most [`SmallTruth::MAX_VARS`]
-/// variables — the working type of the fast resynthesis paths.
-///
-/// Semantics match [`TruthTable`] bit for bit (the differential tests compare
-/// the two directly); only the storage differs: four inline words instead of a
-/// heap vector, so the type is `Copy` and every operation allocation-free.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SmallTruth {
-    num_vars: u8,
-    words: [u64; 4],
-}
-
-impl SmallTruth {
-    /// Maximum number of variables (4 inline words = 256 rows).
-    pub const MAX_VARS: usize = 8;
-
-    fn word_count(num_vars: usize) -> usize {
-        if num_vars <= 6 {
-            1
-        } else {
-            1 << (num_vars - 6)
-        }
-    }
-
-    /// Converts from a [`TruthTable`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the table has more than [`SmallTruth::MAX_VARS`] variables.
-    pub fn from_table(t: &TruthTable) -> Self {
-        let nv = t.num_vars();
-        assert!(nv <= Self::MAX_VARS, "SmallTruth spans at most 8 variables");
-        let mut words = [0u64; 4];
-        words[..t.words().len()].copy_from_slice(t.words());
-        SmallTruth {
-            num_vars: nv as u8,
-            words,
-        }
-    }
-
-    /// Converts into a heap-backed [`TruthTable`].
-    pub fn to_table(&self) -> TruthTable {
-        let wc = Self::word_count(self.num_vars as usize);
-        TruthTable::from_words(self.num_vars as usize, self.words[..wc].to_vec())
-    }
-
-    /// Returns the function value for assignment `row`.
-    pub fn get(&self, row: usize) -> bool {
-        assert!(row < 1usize << self.num_vars, "row out of range");
-        self.words[row / 64] >> (row % 64) & 1 == 1
-    }
-}
-
-impl TruthOps for SmallTruth {
-    fn zeros_like(num_vars: usize) -> Self {
-        assert!(num_vars <= Self::MAX_VARS);
-        SmallTruth {
-            num_vars: num_vars as u8,
-            words: [0; 4],
-        }
-    }
-
-    fn ones_like(num_vars: usize) -> Self {
-        let mut t = Self::zeros_like(num_vars);
-        let tail = TruthTable::tail_mask(num_vars);
-        for w in t.words[..Self::word_count(num_vars)].iter_mut() {
-            *w = tail;
-        }
-        t
-    }
-
-    fn var_like(var: usize, num_vars: usize) -> Self {
-        assert!(var < num_vars, "variable index out of range");
-        let mut t = Self::zeros_like(num_vars);
-        let wc = Self::word_count(num_vars);
-        if var < 6 {
-            let mask = VAR_MASKS[var] & TruthTable::tail_mask(num_vars);
-            for w in t.words[..wc].iter_mut() {
-                *w = mask;
-            }
-        } else {
-            let block = 1 << (var - 6);
-            for (i, w) in t.words[..wc].iter_mut().enumerate() {
-                if (i / block) % 2 == 1 {
-                    *w = u64::MAX;
-                }
-            }
-        }
-        t
-    }
-
-    fn num_vars(&self) -> usize {
-        self.num_vars as usize
-    }
-
-    fn is_zero(&self) -> bool {
-        self.words == [0; 4]
-    }
-
-    fn is_one(&self) -> bool {
-        *self == Self::ones_like(self.num_vars as usize)
-    }
-
-    fn count_ones(&self) -> u32 {
-        self.words.iter().map(|w| w.count_ones()).sum()
-    }
-
-    fn not(&self) -> Self {
-        let tail = TruthTable::tail_mask(self.num_vars as usize);
-        let wc = Self::word_count(self.num_vars as usize);
-        let mut out = *self;
-        for w in out.words[..wc].iter_mut() {
-            *w = !*w & tail;
-        }
-        out
-    }
-
-    fn and(&self, other: &Self) -> Self {
-        debug_assert_eq!(self.num_vars, other.num_vars);
-        let mut out = *self;
-        for (w, o) in out.words.iter_mut().zip(&other.words) {
-            *w &= o;
-        }
-        out
-    }
-
-    fn or(&self, other: &Self) -> Self {
-        debug_assert_eq!(self.num_vars, other.num_vars);
-        let mut out = *self;
-        for (w, o) in out.words.iter_mut().zip(&other.words) {
-            *w |= o;
-        }
-        out
-    }
-
-    fn cofactor0(&self, var: usize) -> Self {
-        assert!(var < self.num_vars as usize);
-        let mut out = *self;
-        let wc = Self::word_count(self.num_vars as usize);
-        if var < 6 {
-            let shift = 1usize << var;
-            let mask = !VAR_MASKS[var];
-            for w in out.words[..wc].iter_mut() {
-                let low = *w & mask;
-                *w = low | (low << shift);
-            }
-        } else {
-            let block = 1 << (var - 6);
-            let mut i = 0;
-            while i < wc {
-                for j in 0..block {
-                    out.words[i + block + j] = out.words[i + j];
-                }
-                i += 2 * block;
-            }
-        }
-        out
-    }
-
-    fn cofactor1(&self, var: usize) -> Self {
-        assert!(var < self.num_vars as usize);
-        let mut out = *self;
-        let wc = Self::word_count(self.num_vars as usize);
-        if var < 6 {
-            let shift = 1usize << var;
-            let mask = VAR_MASKS[var];
-            for w in out.words[..wc].iter_mut() {
-                let high = *w & mask;
-                *w = high | (high >> shift);
-            }
-        } else {
-            let block = 1 << (var - 6);
-            let mut i = 0;
-            while i < wc {
-                for j in 0..block {
-                    out.words[i + j] = out.words[i + block + j];
-                }
-                i += 2 * block;
-            }
-        }
-        out
+        self.words().iter().rev().cmp(other.words().iter().rev())
     }
 }
 
 impl std::fmt::Display for TruthTable {
     /// Hexadecimal display, most-significant row first (ABC convention).
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        for (i, w) in self.words.iter().enumerate().rev() {
+        for (i, w) in self.words().iter().enumerate().rev() {
             if self.num_vars >= 6 || i > 0 {
                 write!(f, "{w:016x}")?;
             } else {
@@ -689,43 +425,79 @@ mod tests {
         assert_eq!(f.to_string(), "ffffffffffffffff");
     }
 
-    /// Every `SmallTruth` operation must match `TruthTable` bit for bit.
+    /// Builds the table over `nv` variables whose row `r` is `f(r)`, one
+    /// row at a time through `set`: the definition the word-level
+    /// operations are held to.
+    fn by_rows(nv: usize, f: impl Fn(usize) -> bool) -> TruthTable {
+        let mut t = TruthTable::zeros(nv);
+        for row in 0..t.num_rows() {
+            t.set(row, f(row));
+        }
+        t
+    }
+
+    /// Asserts `got` equals `want` and keeps every word past its width zero.
+    fn check(got: TruthTable, want: TruthTable, what: &str) {
+        assert_eq!(got, want, "{what}");
+        let used = got.words().len();
+        assert!(got.words[used..].iter().all(|&w| w == 0), "{what}: tail");
+    }
+
+    /// Every word-level operation matches its row-by-row definition through
+    /// `get`/`set`, at every width.
     #[test]
-    fn small_truth_matches_table_operations() {
+    fn operations_match_row_by_row_definitions() {
         let mut state = 0xA5A5_5A5A_DEAD_BEEFu64;
-        for nv in 1..=8usize {
+        for nv in 1..=MAX_TRUTH_VARS {
+            let rows = 1usize << nv;
+            check(TruthTable::zeros(nv), by_rows(nv, |_| false), "zeros");
+            check(TruthTable::ones(nv), by_rows(nv, |_| true), "ones");
+            for v in 0..nv {
+                let want = by_rows(nv, |r| r >> v & 1 == 1);
+                check(TruthTable::var(v, nv), want, "var");
+            }
             for _ in 0..10 {
                 let mut a = TruthTable::zeros(nv);
                 let mut b = TruthTable::zeros(nv);
-                for row in 0..a.num_rows() {
+                for row in 0..rows {
                     state = state
                         .wrapping_mul(6364136223846793005)
                         .wrapping_add(1442695040888963407);
                     a.set(row, state >> 17 & 1 == 1);
                     b.set(row, state >> 43 & 1 == 1);
                 }
-                let (sa, sb) = (SmallTruth::from_table(&a), SmallTruth::from_table(&b));
-                assert_eq!(sa.to_table(), a);
-                assert_eq!(TruthOps::and(&sa, &sb).to_table(), a.and(&b), "nv={nv}");
-                assert_eq!(TruthOps::or(&sa, &sb).to_table(), a.or(&b), "nv={nv}");
-                assert_eq!(TruthOps::not(&sa).to_table(), a.not(), "nv={nv}");
-                assert_eq!(TruthOps::is_zero(&sa), a.is_zero());
-                assert_eq!(TruthOps::is_one(&sa), a.is_one());
-                assert_eq!(TruthOps::count_ones(&sa), a.count_ones());
+                let what = format!("nv={nv} a={a} b={b}");
+                let (ga, gb) = (|r| a.get(r), |r| b.get(r));
+                check(a.and(&b), by_rows(nv, |r| ga(r) && gb(r)), &what);
+                check(a.or(&b), by_rows(nv, |r| ga(r) || gb(r)), &what);
+                check(a.xor(&b), by_rows(nv, |r| ga(r) != gb(r)), &what);
+                check(a.not(), by_rows(nv, |r| !ga(r)), &what);
+                let ones = (0..rows).filter(|&r| ga(r)).count();
+                assert_eq!(a.count_ones() as usize, ones, "{what}");
+                assert_eq!(a.is_zero(), ones == 0, "{what}");
+                assert_eq!(a.is_one(), ones == rows, "{what}");
                 for v in 0..nv {
-                    assert_eq!(sa.cofactor0(v).to_table(), a.cofactor0(v), "nv={nv} v={v}");
-                    assert_eq!(sa.cofactor1(v).to_table(), a.cofactor1(v), "nv={nv} v={v}");
-                    assert_eq!(TruthOps::depends_on(&sa, v), a.depends_on(v));
-                    assert_eq!(
-                        SmallTruth::var_like(v, nv).to_table(),
-                        TruthTable::var(v, nv)
-                    );
+                    let bit = 1 << v;
+                    let c0 = by_rows(nv, |r| ga(r & !bit));
+                    let c1 = by_rows(nv, |r| ga(r | bit));
+                    check(a.cofactor0(v), c0, &what);
+                    check(a.cofactor1(v), c1, &what);
+                    let depends = (0..rows).any(|r| ga(r) != ga(r ^ bit));
+                    assert_eq!(a.depends_on(v), depends, "{what} v={v}");
+                    check(a.flip_var(v), by_rows(nv, |r| ga(r ^ bit)), &what);
+                    for w in 0..nv {
+                        let swap = |r: usize| {
+                            let (rv, rw) = (r >> v & 1, r >> w & 1);
+                            r & !bit & !(1 << w) | rw << v | rv << w
+                        };
+                        check(a.swap_vars(v, w), by_rows(nv, |r| ga(swap(r))), &what);
+                    }
+                }
+                for wider in nv..=MAX_TRUTH_VARS {
+                    let want = by_rows(wider, |r| ga(r & (rows - 1)));
+                    check(a.extend_to(wider), want, &what);
                 }
             }
-        }
-        for nv in 1..=8usize {
-            assert_eq!(SmallTruth::zeros_like(nv).to_table(), TruthTable::zeros(nv));
-            assert_eq!(SmallTruth::ones_like(nv).to_table(), TruthTable::ones(nv));
         }
     }
 

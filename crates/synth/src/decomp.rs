@@ -5,7 +5,7 @@
 //! structurally different network than the sum-of-products form used by
 //! `rewrite`/`refactor`.
 
-use aig::{Aig, Lit, NodeId, TruthOps, TruthTable};
+use aig::{Aig, Lit, NodeId, TruthTable, VAR_MASKS};
 
 /// Builds the Shannon decomposition of `f` into `aig` over the leaf literals.
 ///
@@ -58,10 +58,9 @@ pub fn count_shannon_nodes(
 /// min_gain`, so callers pass that bound as the budget — capped cones are
 /// exactly the ones the accept loop would reject, and surviving counts are
 /// bit-identical to the uncapped recursion (same split variables, same
-/// reuse probes).  Functions of up to six variables — every production cut —
-/// run the single-word recursion, which bails as soon as the budget is spent;
-/// wider ones run the oracle's recursion and are checked against the budget
-/// once.
+/// reuse probes).  `restructure`'s cuts have at most six leaves, so the
+/// whole table is one word and the recursion bails as soon as the budget is
+/// spent.
 pub(crate) fn count_shannon_nodes_sweep(
     aig: &Aig,
     f: &TruthTable,
@@ -69,23 +68,10 @@ pub(crate) fn count_shannon_nodes_sweep(
     excluded: impl Fn(NodeId) -> bool + Copy,
     budget: usize,
 ) -> Option<usize> {
-    if f.num_vars() > 6 {
-        return Some(count_rec(aig, f, leaves, excluded).1).filter(|&n| n <= budget);
-    }
+    debug_assert!(f.num_vars() <= 6, "one-word tables only");
     let word = f.words()[0];
     count_rec_budget_u64(aig, word, f.num_vars(), leaves, excluded, budget).map(|(_, n)| n)
 }
-
-/// Truth-table bit masks of the first six variables over a 6-variable domain
-/// (identical to the word-0 masks of [`TruthTable`]).
-const VAR_MASKS_U64: [u64; 6] = [
-    0xAAAA_AAAA_AAAA_AAAA,
-    0xCCCC_CCCC_CCCC_CCCC,
-    0xF0F0_F0F0_F0F0_F0F0,
-    0xFF00_FF00_FF00_FF00,
-    0xFFFF_0000_FFFF_0000,
-    0xFFFF_FFFF_0000_0000,
-];
 
 /// Budget-capped [`count_rec`] on functions of at most six variables, whose
 /// whole table is one `u64` word: cofactors, constancy and ones-counts are
@@ -114,9 +100,9 @@ fn count_rec_budget_u64(
     let mut num_support = 0usize;
     for (v, slot) in cof.iter_mut().enumerate().take(nv) {
         let shift = 1u32 << v;
-        let low = f & !VAR_MASKS_U64[v];
+        let low = f & !VAR_MASKS[v];
         let c0 = low | (low << shift);
-        let high = f & VAR_MASKS_U64[v];
+        let high = f & VAR_MASKS[v];
         let c1 = high | (high >> shift);
         if c0 != c1 {
             *slot = (c0, c1);
@@ -128,7 +114,7 @@ fn count_rec_budget_u64(
     if support.len() == 1 {
         let v = support[0];
         let leaf = leaves[v];
-        let lit = if f == VAR_MASKS_U64[v] & tail {
+        let lit = if f == VAR_MASKS[v] & tail {
             leaf
         } else {
             !leaf
@@ -160,9 +146,9 @@ fn count_rec_budget_u64(
 }
 
 /// Returns `(existing_literal_if_free, added_nodes)`.
-fn count_rec<T: TruthOps>(
+fn count_rec(
     aig: &Aig,
-    f: &T,
+    f: &TruthTable,
     leaves: &[Lit],
     excluded: impl Fn(NodeId) -> bool + Copy,
 ) -> (Option<Lit>, usize) {
@@ -174,7 +160,7 @@ fn count_rec<T: TruthOps>(
     }
     let mut support = [0usize; aig::MAX_TRUTH_VARS];
     let mut num_support = 0usize;
-    for v in 0..TruthOps::num_vars(f) {
+    for v in 0..f.num_vars() {
         if f.depends_on(v) {
             support[num_support] = v;
             num_support += 1;
@@ -184,7 +170,7 @@ fn count_rec<T: TruthOps>(
     if support.len() == 1 {
         let v = support[0];
         let leaf = leaves[v];
-        let lit = if f == &T::var_like(v, TruthOps::num_vars(f)) {
+        let lit = if f == &TruthTable::var(v, f.num_vars()) {
             leaf
         } else {
             !leaf
@@ -228,13 +214,13 @@ fn mux_cost(
 
 /// Picks the splitting variable: the support variable whose cofactors are most
 /// unbalanced in ones-count, which tends to expose constant branches early.
-fn pick_split_var<T: TruthOps>(f: &T, support: &[usize]) -> usize {
+fn pick_split_var(f: &TruthTable, support: &[usize]) -> usize {
     let mut best = support[0];
     let mut best_score = -1i64;
     for &v in support {
-        let c0 = TruthOps::count_ones(&f.cofactor0(v)) as i64;
-        let c1 = TruthOps::count_ones(&f.cofactor1(v)) as i64;
-        let half = (1i64 << TruthOps::num_vars(f)) / 2;
+        let c0 = f.cofactor0(v).count_ones() as i64;
+        let c1 = f.cofactor1(v).count_ones() as i64;
+        let half = (1i64 << f.num_vars()) / 2;
         // Distance of each cofactor from "constant": prefer splits that make a
         // cofactor nearly constant 0 or constant 1.
         let score = (c0 - half).abs() + (c1 - half).abs();
@@ -323,14 +309,14 @@ mod tests {
 
     #[test]
     fn fast_count_is_identical_to_reference() {
-        // Unlimited budget, both of the estimator's paths: one `u64` word
-        // (≤ 6 variables) and the oracle recursion on wider tables (7–9).
+        // Unlimited budget, every width the estimator accepts (one `u64`
+        // word: at most six variables).
         let mut g = Aig::new();
-        let inputs = g.add_inputs("x", 9);
+        let inputs = g.add_inputs("x", 6);
         let pre0 = g.and(inputs[0], inputs[1]);
         let pre1 = g.mux(inputs[2], pre0, inputs[3]);
         g.add_output("keep", pre1);
-        for nv in 2..=9usize {
+        for nv in 2..=6usize {
             for seed in 1..=10u64 {
                 let f = random_truth(nv, seed * 31 + nv as u64);
                 let leaves = &inputs[..nv];
@@ -370,7 +356,7 @@ mod tests {
             .iter()
             .map(|&n| Lit::from_node(n, false))
             .collect();
-        for nv in 3..=9usize {
+        for nv in 3..=6usize {
             for seed in 1..=12u64 {
                 let f = random_truth(nv, seed * 13 + nv as u64);
                 let leaves = &inputs[..nv];

@@ -11,12 +11,11 @@
 use std::collections::HashMap;
 
 use aig::TruthTable;
-use serde::{Deserialize, Serialize};
 
 use crate::npn4::canonical4_padded;
 
 /// One combinational standard cell.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Cell {
     /// Cell name, e.g. `NAND2_X1`.
     pub name: String,

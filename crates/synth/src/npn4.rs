@@ -237,7 +237,7 @@ mod tests {
     use aig::TruthTable;
 
     fn table_from_u16(bits: u16) -> TruthTable {
-        TruthTable::from_words(4, vec![u64::from(bits)])
+        TruthTable::from_words(4, &[u64::from(bits)])
     }
 
     #[test]

@@ -275,7 +275,7 @@ fn reconv_cut_function(
     max_leaves: usize,
 ) -> Option<(Vec<NodeId>, TruthTable)> {
     let leaves = reconv_cut(graph, id, max_leaves);
-    if leaves.len() < 3 || leaves.len() > aig::MAX_TRUTH_VARS {
+    if leaves.len() < 3 {
         return None;
     }
     let truth = cut_truth(graph, id, &leaves).ok()?;
@@ -395,7 +395,7 @@ pub(crate) fn reduce_support(
     leaves: &[NodeId],
 ) -> (TruthTable, Vec<NodeId>) {
     if support.len() == truth.num_vars() {
-        return (truth.clone(), leaves.to_vec());
+        return (*truth, leaves.to_vec());
     }
     let mut reduced = TruthTable::zeros(support.len());
     for row in 0..reduced.num_rows() {
@@ -476,7 +476,7 @@ pub fn npn_canonical(f: &TruthTable) -> NpnClass {
     let mut best: Option<NpnClass> = None;
     let perms = permutations(n);
     for out_neg in [false, true] {
-        let base = if out_neg { f.not() } else { f.clone() };
+        let base = if out_neg { f.not() } else { *f };
         for perm in &perms {
             let permuted = apply_permutation(&base, perm);
             for neg_mask in 0u32..(1 << n) {
@@ -536,7 +536,7 @@ fn apply_permutation(f: &TruthTable, perm: &[usize]) -> TruthTable {
 }
 
 fn apply_negation(f: &TruthTable, mask: u32) -> TruthTable {
-    let mut out = f.clone();
+    let mut out = *f;
     for v in 0..f.num_vars() {
         if mask >> v & 1 == 1 {
             out = out.flip_var(v);

@@ -48,7 +48,7 @@ fn propose_sweep(
 ) {
     reconv_cut_sweep(graph, id, MAX_LEAVES, &mut ps.reconv, &mut ps.cut_leaves);
     let leaves = &ps.cut_leaves;
-    if leaves.len() < 3 || leaves.len() > aig::MAX_TRUTH_VARS {
+    if leaves.len() < 3 {
         return;
     }
     let Ok(truth) = cut_truth_with(graph, id, leaves, &mut ps.truth) else {

@@ -6,7 +6,7 @@
 //! the construction logic so the gain of a candidate rewrite can be evaluated
 //! before committing to it.
 
-use aig::{Aig, Lit, NodeId, SmallTruth, TruthOps, TruthTable};
+use aig::{Aig, Lit, NodeId, TruthTable};
 
 /// One product term over the cut leaves.
 ///
@@ -90,34 +90,29 @@ impl Sop {
 
 /// Computes an irredundant sum-of-products cover of `f` (Minato–Morreale).
 ///
-/// The cover is exact: `isop(f).truth(n) == *f`.  This is the oracle working
-/// on heap-backed tables; the passes go through [`IsopCache`], which produces
-/// the identical cover from inline tables and memoizes it.
+/// The cover is exact: `isop(f).truth(n) == *f`.  This is the oracle, which
+/// builds one `Vec` of cubes per recursive call; the passes go through
+/// [`IsopCache`], which produces the identical cover through a recycled cube
+/// arena and memoizes it.
 pub fn isop(f: &TruthTable) -> Sop {
     let n = f.num_vars();
     let (cover, _) = isop_rec(f, f, n, n);
     cover
 }
 
-/// [`isop`] on inline [`SmallTruth`] tables through a caller-owned cube arena
-/// (the pass pipeline's recycled buffer); functions of more than
-/// [`SmallTruth::MAX_VARS`] variables fall back to [`isop`].
+/// [`isop`] through a caller-owned cube arena (cleared on entry).
 ///
 /// The oracle recursion builds one `Vec<Cube>` per interior call and
 /// copies child cubes into the parent at every level; here every interior
-/// cover is a contiguous range of `arena` (cleared on entry) and the
-/// variable-insertion step mutates the ranges in place, so one ISOP performs
-/// a single allocation — the returned cover — and zero cube copies.  The
-/// cover is bit-identical to [`isop`] (same recursion, same cube order:
-/// `!v`-cubes, then `v`-cubes, then the shared remainder).
-pub fn isop_fast_with(f: &TruthTable, arena: &mut Vec<Cube>) -> Sop {
+/// cover is a contiguous range of `arena` and the variable-insertion step
+/// mutates the ranges in place, so one ISOP performs a single allocation —
+/// the returned cover — and zero cube copies.  The cover is bit-identical to
+/// [`isop`] (same recursion, same cube order: `!v`-cubes, then `v`-cubes,
+/// then the shared remainder).
+fn isop_with_arena(f: &TruthTable, arena: &mut Vec<Cube>) -> Sop {
     let n = f.num_vars();
-    if n > SmallTruth::MAX_VARS {
-        return isop(f);
-    }
-    let sf = SmallTruth::from_table(f);
     arena.clear();
-    let _ = isop_arena_rec(&sf, &sf, n, n, arena);
+    let _ = isop_arena_rec(f, f, n, n, arena);
     Sop {
         cubes: arena.as_slice().to_vec(),
     }
@@ -137,10 +132,10 @@ pub fn isop_fast_with(f: &TruthTable, arena: &mut Vec<Cube>) -> Sop {
 /// evaluating different flows of the same batch reuse each other's work.
 #[derive(Debug, Default)]
 pub struct IsopCache {
-    map: std::collections::HashMap<(usize, [u64; 4]), Sop>,
+    map: std::collections::HashMap<TruthTable, Sop>,
     arena: Vec<Cube>,
-    /// Overflow slot backing [`isop_ref`](Self::isop_ref) when the cover
-    /// cannot live in the map (wide function or full cache).
+    /// Overflow slot backing [`isop_ref`](Self::isop_ref) when the cache is
+    /// full and the cover cannot live in the map.
     spill: Sop,
     /// Optional process-wide second tier probed on local misses.
     shared: Option<SharedIsopCache>,
@@ -156,7 +151,7 @@ impl IsopCache {
         self.shared = shared;
     }
 
-    /// [`isop_fast_with`] with memoization; the cover is bit-identical.
+    /// [`isop`] with memoization; the cover is bit-identical.
     pub fn isop(&mut self, f: &TruthTable) -> Sop {
         self.isop_ref(f).clone()
     }
@@ -166,15 +161,6 @@ impl IsopCache {
     /// best, so it reads the cache without cloning.  The borrow is valid
     /// until the next call on the cache.
     pub(crate) fn isop_ref(&mut self, f: &TruthTable) -> &Sop {
-        let n = f.num_vars();
-        if n > SmallTruth::MAX_VARS {
-            self.spill = isop(f);
-            return &self.spill;
-        }
-        let mut key = [0u64; 4];
-        for (slot, &word) in key.iter_mut().zip(f.words()) {
-            *slot = word;
-        }
         let IsopCache {
             map,
             arena,
@@ -182,20 +168,20 @@ impl IsopCache {
             shared,
         } = self;
         let compute = |arena: &mut Vec<Cube>| {
-            if let Some(sop) = shared.as_ref().and_then(|s| s.probe(n, key)) {
+            if let Some(sop) = shared.as_ref().and_then(|s| s.probe(f)) {
                 return sop;
             }
-            let sop = isop_fast_with(f, arena);
+            let sop = isop_with_arena(f, arena);
             if let Some(s) = shared.as_ref() {
-                s.publish(n, key, &sop);
+                s.publish(*f, &sop);
             }
             sop
         };
-        if map.len() >= ISOP_CACHE_CAP && !map.contains_key(&(n, key)) {
+        if map.len() >= ISOP_CACHE_CAP && !map.contains_key(f) {
             *spill = compute(arena);
             return spill;
         }
-        map.entry((n, key)).or_insert_with(|| compute(arena))
+        map.entry(*f).or_insert_with(|| compute(arena))
     }
 }
 
@@ -217,7 +203,7 @@ pub struct SharedIsopCache {
 
 #[derive(Debug, Default)]
 struct SharedIsopInner {
-    map: std::sync::RwLock<std::collections::HashMap<(usize, [u64; 4]), Sop>>,
+    map: std::sync::RwLock<std::collections::HashMap<TruthTable, Sop>>,
     hits: std::sync::atomic::AtomicU64,
     misses: std::sync::atomic::AtomicU64,
 }
@@ -252,13 +238,13 @@ impl SharedIsopCache {
         self.inner.misses.load(std::sync::atomic::Ordering::Relaxed)
     }
 
-    fn probe(&self, n: usize, key: [u64; 4]) -> Option<Sop> {
+    fn probe(&self, key: &TruthTable) -> Option<Sop> {
         let got = self
             .inner
             .map
             .read()
             .expect("isop cache poisoned")
-            .get(&(n, key))
+            .get(key)
             .cloned();
         let counter = if got.is_some() {
             &self.inner.hits
@@ -269,29 +255,29 @@ impl SharedIsopCache {
         got
     }
 
-    fn publish(&self, n: usize, key: [u64; 4], sop: &Sop) {
+    fn publish(&self, key: TruthTable, sop: &Sop) {
         let mut map = self.inner.map.write().expect("isop cache poisoned");
         if map.len() < SHARED_ISOP_CACHE_CAP {
-            map.entry((n, key)).or_insert_with(|| sop.clone());
+            map.entry(key).or_insert_with(|| sop.clone());
         }
     }
 }
 
-/// Arena recursion of [`isop_fast_with`]: appends the cover of the interval
+/// Arena recursion of [`isop_with_arena`]: appends the cover of the interval
 /// to `arena` and returns its characteristic function.
-fn isop_arena_rec<T: TruthOps>(
-    lower: &T,
-    upper: &T,
+fn isop_arena_rec(
+    lower: &TruthTable,
+    upper: &TruthTable,
     var: usize,
     num_vars: usize,
     arena: &mut Vec<Cube>,
-) -> T {
+) -> TruthTable {
     if lower.is_zero() {
-        return T::zeros_like(num_vars);
+        return TruthTable::zeros(num_vars);
     }
     if upper.is_one() {
         arena.push(Cube::TRUE);
-        return T::ones_like(num_vars);
+        return TruthTable::ones(num_vars);
     }
     // Find the topmost variable either bound depends on.
     let mut v = var;
@@ -322,18 +308,23 @@ fn isop_arena_rec<T: TruthOps>(
     for c in &mut arena[start1..start_star] {
         c.pos |= 1 << v;
     }
-    let var_t = T::var_like(v, num_vars);
+    let var_t = TruthTable::var(v, num_vars);
     f0.and(&var_t.not()).or(&f1.and(&var_t)).or(&fstar)
 }
 
 /// Recursive ISOP over the interval `[lower, upper]`; returns the cover and its
 /// characteristic function.
-fn isop_rec<T: TruthOps>(lower: &T, upper: &T, var: usize, num_vars: usize) -> (Sop, T) {
+fn isop_rec(
+    lower: &TruthTable,
+    upper: &TruthTable,
+    var: usize,
+    num_vars: usize,
+) -> (Sop, TruthTable) {
     if lower.is_zero() {
-        return (Sop::zero(), T::zeros_like(num_vars));
+        return (Sop::zero(), TruthTable::zeros(num_vars));
     }
     if upper.is_one() {
-        return (Sop::one(), T::ones_like(num_vars));
+        return (Sop::one(), TruthTable::ones(num_vars));
     }
     // Find the topmost variable either bound depends on.
     let mut v = var;
@@ -369,7 +360,7 @@ fn isop_rec<T: TruthOps>(lower: &T, upper: &T, var: usize, num_vars: usize) -> (
         });
     }
     cubes.extend_from_slice(cstar.cubes());
-    let var_t = T::var_like(v, num_vars);
+    let var_t = TruthTable::var(v, num_vars);
     let cover_fn = f0.and(&var_t.not()).or(&f1.and(&var_t)).or(&fstar);
     (Sop { cubes }, cover_fn)
 }
@@ -661,19 +652,18 @@ mod tests {
     #[test]
     fn isop_fast_is_identical_to_reference() {
         let mut arena = Vec::new();
-        // Nine variables is past `SmallTruth::MAX_VARS`: the fallback arm.
-        for num_vars in 1..=9 {
+        for num_vars in 1..=aig::MAX_TRUTH_VARS {
             for seed in 1..=12u64 {
                 let f = random_truth(num_vars, seed * 13 + num_vars as u64);
                 assert_eq!(
                     isop(&f),
-                    isop_fast_with(&f, &mut arena),
+                    isop_with_arena(&f, &mut arena),
                     "nv={num_vars} seed={seed}"
                 );
             }
         }
         for f in [TruthTable::zeros(4), TruthTable::ones(4)] {
-            assert_eq!(isop(&f), isop_fast_with(&f, &mut arena));
+            assert_eq!(isop(&f), isop_with_arena(&f, &mut arena));
         }
     }
 

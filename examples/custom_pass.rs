@@ -37,7 +37,7 @@ fn propose_small_shannon(graph: &Aig, id: aig::NodeId, proposals: &mut Vec<Propo
     //    restructure pass (4 leaves instead of 6): this is what makes the
     //    example pass behave differently.
     let leaves = reconv_cut(graph, id, 4);
-    if leaves.len() < 3 || leaves.len() > aig::MAX_TRUTH_VARS {
+    if leaves.len() < 3 {
         return;
     }
 
