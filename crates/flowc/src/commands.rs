@@ -1,6 +1,7 @@
 //! The `flowc` subcommand implementations.
 
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use aig::io::Format;
 use aig::Aig;
@@ -13,10 +14,11 @@ use rand_chacha::ChaCha8Rng;
 use synth::{apply_sequence, PassContext};
 
 use crate::args::Args;
-use crate::design::{parse_scale, resolve_design};
+use crate::design::{parse_scale, resolve_design, resolve_designs};
 use crate::report::{
     CorpusEntry, CorpusManifest, DesignReport, ExportReport, FlowReport, RunReport, TimingReport,
 };
+use crate::studies::object;
 
 /// `flowc run`: import or generate a design, evaluate one flow through the
 /// cache-aware engine, print the QoR report as JSON and optionally export the
@@ -177,20 +179,10 @@ pub fn search(mut args: Args) -> Result<(), String> {
             ),
         };
 
-    let mut designs = Vec::new();
-    let mut sources = Vec::new();
-    for spec in designs_spec.split(',') {
-        let spec = spec.trim();
-        if spec.is_empty() {
-            continue;
-        }
-        let resolved = resolve_design(spec)?;
-        designs.push(resolved.aig);
-        sources.push(resolved.source);
-    }
-    if designs.is_empty() {
-        return Err("--designs names no designs".to_string());
-    }
+    let (designs, sources): (Vec<Aig>, Vec<String>) = resolve_designs(&designs_spec)?
+        .into_iter()
+        .map(|d| (d.aig, d.source))
+        .unzip();
 
     let engine = EvalEngine::new(EngineConfig {
         store_path: store.map(PathBuf::from),
@@ -246,6 +238,40 @@ pub fn search(mut args: Args) -> Result<(), String> {
         source: source_desc,
         search: outcome.report,
         eval: engine.stats(),
+    };
+    emit_json(&report, json_path.as_deref())
+}
+
+/// `flowc reproduce`: run the paper's studies (the `studies` module) on one
+/// evaluation engine and print them as one JSON document.  `--designs`
+/// replaces the three generated paper designs of the studies that run over
+/// a design list (Figures 4, 5 and 8).
+pub fn reproduce(mut args: Args) -> Result<(), String> {
+    let scale_name = args.take_value("scale")?.unwrap_or_else(|| "tiny".into());
+    let designs_spec = args.take_value("designs")?;
+    let store = args.take_value("store")?;
+    let json_path = args.take_value("json")?;
+    args.finish()?;
+
+    let scale = parse_scale(&scale_name).map_err(|e| format!("usage: {e}"))?;
+    let designs: Vec<(String, Aig)> = match designs_spec {
+        Some(list) => resolve_designs(&list)?
+            .into_iter()
+            .map(|d| (d.source, d.aig))
+            .collect(),
+        None => Design::ALL
+            .into_iter()
+            .map(|d| (d.name().to_string(), d.generate(scale)))
+            .collect(),
+    };
+    let engine = Arc::new(EvalEngine::new(EngineConfig {
+        store_path: store.map(PathBuf::from),
+        ..EngineConfig::default()
+    }));
+    let report = object! {
+        "scale" => scale_name,
+        "studies" => crate::studies::run(Arc::clone(&engine), scale, &designs),
+        "eval" => engine.stats(),
     };
     emit_json(&report, json_path.as_deref())
 }

@@ -46,6 +46,20 @@ pub fn resolve_design(spec: &str) -> Result<ResolvedDesign, String> {
     })
 }
 
+/// Resolves a comma-separated list of design specs, in list order.
+pub fn resolve_designs(list: &str) -> Result<Vec<ResolvedDesign>, String> {
+    let designs = list
+        .split(',')
+        .map(str::trim)
+        .filter(|spec| !spec.is_empty())
+        .map(resolve_design)
+        .collect::<Result<Vec<_>, _>>()?;
+    if designs.is_empty() {
+        return Err(format!("`{list}` names no designs"));
+    }
+    Ok(designs)
+}
+
 /// Parses a `tiny` / `small` / `full` scale name.
 pub fn parse_scale(name: &str) -> Result<DesignScale, String> {
     match name {
@@ -78,6 +92,15 @@ mod tests {
         assert_eq!(d.source, "generated:montgomery64:tiny");
         assert!(resolve_design("alu64:huge").is_err());
         assert!(resolve_design("unknown64").is_err());
+    }
+
+    #[test]
+    fn design_lists_resolve_in_order() {
+        let list = resolve_designs(" aes128:tiny,, alu64 ,").unwrap();
+        let sources: Vec<&str> = list.iter().map(|d| d.source.as_str()).collect();
+        assert_eq!(sources, ["generated:aes128:tiny", "generated:alu64:tiny"]);
+        assert!(resolve_designs(" , ").is_err());
+        assert!(resolve_designs("alu64,unknown64").is_err());
     }
 
     #[test]

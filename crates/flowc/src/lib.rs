@@ -15,3 +15,30 @@ pub mod args;
 pub mod commands;
 pub mod design;
 pub mod report;
+mod studies;
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use circuits::{Design, DesignScale};
+    use floweval::{EngineConfig, EvalEngine};
+    use flowgen::Labeler;
+    use synth::QorMetric;
+
+    use crate::studies::Studies;
+
+    #[test]
+    fn collect_labeled_flows_produces_consistent_data() {
+        let engine = Arc::new(EvalEngine::new(EngineConfig::default()));
+        let studies = Studies::new(engine, DesignScale::Tiny);
+        let data = studies.collect(&studies.design(Design::Alu64), QorMetric::Area, 12, 3);
+        assert_eq!(data.flows.len(), 12);
+        assert_eq!(data.qors.len(), 12);
+        assert_eq!(data.dataset.len(), 12);
+        let labeler = Labeler::paper_model(QorMetric::Area, &data.qors);
+        assert_eq!(labeler.num_classes(), 7);
+        assert!(data.dataset.examples().iter().all(|e| e.label < 7));
+        assert!(data.seconds > 0.0);
+    }
+}

@@ -5,6 +5,8 @@
 //! benchmark circuits), runs a named, scripted or random synthesis flow
 //! through the cache-aware [`floweval::EvalEngine`], prints QoR statistics as
 //! JSON and exports the optimized netlist in any supported format.
+//! `flowc reproduce` runs the paper's figures, table and ablations and
+//! prints their numbers as one JSON document.
 //!
 //! ```text
 //! flowc run --design fixtures/tiny/alu64.aag --flow resyn2 --out alu64.opt.aig
@@ -13,6 +15,7 @@
 //! flowc stats aes128:tiny
 //! flowc export-corpus --dir fixtures/tiny --scale tiny --format aag
 //! flowc presets
+//! flowc reproduce --scale tiny --json reproduction.json
 //! ```
 //!
 //! Exit codes: `0` success, `1` usage error, `2` runtime failure.
@@ -82,6 +85,12 @@ COMMANDS:
     export-corpus  Write the generated benchmark corpus as fixture files
                      --dir <dir> [--scale tiny|small|full] [--format aag|aig|blif]
     presets        List the named flow presets
+    reproduce      Run the paper's studies (Remark 3, Figs. 1 and 4-8, Table 2,
+                   three ablations), print them as one JSON document
+                     --scale tiny|small|full        [default: tiny]
+                     --designs <spec,spec,...>      designs of Figs. 4, 5 and 8
+                     --store <path>                 persistent QoR store
+                     --json <path>                  also write the report here
     help           Show this message
 ";
 
@@ -102,6 +111,7 @@ fn main() {
         "stats" => commands::stats(args),
         "export-corpus" => commands::export_corpus(args),
         "presets" => commands::presets(args),
+        "reproduce" => commands::reproduce(args),
         "help" | "--help" | "-h" => {
             print!("{USAGE}");
             return;

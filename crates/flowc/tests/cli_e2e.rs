@@ -431,3 +431,21 @@ fn search_usage_errors_exit_nonzero() {
         .expect("spawn");
     assert_eq!(out.status.code(), Some(1), "--depth needs --prefix");
 }
+
+#[test]
+fn reproduce_rejects_an_unknown_scale() {
+    let out = flowc()
+        .args(["reproduce", "--scale", "huge"])
+        .output()
+        .expect("spawn");
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "an unknown scale is a usage error"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown scale `huge` (tiny, small or full)"),
+        "stderr: {stderr}"
+    );
+}

@@ -59,8 +59,8 @@ pub struct FrameworkConfig {
 }
 
 impl FrameworkConfig {
-    /// A laptop-scale configuration suitable for tests and the default bench
-    /// harness: the same pipeline with reduced counts.
+    /// A laptop-scale configuration suitable for tests and for
+    /// `flowc reproduce`: the same pipeline with reduced counts.
     pub fn laptop(metric: QorMetric) -> Self {
         FrameworkConfig {
             space: FlowSpace::paper(),

@@ -53,3 +53,6 @@ pub use framework::{Framework, FrameworkConfig, FrameworkReport, TrainingRound};
 pub use label::{Labeler, MultiMetricLabeler, PAPER_PERCENTILES};
 pub use select::{angel_devil_accuracy, select_angel_devil_flows, SelectedFlow, Selection};
 pub use space::FlowSpace;
+
+// Re-exported so callers configure and feed the classifier without `nn`.
+pub use nn::{Activation, GradientDescent, Tensor};
