@@ -131,22 +131,25 @@ impl Format {
         }
     }
 
-    /// Resolves a format from a file path's extension.
+    /// The format whose [`extension`](Format::extension) is `ext` (exactly:
+    /// `aag`, `aig` or `blif`).
+    pub fn from_extension(ext: &str) -> Option<Format> {
+        Format::ALL.into_iter().find(|f| f.extension() == ext)
+    }
+
+    /// Resolves a format from a file path's extension (in any case).
     pub fn from_path(path: &Path) -> IoResult<Format> {
         let ext = path
             .extension()
             .and_then(|e| e.to_str())
             .unwrap_or_default()
             .to_ascii_lowercase();
-        match ext.as_str() {
-            "aag" => Ok(Format::AigerAscii),
-            "aig" => Ok(Format::AigerBinary),
-            "blif" => Ok(Format::Blif),
-            _ => Err(IoError::UnknownFormat(format!(
+        Format::from_extension(&ext).ok_or_else(|| {
+            IoError::UnknownFormat(format!(
                 "cannot infer format from `{}` (expected .aag, .aig or .blif)",
                 path.display()
-            ))),
-        }
+            ))
+        })
     }
 
     /// Sniffs a format from file content (used when the extension is absent).
@@ -532,6 +535,10 @@ mod tests {
             Format::Blif
         );
         assert!(Format::from_path(Path::new("z.v")).is_err());
+        for format in Format::ALL {
+            assert_eq!(Format::from_extension(format.extension()), Some(format));
+        }
+        assert_eq!(Format::from_extension("AAG"), None);
 
         assert_eq!(
             Format::from_content(b"aag 1 1 0 1 0\n").unwrap(),

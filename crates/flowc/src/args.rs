@@ -1,10 +1,50 @@
 //! A dependency-free command-line option parser.
 //!
-//! The container has no crates.io access, so instead of `clap` the CLI uses
-//! this small taker-style parser: each command pulls the options it knows
-//! (`take_value`, `take_flag`, [`Args::take_positional`]), then calls
-//! [`Args::finish`] which rejects anything left over, so typos fail loudly
-//! instead of being ignored.
+//! The workspace builds offline from vendored crates, so instead of `clap`
+//! the CLI uses this small taker-style parser: each command pulls the
+//! options it knows (`take_value`, `take_flag`, [`Args::take_positional`]),
+//! then calls [`Args::finish`] which rejects anything left over, so typos
+//! fail loudly instead of being ignored.  Every parse failure is a
+//! [`CliError::Usage`], which is what picks the exit code.
+
+use std::fmt;
+
+/// Why a command failed.  The variant, never the message, picks the exit
+/// code: `1` for a usage error, `2` for a runtime failure.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CliError {
+    /// A malformed, missing or contradictory option; nothing ran.
+    Usage(String),
+    /// A well-formed command that failed while running.
+    Runtime(String),
+}
+
+impl CliError {
+    pub fn usage(message: impl Into<String>) -> Self {
+        CliError::Usage(message.into())
+    }
+
+    pub fn exit_code(&self) -> i32 {
+        match self {
+            CliError::Usage(_) => 1,
+            CliError::Runtime(_) => 2,
+        }
+    }
+}
+
+impl fmt::Display for CliError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (CliError::Usage(message) | CliError::Runtime(message)) = self;
+        f.write_str(message)
+    }
+}
+
+/// A plain message is a runtime failure (I/O, an unreadable design, …).
+impl From<String> for CliError {
+    fn from(message: String) -> Self {
+        CliError::Runtime(message)
+    }
+}
 
 /// The argument list of one subcommand invocation.
 pub struct Args {
@@ -17,7 +57,7 @@ impl Args {
     }
 
     /// Removes `--name <value>` (or `--name=value`) and returns the value.
-    pub fn take_value(&mut self, name: &str) -> Result<Option<String>, String> {
+    pub fn take_value(&mut self, name: &str) -> Result<Option<String>, CliError> {
         let flag = format!("--{name}");
         let prefix = format!("--{name}=");
         for i in 0..self.remaining.len() {
@@ -28,7 +68,7 @@ impl Args {
             }
             if self.remaining[i] == flag {
                 if i + 1 >= self.remaining.len() || self.remaining[i + 1].starts_with("--") {
-                    return Err(format!("option {flag} needs a value"));
+                    return Err(CliError::usage(format!("option {flag} needs a value")));
                 }
                 let value = self.remaining.remove(i + 1);
                 self.remaining.remove(i);
@@ -39,9 +79,20 @@ impl Args {
     }
 
     /// Like [`Args::take_value`] but the option is mandatory.
-    pub fn require_value(&mut self, name: &str) -> Result<String, String> {
+    pub fn require_value(&mut self, name: &str) -> Result<String, CliError> {
         self.take_value(name)?
-            .ok_or_else(|| format!("missing required option --{name}"))
+            .ok_or_else(|| CliError::usage(format!("missing required option --{name}")))
+    }
+
+    /// Removes the numeric option `--name <n>` and parses its value.
+    pub fn take_parsed<T: std::str::FromStr>(&mut self, name: &str) -> Result<Option<T>, CliError> {
+        self.take_value(name)?
+            .map(|value| {
+                value
+                    .parse::<T>()
+                    .map_err(|_| CliError::usage(format!("--{name} needs a number, got `{value}`")))
+            })
+            .transpose()
     }
 
     /// Removes `--name` and returns whether it was present.
@@ -59,14 +110,14 @@ impl Args {
     }
 
     /// Fails if any argument was not consumed.
-    pub fn finish(self) -> Result<(), String> {
+    pub fn finish(self) -> Result<(), CliError> {
         if self.remaining.is_empty() {
             Ok(())
         } else {
-            Err(format!(
+            Err(CliError::usage(format!(
                 "unrecognized arguments: {}",
                 self.remaining.join(" ")
-            ))
+            )))
         }
     }
 }
@@ -98,5 +149,19 @@ mod tests {
         assert!(a.finish().is_err());
         let mut a = args(&["--flow", "--out"]);
         assert!(a.take_value("flow").is_err());
+    }
+
+    #[test]
+    fn parsed_values_and_usage_errors() {
+        let mut a = args(&["--workers", "3", "--count=x"]);
+        assert_eq!(a.take_parsed::<usize>("workers"), Ok(Some(3)));
+        assert_eq!(a.take_parsed::<usize>("workers"), Ok(None));
+        let err = a.take_parsed::<usize>("count").unwrap_err();
+        assert_eq!(
+            err,
+            CliError::Usage("--count needs a number, got `x`".into())
+        );
+        assert_eq!(err.exit_code(), 1);
+        assert_eq!(CliError::from("disk full".to_string()).exit_code(), 2);
     }
 }

@@ -7,6 +7,7 @@
 
 use std::path::Path;
 
+use aig::io::Format;
 use aig::Aig;
 use circuits::{Design, DesignScale};
 
@@ -75,7 +76,7 @@ fn looks_like_path(spec: &str) -> bool {
         || Path::new(spec)
             .extension()
             .and_then(|e| e.to_str())
-            .is_some_and(|e| matches!(e.to_ascii_lowercase().as_str(), "aag" | "aig" | "blif"))
+            .is_some_and(|e| Format::from_extension(&e.to_ascii_lowercase()).is_some())
         || Path::new(spec).exists()
 }
 

@@ -8,13 +8,18 @@
 //!   [`report::RunReport`] per request and `flowc submit` deserializes it,
 //!   so a QoR produced over a socket is comparable byte-for-byte with one
 //!   produced in process.
+//! * [`request`] — the one run request: `flowc run`, `flowc submit` and
+//!   `flowd`'s `/run` parse a flow request, evaluate it and assemble its
+//!   [`report::RunReport`] through this module.
 //! * [`design`] — `--design` spec resolution (`path` vs `name[:scale]`).
-//! * [`args`] — the dependency-free taker-style option parser.
+//! * [`args`] — the dependency-free taker-style option parser and the typed
+//!   [`args::CliError`] (usage vs runtime) that picks the exit code.
 
 pub mod args;
 pub mod commands;
 pub mod design;
 pub mod report;
+pub mod request;
 mod studies;
 
 #[cfg(test)]

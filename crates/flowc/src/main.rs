@@ -18,7 +18,8 @@
 //! flowc reproduce --scale tiny --json reproduction.json
 //! ```
 //!
-//! Exit codes: `0` success, `1` usage error, `2` runtime failure.
+//! Exit codes: `0` success, `1` usage error, `2` runtime failure — picked by
+//! the [`CliError`](flowc::args::CliError) variant a command returns.
 
 use flowc::args::Args;
 use flowc::commands;
@@ -42,7 +43,9 @@ COMMANDS:
                      --store <path>                 persistent QoR store: base of
                                                     <path>.manifest and
                                                     <path>.NNNNNN.seg
-                     --verify                       verify by random simulation
+                     --verify                       rerun the flow and check the
+                                                    result by random simulation;
+                                                    a mismatch fails (exit 2)
                      --timing                       include the per-pass timing
                                                     breakdown in the report
     submit         Run a flow on a remote flowd daemon instead of in process
@@ -53,7 +56,8 @@ COMMANDS:
                                                     deadline (daemon answers 504
                                                     past it; not retried)
                      plus the `run` options (--flow/--random/--timing/--verify/
-                     --out/--json); QoR is bit-identical to a local `run`
+                     --out/--json), sent as /run's query; the report and the
+                     exported netlist are bit-identical to a local `run`
     search         Label a flow space over designs under optional budgets,
                    print a throughput and evaluation-counter report
                      --designs <spec,spec,...>      one or more design specs
@@ -68,7 +72,8 @@ COMMANDS:
                      --store <path>                 persistent QoR store
                      --labels <path>                dump labels as JSON lines
                      --json <path>                  also write the report here
-                     --verify                       verify by random simulation
+                     --verify                       verify every evaluated flow
+                                                    by random simulation
     store          Maintain a persistent QoR store (checksummed segmented log;
                    opening a legacy plain-JSONL store upgrades it)
                      flowc store compact <path>     drop duplicate/quarantined
@@ -92,6 +97,12 @@ COMMANDS:
                      --store <path>                 persistent QoR store
                      --json <path>                  also write the report here
     help           Show this message
+
+EXIT CODES:
+    0  success
+    1  usage error: a malformed, missing or contradictory option; nothing ran
+    2  runtime failure: I/O, an unreadable design, a daemon error, a failed
+       verification
 ";
 
 fn main() {
@@ -122,16 +133,8 @@ fn main() {
             std::process::exit(1);
         }
     };
-    if let Err(message) = result {
-        eprintln!("flowc {command}: {message}");
-        let code = if message.starts_with("usage:")
-            || message.contains("required")
-            || message.contains("unrecognized")
-        {
-            1
-        } else {
-            2
-        };
-        std::process::exit(code);
+    if let Err(error) = result {
+        eprintln!("flowc {command}: {error}");
+        std::process::exit(error.exit_code());
     }
 }

@@ -5,6 +5,7 @@
 //! export/import boundary — while `eval` carries run-dependent statistics
 //! (wall time, cache hits) and is explicitly excluded from such comparisons.
 
+use aig::io::Format;
 use aig::Aig;
 use flow_core::Fingerprint;
 use floweval::EvalStats;
@@ -68,6 +69,19 @@ pub struct ExportReport {
     pub netlist: Option<String>,
 }
 
+impl ExportReport {
+    /// The section for `optimized`, written to `path` in `format`.
+    pub fn of(optimized: &Aig, path: String, format: Format, netlist: Option<String>) -> Self {
+        ExportReport {
+            path,
+            format: format.extension().to_string(),
+            ands: optimized.num_ands(),
+            depth: optimized.depth(),
+            netlist,
+        }
+    }
+}
+
 /// One row of the `timing` section: wall-clock cost of one pass kind.
 #[derive(Debug, Serialize, Deserialize)]
 pub struct TimingEntry {
@@ -104,7 +118,8 @@ impl TimingReport {
     }
 }
 
-/// The complete `flowc run` report.
+/// The complete `flowc run` report: a [`RunRequest`](crate::request::RunRequest)'s
+/// answer, in process and over the wire alike.
 #[derive(Debug, Serialize, Deserialize)]
 pub struct RunReport {
     pub design: DesignReport,
@@ -115,25 +130,12 @@ pub struct RunReport {
     pub export: Option<ExportReport>,
 }
 
-/// One corpus entry of the `flowc export-corpus` manifest.
-#[derive(Debug, Serialize)]
-pub struct CorpusEntry {
-    pub file: String,
-    pub design: String,
-    pub scale: String,
-    pub format: String,
-    pub inputs: usize,
-    pub outputs: usize,
-    pub ands: usize,
-    pub depth: u32,
-    pub fingerprint: String,
-}
-
-/// The `flowc export-corpus` manifest (written as `MANIFEST.json`).
-#[derive(Debug, Serialize)]
-pub struct CorpusManifest {
-    pub generator: String,
-    pub scale: String,
-    pub format: String,
-    pub entries: Vec<CorpusEntry>,
+/// A JSON object from `"key" => value` pairs.  Documents that are only
+/// written out are built with it; documents something reads back (the
+/// [`RunReport`] wire format) are typed structs.
+#[macro_export]
+macro_rules! object {
+    ($($key:literal => $value:expr),* $(,)?) => {
+        serde::Value::Object(vec![$(($key.to_string(), serde::Serialize::to_value(&$value))),*])
+    };
 }

@@ -27,6 +27,8 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Serialize, Value};
 use synth::{Qor, QorMetric, Transform};
 
+use crate::object;
+
 /// Flow and step counts of the studies at one scale.
 #[derive(Clone, Copy)]
 pub(crate) struct Counts {
@@ -69,15 +71,6 @@ const fn counts(scale: DesignScale) -> Counts {
         },
     }
 }
-
-/// A JSON object from `"key" => value` pairs.  Rows that are only written
-/// out are built with it; values the studies read back are typed structs.
-macro_rules! object {
-    ($($key:literal => $value:expr),* $(,)?) => {
-        serde::Value::Object(vec![$(($key.to_string(), serde::Serialize::to_value(&$value))),*])
-    };
-}
-pub(crate) use object;
 
 /// Runs all eleven studies and returns them as one JSON object keyed by
 /// study; each study is `{"paper": <the paper's claim>, "results": …}`.

@@ -326,6 +326,40 @@ fn usage_errors_exit_nonzero() {
         Some(1),
         "unconsumed arguments are rejected"
     );
+    // Malformed options: each is refused before any design is read or
+    // daemon contacted.
+    let dir = std::env::temp_dir().join(format!("flowc-e2e-unwritten-{}", std::process::id()));
+    for line in [
+        "run --design alu64:tiny --flow resyn2 --random 1",
+        "run --design alu64:tiny --random abc",
+        "run --design",
+        "run --design alu64:tiny --flow nosuch",
+        "search --designs alu64:tiny --random 1 --workers x",
+        "submit --addr 127.0.0.1:9 --design alu64:tiny --flow resyn2 --retries x",
+        &format!("export-corpus --format zip --dir {}", dir.display()),
+    ] {
+        let out = flowc().args(line.split(' ')).output().expect("spawn");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{line}: {stderr}");
+    }
+    assert!(!dir.exists(), "export-corpus wrote nothing");
+
+    // An unknown store action is refused before the store opens (opening
+    // would upgrade a legacy store in place).
+    let store = temp_dir("usage-store").join("legacy.jsonl");
+    let legacy = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../fixtures/store/legacy_qor.jsonl"
+    );
+    std::fs::copy(legacy, &store).expect("copy legacy store");
+    let out = flowc()
+        .args(["store", "bogus"])
+        .arg(&store)
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(1));
+    assert!(store.exists() && !store.with_extension("jsonl.manifest").exists());
+    std::fs::remove_dir_all(store.parent().unwrap()).ok();
 }
 
 #[test]

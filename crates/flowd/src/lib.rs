@@ -12,7 +12,7 @@
 //!
 //! | Endpoint          | Meaning                                              |
 //! |-------------------|------------------------------------------------------|
-//! | `POST /run`       | body = design (AIGER/BLIF); query `flow`/`random`, `format`, `timing`, `verify`, `export` — answers `flowc run`'s JSON report |
+//! | `POST /run`       | body = design (AIGER/BLIF); query `format` plus a [`flowc::request::RunRequest`] (`flow`/`random`, `timing`, `verify`, `export`) — answers `flowc run`'s JSON report |
 //! | `GET /healthz`    | liveness (`{"status":"ok"}`)                         |
 //! | `GET /stats`      | uptime, queue depth, worker utilization, [`floweval::EvalStats`], cache summary, design-table counters |
 //! | `POST /shutdown`  | graceful drain: stop accepting, finish queued work   |

@@ -8,11 +8,13 @@
 //! (`qor-store.manifest` + `qor-store.NNNNNN.seg`).
 //!
 //! The daemon runs until `POST /shutdown` arrives, then drains gracefully.
-//! Exit codes: `0` clean drain, `1` usage error, `2` runtime failure.
+//! Exit codes: `0` clean drain, `1` usage error (an option that does not
+//! parse), `2` runtime failure (cannot bind, or the store flush on drain
+//! failed).
 
 use std::path::PathBuf;
 
-use flowc::args::Args;
+use flowc::args::{Args, CliError};
 use flowd::{Server, ServerConfig};
 
 const USAGE: &str = "flowd — persistent synthesis service over HTTP/1.1
@@ -39,7 +41,11 @@ OPTIONS:
                           AIGs, in total AIG nodes (LRU)  [default: 4000000]
 
 ENDPOINTS:
-    POST /run       evaluate a flow on the design in the request body
+    POST /run       evaluate a flow on the design in the request body; query
+                    flow=<preset|script> or random=<seed>, format=aag|aig|blif,
+                    export=aag|blif, timing=1, verify=1 (rerun the flow and
+                    check it by random simulation; 500 on a mismatch) --
+                    `flowc run`'s options under the same names
     GET  /healthz   liveness + store_mode (ok | degraded)
     GET  /stats     counters, queue depth, store + cache summaries
     POST /shutdown  graceful drain (fsyncs the store before exit)
@@ -54,11 +60,7 @@ fn main() {
         print!("{USAGE}");
         return;
     }
-    let mut args = Args::new(argv);
-    match parse_config(&mut args).and_then(|config| {
-        args.finish()?;
-        Ok(config)
-    }) {
+    match parse_config(Args::new(argv)) {
         Ok(config) => {
             let server = match Server::start(config) {
                 Ok(server) => server,
@@ -82,48 +84,36 @@ fn main() {
     }
 }
 
-fn parse_config(args: &mut Args) -> Result<ServerConfig, String> {
-    let mut config = ServerConfig {
+fn parse_config(mut args: Args) -> Result<ServerConfig, CliError> {
+    let mut c = ServerConfig {
         addr: "127.0.0.1:7171".to_string(),
         ..ServerConfig::default()
     };
-    if let Some(addr) = args.take_value("addr")? {
-        config.addr = addr;
-    }
-    if let Some(n) = args.take_value("workers")? {
-        config.workers = parse_number(&n, "workers")?;
-    }
-    if let Some(n) = args.take_value("queue")? {
-        config.queue_capacity = parse_number(&n, "queue")?;
-    }
-    if let Some(n) = args.take_value("timeout-ms")? {
-        config.request_timeout_ms = parse_number(&n, "timeout-ms")? as u64;
-    }
-    if let Some(n) = args.take_value("deadline-ms")? {
-        config.deadline_ms = (parse_number(&n, "deadline-ms")? as u64).max(1);
-    }
-    if let Some(n) = args.take_value("idle-ms")? {
-        config.keep_alive_idle_ms = parse_number(&n, "idle-ms")? as u64;
-    }
-    if let Some(path) = args.take_value("store")? {
-        config.engine.store_path = Some(PathBuf::from(path));
-    }
-    if let Some(n) = args.take_value("segment-bytes")? {
-        config.engine.store_options.segment_max_bytes =
-            (parse_number(&n, "segment-bytes")? as u64).max(1);
-    }
-    if let Some(n) = args.take_value("probe-ms")? {
-        config.store_probe_ms = (parse_number(&n, "probe-ms")? as u64).max(1);
-    }
-    if let Some(n) = args.take_value("cache-nodes")? {
-        config.engine.cache_budget_aig_nodes = parse_number(&n, "cache-nodes")?;
-    }
-    config.engine.verify = args.take_flag("verify");
-    Ok(config)
-}
-
-fn parse_number(value: &str, name: &str) -> Result<usize, String> {
-    value
-        .parse::<usize>()
-        .map_err(|_| format!("--{name} needs a number, got `{value}`"))
+    c.addr = args.take_value("addr")?.unwrap_or(c.addr);
+    c.workers = args.take_parsed("workers")?.unwrap_or(c.workers);
+    c.queue_capacity = args.take_parsed("queue")?.unwrap_or(c.queue_capacity);
+    c.request_timeout_ms = args
+        .take_parsed("timeout-ms")?
+        .unwrap_or(c.request_timeout_ms);
+    c.deadline_ms = args
+        .take_parsed("deadline-ms")?
+        .unwrap_or(c.deadline_ms)
+        .max(1);
+    c.keep_alive_idle_ms = args.take_parsed("idle-ms")?.unwrap_or(c.keep_alive_idle_ms);
+    c.store_probe_ms = args
+        .take_parsed("probe-ms")?
+        .unwrap_or(c.store_probe_ms)
+        .max(1);
+    let engine = &mut c.engine;
+    engine.store_path = args.take_value("store")?.map(PathBuf::from);
+    let segment_bytes = engine.store_options.segment_max_bytes;
+    engine.store_options.segment_max_bytes = args
+        .take_parsed("segment-bytes")?
+        .unwrap_or(segment_bytes)
+        .max(1);
+    let cache_nodes = engine.cache_budget_aig_nodes;
+    engine.cache_budget_aig_nodes = args.take_parsed("cache-nodes")?.unwrap_or(cache_nodes);
+    engine.verify = args.take_flag("verify");
+    args.finish()?;
+    Ok(c)
 }

@@ -73,6 +73,11 @@ impl Default for ServerConfig {
     }
 }
 
+/// Adds one to a service counter.
+pub(crate) fn bump(counter: &AtomicU64) {
+    counter.fetch_add(1, Ordering::Relaxed);
+}
+
 /// Monotonic service counters (lock-free; exposed through `/stats`).
 #[derive(Debug, Default)]
 pub(crate) struct Counters {
@@ -315,17 +320,11 @@ fn accept_loop(shared: &Shared, listener: TcpListener) {
             break;
         }
         let Ok(stream) = stream else { continue };
-        shared
-            .counters
-            .connections_accepted
-            .fetch_add(1, Ordering::Relaxed);
+        bump(&shared.counters.connections_accepted);
         let mut queue = shared.queue.lock().expect("queue lock");
         if queue.len() >= shared.config.queue_capacity {
             drop(queue);
-            shared
-                .counters
-                .rejected_queue_full
-                .fetch_add(1, Ordering::Relaxed);
+            bump(&shared.counters.rejected_queue_full);
             let mut stream = stream;
             let _ = write_response(&mut stream, &protocol::unavailable(shared, "queue full"));
             continue;
@@ -428,14 +427,8 @@ fn watchdog_loop(shared: &Arc<Shared>) {
                 .with_header("connection", "close"),
             );
             let _ = stream.shutdown(std::net::Shutdown::Both);
-            shared
-                .counters
-                .deadline_exceeded
-                .fetch_add(1, Ordering::Relaxed);
-            shared
-                .counters
-                .watchdog_restarts
-                .fetch_add(1, Ordering::Relaxed);
+            bump(&shared.counters.deadline_exceeded);
+            bump(&shared.counters.watchdog_restarts);
             let generation = slot.generation.fetch_add(1, Ordering::SeqCst) + 1;
             spawn_worker(shared, slot_idx, generation);
         }
@@ -448,10 +441,7 @@ fn watchdog_loop(shared: &Arc<Shared>) {
 fn serve_connection(shared: &Shared, job: Job, pctx: &mut PassContext, slot: usize) -> bool {
     let mut writer = job.stream;
     if job.enqueued.elapsed() >= Duration::from_millis(shared.config.request_timeout_ms) {
-        shared
-            .counters
-            .rejected_wait_timeout
-            .fetch_add(1, Ordering::Relaxed);
+        bump(&shared.counters.rejected_wait_timeout);
         let _ = write_response(
             &mut writer,
             &protocol::unavailable(shared, "request timeout"),
@@ -474,45 +464,16 @@ fn serve_connection(shared: &Shared, job: Job, pctx: &mut PassContext, slot: usi
     loop {
         let request = match read_request(&mut reader, &limits) {
             Ok(request) => request,
-            Err(HttpError::Closed { .. }) => return false,
-            Err(HttpError::Io(e))
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                return false; // idle keep-alive connection
-            }
-            Err(HttpError::Io(_)) => return false,
+            // Closed by the peer, idle past the keep-alive timeout, or broken.
+            Err(HttpError::Closed { .. } | HttpError::Io(_)) => return false,
             Err(HttpError::BadRequest(message)) => {
-                shared
-                    .counters
-                    .client_errors
-                    .fetch_add(1, Ordering::Relaxed);
-                let _ = write_response(
-                    &mut writer,
-                    &protocol::error_response(400, "bad-request", &message)
-                        .with_header("connection", "close"),
-                );
-                return false;
+                return reject(shared, &mut writer, 400, "bad-request", &message)
             }
             Err(HttpError::TooLarge(message)) => {
-                shared
-                    .counters
-                    .client_errors
-                    .fetch_add(1, Ordering::Relaxed);
-                let _ = write_response(
-                    &mut writer,
-                    &protocol::error_response(413, "too-large", &message)
-                        .with_header("connection", "close"),
-                );
-                return false;
+                return reject(shared, &mut writer, 413, "too-large", &message)
             }
         };
-        shared
-            .counters
-            .requests_received
-            .fetch_add(1, Ordering::Relaxed);
+        bump(&shared.counters.requests_received);
         // Effective deadline: a request may lower the server default with
         // `deadline_ms` but never raise it.
         let deadline_ms = match request.query_param("deadline_ms").as_deref() {
@@ -520,20 +481,8 @@ fn serve_connection(shared: &Shared, job: Job, pctx: &mut PassContext, slot: usi
             Some(value) => match value.parse::<u64>() {
                 Ok(n) if n >= 1 => n.min(shared.config.deadline_ms),
                 _ => {
-                    shared
-                        .counters
-                        .client_errors
-                        .fetch_add(1, Ordering::Relaxed);
-                    let _ = write_response(
-                        &mut writer,
-                        &protocol::error_response(
-                            400,
-                            "deadline",
-                            "deadline_ms needs a positive integer",
-                        )
-                        .with_header("connection", "close"),
-                    );
-                    return false;
+                    let message = "deadline_ms needs a positive integer";
+                    return reject(shared, &mut writer, 400, "deadline", message);
                 }
             },
         };
@@ -564,10 +513,7 @@ fn serve_connection(shared: &Shared, job: Job, pctx: &mut PassContext, slot: usi
             return true;
         }
         if response.status == 504 {
-            shared
-                .counters
-                .deadline_exceeded
-                .fetch_add(1, Ordering::Relaxed);
+            bump(&shared.counters.deadline_exceeded);
         }
         served += 1;
         let closing = shared.draining.load(Ordering::SeqCst)
@@ -580,14 +526,20 @@ fn serve_connection(shared: &Shared, job: Job, pctx: &mut PassContext, slot: usi
         if write_response(&mut writer, &response).is_err() {
             return false;
         }
-        shared
-            .counters
-            .requests_served
-            .fetch_add(1, Ordering::Relaxed);
+        bump(&shared.counters.requests_served);
         if closing {
             return false;
         }
     }
+}
+
+/// Answers a request the daemon will not serve and closes the connection,
+/// counting a client error.  Returns `false`, as `serve_connection` does.
+fn reject(shared: &Shared, writer: &mut TcpStream, status: u16, kind: &str, message: &str) -> bool {
+    bump(&shared.counters.client_errors);
+    let response = protocol::error_response(status, kind, message);
+    let _ = write_response(writer, &response.with_header("connection", "close"));
+    false
 }
 
 /// Routes one request, converting handler panics into `500`s so a poisoned
@@ -611,10 +563,7 @@ fn dispatch(
         Err(_) => {
             // The context may hold arbitrary intermediate state; discard it.
             *pctx = PassContext::default();
-            shared
-                .counters
-                .handler_panics
-                .fetch_add(1, Ordering::Relaxed);
+            bump(&shared.counters.handler_panics);
             protocol::error_response(500, "internal", "request handler panicked")
                 .with_header("connection", "close")
         }

@@ -451,8 +451,9 @@ struct StoreFront {
     batch: EvalStats,
 }
 
-/// Renders a transform sequence as the canonical ABC-style script, identical
-/// to `flowgen::Flow::to_script` so store records interoperate.
+/// Renders a transform sequence as the canonical ABC-style script (`cmd;
+/// cmd; …`): the flow key of every store record, and what
+/// `flowgen::Flow::to_script` returns.
 pub fn flow_script(flow: &[Transform]) -> String {
     flow.iter()
         .map(|t| t.command())

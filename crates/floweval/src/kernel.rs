@@ -16,19 +16,17 @@ use std::collections::HashMap;
 use std::sync::{Arc, MutexGuard};
 use std::time::Duration;
 
-use aig::{random_equivalence_check, Aig};
+use aig::Aig;
 use flow_core::{CancelToken, Cancelled, Fingerprint};
 use rayon::prelude::*;
 use synth::{
-    map_with_ctx, try_map_with_ctx, MapperParams, PassContext, PassTimings, Qor, Transform,
+    map_with_ctx, try_map_with_ctx, verify_equivalence, MapperParams, PassContext, PassTimings,
+    Qor, Transform,
 };
 
 use crate::engine::{flow_script, EvalEngine};
 use crate::state::{StateGraph, StateId, WorkKey};
 use crate::stats::EvalStats;
-
-/// Seed used for random-simulation verification, matching `FlowRunner`.
-const VERIFY_SEED: u64 = 0x5EED;
 
 /// How often a caller that can only wait for others' claims re-checks (a
 /// release notifies it at once; the poll bounds its cancellation latency).
@@ -321,8 +319,7 @@ impl EvalEngine {
         let mut g = pctx.take_buf();
         g.copy_from(&item.src);
         let Some(t) = item.t else {
-            let equivalent =
-                !self.config.verify || random_equivalence_check(design, &g, 8, VERIFY_SEED);
+            let equivalent = !self.config.verify || verify_equivalence(design, &g);
             let params = MapperParams::default();
             let mapped = match cancel {
                 Some(cancel) => try_map_with_ctx(&mut g, &self.library, params, pctx, cancel),

@@ -53,11 +53,7 @@ impl Flow {
 
     /// Renders the flow as an ABC-style script (`cmd; cmd; …`).
     pub fn to_script(&self) -> String {
-        self.transforms
-            .iter()
-            .map(|t| t.command())
-            .collect::<Vec<_>>()
-            .join("; ")
+        floweval::flow_script(&self.transforms)
     }
 
     /// The named flow presets, in a stable order.  They borrow the names of

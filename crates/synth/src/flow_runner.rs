@@ -15,6 +15,13 @@ use crate::pass::PassContext;
 use crate::passes::Transform;
 use crate::qor::Qor;
 
+/// Whether an optimized network still computes its design's function, by the
+/// one verification policy every flow evaluation uses: 8 rounds of random
+/// simulation under a fixed seed, so a check repeats exactly.
+pub fn verify_equivalence(design: &Aig, optimized: &Aig) -> bool {
+    random_equivalence_check(design, optimized, 8, 0x5EED)
+}
+
 /// Evaluates synthesis flows (sequences of [`Transform`]s) against one design.
 #[derive(Debug, Clone)]
 pub struct FlowRunner {
@@ -86,7 +93,7 @@ impl FlowRunner {
         let start = std::time::Instant::now();
         let mut optimized = ctx.run_flow_cancellable(design, flow, cancel)?;
         let verified = if self.verify {
-            random_equivalence_check(design, &optimized, 8, 0x5EED)
+            verify_equivalence(design, &optimized)
         } else {
             false
         };

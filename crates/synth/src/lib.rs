@@ -68,7 +68,7 @@ pub mod resyn;
 pub mod rewrite;
 pub mod sop;
 
-pub use flow_runner::{FlowOutcome, FlowRunner};
+pub use flow_runner::{verify_equivalence, FlowOutcome, FlowRunner};
 pub use library::{Cell, CellId, CellLibrary};
 pub use mapper::{
     map, map_qor, map_with_ctx, try_map_with_ctx, MapMode, MappedGate, MappedNetlist, MapperParams,
