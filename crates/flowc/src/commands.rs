@@ -412,8 +412,8 @@ fn annotate_eval(
 /// `flowc store`: maintenance of a persistent QoR store.
 ///
 /// A store is addressed by the base path of its segmented layout
-/// (`<base>.manifest` + segments); a legacy plain-JSONL file at the base path
-/// is upgraded to that layout when opened.
+/// (`<base>.manifest` + segments); opening a plain-JSONL file from before
+/// format v2 at the base path fails with the store's own error.
 pub fn store(mut args: Args) -> Result<(), CliError> {
     let usage = || CliError::usage("usage: flowc store <compact|stats|fsck> <path>");
     let action = args.take_positional().ok_or_else(usage)?;
@@ -421,7 +421,7 @@ pub fn store(mut args: Args) -> Result<(), CliError> {
     let json_path = args.take_value("json")?;
     let repair = args.take_flag("repair");
     args.finish()?;
-    // Checked before the store opens: opening upgrades a legacy store.
+    // Checked before the store opens: the open's scrub heals in place.
     if !matches!(action.as_str(), "compact" | "stats" | "fsck") {
         let message = format!("unknown store action `{action}` (compact, stats or fsck)");
         return Err(CliError::usage(message));
@@ -454,10 +454,9 @@ pub fn store(mut args: Args) -> Result<(), CliError> {
             emit_json(&stats, json_path.as_deref())
         }
         _ => {
-            // fsck.  Opening IS the scrub (and the upgrade of a legacy store):
-            // checksums verified, torn tails and corrupt lines quarantined
-            // and healed.  `--repair` additionally
-            // compacts, which drops superseded duplicates.
+            // fsck.  Opening IS the scrub: checksums verified, torn tails
+            // and corrupt lines quarantined and healed.  `--repair`
+            // additionally compacts, which drops superseded duplicates.
             let repaired = if repair {
                 Some(store.compact().map_err(|e| format!("repair: {e}"))?)
             } else {
@@ -490,7 +489,9 @@ pub fn store(mut args: Args) -> Result<(), CliError> {
     }
 }
 
-/// A store exists when its manifest does, or a legacy base file to upgrade.
+/// A store exists when its manifest does, or any file at the base path: a
+/// bare base file is a store from before format v2, which the open refuses
+/// with its own message rather than a misleading "no store".
 fn store_exists(path: &str) -> bool {
     Path::new(path).exists() || Path::new(&format!("{path}.manifest")).exists()
 }

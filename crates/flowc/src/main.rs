@@ -75,7 +75,7 @@ COMMANDS:
                      --verify                       verify every evaluated flow
                                                     by random simulation
     store          Maintain a persistent QoR store (checksummed segmented log;
-                   opening a legacy plain-JSONL store upgrades it)
+                   a plain-JSONL store from before v2 is refused, exit 2)
                      flowc store compact <path>     drop duplicate/quarantined
                                                     records atomically
                      flowc store stats <path>       print record counts as JSON

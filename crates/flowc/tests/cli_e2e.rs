@@ -344,22 +344,49 @@ fn usage_errors_exit_nonzero() {
     }
     assert!(!dir.exists(), "export-corpus wrote nothing");
 
-    // An unknown store action is refused before the store opens (opening
-    // would upgrade a legacy store in place).
-    let store = temp_dir("usage-store").join("legacy.jsonl");
-    let legacy = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../fixtures/store/legacy_qor.jsonl"
-    );
-    std::fs::copy(legacy, &store).expect("copy legacy store");
-    let out = flowc()
-        .args(["store", "bogus"])
-        .arg(&store)
-        .output()
-        .expect("spawn");
-    assert_eq!(out.status.code(), Some(1));
-    assert!(store.exists() && !store.with_extension("jsonl.manifest").exists());
+    // A bare base file is a plain JSON-lines store from before format v2.
+    // An unknown action is refused before the store opens (exit 1); fsck
+    // opens it, and the open refuses it (exit 2).  Neither writes a byte.
+    let store = temp_dir("usage-store").join("qor.jsonl");
+    let plain = "{\"flow\":\"balance\"}\n";
+    std::fs::write(&store, plain).expect("write a plain store");
+    for (action, code) in [("bogus", 1), ("fsck", 2)] {
+        let out = flowc()
+            .args(["store", action])
+            .arg(&store)
+            .output()
+            .expect("spawn");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "store {action}: {stderr}");
+        if action == "fsck" {
+            assert!(stderr.contains("before format v2"), "{stderr}");
+        }
+        assert_eq!(std::fs::read_to_string(&store).unwrap(), plain);
+        assert!(!store.with_extension("jsonl.manifest").exists());
+        assert!(!store.with_extension("jsonl.000001.seg").exists());
+    }
     std::fs::remove_dir_all(store.parent().unwrap()).ok();
+}
+
+#[test]
+fn abc_aliases_run_like_the_long_names() {
+    // The whole report but `eval.wall_s`, the one run-dependent number.
+    let run = |flow: &str| {
+        let stdout = run_ok(flowc().args(["run", "--design", "alu64:tiny", "--flow", flow]));
+        let Value::Object(mut sections) = parse_report(&stdout) else {
+            panic!("report is an object: {stdout}");
+        };
+        for (name, section) in &mut sections {
+            if let (Value::Object(fields), "eval") = (section, name.as_str()) {
+                fields.retain(|(field, _)| field != "wall_s");
+            }
+        }
+        sections
+    };
+    assert_eq!(
+        run("b; rw; rf; b; rwz; rfz"),
+        run("balance; rewrite; refactor; balance; rewrite -z; refactor -z")
+    );
 }
 
 #[test]

@@ -32,7 +32,7 @@ OPTIONS:
                                                             [default: 10000]
     --idle-ms <n>         keep-alive idle timeout           [default: 2000]
     --store <path>        persistent QoR store (checksummed segmented log;
-                          a legacy plain JSONL store is upgraded on open)
+                          a plain JSONL store from before v2 is refused)
     --segment-bytes <n>   rotate the live store segment at this size
                                                             [default: 8388608]
     --probe-ms <n>        degraded-store recovery probe period [default: 500]

@@ -40,10 +40,9 @@ pub struct EngineConfig {
     /// this engine evaluates.  What is evicted is recomputed on demand.
     pub cache_budget_aig_nodes: usize,
     /// Optional base path backing the persistent QoR store (the base of a v2
-    /// segmented store; a legacy JSON-lines file there is upgraded on open).
+    /// segmented store; a plain JSON-lines file from before v2 is refused).
     pub store_path: Option<PathBuf>,
-    /// Durability tunables for the persistent store (segment rotation size,
-    /// degraded-mode threshold, parked-queue bound).
+    /// Settings of the persistent store (its segment rotation size).
     pub store_options: crate::store::StoreOptions,
     /// Functionally verify evaluated flows by random simulation against the
     /// input design (the analogue of `FlowRunner::with_verification`): every

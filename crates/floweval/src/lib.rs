@@ -16,7 +16,7 @@
 //!   `(graph, transform)` pair** instead of one per flow step, however the
 //!   graph was reached;
 //! * [`QorStore`] — a persistent, checksummed, segmented store of evaluation
-//!   results (a legacy plain JSON-lines file is upgraded when opened),
+//!   results (a plain JSON-lines file from before format v2 is refused),
 //!   content-addressed by design fingerprint + configuration fingerprint +
 //!   flow script, so repeated runs, benches and ablations never re-evaluate a
 //!   known flow;

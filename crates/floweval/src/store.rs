@@ -19,11 +19,9 @@
 //! as is every compaction — a crash at any point leaves the old store or the
 //! new one, never a hybrid.
 //!
-//! A bare base file with no manifest and no segments is a **legacy** store
-//! from before format v2 (plain `{...}` lines without a checksum, possibly
-//! followed by framed appends).  [`QorStore::open`] imports it: the file is
-//! scrubbed into the index, published as a v2 store through the compaction
-//! writer, and removed.  That import is the only reader of plain lines.
+//! A bare base file with no manifest and no segments is a plain JSON-lines
+//! store from before format v2.  It is not read: [`QorStore::open`] refuses
+//! it with [`std::io::ErrorKind::InvalidData`] and leaves it as it is.
 //!
 //! ## Scrub and quarantine
 //!
@@ -95,24 +93,24 @@ impl StoreMode {
     }
 }
 
-/// Tunables for the durable log.
+/// Consecutive append failures before the store flips to
+/// [`StoreMode::Degraded`].
+const DEGRADED_AFTER: u32 = 3;
+
+/// Maximum records parked while degraded (oldest dropped beyond this).
+const PARKED_CAP: usize = 4096;
+
+/// Settings of the durable log.
 #[derive(Debug, Clone, Copy)]
 pub struct StoreOptions {
     /// Rotate the live segment once it reaches this size.
     pub segment_max_bytes: u64,
-    /// Consecutive append failures before the store flips to
-    /// [`StoreMode::Degraded`].
-    pub degraded_after: u32,
-    /// Maximum records parked while degraded (oldest dropped beyond this).
-    pub parked_cap: usize,
 }
 
 impl Default for StoreOptions {
     fn default() -> Self {
         StoreOptions {
             segment_max_bytes: 8 * 1024 * 1024,
-            degraded_after: 3,
-            parked_cap: 4096,
         }
     }
 }
@@ -276,11 +274,10 @@ impl QorStore {
     /// copied to the `.quarantine` sidecar and the damaged file healed, so
     /// an immediate reopen reports a clean store.
     ///
-    /// A bare legacy base file (from before format v2) is imported: scrubbed
-    /// into the index (bad lines quarantined, the file itself not healed),
-    /// published as a v2 store through the compaction writer, and removed.
-    /// If that publish fails, `open` returns the error and leaves the legacy
-    /// file as it was, so the next open imports it again.
+    /// A bare base file with no manifest and no segments is a plain
+    /// JSON-lines store from before format v2, which is no longer read:
+    /// `open` returns [`std::io::ErrorKind::InvalidData`] before writing
+    /// anything, so the file stays as it was.
     ///
     /// Duplicate keys (concatenated stores, racing appenders) resolve
     /// **last-write-wins** in append order; the superseded count is reported
@@ -289,24 +286,30 @@ impl QorStore {
     /// The scrub heals files in place, so the store must have a single
     /// writing process at a time (the daemon owns its store).
     pub fn open_with(path: impl AsRef<Path>, options: StoreOptions) -> std::io::Result<Self> {
-        let base = path.as_ref().to_path_buf();
-        if let Some(parent) = base.parent() {
+        let layout = Layout {
+            base: path.as_ref().to_path_buf(),
+        };
+        let on_disk = layout.scan_segments();
+        let manifest = read_manifest(&layout);
+        if manifest == ManifestState::Missing && on_disk.is_empty() && layout.base.exists() {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!(
+                    "`{}` is a plain JSON-lines store from before format v2, which is no \
+                     longer read; move it aside to start a new store at this path",
+                    layout.base.display()
+                ),
+            ));
+        }
+        if let Some(parent) = layout.base.parent() {
             if !parent.as_os_str().is_empty() {
                 std::fs::create_dir_all(parent)?;
             }
         }
-        let layout = Layout { base };
 
         let mut store = QorStore::in_memory();
         store.layout = Some(layout.clone());
         store.options = options;
-
-        let on_disk = layout.scan_segments();
-        let manifest = read_manifest(&layout);
-        if manifest == ManifestState::Missing && on_disk.is_empty() && layout.base.exists() {
-            store.import_legacy(&layout)?;
-            return Ok(store);
-        }
         store.segments = match manifest {
             ManifestState::Present(ids) if !ids.is_empty() => ids,
             manifest => {
@@ -336,22 +339,10 @@ impl QorStore {
             }
         };
         for id in store.segments.clone() {
-            store.scrub_file(&layout.segment(id), false)?;
+            store.scrub_file(&layout.segment(id))?;
         }
         store.open_live(&layout)?;
         Ok(store)
-    }
-
-    /// Imports a legacy base file: scrubs it into the index, publishes the
-    /// index as a v2 store and removes the file.  The file is not healed —
-    /// a failed publish must leave it as it was.
-    fn import_legacy(&mut self, layout: &Layout) -> std::io::Result<()> {
-        self.scrub_file(&layout.base, true)?;
-        let (id, _) = self.publish_index(layout)?;
-        // The manifest is durable: the base file is superseded.
-        let _ = std::fs::remove_file(&layout.base);
-        self.segments = vec![id];
-        self.open_live(layout)
     }
 
     /// Opens the append writer on the last manifest segment.
@@ -363,10 +354,9 @@ impl QorStore {
         Ok(())
     }
 
-    /// Scrubs one JSONL file into the index, quarantining and healing any
-    /// damage.  A `legacy` base file is parsed with the legacy reader and
-    /// only quarantined, never healed: the import replaces it whole.
-    fn scrub_file(&mut self, path: &Path, legacy: bool) -> std::io::Result<()> {
+    /// Scrubs one segment into the index, quarantining and healing any
+    /// damage.
+    fn scrub_file(&mut self, path: &Path) -> std::io::Result<()> {
         let data = match std::fs::read(path) {
             Ok(data) => data,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
@@ -398,12 +388,7 @@ impl QorStore {
             if trimmed.is_empty() || trimmed.starts_with('#') {
                 continue;
             }
-            let parsed = if legacy {
-                parse_legacy_line(trimmed)
-            } else {
-                parse_line(trimmed)
-            };
-            match parsed {
+            match parse_line(trimmed) {
                 Some((key, qor)) => {
                     if self.index.insert(key, qor).is_some() {
                         self.duplicates += 1;
@@ -426,7 +411,7 @@ impl QorStore {
         self.corrupt += corrupt_spans.len();
 
         if corrupt_spans.is_empty() && torn_span.is_none() {
-            if needs_newline && !legacy {
+            if needs_newline {
                 // A parseable final record missing only its newline: close
                 // the line so the next append starts fresh.
                 let mut f = OpenOptions::new().append(true).open(path)?;
@@ -457,9 +442,6 @@ impl QorStore {
                 self.quarantined += 1;
             }
             q.sync_all()?;
-        }
-        if legacy {
-            return Ok(());
         }
 
         if corrupt_spans.is_empty() {
@@ -600,11 +582,10 @@ impl QorStore {
     /// faults instead of re-evaluating or failing requests.
     ///
     /// An `Err` means one on-disk append failed (callers count it in
-    /// `EvalStats::store_write_errors`).  After
-    /// [`StoreOptions::degraded_after`] consecutive failures the store flips
-    /// to [`StoreMode::Degraded`]: further inserts park their records and
-    /// return `Ok` without touching the disk until a [`QorStore::probe`]
-    /// recovers it.
+    /// `EvalStats::store_write_errors`).  After three consecutive failures
+    /// the store flips to [`StoreMode::Degraded`]: further inserts park
+    /// their records and return `Ok` without touching the disk until a
+    /// [`QorStore::probe`] recovers it.
     pub fn insert(&mut self, key: StoreKey, qor: Qor) -> std::io::Result<()> {
         if self.index.contains_key(&key) {
             return Ok(());
@@ -634,7 +615,7 @@ impl QorStore {
             Err(_) => {
                 self.consecutive_failures += 1;
                 self.park(key.clone(), qor);
-                if self.consecutive_failures >= self.options.degraded_after {
+                if self.consecutive_failures >= DEGRADED_AFTER {
                     self.mode = StoreMode::Degraded;
                 }
             }
@@ -652,7 +633,7 @@ impl QorStore {
     }
 
     fn park(&mut self, key: StoreKey, qor: Qor) {
-        if self.parked.len() >= self.options.parked_cap {
+        if self.parked.len() >= PARKED_CAP {
             self.parked.pop_front();
             self.parked_dropped += 1;
         }
@@ -880,21 +861,6 @@ fn parse_line(line: &str) -> Option<(StoreKey, Qor)> {
     if crc32::of(json.as_bytes()) != crc {
         return None;
     }
-    parse_record(json)
-}
-
-/// Parses a line of a legacy base file: plain JSON from before format v2, or
-/// a framed line appended to the file later.
-fn parse_legacy_line(line: &str) -> Option<(StoreKey, Qor)> {
-    if line.starts_with('{') {
-        parse_record(line)
-    } else {
-        parse_line(line)
-    }
-}
-
-/// Parses the JSON payload of a record.
-fn parse_record(json: &str) -> Option<(StoreKey, Qor)> {
     let record: QorRecord = serde_json::from_str(json).ok()?;
     let key = StoreKey {
         design: Fingerprint::parse(&record.design)?,
@@ -1135,59 +1101,61 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Appends a raw **legacy** (plain JSON) record line for `key`,
-    /// bypassing the store — simulating a pre-v2 store file.
-    fn append_raw(path: &Path, key: &StoreKey, area: f64) {
+    /// Appends `line` to `path` behind the store's back.
+    fn append_line(path: &Path, line: &str) {
+        let mut f = OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(path)
+            .expect("append");
+        f.write_all(line.as_bytes()).expect("write");
+    }
+
+    /// A record as plain JSON, without the v2 frame and its checksum.
+    fn plain_line(key: &StoreKey, area: f64) -> String {
         let record = QorRecord {
             design: key.design.to_string(),
             config: key.config.to_string(),
             flow: key.flow.clone(),
             qor: qor(area),
         };
-        let mut f = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .expect("append");
-        writeln!(f, "{}", serde_json::to_string(&record).unwrap()).expect("write");
+        format!("{}\n", serde_json::to_string(&record).unwrap())
+    }
+
+    /// Opens and closes an empty store at `path`, returning its live segment.
+    fn empty_store(path: &Path) -> PathBuf {
+        drop(QorStore::open(path).expect("open"));
+        live_file(path)
     }
 
     #[test]
-    fn legacy_plain_jsonl_is_imported_on_open() {
-        let dir = temp_dir("legacy");
+    fn bare_plain_jsonl_base_file_is_refused() {
+        let dir = temp_dir("bare");
         let path = dir.join("qor.jsonl");
-        append_raw(&path, &key("balance"), 1.0);
-        append_raw(&path, &key("rewrite"), 2.0);
-        let mut store = QorStore::open(&path).expect("open");
-        assert_eq!(store.loaded_records(), 2);
-        assert_eq!(store.segment_count(), 1);
-        assert_eq!(store.get(&key("balance")), Some(qor(1.0)));
-        // The import replaced the plain file by a framed v2 segment, which
-        // takes the new appends.
-        assert!(!path.exists(), "legacy file replaced by a segment");
-        store.insert(key("refactor"), qor(3.0)).unwrap();
-        drop(store);
-        let text = std::fs::read_to_string(live_file(&path)).unwrap();
-        assert_eq!(text.lines().count(), 3);
-        assert!(text.lines().all(|l| l.starts_with("v2 ")), "{text}");
-        let store = QorStore::open(&path).expect("reopen");
-        assert_eq!(store.len(), 3);
-        assert_eq!(store.skipped_records(), 0);
-        assert_eq!(store.get(&key("refactor")), Some(qor(3.0)));
+        append_line(&path, &plain_line(&key("balance"), 1.0));
+        append_line(&path, &plain_line(&key("rewrite"), 2.0));
+        let before = std::fs::read(&path).unwrap();
+        let err = QorStore::open(&path).expect_err("a pre-v2 store is refused");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("before format v2"), "{err}");
+        assert_eq!(std::fs::read(&path).unwrap(), before, "file untouched");
+        let layout = Layout { base: path.clone() };
+        assert!(!layout.manifest().exists(), "no manifest created");
+        assert!(!layout.segment(1).exists(), "no segment created");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn plain_json_line_in_a_segment_is_corrupt() {
-        // Only the legacy import reads plain JSON: inside a v2 segment a
-        // line without a checksum is damage, not a record.
+        // Records are framed: inside a segment a plain JSON line without
+        // its checksum is damage, not a record.
         let dir = temp_dir("plain");
         let path = dir.join("qor.jsonl");
         {
             let mut store = QorStore::open(&path).expect("open");
             store.insert(key("balance"), qor(1.0)).unwrap();
         }
-        append_raw(&live_file(&path), &key("rewrite"), 2.0);
+        append_line(&live_file(&path), &plain_line(&key("rewrite"), 2.0));
         let store = QorStore::open(&path).expect("reopen");
         assert_eq!(store.corrupt_records(), 1, "an unchecked line is damage");
         assert_eq!(store.quarantined_records(), 1);
@@ -1339,10 +1307,15 @@ mod tests {
     fn duplicates_on_disk_resolve_last_write_wins() {
         let dir = temp_dir("dup");
         let path = dir.join("qor.jsonl");
-        append_raw(&path, &key("balance"), 1.0);
-        append_raw(&path, &key("rewrite"), 5.0);
-        append_raw(&path, &key("balance"), 2.0);
-        append_raw(&path, &key("balance"), 3.0);
+        let live = empty_store(&path);
+        for (flow, area) in [
+            ("balance", 1.0),
+            ("rewrite", 5.0),
+            ("balance", 2.0),
+            ("balance", 3.0),
+        ] {
+            append_line(&live, &record_line(&key(flow), &qor(area)).unwrap());
+        }
         let store = QorStore::open(&path).expect("open");
         assert_eq!(store.len(), 2);
         assert_eq!(store.loaded_records(), 4);
@@ -1356,46 +1329,71 @@ mod tests {
     }
 
     #[test]
-    fn legacy_import_drops_duplicates_and_compaction_is_idempotent() {
+    fn duplicates_and_torn_tail_recover_and_compaction_is_idempotent() {
         let dir = temp_dir("compact");
         let path = dir.join("qor.jsonl");
+        let live = empty_store(&path);
         for area in [1.0, 2.0, 3.0] {
-            append_raw(&path, &key("balance"), area);
+            append_line(&live, &record_line(&key("balance"), &qor(area)).unwrap());
         }
-        append_raw(&path, &key("rewrite"), 9.0);
-        {
-            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-            write!(f, "{{\"design\":\"torn").unwrap();
-        }
+        append_line(&live, &record_line(&key("rewrite"), &qor(9.0)).unwrap());
+        append_line(&live, "v2 00000000 {\"design\":\"torn");
         let mut store = QorStore::open(&path).expect("open");
         assert_eq!(store.len(), 2);
         assert_eq!(store.duplicate_records(), 2);
         assert_eq!(store.torn_tail_records(), 1);
         assert_eq!(store.quarantined_records(), 1);
-        // The import wrote one line per key and retired the legacy file.
-        assert!(!path.exists(), "legacy file replaced by a segment");
-        let imported = std::fs::read_to_string(live_file(&path)).unwrap();
-        assert_eq!(imported.lines().count(), 2, "{imported}");
         assert_eq!(store.get(&key("balance")), Some(qor(3.0)));
 
-        // Appends after the import land in the live segment.
+        // Appends after the recovery land in the healed live segment.
         store.insert(key("refactor"), qor(7.0)).unwrap();
         drop(store);
 
         let mut store = QorStore::open(&path).expect("reopen");
         assert_eq!(store.len(), 3);
-        assert_eq!(store.duplicate_records(), 0);
+        assert_eq!(store.duplicate_records(), 2, "open keeps what is on disk");
         assert_eq!(store.skipped_records(), 0);
         assert_eq!(store.get(&key("balance")), Some(qor(3.0)));
         assert_eq!(store.get(&key("refactor")), Some(qor(7.0)));
-        // Stable order: compacting twice produces identical segment bytes
-        // (the segment id advances; the contents must not).
-        store.compact().expect("recompact");
+        // Compaction writes one line per key.  Stable order: compacting
+        // twice produces identical segment bytes (the segment id advances;
+        // the contents must not).
+        let report = store.compact().expect("compact");
+        assert_eq!(report.duplicates_dropped, 2);
         let bytes_first = std::fs::read(live_file(&path)).unwrap();
-        store.compact().expect("recompact again");
+        assert_eq!(String::from_utf8_lossy(&bytes_first).lines().count(), 3);
+        store.compact().expect("recompact");
         drop(store);
         let bytes_second = std::fs::read(live_file(&path)).unwrap();
         assert_eq!(bytes_first, bytes_second);
+        let store = QorStore::open(&path).expect("reopen compacted");
+        assert_eq!(store.duplicate_records(), 0);
+        assert_eq!(store.len(), 3);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn parked_queue_is_bounded() {
+        let dir = temp_dir("parked-cap");
+        let path = dir.join("qor.jsonl");
+        let mut store = QorStore::open(&path).expect("open");
+        // A read-only handle on the live segment: every append fails.
+        store.writer = Some(File::open(live_file(&path)).unwrap());
+        let failed = (0..PARKED_CAP + 6)
+            .filter(|i| {
+                store
+                    .insert(key(&format!("flow-{i}")), qor(*i as f64))
+                    .is_err()
+            })
+            .count();
+        assert_eq!(
+            failed, DEGRADED_AFTER as usize,
+            "degraded inserts park silently"
+        );
+        assert_eq!(store.mode(), StoreMode::Degraded);
+        assert_eq!(store.parked_records(), PARKED_CAP);
+        assert_eq!(store.parked_dropped(), 6);
+        assert_eq!(store.len(), PARKED_CAP + 6, "the index never drops records");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1405,7 +1403,6 @@ mod tests {
         let path = dir.join("qor.jsonl");
         let options = StoreOptions {
             segment_max_bytes: 256,
-            ..StoreOptions::default()
         };
         let n = 40;
         {
@@ -1434,7 +1431,6 @@ mod tests {
         let path = dir.join("qor.jsonl");
         let options = StoreOptions {
             segment_max_bytes: 256,
-            ..StoreOptions::default()
         };
         let mut store = QorStore::open_with(&path, options).expect("open");
         for i in 0..40 {

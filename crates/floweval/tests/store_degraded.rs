@@ -7,14 +7,10 @@
 #![cfg(feature = "failpoints")]
 
 use std::path::PathBuf;
-use std::sync::Mutex;
 
 use flow_core::{fail, Fingerprint};
-use floweval::{QorStore, StoreKey, StoreMode, StoreOptions};
+use floweval::{QorStore, StoreKey, StoreMode};
 use synth::Qor;
-
-/// The tests below share the registry; serialize them.
-static REGISTRY: Mutex<()> = Mutex::new(());
 
 fn key(flow: &str) -> StoreKey {
     StoreKey {
@@ -46,15 +42,10 @@ fn temp_dir(label: &str) -> PathBuf {
 
 #[test]
 fn persistent_write_failure_degrades_and_probe_recovers() {
-    let _guard = REGISTRY.lock().unwrap_or_else(|p| p.into_inner());
     fail::teardown();
     let dir = temp_dir("degraded");
     let path = dir.join("qor.jsonl");
-    let options = StoreOptions {
-        degraded_after: 3,
-        ..StoreOptions::default()
-    };
-    let mut store = QorStore::open_with(&path, options).expect("open");
+    let mut store = QorStore::open(&path).expect("open");
     store.insert(key("healthy"), qor(0.5)).unwrap();
 
     // The disk goes away: every append fails.
@@ -85,33 +76,9 @@ fn persistent_write_failure_degrades_and_probe_recovers() {
     fail::teardown();
 
     // Every record — pre-fault, parked, post-fault — is on disk.
-    let store = QorStore::open_with(&path, options).expect("reopen");
+    let store = QorStore::open(&path).expect("reopen");
     assert_eq!(store.len(), 5);
     assert_eq!(store.get(&key("parked")), Some(qor(9.0)));
     assert_eq!(store.get(&key("fail-2")), Some(qor(2.0)));
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn parked_queue_is_bounded() {
-    let _guard = REGISTRY.lock().unwrap_or_else(|p| p.into_inner());
-    fail::teardown();
-    let dir = temp_dir("parked-cap");
-    let path = dir.join("qor.jsonl");
-    let options = StoreOptions {
-        degraded_after: 1,
-        parked_cap: 4,
-        ..StoreOptions::default()
-    };
-    let mut store = QorStore::open_with(&path, options).expect("open");
-    fail::cfg("store.write", "return").unwrap();
-    for i in 0..10 {
-        let _ = store.insert(key(&format!("flow-{i}")), qor(i as f64));
-    }
-    assert_eq!(store.mode(), StoreMode::Degraded);
-    assert_eq!(store.parked_records(), 4);
-    assert_eq!(store.parked_dropped(), 6);
-    assert_eq!(store.len(), 10, "the index never drops records");
-    fail::teardown();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -122,27 +122,22 @@ impl Flow {
         }
     }
 
-    /// Parses an ABC-style script back into a flow.
+    /// Parses an ABC-style script back into a flow.  Commands are the long
+    /// names [`Flow::to_script`] renders or ABC's aliases (`b`, `rw`, `rf`,
+    /// `rwz`, `rfz`; see [`Transform::from_command`]).
     ///
     /// # Errors
     ///
     /// Returns the offending command string when it does not name a known
     /// transformation.
     pub fn parse_script(script: &str) -> Result<Flow, String> {
-        let mut transforms = Vec::new();
-        for part in script.split(';') {
-            let cmd = part.trim();
-            if cmd.is_empty() {
-                continue;
-            }
-            let t = Transform::ALL
-                .iter()
-                .find(|t| t.command() == cmd)
-                .copied()
-                .ok_or_else(|| cmd.to_string())?;
-            transforms.push(t);
-        }
-        Ok(Flow::new(transforms))
+        script
+            .split(';')
+            .map(str::trim)
+            .filter(|cmd| !cmd.is_empty())
+            .map(|cmd| Transform::from_command(cmd).ok_or_else(|| cmd.to_string()))
+            .collect::<Result<_, _>>()
+            .map(Flow::new)
     }
 }
 
@@ -174,6 +169,20 @@ mod tests {
         assert_eq!(script, "balance; rewrite -z; refactor -z; restructure");
         let parsed = Flow::parse_script(&script).expect("valid script");
         assert_eq!(parsed, flow);
+    }
+
+    #[test]
+    fn abc_aliases_parse_to_the_long_names() {
+        let flow = Flow::parse_script("b; rw; rf; rwz; rfz").expect("aliases");
+        assert_eq!(
+            flow,
+            Flow::parse_script("balance; rewrite; refactor; rewrite -z; refactor -z").unwrap()
+        );
+        assert_eq!(
+            flow.to_script(),
+            "balance; rewrite; refactor; rewrite -z; refactor -z"
+        );
+        assert_eq!(Flow::parse_script("b; rs").unwrap_err(), "rs");
     }
 
     #[test]

@@ -53,6 +53,22 @@ impl Transform {
         }
     }
 
+    /// The transformation an ABC command names: the long name
+    /// [`Transform::command`] renders, or its ABC alias (`b`, `rw`, `rf`,
+    /// `rwz`, `rfz`).  `restructure` has none: ABC's `rs` is `resub`, which
+    /// this set lacks.
+    pub fn from_command(name: &str) -> Option<Transform> {
+        match name {
+            "balance" | "b" => Some(Transform::Balance),
+            "restructure" => Some(Transform::Restructure),
+            "rewrite" | "rw" => Some(Transform::Rewrite),
+            "refactor" | "rf" => Some(Transform::Refactor),
+            "rewrite -z" | "rwz" => Some(Transform::RewriteZ),
+            "refactor -z" | "rfz" => Some(Transform::RefactorZ),
+            _ => None,
+        }
+    }
+
     /// The index of this transformation within [`Transform::ALL`]
     /// (the `i` of `p_i` in the paper's notation, used by the one-hot encoding).
     pub fn index(self) -> usize {
@@ -118,6 +134,11 @@ mod tests {
         assert_eq!(Transform::Balance.command(), "balance");
         assert_eq!(Transform::RewriteZ.command(), "rewrite -z");
         assert_eq!(Transform::RefactorZ.to_string(), "refactor -z");
+        for t in Transform::ALL {
+            assert_eq!(Transform::from_command(t.command()), Some(t));
+        }
+        assert_eq!(Transform::from_command("rwz"), Some(Transform::RewriteZ));
+        assert_eq!(Transform::from_command("rs"), None, "ABC's rs is resub");
     }
 
     #[test]
