@@ -53,7 +53,7 @@ pub use graph::{Aig, AigScratch, NodeId};
 pub use lit::Lit;
 pub use mffc::{Mffc, MffcScratch};
 pub use node::{Node, NodeKind};
-pub use simulate::{random_equivalence_check, SimVector, Simulator};
+pub use simulate::{random_equivalence_check, random_patterns, SimVector, Simulator};
 pub use stats::AigStats;
 pub use truth::{TruthTable, MAX_TRUTH_VARS, VAR_MASKS};
 

@@ -58,16 +58,38 @@ impl<'a> Simulator<'a> {
 
     /// Simulates 64 patterns and returns the value of every node.
     pub fn node_values(&self, input_patterns: &[SimVector]) -> Vec<SimVector> {
-        let mut values: Vec<SimVector> = vec![0; self.aig.len()];
-        for (i, &id) in self.aig.input_ids().iter().enumerate() {
-            values[id] = input_patterns[i];
+        let mut values = Vec::new();
+        self.node_values_into(input_patterns.iter().copied(), &mut values);
+        values
+    }
+
+    /// [`node_values`](Self::node_values) into a recycled buffer: `values` is
+    /// cleared and refilled with one vector per node, primary input `i`
+    /// taking the `i`-th word of `input_patterns` (further words are not
+    /// read, so an endless [`random_patterns`] stream is fine).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input_patterns` yields fewer words than there are primary
+    /// inputs.
+    pub fn node_values_into(
+        &self,
+        input_patterns: impl IntoIterator<Item = SimVector>,
+        values: &mut Vec<SimVector>,
+    ) {
+        values.clear();
+        values.resize(self.aig.len(), 0);
+        let mut words = input_patterns.into_iter();
+        for &id in self.aig.input_ids() {
+            values[id] = words
+                .next()
+                .expect("one pattern word per primary input required");
         }
         for id in self.aig.node_ids() {
             if let Some((a, b)) = self.aig.node(id).fanins() {
-                values[id] = Self::lit_value(&values, a) & Self::lit_value(&values, b);
+                values[id] = Self::lit_value(values, a) & Self::lit_value(values, b);
             }
         }
-        values
     }
 
     fn lit_value(values: &[SimVector], l: Lit) -> SimVector {
@@ -89,6 +111,18 @@ impl<'a> Simulator<'a> {
     }
 }
 
+/// An endless, reproducible stream of pseudo-random pattern words: the
+/// xorshift64* generator started from `seed`.
+pub fn random_patterns(seed: u64) -> impl Iterator<Item = SimVector> {
+    let mut state = seed | 1;
+    std::iter::repeat_with(move || {
+        state ^= state >> 12;
+        state ^= state << 25;
+        state ^= state >> 27;
+        state.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    })
+}
+
 /// Checks whether two graphs with identical interfaces agree on `rounds * 64`
 /// pseudo-random input patterns.
 ///
@@ -96,23 +130,16 @@ impl<'a> Simulator<'a> {
 /// verification mode of the flow runner; it cannot prove equivalence but
 /// reliably catches functional corruption introduced by a buggy pass.
 ///
-/// The generator is a deterministic xorshift so results are reproducible.
+/// The patterns come from [`random_patterns`], so results are reproducible.
 pub fn random_equivalence_check(a: &Aig, b: &Aig, rounds: usize, seed: u64) -> bool {
     if a.num_inputs() != b.num_inputs() || a.num_outputs() != b.num_outputs() {
         return false;
     }
     let sim_a = Simulator::new(a);
     let sim_b = Simulator::new(b);
-    let mut state = seed | 1;
-    let mut next = || {
-        // xorshift64*
-        state ^= state >> 12;
-        state ^= state << 25;
-        state ^= state >> 27;
-        state.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    };
+    let mut words = random_patterns(seed);
     for _ in 0..rounds {
-        let patterns: Vec<SimVector> = (0..a.num_inputs()).map(|_| next()).collect();
+        let patterns: Vec<SimVector> = words.by_ref().take(a.num_inputs()).collect();
         if sim_a.run(&patterns) != sim_b.run(&patterns) {
             return false;
         }
@@ -166,6 +193,16 @@ mod tests {
                 assert_eq!(scalar[o], v >> bit & 1 == 1, "output {o} bit {bit}");
             }
         }
+    }
+
+    #[test]
+    fn recycled_node_values_match_fresh_ones() {
+        let g = full_adder();
+        let sim = Simulator::new(&g);
+        let patterns: Vec<SimVector> = random_patterns(9).take(g.num_inputs()).collect();
+        let mut values = vec![7; 2 * g.len()];
+        sim.node_values_into(random_patterns(9), &mut values);
+        assert_eq!(values, sim.node_values(&patterns));
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub fn run(mut args: Args) -> Result<(), CliError> {
     let request = cli.parse()?;
 
     let resolved = resolve_design(&design_spec)?;
-    let engine = engine_at(store, false);
+    let engine = engine_at(store, false)?;
     let fingerprint = floweval::fingerprint_design(&resolved.aig);
     let (mut report, optimized) = request
         .answer(
@@ -132,7 +132,7 @@ pub fn search(mut args: Args) -> Result<(), CliError> {
         .map(|d| (d.aig, d.source))
         .unzip();
 
-    let engine = engine_at(store, verify);
+    let engine = engine_at(store, verify)?;
     let flows = source.resolve();
     let config = floweval::SearchConfig {
         workers,
@@ -194,7 +194,7 @@ pub fn reproduce(mut args: Args) -> Result<(), CliError> {
             .map(|d| (d.name().to_string(), d.generate(scale)))
             .collect(),
     };
-    let engine = Arc::new(engine_at(store, false));
+    let engine = Arc::new(engine_at(store, false)?);
     let report = object! {
         "scale" => scale_name,
         "studies" => crate::studies::run(Arc::clone(&engine), scale, &designs),
@@ -603,13 +603,15 @@ fn generate_named(design: Design, scale: DesignScale, scale_name: &str) -> Aig {
 }
 
 /// A fresh engine over the `--store` at `store`, if any, verifying every
-/// evaluated flow when `verify` is set.
-fn engine_at(store: Option<String>, verify: bool) -> EvalEngine {
-    EvalEngine::new(EngineConfig {
+/// evaluated flow when `verify` is set.  A store that fails to open is the
+/// command's error: results the caller asked to persist are never dropped.
+fn engine_at(store: Option<String>, verify: bool) -> Result<EvalEngine, CliError> {
+    EvalEngine::open(EngineConfig {
         store_path: store.map(PathBuf::from),
         verify,
         ..EngineConfig::default()
     })
+    .map_err(|e| CliError::Runtime(e.to_string()))
 }
 
 /// Prints a report to stdout and optionally writes it to a file.

@@ -365,6 +365,26 @@ fn usage_errors_exit_nonzero() {
         assert!(!store.with_extension("jsonl.manifest").exists());
         assert!(!store.with_extension("jsonl.000001.seg").exists());
     }
+    // `run` on that store fails with the open error (exit 2) instead of
+    // evaluating into an in-memory store and persisting nothing.
+    let out = flowc()
+        .args([
+            "run",
+            "--design",
+            "alu64:tiny",
+            "--flow",
+            "compress",
+            "--store",
+        ])
+        .arg(&store)
+        .output()
+        .expect("spawn");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "run --store: {stderr}");
+    assert!(stderr.contains("before format v2"), "{stderr}");
+    assert!(out.stdout.is_empty(), "no report for a failed run");
+    assert_eq!(std::fs::read(&store).unwrap(), plain.as_bytes());
+    assert!(!store.with_extension("jsonl.manifest").exists());
     std::fs::remove_dir_all(store.parent().unwrap()).ok();
 }
 

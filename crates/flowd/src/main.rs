@@ -9,8 +9,8 @@
 //!
 //! The daemon runs until `POST /shutdown` arrives, then drains gracefully.
 //! Exit codes: `0` clean drain, `1` usage error (an option that does not
-//! parse), `2` runtime failure (cannot bind, or the store flush on drain
-//! failed).
+//! parse), `2` runtime failure (the store does not open, the address does
+//! not bind, or the store flush on drain failed).
 
 use std::path::PathBuf;
 

@@ -179,11 +179,13 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the listener and spawns acceptor, workers and watchdog.
+    /// Opens the engine's store, binds the listener and spawns acceptor,
+    /// workers and watchdog.  A store that fails to open fails the start,
+    /// before anything is bound or written.
     pub fn start(config: ServerConfig) -> std::io::Result<Server> {
+        let engine = EvalEngine::open(config.engine.clone())?;
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let engine = EvalEngine::new(config.engine.clone());
         let worker_count = config.workers.max(1);
         let shared = Arc::new(Shared {
             engine,

@@ -389,6 +389,31 @@ fn evaluate_flow_with_ctx_matches_batch_engine() {
 /// store after a torn record was appended to its live segment (a crash
 /// mid-append), which the restart must quarantine while staying healthy.
 #[test]
+fn a_store_that_cannot_open_fails_the_start() {
+    // A bare base file is a plain JSON-lines store from before format v2:
+    // the daemon refuses to start on it rather than serve without a store.
+    let dir = std::env::temp_dir().join(format!("flowd-bare-store-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let store_path = dir.join("qor.jsonl");
+    let plain = "{\"flow\":\"balance\"}\n";
+    std::fs::write(&store_path, plain).unwrap();
+    let err = Server::start(ServerConfig {
+        engine: EngineConfig {
+            store_path: Some(store_path.clone()),
+            ..EngineConfig::default()
+        },
+        ..ServerConfig::default()
+    })
+    .err()
+    .expect("a store that cannot open fails the start");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains("before format v2"), "{err}");
+    assert_eq!(std::fs::read(&store_path).unwrap(), plain.as_bytes());
+    assert!(!dir.join("qor.jsonl.manifest").exists());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn restart_on_same_store_loses_no_acked_records() {
     for torn_tail in [false, true] {
         restart_serves_every_acked_record(torn_tail);

@@ -119,17 +119,41 @@ impl Default for EvalEngine {
 
 impl EvalEngine {
     /// Creates an engine with the built-in library and default mapping.
+    ///
+    /// A store that fails to open is reported on stderr and replaced by an
+    /// in-memory one, so nothing the engine evaluates persists; callers that
+    /// must not lose results use [`open`](Self::open), which returns the
+    /// error instead.
     pub fn new(config: EngineConfig) -> Self {
-        let store = match &config.store_path {
-            Some(path) => QorStore::open_with(path, config.store_options).unwrap_or_else(|e| {
-                eprintln!(
-                    "floweval: cannot open QoR store at {}: {e}; continuing in memory",
-                    path.display()
-                );
-                QorStore::in_memory()
-            }),
-            None => QorStore::in_memory(),
+        let store = Self::open_store(&config).unwrap_or_else(|e| {
+            eprintln!("floweval: {e}; continuing in memory");
+            QorStore::in_memory()
+        });
+        Self::with_store(config, store)
+    }
+
+    /// Creates an engine over the store at `config.store_path` (in memory
+    /// when there is none), or returns the error of a store that fails to
+    /// open.
+    pub fn open(config: EngineConfig) -> std::io::Result<Self> {
+        let store = Self::open_store(&config)?;
+        Ok(Self::with_store(config, store))
+    }
+
+    /// Opens the configured store; its error names the path.
+    fn open_store(config: &EngineConfig) -> std::io::Result<QorStore> {
+        let Some(path) = &config.store_path else {
+            return Ok(QorStore::in_memory());
         };
+        QorStore::open_with(path, config.store_options).map_err(|e| {
+            std::io::Error::new(
+                e.kind(),
+                format!("cannot open QoR store at {}: {e}", path.display()),
+            )
+        })
+    }
+
+    fn with_store(config: EngineConfig, store: QorStore) -> Self {
         // The open is a scrub; seed the cumulative stats with its findings
         // so `/stats` surfaces damage found at startup.
         let mut stats = StatsState::default();

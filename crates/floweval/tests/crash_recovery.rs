@@ -129,7 +129,6 @@ fn crash_child() {
         .unwrap();
     let options = StoreOptions {
         segment_max_bytes: segment_bytes,
-        ..StoreOptions::default()
     };
     let mut store = QorStore::open_with(&store_path, options).expect("child open");
     let mut ack = std::fs::OpenOptions::new()

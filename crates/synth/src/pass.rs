@@ -51,7 +51,7 @@ use crate::passes::Transform;
 use crate::reconv::ReconvScratch;
 use crate::refactor::refactor_ctx;
 use crate::restructure::restructure_ctx;
-use crate::resyn::{DecisionTable, Proposal};
+use crate::resyn::{DecisionTable, GainFilter, Proposal};
 use crate::rewrite::rewrite_ctx;
 use crate::sop::{IsopCache, SharedIsopCache, SopCostScratch};
 
@@ -173,6 +173,8 @@ pub(crate) struct SweepScratch {
     /// stopped it.
     pub(crate) tallies: Vec<Result<usize, Cancelled>>,
     pub(crate) rebuild_map: Vec<Lit>,
+    /// The strict sweeps' signature filter.
+    pub(crate) filter: GainFilter,
 }
 
 /// How the resynthesis sweeps applied their accepted decisions so far: a

@@ -64,13 +64,12 @@ pub fn reconv_cut(aig: &Aig, root: NodeId, max_leaves: usize) -> Vec<NodeId> {
     leaves
 }
 
-/// Reusable state of `reconv_cut_sweep`: an epoch-stamped visited set and an
-/// epoch-stamped leaf-membership set, replacing [`reconv_cut`]'s linear
-/// `visited.contains` / `leaves.contains` scans.
+/// Reusable state of `reconv_cut_sweep`: one epoch-stamped membership set
+/// for the cut's leaves and the nodes it has expanded, replacing
+/// [`reconv_cut`]'s linear `visited.contains` / `leaves.contains` scans.
 #[derive(Debug, Default)]
 pub struct ReconvScratch {
     stamp: Vec<u32>,
-    leaf_stamp: Vec<u32>,
     epoch: u32,
 }
 
@@ -78,51 +77,36 @@ impl ReconvScratch {
     fn begin(&mut self, len: usize) {
         if self.stamp.len() < len {
             self.stamp.resize(len, 0);
-            self.leaf_stamp.resize(len, 0);
         }
         if self.epoch == u32::MAX {
             self.stamp.iter_mut().for_each(|s| *s = 0);
-            self.leaf_stamp.iter_mut().for_each(|s| *s = 0);
             self.epoch = 0;
         }
         self.epoch += 1;
     }
 
+    /// Adds `id` to the leaves ∪ visited set.
     #[inline]
-    fn visit(&mut self, id: NodeId) {
+    fn insert(&mut self, id: NodeId) {
         self.stamp[id] = self.epoch;
     }
 
     #[inline]
-    fn visited(&self, id: NodeId) -> bool {
+    fn contains(&self, id: NodeId) -> bool {
         self.stamp[id] == self.epoch
-    }
-
-    #[inline]
-    fn mark_leaf(&mut self, id: NodeId) {
-        self.leaf_stamp[id] = self.epoch;
-    }
-
-    #[inline]
-    fn unmark_leaf(&mut self, id: NodeId) {
-        self.leaf_stamp[id] = 0;
-    }
-
-    #[inline]
-    fn is_leaf(&self, id: NodeId) -> bool {
-        self.leaf_stamp[id] == self.epoch
     }
 }
 
 /// [`reconv_cut`] on recycled scratch, growing the leaf set into the
 /// caller-recycled `leaves` buffer — what the passes run.
 ///
-/// The growth loop's cost check asks "was this fanin visited?" and "is it
-/// already a leaf?" for every candidate on every iteration; the oracle
-/// answers both with linear scans, this variant with two epoch stamps
-/// maintained as nodes are expanded and leaves enter and leave the set.
-/// Iteration order, growth decisions, tie-breaks and the produced leaf set
-/// are identical (pinned by `sweep_cut_is_identical_to_reference`).
+/// The growth loop's cost check and its expansion ask, for every candidate
+/// fanin, "is it a leaf or already expanded?" — only the union, never either
+/// half.  The oracle answers with two linear scans, this variant with one
+/// epoch stamp: a node enters the set when it becomes a leaf and stays when
+/// it is expanded.  Iteration order, growth decisions, tie-breaks and the
+/// produced leaf set are identical (pinned by
+/// `sweep_cut_is_identical_to_reference`).
 pub(crate) fn reconv_cut_sweep(
     aig: &Aig,
     root: NodeId,
@@ -132,12 +116,12 @@ pub(crate) fn reconv_cut_sweep(
 ) {
     scratch.begin(aig.len());
     leaves.clear();
-    scratch.visit(root);
+    scratch.insert(root);
     match aig.node(root).fanins() {
         Some((a, b)) => {
             for f in [a.node(), b.node()] {
-                if !scratch.is_leaf(f) {
-                    scratch.mark_leaf(f);
+                if !scratch.contains(f) {
+                    scratch.insert(f);
                     leaves.push(f);
                 }
             }
@@ -157,7 +141,7 @@ pub(crate) fn reconv_cut_sweep(
             let (a, b) = aig.node(leaf).fanins().expect("AND node");
             let mut cost = -1i32; // removing the leaf itself
             for f in [a.node(), b.node()] {
-                if !scratch.is_leaf(f) && !scratch.visited(f) {
+                if !scratch.contains(f) {
                     cost += 1;
                 }
             }
@@ -172,13 +156,12 @@ pub(crate) fn reconv_cut_sweep(
             }
         }
         let Some((idx, _)) = best else { break };
+        // The expanded leaf stays in the set, now as a visited node.
         let leaf = leaves.swap_remove(idx);
-        scratch.unmark_leaf(leaf);
-        scratch.visit(leaf);
         let (a, b) = aig.node(leaf).fanins().expect("AND node");
         for f in [a.node(), b.node()] {
-            if !scratch.visited(f) && !scratch.is_leaf(f) {
-                scratch.mark_leaf(f);
+            if !scratch.contains(f) {
+                scratch.insert(f);
                 leaves.push(f);
             }
         }

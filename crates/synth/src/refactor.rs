@@ -46,7 +46,7 @@ pub(crate) fn refactor_ctx(
 /// are rejected without finishing the count).  The cut grows on stamped
 /// scratch, the cut function comes from the scratch-based cone walk
 /// ([`cut_truth_with`]) and the SOP cost dry-run probes the graph's strash.
-fn propose_sweep(
+pub(crate) fn propose_sweep(
     graph: &Aig,
     id: NodeId,
     min_gain: i64,

@@ -39,7 +39,7 @@ pub(crate) fn restructure_ctx(
 /// are rejected without finishing the count).  The cut grows on stamped
 /// scratch, the cut function comes from the scratch-based cone walk and the
 /// Shannon cost dry-run probes the graph's strash.
-fn propose_sweep(
+pub(crate) fn propose_sweep(
     graph: &Aig,
     id: NodeId,
     min_gain: i64,

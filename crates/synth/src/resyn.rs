@@ -19,10 +19,35 @@
 //! That split is also why a cancellation — which can only fire inside steps
 //! 1–3, and returns `Err` before step 4 starts — leaves the graph untouched,
 //! as `CancelCell` promises.
+//!
+//! # Nodes that cannot gain
+//!
+//! A strict sweep (`min_gain >= 1`) does not call the pass at node `n` when
+//! both of these hold (`GainFilter`):
+//!
+//! * every fanin of `n` is a primary input, the constant, or has more than
+//!   one fanout — so dereferencing `n` frees none of them, and `n`'s MFFC is
+//!   `{n}` under every cut;
+//! * `n`'s 64-pattern random-simulation signature, taken up to complement,
+//!   is shared by no other node of the graph (constant and inputs included).
+//!
+//! The skip is exact.  With a one-node MFFC, a gain of at least 1 needs a
+//! proposal that adds no node at all.  Both cost dry-runs (the SOP counter
+//! and the Shannon `mux_cost`) then end on an existing literal that lies
+//! outside the MFFC, so on a node other than `n` — a leaf, the constant, or
+//! an AND found by a strash probe.  Over the same leaves that literal
+//! computes `n`'s cut function, so its node computes `n`'s function or its
+//! complement, and has `n`'s signature.  A unique signature rules that out.
+//! Signature collisions only make a node look shared, which turns the skip
+//! off; they never skip a node that could gain.  The signatures are taken
+//! serially on the clean graph before the parallel propose, so the skips —
+//! and with them decisions, graphs and QoR — are the same at any thread
+//! count and bit-identical to the rule-free oracle,
+//! `reference::resynthesis_sweep`.
 
 use std::sync::{Mutex, PoisonError};
 
-use aig::{Aig, CutSet4, Lit, NodeId, TruthTable};
+use aig::{random_patterns, Aig, CutSet4, Lit, NodeId, SimVector, Simulator, TruthTable};
 use flow_core::{CancelToken, Cancelled};
 use rayon::prelude::*;
 
@@ -99,6 +124,77 @@ const PARALLEL_MIN_NODES: usize = 32 * 1024;
 /// Fixed, so chunk boundaries never depend on the thread count.
 const CHUNK_NODES: usize = 1024;
 
+/// Seed of the random patterns behind [`GainFilter`]'s node signatures.
+const SIGNATURE_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// An empty slot of [`GainFilter`]'s signature table.
+const EMPTY_SLOT: u32 = u32::MAX;
+
+/// The strict sweeps' skip rule (see the module docs): which nodes provably
+/// cannot yield a decision at `min_gain >= 1`.  Its three buffers live in
+/// [`SweepScratch`] and recycle across sweeps.
+#[derive(Debug, Default)]
+pub(crate) struct GainFilter {
+    /// One 64-pattern simulation word per node, then made canonical up to
+    /// complement (bit 0 clear).
+    signatures: Vec<SimVector>,
+    /// Open-addressed table of node ids keyed by canonical signature.
+    table: Vec<u32>,
+    /// Whether another node has the same canonical signature.
+    shared: Vec<bool>,
+}
+
+impl GainFilter {
+    /// Takes the signatures of every node of `g` and marks the shared ones.
+    pub(crate) fn prepare(&mut self, g: &Aig) {
+        let GainFilter {
+            signatures,
+            table,
+            shared,
+        } = self;
+        Simulator::new(g).node_values_into(random_patterns(SIGNATURE_SEED), signatures);
+        let n = g.len();
+        shared.clear();
+        shared.resize(n, false);
+        let bits = (2 * n).next_power_of_two().trailing_zeros();
+        table.clear();
+        table.resize(1 << bits, EMPTY_SLOT);
+        let mask = table.len() - 1;
+        for id in 0..n {
+            if signatures[id] & 1 == 1 {
+                signatures[id] = !signatures[id];
+            }
+            let key = signatures[id];
+            let mut slot = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize;
+            loop {
+                let other = table[slot];
+                if other == EMPTY_SLOT {
+                    table[slot] = id as u32;
+                    break;
+                }
+                if signatures[other as usize] == key {
+                    shared[other as usize] = true;
+                    shared[id] = true;
+                    break;
+                }
+                slot = (slot + 1) & mask;
+            }
+        }
+    }
+
+    /// `true` when no strict proposal at `id` can gain: its MFFC is `{id}`
+    /// under every cut and no other node shares its signature.  Reads the
+    /// marks of the last [`prepare`](Self::prepare) on this graph; fanout
+    /// counts must be current.
+    pub(crate) fn cannot_gain(&self, g: &Aig, id: NodeId) -> bool {
+        let Some((a, b)) = g.node(id).fanins() else {
+            return false;
+        };
+        let kept = |f: NodeId| !g.node(f).is_and() || g.fanout_count(f) > 1;
+        !self.shared[id] && a.node() != b.node() && kept(a.node()) && kept(b.node())
+    }
+}
+
 /// Acceptance policy of a pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Acceptance {
@@ -173,7 +269,13 @@ where
         decisions,
         tallies,
         rebuild_map,
+        filter,
     } = sweep;
+    let strict = acceptance.min_gain >= 1;
+    if strict {
+        filter.prepare(g);
+    }
+    let filter = &*filter;
     let n = g.len();
     decisions.reset(n);
     let chunk = if n < PARALLEL_MIN_NODES {
@@ -202,7 +304,10 @@ where
             let swept = (index * chunk..)
                 .zip(slots.iter_mut())
                 .try_for_each(|(id, slot)| {
-                    if !graph.node(id).is_and() || graph.fanout_count(id) == 0 {
+                    if !graph.node(id).is_and()
+                        || graph.fanout_count(id) == 0
+                        || (strict && filter.cannot_gain(graph, id))
+                    {
                         return Ok(());
                     }
                     cancel.checkpoint()?;
@@ -302,9 +407,11 @@ pub(crate) fn rebuild_with_decisions_into<'d>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::passes::Transform;
     use crate::reference::rebuild_with_decisions;
     use crate::sop::isop;
-    use aig::{cut_truth, random_equivalence_check};
+    use aig::{cut_truth, random_equivalence_check, Cut4Enumerator, CutParams, Mffc};
+    use circuits::{Design, DesignScale};
     use std::collections::HashMap;
 
     /// One production sweep over a copy of `g` on a fresh context.
@@ -399,6 +506,125 @@ mod tests {
         let rebuilt = rebuild_with_decisions(&g, &decisions).cleanup();
         assert!(random_equivalence_check(&g, &rebuilt, 8, 11));
         assert!(rebuilt.num_ands() <= g.num_ands());
+    }
+
+    /// Proposes every node of `g` that the filter skips with all three
+    /// strict passes and asserts that none yields a proposal.  Returns the
+    /// skipped and the live AND counts.
+    fn assert_skips_are_exact(g: &Aig) -> (usize, usize) {
+        let mut g = g.clone();
+        g.compute_fanouts();
+        let mut filter = GainFilter::default();
+        filter.prepare(&g);
+        let mut cut_sets = Vec::new();
+        Cut4Enumerator::new(CutParams::default()).enumerate_into(&g, &mut cut_sets);
+        let mut ps = ProposeScratch::default();
+        let mut out = Vec::new();
+        let (mut skipped, mut live) = (0, 0);
+        for id in g.and_ids() {
+            if g.fanout_count(id) == 0 {
+                continue;
+            }
+            live += 1;
+            if !filter.cannot_gain(&g, id) {
+                continue;
+            }
+            skipped += 1;
+            crate::rewrite::propose_sweep(&g, id, &cut_sets, 1, &mut ps, &mut out);
+            crate::refactor::propose_sweep(&g, id, 1, &mut ps, &mut out);
+            crate::restructure::propose_sweep(&g, id, 1, &mut ps, &mut out);
+            assert!(
+                out.is_empty(),
+                "{}: node {id} is skipped but has a strict proposal",
+                g.name()
+            );
+        }
+        (skipped, live)
+    }
+
+    #[test]
+    fn skipped_nodes_have_no_strict_proposal() {
+        use Transform::{Balance, RefactorZ, Rewrite, RewriteZ};
+        let prefixes: [&[Transform]; 3] = [
+            &[],
+            &[Balance, RewriteZ],
+            &[RefactorZ, Balance, Rewrite, RewriteZ],
+        ];
+        let mut ctx = PassContext::default();
+        for design in Design::ALL {
+            for scale in [DesignScale::Tiny, DesignScale::Small] {
+                let g = design.generate(scale);
+                for prefix in prefixes {
+                    let work = ctx.run_flow(&g, prefix);
+                    let (skipped, live) = assert_skips_are_exact(&work);
+                    assert!(
+                        0 < skipped && skipped < live,
+                        "{design} {scale:?} after {prefix:?}: {skipped} of {live} skipped"
+                    );
+                    ctx.recycle(work);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rule_skips_most_nodes_of_the_large_designs() {
+        for design in [Design::Aes128, Design::Montgomery64] {
+            let g = PassContext::default().run_flow(&design.generate(DesignScale::Small), &[]);
+            let (skipped, live) = assert_skips_are_exact(&g);
+            assert!(
+                skipped * 100 >= live * 55,
+                "{design}: {skipped} of {live} live ANDs skipped"
+            );
+        }
+    }
+
+    #[test]
+    fn equal_nodes_are_not_skipped_and_one_is_refactored_away() {
+        // (a & b) & c and a & (b & c), each with MFFC {node}: both partial
+        // products also drive outputs.
+        let mut g = Aig::new();
+        let xs = g.add_inputs("x", 3);
+        let ab = g.and(xs[0], xs[1]);
+        let bc = g.and(xs[1], xs[2]);
+        let left = g.and(ab, xs[2]);
+        let right = g.and(xs[0], bc);
+        for (name, lit) in [("ab", ab), ("bc", bc), ("left", left), ("right", right)] {
+            g.add_output(name, lit);
+        }
+        g.compute_fanouts();
+        let mut filter = GainFilter::default();
+        filter.prepare(&g);
+        for node in [left, right] {
+            assert_eq!(Mffc::compute(&g, node.node(), &[]).size(), 1);
+            assert!(!filter.cannot_gain(&g, node.node()));
+        }
+        let r = Transform::Refactor.apply(&g);
+        assert_eq!(r.num_ands(), g.num_ands() - 1);
+        assert!(random_equivalence_check(&g, &r, 8, 41));
+    }
+
+    #[test]
+    fn node_equal_to_an_input_is_not_skipped_and_refactored_away() {
+        // a & (a | b) == a, over a shared OR; b = c & d widens the cut past
+        // refactor's three-leaf minimum.
+        let mut g = Aig::new();
+        let xs = g.add_inputs("x", 3);
+        let (a, c, d) = (xs[0], xs[1], xs[2]);
+        let b = g.and(c, d);
+        let a_or_b = g.or(a, b);
+        let f = g.and(a, a_or_b);
+        g.add_output("or", a_or_b);
+        g.add_output("f", f);
+        g.compute_fanouts();
+        let mut filter = GainFilter::default();
+        filter.prepare(&g);
+        assert!(g.fanout_count(a_or_b.node()) > 1);
+        assert!(!filter.cannot_gain(&g, f.node()));
+        let r = Transform::Refactor.apply(&g);
+        assert_eq!(r.num_ands(), g.num_ands() - 1);
+        assert_eq!(r.outputs()[1], r.input_lits()[0], "f is now the input a");
+        assert!(random_equivalence_check(&g, &r, 8, 43));
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub(crate) fn rewrite_ctx(
 /// select among all of them (first cut with the strictly largest gain at or
 /// above `min_gain`).  Cut costs probe the graph's strash and the SOP
 /// covers are borrowed from the ISOP cache, so losing cuts allocate nothing.
-fn propose_sweep(
+pub(crate) fn propose_sweep(
     graph: &Aig,
     id: NodeId,
     cut_sets: &[aig::CutSet4],
