@@ -304,11 +304,6 @@ impl Cut4Enumerator {
         Cut4Enumerator { params }
     }
 
-    /// Returns the parameters in use.
-    pub fn params(&self) -> crate::CutParams {
-        self.params
-    }
-
     /// Enumerates cuts (with fused truths) for every node, indexed by node id.
     pub fn enumerate(&self, aig: &Aig) -> Vec<CutSet4> {
         let mut sets = Vec::new();

@@ -3,7 +3,7 @@
 use serde::Serialize;
 
 use crate::strash::Strash;
-use crate::{AigError, Lit, Node, Result};
+use crate::{Lit, Node};
 
 /// Index of a node inside an [`Aig`].
 pub type NodeId = usize;
@@ -205,26 +205,11 @@ impl Aig {
         !self.and(!a, !b)
     }
 
-    /// Returns the NAND of two literals.
-    pub fn nand(&mut self, a: Lit, b: Lit) -> Lit {
-        !self.and(a, b)
-    }
-
-    /// Returns the NOR of two literals.
-    pub fn nor(&mut self, a: Lit, b: Lit) -> Lit {
-        self.and(!a, !b)
-    }
-
     /// Returns the XOR of two literals (built from three AND nodes).
     pub fn xor(&mut self, a: Lit, b: Lit) -> Lit {
         let x = self.and(a, !b);
         let y = self.and(!a, b);
         self.or(x, y)
-    }
-
-    /// Returns the XNOR of two literals.
-    pub fn xnor(&mut self, a: Lit, b: Lit) -> Lit {
-        !self.xor(a, b)
     }
 
     /// Returns the multiplexer `sel ? t : e`.
@@ -306,13 +291,6 @@ impl Aig {
     /// Panics if `id` is out of bounds.
     pub fn node(&self, id: NodeId) -> &Node {
         &self.nodes[id]
-    }
-
-    /// Returns the node referenced by a literal, or an error for dangling literals.
-    pub fn try_node(&self, lit: Lit) -> Result<&Node> {
-        self.nodes
-            .get(lit.node())
-            .ok_or(AigError::InvalidLiteral(lit))
     }
 
     /// Returns the ids of all primary-input nodes in PI order.

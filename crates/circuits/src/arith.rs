@@ -69,11 +69,6 @@ pub fn bitwise_xor(g: &mut Aig, a: &[Lit], b: &[Lit]) -> Bus {
     a.iter().zip(b).map(|(&x, &y)| g.xor(x, y)).collect()
 }
 
-/// Bitwise NOT of a bus.
-pub fn bitwise_not(a: &[Lit]) -> Bus {
-    a.iter().map(|&x| !x).collect()
-}
-
 /// Word-level 2-to-1 multiplexer: `sel ? t : e`, bit by bit.
 pub fn mux_bus(g: &mut Aig, sel: Lit, t: &[Lit], e: &[Lit]) -> Bus {
     assert_eq!(t.len(), e.len(), "bus width mismatch");

@@ -12,6 +12,7 @@ use flowgen::Flow;
 use synth::PassContext;
 
 use crate::args::{Args, CliError};
+use crate::client::{self, Delivery};
 use crate::design::{parse_scale, resolve_design, resolve_designs};
 use crate::object;
 use crate::report::{DesignReport, ExportReport, RunReport};
@@ -210,12 +211,12 @@ pub fn reproduce(mut args: Args) -> Result<(), CliError> {
 /// query; the design is resolved locally (same `--design` specs as `run`) and
 /// shipped as ASCII AIGER in the request body.  The daemon's [`RunReport`]
 /// JSON is printed as a local `run` prints it: the `qor` section and an
-/// exported netlist are bit-identical between the two.  `503` backpressure
-/// and connect failures are retried with capped exponential backoff
-/// (`--retries`);
-/// `--deadline-ms` forwards a per-request evaluation deadline (the daemon
-/// answers `504` past it, which is **not** retried — the request itself was
-/// too slow).
+/// exported netlist are bit-identical between the two.  The exchange is
+/// [`client::send_with_retry`]: `503` backpressure and connect failures are
+/// retried with capped exponential backoff (`--retries`).  `--deadline-ms`
+/// forwards a per-request evaluation deadline (the daemon answers `504` past
+/// it, which is **not** retried — the request itself was too slow) and
+/// extends the client's wait for the answer past it.
 pub fn submit(mut args: Args) -> Result<(), CliError> {
     let addr = args.require_value("addr")?;
     let design_spec = args.require_value("design")?;
@@ -235,13 +236,10 @@ pub fn submit(mut args: Args) -> Result<(), CliError> {
         query.push_str(&format!("&deadline_ms={ms}"));
     }
 
-    let resolved = resolve_design(&design_spec)?;
-    let body = aig::io::render_design(&resolved.aig, Format::AigerAscii);
-    let request = httpwire::Request::new("POST", &format!("/run?{query}"))
-        .with_header("content-type", "text/x-aiger")
-        .with_body(body);
+    let request = client::run_request(&resolve_design(&design_spec)?.aig, &query);
 
-    let (response, attempts, saw_degraded) = send_with_retry(&addr, &request, retries)?;
+    let delivery = client::send_with_retry(&addr, &request, retries)?;
+    let response = &delivery.response;
     let text = String::from_utf8_lossy(&response.body).into_owned();
     if response.status != 200 {
         return Err(format!(
@@ -255,7 +253,7 @@ pub fn submit(mut args: Args) -> Result<(), CliError> {
 
     let report: RunReport =
         serde_json::from_str(&text).map_err(|e| format!("malformed report JSON: {e}"))?;
-    let text = annotate_eval(&text, attempts, retries, deadline_ms, saw_degraded)?;
+    let text = annotate_eval(&text, &delivery, retries, deadline_ms)?;
     if let Some((path, format)) = &cli.out {
         let netlist = report
             .export
@@ -280,97 +278,6 @@ pub fn submit(mut args: Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// A single-attempt failure, split by whether a retry can help.
-#[derive(Debug)]
-enum SendError {
-    /// The daemon was unreachable; nothing was dispatched.
-    Connect(std::io::Error),
-    /// The wire broke mid-exchange; the request may have been dispatched.
-    Wire(String),
-}
-
-/// One connect + request/response exchange against the daemon.
-fn send_once(addr: &str, request: &httpwire::Request) -> Result<httpwire::Response, SendError> {
-    let stream = std::net::TcpStream::connect(addr).map_err(SendError::Connect)?;
-    let mut writer = stream
-        .try_clone()
-        .map_err(|e| SendError::Wire(format!("socket error: {e}")))?;
-    let mut reader = std::io::BufReader::new(stream);
-    httpwire::write_request(&mut writer, request)
-        .map_err(|e| SendError::Wire(format!("send failed: {e}")))?;
-    httpwire::read_response(&mut reader, &httpwire::Limits::default())
-        .map_err(|e| SendError::Wire(e.to_string()))
-}
-
-/// Sends the request, retrying `503` backpressure and connect failures up to
-/// `retries` extra attempts with capped exponential backoff.  Returns the
-/// final response (possibly still a `503`), the attempt count, and whether
-/// any `503` along the way carried `X-Flowd-Store: degraded` — the daemon's
-/// signal that backpressure came from a degraded store rather than load.
-fn send_with_retry(
-    addr: &str,
-    request: &httpwire::Request,
-    retries: u32,
-) -> Result<(httpwire::Response, u32, bool), String> {
-    let mut attempt = 0u32;
-    let mut saw_degraded = false;
-    loop {
-        attempt += 1;
-        let last = attempt > retries;
-        let (retry_after_s, reason) = match send_once(addr, request) {
-            Ok(response) if response.status == 503 => {
-                let headers = &response.headers;
-                let degraded = headers
-                    .get("x-flowd-store")
-                    .is_some_and(|v| v == "degraded");
-                saw_degraded |= degraded;
-                if last {
-                    return Ok((response, attempt, saw_degraded)); // surface the final 503
-                }
-                let after = headers
-                    .get("retry-after")
-                    .and_then(|v| v.parse::<u64>().ok());
-                let cause = if degraded {
-                    "store degraded"
-                } else {
-                    "overloaded"
-                };
-                (after, format!("flowd at {addr} answered 503 ({cause})"))
-            }
-            Ok(response) => return Ok((response, attempt, saw_degraded)),
-            Err(SendError::Connect(e)) => {
-                let reason = format!("cannot connect to flowd at {addr}: {e}");
-                if last {
-                    return Err(reason);
-                }
-                (None, reason)
-            }
-            Err(SendError::Wire(e)) => return Err(format!("flowd at {addr}: {e}")),
-        };
-        let delay = backoff_delay(addr, attempt, retry_after_s);
-        eprintln!(
-            "flowc: {reason}; retrying in {} ms ({attempt}/{retries})",
-            delay.as_millis()
-        );
-        std::thread::sleep(delay);
-    }
-}
-
-/// Exponential backoff: base 100 ms doubled per attempt, capped at 2 s, with
-/// deterministic ±50% jitter derived from `(addr, attempt)` — reruns sleep
-/// identically while concurrent clients hitting different daemons spread.
-/// A server `Retry-After` (seconds) raises the floor.
-fn backoff_delay(addr: &str, attempt: u32, retry_after_s: Option<u64>) -> std::time::Duration {
-    let exp = 100u64
-        .saturating_mul(1u64 << (attempt - 1).min(10))
-        .min(2_000);
-    let mut h = flow_core::Fnv64::new();
-    h.write_str(addr);
-    h.write_u64(u64::from(attempt));
-    let jittered = exp * (50 + h.finish() % 101) / 100;
-    std::time::Duration::from_millis(jittered.max(retry_after_s.unwrap_or(0) * 1_000))
-}
-
 /// Adds the client-side submission story (`submit_attempts`, `submit_retries`,
 /// and, when set, `submit_deadline_ms` and `submit_store_mode`) to the
 /// report's `eval` object.  `submit_store_mode: "degraded"` records that at
@@ -378,10 +285,9 @@ fn backoff_delay(addr: &str, attempt: u32, retry_after_s: Option<u64>) -> std::t
 /// cause.  The extra keys are ignored by every [`RunReport`] consumer.
 fn annotate_eval(
     text: &str,
-    attempts: u32,
+    delivery: &Delivery,
     retries: u32,
     deadline_ms: Option<u64>,
-    saw_degraded: bool,
 ) -> Result<String, String> {
     let mut value =
         serde_json::parse_value(text).map_err(|e| format!("malformed report JSON: {e}"))?;
@@ -391,21 +297,16 @@ fn annotate_eval(
     let Some((_, serde::Value::Object(eval))) = fields.iter_mut().find(|(k, _)| k == "eval") else {
         return Err("report JSON carries no eval object".to_string());
     };
-    let mut extra = vec![
-        ("submit_attempts", serde::Value::U64(u64::from(attempts))),
-        ("submit_retries", serde::Value::U64(u64::from(retries))),
-    ];
+    let mut add = |key: &str, value| eval.push((key.to_string(), value));
+    let attempts = u64::from(delivery.attempts);
+    add("submit_attempts", serde::Value::U64(attempts));
+    add("submit_retries", serde::Value::U64(u64::from(retries)));
     if let Some(ms) = deadline_ms {
-        extra.push(("submit_deadline_ms", serde::Value::U64(ms)));
+        add("submit_deadline_ms", serde::Value::U64(ms));
     }
-    if saw_degraded {
-        extra.push(("submit_store_mode", serde::Value::Str("degraded".into())));
+    if delivery.store_degraded {
+        add("submit_store_mode", serde::Value::Str("degraded".into()));
     }
-    eval.extend(
-        extra
-            .into_iter()
-            .map(|(key, value)| (key.to_string(), value)),
-    );
     serde_json::to_string(&value).map_err(|e| format!("report serialization: {e}"))
 }
 
@@ -442,14 +343,15 @@ pub fn store(mut args: Args) -> Result<(), CliError> {
             emit_json(&report, json_path.as_deref())
         }
         "stats" => {
+            let summary = store.summary();
             let stats = object! {
-                "records" => store.len(),
-                "duplicate_records" => store.duplicate_records(),
-                "torn_tail" => store.torn_tail_records(),
-                "corrupt_records" => store.corrupt_records(),
-                "malformed_lines" => store.skipped_records(),
-                "segments" => store.segment_count(),
-                "bytes" => store.disk_bytes(),
+                "records" => summary.records,
+                "duplicate_records" => summary.duplicates,
+                "torn_tail" => summary.torn_tail,
+                "corrupt_records" => summary.corrupt_records,
+                "malformed_lines" => summary.torn_tail + summary.corrupt_records,
+                "segments" => summary.segments,
+                "bytes" => summary.disk_bytes,
             };
             emit_json(&stats, json_path.as_deref())
         }
@@ -462,17 +364,18 @@ pub fn store(mut args: Args) -> Result<(), CliError> {
             } else {
                 None
             };
-            let clean = store.skipped_records() == 0;
-            let (torn_tail, corrupt) = (store.torn_tail_records(), store.corrupt_records());
+            let summary = store.summary();
+            let (torn_tail, corrupt) = (summary.torn_tail, summary.corrupt_records);
+            let clean = torn_tail + corrupt == 0;
             let report = object! {
                 "clean" => clean,
-                "records" => store.len(),
+                "records" => summary.records,
                 "torn_tail" => torn_tail,
                 "corrupt_records" => corrupt,
-                "quarantined" => store.quarantined_records(),
-                "duplicate_records" => store.duplicate_records(),
-                "segments" => store.segment_count(),
-                "bytes" => store.disk_bytes(),
+                "quarantined" => summary.quarantined,
+                "duplicate_records" => summary.duplicates,
+                "segments" => summary.segments,
+                "bytes" => summary.disk_bytes,
                 "repaired" => repaired,
             };
             emit_json(&report, json_path.as_deref())?;

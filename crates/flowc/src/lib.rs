@@ -11,11 +11,16 @@
 //! * [`request`] — the one run request: `flowc run`, `flowc submit` and
 //!   `flowd`'s `/run` parse a flow request, evaluate it and assemble its
 //!   [`report::RunReport`] through this module.
+//! * [`client`] — the one `flowd` wire client: a keep-alive
+//!   [`client::Connection`], the one-shot [`client::exchange`] and `flowc
+//!   submit`'s retry policy, [`client::send_with_retry`].  `flowd`'s test
+//!   suites use it too, so the wire has one client half.
 //! * [`design`] — `--design` spec resolution (`path` vs `name[:scale]`).
 //! * [`args`] — the dependency-free taker-style option parser and the typed
 //!   [`args::CliError`] (usage vs runtime) that picks the exit code.
 
 pub mod args;
+pub mod client;
 pub mod commands;
 pub mod design;
 pub mod report;

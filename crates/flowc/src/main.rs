@@ -54,7 +54,9 @@ COMMANDS:
                                                     connect failure [default: 3]
                      --deadline-ms <n>              per-request evaluation
                                                     deadline (daemon answers 504
-                                                    past it; not retried)
+                                                    past it; not retried); the
+                                                    answer is awaited for 30 s
+                                                    or n ms + 5 s if longer
                      plus the `run` options (--flow/--random/--timing/--verify/
                      --out/--json), sent as /run's query; the report and the
                      exported netlist are bit-identical to a local `run`

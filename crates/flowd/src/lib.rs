@@ -36,6 +36,11 @@
 //! already being evaluated is never preempted).  On shutdown the daemon
 //! drains: accepted work finishes, new connections are turned away, the QoR
 //! store is flushed.
+//!
+//! Four limits are constants, not [`ServerConfig`] fields: 256 requests per
+//! connection, an 8 MiB request body, a 100 ms watchdog grace past the
+//! deadline and a 20 ms watchdog poll.  The client half of the wire is
+//! [`flowc::client`], which `flowc submit` and this crate's tests use.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -9,11 +9,23 @@ use std::time::{Duration, Instant};
 
 use flow_core::CancelToken;
 use floweval::{EngineConfig, EvalEngine};
-use httpwire::{read_request, write_response, HttpError, Limits, Response};
+use httpwire::{read_request, HttpError, Limits, Response};
 use synth::PassContext;
 
 use crate::designs::DesignTable;
 use crate::protocol;
+
+/// Requests served per connection before the daemon forces a reconnect
+/// (keeps long-lived clients from pinning a worker forever).
+const MAX_KEEPALIVE_REQUESTS: usize = 256;
+/// Largest accepted request body (the design netlist).
+const MAX_BODY_BYTES: usize = 8 * 1024 * 1024;
+/// Extra time past a request's deadline before the watchdog declares its
+/// worker wedged (cancellation ignored), answers `504` on its behalf, and
+/// replaces it with a fresh thread + context.
+const WATCHDOG_GRACE_MS: u64 = 100;
+/// Watchdog polling period.
+const WATCHDOG_POLL_MS: u64 = 20;
 
 /// Configuration of one daemon instance.
 #[derive(Debug, Clone)]
@@ -29,21 +41,11 @@ pub struct ServerConfig {
     pub request_timeout_ms: u64,
     /// Idle keep-alive connections are closed after this long.
     pub keep_alive_idle_ms: u64,
-    /// Requests served per connection before the daemon forces a reconnect
-    /// (keeps long-lived clients from pinning a worker forever).
-    pub max_keepalive_requests: usize,
-    /// Largest accepted request body (the design netlist).
-    pub max_body_bytes: usize,
     /// Per-request evaluation deadline.  A request may lower it with the
     /// `deadline_ms` query parameter but never raise it.  An evaluation past
-    /// its deadline stops cooperatively and answers `504`.
+    /// its deadline stops cooperatively and answers `504`; one still running
+    /// 100 ms later is answered by the watchdog.
     pub deadline_ms: u64,
-    /// Extra time past the deadline before the watchdog declares a worker
-    /// wedged (cancellation ignored), answers `504` on its behalf, and
-    /// replaces it with a fresh thread + context.
-    pub watchdog_grace_ms: u64,
-    /// Watchdog polling period.
-    pub watchdog_poll_ms: u64,
     /// Period of the store probe the watchdog thread drives: a degraded
     /// store (persistent append failure) retries a real write this often and
     /// auto-recovers once the disk is back.
@@ -62,11 +64,7 @@ impl Default for ServerConfig {
             queue_capacity: 64,
             request_timeout_ms: 5_000,
             keep_alive_idle_ms: 2_000,
-            max_keepalive_requests: 256,
-            max_body_bytes: 8 * 1024 * 1024,
             deadline_ms: 10_000,
-            watchdog_grace_ms: 100,
-            watchdog_poll_ms: 20,
             store_probe_ms: 500,
             engine: EngineConfig::default(),
         }
@@ -317,7 +315,7 @@ fn accept_loop(shared: &Shared, listener: TcpListener) {
             // Whatever woke us (a real client or the drain self-connect)
             // gets a polite close if it was a real request.
             if let Ok(mut stream) = stream {
-                let _ = write_response(&mut stream, &protocol::unavailable(shared, "draining"));
+                let _ = respond(&mut stream, &protocol::unavailable(shared, "draining"));
             }
             break;
         }
@@ -328,7 +326,7 @@ fn accept_loop(shared: &Shared, listener: TcpListener) {
             drop(queue);
             bump(&shared.counters.rejected_queue_full);
             let mut stream = stream;
-            let _ = write_response(&mut stream, &protocol::unavailable(shared, "queue full"));
+            let _ = respond(&mut stream, &protocol::unavailable(shared, "queue full"));
             continue;
         }
         queue.push_back(Job {
@@ -395,7 +393,7 @@ fn worker_loop(shared: &Shared, slot: usize, generation: u64) {
 /// thread, the wedged worker is retired, and a fresh worker (with a fresh
 /// [`PassContext`]) takes over its slot.
 fn watchdog_loop(shared: &Arc<Shared>) {
-    let poll = Duration::from_millis(shared.config.watchdog_poll_ms.max(1));
+    let poll = Duration::from_millis(WATCHDOG_POLL_MS);
     let probe_every = Duration::from_millis(shared.config.store_probe_ms.max(1));
     let mut last_probe = Instant::now();
     while !shared.watchdog_stop.load(Ordering::SeqCst) {
@@ -419,7 +417,7 @@ fn watchdog_loop(shared: &Arc<Shared>) {
             // the zombie thread then notices the generation bump and exits.
             request.token.cancel();
             let mut stream = request.stream;
-            let _ = write_response(
+            let _ = respond(
                 &mut stream,
                 &protocol::error_response(
                     504,
@@ -444,7 +442,7 @@ fn serve_connection(shared: &Shared, job: Job, pctx: &mut PassContext, slot: usi
     let mut writer = job.stream;
     if job.enqueued.elapsed() >= Duration::from_millis(shared.config.request_timeout_ms) {
         bump(&shared.counters.rejected_wait_timeout);
-        let _ = write_response(
+        let _ = respond(
             &mut writer,
             &protocol::unavailable(shared, "request timeout"),
         );
@@ -459,7 +457,7 @@ fn serve_connection(shared: &Shared, job: Job, pctx: &mut PassContext, slot: usi
     };
     let mut reader = BufReader::new(read_half);
     let limits = Limits {
-        max_body_bytes: shared.config.max_body_bytes,
+        max_body_bytes: MAX_BODY_BYTES,
         ..Limits::default()
     };
     let mut served = 0usize;
@@ -489,8 +487,8 @@ fn serve_connection(shared: &Shared, job: Job, pctx: &mut PassContext, slot: usi
             },
         };
         let token = CancelToken::with_deadline(Duration::from_millis(deadline_ms));
-        let hard_kill = Instant::now()
-            + Duration::from_millis(deadline_ms.saturating_add(shared.config.watchdog_grace_ms));
+        let hard_kill =
+            Instant::now() + Duration::from_millis(deadline_ms.saturating_add(WATCHDOG_GRACE_MS));
         let armed = match writer.try_clone() {
             Ok(stream) => {
                 *shared.slots[slot].active.lock().expect("slot lock") = Some(ActiveRequest {
@@ -519,13 +517,13 @@ fn serve_connection(shared: &Shared, job: Job, pctx: &mut PassContext, slot: usi
         }
         served += 1;
         let closing = shared.draining.load(Ordering::SeqCst)
-            || served >= shared.config.max_keepalive_requests
+            || served >= MAX_KEEPALIVE_REQUESTS
             || request.wants_close()
             || response.closes_connection();
         if closing {
             response = response.with_header("connection", "close");
         }
-        if write_response(&mut writer, &response).is_err() {
+        if respond(&mut writer, &response).is_err() {
             return false;
         }
         bump(&shared.counters.requests_served);
@@ -535,12 +533,19 @@ fn serve_connection(shared: &Shared, job: Job, pctx: &mut PassContext, slot: usi
     }
 }
 
+/// Writes `response` in one write (two past 8 KiB).  Written line by line,
+/// its tail could wait behind Nagle's algorithm when a connection whose
+/// request was never read is closed, and the reset that close sends drops it.
+fn respond(stream: &mut TcpStream, response: &Response) -> std::io::Result<()> {
+    httpwire::write_response(&mut std::io::BufWriter::new(stream), response)
+}
+
 /// Answers a request the daemon will not serve and closes the connection,
 /// counting a client error.  Returns `false`, as `serve_connection` does.
 fn reject(shared: &Shared, writer: &mut TcpStream, status: u16, kind: &str, message: &str) -> bool {
     bump(&shared.counters.client_errors);
     let response = protocol::error_response(status, kind, message);
-    let _ = write_response(writer, &response.with_header("connection", "close"));
+    let _ = respond(writer, &response.with_header("connection", "close"));
     false
 }
 

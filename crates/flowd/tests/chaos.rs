@@ -7,18 +7,17 @@
 //! successful answers bit-identical to a fault-free run.
 #![cfg(feature = "failpoints")]
 
-use std::io::BufReader;
-use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use circuits::{Design, DesignScale};
 use flow_core::fail;
+use flowc::client::{self, run_request, Connection};
 use flowc::report::RunReport;
 use flowd::{Server, ServerConfig};
 use floweval::EngineConfig;
-use httpwire::{read_response, write_request, HttpError, Limits, Request, Response};
+use httpwire::{Request, Response};
 
 /// The failpoint registry is process-global and the test harness runs test
 /// functions on parallel threads: every scenario holds this lock for its
@@ -58,24 +57,8 @@ fn chaos_server(workers: usize, store: Option<PathBuf>) -> Server {
     .expect("start server")
 }
 
-fn try_roundtrip(addr: std::net::SocketAddr, request: &Request) -> Result<Response, HttpError> {
-    let stream = TcpStream::connect(addr).map_err(HttpError::Io)?;
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    let mut writer = stream.try_clone().unwrap();
-    let mut reader = BufReader::new(stream);
-    write_request(&mut writer, request)?;
-    read_response(&mut reader, &Limits::default())
-}
-
 fn roundtrip(addr: std::net::SocketAddr, request: &Request) -> Response {
-    try_roundtrip(addr, request).expect("response")
-}
-
-fn run_request(design: &aig::Aig, query: &str) -> Request {
-    Request::new("POST", &format!("/run?{query}"))
-        .with_body(aig::io::render_design(design, aig::io::Format::AigerAscii))
+    client::exchange(addr, request).expect("response")
 }
 
 fn body_text(response: &Response) -> String {
@@ -243,7 +226,7 @@ fn truncated_wire_reads_close_cleanly() {
     // The next head read collapses: the server sees a truncated request and
     // drops the connection without answering — no hang, no garbage.
     fail::cfg("httpwire.read_head", "1*return").unwrap();
-    let outcome = try_roundtrip(addr, &run_request(&design, "flow=resyn2"));
+    let outcome = client::exchange(addr, &run_request(&design, "flow=resyn2"));
     assert!(outcome.is_err(), "truncated read cannot yield a response");
 
     // The worker survived; the next request is served normally.
@@ -252,7 +235,7 @@ fn truncated_wire_reads_close_cleanly() {
 
     // Truncated bodies surface as clean client-side errors the same way.
     fail::cfg("httpwire.read_body", "1*return").unwrap();
-    let outcome = try_roundtrip(addr, &Request::new("GET", "/healthz"));
+    let outcome = client::exchange(addr, &Request::new("GET", "/healthz"));
     assert!(outcome.is_err(), "truncated body cannot yield a response");
     let response = roundtrip(addr, &Request::new("GET", "/healthz"));
     assert_eq!(response.status, 200);
@@ -336,27 +319,21 @@ fn enospc_degraded_store_serves_cached_answers_and_recovers() {
     // Backpressure while degraded names the cause: pin the single worker
     // with an open keep-alive connection, fill both queue slots, and the
     // next connection is shed with a 503 that names the degraded store.
-    let pin = TcpStream::connect(addr).expect("connect pin");
-    pin.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    let mut pin_writer = pin.try_clone().unwrap();
-    let mut pin_reader = BufReader::new(pin.try_clone().unwrap());
-    write_request(&mut pin_writer, &Request::new("GET", "/healthz")).unwrap();
+    let mut pin = Connection::open(addr).expect("connect pin");
     assert_eq!(
-        read_response(&mut pin_reader, &Limits::default())
+        pin.send(&Request::new("GET", "/healthz"))
             .expect("pinned healthz")
             .status,
         200
     );
-    let queued: Vec<TcpStream> = (0..2)
-        .map(|_| TcpStream::connect(addr).expect("connect queued"))
+    let queued: Vec<Connection> = (0..2)
+        .map(|_| Connection::open(addr).expect("connect queued"))
         .collect();
     std::thread::sleep(Duration::from_millis(200)); // let the acceptor enqueue
-    let overflow = TcpStream::connect(addr).expect("connect overflow");
-    overflow
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .unwrap();
-    let mut overflow_reader = BufReader::new(overflow);
-    let rejected = read_response(&mut overflow_reader, &Limits::default()).expect("503 response");
+    let rejected = Connection::open(addr)
+        .expect("connect overflow")
+        .read()
+        .expect("503 response");
     assert_eq!(rejected.status, 503, "body: {}", body_text(&rejected));
     assert_eq!(
         rejected.headers.get("x-flowd-store").map(String::as_str),
@@ -376,7 +353,7 @@ fn enospc_degraded_store_serves_cached_answers_and_recovers() {
     fail::cfg("store.write", "off").unwrap();
     let healthy_by = Instant::now() + Duration::from_secs(5);
     loop {
-        if let Ok(health) = try_roundtrip(addr, &Request::new("GET", "/healthz")) {
+        if let Ok(health) = client::exchange(addr, &Request::new("GET", "/healthz")) {
             if health.status == 200 && body_text(&health).contains("\"store_mode\":\"ok\"") {
                 break;
             }
@@ -394,8 +371,8 @@ fn enospc_degraded_store_serves_cached_answers_and_recovers() {
     // The drained store holds every record, including the parked ones the
     // probe drained after recovery — the outage lost nothing.
     let reopened = floweval::QorStore::open(&store).expect("reopen after recovery");
-    assert_eq!(reopened.torn_tail_records(), 0);
-    assert_eq!(reopened.corrupt_records(), 0);
+    assert_eq!(reopened.summary().torn_tail, 0);
+    assert_eq!(reopened.summary().corrupt_records, 0);
     let config = floweval::fingerprint_config(
         &synth::CellLibrary::nangate14(),
         synth::MapperParams::default(),

@@ -1,15 +1,14 @@
 //! End-to-end tests of the daemon over real loopback sockets.
 
-use std::io::BufReader;
-use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use circuits::{Design, DesignScale};
+use flowc::client::{self, run_request, Connection};
 use flowc::report::RunReport;
 use flowd::{Server, ServerConfig};
 use floweval::{EngineConfig, EvalEngine};
-use httpwire::{read_response, write_request, Limits, Request, Response};
+use httpwire::{Request, Response};
 use synth::Transform;
 
 fn tiny_server(workers: usize) -> Server {
@@ -26,19 +25,7 @@ fn tiny_server(workers: usize) -> Server {
 }
 
 fn roundtrip(addr: std::net::SocketAddr, request: &Request) -> Response {
-    let stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    let mut writer = stream.try_clone().unwrap();
-    let mut reader = BufReader::new(stream);
-    write_request(&mut writer, request).expect("send");
-    read_response(&mut reader, &Limits::default()).expect("response")
-}
-
-fn run_request(design: &aig::Aig, query: &str) -> Request {
-    Request::new("POST", &format!("/run?{query}"))
-        .with_body(aig::io::render_design(design, aig::io::Format::AigerAscii))
+    client::exchange(addr, request).expect("response")
 }
 
 fn body_text(response: &Response) -> String {
@@ -172,8 +159,9 @@ fn malformed_inputs_get_400_and_workers_survive() {
     server.join().expect("drain");
 }
 
-#[test]
-fn overload_gets_clean_503_with_retry_after() {
+/// A daemon with one worker and one queue slot, both taken by the returned
+/// connections: the next connection is shed until they are dropped.
+fn saturated_server() -> (Server, [Connection; 2]) {
     let server = Server::start(ServerConfig {
         workers: 1,
         queue_capacity: 1,
@@ -181,29 +169,30 @@ fn overload_gets_clean_503_with_retry_after() {
         ..ServerConfig::default()
     })
     .expect("start server");
-    let addr = server.addr();
 
     // Pin the single worker with an open keep-alive connection.
-    let pin = TcpStream::connect(addr).expect("connect");
-    pin.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    let mut pin_writer = pin.try_clone().unwrap();
-    let mut pin_reader = BufReader::new(pin.try_clone().unwrap());
-    write_request(&mut pin_writer, &Request::new("GET", "/healthz")).unwrap();
-    let first = read_response(&mut pin_reader, &Limits::default()).expect("pinned healthz");
+    let mut pin = Connection::open(server.addr()).expect("connect");
+    let first = pin
+        .send(&Request::new("GET", "/healthz"))
+        .expect("pinned healthz");
     assert_eq!(first.status, 200);
 
     // Fill the single queue slot.
-    let _queued = TcpStream::connect(addr).expect("connect queued");
+    let queued = Connection::open(server.addr()).expect("connect queued");
     std::thread::sleep(Duration::from_millis(200)); // let the acceptor enqueue it
+    (server, [pin, queued])
+}
+
+#[test]
+fn overload_gets_clean_503_with_retry_after() {
+    let (server, held) = saturated_server();
 
     // The next connection must be rejected immediately with backpressure —
     // the 503 arrives before any request is even sent.
-    let stream = TcpStream::connect(addr).expect("connect rejected");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .unwrap();
-    let mut reader = BufReader::new(stream);
-    let rejected = read_response(&mut reader, &Limits::default()).expect("503 response");
+    let rejected = Connection::open(server.addr())
+        .expect("connect rejected")
+        .read()
+        .expect("503 response");
     assert_eq!(rejected.status, 503, "body: {}", body_text(&rejected));
     assert_eq!(
         rejected.headers.get("retry-after").map(String::as_str),
@@ -211,7 +200,47 @@ fn overload_gets_clean_503_with_retry_after() {
     );
     assert!(rejected.closes_connection());
 
-    drop(pin); // release the worker so the drain below finishes quickly
+    drop(held); // release the worker so the drain below finishes quickly
+    server.shutdown();
+    server.join().expect("drain");
+}
+
+/// A request too long to send before the daemon sheds it and resets the
+/// connection still reads the `503` that came first.
+#[test]
+fn a_shed_request_too_long_to_send_still_reads_its_503() {
+    let (server, held) = saturated_server();
+    let request = Request::new("POST", "/run?flow=resyn2").with_body(vec![b'x'; 32 << 20]);
+    let rejected = client::exchange(server.addr(), &request).expect("503 response");
+    assert_eq!(rejected.status, 503, "body: {}", body_text(&rejected));
+    drop(held);
+    server.shutdown();
+    server.join().expect("drain");
+}
+
+/// `flowc submit`'s retry policy against real backpressure: the first
+/// attempt is shed with `503` + `Retry-After: 1`, the worker is released
+/// meanwhile, and the retry after the `Retry-After` floor is served.
+#[test]
+fn shed_request_is_retried_after_retry_after_and_served() {
+    let (server, held) = saturated_server();
+    let started = Instant::now();
+    let addr = server.addr().to_string();
+    let sender = std::thread::spawn(move || {
+        client::send_with_retry(&addr, &Request::new("GET", "/healthz"), 2)
+    });
+    std::thread::sleep(Duration::from_millis(200));
+    drop(held);
+    let delivery = sender.join().expect("sender thread").expect("delivered");
+    let elapsed = started.elapsed();
+
+    assert_eq!(delivery.response.status, 200);
+    assert_eq!(delivery.attempts, 2, "one 503, then the answer");
+    assert!(
+        elapsed >= Duration::from_secs(1),
+        "Retry-After: 1 is waited out"
+    );
+    assert!(!delivery.store_degraded);
     server.shutdown();
     server.join().expect("drain");
 }
@@ -230,20 +259,8 @@ fn shutdown_drains_gracefully() {
     server.join().expect("drain");
 
     // The port is released: connections are refused or immediately closed.
-    match TcpStream::connect_timeout(&addr, Duration::from_millis(500)) {
-        Err(_) => {}
-        Ok(stream) => {
-            stream
-                .set_read_timeout(Some(Duration::from_secs(2)))
-                .unwrap();
-            let mut writer = stream.try_clone().unwrap();
-            let mut reader = BufReader::new(stream);
-            let outcome = write_request(&mut writer, &Request::new("GET", "/healthz"))
-                .map_err(|_| ())
-                .and_then(|_| read_response(&mut reader, &Limits::default()).map_err(|_| ()));
-            assert!(outcome.is_err(), "drained server must not answer");
-        }
-    }
+    let outcome = client::exchange(addr, &Request::new("GET", "/healthz"));
+    assert!(outcome.is_err(), "drained server must not answer");
 }
 
 /// The stall burst: one worker of three evaluates a stream of fresh flows on
@@ -264,15 +281,10 @@ fn cached_runs_answer_while_a_worker_evaluates_fresh_flows() {
     std::thread::scope(|scope| {
         let burst = scope.spawn(|| {
             // One keep-alive connection pins one worker for the whole burst.
-            let stream = TcpStream::connect(addr).expect("connect");
-            let mut writer = stream.try_clone().unwrap();
-            let mut reader = BufReader::new(stream);
+            let mut connection = Connection::open(addr).expect("connect");
             for seed in 9_000u64.. {
                 let request = run_request(&fresh, &format!("random={seed}"));
-                let answer = write_request(&mut writer, &request)
-                    .map_err(httpwire::HttpError::from)
-                    .and_then(|()| read_response(&mut reader, &Limits::default()));
-                match answer {
+                match connection.send(&request) {
                     Ok(response) => {
                         assert_eq!(response.status, 200, "body: {}", body_text(&response));
                         busy.store(true, Ordering::SeqCst);
@@ -747,26 +759,14 @@ fn answers_stay_correct_past_the_design_table_bound() {
 
     // One keep-alive connection at a time, renewed at the per-connection cap.
     let total = flowd::MAX_KNOWN_DESIGNS + 8;
-    let mut connection: Option<(TcpStream, BufReader<TcpStream>)> = None;
+    let mut connection = Connection::open(addr).expect("connect");
     for i in 0..total {
-        let (writer, reader) = connection.get_or_insert_with(|| {
-            let stream = TcpStream::connect(addr).expect("connect");
-            stream
-                .set_read_timeout(Some(Duration::from_secs(30)))
-                .unwrap();
-            stream.set_nodelay(true).unwrap();
-            (stream.try_clone().unwrap(), BufReader::new(stream))
-        });
-        write_request(writer, &named(i)).expect("send");
-        let response = read_response(reader, &Limits::default()).expect("response");
-        if response.closes_connection() {
-            connection = None;
-        }
+        let response = connection.send(&named(i)).expect("response");
         let report: RunReport = serde_json::from_str(&body_text(&response)).expect("report");
         assert_eq!(report.design.name, format!("copy{i}"));
         assert_eq!(report.qor, expected, "body {i}");
     }
-    connection.take();
+    drop(connection);
 
     // The oldest body was forgotten and is parsed again; the newest is known.
     for (i, parsed) in [(0, true), (total - 1, false)] {

@@ -157,8 +157,9 @@ impl EvalEngine {
         // The open is a scrub; seed the cumulative stats with its findings
         // so `/stats` surfaces damage found at startup.
         let mut stats = StatsState::default();
-        stats.stats.store_torn_tail = store.torn_tail_records();
-        stats.stats.store_corrupt = store.corrupt_records();
+        let summary = store.summary();
+        stats.stats.store_torn_tail = summary.torn_tail;
+        stats.stats.store_corrupt = summary.corrupt_records;
         let library = CellLibrary::nangate14();
         let config_fp = fingerprint_config(&library, MapperParams::default());
         EvalEngine {
@@ -177,13 +178,6 @@ impl EvalEngine {
     /// Cumulative statistics since engine creation.
     pub fn stats(&self) -> EvalStats {
         self.stats.lock().expect("stats lock").stats
-    }
-
-    /// Resets the cumulative statistics (the caches are kept).
-    pub fn reset_stats(&self) {
-        let mut state = self.stats.lock().expect("stats lock");
-        state.stats = EvalStats::default();
-        state.timings = PassTimings::default();
     }
 
     /// Cumulative per-pass timing breakdown of every transform and mapping
@@ -211,11 +205,6 @@ impl EvalEngine {
     /// Forces buffered store appends down to the OS (used on service drain).
     pub fn flush_store(&self) -> std::io::Result<()> {
         self.store.lock().expect("store lock").flush()
-    }
-
-    /// Compacts the persistent QoR store in place (see [`QorStore::compact`]).
-    pub fn compact_store(&self) -> std::io::Result<crate::store::CompactionReport> {
-        self.store.lock().expect("store lock").compact()
     }
 
     /// Current health of the persistent store.

@@ -269,8 +269,8 @@ impl QorStore {
     /// Opens (or creates) the store at `path`, scrubbing every record.
     ///
     /// The open is a **scrub**: each line's checksum and shape are verified;
-    /// a torn final line is counted in [`QorStore::torn_tail_records`],
-    /// any other bad line in [`QorStore::corrupt_records`].  Bad spans are
+    /// a torn final line is counted in [`StoreSummary::torn_tail`], any
+    /// other bad line in [`StoreSummary::corrupt_records`].  Bad spans are
     /// copied to the `.quarantine` sidecar and the damaged file healed, so
     /// an immediate reopen reports a clean store.
     ///
@@ -281,7 +281,7 @@ impl QorStore {
     ///
     /// Duplicate keys (concatenated stores, racing appenders) resolve
     /// **last-write-wins** in append order; the superseded count is reported
-    /// by [`QorStore::duplicate_records`].
+    /// in [`StoreSummary::duplicates`].
     ///
     /// The scrub heals files in place, so the store must have a single
     /// writing process at a time (the daemon owns its store).
@@ -476,11 +476,6 @@ impl QorStore {
         Ok(())
     }
 
-    /// The backing base path, if any.
-    pub fn path(&self) -> Option<&Path> {
-        self.layout.as_ref().map(|l| l.base.as_path())
-    }
-
     /// Number of records currently indexed.
     pub fn len(&self) -> usize {
         self.index.len()
@@ -491,55 +486,9 @@ impl QorStore {
         self.index.is_empty()
     }
 
-    /// Records loaded from disk at open time.
-    pub fn loaded_records(&self) -> usize {
-        self.loaded
-    }
-
-    /// Bad lines skipped at open time (torn tail + corruption).
-    pub fn skipped_records(&self) -> usize {
-        self.torn_tail + self.corrupt
-    }
-
-    /// Torn final lines (benign crash truncation) healed at open time.
-    pub fn torn_tail_records(&self) -> usize {
-        self.torn_tail
-    }
-
-    /// Mid-file corrupt lines (checksum or shape failures) quarantined at
-    /// open time.
-    pub fn corrupt_records(&self) -> usize {
-        self.corrupt
-    }
-
-    /// Lines copied to the `.quarantine` sidecar at open time.
-    pub fn quarantined_records(&self) -> usize {
-        self.quarantined
-    }
-
-    /// Superseded duplicate lines observed at open time (last write won).
-    pub fn duplicate_records(&self) -> usize {
-        self.duplicates
-    }
-
-    /// Number of segments in the manifest (0 for an in-memory store).
-    pub fn segment_count(&self) -> usize {
-        self.segments.len()
-    }
-
     /// Current health of the persistent layer.
     pub fn mode(&self) -> StoreMode {
         self.mode
-    }
-
-    /// Records parked in memory while the store is degraded.
-    pub fn parked_records(&self) -> usize {
-        self.parked.len()
-    }
-
-    /// Parked records dropped because the parked queue overflowed.
-    pub fn parked_dropped(&self) -> usize {
-        self.parked_dropped
     }
 
     /// Total bytes of the on-disk store's segments.
@@ -1067,8 +1016,8 @@ mod tests {
         }
         {
             let store = QorStore::open(&path).expect("reopen");
-            assert_eq!(store.loaded_records(), 2);
-            assert_eq!(store.skipped_records(), 0);
+            assert_eq!(store.loaded, 2);
+            assert_eq!(store.torn_tail + store.corrupt, 0);
             assert_eq!(store.get(&key("balance; rewrite")), Some(qor(2.25)));
             assert_eq!(store.get(&key("refactor")), Some(qor(3.5)));
         }
@@ -1080,7 +1029,7 @@ mod tests {
         let dir = temp_dir("fresh");
         let path = dir.join("qor.jsonl");
         let mut store = QorStore::open(&path).expect("open");
-        assert_eq!(store.segment_count(), 1);
+        assert_eq!(store.segments.len(), 1);
         store.insert(key("balance"), qor(1.0)).unwrap();
         store.flush().unwrap();
         drop(store);
@@ -1157,9 +1106,9 @@ mod tests {
         }
         append_line(&live_file(&path), &plain_line(&key("rewrite"), 2.0));
         let store = QorStore::open(&path).expect("reopen");
-        assert_eq!(store.corrupt_records(), 1, "an unchecked line is damage");
-        assert_eq!(store.quarantined_records(), 1);
-        assert_eq!(store.loaded_records(), 1);
+        assert_eq!(store.corrupt, 1, "an unchecked line is damage");
+        assert_eq!(store.quarantined, 1);
+        assert_eq!(store.loaded, 1);
         assert_eq!(store.get(&key("rewrite")), None);
         drop(store);
         let layout = Layout { base: path.clone() };
@@ -1170,7 +1119,7 @@ mod tests {
             "sidecar: {sidecar}"
         );
         let store = QorStore::open(&path).expect("clean reopen");
-        assert_eq!(store.corrupt_records(), 0, "healed on the previous open");
+        assert_eq!(store.corrupt, 0, "healed on the previous open");
         assert_eq!(store.len(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1191,11 +1140,11 @@ mod tests {
         }
         {
             let store = QorStore::open(&path).expect("reopen");
-            assert_eq!(store.loaded_records(), 1);
-            assert_eq!(store.torn_tail_records(), 1);
-            assert_eq!(store.corrupt_records(), 0);
-            assert_eq!(store.skipped_records(), 1);
-            assert_eq!(store.quarantined_records(), 1);
+            assert_eq!(store.loaded, 1);
+            assert_eq!(store.torn_tail, 1);
+            assert_eq!(store.corrupt, 0);
+            assert_eq!(store.torn_tail + store.corrupt, 1);
+            assert_eq!(store.quarantined, 1);
             assert_eq!(store.get(&key("balance")), Some(qor(1.0)));
         }
         // The fragment was preserved in the sidecar and healed away: the
@@ -1209,8 +1158,8 @@ mod tests {
         assert!(sidecar.contains("torn-tail"), "sidecar: {sidecar}");
         assert!(sidecar.contains("torn"), "sidecar: {sidecar}");
         let store = QorStore::open(&path).expect("clean reopen");
-        assert_eq!(store.skipped_records(), 0);
-        assert_eq!(store.loaded_records(), 1);
+        assert_eq!(store.torn_tail + store.corrupt, 0);
+        assert_eq!(store.loaded, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1231,12 +1180,16 @@ mod tests {
         }
         {
             let mut store = QorStore::open(&path).expect("reopen");
-            assert_eq!(store.skipped_records(), 1);
+            assert_eq!(store.torn_tail + store.corrupt, 1);
             store.insert(key("rewrite"), qor(2.0)).unwrap();
         }
         let store = QorStore::open(&path).expect("re-reopen");
-        assert_eq!(store.loaded_records(), 2);
-        assert_eq!(store.skipped_records(), 0, "healed on the previous open");
+        assert_eq!(store.loaded, 2);
+        assert_eq!(
+            store.torn_tail + store.corrupt,
+            0,
+            "healed on the previous open"
+        );
         assert_eq!(store.get(&key("rewrite")), Some(qor(2.0)));
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1270,15 +1223,15 @@ mod tests {
         std::fs::write(&live, &data).unwrap();
 
         let store = QorStore::open(&path).expect("reopen");
-        assert_eq!(store.corrupt_records(), 1, "checksum must catch the flip");
-        assert_eq!(store.torn_tail_records(), 0);
-        assert_eq!(store.loaded_records(), 2, "healthy remainder kept");
-        assert_eq!(store.quarantined_records(), 1);
+        assert_eq!(store.corrupt, 1, "checksum must catch the flip");
+        assert_eq!(store.torn_tail, 0);
+        assert_eq!(store.loaded, 2, "healthy remainder kept");
+        assert_eq!(store.quarantined, 1);
         drop(store);
         // Healed: the corrupt line is physically gone, the rest intact.
         let store = QorStore::open(&path).expect("clean reopen");
-        assert_eq!(store.corrupt_records(), 0);
-        assert_eq!(store.loaded_records(), 2);
+        assert_eq!(store.corrupt, 0);
+        assert_eq!(store.loaded, 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1298,8 +1251,8 @@ mod tests {
             writeln!(f, "# probe").unwrap();
         }
         let store = QorStore::open(&path).expect("reopen");
-        assert_eq!(store.loaded_records(), 1);
-        assert_eq!(store.skipped_records(), 0);
+        assert_eq!(store.loaded, 1);
+        assert_eq!(store.torn_tail + store.corrupt, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1318,8 +1271,8 @@ mod tests {
         }
         let store = QorStore::open(&path).expect("open");
         assert_eq!(store.len(), 2);
-        assert_eq!(store.loaded_records(), 4);
-        assert_eq!(store.duplicate_records(), 2);
+        assert_eq!(store.loaded, 4);
+        assert_eq!(store.duplicates, 2);
         assert_eq!(
             store.get(&key("balance")),
             Some(qor(3.0)),
@@ -1340,9 +1293,9 @@ mod tests {
         append_line(&live, "v2 00000000 {\"design\":\"torn");
         let mut store = QorStore::open(&path).expect("open");
         assert_eq!(store.len(), 2);
-        assert_eq!(store.duplicate_records(), 2);
-        assert_eq!(store.torn_tail_records(), 1);
-        assert_eq!(store.quarantined_records(), 1);
+        assert_eq!(store.duplicates, 2);
+        assert_eq!(store.torn_tail, 1);
+        assert_eq!(store.quarantined, 1);
         assert_eq!(store.get(&key("balance")), Some(qor(3.0)));
 
         // Appends after the recovery land in the healed live segment.
@@ -1351,8 +1304,8 @@ mod tests {
 
         let mut store = QorStore::open(&path).expect("reopen");
         assert_eq!(store.len(), 3);
-        assert_eq!(store.duplicate_records(), 2, "open keeps what is on disk");
-        assert_eq!(store.skipped_records(), 0);
+        assert_eq!(store.duplicates, 2, "open keeps what is on disk");
+        assert_eq!(store.torn_tail + store.corrupt, 0);
         assert_eq!(store.get(&key("balance")), Some(qor(3.0)));
         assert_eq!(store.get(&key("refactor")), Some(qor(7.0)));
         // Compaction writes one line per key.  Stable order: compacting
@@ -1367,7 +1320,7 @@ mod tests {
         let bytes_second = std::fs::read(live_file(&path)).unwrap();
         assert_eq!(bytes_first, bytes_second);
         let store = QorStore::open(&path).expect("reopen compacted");
-        assert_eq!(store.duplicate_records(), 0);
+        assert_eq!(store.duplicates, 0);
         assert_eq!(store.len(), 3);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1391,8 +1344,8 @@ mod tests {
             "degraded inserts park silently"
         );
         assert_eq!(store.mode(), StoreMode::Degraded);
-        assert_eq!(store.parked_records(), PARKED_CAP);
-        assert_eq!(store.parked_dropped(), 6);
+        assert_eq!(store.parked.len(), PARKED_CAP);
+        assert_eq!(store.parked_dropped, 6);
         assert_eq!(store.len(), PARKED_CAP + 6, "the index never drops records");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1412,13 +1365,13 @@ mod tests {
                     .insert(key(&format!("flow-{i}")), qor(i as f64))
                     .unwrap();
             }
-            assert!(store.segment_count() > 1, "rotation must have happened");
+            assert!(store.segments.len() > 1, "rotation must have happened");
             store.flush().unwrap();
         }
         let store = QorStore::open_with(&path, options).expect("reopen");
         assert_eq!(store.len(), n);
-        assert_eq!(store.skipped_records(), 0);
-        assert!(store.segment_count() > 1);
+        assert_eq!(store.torn_tail + store.corrupt, 0);
+        assert!(store.segments.len() > 1);
         for i in 0..n {
             assert_eq!(store.get(&key(&format!("flow-{i}"))), Some(qor(i as f64)));
         }
@@ -1438,10 +1391,10 @@ mod tests {
                 .insert(key(&format!("flow-{i}")), qor(i as f64))
                 .unwrap();
         }
-        let before = store.segment_count();
+        let before = store.segments.len();
         assert!(before > 1);
         store.compact().expect("compact");
-        assert_eq!(store.segment_count(), 1);
+        assert_eq!(store.segments.len(), 1);
         drop(store);
         let store = QorStore::open_with(&path, options).expect("reopen");
         assert_eq!(store.len(), 40);
@@ -1469,10 +1422,10 @@ mod tests {
         std::fs::write(&manifest, b"garbage\n").unwrap();
         let store = QorStore::open(&path).expect("open survives bad manifest");
         assert_eq!(store.len(), 1);
-        assert_eq!(store.corrupt_records(), 1, "bad manifest is counted");
+        assert_eq!(store.corrupt, 1, "bad manifest is counted");
         drop(store);
         let store = QorStore::open(&path).expect("clean reopen");
-        assert_eq!(store.corrupt_records(), 0, "manifest was rewritten");
+        assert_eq!(store.corrupt, 0, "manifest was rewritten");
         assert_eq!(store.len(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -99,14 +99,14 @@ fn verify_recovery(store_path: &Path, ack: &Path, scenario: &str) -> QorStore {
     // At most the single in-flight append may be damaged, and only as a
     // quarantined torn tail -- mid-file corruption would mean fsynced bytes
     // changed underneath us, which no crash can cause.
+    let summary = store.summary();
     assert!(
-        store.torn_tail_records() <= 1,
+        summary.torn_tail <= 1,
         "{scenario}: more than one torn record ({})",
-        store.torn_tail_records()
+        summary.torn_tail
     );
     assert_eq!(
-        store.corrupt_records(),
-        0,
+        summary.corrupt_records, 0,
         "{scenario}: crash produced mid-file corruption"
     );
     store
@@ -230,12 +230,12 @@ fn torn_write_loses_only_the_inflight_record() {
         records,
         "the torn in-flight record must not resurrect"
     );
-    assert_eq!(store.torn_tail_records(), 1, "torn tail must be detected");
-    assert_eq!(store.quarantined_records(), 1, "torn bytes are quarantined");
+    assert_eq!(store.summary().torn_tail, 1, "torn tail must be detected");
+    assert_eq!(store.summary().quarantined, 1, "torn bytes are quarantined");
     // The scrub healed the tail: a second open is clean.
     drop(store);
     let clean = QorStore::open(&store_path).expect("reopen healed store");
-    assert_eq!(clean.torn_tail_records(), 0);
+    assert_eq!(clean.summary().torn_tail, 0);
     assert_eq!(clean.len() as u64, records);
     let _ = std::fs::remove_dir_all(&dir);
 }

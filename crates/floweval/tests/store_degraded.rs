@@ -60,7 +60,7 @@ fn persistent_write_failure_degrades_and_probe_recovers() {
     store
         .insert(key("parked"), qor(9.0))
         .expect("parked insert");
-    assert_eq!(store.parked_records(), 4);
+    assert_eq!(store.summary().parked, 4);
     assert_eq!(store.get(&key("parked")), Some(qor(9.0)));
     assert_eq!(store.get(&key("fail-0")), Some(qor(0.0)));
     // A probe under the same fault stays degraded.
@@ -70,7 +70,7 @@ fn persistent_write_failure_degrades_and_probe_recovers() {
     // recovers.
     fail::cfg("store.write", "off").unwrap();
     assert_eq!(store.probe(), StoreMode::Ok);
-    assert_eq!(store.parked_records(), 0);
+    assert_eq!(store.summary().parked, 0);
     store.flush().unwrap();
     drop(store);
     fail::teardown();

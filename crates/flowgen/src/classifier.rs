@@ -149,16 +149,6 @@ impl FlowClassifier {
         FlowClassifier::new(FlowEncoder::paper(), config)
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &ClassifierConfig {
-        &self.config
-    }
-
-    /// The flow encoder in use.
-    pub fn encoder(&self) -> &FlowEncoder {
-        &self.encoder
-    }
-
     /// Total number of trainable parameters.
     pub fn num_parameters(&mut self) -> usize {
         self.network.num_parameters()

@@ -183,11 +183,6 @@ impl Framework {
         Framework { config, engine }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &FrameworkConfig {
-        &self.config
-    }
-
     /// The evaluation engine in use.
     pub fn engine(&self) -> &EvalEngine {
         &self.engine

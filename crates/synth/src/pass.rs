@@ -274,11 +274,6 @@ impl PassContext {
         self.apply_stats
     }
 
-    /// Returns the recorded apply statistics and resets the accumulator.
-    pub fn take_apply_stats(&mut self) -> ApplyStats {
-        std::mem::take(&mut self.apply_stats)
-    }
-
     /// The per-pass timing breakdown recorded so far.
     pub fn timings(&self) -> &PassTimings {
         &self.timings
