@@ -1,6 +1,6 @@
 //! The `flowc` subcommand implementations.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 
 use aig::io::Format;
@@ -51,9 +51,9 @@ pub fn run(mut args: Args) -> Result<(), CliError> {
 }
 
 /// `flowc search`: label a flow space over one or more designs under
-/// optional budgets ([`EvalEngine::search`]), printing a JSON report with
-/// throughput (`evals_per_hour`) and the evaluation counters.  Labels are
-/// optionally dumped as JSON lines.
+/// optional budgets ([`EvalEngine::search_flows`]), printing a JSON report
+/// with throughput (`evals_per_hour`) and the evaluation counters.  Labels
+/// are optionally dumped as JSON lines.
 pub fn search(mut args: Args) -> Result<(), CliError> {
     let designs_spec = args.require_value("designs")?;
     let random_seed = args.take_parsed::<u64>("random")?;
@@ -312,9 +312,9 @@ fn annotate_eval(
 
 /// `flowc store`: maintenance of a persistent QoR store.
 ///
-/// A store is addressed by the base path of its segmented layout
-/// (`<base>.manifest` + segments); opening a plain-JSONL file from before
-/// format v2 at the base path fails with the store's own error.
+/// A store is addressed by the base path of its segments; opening a
+/// plain-JSONL file from before format v2 at the base path fails with the
+/// store's own error.
 pub fn store(mut args: Args) -> Result<(), CliError> {
     let usage = || CliError::usage("usage: flowc store <compact|stats|fsck> <path>");
     let action = args.take_positional().ok_or_else(usage)?;
@@ -332,8 +332,8 @@ pub fn store(mut args: Args) -> Result<(), CliError> {
             "--repair only applies to `flowc store fsck`",
         ));
     }
-    if !store_exists(&path) {
-        return Err(format!("no store at `{path}` (no file and no manifest)").into());
+    if !floweval::QorStore::exists(&path) {
+        return Err(format!("no store at `{path}` (no file and no segment)").into());
     }
     let mut store =
         floweval::QorStore::open(&path).map_err(|e| format!("cannot open `{path}`: {e}"))?;
@@ -390,13 +390,6 @@ pub fn store(mut args: Args) -> Result<(), CliError> {
             }
         }
     }
-}
-
-/// A store exists when its manifest does, or any file at the base path: a
-/// bare base file is a store from before format v2, which the open refuses
-/// with its own message rather than a misleading "no store".
-fn store_exists(path: &str) -> bool {
-    Path::new(path).exists() || Path::new(&format!("{path}.manifest")).exists()
 }
 
 /// `flowc convert`: read a design in one format, write it in another.

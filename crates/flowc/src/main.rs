@@ -41,7 +41,7 @@ COMMANDS:
                      --out <path>                   export the optimized netlist
                      --json <path>                  also write the report here
                      --store <path>                 persistent QoR store: base of
-                                                    <path>.manifest and
+                                                    its segment files
                                                     <path>.NNNNNN.seg
                      --verify                       rerun the flow and check the
                                                     result by random simulation;

@@ -362,7 +362,6 @@ fn usage_errors_exit_nonzero() {
             assert!(stderr.contains("before format v2"), "{stderr}");
         }
         assert_eq!(std::fs::read_to_string(&store).unwrap(), plain);
-        assert!(!store.with_extension("jsonl.manifest").exists());
         assert!(!store.with_extension("jsonl.000001.seg").exists());
     }
     // `run` on that store fails with the open error (exit 2) instead of
@@ -384,7 +383,22 @@ fn usage_errors_exit_nonzero() {
     assert!(stderr.contains("before format v2"), "{stderr}");
     assert!(out.stdout.is_empty(), "no report for a failed run");
     assert_eq!(std::fs::read(&store).unwrap(), plain.as_bytes());
-    assert!(!store.with_extension("jsonl.manifest").exists());
+    assert!(!store.with_extension("jsonl.000001.seg").exists());
+    std::fs::remove_dir_all(store.parent().unwrap()).ok();
+}
+
+#[test]
+fn store_on_an_empty_path_is_no_store() {
+    let store = temp_dir("no-store").join("qor.jsonl");
+    let out = flowc()
+        .args(["store", "stats"])
+        .arg(&store)
+        .output()
+        .expect("spawn");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("no file and no segment"), "{stderr}");
+    assert!(!store.with_extension("jsonl.000001.seg").exists());
     std::fs::remove_dir_all(store.parent().unwrap()).ok();
 }
 

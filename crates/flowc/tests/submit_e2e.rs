@@ -194,7 +194,7 @@ fn segment_files(store: &std::path::Path) -> Vec<std::path::PathBuf> {
 fn store_compact_subcommand_rewrites_duplicates() {
     let dir = temp_dir("store");
     let store = dir.join("qor.jsonl");
-    // A fresh store is born segmented: a manifest plus one active segment.
+    // A fresh store is born segmented: one active segment.
     // Forge a duplicate by concatenating the segment onto itself (every line
     // is self-delimiting and checksum-framed, so the doubled file is valid).
     run_ok(

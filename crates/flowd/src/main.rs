@@ -4,8 +4,8 @@
 //! flowd --addr 127.0.0.1:7171 --workers 4 --store qor-store
 //! ```
 //!
-//! `--store` names the base of the checksummed, segmented QoR store
-//! (`qor-store.manifest` + `qor-store.NNNNNN.seg`).
+//! `--store` names the base of the checksummed, segmented QoR store: its
+//! segment files `qor-store.NNNNNN.seg` are the whole store.
 //!
 //! The daemon runs until `POST /shutdown` arrives, then drains gracefully.
 //! Exit codes: `0` clean drain, `1` usage error (an option that does not

@@ -283,7 +283,7 @@ impl Server {
             self.join_worker(worker);
         }
         // Drain-time durability barrier: every acknowledged record is
-        // fsynced and the manifest rewritten before the process exits.
+        // fsynced into its segment before the process exits.
         self.shared.engine.checkpoint_store()
     }
 

@@ -141,10 +141,10 @@ fn mixed_corpus_under_faults_matches_fault_free_qor() {
     );
 
     // The same corpus under a seeded schedule: stalled passes, failed store
-    // appends, refused trie-cache inserts.
+    // appends, refused state-graph publishes.
     fail::cfg("pass.apply", "3%delay(25)").unwrap();
     fail::cfg("store.write", "50%return").unwrap();
-    fail::cfg("trie.cache_insert", "50%return").unwrap();
+    fail::cfg("state.publish", "50%return").unwrap();
     let (faulted, faulted_stats) = run_corpus("faulted");
 
     assert_eq!(baseline, faulted, "faults must degrade speed, never QoR");
@@ -152,7 +152,7 @@ fn mixed_corpus_under_faults_matches_fault_free_qor() {
         fail::triggers("store.write") > 0,
         "the schedule must exercise store appends"
     );
-    assert!(fail::triggers("trie.cache_insert") > 0);
+    assert!(fail::triggers("state.publish") > 0);
     assert!(fail::triggers("pass.apply") > 0);
     // Failed appends degrade to cache-only persistence and are surfaced.
     assert!(

@@ -202,11 +202,6 @@ impl EvalEngine {
         self.store.lock().expect("store lock").len()
     }
 
-    /// Forces buffered store appends down to the OS (used on service drain).
-    pub fn flush_store(&self) -> std::io::Result<()> {
-        self.store.lock().expect("store lock").flush()
-    }
-
     /// Current health of the persistent store.
     pub fn store_mode(&self) -> crate::store::StoreMode {
         self.store.lock().expect("store lock").mode()
@@ -224,8 +219,8 @@ impl EvalEngine {
         self.store.lock().expect("store lock").probe()
     }
 
-    /// The drain-time durability barrier: fsync the store and rewrite its
-    /// manifest (see [`QorStore::checkpoint`]).
+    /// The drain-time durability barrier: fsync the store's live segment
+    /// (see [`QorStore::checkpoint`]).
     pub fn checkpoint_store(&self) -> std::io::Result<()> {
         self.store.lock().expect("store lock").checkpoint()
     }
@@ -388,7 +383,7 @@ impl EvalEngine {
                 .drive(design, design_fp, &miss_flows, contexts, &mut batch)
                 .map(|qors| {
                     // Durability (fsync) happens at drain/compact time via
-                    // `flush_store`, not per batch.
+                    // `checkpoint_store`, not per batch.
                     let entries = misses
                         .iter()
                         .zip(&qors)

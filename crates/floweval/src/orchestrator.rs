@@ -3,11 +3,12 @@
 //! A dataset-collection campaign (the paper labels 100,000 sample flows
 //! across many designs) arrives as one job: many designs times many flows,
 //! some already in the store, under a wall-clock or evaluation budget.
-//! [`EvalEngine::search`] resolves a [`FlowSource`], answers what the
-//! persistent store already knows, and hands each design's remaining flows
-//! to the batch path 64 at a time (`CHUNK_FLOWS`), checking the budgets in
-//! between.  It owns no threads, queues or caches: the chunks run on rayon
-//! at [`SearchConfig::workers`] threads, on the engine's one graph and store.
+//! [`EvalEngine::search_flows`] takes the flows (a [`FlowSource`] resolves
+//! them), answers what the persistent store already knows, and hands each
+//! design's remaining flows to the batch path 64 at a time (`CHUNK_FLOWS`),
+//! checking the budgets in between.  It owns no threads, queues or caches:
+//! the chunks run on rayon at [`SearchConfig::workers`] threads, on the
+//! engine's one graph and store.
 //!
 //! The batch path is deterministic at any thread count, so the labels, the
 //! QoR bits **and every counter of the report** are the same for any
@@ -21,8 +22,8 @@
 //!
 //! let designs = vec![Design::Alu64.generate(DesignScale::Tiny)];
 //! let engine = EvalEngine::default();
-//! let source = FlowSource::Random { seed: 7, count: 4 };
-//! let outcome = engine.search(&designs, &source, &SearchConfig::default());
+//! let flows = FlowSource::Random { seed: 7, count: 4 }.resolve();
+//! let outcome = engine.search_flows(&designs, &flows, &SearchConfig::default());
 //! assert_eq!(outcome.labels.len(), 4);
 //! assert_eq!(outcome.report.evaluated, 4);
 //! ```
@@ -73,8 +74,8 @@ pub enum FlowSource {
 
 impl FlowSource {
     /// Materializes the concrete flow list this source denotes.  The list is
-    /// deterministic, so callers can compare a [`EvalEngine::search`] run
-    /// against [`EvalEngine::evaluate_batch`] over `resolve()`'s output.
+    /// deterministic, so callers can compare an [`EvalEngine::search_flows`]
+    /// run against [`EvalEngine::evaluate_batch`] over `resolve()`'s output.
     pub fn resolve(&self) -> Vec<Vec<Transform>> {
         match self {
             FlowSource::Explicit(flows) => flows.clone(),
@@ -145,7 +146,7 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Budgets and thread count of one [`EvalEngine::search`] run.
+/// Budgets and thread count of one [`EvalEngine::search_flows`] run.
 #[derive(Debug, Clone)]
 pub struct SearchConfig {
     /// Rayon threads the evaluation runs on.  Clamped to at least 1.
@@ -222,7 +223,7 @@ pub struct SearchReport {
     pub trajectory: Vec<TrajectoryPoint>,
 }
 
-/// The result of one [`EvalEngine::search`]: the labels, sorted by
+/// The result of one [`EvalEngine::search_flows`]: the labels, sorted by
 /// `(design, flow)`, plus the run report.
 #[derive(Debug, Clone)]
 pub struct SearchOutcome {
@@ -238,20 +239,9 @@ pub struct SearchOutcome {
 }
 
 impl EvalEngine {
-    /// Labels `source`'s flows on each of `designs` under `config`'s budgets
+    /// Labels `flows` on each of `designs` under `config`'s budgets
     /// (`docs/ARCHITECTURE.md`, "Flow-space search"), bit-identically to
-    /// [`EvalEngine::evaluate_batch`] over `source.resolve()` per design.
-    pub fn search(
-        &self,
-        designs: &[Aig],
-        source: &FlowSource,
-        config: &SearchConfig,
-    ) -> SearchOutcome {
-        let flows = source.resolve();
-        self.search_flows(designs, &flows, config)
-    }
-
-    /// [`search`](Self::search) over an already-materialized flow list.
+    /// [`EvalEngine::evaluate_batch`] over `flows` per design.
     pub fn search_flows(
         &self,
         designs: &[Aig],

@@ -305,7 +305,7 @@ impl StateGraph {
         }
         // Injected refusal: evaluation degrades to recomputing from
         // shallower states, never to wrong results.
-        flow_core::fail_point!("trie.cache_insert", |_| aig);
+        flow_core::fail_point!("state.publish", |_| aig);
         let size = aig.len();
         if size > self.budget_nodes {
             return aig; // one oversized entry would evict everything else

@@ -13,14 +13,18 @@
 //! `#`-prefixed comment lines (probe writes) are skipped silently.
 //!
 //! The store is **segmented**: records append to a live segment
-//! (`<base>.NNNNNN.seg`) with size-based rotation, under a small manifest
-//! (`<base>.manifest`) naming the ordered segment list.  The manifest is
-//! replaced atomically (temp file, fsync, rename, parent-directory fsync),
-//! as is every compaction — a crash at any point leaves the old store or the
-//! new one, never a hybrid.
+//! (`<base>.NNNNNN.seg`) with size-based rotation.  The segment files are
+//! the store: an open lists them by scanning the directory, in id order,
+//! which is append order, and the last one is live.  A segment becomes
+//! visible only as an empty file (a fresh store, a rotation) or by an atomic
+//! rename of fsynced contents (a compaction, a scrub heal).  Records are
+//! idempotent facts — one key always maps to one QoR, and duplicates resolve
+//! last-write-wins — so a crash at any point costs at most duplicate lines,
+//! which the next compaction drops.  A `<base>.manifest` segment list left
+//! by an older build is removed at open.
 //!
-//! A bare base file with no manifest and no segments is a plain JSON-lines
-//! store from before format v2.  It is not read: [`QorStore::open`] refuses
+//! A bare base file with no segments is a plain JSON-lines store from
+//! before format v2.  It is not read: [`QorStore::open`] refuses
 //! it with [`std::io::ErrorKind::InvalidData`] and leaves it as it is.
 //!
 //! ## Scrub and quarantine
@@ -138,7 +142,7 @@ pub struct StoreSummary {
     pub mode: String,
     /// Records in the in-memory index.
     pub records: usize,
-    /// Segments in the manifest (0 for in-memory stores).
+    /// Segment files (0 for in-memory stores).
     pub segments: usize,
     /// Total on-disk bytes.
     pub disk_bytes: u64,
@@ -169,10 +173,6 @@ impl Layout {
         PathBuf::from(name)
     }
 
-    fn manifest(&self) -> PathBuf {
-        self.sibling(".manifest")
-    }
-
     fn quarantine(&self) -> PathBuf {
         self.sibling(".quarantine")
     }
@@ -188,7 +188,7 @@ impl Layout {
         }
     }
 
-    /// Segment ids present on disk (sorted), manifest-listed or orphaned.
+    /// Segment ids present on disk, sorted: the store's append order.
     fn scan_segments(&self) -> Vec<u64> {
         let Some(file_name) = self.base.file_name().and_then(|n| n.to_str()) else {
             return Vec::new();
@@ -223,7 +223,8 @@ pub struct QorStore {
     index: HashMap<StoreKey, Qor>,
     writer: Option<File>,
     layout: Option<Layout>,
-    /// Manifest-ordered segment ids; empty for an in-memory store.
+    /// Segment ids in append order, the last one live; empty for an
+    /// in-memory store.
     segments: Vec<u64>,
     live_bytes: u64,
     options: StoreOptions,
@@ -261,6 +262,16 @@ impl QorStore {
         }
     }
 
+    /// Whether anything the open would read is at `path`: a segment beside
+    /// the base path, or a file at it (a store from before format v2, which
+    /// [`QorStore::open`] refuses with its own error).
+    pub fn exists(path: impl AsRef<Path>) -> bool {
+        let layout = Layout {
+            base: path.as_ref().to_path_buf(),
+        };
+        layout.base.exists() || !layout.scan_segments().is_empty()
+    }
+
     /// Opens (or creates) the store at `path` with default [`StoreOptions`].
     pub fn open(path: impl AsRef<Path>) -> std::io::Result<Self> {
         Self::open_with(path, StoreOptions::default())
@@ -274,10 +285,15 @@ impl QorStore {
     /// copied to the `.quarantine` sidecar and the damaged file healed, so
     /// an immediate reopen reports a clean store.
     ///
-    /// A bare base file with no manifest and no segments is a plain
-    /// JSON-lines store from before format v2, which is no longer read:
-    /// `open` returns [`std::io::ErrorKind::InvalidData`] before writing
-    /// anything, so the file stays as it was.
+    /// The segments are the files `<base>.NNNNNN.seg` on disk, in id order;
+    /// a fresh store starts segment 1.  A `<base>.manifest` left by an older
+    /// build is removed, so a downgraded build finds none and scans the
+    /// directory too rather than trust a stale list.
+    ///
+    /// A bare base file with no segments is a plain JSON-lines store from
+    /// before format v2, which is no longer read: `open` returns
+    /// [`std::io::ErrorKind::InvalidData`] before writing anything, so the
+    /// file stays as it was.
     ///
     /// Duplicate keys (concatenated stores, racing appenders) resolve
     /// **last-write-wins** in append order; the superseded count is reported
@@ -289,9 +305,8 @@ impl QorStore {
         let layout = Layout {
             base: path.as_ref().to_path_buf(),
         };
-        let on_disk = layout.scan_segments();
-        let manifest = read_manifest(&layout);
-        if manifest == ManifestState::Missing && on_disk.is_empty() && layout.base.exists() {
+        let mut segments = layout.scan_segments();
+        if segments.is_empty() && layout.base.exists() {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
                 format!(
@@ -306,38 +321,25 @@ impl QorStore {
                 std::fs::create_dir_all(parent)?;
             }
         }
+        match std::fs::remove_file(layout.sibling(".manifest")) {
+            Ok(()) => fsync_dir(&layout.dir())?,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+            Err(e) => return Err(e),
+        }
+        if segments.is_empty() {
+            OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(layout.segment(1))?
+                .sync_all()?;
+            fsync_dir(&layout.dir())?;
+            segments.push(1);
+        }
 
         let mut store = QorStore::in_memory();
         store.layout = Some(layout.clone());
         store.options = options;
-        store.segments = match manifest {
-            ManifestState::Present(ids) if !ids.is_empty() => ids,
-            manifest => {
-                // A fresh store, or a torn or missing manifest with segments
-                // on disk: recover the listing from the directory (append
-                // order is id order by construction) and rewrite it.
-                if manifest == ManifestState::Corrupt {
-                    store.corrupt += 1;
-                    store.quarantined +=
-                        quarantine_file(&layout, &layout.manifest(), "corrupt-manifest")?;
-                }
-                let ids = if on_disk.is_empty() {
-                    // Segment 1 is durable before the manifest names it.
-                    let seg = layout.segment(1);
-                    OpenOptions::new()
-                        .create(true)
-                        .append(true)
-                        .open(&seg)?
-                        .sync_all()?;
-                    fsync_dir(&layout.dir())?;
-                    vec![1]
-                } else {
-                    on_disk
-                };
-                write_manifest(&layout, &ids)?;
-                ids
-            }
-        };
+        store.segments = segments;
         for id in store.segments.clone() {
             store.scrub_file(&layout.segment(id))?;
         }
@@ -345,7 +347,7 @@ impl QorStore {
         Ok(store)
     }
 
-    /// Opens the append writer on the last manifest segment.
+    /// Opens the append writer on the last segment.
     fn open_live(&mut self, layout: &Layout) -> std::io::Result<()> {
         let live = layout.segment(*self.segments.last().expect("a live segment"));
         let writer = OpenOptions::new().create(true).append(true).open(&live)?;
@@ -601,29 +603,23 @@ impl QorStore {
     fn rotate(&mut self) -> std::io::Result<()> {
         flow_core::fail_point!("store.rotate", |_| Err(injected_io_error("rotate")));
         let layout = self.layout.clone().expect("disk-backed");
-        // Seal the outgoing segment: everything in it is durable before the
-        // manifest stops calling it live.
+        // Seal the outgoing segment: everything in it is durable before a
+        // later segment exists.
         self.writer.as_mut().expect("disk-backed").sync_all()?;
         let next = self.segments.last().copied().unwrap_or(0) + 1;
-        let seg = layout.segment(next);
-        // `truncate` rather than `create_new`: a crash after creating the
-        // file but before publishing the manifest leaves an orphan, which a
-        // retry reuses.
-        let file = OpenOptions::new()
+        // The next segment is born empty and durable; a crash from here on
+        // leaves an empty last segment, which the next open appends to.
+        let writer = OpenOptions::new()
             .create(true)
-            .write(true)
-            .truncate(true)
-            .open(&seg)?;
-        file.sync_all()?;
+            .append(true)
+            .open(layout.segment(next))?;
+        writer.sync_all()?;
         fsync_dir(&layout.dir())?;
         flow_core::fail_point!("store.rotate.publish", |_| Err(injected_io_error(
             "rotate.publish"
         )));
-        let mut ids = self.segments.clone();
-        ids.push(next);
-        write_manifest(&layout, &ids)?;
-        self.segments = ids;
-        self.writer = Some(OpenOptions::new().append(true).open(&seg)?);
+        self.segments.push(next);
+        self.writer = Some(writer);
         self.live_bytes = 0;
         Ok(())
     }
@@ -673,10 +669,11 @@ impl QorStore {
     /// (sorted by design, config, flow) so compacting the same store twice
     /// produces identical segment bytes.
     ///
-    /// The survivors land in a single **new** segment published by an
-    /// atomic manifest replacement (temp file, fsync, rename, directory
-    /// fsync): a crash at any point leaves either the old store or the new
-    /// one, never a hybrid.  No-op for in-memory stores.
+    /// The survivors land in a single **new** segment, renamed into place
+    /// once fsynced, and only then are the older segments retired: a crash
+    /// at any point leaves the old store, or the new segment beside what is
+    /// left of the old ones (duplicate lines, the same records).  No-op for
+    /// in-memory stores.
     pub fn compact(&mut self) -> std::io::Result<CompactionReport> {
         let Some(layout) = self.layout.clone() else {
             return Ok(CompactionReport {
@@ -694,15 +691,16 @@ impl QorStore {
         let (new_id, bytes_after) = match self.publish_index(&layout) {
             Ok(published) => published,
             Err(e) => {
-                // The old store is still the published one; restore the
-                // append handle onto its live segment and report the failure.
+                // The old segments are untouched; restore the append handle
+                // onto the live one and report the failure.
                 self.open_live(&layout)?;
                 return Err(e);
             }
         };
 
-        // The new manifest is durable: retire every superseded segment.
-        // Purely cosmetic from here on, so errors are ignored.
+        // The new segment is durable and holds every record: retire the
+        // superseded ones.  A leftover only costs duplicates, so errors are
+        // ignored.
         for id in layout.scan_segments() {
             if id != new_id {
                 let _ = std::fs::remove_file(layout.segment(id));
@@ -726,10 +724,9 @@ impl QorStore {
     }
 
     /// The compaction writer: writes the index, one line per key in a stable
-    /// order, to a new segment and publishes it as the whole store (temp
-    /// file, fsync, rename, directory fsync, manifest).  Returns the segment
-    /// id and size.  A failure before the manifest names the new segment
-    /// removes it again, leaving the disk as it was.
+    /// order, to a new segment after every existing one (temp file, fsync,
+    /// rename, directory fsync).  Returns the segment id and size.  A failure
+    /// removes the new segment again, leaving the disk as it was.
     fn publish_index(&self, layout: &Layout) -> std::io::Result<(u64, u64)> {
         let mut entries: Vec<(&StoreKey, &Qor)> = self.index.iter().collect();
         entries.sort_unstable_by(|(a, _), (b, _)| {
@@ -757,7 +754,6 @@ impl QorStore {
             let _ = std::fs::remove_file(&new_seg);
             return Err(e);
         }
-        write_manifest(layout, &[new_id])?;
         Ok((new_id, body.len() as u64))
     }
 
@@ -776,15 +772,12 @@ impl QorStore {
         }
     }
 
-    /// The drain-time durability barrier: fsync the live file **and**
-    /// rewrite the manifest, so a restart finds exactly the acknowledged
-    /// state.
+    /// The drain-time durability barrier, the same fsync as
+    /// [`QorStore::flush`]: the segments on disk are the whole store, so a
+    /// restart finds exactly the acknowledged state.  Kept under this name
+    /// for `EvalEngine::checkpoint_store` and `flowbench`.
     pub fn checkpoint(&mut self) -> std::io::Result<()> {
-        self.flush()?;
-        if let Some(layout) = &self.layout {
-            write_manifest(layout, &self.segments)?;
-        }
-        Ok(())
+        self.flush()
     }
 }
 
@@ -859,92 +852,6 @@ fn fsync_dir(dir: &Path) -> std::io::Result<()> {
     File::open(dir)?.sync_all()
 }
 
-#[derive(Debug, PartialEq)]
-enum ManifestState {
-    Missing,
-    Corrupt,
-    Present(Vec<u64>),
-}
-
-/// Reads and verifies the manifest: one v2-framed line listing the ordered
-/// segment ids, e.g. `v2 <crc> {"version":2,"segments":[1,2]}`.
-fn read_manifest(layout: &Layout) -> ManifestState {
-    let text = match std::fs::read_to_string(layout.manifest()) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return ManifestState::Missing,
-        Err(_) => return ManifestState::Corrupt,
-    };
-    let Some(line) = text.lines().find(|l| !l.trim().is_empty()) else {
-        return ManifestState::Corrupt;
-    };
-    let Some(rest) = line.trim().strip_prefix("v2 ") else {
-        return ManifestState::Corrupt;
-    };
-    let Some((crc_hex, json)) = rest.split_at_checked(8) else {
-        return ManifestState::Corrupt;
-    };
-    let json = json.trim_start();
-    let Ok(crc) = u32::from_str_radix(crc_hex, 16) else {
-        return ManifestState::Corrupt;
-    };
-    if crc32::of(json.as_bytes()) != crc {
-        return ManifestState::Corrupt;
-    }
-    match parse_manifest_json(json) {
-        Some(ids) => ManifestState::Present(ids),
-        None => ManifestState::Corrupt,
-    }
-}
-
-/// The manifest JSON is a fixed tiny shape; parse it directly.
-fn parse_manifest_json(json: &str) -> Option<Vec<u64>> {
-    let at = json.find("\"segments\"")?;
-    let open = at + json[at..].find('[')?;
-    let close = open + json[open..].find(']')?;
-    let mut ids = Vec::new();
-    for part in json[open + 1..close].split(',') {
-        let part = part.trim();
-        if part.is_empty() {
-            continue;
-        }
-        ids.push(part.parse::<u64>().ok()?);
-    }
-    Some(ids)
-}
-
-/// Atomically replaces the manifest (temp file, fsync, rename, dir fsync).
-fn write_manifest(layout: &Layout, segments: &[u64]) -> std::io::Result<()> {
-    let ids: Vec<String> = segments.iter().map(|id| id.to_string()).collect();
-    let json = format!("{{\"version\":2,\"segments\":[{}]}}", ids.join(","));
-    let line = format!("v2 {:08x} {json}\n", crc32::of(json.as_bytes()));
-    let tmp = layout.sibling(".manifest.tmp");
-    let mut file = File::create(&tmp)?;
-    file.write_all(line.as_bytes())?;
-    file.sync_all()?;
-    std::fs::rename(&tmp, layout.manifest())?;
-    fsync_dir(&layout.dir())
-}
-
-/// Copies a whole damaged sidecar file (e.g. a corrupt manifest) into the
-/// quarantine, returning the number of entries written.
-fn quarantine_file(layout: &Layout, path: &Path, reason: &str) -> std::io::Result<usize> {
-    let Ok(data) = std::fs::read(path) else {
-        return Ok(0);
-    };
-    let file_name = path.file_name().and_then(|n| n.to_str()).unwrap_or("?");
-    let mut q = OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(layout.quarantine())?;
-    writeln!(q, "# {reason} file={file_name}")?;
-    q.write_all(&data)?;
-    if !data.ends_with(b"\n") {
-        q.write_all(b"\n")?;
-    }
-    q.sync_all()?;
-    Ok(1)
-}
-
 impl Drop for QorStore {
     fn drop(&mut self) {
         let _ = self.flush();
@@ -981,15 +888,12 @@ mod tests {
         dir
     }
 
-    /// The live segment new records land in: the last in the manifest.
+    /// The live segment new records land in: the last one on disk.
     fn live_file(base: &Path) -> PathBuf {
         let layout = Layout {
             base: base.to_path_buf(),
         };
-        match read_manifest(&layout) {
-            ManifestState::Present(ids) => layout.segment(*ids.last().expect("a live segment")),
-            other => panic!("no manifest: {other:?}"),
-        }
+        layout.segment(*layout.scan_segments().last().expect("a live segment"))
     }
 
     #[test]
@@ -1033,15 +937,14 @@ mod tests {
         store.insert(key("balance"), qor(1.0)).unwrap();
         store.flush().unwrap();
         drop(store);
-        assert!(
-            path.with_extension("jsonl.manifest").exists() || {
-                let mut os = path.as_os_str().to_os_string();
-                os.push(".manifest");
-                PathBuf::from(os).exists()
-            }
-        );
+        let layout = Layout { base: path.clone() };
+        assert_eq!(layout.scan_segments(), [1], "a fresh store is one segment");
         let live = live_file(&path);
-        assert_ne!(live, path, "records live in a segment, not the base path");
+        assert_eq!(live, layout.segment(1));
+        assert!(
+            !path.exists(),
+            "records live in a segment, not the base path"
+        );
         let text = std::fs::read_to_string(&live).unwrap();
         assert!(
             text.lines().all(|l| l.starts_with("v2 ")),
@@ -1089,8 +992,7 @@ mod tests {
         assert!(err.to_string().contains("before format v2"), "{err}");
         assert_eq!(std::fs::read(&path).unwrap(), before, "file untouched");
         let layout = Layout { base: path.clone() };
-        assert!(!layout.manifest().exists(), "no manifest created");
-        assert!(!layout.segment(1).exists(), "no segment created");
+        assert!(layout.scan_segments().is_empty(), "no segment created");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1406,31 +1308,6 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_manifest_recovers_from_directory_scan() {
-        let dir = temp_dir("manifest");
-        let path = dir.join("qor.jsonl");
-        {
-            let mut store = QorStore::open(&path).expect("open");
-            store.insert(key("balance"), qor(1.0)).unwrap();
-            store.flush().unwrap();
-        }
-        let manifest = {
-            let mut os = path.as_os_str().to_os_string();
-            os.push(".manifest");
-            PathBuf::from(os)
-        };
-        std::fs::write(&manifest, b"garbage\n").unwrap();
-        let store = QorStore::open(&path).expect("open survives bad manifest");
-        assert_eq!(store.len(), 1);
-        assert_eq!(store.corrupt, 1, "bad manifest is counted");
-        drop(store);
-        let store = QorStore::open(&path).expect("clean reopen");
-        assert_eq!(store.corrupt, 0, "manifest was rewritten");
-        assert_eq!(store.len(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn in_memory_compact_is_a_no_op() {
         let mut store = QorStore::in_memory();
         store.insert(key("balance"), qor(1.0)).unwrap();
@@ -1450,19 +1327,5 @@ mod tests {
             "first write wins"
         );
         assert_eq!(store.len(), 1);
-    }
-
-    #[test]
-    fn manifest_json_roundtrip() {
-        assert_eq!(
-            parse_manifest_json("{\"version\":2,\"segments\":[1,2,30]}"),
-            Some(vec![1, 2, 30])
-        );
-        assert_eq!(
-            parse_manifest_json("{\"version\":2,\"segments\":[]}"),
-            Some(vec![])
-        );
-        assert_eq!(parse_manifest_json("{\"version\":2}"), None);
-        assert_eq!(parse_manifest_json("{\"segments\":[x]}"), None);
     }
 }

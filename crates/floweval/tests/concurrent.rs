@@ -135,7 +135,7 @@ fn contended_store_writes_are_never_lost() {
                 });
             }
         });
-        engine.flush_store().expect("flush");
+        engine.checkpoint_store().expect("checkpoint");
     }
 
     // Reopen the store cold: every (design, flow) record must be present and

@@ -164,8 +164,8 @@ fn crash_child() {
             let _ = store.insert(key, qor); // aborts inside
             unreachable!("torn failpoint must abort the process");
         }
-        // Abort at the rotation publish step (new segment exists, manifest
-        // still lists the old ones).
+        // Abort at the rotation publish step (the new empty segment exists,
+        // the store still appends to the old one).
         "rotate" => {
             fail::cfg("store.rotate.publish", "1*abort").unwrap();
             for i in 0..records {

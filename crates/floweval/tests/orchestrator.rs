@@ -1,6 +1,6 @@
-//! `EvalEngine::search` contract tests: the label set, the QoR bits and the
-//! counters equal per-design `evaluate_batch` over the resolved flow list at
-//! every worker count, and the budgets stop exactly where they say.
+//! `EvalEngine::search_flows` contract tests: the label set, the QoR bits
+//! and the counters equal per-design `evaluate_batch` over the resolved flow
+//! list at every worker count, and the budgets stop exactly where they say.
 
 use circuits::{Design, DesignScale};
 use floweval::{EngineConfig, EvalEngine, EvalStats, FlowSource, SearchConfig, SearchLabel};

@@ -6,7 +6,7 @@
 //!
 //! The first run evaluates 16 random flows on the tiny ALU and appends them
 //! to the store — a checksummed, segmented log under the given base path
-//! (`<base>.manifest` + `<base>.NNNNNN.seg`); running the same command again
+//! (segment files `<base>.NNNNNN.seg`); running the same command again
 //! answers every flow from the store without applying a single synthesis
 //! pass.
 
