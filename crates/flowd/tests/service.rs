@@ -421,7 +421,7 @@ fn a_store_that_cannot_open_fails_the_start() {
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     assert!(err.to_string().contains("before format v2"), "{err}");
     assert_eq!(std::fs::read(&store_path).unwrap(), plain.as_bytes());
-    assert!(!dir.join("qor.jsonl.manifest").exists());
+    assert!(!dir.join("qor.jsonl.000001.seg").exists());
     std::fs::remove_dir_all(&dir).ok();
 }
 

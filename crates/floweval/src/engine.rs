@@ -494,9 +494,11 @@ pub fn fingerprint_design(aig: &Aig) -> Fingerprint {
     Fingerprint::from_hasher(h)
 }
 
-/// Stable fingerprint of the evaluation configuration (library + mapper).
+/// Stable fingerprint of the evaluation configuration (synthesis revision,
+/// library, mapper).
 pub fn fingerprint_config(library: &CellLibrary, params: MapperParams) -> Fingerprint {
     let mut h = Fnv64::new();
+    h.write_u32(synth::SYNTH_REV);
     h.write_str(library.name());
     h.write_usize(library.len());
     for cell in library.cells() {
@@ -571,8 +573,8 @@ mod tests {
                 mode: MapMode::Area,
             },
         );
-        assert_eq!(delay, Fingerprint(0x06af_081c_24de_3714));
-        assert_eq!(area, Fingerprint(0xa6a9_b424_7b13_f3a5));
+        assert_eq!(delay, Fingerprint(0xcf4e_08e6_a965_d029));
+        assert_eq!(area, Fingerprint(0x2f53_5cde_5330_1398));
     }
 
     #[test]

@@ -47,7 +47,20 @@ pub fn count_shannon_nodes(
     leaves: &[Lit],
     excluded: impl Fn(NodeId) -> bool + Copy,
 ) -> usize {
-    count_rec(aig, f, leaves, excluded).1
+    count_rec(aig, f, leaves, excluded, &mut Vec::new()).1
+}
+
+/// [`count_shannon_nodes`] that also pushes every existing AND node the
+/// count reuses (each strash hit outside `excluded`) onto `reused`: the
+/// nodes the built structure would keep alive.
+pub fn count_shannon_nodes_reusing(
+    aig: &Aig,
+    f: &TruthTable,
+    leaves: &[Lit],
+    excluded: impl Fn(NodeId) -> bool + Copy,
+    reused: &mut Vec<NodeId>,
+) -> usize {
+    count_rec(aig, f, leaves, excluded, reused).1
 }
 
 /// [`count_shannon_nodes`] capped at `budget` — the passes' estimator.
@@ -137,7 +150,7 @@ fn count_rec_budget_u64(
     let (f0, f1) = cof[v];
     let (l0, c0) = count_rec_budget_u64(aig, f0, nv, leaves, excluded, budget)?;
     let (l1, c1) = count_rec_budget_u64(aig, f1, nv, leaves, excluded, budget - c0)?;
-    let (lit, mux) = mux_cost(aig, excluded, leaves[v], l1, l0);
+    let (lit, mux) = mux_cost(aig, excluded, leaves[v], l1, l0, None);
     let added = c0 + c1 + mux;
     if added > budget {
         return None;
@@ -145,12 +158,14 @@ fn count_rec_budget_u64(
     Some((lit, added))
 }
 
-/// Returns `(existing_literal_if_free, added_nodes)`.
+/// Returns `(existing_literal_if_free, added_nodes)` and pushes the AND nodes
+/// it reuses onto `reused`.
 fn count_rec(
     aig: &Aig,
     f: &TruthTable,
     leaves: &[Lit],
     excluded: impl Fn(NodeId) -> bool + Copy,
+    reused: &mut Vec<NodeId>,
 ) -> (Option<Lit>, usize) {
     if f.is_zero() {
         return (Some(Lit::FALSE), 0);
@@ -178,9 +193,9 @@ fn count_rec(
         return (Some(lit), 0);
     }
     let v = pick_split_var(f, support);
-    let (l0, c0) = count_rec(aig, &f.cofactor0(v), leaves, excluded);
-    let (l1, c1) = count_rec(aig, &f.cofactor1(v), leaves, excluded);
-    let (lit, mux) = mux_cost(aig, excluded, leaves[v], l1, l0);
+    let (l0, c0) = count_rec(aig, &f.cofactor0(v), leaves, excluded, reused);
+    let (l1, c1) = count_rec(aig, &f.cofactor1(v), leaves, excluded, reused);
+    let (lit, mux) = mux_cost(aig, excluded, leaves[v], l1, l0, Some(reused));
     (lit, c0 + c1 + mux)
 }
 
@@ -188,17 +203,26 @@ fn count_rec(
 /// existing literals `l1`, `l0` (`None` = would be fresh) needs `sel & t`,
 /// `!sel & e` and their OR, each free only when `aig` already holds it
 /// outside `excluded`.  Returns the mux's literal when it is free, and the
-/// number of nodes it adds.
+/// number of nodes it adds; pushes the AND nodes it reuses onto `reused`
+/// when one is given.
 fn mux_cost(
     aig: &Aig,
     excluded: impl Fn(NodeId) -> bool,
     sel: Lit,
     l1: Option<Lit>,
     l0: Option<Lit>,
+    mut reused: Option<&mut Vec<NodeId>>,
 ) -> (Option<Lit>, usize) {
-    let reuse = |x: Lit, y: Lit| {
-        aig.find_and(x, y)
-            .filter(|l| l.is_const() || !excluded(l.node()))
+    let mut reuse = |x: Lit, y: Lit| {
+        let found = aig
+            .find_and(x, y)
+            .filter(|l| l.is_const() || !excluded(l.node()));
+        if let (Some(l), Some(reused)) = (found, reused.as_deref_mut()) {
+            if !l.is_const() {
+                reused.push(l.node());
+            }
+        }
+        found
     };
     let (Some(t), Some(e)) = (l1, l0) else {
         return (None, 3);

@@ -77,3 +77,11 @@ pub use pass::{ApplyStats, PassContext, PassStat, PassTimings};
 pub use passes::{apply_sequence, Transform};
 pub use qor::{Qor, QorMetric};
 pub use sop::SharedIsopCache;
+
+/// Revision of the bits synthesis produces.  Raised by every change that
+/// moves a pass's or the mapper's output on purpose; stored QoR is keyed by
+/// a configuration fingerprint that hashes it (`floweval::fingerprint_config`),
+/// so a result computed by an older revision is never served.
+///
+/// Revision 1: sweeps commit only compatible decisions.
+pub const SYNTH_REV: u32 = 1;

@@ -51,7 +51,7 @@ use crate::passes::Transform;
 use crate::reconv::ReconvScratch;
 use crate::refactor::refactor_ctx;
 use crate::restructure::restructure_ctx;
-use crate::resyn::{DecisionTable, GainFilter, Proposal};
+use crate::resyn::{CommitScratch, DecisionTable, GainFilter, Proposal};
 use crate::rewrite::rewrite_ctx;
 use crate::sop::{IsopCache, SharedIsopCache, SopCostScratch};
 
@@ -175,11 +175,14 @@ pub(crate) struct SweepScratch {
     pub(crate) rebuild_map: Vec<Lit>,
     /// The strict sweeps' signature filter.
     pub(crate) filter: GainFilter,
+    /// The commit walk's marks and its cone and reuse buffers.
+    pub(crate) commit: CommitScratch,
 }
 
 /// How the resynthesis sweeps applied their accepted decisions so far: a
 /// sweep that accepted a decision rebuilds the graph, one that accepted none
-/// leaves it as it is.  Tests and benchmarks read this to see which ran.
+/// leaves it as it is.  Tests and benchmarks read this to see which ran, and
+/// what the committed decisions promised against what they removed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ApplyStats {
     /// Always 0: the in-place apply route is gone and every accepted
@@ -191,6 +194,15 @@ pub struct ApplyStats {
     pub rebuilt: u64,
     /// Sweeps that accepted no replacement and left the graph untouched.
     pub identity: u64,
+    /// Summed estimated gain (MFFC size minus added nodes) of the decisions
+    /// the rebuilt sweeps committed.
+    pub gain_estimated: i64,
+    /// AND nodes the rebuilt sweeps removed: each sweep's count before it
+    /// minus its count after the cleanup.  Never below `gain_estimated`.
+    pub gain_realised: i64,
+    /// Decisions dropped by the commit walk because they were not
+    /// compatible with an earlier committed decision.
+    pub conflicts: u64,
 }
 
 /// Reusable buffers of the per-node proposal generators: the cut-truth cone

@@ -22,18 +22,18 @@
 //! code and is checked against this module; it never adds a third
 //! implementation or a switch between two.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use aig::{cut_truth, Aig, CutParams, Lit, Mffc, NodeId, TruthTable};
 
 use crate::balance::build_balanced;
-use crate::decomp::count_shannon_nodes;
+use crate::decomp::{count_shannon_nodes, count_shannon_nodes_reusing};
 use crate::library::{CellId, CellLibrary};
 use crate::mapper::{MappedNetlist, MapperParams, Matcher};
 use crate::passes::Transform;
 use crate::reconv::reconv_cut;
 use crate::resyn::{rebuild_with_decisions_into, Acceptance, Decision, Proposal, Structure};
-use crate::sop::{count_sop_nodes, isop};
+use crate::sop::{count_sop_nodes, count_sop_nodes_reusing, isop};
 use crate::{refactor, restructure, rewrite};
 
 /// A cut of a node: its leaves, sorted by strictly increasing node id, plus a
@@ -313,7 +313,9 @@ fn sop_proposal(
 ///
 /// `propose` is called for every AND node (with up-to-date fanout counts) and
 /// may return any number of candidate implementations; the best accepted one is
-/// recorded.  The function returns the rebuilt, cleaned-up network.
+/// decided, and committed when it is compatible with the decisions committed
+/// before it (the rule of `resyn`'s "Compatible commits").  The function
+/// returns the rebuilt, cleaned-up network.
 pub fn resynthesis_sweep<F>(aig: &Aig, acceptance: Acceptance, mut propose: F) -> Aig
 where
     F: FnMut(&Aig, NodeId) -> Vec<Proposal>,
@@ -322,6 +324,7 @@ where
     work.compute_fanouts();
     let ids: Vec<NodeId> = work.and_ids().collect();
     let mut decisions: HashMap<NodeId, Decision> = HashMap::new();
+    let mut commits = Commits::default();
 
     for id in ids {
         if work.fanout_count(id) == 0 {
@@ -343,11 +346,56 @@ where
             }
         }
         if let Some(d) = best {
-            decisions.insert(id, d);
+            if commits.admit(&work, id, &d) {
+                decisions.insert(id, d);
+            }
         }
     }
 
     rebuild_with_decisions(&work, &decisions).cleanup()
+}
+
+/// The nodes the decisions committed so far free, use and root.
+#[derive(Default)]
+struct Commits {
+    freed: HashSet<NodeId>,
+    used: HashSet<NodeId>,
+    roots: HashSet<NodeId>,
+}
+
+impl Commits {
+    /// Commits the decision at `root` when it is compatible with every
+    /// decision committed before it: its freed cone (MFFC, root included)
+    /// meets no node an earlier one freed or used, and every node it uses
+    /// (its leaves and the strash hits of its cost dry-run) is either freed
+    /// by none of them or is the root of the one that frees it.
+    fn admit(&mut self, g: &Aig, root: NodeId, d: &Decision) -> bool {
+        let mffc = Mffc::compute(g, root, &d.leaves);
+        let leaf_lits: Vec<Lit> = d.leaves.iter().map(|&n| Lit::from_node(n, false)).collect();
+        let mut used = d.leaves.clone();
+        let excluded = |n| mffc.contains(n);
+        match &d.structure {
+            Structure::SumOfProducts(sop) => {
+                count_sop_nodes_reusing(g, sop, &leaf_lits, excluded, &mut used)
+            }
+            Structure::Shannon(truth) => {
+                count_shannon_nodes_reusing(g, truth, &leaf_lits, excluded, &mut used)
+            }
+        };
+        let freed = mffc.nodes();
+        let compatible = !freed
+            .iter()
+            .any(|n| self.freed.contains(n) || self.used.contains(n))
+            && used
+                .iter()
+                .all(|n| !self.freed.contains(n) || self.roots.contains(n));
+        if compatible {
+            self.freed.extend(freed);
+            self.used.extend(used);
+            self.roots.insert(root);
+        }
+        compatible
+    }
 }
 
 /// Rebuilds `src` into a fresh graph, replacing each decided node by its new

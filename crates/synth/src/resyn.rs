@@ -7,7 +7,8 @@
 //!    implementation of that function over the cut leaves,
 //! 3. accept the proposal when the estimated gain (MFFC nodes freed minus new
 //!    nodes added) meets the pass's threshold,
-//! 4. rebuild the network applying the accepted proposals.
+//! 4. commit the accepted proposals that are compatible with each other (see
+//!    "Compatible commits") and rebuild the network applying them.
 //!
 //! This module owns steps 1, 3 and 4; each pass provides step 2 as a
 //! [`Proposal`] generator.
@@ -19,6 +20,34 @@
 //! That split is also why a cancellation — which can only fire inside steps
 //! 1–3, and returns `Err` before step 4 starts — leaves the graph untouched,
 //! as `CancelCell` promises.
+//!
+//! # Compatible commits
+//!
+//! Every decision is priced against the graph as the sweep found it, alone.
+//! Two decisions priced that way can undo each other: one frees a node that
+//! the other's structure reuses, so the node survives and the first realises
+//! less than it estimated, or both count the same freed node.  So between
+//! the parallel propose and the rebuild, the sweep walks the decided nodes
+//! once, in node order, and commits a compatible subset (the
+//! collect-then-commit scheme of Riener et al., "On-the-fly and DAG-aware:
+//! rewriting Boolean networks with exact synthesis", DATE 2019).  For each
+//! decision it recomputes two sets:
+//!
+//! * **freed**: the MFFC bounded by the decision's leaves, root included;
+//! * **used**: the leaves, plus every node that the cost dry-run which priced
+//!   the decision found in the strash ([`count_sop_nodes_reusing`],
+//!   [`count_shannon_nodes_reusing`]).
+//!
+//! The walk drops a decision when its freed set meets a node that an earlier
+//! winner freed or used, or when one of its used nodes was freed by an
+//! earlier winner and is not that winner's root (the rebuild maps a root to
+//! its new structure, which computes the same function).  The winners then
+//! free disjoint cones that no other winner keeps alive, and the sweep
+//! removes at least their summed estimate: `gain_realised` in
+//! [`crate::ApplyStats`] is never below `gain_estimated`, and every applying
+//! sweep `debug_assert!`s it.  The walk is serial and reads the decisions in
+//! node order, so the winners are the same at any thread count; the first
+//! decision always wins, so a sweep that decided anything still rebuilds.
 //!
 //! # Nodes that cannot gain
 //!
@@ -42,18 +71,20 @@
 //! off; they never skip a node that could gain.  The signatures are taken
 //! serially on the clean graph before the parallel propose, so the skips —
 //! and with them decisions, graphs and QoR — are the same at any thread
-//! count and bit-identical to the rule-free oracle,
+//! count and bit-identical to the skip-free oracle,
 //! `reference::resynthesis_sweep`.
 
 use std::sync::{Mutex, PoisonError};
 
-use aig::{random_patterns, Aig, CutSet4, Lit, NodeId, SimVector, Simulator, TruthTable};
+use aig::{
+    random_patterns, Aig, CutSet4, Lit, Mffc, MffcScratch, NodeId, SimVector, Simulator, TruthTable,
+};
 use flow_core::{CancelToken, Cancelled};
 use rayon::prelude::*;
 
-use crate::decomp::build_shannon;
+use crate::decomp::{build_shannon, count_shannon_nodes_reusing};
 use crate::pass::{pool_give, pool_take, CancelCell, PassContext, ProposeScratch, SweepScratch};
-use crate::sop::{build_sop, Sop};
+use crate::sop::{build_sop, count_sop_nodes_reusing, Sop};
 
 /// How the new implementation of a node's cut function is expressed.
 #[derive(Debug, Clone)]
@@ -88,7 +119,8 @@ pub struct Proposal {
     ///
     /// Every pass already computes the MFFC while costing the proposal (the
     /// cost estimator must not count MFFC nodes as free reuse), so the sweep
-    /// reads the size from here instead of recomputing the cone.
+    /// scores proposals by this size; it computes the cone again only for
+    /// the decisions its commit walk checks.
     pub mffc_size: usize,
 }
 
@@ -111,6 +143,96 @@ impl DecisionTable {
     /// The decision recorded for `id`, if any.
     fn lookup(&self, id: NodeId) -> Option<&Decision> {
         self.slots.get(id).and_then(Option::as_ref)
+    }
+}
+
+/// Commit mark: the node is in a winner's freed set.
+const FREED: u8 = 1;
+/// Commit mark: the node is in a winner's used set.
+const USED: u8 = 2;
+/// Commit mark: the node is a winner's root.
+const ROOT: u8 = 4;
+
+/// Buffers of the commit walk (see "Compatible commits" in the module docs):
+/// one `(epoch, marks)` slot per node, so a slot stamped with an older epoch
+/// has no marks and starting a walk is one counter bump; the cone and reuse
+/// buffers recycle across sweeps in [`SweepScratch`].
+#[derive(Debug, Default)]
+pub(crate) struct CommitScratch {
+    marks: Vec<(u32, u8)>,
+    epoch: u32,
+    mffc: MffcScratch,
+    leaf_lits: Vec<Lit>,
+    used: Vec<NodeId>,
+}
+
+impl CommitScratch {
+    /// Keeps the decisions of `table` that are compatible with the ones
+    /// before them in node order and empties the other slots.  Returns the
+    /// winners' summed estimated gain and the number of decisions dropped.
+    fn walk(&mut self, g: &Aig, table: &mut DecisionTable) -> (i64, u64) {
+        let CommitScratch {
+            marks,
+            epoch,
+            mffc,
+            leaf_lits,
+            used,
+        } = self;
+        // A fresh epoch drops every mark; stamp 0 is never current.
+        if marks.len() < g.len() || *epoch == u32::MAX {
+            marks.clear();
+            marks.resize(g.len(), (0, 0));
+            *epoch = 0;
+        }
+        *epoch += 1;
+        let epoch = *epoch;
+        let get = |marks: &[(u32, u8)], id: NodeId| match marks[id] {
+            (stamp, bits) if stamp == epoch => bits,
+            _ => 0,
+        };
+        let (mut estimated, mut conflicts) = (0, 0);
+        for (root, slot) in table.slots.iter_mut().enumerate() {
+            let Some(decision) = slot else {
+                continue;
+            };
+            let freed = Mffc::compute_with(g, root, &decision.leaves, mffc);
+            leaf_lits.clear();
+            leaf_lits.extend(decision.leaves.iter().map(|&n| Lit::from_node(n, false)));
+            used.clear();
+            used.extend_from_slice(&decision.leaves);
+            let excluded = |n| freed.contains(n);
+            let added = match &decision.structure {
+                Structure::SumOfProducts(sop) => {
+                    count_sop_nodes_reusing(g, sop, leaf_lits, excluded, used)
+                }
+                Structure::Shannon(truth) => {
+                    count_shannon_nodes_reusing(g, truth, leaf_lits, excluded, used)
+                }
+            };
+            debug_assert_eq!(
+                freed.size() as i64 - added as i64,
+                decision.gain,
+                "node {root}: the walk must price a decision as its pass did"
+            );
+            let clash = freed
+                .nodes()
+                .iter()
+                .any(|&n| get(marks, n) & (FREED | USED) != 0)
+                || used
+                    .iter()
+                    .any(|&n| get(marks, n) & (FREED | ROOT) == FREED);
+            if clash {
+                *slot = None;
+                conflicts += 1;
+                continue;
+            }
+            estimated += decision.gain;
+            let mut mark = |id: NodeId, bit: u8| marks[id] = (epoch, get(marks, id) | bit);
+            freed.nodes().iter().for_each(|&n| mark(n, FREED));
+            mark(root, ROOT);
+            used.iter().for_each(|&n| mark(n, USED));
+        }
+        (estimated, conflicts)
     }
 }
 
@@ -236,6 +358,12 @@ impl Acceptance {
 /// [`PARALLEL_MIN_NODES`] nodes is one chunk, which the pool runs on the
 /// caller without waking a helper.
 ///
+/// **Commit is serial.**  Once every chunk has decided, one walk in node
+/// order keeps the decisions compatible with the earlier winners (module
+/// docs, "Compatible commits") and the rebuild applies those.  The winners'
+/// estimated and the sweep's realised gain, and the dropped decisions, add
+/// up in [`crate::ApplyStats`].
+///
 /// Each chunk polls `cancel` on a countdown of its own and returns `Err`
 /// once it fires, after putting its scratch back; the sweep then returns the
 /// first `Err` in chunk order.  `g` is only mutated by the apply step,
@@ -270,6 +398,7 @@ where
         tallies,
         rebuild_map,
         filter,
+        commit,
     } = sweep;
     let strict = acceptance.min_gain >= 1;
     if strict {
@@ -333,13 +462,24 @@ where
         apply_stats.identity += 1;
         return Ok(());
     }
-    // Apply the decisions exactly as the oracle does: replay the sweep into
-    // a recycled buffer, then clean it back into `g`.
+    // Commit a compatible subset, then apply it exactly as the oracle does:
+    // replay the sweep into a recycled buffer and clean it back into `g`.
+    let (estimated, conflicts) = commit.walk(g, decisions);
+    let before = g.num_ands();
     let mut rebuilt = pool_take(pool);
     rebuild_with_decisions_into(g, |id| decisions.lookup(id), &mut rebuilt, rebuild_map);
     rebuilt.cleanup_into_with(g, scratch);
     pool_give(pool, rebuilt);
+    let realised = before as i64 - g.num_ands() as i64;
+    debug_assert!(
+        realised >= estimated,
+        "{}: a sweep realised {realised} of an estimated gain of {estimated}",
+        g.name()
+    );
     apply_stats.rebuilt += 1;
+    apply_stats.gain_estimated += estimated;
+    apply_stats.gain_realised += realised;
+    apply_stats.conflicts += conflicts;
     Ok(())
 }
 
@@ -625,6 +765,86 @@ mod tests {
         assert_eq!(r.num_ands(), g.num_ands() - 1);
         assert_eq!(r.outputs()[1], r.input_lits()[0], "f is now the input a");
         assert!(random_equivalence_check(&g, &r, 8, 43));
+    }
+
+    /// `p = (a & b) | (a & c)` and `q = (a & d) & (b & d)`, built in that
+    /// order.  `p`'s best decision, `a & (b | c)`, frees `a & b`; `q`'s,
+    /// `(a & b) & d`, reuses it.  Each is worth its estimate alone; committed
+    /// together, `q` keeps `a & b` alive and the sweep falls short.
+    fn overlapping_pair() -> Aig {
+        let mut g = Aig::new();
+        let xs = g.add_inputs("x", 4);
+        let (a, b, c, d) = (xs[0], xs[1], xs[2], xs[3]);
+        let ab = g.and(a, b);
+        let ac = g.and(a, c);
+        let p = g.or(ab, ac);
+        let ad = g.and(a, d);
+        let bd = g.and(b, d);
+        let q = g.and(ad, bd);
+        g.add_output("p", p);
+        g.add_output("q", q);
+        g
+    }
+
+    /// The ISOP of `id` over the primary inputs its output depends on:
+    /// `{a, b, c}` for `p`, `{a, b, d}` for `q`.
+    fn propose_over_inputs(g: &Aig, id: NodeId, out: &mut Vec<Proposal>) {
+        let xs = g.input_ids();
+        let leaves = if Some(id) == g.outputs().first().map(|l| l.node()) {
+            vec![xs[0], xs[1], xs[2]]
+        } else if Some(id) == g.outputs().get(1).map(|l| l.node()) {
+            vec![xs[0], xs[1], xs[3]]
+        } else {
+            return;
+        };
+        let truth = cut_truth(g, id, &leaves).expect("the inputs cover the cone");
+        let sop = isop(&truth);
+        let leaf_lits: Vec<Lit> = leaves.iter().map(|&n| Lit::from_node(n, false)).collect();
+        let mffc = Mffc::compute(g, id, &leaves);
+        let added = crate::sop::count_sop_nodes(g, &sop, &leaf_lits, |n| mffc.contains(n));
+        out.push(Proposal {
+            leaves,
+            structure: Structure::SumOfProducts(sop),
+            added,
+            mffc_size: mffc.size(),
+        });
+    }
+
+    #[test]
+    fn of_two_overlapping_decisions_only_the_earlier_commits() {
+        let mut g = overlapping_pair();
+        g.compute_fanouts();
+        let (p, q) = (g.outputs()[0].node(), g.outputs()[1].node());
+        assert!(p < q);
+        let mut decided = HashMap::new();
+        for id in [p, q] {
+            let mut proposals = Vec::new();
+            propose_over_inputs(&g, id, &mut proposals);
+            let best = best_decision(&mut proposals, Acceptance::strict());
+            decided.insert(id, best.expect("both nodes have a strict decision"));
+        }
+        assert_eq!((decided[&p].gain, decided[&q].gain), (1, 2));
+        // Both committed: 3 estimated, 2 removed.
+        let both = rebuild_with_decisions(&g, &decided).cleanup();
+        assert_eq!(g.num_ands() - both.num_ands(), 2);
+
+        let mut ctx = PassContext::default();
+        let mut work = ctx.run_flow(&g, &[]);
+        resynthesis_sweep_ctx(
+            &mut work,
+            Acceptance::strict(),
+            &mut ctx,
+            None,
+            |graph, id, _, _, out| propose_over_inputs(graph, id, out),
+        )
+        .expect(crate::pass::UNARMED);
+        let stats = ctx.apply_stats();
+        assert_eq!(stats.conflicts, 1, "q is dropped: {stats:?}");
+        assert_eq!((stats.gain_estimated, stats.gain_realised), (1, 1));
+        decided.remove(&q);
+        let alone = rebuild_with_decisions(&g, &decided).cleanup();
+        assert_eq!(work.num_ands(), alone.num_ands());
+        assert!(random_equivalence_check(&g, &work, 8, 47));
     }
 
     #[test]

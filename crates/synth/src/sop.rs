@@ -421,6 +421,8 @@ struct CostCounter<'a, F: Fn(NodeId) -> bool> {
     /// rewrite is about to delete).
     excluded: F,
     added: usize,
+    /// When set, every AND node the dry-run reuses is pushed here.
+    reused: Option<&'a mut Vec<NodeId>>,
 }
 
 impl<F: Fn(NodeId) -> bool> GateSink for CostCounter<'_, F> {
@@ -436,6 +438,11 @@ impl<F: Fn(NodeId) -> bool> GateSink for CostCounter<'_, F> {
         if let (CostSignal::Existing(x), CostSignal::Existing(y)) = (a, b) {
             if let Some(found) = self.aig.find_and(x, y) {
                 if found.is_const() || !(self.excluded)(found.node()) {
+                    if let Some(reused) = self.reused.as_deref_mut() {
+                        if !found.is_const() {
+                            reused.push(found.node());
+                        }
+                    }
                     return CostSignal::Existing(found);
                 }
             }
@@ -521,10 +528,24 @@ pub fn count_sop_nodes(
     leaves: &[Lit],
     excluded: impl Fn(NodeId) -> bool,
 ) -> usize {
+    count_sop_nodes_reusing(aig, sop, leaves, excluded, &mut Vec::new())
+}
+
+/// [`count_sop_nodes`] that also pushes every existing AND node the count
+/// reuses (each strash hit outside `excluded`) onto `reused`: the nodes the
+/// built structure would keep alive.
+pub fn count_sop_nodes_reusing(
+    aig: &Aig,
+    sop: &Sop,
+    leaves: &[Lit],
+    excluded: impl Fn(NodeId) -> bool,
+    reused: &mut Vec<NodeId>,
+) -> usize {
     let mut counter = CostCounter {
         aig,
         excluded,
         added: 0,
+        reused: Some(reused),
     };
     emit_sop(&mut counter, sop, leaves);
     counter.added
@@ -559,6 +580,7 @@ pub(crate) fn count_sop_nodes_sweep(
         aig,
         excluded,
         added: 0,
+        reused: None,
     };
     if sop.num_cubes() == 0 {
         return Some(0); // emit_sop returns the constant; nothing is added

@@ -12,7 +12,10 @@
 //! one question per node ("how else could this node's cut function be
 //! implemented, and at what cost?"); the sweep owns everything else:
 //! fanout-aware node iteration, gain thresholding, conflict-free decision
-//! replay and the final cleanup.
+//! replay and the final cleanup.  Conflict-free means the sweep commits a
+//! decision only when no earlier committed decision frees a node it uses or
+//! uses a node it frees, so the committed decisions together remove at least
+//! the gain they were priced at ("The commit contract" in the doc).
 
 use aig::{cut_truth, random_equivalence_check, Aig, Lit, Mffc};
 use circuits::{Design, DesignScale};

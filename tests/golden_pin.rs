@@ -1,5 +1,5 @@
-//! Golden pin: the bits `synth` produced at the commit before the three-tier
-//! collapse (ISSUE 24), written out as literals.
+//! Golden pin: the bits `synth` produces at [`synth::SYNTH_REV`] 1 (sweeps
+//! commit only compatible decisions), written out as literals.
 //!
 //! For the three Tiny designs × the five [`Flow::presets`] this pins the
 //! optimized network (`num_ands`, `depth`, structural fingerprint) and the
@@ -32,21 +32,21 @@ type Row = (
 
 #[rustfmt::skip]
 const GOLDEN: &[Row] = &[
-    ("montgomery64", "compress", 1484, 107, 9135305674981434446, (4618272532882417255, 4633570697866641408, 33), (4618272532882417255, 4633570697866641408, 33)),
+    ("montgomery64", "compress", 1484, 107, 5121766004023197591, (4618272532882417255, 4633570697866641408, 33), (4618272532882417255, 4633570697866641408, 33)),
     ("montgomery64", "compress2", 1484, 106, 6349538718853105273, (4618272532882417255, 4633570697866641408, 33), (4618272532882417255, 4633570697866641408, 33)),
     ("montgomery64", "resyn", 1484, 107, 5121766004023197591, (4618272532882417255, 4633570697866641408, 33), (4618272532882417255, 4633570697866641408, 33)),
-    ("montgomery64", "resyn2", 1484, 106, 4616289068315716184, (4618272532882417255, 4633570697866641408, 33), (4618272532882417255, 4633570697866641408, 33)),
-    ("montgomery64", "resyn3", 1500, 106, 661743270901021765, (4618272532882417255, 4633570697866641408, 33), (4618272532882417255, 4633570697866641408, 33)),
-    ("aes128", "compress", 9000, 124, 6886157597327272904, (4628157934064495511, 4630291514387962266, 144), (4628157934064495511, 4630291514387962266, 144)),
-    ("aes128", "compress2", 9000, 124, 3938141292555079256, (4628157934064495511, 4630291514387962266, 144), (4628157934064495511, 4630291514387962266, 144)),
+    ("montgomery64", "resyn2", 1484, 106, 9191218957151691341, (4618272532882417255, 4633570697866641408, 33), (4618272532882417255, 4633570697866641408, 33)),
+    ("montgomery64", "resyn3", 1489, 107, 9693966896409353853, (4618272532882417255, 4633570697866641408, 33), (4618272532882417255, 4633570697866641408, 33)),
+    ("aes128", "compress", 9000, 124, 7992098007527270336, (4628157934064495511, 4630291514387962266, 144), (4628157934064495511, 4630291514387962266, 144)),
+    ("aes128", "compress2", 9012, 124, 11225390594736228540, (4628157934064495511, 4630291514387962266, 144), (4628157934064495511, 4630291514387962266, 144)),
     ("aes128", "resyn", 9012, 124, 2364524026172702944, (4627795675769468896, 4630291514387962266, 138), (4627795675769468896, 4630291514387962266, 138)),
-    ("aes128", "resyn2", 9000, 124, 6886157597327272904, (4628157934064495511, 4630291514387962266, 144), (4628157934064495511, 4630291514387962266, 144)),
-    ("aes128", "resyn3", 9000, 124, 6886157597327272904, (4628157934064495511, 4630291514387962266, 144), (4628157934064495511, 4630291514387962266, 144)),
-    ("alu64", "compress", 423, 35, 7257531022660324053, (4614295854411449108, 4630122629401935872, 21), (4614295854411449108, 4630122629401935872, 21)),
-    ("alu64", "compress2", 419, 35, 336503331610567242, (4614295854411449108, 4630122629401935872, 21), (4614295854411449108, 4630122629401935872, 21)),
-    ("alu64", "resyn", 423, 35, 7109954395915748461, (4614295854411449108, 4630122629401935872, 21), (4614295854411449108, 4630122629401935872, 21)),
-    ("alu64", "resyn2", 419, 36, 2351992789396839712, (4614295854411449108, 4630122629401935872, 21), (4614295854411449108, 4630122629401935872, 21)),
-    ("alu64", "resyn3", 420, 35, 16024833447862035107, (4614295854411449108, 4630122629401935872, 21), (4614295854411449108, 4630122629401935872, 21)),
+    ("aes128", "resyn2", 9012, 124, 11225390594736228540, (4628157934064495511, 4630291514387962266, 144), (4628157934064495511, 4630291514387962266, 144)),
+    ("aes128", "resyn3", 9012, 124, 11225390594736228540, (4628157934064495511, 4630291514387962266, 144), (4628157934064495511, 4630291514387962266, 144)),
+    ("alu64", "compress", 407, 35, 17906672741536383515, (4614295854411449108, 4630122629401935872, 21), (4614295854411449108, 4630122629401935872, 21)),
+    ("alu64", "compress2", 404, 35, 8216968530041719835, (4614295854411449108, 4630122629401935872, 21), (4614295854411449108, 4630122629401935872, 21)),
+    ("alu64", "resyn", 407, 35, 2968980835510037754, (4614295854411449108, 4630122629401935872, 21), (4614295854411449108, 4630122629401935872, 21)),
+    ("alu64", "resyn2", 405, 35, 11876240682387266652, (4613681113062313035, 4630122629401935872, 19), (4613681113062313035, 4630122629401935872, 19)),
+    ("alu64", "resyn3", 415, 35, 2643765501308716664, (4614295854411449108, 4630122629401935872, 21), (4614295854411449108, 4630122629401935872, 21)),
 ];
 
 fn params(mode: MapMode) -> MapperParams {
