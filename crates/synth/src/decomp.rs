@@ -63,27 +63,26 @@ pub fn count_shannon_nodes_reusing(
     count_rec(aig, f, leaves, excluded, reused).1
 }
 
-/// [`count_shannon_nodes`] capped at `budget` — the passes' estimator.
+/// [`count_shannon_nodes_reusing`] capped at `budget` — the sweep's
+/// estimator.
 ///
 /// Returns `None` as soon as the count provably exceeds `budget`, `Some(n)`
-/// with the exact count otherwise.  The cap is lossless for the sweep's
-/// accept loop: a proposal is only viable when `added <= mffc_size -
-/// min_gain`, so callers pass that bound as the budget — capped cones are
-/// exactly the ones the accept loop would reject, and surviving counts are
-/// bit-identical to the uncapped recursion (same split variables, same
-/// reuse probes).  `restructure`'s cuts have at most six leaves, so the
-/// whole table is one word and the recursion bails as soon as the budget is
-/// spent.
+/// with the exact count otherwise; a completed count is the uncapped
+/// recursion's (same split variables, same reuse probes) and has pushed the
+/// same strash hits onto `reused`.  `restructure`'s cuts have at most six
+/// leaves, so the whole table is one word and the recursion bails as soon as
+/// the budget is spent.
 pub(crate) fn count_shannon_nodes_sweep(
     aig: &Aig,
     f: &TruthTable,
     leaves: &[Lit],
     excluded: impl Fn(NodeId) -> bool + Copy,
     budget: usize,
+    reused: &mut Vec<NodeId>,
 ) -> Option<usize> {
     debug_assert!(f.num_vars() <= 6, "one-word tables only");
     let word = f.words()[0];
-    count_rec_budget_u64(aig, word, f.num_vars(), leaves, excluded, budget).map(|(_, n)| n)
+    count_rec_budget_u64(aig, word, f.num_vars(), leaves, excluded, budget, reused).map(|(_, n)| n)
 }
 
 /// Budget-capped [`count_rec`] on functions of at most six variables, whose
@@ -100,6 +99,7 @@ fn count_rec_budget_u64(
     leaves: &[Lit],
     excluded: impl Fn(NodeId) -> bool + Copy,
     budget: usize,
+    reused: &mut Vec<NodeId>,
 ) -> Option<(Option<Lit>, usize)> {
     let tail = TruthTable::tail_mask(nv);
     if f == 0 {
@@ -148,9 +148,9 @@ fn count_rec_budget_u64(
         }
     }
     let (f0, f1) = cof[v];
-    let (l0, c0) = count_rec_budget_u64(aig, f0, nv, leaves, excluded, budget)?;
-    let (l1, c1) = count_rec_budget_u64(aig, f1, nv, leaves, excluded, budget - c0)?;
-    let (lit, mux) = mux_cost(aig, excluded, leaves[v], l1, l0, None);
+    let (l0, c0) = count_rec_budget_u64(aig, f0, nv, leaves, excluded, budget, reused)?;
+    let (l1, c1) = count_rec_budget_u64(aig, f1, nv, leaves, excluded, budget - c0, reused)?;
+    let (lit, mux) = mux_cost(aig, excluded, leaves[v], l1, l0, reused);
     let added = c0 + c1 + mux;
     if added > budget {
         return None;
@@ -195,7 +195,7 @@ fn count_rec(
     let v = pick_split_var(f, support);
     let (l0, c0) = count_rec(aig, &f.cofactor0(v), leaves, excluded, reused);
     let (l1, c1) = count_rec(aig, &f.cofactor1(v), leaves, excluded, reused);
-    let (lit, mux) = mux_cost(aig, excluded, leaves[v], l1, l0, Some(reused));
+    let (lit, mux) = mux_cost(aig, excluded, leaves[v], l1, l0, reused);
     (lit, c0 + c1 + mux)
 }
 
@@ -203,24 +203,21 @@ fn count_rec(
 /// existing literals `l1`, `l0` (`None` = would be fresh) needs `sel & t`,
 /// `!sel & e` and their OR, each free only when `aig` already holds it
 /// outside `excluded`.  Returns the mux's literal when it is free, and the
-/// number of nodes it adds; pushes the AND nodes it reuses onto `reused`
-/// when one is given.
+/// number of nodes it adds; pushes the AND nodes it reuses onto `reused`.
 fn mux_cost(
     aig: &Aig,
     excluded: impl Fn(NodeId) -> bool,
     sel: Lit,
     l1: Option<Lit>,
     l0: Option<Lit>,
-    mut reused: Option<&mut Vec<NodeId>>,
+    reused: &mut Vec<NodeId>,
 ) -> (Option<Lit>, usize) {
     let mut reuse = |x: Lit, y: Lit| {
         let found = aig
             .find_and(x, y)
             .filter(|l| l.is_const() || !excluded(l.node()));
-        if let (Some(l), Some(reused)) = (found, reused.as_deref_mut()) {
-            if !l.is_const() {
-                reused.push(l.node());
-            }
+        if let Some(l) = found.filter(|l| !l.is_const()) {
+            reused.push(l.node());
         }
         found
     };
@@ -345,7 +342,14 @@ mod tests {
                 let f = random_truth(nv, seed * 31 + nv as u64);
                 let leaves = &inputs[..nv];
                 let reference = count_shannon_nodes(&g, &f, leaves, |_| false);
-                let fast = count_shannon_nodes_sweep(&g, &f, leaves, |_| false, usize::MAX);
+                let fast = count_shannon_nodes_sweep(
+                    &g,
+                    &f,
+                    leaves,
+                    |_| false,
+                    usize::MAX,
+                    &mut Vec::new(),
+                );
                 assert_eq!(Some(reference), fast, "nv={nv} seed={seed}");
             }
         }
@@ -354,8 +358,9 @@ mod tests {
     #[test]
     fn budgeted_sweep_count_matches_reference() {
         // Random graphs + random truths: the budget-capped
-        // counter must return Some(exact reference count) whenever the
-        // reference count fits the budget and None otherwise.
+        // counter must return Some(exact reference count), having recorded
+        // the reference's strash hits, whenever the reference count fits
+        // the budget and None otherwise.
         let mut state = 0x5EEDu64;
         let mut rng = move || {
             state ^= state >> 12;
@@ -385,7 +390,8 @@ mod tests {
                 let f = random_truth(nv, seed * 13 + nv as u64);
                 let leaves = &inputs[..nv];
                 let excluded = |n: aig::NodeId| n % 7 == 3;
-                let reference = count_shannon_nodes(&g, &f, leaves, excluded);
+                let mut hits = Vec::new();
+                let reference = count_shannon_nodes_reusing(&g, &f, leaves, excluded, &mut hits);
                 for budget in [
                     0usize,
                     1,
@@ -394,9 +400,12 @@ mod tests {
                     reference,
                     reference + 5,
                 ] {
-                    let got = count_shannon_nodes_sweep(&g, &f, leaves, excluded, budget);
+                    let mut recorded = Vec::new();
+                    let got =
+                        count_shannon_nodes_sweep(&g, &f, leaves, excluded, budget, &mut recorded);
                     if reference <= budget {
                         assert_eq!(got, Some(reference), "nv={nv} seed={seed} budget={budget}");
+                        assert_eq!(hits, recorded, "nv={nv} seed={seed}: recorded hits");
                     } else {
                         assert_eq!(got, None, "nv={nv} seed={seed} budget={budget}");
                     }

@@ -43,7 +43,7 @@
 
 use std::time::Instant;
 
-use aig::{Aig, AigScratch, CutSet4, CutTruthScratch, Lit, MffcScratch, NodeId};
+use aig::{Aig, AigScratch, CutSet4, CutTruthScratch, Lit, NodeId};
 use flow_core::{fail_point, CancelToken, Cancelled};
 
 use crate::balance::balance_ctx;
@@ -51,9 +51,9 @@ use crate::passes::Transform;
 use crate::reconv::ReconvScratch;
 use crate::refactor::refactor_ctx;
 use crate::restructure::restructure_ctx;
-use crate::resyn::{CommitScratch, DecisionTable, GainFilter, Proposal};
+use crate::resyn::{CommitScratch, DecisionTable, GainFilter, Pricer};
 use crate::rewrite::rewrite_ctx;
-use crate::sop::{IsopCache, SharedIsopCache, SopCostScratch};
+use crate::sop::{IsopCache, SharedIsopCache};
 
 /// Maximum number of recycled graph buffers a context keeps around.
 const POOL_CAPACITY: usize = 8;
@@ -169,13 +169,12 @@ impl<'a> CancelCell<'a> {
 #[derive(Debug, Default)]
 pub(crate) struct SweepScratch {
     pub(crate) decisions: DecisionTable,
-    /// Decisions taken by each propose chunk, or the cancellation that
-    /// stopped it.
-    pub(crate) tallies: Vec<Result<usize, Cancelled>>,
+    /// How each propose chunk ended: swept, or stopped by a cancellation.
+    pub(crate) tallies: Vec<Result<(), Cancelled>>,
     pub(crate) rebuild_map: Vec<Lit>,
     /// The strict sweeps' signature filter.
     pub(crate) filter: GainFilter,
-    /// The commit walk's marks and its cone and reuse buffers.
+    /// The commit walk's marks.
     pub(crate) commit: CommitScratch,
 }
 
@@ -206,20 +205,17 @@ pub struct ApplyStats {
 }
 
 /// Reusable buffers of the per-node proposal generators: the cut-truth cone
-/// walk, the reconvergence-cut visited stamps, the MFFC side table, the SOP
-/// cost dry-run and the memoizing ISOP cache all survive across every node of
-/// every pass of a flow, as do the leaf and proposal staging buffers.  One
-/// propose chunk uses one scratch at a time.
+/// walk, the reconvergence-cut visited stamps, the memoizing ISOP cache and
+/// the sweep's [`Pricer`] (MFFC side table, cost dry-run, kept candidate)
+/// all survive across every node of every pass of a flow, as does the leaf
+/// staging buffer.  One propose chunk uses one scratch at a time.
 #[derive(Debug, Default)]
 pub(crate) struct ProposeScratch {
     pub(crate) truth: CutTruthScratch,
     pub(crate) reconv: ReconvScratch,
-    pub(crate) mffc: MffcScratch,
-    pub(crate) cost: SopCostScratch,
     pub(crate) isop: IsopCache,
-    pub(crate) leaf_lits: Vec<Lit>,
     pub(crate) cut_leaves: Vec<NodeId>,
-    pub(crate) proposals: Vec<Proposal>,
+    pub(crate) pricer: Pricer,
 }
 
 impl ProposeScratch {

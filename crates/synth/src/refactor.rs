@@ -6,14 +6,13 @@
 //! irredundant SOP and rebuilt.  Because the cut is much larger than rewrite's
 //! 4-feasible cuts, refactoring restructures whole fanin cones at once.
 
-use aig::{cut_truth_with, Aig, Lit, Mffc, NodeId};
+use aig::{cut_truth_with, Aig, NodeId};
 
 use flow_core::{CancelToken, Cancelled};
 
 use crate::pass::{PassContext, ProposeScratch};
 use crate::reconv::reconv_cut_sweep;
-use crate::resyn::{resynthesis_sweep_ctx, Acceptance, Proposal, Structure};
-use crate::sop::count_sop_nodes_sweep;
+use crate::resyn::{resynthesis_sweep_ctx, Acceptance, Candidate};
 
 /// Maximum number of leaves of the reconvergence-driven cut.
 pub(crate) const MAX_LEAVES: usize = 8;
@@ -34,25 +33,16 @@ pub(crate) fn refactor_ctx(
     } else {
         Acceptance::strict()
     };
-    let min_gain = acceptance.min_gain;
-    resynthesis_sweep_ctx(g, acceptance, ctx, cancel, |graph, id, ps, _, out| {
-        propose_sweep(graph, id, min_gain, ps, out)
+    resynthesis_sweep_ctx(g, acceptance, ctx, cancel, |graph, id, ps, _| {
+        propose_sweep(graph, id, ps)
     })
 }
 
-/// The proposal generator: the ISOP re-expression of `id`'s
-/// reconvergence-driven cut function, emitted only when the sweep's accept
-/// loop can accept it (cost capped at `mffc_size - min_gain`; dearer cones
-/// are rejected without finishing the count).  The cut grows on stamped
-/// scratch, the cut function comes from the scratch-based cone walk
-/// ([`cut_truth_with`]) and the SOP cost dry-run probes the graph's strash.
-pub(crate) fn propose_sweep(
-    graph: &Aig,
-    id: NodeId,
-    min_gain: i64,
-    ps: &mut ProposeScratch,
-    proposals: &mut Vec<Proposal>,
-) {
+/// The proposal generator: offers the ISOP re-expression of `id`'s
+/// reconvergence-driven cut function to the sweep's pricer.  The cut grows
+/// on stamped scratch, the cut function comes from the scratch-based cone
+/// walk ([`cut_truth_with`]) and the cover is borrowed from the ISOP cache.
+pub(crate) fn propose_sweep(graph: &Aig, id: NodeId, ps: &mut ProposeScratch) {
     reconv_cut_sweep(graph, id, MAX_LEAVES, &mut ps.reconv, &mut ps.cut_leaves);
     let leaves = &ps.cut_leaves;
     if leaves.len() < 3 {
@@ -61,34 +51,15 @@ pub(crate) fn propose_sweep(
     let Ok(truth) = cut_truth_with(graph, id, leaves, &mut ps.truth) else {
         return;
     };
-    // Borrowed cover for the cheap reject paths; the owned clone is
-    // materialised only for a surviving proposal.
-    let sop = ps.isop.isop_ref(&truth);
-    if sop.num_cubes() > MAX_CUBES {
+    let cover = ps.isop.isop_ref(&truth);
+    if cover.num_cubes() > MAX_CUBES {
         return;
     }
-    ps.leaf_lits.clear();
-    ps.leaf_lits
-        .extend(leaves.iter().map(|&n| Lit::from_node(n, false)));
-    let mffc = Mffc::compute_with(graph, id, leaves, &mut ps.mffc);
-    let budget = (mffc.size() as i64 - min_gain).max(0) as usize;
-    let Some(added) = count_sop_nodes_sweep(
-        graph,
-        sop,
-        &ps.leaf_lits,
-        |n| mffc.contains(n),
-        &mut ps.cost,
-        budget,
-    ) else {
-        return;
+    let candidate = Candidate::Sop {
+        truth: &truth,
+        cover,
     };
-    let sop = ps.isop.isop(&truth);
-    proposals.push(Proposal {
-        leaves: leaves.clone(),
-        structure: Structure::SumOfProducts(sop),
-        added,
-        mffc_size: mffc.size(),
-    });
+    ps.pricer.offer(graph, leaves, candidate);
 }
 
 #[cfg(test)]
@@ -96,7 +67,7 @@ mod tests {
     use super::*;
     use crate::passes::Transform;
     use crate::reconv::reconv_cut;
-    use aig::random_equivalence_check;
+    use aig::{random_equivalence_check, Lit};
     use circuits::{Design, DesignScale};
 
     /// A cone that is smaller when collapsed: a chain of ORs that a flat SOP

@@ -231,8 +231,6 @@ fn rewrite(aig: &Aig, acceptance: Acceptance) -> Aig {
                 continue;
             };
             proposals.extend(sop_proposal(
-                graph,
-                id,
                 cut.leaves().to_vec(),
                 &truth,
                 rewrite::MAX_CUBES,
@@ -247,7 +245,7 @@ fn refactor(aig: &Aig, acceptance: Acceptance) -> Aig {
         let Some((leaves, truth)) = reconv_cut_function(graph, id, refactor::MAX_LEAVES) else {
             return Vec::new();
         };
-        Vec::from_iter(sop_proposal(graph, id, leaves, &truth, refactor::MAX_CUBES))
+        Vec::from_iter(sop_proposal(leaves, &truth, refactor::MAX_CUBES))
     })
 }
 
@@ -256,14 +254,9 @@ fn restructure(aig: &Aig) -> Aig {
         let Some((leaves, truth)) = reconv_cut_function(graph, id, restructure::MAX_LEAVES) else {
             return Vec::new();
         };
-        let leaf_lits: Vec<Lit> = leaves.iter().map(|&n| Lit::from_node(n, false)).collect();
-        let mffc = Mffc::compute(graph, id, &leaves);
-        let added = count_shannon_nodes(graph, &truth, &leaf_lits, |n| mffc.contains(n));
         vec![Proposal {
             leaves,
             structure: Structure::Shannon(truth),
-            added,
-            mffc_size: mffc.size(),
         }]
     })
 }
@@ -282,28 +275,13 @@ fn reconv_cut_function(
     Some((leaves, truth))
 }
 
-/// The ISOP re-expression of `truth` over `leaves`, costed against the graph.
-fn sop_proposal(
-    graph: &Aig,
-    id: NodeId,
-    leaves: Vec<NodeId>,
-    truth: &TruthTable,
-    max_cubes: usize,
-) -> Option<Proposal> {
+/// The ISOP re-expression of `truth` over `leaves`, unless its cover has
+/// more than `max_cubes` cubes.
+fn sop_proposal(leaves: Vec<NodeId>, truth: &TruthTable, max_cubes: usize) -> Option<Proposal> {
     let sop = isop(truth);
-    if sop.num_cubes() > max_cubes {
-        return None;
-    }
-    let leaf_lits: Vec<Lit> = leaves.iter().map(|&n| Lit::from_node(n, false)).collect();
-    // Nodes inside the MFFC will be freed by the replacement, so reusing
-    // them must not be counted as free.
-    let mffc = Mffc::compute(graph, id, &leaves);
-    let added = count_sop_nodes(graph, &sop, &leaf_lits, |n| mffc.contains(n));
-    Some(Proposal {
+    (sop.num_cubes() <= max_cubes).then_some(Proposal {
         leaves,
         structure: Structure::SumOfProducts(sop),
-        added,
-        mffc_size: mffc.size(),
     })
 }
 
@@ -312,10 +290,13 @@ fn sop_proposal(
 /// prototypes a new pass on.
 ///
 /// `propose` is called for every AND node (with up-to-date fanout counts) and
-/// may return any number of candidate implementations; the best accepted one is
-/// decided, and committed when it is compatible with the decisions committed
-/// before it (the rule of `resyn`'s "Compatible commits").  The function
-/// returns the rebuilt, cleaned-up network.
+/// may return any number of candidate implementations.  The harness prices
+/// each (`resyn`'s "Pricing": MFFC size within the leaves minus the nodes
+/// the structure adds, the MFFC never counted as reuse), decides the first
+/// with the strictly largest gain at or above the threshold, and commits it
+/// when it is compatible with the decisions committed before it (the rule of
+/// `resyn`'s "Compatible commits").  The function returns the rebuilt,
+/// cleaned-up network.
 pub fn resynthesis_sweep<F>(aig: &Aig, acceptance: Acceptance, mut propose: F) -> Aig
 where
     F: FnMut(&Aig, NodeId) -> Vec<Proposal>,
@@ -330,10 +311,9 @@ where
         if work.fanout_count(id) == 0 {
             continue;
         }
-        let proposals = propose(&work, id);
         let mut best: Option<Decision> = None;
-        for p in proposals {
-            let gain = p.mffc_size as i64 - p.added as i64;
+        for p in propose(&work, id) {
+            let gain = price(&work, id, &p);
             if gain < acceptance.min_gain {
                 continue;
             }
@@ -353,6 +333,19 @@ where
     }
 
     rebuild_with_decisions(&work, &decisions).cleanup()
+}
+
+/// The gain of `p` at `root`: its MFFC within the leaves, less the nodes
+/// its structure adds reusing every node outside that MFFC.
+fn price(g: &Aig, root: NodeId, p: &Proposal) -> i64 {
+    let mffc = Mffc::compute(g, root, &p.leaves);
+    let leaf_lits: Vec<Lit> = p.leaves.iter().map(|&n| Lit::from_node(n, false)).collect();
+    let excluded = |n| mffc.contains(n);
+    let added = match &p.structure {
+        Structure::SumOfProducts(sop) => count_sop_nodes(g, sop, &leaf_lits, excluded),
+        Structure::Shannon(truth) => count_shannon_nodes(g, truth, &leaf_lits, excluded),
+    };
+    mffc.size() as i64 - added as i64
 }
 
 /// The nodes the decisions committed so far free, use and root.

@@ -9,13 +9,12 @@
 //! optimisation opportunities they cannot reach on their own — which is exactly
 //! why the ordering of transformations matters (Section 1 of the paper).
 
-use aig::{cut_truth_with, Aig, Lit, Mffc, NodeId};
+use aig::{cut_truth_with, Aig, NodeId};
 use flow_core::{CancelToken, Cancelled};
 
-use crate::decomp::count_shannon_nodes_sweep;
 use crate::pass::{PassContext, ProposeScratch};
 use crate::reconv::reconv_cut_sweep;
-use crate::resyn::{resynthesis_sweep_ctx, Acceptance, Proposal, Structure};
+use crate::resyn::{resynthesis_sweep_ctx, Acceptance, Candidate};
 
 /// Maximum number of leaves of the reconvergence-driven cut.
 pub(crate) const MAX_LEAVES: usize = 6;
@@ -27,25 +26,16 @@ pub(crate) fn restructure_ctx(
     ctx: &mut PassContext,
     cancel: Option<&CancelToken>,
 ) -> Result<(), Cancelled> {
-    let acceptance = Acceptance::strict();
-    resynthesis_sweep_ctx(g, acceptance, ctx, cancel, |graph, id, ps, _, out| {
-        propose_sweep(graph, id, acceptance.min_gain, ps, out)
+    resynthesis_sweep_ctx(g, Acceptance::strict(), ctx, cancel, |graph, id, ps, _| {
+        propose_sweep(graph, id, ps)
     })
 }
 
-/// The proposal generator: the Shannon re-decomposition of `id`'s
-/// reconvergence-driven cut function, emitted only when the sweep's accept
-/// loop can accept it (cost capped at `mffc_size - min_gain`; dearer cones
-/// are rejected without finishing the count).  The cut grows on stamped
-/// scratch, the cut function comes from the scratch-based cone walk and the
-/// Shannon cost dry-run probes the graph's strash.
-pub(crate) fn propose_sweep(
-    graph: &Aig,
-    id: NodeId,
-    min_gain: i64,
-    ps: &mut ProposeScratch,
-    proposals: &mut Vec<Proposal>,
-) {
+/// The proposal generator: offers the Shannon re-decomposition of `id`'s
+/// reconvergence-driven cut function to the sweep's pricer.  The cut grows
+/// on stamped scratch and the cut function comes from the scratch-based cone
+/// walk.
+pub(crate) fn propose_sweep(graph: &Aig, id: NodeId, ps: &mut ProposeScratch) {
     reconv_cut_sweep(graph, id, MAX_LEAVES, &mut ps.reconv, &mut ps.cut_leaves);
     let leaves = &ps.cut_leaves;
     if leaves.len() < 3 {
@@ -54,22 +44,7 @@ pub(crate) fn propose_sweep(
     let Ok(truth) = cut_truth_with(graph, id, leaves, &mut ps.truth) else {
         return;
     };
-    ps.leaf_lits.clear();
-    ps.leaf_lits
-        .extend(leaves.iter().map(|&n| Lit::from_node(n, false)));
-    let mffc = Mffc::compute_with(graph, id, leaves, &mut ps.mffc);
-    let budget = (mffc.size() as i64 - min_gain).max(0) as usize;
-    let Some(added) =
-        count_shannon_nodes_sweep(graph, &truth, &ps.leaf_lits, |n| mffc.contains(n), budget)
-    else {
-        return;
-    };
-    proposals.push(Proposal {
-        leaves: leaves.clone(),
-        structure: Structure::Shannon(truth),
-        added,
-        mffc_size: mffc.size(),
-    });
+    ps.pricer.offer(graph, leaves, Candidate::Shannon(&truth));
 }
 
 #[cfg(test)]

@@ -3,15 +3,29 @@
 //! `rewrite`, `refactor` and `restructure` all follow the same scheme:
 //!
 //! 1. sweep the live AND nodes,
-//! 2. for each node pick a cut, compute the cut function, and propose a new
-//!    implementation of that function over the cut leaves,
-//! 3. accept the proposal when the estimated gain (MFFC nodes freed minus new
-//!    nodes added) meets the pass's threshold,
-//! 4. commit the accepted proposals that are compatible with each other (see
+//! 2. for each node pick cuts, compute each cut function, and offer new
+//!    implementations of it over the cut leaves,
+//! 3. price every offer (MFFC nodes freed minus new nodes added) and decide
+//!    the best one whose gain meets the pass's threshold,
+//! 4. commit the decisions that are compatible with each other (see
 //!    "Compatible commits") and rebuild the network applying them.
 //!
-//! This module owns steps 1, 3 and 4; each pass provides step 2 as a
-//! [`Proposal`] generator.
+//! This module owns steps 1, 3 and 4; each pass provides step 2, handing
+//! its candidates to the sweep's `Pricer`.
+//!
+//! # Pricing
+//!
+//! The pricer is the one place that prices a candidate.  It computes the
+//! MFFC of the node bounded by the candidate's leaves (the nodes it frees)
+//! and counts the AND nodes the candidate's structure would add, reusing
+//! every node the graph's strash already holds except the MFFC's (they die
+//! with the node).  The gain is the MFFC size minus that count.  It keeps
+//! the first candidate whose gain is strictly the largest and at least
+//! `min_gain`, so each count is capped at the MFFC size minus the gain a
+//! candidate needs to be kept, and a dearer one stops early.  While it
+//! counts, it records the freed set (the MFFC, root included) and the used
+//! set (the leaves plus every strash hit); the kept candidate's sets go to
+//! the commit walk.
 //!
 //! Steps 1–3 only read the graph (`&Aig`; even the MFFC keeps its
 //! dereferenced counts in a side table), so every node's decision depends on
@@ -28,15 +42,10 @@
 //! the other's structure reuses, so the node survives and the first realises
 //! less than it estimated, or both count the same freed node.  So between
 //! the parallel propose and the rebuild, the sweep walks the decided nodes
-//! once, in node order, and commits a compatible subset (the
-//! collect-then-commit scheme of Riener et al., "On-the-fly and DAG-aware:
-//! rewriting Boolean networks with exact synthesis", DATE 2019).  For each
-//! decision it recomputes two sets:
-//!
-//! * **freed**: the MFFC bounded by the decision's leaves, root included;
-//! * **used**: the leaves, plus every node that the cost dry-run which priced
-//!   the decision found in the strash ([`count_sop_nodes_reusing`],
-//!   [`count_shannon_nodes_reusing`]).
+//! once, in node order, over the freed and used sets recorded at pricing,
+//! and commits a compatible subset (the collect-then-commit scheme of Riener
+//! et al., "On-the-fly and DAG-aware: rewriting Boolean networks with exact
+//! synthesis", DATE 2019).  It re-prices nothing.
 //!
 //! The walk drops a decision when its freed set meets a node that an earlier
 //! winner freed or used, or when one of its used nodes was freed by an
@@ -61,7 +70,7 @@
 //!   is shared by no other node of the graph (constant and inputs included).
 //!
 //! The skip is exact.  With a one-node MFFC, a gain of at least 1 needs a
-//! proposal that adds no node at all.  Both cost dry-runs (the SOP counter
+//! candidate that adds no node at all.  Both cost dry-runs (the SOP counter
 //! and the Shannon `mux_cost`) then end on an existing literal that lies
 //! outside the MFFC, so on a node other than `n` — a leaf, the constant, or
 //! an AND found by a strash probe.  Over the same leaves that literal
@@ -82,9 +91,9 @@ use aig::{
 use flow_core::{CancelToken, Cancelled};
 use rayon::prelude::*;
 
-use crate::decomp::{build_shannon, count_shannon_nodes_reusing};
+use crate::decomp::{build_shannon, count_shannon_nodes_sweep};
 use crate::pass::{pool_give, pool_take, CancelCell, PassContext, ProposeScratch, SweepScratch};
-use crate::sop::{build_sop, count_sop_nodes_reusing, Sop};
+use crate::sop::{build_sop, count_sop_nodes_sweep, IsopCache, Sop, SopCostScratch};
 
 /// How the new implementation of a node's cut function is expressed.
 #[derive(Debug, Clone)]
@@ -106,38 +115,176 @@ pub struct Decision {
     pub gain: i64,
 }
 
-/// A candidate produced by a pass for one node, before gain thresholding.
+/// A candidate re-implementation of one node, as the oracle's sweep harness
+/// ([`crate::reference::resynthesis_sweep`]) takes it: the harness prices
+/// it.
 #[derive(Debug, Clone)]
 pub struct Proposal {
     /// Cut leaves defining the variable order of `structure`.
     pub leaves: Vec<NodeId>,
     /// The proposed replacement structure.
     pub structure: Structure,
-    /// Estimated number of new AND nodes the structure would add.
-    pub added: usize,
-    /// Size of the node's MFFC bounded by `leaves` (nodes freed on acceptance).
-    ///
-    /// Every pass already computes the MFFC while costing the proposal (the
-    /// cost estimator must not count MFFC nodes as free reuse), so the sweep
-    /// scores proposals by this size; it computes the cone again only for
-    /// the decisions its commit walk checks.
-    pub mffc_size: usize,
+}
+
+/// A candidate a production pass offers the [`Pricer`], borrowed from its
+/// scratch.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Candidate<'a> {
+    /// `cover`, the ISOP of `truth`.  A kept candidate's owned cover is
+    /// taken from the ISOP cache once the node is decided.
+    Sop {
+        truth: &'a TruthTable,
+        cover: &'a Sop,
+    },
+    /// The Shannon decomposition of the table (at most six variables).
+    Shannon(&'a TruthTable),
+}
+
+/// The sweep's pricer (module docs, "Pricing"), one per propose scratch:
+/// [`begin`](Self::begin) at a node, [`offer`](Self::offer) its candidates,
+/// [`decide`](Self::decide).  Every buffer recycles across nodes, so an
+/// offer that is not kept allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct Pricer {
+    root: NodeId,
+    min_gain: i64,
+    /// Gain, function and form (SOP or not) of the kept candidate.
+    kept: Option<(i64, TruthTable, bool)>,
+    /// The kept candidate's leaves, freed set and used set.
+    leaves: Vec<NodeId>,
+    freed: Vec<NodeId>,
+    used: Vec<NodeId>,
+    /// The used set of the offer being priced.
+    probe: Vec<NodeId>,
+    leaf_lits: Vec<Lit>,
+    mffc: MffcScratch,
+    cost: SopCostScratch,
+}
+
+impl Pricer {
+    /// Starts pricing the candidates of `root`; any kept one is dropped.
+    pub(crate) fn begin(&mut self, root: NodeId, min_gain: i64) {
+        self.root = root;
+        self.min_gain = min_gain;
+        self.kept = None;
+    }
+
+    /// Prices `candidate` over `leaves` and keeps it when its gain is at
+    /// least `min_gain` and strictly larger than the kept one's.
+    pub(crate) fn offer(&mut self, g: &Aig, leaves: &[NodeId], candidate: Candidate<'_>) {
+        let need = self.kept.as_ref().map_or(self.min_gain, |k| k.0 + 1);
+        let mffc = Mffc::compute_with(g, self.root, leaves, &mut self.mffc);
+        let Ok(budget) = usize::try_from(mffc.size() as i64 - need) else {
+            return;
+        };
+        self.leaf_lits.clear();
+        self.leaf_lits
+            .extend(leaves.iter().map(|&n| Lit::from_node(n, false)));
+        self.probe.clear();
+        self.probe.extend_from_slice(leaves);
+        let (lits, probe, excluded) = (&self.leaf_lits, &mut self.probe, |n| mffc.contains(n));
+        let (added, truth, sop) = match candidate {
+            Candidate::Sop { truth, cover } => {
+                let added =
+                    count_sop_nodes_sweep(g, cover, lits, excluded, &mut self.cost, budget, probe);
+                (added, truth, true)
+            }
+            Candidate::Shannon(truth) => (
+                count_shannon_nodes_sweep(g, truth, lits, excluded, budget, probe),
+                truth,
+                false,
+            ),
+        };
+        // A completed count fits the budget, so the candidate beats the kept one.
+        let Some(added) = added else {
+            return;
+        };
+        self.kept = Some((mffc.size() as i64 - added as i64, *truth, sop));
+        self.freed.clear();
+        self.freed.extend_from_slice(mffc.nodes());
+        std::mem::swap(&mut self.used, &mut self.probe);
+        self.leaves.clear();
+        self.leaves.extend_from_slice(leaves);
+    }
+
+    /// The node's decision, if a candidate was kept; its freed and used sets
+    /// go to `recorded`.  A kept SOP's cover comes from `isop`.
+    pub(crate) fn decide(
+        &mut self,
+        isop: &mut IsopCache,
+        recorded: &mut Recorded,
+    ) -> Option<Decision> {
+        let (gain, truth, sop) = self.kept.take()?;
+        recorded.push(self.root, &self.freed, &self.used);
+        let structure = if sop {
+            Structure::SumOfProducts(isop.isop(&truth))
+        } else {
+            Structure::Shannon(truth)
+        };
+        Some(Decision {
+            leaves: self.leaves.clone(),
+            structure,
+            gain,
+        })
+    }
+}
+
+/// The freed and used sets of one propose chunk's decisions, in node order,
+/// flat: `root, |freed|, freed.., |used|, used..` per decision.  Kept out
+/// of the decision slots so an undecided node's slot does not grow.
+#[derive(Debug, Default)]
+pub(crate) struct Recorded(Vec<u32>);
+
+impl Recorded {
+    fn push(&mut self, root: NodeId, freed: &[NodeId], used: &[NodeId]) {
+        self.0.push(root as u32);
+        for set in [freed, used] {
+            self.0.push(set.len() as u32);
+            self.0.extend(set.iter().map(|&n| n as u32));
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// `(root, freed, used)` of each decision, in node order.
+    fn iter(&self) -> impl Iterator<Item = (NodeId, &[u32], &[u32])> {
+        fn counted(s: &[u32]) -> (&[u32], &[u32]) {
+            let (&n, rest) = s.split_first().expect("a recorded set");
+            rest.split_at(n as usize)
+        }
+        let mut rest = &self.0[..];
+        std::iter::from_fn(move || {
+            let (&root, tail) = rest.split_first()?;
+            let (freed, tail) = counted(tail);
+            let (used, tail) = counted(tail);
+            rest = tail;
+            Some((root as NodeId, freed, used))
+        })
+    }
 }
 
 /// Dense decision table indexed by node id.  The apply step queries *every*
 /// AND of the graph, so the flat slot vector makes each probe one
-/// bounds-checked load; the propose chunks fill disjoint ranges of it, and
-/// the slots recycle across sweeps through [`crate::pass::SweepScratch`].
+/// bounds-checked load; the propose chunks fill disjoint ranges of it, each
+/// with a [`Recorded`] of its own, and both recycle across sweeps through
+/// [`crate::pass::SweepScratch`].
 #[derive(Debug, Default)]
 pub(crate) struct DecisionTable {
     slots: Vec<Option<Decision>>,
+    recorded: Vec<Recorded>,
 }
 
 impl DecisionTable {
-    /// Clears the table and sizes it for a graph of `n` nodes.
-    pub(crate) fn reset(&mut self, n: usize) {
+    /// Clears the table and sizes it for a graph of `n` nodes proposed in
+    /// `chunks` chunks.
+    pub(crate) fn reset(&mut self, n: usize, chunks: usize) {
         self.slots.clear();
         self.slots.resize(n, None);
+        self.recorded.truncate(chunks);
+        self.recorded.iter_mut().for_each(|r| r.0.clear());
+        self.recorded.resize_with(chunks, Recorded::default);
     }
 
     /// The decision recorded for `id`, if any.
@@ -153,83 +300,51 @@ const USED: u8 = 2;
 /// Commit mark: the node is a winner's root.
 const ROOT: u8 = 4;
 
-/// Buffers of the commit walk (see "Compatible commits" in the module docs):
+/// Marks of the commit walk (see "Compatible commits" in the module docs):
 /// one `(epoch, marks)` slot per node, so a slot stamped with an older epoch
-/// has no marks and starting a walk is one counter bump; the cone and reuse
-/// buffers recycle across sweeps in [`SweepScratch`].
+/// has no marks and starting a walk is one counter bump; the table recycles
+/// across sweeps in [`SweepScratch`].
 #[derive(Debug, Default)]
 pub(crate) struct CommitScratch {
     marks: Vec<(u32, u8)>,
     epoch: u32,
-    mffc: MffcScratch,
-    leaf_lits: Vec<Lit>,
-    used: Vec<NodeId>,
 }
 
 impl CommitScratch {
-    /// Keeps the decisions of `table` that are compatible with the ones
-    /// before them in node order and empties the other slots.  Returns the
-    /// winners' summed estimated gain and the number of decisions dropped.
-    fn walk(&mut self, g: &Aig, table: &mut DecisionTable) -> (i64, u64) {
-        let CommitScratch {
-            marks,
-            epoch,
-            mffc,
-            leaf_lits,
-            used,
-        } = self;
+    /// Keeps the decisions of `table` (over a graph of `n` nodes) that are
+    /// compatible with the ones before them in node order and empties the
+    /// other slots.  Returns the winners' summed estimated gain and the
+    /// number of decisions dropped.
+    fn walk(&mut self, n: usize, table: &mut DecisionTable) -> (i64, u64) {
+        let CommitScratch { marks, epoch } = self;
         // A fresh epoch drops every mark; stamp 0 is never current.
-        if marks.len() < g.len() || *epoch == u32::MAX {
+        if marks.len() < n || *epoch == u32::MAX {
             marks.clear();
-            marks.resize(g.len(), (0, 0));
+            marks.resize(n, (0, 0));
             *epoch = 0;
         }
         *epoch += 1;
         let epoch = *epoch;
-        let get = |marks: &[(u32, u8)], id: NodeId| match marks[id] {
+        let get = |marks: &[(u32, u8)], id: u32| match marks[id as usize] {
             (stamp, bits) if stamp == epoch => bits,
             _ => 0,
         };
         let (mut estimated, mut conflicts) = (0, 0);
-        for (root, slot) in table.slots.iter_mut().enumerate() {
-            let Some(decision) = slot else {
-                continue;
-            };
-            let freed = Mffc::compute_with(g, root, &decision.leaves, mffc);
-            leaf_lits.clear();
-            leaf_lits.extend(decision.leaves.iter().map(|&n| Lit::from_node(n, false)));
-            used.clear();
-            used.extend_from_slice(&decision.leaves);
-            let excluded = |n| freed.contains(n);
-            let added = match &decision.structure {
-                Structure::SumOfProducts(sop) => {
-                    count_sop_nodes_reusing(g, sop, leaf_lits, excluded, used)
-                }
-                Structure::Shannon(truth) => {
-                    count_shannon_nodes_reusing(g, truth, leaf_lits, excluded, used)
-                }
-            };
-            debug_assert_eq!(
-                freed.size() as i64 - added as i64,
-                decision.gain,
-                "node {root}: the walk must price a decision as its pass did"
-            );
-            let clash = freed
-                .nodes()
-                .iter()
-                .any(|&n| get(marks, n) & (FREED | USED) != 0)
+        let DecisionTable { slots, recorded } = table;
+        for (root, freed, used) in recorded.iter().flat_map(Recorded::iter) {
+            let clash = freed.iter().any(|&n| get(marks, n) & (FREED | USED) != 0)
                 || used
                     .iter()
                     .any(|&n| get(marks, n) & (FREED | ROOT) == FREED);
             if clash {
-                *slot = None;
+                slots[root] = None;
                 conflicts += 1;
                 continue;
             }
-            estimated += decision.gain;
-            let mut mark = |id: NodeId, bit: u8| marks[id] = (epoch, get(marks, id) | bit);
-            freed.nodes().iter().for_each(|&n| mark(n, FREED));
-            mark(root, ROOT);
+            estimated += slots[root].as_ref().expect("a recorded decision").gain;
+            let mut mark = |id: u32, bit: u8| marks[id as usize] = (epoch, get(marks, id) | bit);
+            freed.iter().for_each(|&n| mark(n, FREED));
+            mark(root as u32, ROOT);
             used.iter().for_each(|&n| mark(n, USED));
         }
         (estimated, conflicts)
@@ -343,12 +458,13 @@ impl Acceptance {
 /// count: the apply step is the oracle's own rebuild.
 ///
 /// `propose` is called for every live AND node (fanout counts are current)
-/// and pushes any number of candidate implementations; the best accepted one
-/// is recorded.  It reads the graph (reuse probes go to [`Aig::find_and`])
-/// and the cut sets last enumerated into the context, and works on a
-/// [`ProposeScratch`] no other call uses at the same time.  `g` is cleaned
-/// first if its epoch stamp does not prove it clean; fanouts are refreshed
-/// only when theirs says they are stale.
+/// and offers any number of candidates to the scratch's [`Pricer`], which
+/// the sweep has begun at that node; the kept one is the node's decision.
+/// It reads the graph (reuse probes go to [`Aig::find_and`]) and the cut
+/// sets last enumerated into the context, and works on a [`ProposeScratch`]
+/// no other call uses at the same time.  `g` is cleaned first if its epoch
+/// stamp does not prove it clean; fanouts are refreshed only when theirs
+/// says they are stale.
 ///
 /// **Propose runs in parallel.**  It only reads `g`, so a node's decision
 /// depends on the graph as the sweep found it, never on which nodes were
@@ -359,10 +475,10 @@ impl Acceptance {
 /// caller without waking a helper.
 ///
 /// **Commit is serial.**  Once every chunk has decided, one walk in node
-/// order keeps the decisions compatible with the earlier winners (module
-/// docs, "Compatible commits") and the rebuild applies those.  The winners'
-/// estimated and the sweep's realised gain, and the dropped decisions, add
-/// up in [`crate::ApplyStats`].
+/// order over the recorded sets keeps the decisions compatible with the
+/// earlier winners (module docs, "Compatible commits") and the rebuild
+/// applies those.  The winners' estimated and the sweep's realised gain, and
+/// the dropped decisions, add up in [`crate::ApplyStats`].
 ///
 /// Each chunk polls `cancel` on a countdown of its own and returns `Err`
 /// once it fires, after putting its scratch back; the sweep then returns the
@@ -377,7 +493,7 @@ pub(crate) fn resynthesis_sweep_ctx<F>(
     propose: F,
 ) -> Result<(), Cancelled>
 where
-    F: Fn(&Aig, NodeId, &mut ProposeScratch, &[CutSet4], &mut Vec<Proposal>) + Sync,
+    F: Fn(&Aig, NodeId, &mut ProposeScratch, &[CutSet4]) + Sync,
 {
     ctx.ensure_clean(g);
     g.compute_fanouts_cached();
@@ -406,14 +522,15 @@ where
     }
     let filter = &*filter;
     let n = g.len();
-    decisions.reset(n);
     let chunk = if n < PARALLEL_MIN_NODES {
         n
     } else {
         CHUNK_NODES
     };
+    let chunks = n.div_ceil(chunk);
+    decisions.reset(n, chunks);
     tallies.clear();
-    tallies.resize(n.div_ceil(chunk), Ok(0));
+    tallies.resize(chunks, Ok(()));
 
     let graph: &Aig = g;
     let (cut_sets, shared_isop) = (&cut4_sets[..], &*shared_isop);
@@ -421,16 +538,15 @@ where
     decisions
         .slots
         .par_chunks_mut(chunk)
+        .zip(decisions.recorded.par_chunks_mut(1))
         .zip(tallies.par_chunks_mut(1))
         .enumerate()
-        .for_each(|(index, (slots, tally))| {
+        .for_each(|(index, ((slots, recorded), tally))| {
             let checked_out = idle.lock().unwrap_or_else(PoisonError::into_inner).pop();
             let mut ps = checked_out
                 .unwrap_or_else(|| ProposeScratch::with_shared_isop(shared_isop.clone()));
-            let mut proposals = std::mem::take(&mut ps.proposals);
             let mut cancel = CancelCell::new(cancel);
-            let mut decided = 0;
-            let swept = (index * chunk..)
+            tally[0] = (index * chunk..)
                 .zip(slots.iter_mut())
                 .try_for_each(|(id, slot)| {
                     if !graph.node(id).is_and()
@@ -440,23 +556,16 @@ where
                         return Ok(());
                     }
                     cancel.checkpoint()?;
-                    propose(graph, id, &mut ps, cut_sets, &mut proposals);
-                    if let Some(decision) = best_decision(&mut proposals, acceptance) {
-                        decided += 1;
-                        *slot = Some(decision);
-                    }
+                    ps.pricer.begin(id, acceptance.min_gain);
+                    propose(graph, id, &mut ps, cut_sets);
+                    *slot = ps.pricer.decide(&mut ps.isop, &mut recorded[0]);
                     Ok(())
                 });
-            tally[0] = swept.map(|()| decided);
-            ps.proposals = proposals;
             idle.lock().unwrap_or_else(PoisonError::into_inner).push(ps);
         });
     // Decisions taken; a cancelled chunk ends the sweep here.
-    let decided = tallies
-        .iter()
-        .try_fold(0, |d, tally| tally.map(|cd| d + cd))?;
-
-    if decided == 0 {
+    tallies.iter().copied().collect::<Result<(), _>>()?;
+    if decisions.recorded.iter().all(Recorded::is_empty) {
         // Identity sweep: a clean graph rebuilt with no decisions is the
         // graph itself, so skip the apply entirely.
         apply_stats.identity += 1;
@@ -464,7 +573,7 @@ where
     }
     // Commit a compatible subset, then apply it exactly as the oracle does:
     // replay the sweep into a recycled buffer and clean it back into `g`.
-    let (estimated, conflicts) = commit.walk(g, decisions);
+    let (estimated, conflicts) = commit.walk(n, decisions);
     let before = g.num_ands();
     let mut rebuilt = pool_take(pool);
     rebuild_with_decisions_into(g, |id| decisions.lookup(id), &mut rebuilt, rebuild_map);
@@ -481,26 +590,6 @@ where
     apply_stats.gain_realised += realised;
     apply_stats.conflicts += conflicts;
     Ok(())
-}
-
-/// Drains `proposals` and returns the one to apply: the first with the
-/// strictly largest gain at or above the pass's threshold.
-fn best_decision(proposals: &mut Vec<Proposal>, acceptance: Acceptance) -> Option<Decision> {
-    let mut best: Option<Decision> = None;
-    for p in proposals.drain(..) {
-        let gain = p.mffc_size as i64 - p.added as i64;
-        if gain < acceptance.min_gain {
-            continue;
-        }
-        if best.as_ref().is_none_or(|b| gain > b.gain) {
-            best = Some(Decision {
-                leaves: p.leaves,
-                structure: p.structure,
-                gain,
-            });
-        }
-    }
-    best
 }
 
 /// Rebuilds `src` into `out`, replacing each node `decision_for` answers by
@@ -547,9 +636,10 @@ pub(crate) fn rebuild_with_decisions_into<'d>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decomp::count_shannon_nodes_reusing;
     use crate::passes::Transform;
     use crate::reference::rebuild_with_decisions;
-    use crate::sop::isop;
+    use crate::sop::{count_sop_nodes_reusing, isop};
     use aig::{cut_truth, random_equivalence_check, Cut4Enumerator, CutParams, Mffc};
     use circuits::{Design, DesignScale};
     use std::collections::HashMap;
@@ -558,19 +648,26 @@ mod tests {
     fn sweep(
         g: &Aig,
         acceptance: Acceptance,
-        propose: impl Fn(&Aig, NodeId, &mut Vec<Proposal>) + Sync,
+        propose: impl Fn(&Aig, NodeId, &mut Pricer) + Sync,
     ) -> Aig {
         let mut ctx = PassContext::default();
         let mut work = ctx.run_flow(g, &[]);
-        resynthesis_sweep_ctx(
-            &mut work,
-            acceptance,
-            &mut ctx,
-            None,
-            |graph, id, _, _, out| propose(graph, id, out),
-        )
+        resynthesis_sweep_ctx(&mut work, acceptance, &mut ctx, None, |graph, id, ps, _| {
+            propose(graph, id, &mut ps.pricer)
+        })
         .expect(crate::pass::UNARMED);
         work
+    }
+
+    /// Offers the ISOP of `id`'s function over `leaves`.
+    fn offer_isop(g: &Aig, id: NodeId, leaves: &[NodeId], pricer: &mut Pricer) {
+        let truth = cut_truth(g, id, leaves).expect("the leaves cover the cone");
+        let cover = isop(&truth);
+        let candidate = Candidate::Sop {
+            truth: &truth,
+            cover: &cover,
+        };
+        pricer.offer(g, leaves, candidate);
     }
 
     /// f = (a & b) | (a & c) has a redundant two-node structure when written as
@@ -591,21 +688,11 @@ mod tests {
     fn sweep_preserves_function_and_reduces_nodes() {
         let g = redundant_aig();
         let before = g.num_ands();
-        let result = sweep(&g, Acceptance::strict(), |work, id, out| {
+        let result = sweep(&g, Acceptance::strict(), |work, id, pricer| {
             let leaves: Vec<NodeId> = work.input_ids().to_vec();
-            let Ok(truth) = cut_truth(work, id, &leaves) else {
-                return;
-            };
-            let sop = isop(&truth);
-            let leaf_lits: Vec<Lit> = leaves.iter().map(|&n| Lit::from_node(n, false)).collect();
-            let mffc = aig::Mffc::compute(work, id, &leaves);
-            let added = crate::sop::count_sop_nodes(work, &sop, &leaf_lits, |n| mffc.contains(n));
-            out.push(Proposal {
-                leaves,
-                structure: Structure::SumOfProducts(sop),
-                added,
-                mffc_size: mffc.size(),
-            });
+            if cut_truth(work, id, &leaves).is_ok() {
+                offer_isop(work, id, &leaves, pricer);
+            }
         });
         assert!(
             random_equivalence_check(&g, &result, 8, 3),
@@ -649,8 +736,8 @@ mod tests {
     }
 
     /// Proposes every node of `g` that the filter skips with all three
-    /// strict passes and asserts that none yields a proposal.  Returns the
-    /// skipped and the live AND counts.
+    /// strict passes and asserts that none yields a strict decision.
+    /// Returns the skipped and the live AND counts.
     fn assert_skips_are_exact(g: &Aig) -> (usize, usize) {
         let mut g = g.clone();
         g.compute_fanouts();
@@ -659,7 +746,7 @@ mod tests {
         let mut cut_sets = Vec::new();
         Cut4Enumerator::new(CutParams::default()).enumerate_into(&g, &mut cut_sets);
         let mut ps = ProposeScratch::default();
-        let mut out = Vec::new();
+        let mut recorded = Recorded::default();
         let (mut skipped, mut live) = (0, 0);
         for id in g.and_ids() {
             if g.fanout_count(id) == 0 {
@@ -670,12 +757,13 @@ mod tests {
                 continue;
             }
             skipped += 1;
-            crate::rewrite::propose_sweep(&g, id, &cut_sets, 1, &mut ps, &mut out);
-            crate::refactor::propose_sweep(&g, id, 1, &mut ps, &mut out);
-            crate::restructure::propose_sweep(&g, id, 1, &mut ps, &mut out);
+            ps.pricer.begin(id, Acceptance::strict().min_gain);
+            crate::rewrite::propose_sweep(&g, id, &cut_sets, &mut ps);
+            crate::refactor::propose_sweep(&g, id, &mut ps);
+            crate::restructure::propose_sweep(&g, id, &mut ps);
             assert!(
-                out.is_empty(),
-                "{}: node {id} is skipped but has a strict proposal",
+                ps.pricer.decide(&mut ps.isop, &mut recorded).is_none(),
+                "{}: node {id} is skipped but has a strict decision",
                 g.name()
             );
         }
@@ -683,7 +771,7 @@ mod tests {
     }
 
     #[test]
-    fn skipped_nodes_have_no_strict_proposal() {
+    fn skipped_nodes_have_no_strict_decision() {
         use Transform::{Balance, RefactorZ, Rewrite, RewriteZ};
         let prefixes: [&[Transform]; 3] = [
             &[],
@@ -786,28 +874,18 @@ mod tests {
         g
     }
 
-    /// The ISOP of `id` over the primary inputs its output depends on:
-    /// `{a, b, c}` for `p`, `{a, b, d}` for `q`.
-    fn propose_over_inputs(g: &Aig, id: NodeId, out: &mut Vec<Proposal>) {
+    /// Offers the ISOP of `id` over the primary inputs its output depends
+    /// on: `{a, b, c}` for `p`, `{a, b, d}` for `q`.
+    fn propose_over_inputs(g: &Aig, id: NodeId, pricer: &mut Pricer) {
         let xs = g.input_ids();
         let leaves = if Some(id) == g.outputs().first().map(|l| l.node()) {
-            vec![xs[0], xs[1], xs[2]]
+            [xs[0], xs[1], xs[2]]
         } else if Some(id) == g.outputs().get(1).map(|l| l.node()) {
-            vec![xs[0], xs[1], xs[3]]
+            [xs[0], xs[1], xs[3]]
         } else {
             return;
         };
-        let truth = cut_truth(g, id, &leaves).expect("the inputs cover the cone");
-        let sop = isop(&truth);
-        let leaf_lits: Vec<Lit> = leaves.iter().map(|&n| Lit::from_node(n, false)).collect();
-        let mffc = Mffc::compute(g, id, &leaves);
-        let added = crate::sop::count_sop_nodes(g, &sop, &leaf_lits, |n| mffc.contains(n));
-        out.push(Proposal {
-            leaves,
-            structure: Structure::SumOfProducts(sop),
-            added,
-            mffc_size: mffc.size(),
-        });
+        offer_isop(g, id, &leaves, pricer);
     }
 
     #[test]
@@ -817,10 +895,11 @@ mod tests {
         let (p, q) = (g.outputs()[0].node(), g.outputs()[1].node());
         assert!(p < q);
         let mut decided = HashMap::new();
+        let (mut ps, mut recorded) = (ProposeScratch::default(), Recorded::default());
         for id in [p, q] {
-            let mut proposals = Vec::new();
-            propose_over_inputs(&g, id, &mut proposals);
-            let best = best_decision(&mut proposals, Acceptance::strict());
+            ps.pricer.begin(id, Acceptance::strict().min_gain);
+            propose_over_inputs(&g, id, &mut ps.pricer);
+            let best = ps.pricer.decide(&mut ps.isop, &mut recorded);
             decided.insert(id, best.expect("both nodes have a strict decision"));
         }
         assert_eq!((decided[&p].gain, decided[&q].gain), (1, 2));
@@ -835,7 +914,7 @@ mod tests {
             Acceptance::strict(),
             &mut ctx,
             None,
-            |graph, id, _, _, out| propose_over_inputs(graph, id, out),
+            |graph, id, ps, _| propose_over_inputs(graph, id, &mut ps.pricer),
         )
         .expect(crate::pass::UNARMED);
         let stats = ctx.apply_stats();
@@ -848,8 +927,103 @@ mod tests {
     }
 
     #[test]
-    fn zero_cost_acceptance_accepts_equal_size() {
-        assert_eq!(Acceptance::zero_cost().min_gain, 0);
-        assert_eq!(Acceptance::strict().min_gain, 1);
+    fn pricer_keeps_the_first_strictly_best_candidate_at_or_above_min_gain() {
+        // root = ((a & b) & (a & c)) & (a & d), every node single-fanout.
+        let mut g = Aig::new();
+        let xs = g.add_inputs("x", 4);
+        let (a, b, c, d) = (xs[0], xs[1], xs[2], xs[3]);
+        let (ab, ac, ad) = (g.and(a, b), g.and(a, c), g.and(a, d));
+        let m = g.and(ab, ac);
+        let root = g.and(m, ad);
+        g.add_output("f", root);
+        g.compute_fanouts();
+        let [a, b, c, d, ab, ac, ad, m, root] = [a, b, c, d, ab, ac, ad, m, root].map(|l| l.node());
+        // Gains: {ad, m} and {ab, ac, ad} 0, {a, b, c, ad} 1, {a, b, c, d} 2.
+        let decide = |min_gain: i64, offers: &[&[NodeId]]| {
+            let (mut ps, mut recorded) = (ProposeScratch::default(), Recorded::default());
+            ps.pricer.begin(root, min_gain);
+            for leaves in offers {
+                offer_isop(&g, root, leaves, &mut ps.pricer);
+            }
+            let decision = ps.pricer.decide(&mut ps.isop, &mut recorded);
+            assert_eq!(recorded.iter().count(), usize::from(decision.is_some()));
+            decision.map(|d| (d.leaves, d.gain))
+        };
+        // Of two equal-gain candidates the earlier is kept; `-z` accepts 0.
+        assert_eq!(
+            decide(0, &[&[ad, m], &[ab, ac, ad]]),
+            Some((vec![ad, m], 0))
+        );
+        assert_eq!(
+            decide(0, &[&[ab, ac, ad], &[ad, m]]),
+            Some((vec![ab, ac, ad], 0))
+        );
+        // A later, strictly better candidate replaces the kept one; a later,
+        // worse one does not.
+        assert_eq!(
+            decide(1, &[&[a, b, c, ad], &[ad, m], &[a, b, c, d]]),
+            Some((vec![a, b, c, d], 2))
+        );
+        assert_eq!(
+            decide(0, &[&[a, b, c, d], &[a, b, c, ad]]),
+            Some((vec![a, b, c, d], 2))
+        );
+        // A candidate below `min_gain` never decides.
+        assert_eq!(decide(1, &[&[ad, m], &[ab, ac, ad]]), None);
+        assert_eq!(decide(3, &[&[a, b, c, d]]), None);
+    }
+
+    /// On the Small designs, as generated and after `b; rwz`, under the five
+    /// resynthesis passes: every committed decision's recorded freed set is
+    /// its MFFC, and its used set is the leaves plus the strash hits of the
+    /// recording estimators.
+    #[test]
+    fn recorded_sets_are_the_oracles() {
+        use Transform::{Balance, Refactor, RefactorZ, Restructure, Rewrite, RewriteZ};
+        let mut ctx = PassContext::default();
+        for design in Design::ALL {
+            let g = design.generate(DesignScale::Small);
+            let mut committed = 0;
+            for prefix in [&[][..], &[Balance, RewriteZ]] {
+                let mut start = ctx.run_flow(&g, prefix);
+                start.compute_fanouts();
+                for t in [Rewrite, RewriteZ, Refactor, RefactorZ, Restructure] {
+                    let mut work = start.clone();
+                    ctx.apply(t, &mut work);
+                    let DecisionTable { slots, recorded } = &ctx.sweep.decisions;
+                    for (root, freed, used) in recorded.iter().flat_map(Recorded::iter) {
+                        let Some(d) = &slots[root] else {
+                            continue;
+                        };
+                        committed += 1;
+                        let mffc = Mffc::compute(&start, root, &d.leaves);
+                        let mut freed: Vec<NodeId> = freed.iter().map(|&n| n as NodeId).collect();
+                        freed.sort_unstable();
+                        assert_eq!(freed, mffc.nodes(), "{design} {t} node {root}: freed");
+                        let lits: Vec<Lit> =
+                            d.leaves.iter().map(|&n| Lit::from_node(n, false)).collect();
+                        let mut expected = d.leaves.clone();
+                        let excluded = |n| mffc.contains(n);
+                        match &d.structure {
+                            Structure::SumOfProducts(sop) => {
+                                count_sop_nodes_reusing(&start, sop, &lits, excluded, &mut expected)
+                            }
+                            Structure::Shannon(truth) => count_shannon_nodes_reusing(
+                                &start,
+                                truth,
+                                &lits,
+                                excluded,
+                                &mut expected,
+                            ),
+                        };
+                        let used: Vec<NodeId> = used.iter().map(|&n| n as NodeId).collect();
+                        assert_eq!(used, expected, "{design} {t} node {root}: used");
+                    }
+                    ctx.recycle(work);
+                }
+                ctx.recycle(start);
+            }
+            assert!(committed > 0, "{design}: no decision committed");
+        }
     }
 }

@@ -7,13 +7,12 @@
 //! accepts zero-gain replacements, which changes structure and can enable later
 //! passes — the reason the paper's flows interleave it with the other passes.
 
-use aig::{Aig, Cut4Enumerator, CutParams, Lit, Mffc, NodeId};
+use aig::{Aig, Cut4Enumerator, CutParams, NodeId};
 
 use flow_core::{CancelToken, Cancelled};
 
 use crate::pass::{PassContext, ProposeScratch};
-use crate::resyn::{resynthesis_sweep_ctx, Acceptance, Proposal, Structure};
-use crate::sop::count_sop_nodes_sweep;
+use crate::resyn::{resynthesis_sweep_ctx, Acceptance, Candidate};
 
 /// Covers with more cubes than this are not considered: very large covers
 /// cannot win at cut size 4.
@@ -38,42 +37,31 @@ pub(crate) fn rewrite_ctx(
     // Cuts are enumerated once: the sweep applies all decisions after the
     // last propose call, so they stay valid for the whole pass.
     Cut4Enumerator::new(CutParams::default()).enumerate_into(g, &mut ctx.cut4_sets);
-    let min_gain = acceptance.min_gain;
-    resynthesis_sweep_ctx(
-        g,
-        acceptance,
-        ctx,
-        cancel,
-        |graph, id, ps, cut_sets, out| propose_sweep(graph, id, cut_sets, min_gain, ps, out),
-    )
+    resynthesis_sweep_ctx(g, acceptance, ctx, cancel, |graph, id, ps, cut_sets| {
+        propose_sweep(graph, id, cut_sets, ps)
+    })
 }
 
-/// The proposal generator: costs the ISOP re-expression of every 4-cut of
-/// `id` (the fused truth makes the per-cut cone walk unnecessary) but only
-/// materializes the winning proposal — the one the sweep's accept loop would
-/// select among all of them (first cut with the strictly largest gain at or
-/// above `min_gain`).  Cut costs probe the graph's strash and the SOP
-/// covers are borrowed from the ISOP cache, so losing cuts allocate nothing.
+/// The proposal generator: offers the ISOP re-expression of every 4-cut of
+/// `id` to the sweep's pricer (the fused truth makes the per-cut cone walk
+/// unnecessary).  Covers are borrowed from the ISOP cache, so a cut that is
+/// not kept allocates nothing.
 pub(crate) fn propose_sweep(
     graph: &Aig,
     id: NodeId,
     cut_sets: &[aig::CutSet4],
-    min_gain: i64,
     ps: &mut ProposeScratch,
-    proposals: &mut Vec<Proposal>,
 ) {
-    if id >= cut_sets.len() {
+    let Some(cut_set) = cut_sets.get(id) else {
         return;
-    }
-    // (cut index, gain, added, mffc_size) of the best cut so far.
-    let mut best: Option<(usize, i64, usize, usize)> = None;
-    for (cut_idx, cut) in cut_sets[id].cuts().iter().enumerate() {
+    };
+    for cut in cut_set.cuts() {
         if cut.size() < 2 {
             continue;
         }
         let truth = cut.truth_table();
-        let sop = ps.isop.isop_ref(&truth);
-        if sop.num_cubes() > MAX_CUBES {
+        let cover = ps.isop.isop_ref(&truth);
+        if cover.num_cubes() > MAX_CUBES {
             continue;
         }
         let mut leaf_buf = [0 as NodeId; aig::CUT4_MAX_LEAVES];
@@ -81,42 +69,12 @@ pub(crate) fn propose_sweep(
             *slot = l as NodeId;
         }
         let leaves = &leaf_buf[..cut.size()];
-        ps.leaf_lits.clear();
-        ps.leaf_lits
-            .extend(leaves.iter().map(|&n| Lit::from_node(n, false)));
-        // Nodes inside the MFFC will be freed by the replacement, so reusing
-        // them must not be counted as free.
-        let mffc = Mffc::compute_with(graph, id, leaves, &mut ps.mffc);
-        let budget = (mffc.size() as i64 - min_gain).max(0) as usize;
-        let Some(added) = count_sop_nodes_sweep(
-            graph,
-            sop,
-            &ps.leaf_lits,
-            |n| mffc.contains(n),
-            &mut ps.cost,
-            budget,
-        ) else {
-            continue;
+        let candidate = Candidate::Sop {
+            truth: &truth,
+            cover,
         };
-        let gain = mffc.size() as i64 - added as i64;
-        if gain < min_gain {
-            continue;
-        }
-        if best.is_none_or(|(_, b, _, _)| gain > b) {
-            best = Some((cut_idx, gain, added, mffc.size()));
-        }
+        ps.pricer.offer(graph, leaves, candidate);
     }
-    let Some((cut_idx, _, added, mffc_size)) = best else {
-        return;
-    };
-    let cut = &cut_sets[id].cuts()[cut_idx];
-    let sop = ps.isop.isop(&cut.truth_table());
-    proposals.push(Proposal {
-        leaves: cut.leaf_ids(),
-        structure: Structure::SumOfProducts(sop),
-        added,
-        mffc_size,
-    });
 }
 
 #[cfg(test)]

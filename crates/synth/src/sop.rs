@@ -421,8 +421,8 @@ struct CostCounter<'a, F: Fn(NodeId) -> bool> {
     /// rewrite is about to delete).
     excluded: F,
     added: usize,
-    /// When set, every AND node the dry-run reuses is pushed here.
-    reused: Option<&'a mut Vec<NodeId>>,
+    /// Every AND node the dry-run reuses is pushed here.
+    reused: &'a mut Vec<NodeId>,
 }
 
 impl<F: Fn(NodeId) -> bool> GateSink for CostCounter<'_, F> {
@@ -438,10 +438,8 @@ impl<F: Fn(NodeId) -> bool> GateSink for CostCounter<'_, F> {
         if let (CostSignal::Existing(x), CostSignal::Existing(y)) = (a, b) {
             if let Some(found) = self.aig.find_and(x, y) {
                 if found.is_const() || !(self.excluded)(found.node()) {
-                    if let Some(reused) = self.reused.as_deref_mut() {
-                        if !found.is_const() {
-                            reused.push(found.node());
-                        }
+                    if !found.is_const() {
+                        self.reused.push(found.node());
                     }
                     return CostSignal::Existing(found);
                 }
@@ -545,7 +543,7 @@ pub fn count_sop_nodes_reusing(
         aig,
         excluded,
         added: 0,
-        reused: Some(reused),
+        reused,
     };
     emit_sop(&mut counter, sop, leaves);
     counter.added
@@ -558,16 +556,13 @@ pub struct SopCostScratch {
     lits: Vec<CostSignal>,
 }
 
-/// [`count_sop_nodes`] allocating nothing (cube/literal signal vectors are
-/// recycled and the balanced reduction runs in place) and capped at
-/// `budget` — the passes' cost estimator.
+/// [`count_sop_nodes_reusing`] allocating nothing (cube/literal signal
+/// vectors are recycled and the balanced reduction runs in place) and capped
+/// at `budget` — the sweep's cost estimator.
 ///
 /// Returns `None` as soon as the count provably exceeds `budget`, `Some(n)`
-/// with the exact count otherwise.  The cap is lossless for the sweep's
-/// accept loop: a proposal is only viable when `added <= mffc_size -
-/// min_gain`, so callers pass that bound as the budget — capped covers are
-/// exactly the ones the accept loop would reject, and surviving counts are
-/// bit-identical to the uncapped dry-run.
+/// with the exact count otherwise; a completed count has pushed the same
+/// strash hits onto `reused` as the uncapped dry-run.
 pub(crate) fn count_sop_nodes_sweep(
     aig: &Aig,
     sop: &Sop,
@@ -575,12 +570,13 @@ pub(crate) fn count_sop_nodes_sweep(
     excluded: impl Fn(NodeId) -> bool,
     scratch: &mut SopCostScratch,
     budget: usize,
+    reused: &mut Vec<NodeId>,
 ) -> Option<usize> {
     let mut counter = CostCounter {
         aig,
         excluded,
         added: 0,
-        reused: None,
+        reused,
     };
     if sop.num_cubes() == 0 {
         return Some(0); // emit_sop returns the constant; nothing is added
@@ -726,9 +722,12 @@ mod tests {
                 let sop = isop(&f);
                 let leaves = &inputs[..num_vars];
                 for excluded in [ab.node(), top.node(), usize::MAX] {
-                    let reference = count_sop_nodes(&g, &sop, leaves, |n| n == excluded);
-                    // Some(exact count) within the budget, None past it.
+                    let mut hits = Vec::new();
+                    let reference =
+                        count_sop_nodes_reusing(&g, &sop, leaves, |n| n == excluded, &mut hits);
+                    // Some(exact count, same hits) within the budget, None past it.
                     for budget in [0, reference.saturating_sub(1), reference, usize::MAX] {
+                        let mut recorded = Vec::new();
                         let fast = count_sop_nodes_sweep(
                             &g,
                             &sop,
@@ -736,9 +735,13 @@ mod tests {
                             |n| n == excluded,
                             &mut scratch,
                             budget,
+                            &mut recorded,
                         );
                         let want = (reference <= budget).then_some(reference);
                         assert_eq!(want, fast, "nv={num_vars} seed={seed} budget={budget}");
+                        if fast.is_some() {
+                            assert_eq!(hits, recorded, "nv={num_vars} seed={seed}");
+                        }
                     }
                 }
             }

@@ -3,7 +3,9 @@
 //! A graph of 32 Ki nodes or more is proposed in fixed 1 Ki-node chunks on
 //! the `rayon` pool; a smaller one is a single chunk that runs on the caller.
 //! Decisions depend only on the graph, so the result must be node-for-node
-//! the same at any thread count.  aes128@Full is the smallest generated
+//! the same at any thread count, and so must the commit walk's counters
+//! (`ApplyStats::{gain_estimated, gain_realised, conflicts}`), whose sets
+//! the chunks record while they price.  aes128@Full is the smallest generated
 //! design above the gate.
 //!
 //! Everything is one `#[test]`: the gate check reads the process-wide count
@@ -55,8 +57,10 @@ fn parallel_sweeps_are_identical_at_any_thread_count_and_gated_by_size() {
         ("rewrite".to_string(), vec![Rewrite]),
         ("refactor".to_string(), vec![Refactor]),
         ("restructure".to_string(), vec![Restructure]),
+        ("rewrite -z".to_string(), vec![RewriteZ]),
         (format!("{name}[..8]"), flow),
     ];
+    let mut compared = Vec::new();
     for (name, flow) in &jobs {
         let (one, one_stats) = run(&full, flow, 1);
         for threads in [2, 4] {
@@ -64,8 +68,22 @@ fn parallel_sweeps_are_identical_at_any_thread_count_and_gated_by_size() {
             let what = format!("{name} at {threads} threads");
             assert_identical(&one, &many, &what);
             assert_eq!(one_stats, many_stats, "{what}: apply routes");
+            // The pricer records the commit walk's sets inside the chunks.
+            let counters = |s: ApplyStats| (s.gain_estimated, s.gain_realised, s.conflicts);
+            assert_eq!(
+                counters(one_stats),
+                counters(many_stats),
+                "{what}: estimated, realised and dropped"
+            );
         }
+        compared.push((name, one_stats));
     }
+    assert!(
+        compared
+            .iter()
+            .any(|(_, s)| s.gain_estimated > 0 && s.conflicts > 0),
+        "the commit walks had nothing to compare: {compared:?}"
+    );
     assert!(
         rayon::started_threads() > 0,
         "the sweeps above the gate never fanned out"
