@@ -41,6 +41,11 @@ impl std::fmt::Display for Cancelled {
 
 impl std::error::Error for Cancelled {}
 
+/// The `expect` message of a call made under [`CancelToken::never`]: the
+/// plain entry points over a cancellable path are that path under `never`,
+/// and nothing else cancels the token they make.
+pub const NEVER_FIRES: &str = "a CancelToken::never() nobody else holds cannot fire";
+
 #[derive(Debug)]
 struct Inner {
     cancelled: AtomicBool,

@@ -19,7 +19,7 @@ pub mod crc32;
 #[cfg(feature = "failpoints")]
 pub mod fail;
 
-pub use cancel::{CancelReason, CancelToken, Cancelled};
+pub use cancel::{CancelReason, CancelToken, Cancelled, NEVER_FIRES};
 
 /// Evaluates a named failpoint (see the `fail` module, which is compiled in
 /// only under the `failpoints` feature).

@@ -286,9 +286,7 @@ impl Studies {
         let start = Instant::now();
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let flows = FlowSpace::paper().random_unique_flows(count, &mut rng);
-        let sequences: Vec<Vec<Transform>> =
-            flows.iter().map(|f| f.transforms().to_vec()).collect();
-        let qors = self.engine.evaluate_batch(aig, &sequences);
+        let qors = self.engine.evaluate_batch(aig, &flows);
         let labeler = Labeler::paper_model(metric, &qors);
         Collected {
             design: name.clone(),

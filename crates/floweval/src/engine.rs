@@ -24,7 +24,7 @@ use std::path::PathBuf;
 use std::sync::{Condvar, Mutex};
 
 use aig::{Aig, CutParams, NodeKind};
-use flow_core::{CancelToken, Cancelled, Fingerprint, Fnv64};
+use flow_core::{CancelToken, Cancelled, Fingerprint, Fnv64, NEVER_FIRES};
 use synth::{CellLibrary, MapperParams, PassContext, PassTimings, Qor, Transform};
 
 use crate::kernel::Contexts;
@@ -252,10 +252,11 @@ impl EvalEngine {
     /// never run the same edge twice: the kernel claims each unit of work in
     /// the state graph, and whoever did not get the claim waits for the
     /// result.
-    pub fn evaluate_batch(&self, design: &Aig, flows: &[Vec<Transform>]) -> Vec<Qor> {
+    pub fn evaluate_batch<F: AsRef<[Transform]>>(&self, design: &Aig, flows: &[F]) -> Vec<Qor> {
+        let design_fp = fingerprint_design(design);
         let (qors, _) = self
-            .evaluate(design, fingerprint_design(design), flows, None)
-            .expect("pooled contexts cannot cancel");
+            .evaluate(design, design_fp, flows, None, &CancelToken::never())
+            .expect(NEVER_FIRES);
         qors
     }
 
@@ -279,7 +280,7 @@ impl EvalEngine {
     ) -> Qor {
         let design_fp = fingerprint_design(design);
         self.try_evaluate_flow_with_ctx(design, design_fp, flow, pctx, &CancelToken::never())
-            .expect("a never-firing token cannot cancel")
+            .expect(NEVER_FIRES)
     }
 
     /// [`evaluate_flow_with_ctx`](Self::evaluate_flow_with_ctx) under a
@@ -302,7 +303,7 @@ impl EvalEngine {
         pctx: &mut PassContext,
         cancel: &CancelToken,
     ) -> Result<Qor, Cancelled> {
-        self.evaluate(design, design_fp, &[flow], Some((pctx, cancel)))
+        self.evaluate(design, design_fp, &[flow], Some(pctx), cancel)
             .map(|(qors, _)| qors[0])
     }
 
@@ -346,8 +347,8 @@ impl EvalEngine {
     }
 
     /// Store lookup → kernel → store insert → statistics, for a batch on
-    /// pooled contexts or one request on a `lent` context under its cancel
-    /// token (the only way this returns `Err`), on the design fingerprinted
+    /// pooled contexts or one request on a `lent` context, under `cancel`
+    /// (the only way this returns `Err`), on the design fingerprinted
     /// `design_fp`.  Returns the QoR in input order with the counters of
     /// this call alone — what it added to [`stats`](Self::stats), whoever
     /// else is using the engine.
@@ -356,7 +357,8 @@ impl EvalEngine {
         design: &Aig,
         design_fp: Fingerprint,
         flows: &[F],
-        lent: Option<(&mut PassContext, &CancelToken)>,
+        lent: Option<&mut PassContext>,
+        cancel: &CancelToken,
     ) -> Result<(Vec<Qor>, EvalStats), Cancelled> {
         debug_assert_eq!(
             design_fp,
@@ -376,11 +378,11 @@ impl EvalEngine {
         if !misses.is_empty() {
             let miss_flows: Vec<&[Transform]> = misses.iter().map(|&i| flows[i].as_ref()).collect();
             let contexts = match lent {
-                Some((pctx, cancel)) => Contexts::Lent(pctx, cancel),
+                Some(pctx) => Contexts::Lent(pctx),
                 None => Contexts::Pooled(&mut timings),
             };
             outcome = self
-                .drive(design, design_fp, &miss_flows, contexts, &mut batch)
+                .drive(design, design_fp, &miss_flows, contexts, cancel, &mut batch)
                 .map(|qors| {
                     // Durability (fsync) happens at drain/compact time via
                     // `checkpoint_store`, not per batch.

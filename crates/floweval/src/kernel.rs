@@ -20,8 +20,7 @@ use aig::Aig;
 use flow_core::{CancelToken, Cancelled, Fingerprint};
 use rayon::prelude::*;
 use synth::{
-    map_with_ctx, try_map_with_ctx, verify_equivalence, MapperParams, PassContext, PassTimings,
-    Qor, Transform,
+    try_map_with_ctx, verify_equivalence, MapperParams, PassContext, PassTimings, Qor, Transform,
 };
 
 use crate::engine::{flow_script, EvalEngine};
@@ -84,14 +83,15 @@ enum Done {
     Mapped(Qor, bool),
 }
 
-/// The evaluation contexts a [`EvalEngine::drive`] call works on.
+/// The evaluation contexts a [`EvalEngine::drive`] call works on.  Either
+/// kind runs its passes and mappings under the call's token.  No lock is
+/// held while a pass or the mapper runs, and a wave commits only once all
+/// its work is done, so a cancellation leaves the graph with the completed
+/// edges of earlier waves only.
 pub(crate) enum Contexts<'a> {
-    /// The caller's own context, on the calling thread, and the token its
-    /// passes and mappings poll; its timings stay in it.  No lock is held
-    /// while a pass or the mapper runs, and a wave commits only once all its
-    /// work is done, so a cancellation leaves the graph with the completed
-    /// edges of earlier waves only.
-    Lent(&'a mut PassContext, &'a CancelToken),
+    /// The caller's own context, on the calling thread; its timings stay in
+    /// it.
+    Lent(&'a mut PassContext),
     /// The engine's pooled contexts, each wave fanned out over rayon; what
     /// they time is merged into the sink.
     Pooled(&'a mut PassTimings),
@@ -124,14 +124,15 @@ impl EvalEngine {
     }
 
     /// Evaluates `flows` on `design`, returning QoR in input order,
-    /// bit-identical to `FlowRunner::run`, or `Err` once a lent context's
-    /// token fires.  Counters accumulate into `stats` as waves complete.
+    /// bit-identical to `FlowRunner::run`, or `Err` once `cancel` fires.
+    /// Counters accumulate into `stats` as waves complete.
     pub(crate) fn drive<F: AsRef<[Transform]>>(
         &self,
         design: &Aig,
         design_fp: Fingerprint,
         flows: &[F],
         mut contexts: Contexts<'_>,
+        cancel: &CancelToken,
         stats: &mut EvalStats,
     ) -> Result<Vec<Qor>, Cancelled> {
         let (root, root_aig) = self.root_state(design, design_fp);
@@ -211,9 +212,7 @@ impl EvalEngine {
                     // Everything left is in other callers' hands.
                     let waited = self.graph_changed.wait_timeout(graph, CLAIM_POLL);
                     drop(waited.expect("state graph lock"));
-                    if let Contexts::Lent(_, cancel) = &contexts {
-                        cancel.check()?;
-                    }
+                    cancel.check()?;
                 }
             }
             if work.is_empty() {
@@ -222,26 +221,26 @@ impl EvalEngine {
 
             // Execute it: no lock held, nothing published yet.
             let mut done: Vec<Done> = match &mut contexts {
-                Contexts::Lent(pctx, cancel) => work
+                Contexts::Lent(pctx) => work
                     .iter()
-                    .map(|item| self.execute(item, design, pctx, Some(cancel)))
+                    .map(|item| self.execute(item, design, pctx, cancel))
                     .collect::<Result<_, _>>()?,
                 Contexts::Pooled(timings) => {
-                    let outs: Vec<(Done, PassTimings)> = work
+                    let outs: Vec<(Result<Done, Cancelled>, PassTimings)> = work
                         .par_iter()
                         .map(|item| {
                             let pooled = self.contexts.lock().expect("context pool lock").pop();
                             let mut pctx = pooled.unwrap_or_else(|| self.pass_context());
-                            let done = self
-                                .execute(item, design, &mut pctx, None)
-                                .expect("a context without a token cannot cancel");
+                            let done = self.execute(item, design, &mut pctx, cancel);
                             let spent = pctx.take_timings();
                             self.contexts.lock().expect("context pool lock").push(pctx);
                             (done, spent)
                         })
                         .collect();
                     outs.iter().for_each(|(_, spent)| timings.merge(spent));
-                    outs.into_iter().map(|(done, _)| done).collect()
+                    outs.into_iter()
+                        .map(|(done, _)| done)
+                        .collect::<Result<_, _>>()?
                 }
             };
 
@@ -306,37 +305,27 @@ impl EvalEngine {
             .collect())
     }
 
-    /// Executes one work item on `pctx` — the only place a pass or the
-    /// mapper runs in this crate — polling `cancel` when there is one.
-    /// Pooled contexts run without a token and always return `Ok`.
+    /// Executes one work item on `pctx` under `cancel` — the only place a
+    /// pass or the mapper runs in this crate.  A cancelled item hands its
+    /// buffer back to `pctx` and returns `Err`.
     fn execute(
         &self,
         item: &Work,
         design: &Aig,
         pctx: &mut PassContext,
-        cancel: Option<&CancelToken>,
+        cancel: &CancelToken,
     ) -> Result<Done, Cancelled> {
         let mut g = pctx.take_buf();
         g.copy_from(&item.src);
         let Some(t) = item.t else {
             let equivalent = !self.config.verify || verify_equivalence(design, &g);
             let params = MapperParams::default();
-            let mapped = match cancel {
-                Some(cancel) => try_map_with_ctx(&mut g, &self.library, params, pctx, cancel),
-                None => Ok(map_with_ctx(&mut g, &self.library, params, pctx)),
-            };
+            let mapped = try_map_with_ctx(&mut g, &self.library, params, pctx, cancel);
             pctx.recycle(g);
             return mapped.map(|netlist| Done::Mapped(netlist.qor(), equivalent));
         };
         let identities = pctx.apply_stats().identity;
-        let applied = match cancel {
-            Some(cancel) => pctx.try_apply(t, &mut g, cancel),
-            None => {
-                pctx.apply(t, &mut g);
-                Ok(())
-            }
-        };
-        if let Err(cancelled) = applied {
+        if let Err(cancelled) = pctx.try_apply(t, &mut g, cancel) {
             pctx.recycle(g);
             return Err(cancelled);
         }

@@ -32,7 +32,7 @@ use std::collections::HashSet;
 use std::time::Instant;
 
 use aig::Aig;
-use flow_core::Fingerprint;
+use flow_core::{CancelToken, Fingerprint, NEVER_FIRES};
 use serde::Serialize;
 use synth::{Qor, Transform};
 
@@ -242,10 +242,10 @@ impl EvalEngine {
     /// Labels `flows` on each of `designs` under `config`'s budgets
     /// (`docs/ARCHITECTURE.md`, "Flow-space search"), bit-identically to
     /// [`EvalEngine::evaluate_batch`] over `flows` per design.
-    pub fn search_flows(
+    pub fn search_flows<F: AsRef<[Transform]>>(
         &self,
         designs: &[Aig],
-        flows: &[Vec<Transform>],
+        flows: &[F],
         config: &SearchConfig,
     ) -> SearchOutcome {
         let start = Instant::now();
@@ -267,7 +267,7 @@ impl EvalEngine {
             for (f, cached) in self.store_lookup_batch(&keys).into_iter().enumerate() {
                 match cached {
                     Some(qor) => {
-                        report.eval.passes_requested += flows[f].len();
+                        report.eval.passes_requested += flows[f].as_ref().len();
                         labels.push(SearchLabel {
                             design: d,
                             flow: f,
@@ -290,6 +290,7 @@ impl EvalEngine {
             .build()
             .expect("a thread-count context always builds");
         let mut trajectory: Vec<TrajectoryPoint> = Vec::new();
+        let never = CancelToken::never();
         'search: for (d, missing) in misses.iter().enumerate() {
             let mut rest = missing.as_slice();
             while !rest.is_empty() {
@@ -306,10 +307,12 @@ impl EvalEngine {
                 let (chunk, tail) = rest.split_at(rest.len().min(CHUNK_FLOWS).min(budget));
                 rest = tail;
                 let chunk_flows: Vec<&[Transform]> =
-                    chunk.iter().map(|&f| flows[f].as_slice()).collect();
+                    chunk.iter().map(|&f| flows[f].as_ref()).collect();
                 let (qors, stats) = pool
-                    .install(|| self.evaluate(&designs[d], fingerprints[d], &chunk_flows, None))
-                    .expect("pooled contexts cannot cancel");
+                    .install(|| {
+                        self.evaluate(&designs[d], fingerprints[d], &chunk_flows, None, &never)
+                    })
+                    .expect(NEVER_FIRES);
                 report.eval.absorb(&stats);
                 report.evaluated += chunk.len();
                 labels.extend(chunk.iter().zip(qors).map(|(&flow, qor)| SearchLabel {

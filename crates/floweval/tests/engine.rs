@@ -2,12 +2,15 @@
 //! bit-identical, repeated batches must hit the caches, and state-graph
 //! evaluation must apply strictly fewer passes than running each flow alone.
 
+use std::time::Duration;
+
 use circuits::{Design, DesignScale};
-use floweval::{EngineConfig, EvalEngine};
+use flow_core::{CancelReason, CancelToken};
+use floweval::{fingerprint_design, EngineConfig, EvalEngine};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use synth::{FlowRunner, Qor, Transform};
+use synth::{FlowRunner, PassContext, Qor, Transform};
 
 /// Builds a compact but non-trivial design (a few hundred AND nodes) so the
 /// heavy cache tests measure engine behaviour, not pass runtime.
@@ -206,4 +209,29 @@ fn duplicate_and_empty_flows_are_handled() {
     assert_eq!(qors[1], qors[3]);
     assert_eq!(qors[0], runner.run(&design, &[]).qor);
     assert_eq!(qors[1], runner.run(&design, &[Transform::Balance]).qor);
+}
+
+#[test]
+fn cancelled_request_stores_nothing_and_its_context_answers_next() {
+    let design = Design::Alu64.generate(DesignScale::Tiny);
+    let flow = [Transform::Balance, Transform::Rewrite, Transform::RefactorZ];
+    let engine = EvalEngine::default();
+    let mut pctx = PassContext::default();
+    let stored = engine.store_len();
+
+    let expired = CancelToken::with_deadline(Duration::ZERO);
+    let design_fp = fingerprint_design(&design);
+    let err = engine
+        .try_evaluate_flow_with_ctx(&design, design_fp, &flow, &mut pctx, &expired)
+        .expect_err("an expired token must cancel the request");
+    assert_eq!(err.reason, CancelReason::DeadlineExceeded);
+    assert_eq!(
+        engine.store_len(),
+        stored,
+        "a cancelled request stores nothing"
+    );
+
+    let qor = engine.evaluate_flow_with_ctx(&design, &flow, &mut pctx);
+    assert_eq!(qor, FlowRunner::new().run(&design, &flow).qor);
+    assert_eq!(engine.store_len(), stored + 1);
 }

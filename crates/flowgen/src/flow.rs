@@ -147,6 +147,12 @@ impl std::fmt::Display for Flow {
     }
 }
 
+impl AsRef<[Transform]> for Flow {
+    fn as_ref(&self) -> &[Transform] {
+        &self.transforms
+    }
+}
+
 impl FromIterator<Transform> for Flow {
     fn from_iter<I: IntoIterator<Item = Transform>>(iter: I) -> Self {
         Flow::new(iter.into_iter().collect())

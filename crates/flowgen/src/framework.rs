@@ -213,9 +213,7 @@ impl Framework {
         while cursor < all_training_flows.len() {
             let end = next_train_at.min(all_training_flows.len());
             let chunk = &all_training_flows[cursor..end];
-            let chunk_flows: Vec<Vec<synth::Transform>> =
-                chunk.iter().map(|f| f.transforms().to_vec()).collect();
-            let qors = self.engine.evaluate_batch(design, &chunk_flows);
+            let qors = self.engine.evaluate_batch(design, chunk);
             collected_flows.extend_from_slice(chunk);
             collected_qors.extend_from_slice(&qors);
             cursor = end;
@@ -265,11 +263,7 @@ impl Framework {
         // 3. Optional evaluation against ground truth (Section 4).
         // ------------------------------------------------------------------
         let (sample_qors, sample_labels, selection_accuracy) = if cfg.evaluate_samples {
-            let flows_as_transforms: Vec<Vec<synth::Transform>> = sample_flows
-                .iter()
-                .map(|f| f.transforms().to_vec())
-                .collect();
-            let qors = self.engine.evaluate_batch(design, &flows_as_transforms);
+            let qors = self.engine.evaluate_batch(design, &sample_flows);
             let sample_values: Vec<f64> = qors.iter().map(|q| q.metric(cfg.metric)).collect();
             let sample_labeler =
                 Labeler::from_percentiles(cfg.metric, &sample_values, &percentiles);

@@ -15,7 +15,7 @@ use crate::pass::{pool_give, CancelCell, PassContext};
 pub(crate) fn balance_ctx(
     g: &mut Aig,
     ctx: &mut PassContext,
-    cancel: Option<&CancelToken>,
+    cancel: &CancelToken,
 ) -> Result<(), Cancelled> {
     ctx.ensure_clean(g);
     g.compute_fanouts_cached();

@@ -7,10 +7,9 @@
 //! which shares the work common to many flows.
 
 use aig::{random_equivalence_check, Aig, AigStats};
-use flow_core::{CancelToken, Cancelled};
 
 use crate::library::CellLibrary;
-use crate::mapper::{try_map_with_ctx, MapperParams};
+use crate::mapper::{map_with_ctx, MapperParams};
 use crate::pass::PassContext;
 use crate::passes::Transform;
 use crate::qor::Qor;
@@ -62,56 +61,24 @@ impl FlowRunner {
 
     /// Runs a single flow on `design` and returns its outcome.
     ///
-    /// Evaluation goes through a fresh [`PassContext`] (the arena-recycling
-    /// pass pipeline).
+    /// The passes and the mapping run on one fresh [`PassContext`] (the
+    /// arena-recycling pass pipeline).  Callers that recycle a context
+    /// across flows, or run under a budget, go through the context itself
+    /// (`PassContext::run_flow_cancellable`, `try_map_with_ctx`) or through
+    /// `floweval::EvalEngine`.
     pub fn run(&self, design: &Aig, flow: &[Transform]) -> FlowOutcome {
-        self.run_with_ctx(design, flow, &mut PassContext::default())
-    }
-
-    /// Runs a single flow through a caller-owned [`PassContext`], so batch
-    /// callers recycle one context's buffers across many flows.
-    pub fn run_with_ctx(
-        &self,
-        design: &Aig,
-        flow: &[Transform],
-        ctx: &mut PassContext,
-    ) -> FlowOutcome {
-        self.try_run_with_ctx(design, flow, ctx, &CancelToken::never())
-            .expect("a never-firing token cannot cancel")
-    }
-
-    /// [`run_with_ctx`](Self::run_with_ctx) under a cancellation budget:
-    /// passes and mapping poll `cancel` and return `Err` once it fires.  The
-    /// context stays reusable after cancellation.
-    pub fn try_run_with_ctx(
-        &self,
-        design: &Aig,
-        flow: &[Transform],
-        ctx: &mut PassContext,
-        cancel: &CancelToken,
-    ) -> Result<FlowOutcome, Cancelled> {
         let start = std::time::Instant::now();
-        let mut optimized = ctx.run_flow_cancellable(design, flow, cancel)?;
-        let verified = if self.verify {
-            verify_equivalence(design, &optimized)
-        } else {
-            false
-        };
-        let mapped = try_map_with_ctx(
-            &mut optimized,
-            &self.library,
-            MapperParams::default(),
-            ctx,
-            cancel,
-        );
-        let outcome = mapped.map(|netlist| FlowOutcome {
+        let mut ctx = PassContext::default();
+        let mut optimized = ctx.run_flow(design, flow);
+        let verified = self.verify && verify_equivalence(design, &optimized);
+        let params = MapperParams::default();
+        let netlist = map_with_ctx(&mut optimized, &self.library, params, &mut ctx);
+        FlowOutcome {
             qor: netlist.qor(),
             optimized: AigStats::of(&optimized),
             runtime_s: start.elapsed().as_secs_f64(),
             verified,
-        });
-        ctx.recycle(optimized);
-        outcome
+        }
     }
 }
 

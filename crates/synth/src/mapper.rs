@@ -8,12 +8,12 @@
 //! fanout-dependent load term), the two QoR metrics the paper reports.
 
 use aig::{truth4_pad, truth4_reduce, truth4_support, Aig, Cut4Enumerator, CutParams, NodeId};
-use flow_core::{CancelToken, Cancelled};
+use flow_core::{CancelToken, Cancelled, NEVER_FIRES};
 use serde::{Deserialize, Serialize};
 
 use crate::library::{CellId, CellLibrary};
 use crate::npn4::npn4;
-use crate::pass::{CancelCell, PassContext, UNARMED};
+use crate::pass::{CancelCell, PassContext};
 use crate::qor::Qor;
 
 /// Objective used to choose among matched cells.
@@ -109,14 +109,15 @@ pub fn map(aig: &Aig, library: &CellLibrary, params: MapperParams) -> MappedNetl
 /// (every pass output is), fanouts recompute only when stale, and the cut
 /// sets land in the context's recycled enumeration buffer.  Cuts are inline
 /// 4-cuts with fused `u16` truths, support is reduced with bitwise operations
-/// and cells are matched through the precomputed NPN4 table.
+/// and cells are matched through the precomputed NPN4 table.  This is
+/// [`try_map_with_ctx`] under [`CancelToken::never`].
 pub fn map_with_ctx(
     g: &mut Aig,
     library: &CellLibrary,
     params: MapperParams,
     ctx: &mut PassContext,
 ) -> MappedNetlist {
-    map_checked(g, library, params, ctx, None).expect(UNARMED)
+    try_map_with_ctx(g, library, params, ctx, &CancelToken::never()).expect(NEVER_FIRES)
 }
 
 /// [`map_with_ctx`] under a cancellation budget: the matching loop polls
@@ -127,16 +128,6 @@ pub fn try_map_with_ctx(
     params: MapperParams,
     ctx: &mut PassContext,
     cancel: &CancelToken,
-) -> Result<MappedNetlist, Cancelled> {
-    map_checked(g, library, params, ctx, Some(cancel))
-}
-
-fn map_checked(
-    g: &mut Aig,
-    library: &CellLibrary,
-    params: MapperParams,
-    ctx: &mut PassContext,
-    cancel: Option<&CancelToken>,
 ) -> Result<MappedNetlist, Cancelled> {
     let start = std::time::Instant::now();
     ctx.ensure_clean(g);
@@ -154,7 +145,7 @@ fn map_core(
     library: &CellLibrary,
     mode: MapMode,
     cut_sets: &[aig::CutSet4],
-    cancel: Option<&CancelToken>,
+    cancel: &CancelToken,
 ) -> Result<MappedNetlist, Cancelled> {
     let mut cancel = CancelCell::new(cancel);
     let mut matcher = Matcher::new(subject, library, mode);

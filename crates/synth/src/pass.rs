@@ -26,15 +26,16 @@
 //!   on a graph of 32 Ki nodes or more proposes over node chunks on the
 //!   `rayon` pool, one scratch per chunk running at once.
 //!
-//! Cancellation is a return value.  The cancellable entry points
-//! ([`PassContext::try_apply`], [`PassContext::run_flow_cancellable`],
-//! `try_map_with_ctx`, `FlowRunner::try_run_with_ctx`) take the
-//! [`CancelToken`] as an argument; once it fires, the per-node loops return
-//! `Err(Cancelled)` and every layer passes it up with `?`.  The graph comes
-//! back unchanged because the only code a checkpoint can interrupt — the
-//! per-node loops — only reads it, and every early return hands the buffers
-//! it checked out back to the context (the reasoning sits on the
-//! crate-private `CancelCell`).  The plain entry points take no token and
+//! Cancellation is a return value, and there is one route to it: every pass
+//! and the mapper take a `&`[`CancelToken`] ([`PassContext::try_apply`],
+//! [`PassContext::run_flow_cancellable`], `try_map_with_ctx`); once it
+//! fires, the per-node loops return `Err(Cancelled)` and every layer passes
+//! it up with `?`.  The graph comes back unchanged because the only code a
+//! checkpoint can interrupt — the per-node loops — only reads it, and every
+//! early return hands the buffers it checked out back to the context (the
+//! reasoning sits on the crate-private `CancelCell`).  The plain entry
+//! points ([`PassContext::apply`], [`PassContext::run_flow`],
+//! `map_with_ctx`) run that same path under [`CancelToken::never`], so they
 //! cannot fail.
 //!
 //! The seed implementation of every pass survives as the test-only oracle,
@@ -44,7 +45,7 @@
 use std::time::Instant;
 
 use aig::{Aig, AigScratch, CutSet4, CutTruthScratch, Lit, NodeId};
-use flow_core::{fail_point, CancelToken, Cancelled};
+use flow_core::{fail_point, CancelToken, Cancelled, NEVER_FIRES};
 
 use crate::balance::balance_ctx;
 use crate::passes::Transform;
@@ -111,10 +112,10 @@ impl PassTimings {
 
 /// A per-loop cooperative-cancellation checkpoint.
 ///
-/// Borrows the call's [`CancelToken`] (`None` on the plain, token-less entry
-/// points) plus a countdown that strides the actual clock/flag poll: inner
-/// per-node loops call [`checkpoint`](Self::checkpoint) on every iteration,
-/// but only every `STRIDE`-th call reads the token, so an absent or quiet
+/// Borrows the call's [`CancelToken`] ([`CancelToken::never`] on the plain
+/// entry points) plus a countdown that strides the actual clock/flag poll:
+/// inner per-node loops call [`checkpoint`](Self::checkpoint) on every
+/// iteration, but only every `STRIDE`-th call reads the token, so a quiet
 /// token costs one branch per node.  Once the token has fired the checkpoint
 /// returns `Err(Cancelled)` and the loop returns it.  Each loop — and each
 /// propose chunk of a parallel sweep — makes a cell of its own.
@@ -134,7 +135,7 @@ impl PassTimings {
 /// context's idle list before it reports.
 #[derive(Debug)]
 pub(crate) struct CancelCell<'a> {
-    token: Option<&'a CancelToken>,
+    token: &'a CancelToken,
     countdown: u32,
 }
 
@@ -142,7 +143,7 @@ impl<'a> CancelCell<'a> {
     const STRIDE: u32 = 64;
 
     /// A checkpoint over `token` whose first call polls.
-    pub(crate) fn new(token: Option<&'a CancelToken>) -> Self {
+    pub(crate) fn new(token: &'a CancelToken) -> Self {
         CancelCell {
             token,
             countdown: 0,
@@ -152,15 +153,12 @@ impl<'a> CancelCell<'a> {
     /// Strided poll for inner per-node loops.
     #[inline]
     pub(crate) fn checkpoint(&mut self) -> Result<(), Cancelled> {
-        let Some(token) = self.token else {
-            return Ok(());
-        };
         if let Some(next) = self.countdown.checked_sub(1) {
             self.countdown = next;
             return Ok(());
         }
         self.countdown = Self::STRIDE - 1;
-        token.check()
+        self.token.check()
     }
 }
 
@@ -319,9 +317,11 @@ impl PassContext {
         self.recycle(out);
     }
 
-    /// Applies one transformation to `g` in place, recording its wall time.
+    /// Applies one transformation to `g` in place, recording its wall time:
+    /// [`try_apply`](Self::try_apply) under [`CancelToken::never`].
     pub fn apply(&mut self, t: Transform, g: &mut Aig) {
-        self.apply_checked(t, g, None).expect(UNARMED);
+        self.try_apply(t, g, &CancelToken::never())
+            .expect(NEVER_FIRES);
     }
 
     /// [`apply`](Self::apply) under a cancellation budget: polls `cancel`
@@ -334,18 +334,7 @@ impl PassContext {
         g: &mut Aig,
         cancel: &CancelToken,
     ) -> Result<(), Cancelled> {
-        self.apply_checked(t, g, Some(cancel))
-    }
-
-    fn apply_checked(
-        &mut self,
-        t: Transform,
-        g: &mut Aig,
-        cancel: Option<&CancelToken>,
-    ) -> Result<(), Cancelled> {
-        if let Some(token) = cancel {
-            token.check()?;
-        }
+        cancel.check()?;
         fail_point!("pass.apply");
         let start = Instant::now();
         match t {
@@ -364,9 +353,12 @@ impl PassContext {
 
     /// Runs a whole flow on `design` and returns the optimized network.
     ///
-    /// The design is cleaned first, then each transform applies in order.
+    /// The design is cleaned first, then each transform applies in order:
+    /// [`run_flow_cancellable`](Self::run_flow_cancellable) under
+    /// [`CancelToken::never`].
     pub fn run_flow(&mut self, design: &Aig, flow: &[Transform]) -> Aig {
-        self.run_flow_checked(design, flow, None).expect(UNARMED)
+        self.run_flow_cancellable(design, flow, &CancelToken::never())
+            .expect(NEVER_FIRES)
     }
 
     /// [`run_flow`](Self::run_flow) under a cancellation budget.
@@ -381,20 +373,11 @@ impl PassContext {
         flow: &[Transform],
         cancel: &CancelToken,
     ) -> Result<Aig, Cancelled> {
-        self.run_flow_checked(design, flow, Some(cancel))
-    }
-
-    fn run_flow_checked(
-        &mut self,
-        design: &Aig,
-        flow: &[Transform],
-        cancel: Option<&CancelToken>,
-    ) -> Result<Aig, Cancelled> {
         let mut g = self.take_buf();
         g.copy_from(design);
         self.ensure_clean(&mut g);
         for &t in flow {
-            if let Err(cancelled) = self.apply_checked(t, &mut g, cancel) {
+            if let Err(cancelled) = self.try_apply(t, &mut g, cancel) {
                 self.recycle(g);
                 return Err(cancelled);
             }
@@ -402,9 +385,6 @@ impl PassContext {
         Ok(g)
     }
 }
-
-/// The `expect` message of the token-less fronts, which poll nothing.
-pub(crate) const UNARMED: &str = "a call without a token cannot cancel";
 
 /// Pool primitives usable after destructuring a [`PassContext`] into disjoint
 /// field borrows (the passes split the context between closure and sweep).

@@ -26,7 +26,7 @@ pub(crate) fn refactor_ctx(
     g: &mut Aig,
     zero_cost: bool,
     ctx: &mut PassContext,
-    cancel: Option<&CancelToken>,
+    cancel: &CancelToken,
 ) -> Result<(), Cancelled> {
     let acceptance = if zero_cost {
         Acceptance::zero_cost()

@@ -24,7 +24,7 @@ pub(crate) const MAX_LEAVES: usize = 6;
 pub(crate) fn restructure_ctx(
     g: &mut Aig,
     ctx: &mut PassContext,
-    cancel: Option<&CancelToken>,
+    cancel: &CancelToken,
 ) -> Result<(), Cancelled> {
     resynthesis_sweep_ctx(g, Acceptance::strict(), ctx, cancel, |graph, id, ps, _| {
         propose_sweep(graph, id, ps)

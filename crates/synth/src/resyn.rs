@@ -489,7 +489,7 @@ pub(crate) fn resynthesis_sweep_ctx<F>(
     g: &mut Aig,
     acceptance: Acceptance,
     ctx: &mut PassContext,
-    cancel: Option<&CancelToken>,
+    cancel: &CancelToken,
     propose: F,
 ) -> Result<(), Cancelled>
 where
@@ -642,6 +642,7 @@ mod tests {
     use crate::sop::{count_sop_nodes_reusing, isop};
     use aig::{cut_truth, random_equivalence_check, Cut4Enumerator, CutParams, Mffc};
     use circuits::{Design, DesignScale};
+    use flow_core::NEVER_FIRES;
     use std::collections::HashMap;
 
     /// One production sweep over a copy of `g` on a fresh context.
@@ -652,10 +653,15 @@ mod tests {
     ) -> Aig {
         let mut ctx = PassContext::default();
         let mut work = ctx.run_flow(g, &[]);
-        resynthesis_sweep_ctx(&mut work, acceptance, &mut ctx, None, |graph, id, ps, _| {
-            propose(graph, id, &mut ps.pricer)
-        })
-        .expect(crate::pass::UNARMED);
+        let never = CancelToken::never();
+        resynthesis_sweep_ctx(
+            &mut work,
+            acceptance,
+            &mut ctx,
+            &never,
+            |graph, id, ps, _| propose(graph, id, &mut ps.pricer),
+        )
+        .expect(NEVER_FIRES);
         work
     }
 
@@ -913,10 +919,10 @@ mod tests {
             &mut work,
             Acceptance::strict(),
             &mut ctx,
-            None,
+            &CancelToken::never(),
             |graph, id, ps, _| propose_over_inputs(graph, id, &mut ps.pricer),
         )
-        .expect(crate::pass::UNARMED);
+        .expect(NEVER_FIRES);
         let stats = ctx.apply_stats();
         assert_eq!(stats.conflicts, 1, "q is dropped: {stats:?}");
         assert_eq!((stats.gain_estimated, stats.gain_realised), (1, 1));

@@ -10,7 +10,10 @@ use std::time::{Duration, Instant};
 use aig::io::{render_design, Format};
 use circuits::{Design, DesignScale};
 use flow_core::{CancelReason, CancelToken};
-use synth::{FlowRunner, PassContext, Transform};
+use synth::{
+    map_with_ctx, try_map_with_ctx, verify_equivalence, CellLibrary, FlowRunner, MapperParams,
+    PassContext, Transform,
+};
 
 const FLOW: [Transform; 6] = [
     Transform::Balance,
@@ -120,35 +123,47 @@ fn cancellation_inside_a_parallel_sweep_reaches_the_caller_typed() {
 
 #[test]
 fn flow_runner_cancellation_keeps_qor_reproducible() {
+    // A mapping cancelled on a context leaves the subject graph and the
+    // context as they were: mapping the same graph again on that context
+    // answers what a fresh `FlowRunner` run does.
     let design = Design::Montgomery64.generate(DesignScale::Tiny);
-    let runner = FlowRunner::new().with_verification(true);
+    let library = CellLibrary::nangate14();
+    let params = MapperParams::default();
     let mut ctx = PassContext::default();
+    let mut optimized = ctx.run_flow(&design, &FLOW);
 
     let token = CancelToken::with_deadline(Duration::ZERO);
-    let err = runner
-        .try_run_with_ctx(&design, &FLOW, &mut ctx, &token)
-        .expect_err("zero budget must cancel");
+    let err = try_map_with_ctx(&mut optimized, &library, params, &mut ctx, &token)
+        .expect_err("zero budget must cancel the mapping");
     assert_eq!(err.reason, CancelReason::DeadlineExceeded);
-
-    let reused = runner.run_with_ctx(&design, &FLOW, &mut ctx);
-    let fresh = runner.run(&design, &FLOW);
     assert_eq!(
-        reused.qor, fresh.qor,
-        "bit-identical QoR after cancellation"
+        ctx.timings().mapping.calls,
+        0,
+        "a cancelled mapping records nothing"
     );
+
+    let reused = map_with_ctx(&mut optimized, &library, params, &mut ctx).qor();
+    let fresh = FlowRunner::new()
+        .with_verification(true)
+        .run(&design, &FLOW);
+    assert_eq!(reused, fresh.qor, "bit-identical QoR after cancellation");
+    assert!(fresh.verified);
     assert!(
-        reused.verified,
-        "verification still passes on the reused ctx"
+        verify_equivalence(&design, &optimized),
+        "verification still passes on the graph the cancelled mapping saw"
     );
 }
 
 #[test]
 fn never_token_changes_nothing() {
+    // The plain entry points run under `CancelToken::never`; a live deadline
+    // polls the clock at every checkpoint and must not perturb results.
     let design = Design::Alu64.generate(DesignScale::Tiny);
     let mut ctx = PassContext::default();
+    let hour = CancelToken::with_deadline(Duration::from_secs(3600));
     let armed = ctx
-        .run_flow_cancellable(&design, &FLOW, &CancelToken::never())
-        .expect("never cancels");
+        .run_flow_cancellable(&design, &FLOW, &hour)
+        .expect("an hour is enough");
     let plain = PassContext::default().run_flow(&design, &FLOW);
     assert_eq!(
         bits(&armed),

@@ -28,11 +28,7 @@ fn main() {
 
     let space = FlowSpace::new(6, 1);
     let mut rng = ChaCha8Rng::seed_from_u64(0x5708E);
-    let flows: Vec<Vec<synth::Transform>> = space
-        .random_unique_flows(16, &mut rng)
-        .iter()
-        .map(|f| f.transforms().to_vec())
-        .collect();
+    let flows = space.random_unique_flows(16, &mut rng);
 
     println!(
         "store: {store_path} ({} records loaded)",

@@ -32,8 +32,7 @@ fn main() {
     let mut rng = ChaCha8Rng::seed_from_u64(2024);
     let flows = space.random_unique_flows(8, &mut rng);
     let engine = EvalEngine::default();
-    let seqs: Vec<Vec<synth::Transform>> = flows.iter().map(|f| f.transforms().to_vec()).collect();
-    let qors = engine.evaluate_batch(&design, &seqs);
+    let qors = engine.evaluate_batch(&design, &flows);
     println!("\nQoR of 8 random 24-step flows on {}:", design.name());
     for (flow, qor) in flows.iter().zip(&qors) {
         println!(

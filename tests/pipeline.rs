@@ -10,7 +10,7 @@ use flowgen::{
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use synth::{Qor, QorMetric, Transform};
+use synth::{Qor, QorMetric};
 
 #[test]
 fn manual_pipeline_produces_consistent_artifacts() {
@@ -23,13 +23,12 @@ fn manual_pipeline_produces_consistent_artifacts() {
 
     // 2. QoR collection through the batch driver, at 1, 2 and 4 threads:
     // the labels must not depend on the machine.
-    let seqs: Vec<Vec<Transform>> = flows.iter().map(|f| f.transforms().to_vec()).collect();
     let collect = |threads: usize| -> Vec<Qor> {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
             .expect("pool");
-        pool.install(|| EvalEngine::default().evaluate_batch(&design, &seqs))
+        pool.install(|| EvalEngine::default().evaluate_batch(&design, &flows))
     };
     let qors = collect(1);
     assert_eq!(collect(2), qors, "2 threads changed the QoR");

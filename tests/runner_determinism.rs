@@ -8,7 +8,7 @@ use floweval::EvalEngine;
 use flowgen::FlowSpace;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use synth::{FlowRunner, Qor, Transform};
+use synth::{FlowRunner, Qor};
 
 /// Property test over several seeds and thread counts.  All thread-count
 /// variations run inside this single `#[test]` because `RAYON_NUM_THREADS`
@@ -22,14 +22,13 @@ fn evaluate_batch_is_independent_of_thread_count() {
 
     for seed in [1u64, 7, 42] {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let flows: Vec<Vec<Transform>> = space
-            .random_unique_flows(10, &mut rng)
-            .iter()
-            .map(|f| f.transforms().to_vec())
-            .collect();
+        let flows = space.random_unique_flows(10, &mut rng);
 
         // Each flow alone, on the caller's thread, is the reference.
-        let reference: Vec<Qor> = flows.iter().map(|f| runner.run(&design, f).qor).collect();
+        let reference: Vec<Qor> = flows
+            .iter()
+            .map(|f| runner.run(&design, f.transforms()).qor)
+            .collect();
 
         // Pin the thread count through the pool API: the vendored rayon
         // stand-in, like upstream rayon, reads RAYON_NUM_THREADS only once
