@@ -1,7 +1,5 @@
 //! The And-Inverter Graph container.
 
-use serde::Serialize;
-
 use crate::strash::Strash;
 use crate::{Lit, Node};
 
@@ -30,7 +28,7 @@ pub type NodeId = usize;
 /// assert_eq!(x, y, "structural hashing merges identical ANDs");
 /// assert_eq!(g.and(a, !a), aig::Lit::FALSE);
 /// ```
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Aig {
     name: String,
     nodes: Vec<Node>,
@@ -38,19 +36,15 @@ pub struct Aig {
     input_names: Vec<String>,
     outputs: Vec<Lit>,
     output_names: Vec<String>,
-    #[serde(skip)]
     pub(crate) strash: Strash,
     /// Structural mutation counter: bumped whenever the graph changes shape
     /// (node added, input added, output registered, buffer recycled).  The
     /// epoch-stamped analysis flags below compare against it.
-    #[serde(skip)]
     generation: u64,
     /// Generation at which [`Aig::compute_fanouts`] last ran (0 = never).
-    #[serde(skip)]
     fanouts_at: u64,
     /// Generation at which the graph was last known dangling-free, i.e. a
     /// [`Aig::cleanup`] would be the identity (0 = unknown).
-    #[serde(skip)]
     clean_at: u64,
 }
 
@@ -77,28 +71,6 @@ pub struct AigScratch {
     map: Vec<Option<Lit>>,
     reachable: Vec<bool>,
     stack: Vec<NodeId>,
-}
-
-// Deserialization must rebuild the structural-hash table: the hash is skipped
-// on the wire, and a graph with an empty `strash` silently stops merging
-// structurally identical ANDs.
-impl serde::Deserialize for Aig {
-    fn from_value(value: &serde::Value) -> std::result::Result<Self, serde::Error> {
-        let mut aig = Aig {
-            name: String::from_value(serde::field(value, "name", "Aig")?)?,
-            nodes: Vec::from_value(serde::field(value, "nodes", "Aig")?)?,
-            inputs: Vec::from_value(serde::field(value, "inputs", "Aig")?)?,
-            input_names: Vec::from_value(serde::field(value, "input_names", "Aig")?)?,
-            outputs: Vec::from_value(serde::field(value, "outputs", "Aig")?)?,
-            output_names: Vec::from_value(serde::field(value, "output_names", "Aig")?)?,
-            strash: Strash::default(),
-            generation: 1,
-            fanouts_at: 0,
-            clean_at: 0,
-        };
-        aig.rebuild_strash();
-        Ok(aig)
-    }
 }
 
 impl Default for Aig {
@@ -533,21 +505,6 @@ impl Aig {
         cone
     }
 
-    /// Rebuilds the structural-hash table (needed after deserialisation).
-    /// Of several ANDs over the same fanin pair, the last one is found.
-    pub fn rebuild_strash(&mut self) {
-        self.strash.clear();
-        self.strash.reserve(&self.nodes, self.num_ands());
-        for id in 1..self.nodes.len() {
-            if let Some((a, b)) = self.nodes[id].fanins() {
-                if let Some(old) = self.strash.find(&self.nodes, a, b) {
-                    self.strash.remove(&self.nodes, old);
-                }
-                self.strash.insert(&self.nodes, id);
-            }
-        }
-    }
-
     /// Number of slots in the structural-hash table (4 bytes each).
     pub fn strash_capacity(&self) -> usize {
         self.strash.capacity()
@@ -680,28 +637,6 @@ mod tests {
         assert_eq!(g.find_and(a, c), None);
         assert_eq!(g.find_and(a, Lit::TRUE), Some(a));
         assert_eq!(g.num_ands(), 1);
-    }
-
-    #[test]
-    fn deserialization_rebuilds_strash() {
-        let (mut g, a, b, c) = simple();
-        let ab = g.and(a, b);
-        let bc = g.and(b, c);
-        let f = g.and(ab, bc);
-        g.add_output("f", f);
-
-        let json = serde_json::to_string(&g).expect("serialize");
-        let mut restored: Aig = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(restored.num_ands(), g.num_ands());
-
-        // The structural hash must be live again: requesting existing ANDs
-        // returns the existing nodes instead of growing the graph.
-        assert_eq!(restored.find_and(a, b), Some(ab));
-        let again = restored.and(a, b);
-        assert_eq!(again, ab);
-        let merged_top = restored.and(ab, bc);
-        assert_eq!(merged_top, f);
-        assert_eq!(restored.num_ands(), g.num_ands(), "no duplicate nodes");
     }
 
     /// Node-for-node structural equality (ids, kinds, levels, interface).

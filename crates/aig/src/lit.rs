@@ -1,7 +1,5 @@
 //! Literals: node references with an optional complement attribute.
 
-use serde::{Deserialize, Serialize};
-
 use crate::NodeId;
 
 /// A literal is a reference to an AIG node together with a complement flag.
@@ -18,7 +16,7 @@ use crate::NodeId;
 /// assert_eq!((!a).node(), 3);
 /// assert!((!a).is_complemented());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Lit(u32);
 
 impl Lit {

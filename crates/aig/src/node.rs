@@ -1,11 +1,9 @@
 //! AIG node storage.
 
-use serde::{Deserialize, Serialize};
-
 use crate::Lit;
 
 /// The kind of an AIG node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeKind {
     /// The unique constant-false node (always node 0).
     Constant,
@@ -20,7 +18,7 @@ pub enum NodeKind {
 /// Nodes are stored contiguously and referenced by [`NodeId`](crate::NodeId).
 /// Fanin literals of an AND node always refer to nodes with a smaller id, so a
 /// plain index sweep is a valid topological order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Node {
     kind: NodeKind,
     level: u32,

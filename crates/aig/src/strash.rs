@@ -1,6 +1,7 @@
 //! The structural-hash table of an [`Aig`](crate::Aig): canonical fanin pair
-//! → AND node id, open-addressed with a multiplicative hash, linear probing,
-//! backward-shift deletion (no tombstones) and load at or below ½.
+//! → AND node id, open-addressed with a multiplicative hash, linear probing
+//! and load at or below ½.  Entries are only added; [`Strash::clear`] empties
+//! the table for a rebuild.
 
 use crate::{Lit, Node, NodeId};
 
@@ -14,9 +15,8 @@ const EMPTY: u32 = 0;
 ///
 /// **Ordering rule.**  Because a slot derives its key from the node, an entry
 /// is valid only while its node holds the fanins it was inserted under:
-/// [`Strash::insert`] runs *after* the node record holds its fanins, and
-/// [`Strash::remove`] *before* they change.  Swapping a node's two fanins is
-/// harmless (the key is the unordered pair).
+/// [`Strash::insert`] runs *after* the node record holds its fanins.
+/// Swapping a node's two fanins is harmless (the key is the unordered pair).
 #[derive(Debug, Default)]
 pub(crate) struct Strash {
     /// Node id per slot, [`EMPTY`] when free; zero or a power of two long.
@@ -137,34 +137,6 @@ impl Strash {
         self.slots[slot] = id as u32;
         self.len += 1;
     }
-
-    /// Removes `id`, which the table holds under the key its record in
-    /// `nodes` still holds.  Later members of the probe run shift back into
-    /// the hole.
-    pub(crate) fn remove(&mut self, nodes: &[Node], id: NodeId) {
-        let mask = self.slots.len() - 1;
-        let mut hole = self.home(key_of(&nodes[id]));
-        while self.slots[hole] != id as u32 {
-            assert_ne!(self.slots[hole], EMPTY, "removed node is in the table");
-            hole = (hole + 1) & mask;
-        }
-        let mut next = hole;
-        loop {
-            next = (next + 1) & mask;
-            let moved = self.slots[next];
-            if moved == EMPTY {
-                break;
-            }
-            // An entry whose home lies cyclically in (hole, next] stays put.
-            let home = self.home(key_of(&nodes[moved as usize]));
-            if next.wrapping_sub(home) & mask >= next.wrapping_sub(hole) & mask {
-                self.slots[hole] = moved;
-                hole = next;
-            }
-        }
-        self.slots[hole] = EMPTY;
-        self.len -= 1;
-    }
 }
 
 #[cfg(test)]
@@ -251,11 +223,6 @@ mod tests {
                             model.insert(k, id);
                         }
                     },
-                    4..=6 => {
-                        if model.remove(&k).is_some() {
-                            table.remove(&nodes, id);
-                        }
-                    }
                     7 if step % 997 == 0 => {
                         // Clear, then reuse the same slots.
                         let slots = table.capacity();
@@ -291,54 +258,6 @@ mod tests {
         for id in 1..nodes.len() {
             assert_eq!(lookup(&table, &nodes, id), Some(id));
         }
-    }
-
-    #[test]
-    fn backward_shift_deletion_across_the_wrap_around() {
-        // Three keys whose home is the last slot of a 16-slot table (the
-        // second and third wrap to slots 0 and 1) and one homed at slot 0,
-        // which lands behind them.  Removing the first must shift the run
-        // back across the end of the table.
-        let mut rng = XorShift(0xC0FFEE);
-        let mut table = Strash::default();
-        table.reserve(&[], 8);
-        assert_eq!(table.capacity(), 16);
-        let (mut last, mut first) = (Vec::new(), None);
-        let mut seen = HashSet::new();
-        while last.len() < 3 || first.is_none() {
-            let (a, b) = (rng.lit(1 << 20), rng.lit(1 << 20));
-            if !seen.insert(key(a, b)) {
-                continue;
-            }
-            match table.home(key(a, b)) {
-                15 if last.len() < 3 => last.push(Node::and(a, b, 1)),
-                0 if first.is_none() => first = Some(Node::and(a, b, 1)),
-                _ => {}
-            }
-        }
-        let mut nodes = vec![Node::constant()];
-        nodes.extend_from_slice(&last); // ids 1, 2, 3
-        nodes.push(first.unwrap()); // id 4
-        for id in 1..=4 {
-            table.insert(&nodes, id);
-        }
-        assert_eq!((table.slots[15], &table.slots[..3]), (1, &[2, 3, 4][..]));
-
-        table.remove(&nodes, 1);
-        assert_eq!(
-            (table.slots[15], &table.slots[..3]),
-            (2, &[3, 4, EMPTY][..])
-        );
-        assert_well_formed(&table, &nodes);
-        for id in 2..=4 {
-            assert_eq!(lookup(&table, &nodes, id), Some(id));
-        }
-        assert_eq!(lookup(&table, &nodes, 1), None);
-
-        // Once more across the end, and the key homed at slot 0 returns home.
-        table.remove(&nodes, 2);
-        assert_eq!((table.slots[15], &table.slots[..2]), (3, &[4, EMPTY][..]));
-        assert_well_formed(&table, &nodes);
     }
 
     #[test]

@@ -269,40 +269,12 @@ impl TruthTable {
         (0..self.num_vars).filter(|&v| self.depends_on(v)).collect()
     }
 
-    /// Swaps the roles of two variables, returning the permuted table.
-    pub fn swap_vars(&self, a: usize, b: usize) -> Self {
-        assert!(a < self.num_vars && b < self.num_vars);
-        if a == b {
-            return *self;
-        }
-        let mut out = Self::zeros(self.num_vars);
-        for row in 0..self.num_rows() {
-            let bit_a = row >> a & 1;
-            let bit_b = row >> b & 1;
-            let mut src = row & !(1 << a) & !(1 << b);
-            src |= bit_b << a | bit_a << b;
-            out.set(row, self.get(src));
-        }
-        out
-    }
-
     /// Flips (complements) one input variable, returning the new table.
     pub fn flip_var(&self, var: usize) -> Self {
         assert!(var < self.num_vars);
         let mut out = Self::zeros(self.num_vars);
         for row in 0..self.num_rows() {
             out.set(row, self.get(row ^ (1 << var)));
-        }
-        out
-    }
-
-    /// Extends the table to `new_vars` variables (the function is unchanged and
-    /// does not depend on the added variables).
-    pub fn extend_to(&self, new_vars: usize) -> Self {
-        assert!(new_vars >= self.num_vars && new_vars <= MAX_TRUTH_VARS);
-        let mut out = Self::zeros(new_vars);
-        for row in 0..out.num_rows() {
-            out.set(row, self.get(row & (self.num_rows() - 1)));
         }
         out
     }
@@ -394,27 +366,12 @@ mod tests {
     }
 
     #[test]
-    fn swap_and_flip() {
+    fn flip_complements_one_input() {
         let a = TruthTable::var(0, 3);
         let b = TruthTable::var(1, 3);
         let f = a.and(&b.not());
-        let swapped = f.swap_vars(0, 1);
-        assert_eq!(swapped, b.and(&a.not()));
         let flipped = f.flip_var(1);
         assert_eq!(flipped, a.and(&b));
-    }
-
-    #[test]
-    fn extend_keeps_function() {
-        let a = TruthTable::var(0, 2);
-        let b = TruthTable::var(1, 2);
-        let f = a.xor(&b);
-        let g = f.extend_to(4);
-        assert_eq!(g.num_vars(), 4);
-        for row in 0..16 {
-            assert_eq!(g.get(row), f.get(row & 3));
-        }
-        assert!(!g.depends_on(2));
     }
 
     #[test]
@@ -485,17 +442,6 @@ mod tests {
                     let depends = (0..rows).any(|r| ga(r) != ga(r ^ bit));
                     assert_eq!(a.depends_on(v), depends, "{what} v={v}");
                     check(a.flip_var(v), by_rows(nv, |r| ga(r ^ bit)), &what);
-                    for w in 0..nv {
-                        let swap = |r: usize| {
-                            let (rv, rw) = (r >> v & 1, r >> w & 1);
-                            r & !bit & !(1 << w) | rw << v | rv << w
-                        };
-                        check(a.swap_vars(v, w), by_rows(nv, |r| ga(swap(r))), &what);
-                    }
-                }
-                for wider in nv..=MAX_TRUTH_VARS {
-                    let want = by_rows(wider, |r| ga(r & (rows - 1)));
-                    check(a.extend_to(wider), want, &what);
                 }
             }
         }

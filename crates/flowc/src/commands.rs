@@ -8,8 +8,10 @@ use aig::Aig;
 use circuits::{Design, DesignScale};
 use flow_core::CancelToken;
 use floweval::{EngineConfig, EvalEngine};
-use flowgen::Flow;
-use synth::PassContext;
+use flowgen::{Flow, FlowSpace};
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
+use synth::{PassContext, Transform};
 
 use crate::args::{Args, CliError};
 use crate::client::{self, Delivery};
@@ -76,12 +78,13 @@ pub fn search(mut args: Args) -> Result<(), CliError> {
     if count.is_some() && random_seed.is_none() {
         return Err(CliError::usage("--count only applies to --random"));
     }
-    let (source, source_desc) =
+    let (flows, source_desc) =
         match (random_seed, &flows_file, &prefix) {
             (Some(seed), None, None) => {
                 let count = count.unwrap_or(16);
+                let mut rng = ChaCha8Rng::seed_from_u64(seed);
                 (
-                    floweval::FlowSource::Random { seed, count },
+                    FlowSpace::paper().random_unique_flows(count, &mut rng),
                     format!("random:seed={seed}:count={count}"),
                 )
             }
@@ -96,13 +99,13 @@ pub fn search(mut args: Args) -> Result<(), CliError> {
                     }
                     let flow = Flow::parse(line)
                         .map_err(|cmd| format!("`{file}`: `{cmd}` is not a transform"))?;
-                    flows.push(flow.transforms().to_vec());
+                    flows.push(flow);
                 }
                 if flows.is_empty() {
                     return Err(format!("flow list `{file}` holds no flows").into());
                 }
                 let desc = format!("file:{file}:{}", flows.len());
-                (floweval::FlowSource::Explicit(flows), desc)
+                (flows, desc)
             }
             (None, None, Some(script)) => {
                 let depth = depth.unwrap_or(1);
@@ -111,17 +114,11 @@ pub fn search(mut args: Args) -> Result<(), CliError> {
                         "--depth {depth} expands 6^{depth} flows; max 8"
                     )));
                 }
-                let flow = Flow::parse(script).map_err(|cmd| {
+                let prefix = Flow::parse(script).map_err(|cmd| {
                     CliError::usage(format!("`{cmd}` is neither a preset nor a transform"))
                 })?;
-                let desc = format!("prefix:{}:depth={depth}", flow.to_script());
-                (
-                    floweval::FlowSource::PrefixExpansion {
-                        prefix: flow.transforms().to_vec(),
-                        depth,
-                    },
-                    desc,
-                )
+                let desc = format!("prefix:{}:depth={depth}", prefix.to_script());
+                (expand_prefix(&prefix, depth), desc)
             }
             _ => return Err(CliError::usage(
                 "exactly one of --random <seed>, --flows <file> or --prefix <script> is required",
@@ -134,7 +131,6 @@ pub fn search(mut args: Args) -> Result<(), CliError> {
         .unzip();
 
     let engine = engine_at(store, verify)?;
-    let flows = source.resolve();
     let config = floweval::SearchConfig {
         workers,
         max_wall_s,
@@ -153,7 +149,7 @@ pub fn search(mut args: Args) -> Result<(), CliError> {
         for label in &outcome.labels {
             let line = serde_json::to_string(&object! {
                 "design" => design_reports[label.design].name,
-                "flow" => floweval::flow_script(&flows[label.flow]),
+                "flow" => flows[label.flow].to_script(),
                 "qor" => label.qor,
                 "from_store" => label.from_store,
             })
@@ -171,6 +167,21 @@ pub fn search(mut args: Args) -> Result<(), CliError> {
         "eval" => engine.stats(),
     };
     emit_json(&report, json_path.as_deref())
+}
+
+/// Every extension of `prefix` by one of the `6^depth` transform suffixes,
+/// in [`Transform::ALL`] order: the exhaustive expansion of one sub-trie.
+fn expand_prefix(prefix: &Flow, depth: usize) -> Vec<Flow> {
+    let mut flows = vec![prefix.clone()];
+    for _ in 0..depth {
+        flows = flows
+            .iter()
+            .flat_map(|flow| {
+                Transform::ALL.map(|t| flow.transforms().iter().copied().chain([t]).collect())
+            })
+            .collect();
+    }
+    flows
 }
 
 /// `flowc reproduce`: run the paper's studies (the `studies` module) on one
@@ -518,4 +529,25 @@ fn emit_json<T: serde::Serialize>(report: &T, path: Option<&str>) -> Result<(), 
         std::fs::write(path, json + "\n").map_err(|e| format!("cannot write `{path}`: {e}"))?;
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::HashSet;
+
+    use super::*;
+
+    #[test]
+    fn prefix_expansion_counts() {
+        let prefix = Flow::new(vec![Transform::Balance]);
+        let flows = expand_prefix(&prefix, 2);
+        assert_eq!(flows.len(), 36);
+        assert!(flows
+            .iter()
+            .all(|f| f.len() == 3 && f.transforms()[0] == Transform::Balance));
+        let distinct: HashSet<&Flow> = flows.iter().collect();
+        assert_eq!(distinct.len(), 36);
+        let order: Vec<Transform> = flows[..6].iter().map(|f| f.transforms()[2]).collect();
+        assert_eq!(order, Transform::ALL, "suffixes in `Transform::ALL` order");
+    }
 }

@@ -63,11 +63,14 @@ COMMANDS:
     search         Label a flow space over designs under optional budgets,
                    print a throughput and evaluation-counter report
                      --designs <spec,spec,...>      one or more design specs
-                     --random <seed> [--count <n>]  sample n paper-space flows
+                     --random <seed> [--count <n>]  sample n distinct paper-space
+                                                    flows; the first is the flow
+                                                    `run --random <seed>` runs
                                                     [default count: 16]
                      --flows <file>                 one flow script per line
                      --prefix <script> [--depth <n>] expand all 6^n suffixes
-                                                    of a prefix [default: 1]
+                                                    of a prefix, in transform
+                                                    order [default: 1]
                      --workers <n>                  evaluation threads [default: 4]
                      --max-wall-s <secs>            wall-clock budget
                      --max-evals <n>                evaluation budget

@@ -361,8 +361,8 @@ impl Studies {
     }
 
     /// One framework run (Figure 8 and the first two ablations).  The
-    /// hold-out majority is taken over the labelled training flows the
-    /// hold-out set is drawn from; the selection majority over the sample
+    /// hold-out majority is the last round's, taken over the same hold-out
+    /// split as `holdout_accuracy`; the selection majority over the sample
     /// flows' true labels.
     fn framework_run(&self, (name, aig): &(String, Aig), config: FrameworkConfig) -> Value {
         let report = Framework::with_engine(config.clone(), Arc::clone(&self.engine)).run(aig);
@@ -380,7 +380,7 @@ impl Studies {
             "retrain_interval" => config.retrain_interval,
             "rounds" => report.rounds.len(),
             "holdout_accuracy" => report.rounds.last().map(|r| r.holdout_accuracy),
-            "holdout_majority" => majority_share(report.dataset.examples().iter().map(|e| e.label)),
+            "holdout_majority" => report.rounds.last().map(|r| r.holdout_majority),
             "selection_accuracy" => report.selection_accuracy,
             "selection_majority" => majority_share(report.sample_labels.iter().copied()),
             "sample" => summarize(&sample),

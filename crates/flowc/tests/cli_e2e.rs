@@ -10,7 +10,9 @@ use std::process::Command;
 
 use circuits::{Design, DesignScale};
 use floweval::{EngineConfig, EvalEngine};
-use flowgen::Flow;
+use flowgen::{Flow, FlowSpace};
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 use serde::Value;
 
 fn flowc() -> Command {
@@ -40,6 +42,23 @@ fn run_ok(command: &mut Command) -> String {
 
 fn parse_report(stdout: &str) -> Value {
     serde_json::parse_value(stdout.trim()).expect("report is valid JSON")
+}
+
+/// The `count` flows `flowc search --random <seed>` and `flowc run --random
+/// <seed>` draw: the paper's space, sampled by `FlowSpace`.
+fn paper_flows(seed: u64, count: usize) -> Vec<Flow> {
+    FlowSpace::paper().random_unique_flows(count, &mut ChaCha8Rng::seed_from_u64(seed))
+}
+
+fn str_field(value: &Value, section: Option<&str>, field: &str) -> String {
+    let section = match section {
+        Some(name) => value.get(name),
+        None => Some(value),
+    };
+    match section.and_then(|s| s.get(field)) {
+        Some(Value::Str(s)) => s.clone(),
+        other => panic!("missing {section:?}.{field}: {other:?}"),
+    }
 }
 
 fn f64_field(value: &Value, section: &str, field: &str) -> f64 {
@@ -450,7 +469,7 @@ fn search_labels_match_in_process_batch_evaluation() {
 
     // In-process reference: the identical seeded sample through the batch
     // evaluator.  The CLI's labels must be bit-identical.
-    let flows = floweval::FlowSource::Random { seed: 5, count: 4 }.resolve();
+    let flows = paper_flows(5, 4);
     let engine = EvalEngine::new(EngineConfig::default());
     let designs = [
         Design::Alu64.generate(DesignScale::Tiny),
@@ -472,6 +491,7 @@ fn search_labels_match_in_process_batch_evaluation() {
             other => panic!("missing design name: {other:?}"),
         };
         assert_eq!(name, designs[d].name());
+        assert_eq!(str_field(&label, None, "flow"), flows[f].to_script());
         assert_eq!(
             f64_field(&label, "qor", "area_um2").to_bits(),
             reference[d][f].area_um2.to_bits(),
@@ -486,6 +506,46 @@ fn search_labels_match_in_process_batch_evaluation() {
             reference[d][f].and_nodes
         );
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// One sampler serves every `--random <seed>`: the first flow a search
+/// labels is the flow `flowc run` runs for the same seed, with the same QoR.
+#[test]
+fn search_and_run_draw_the_same_flow_for_a_seed() {
+    let dir = temp_dir("one-sampler");
+    let labels_path = dir.join("labels.jsonl");
+    run_ok(
+        flowc()
+            .args([
+                "search",
+                "--designs",
+                "alu64:tiny",
+                "--random",
+                "5",
+                "--count",
+                "4",
+                "--labels",
+            ])
+            .arg(&labels_path),
+    );
+    let text = std::fs::read_to_string(&labels_path).expect("labels written");
+    let first = serde_json::parse_value(text.lines().next().expect("a label")).expect("JSON");
+
+    let run = parse_report(&run_ok(flowc().args([
+        "run",
+        "--design",
+        "alu64:tiny",
+        "--random",
+        "5",
+    ])));
+    let script = str_field(&run, Some("flow"), "script");
+    assert_eq!(script, paper_flows(5, 1)[0].to_script());
+    assert_eq!(str_field(&first, None, "flow"), script);
+    assert_eq!(
+        f64_field(&first, "qor", "area_um2").to_bits(),
+        f64_field(&run, "qor", "area_um2").to_bits()
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

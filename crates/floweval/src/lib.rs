@@ -22,9 +22,14 @@
 //!   known flow;
 //! * [`EvalEngine`] — the store in front of one evaluation kernel
 //!   (`kernel.rs`) that batches, single requests and searches all call;
-//!   [`EvalEngine::evaluate_batch`] is the workspace's one batch driver;
+//!   [`EvalEngine::evaluate_batch`] is the workspace's one batch path and
+//!   [`EvalEngine::search_flows`] its budgeted front over many designs;
 //! * [`EvalStats`] — hit/miss/passes-avoided counters surfaced through
 //!   `flowgen::FrameworkReport`.
+//!
+//! The engine evaluates the flows its callers pass in (any
+//! `&[F: AsRef<[Transform]>]`); it does not choose them.  The paper's §2.1
+//! space is defined and sampled in one place, `flowgen::FlowSpace`.
 //!
 //! Evaluation is **bit-identical** to `synth::FlowRunner`: every pass and the
 //! mapper are deterministic functions of the graph they are given (the kernel
@@ -61,10 +66,7 @@ mod stats;
 mod store;
 
 pub use engine::{fingerprint_config, fingerprint_design, flow_script, EngineConfig, EvalEngine};
-pub use orchestrator::{
-    FlowSource, SearchConfig, SearchLabel, SearchOutcome, SearchReport, TrajectoryPoint,
-    PAPER_FLOW_LEN,
-};
+pub use orchestrator::{SearchConfig, SearchLabel, SearchOutcome, SearchReport, TrajectoryPoint};
 pub use state::CacheSummary;
 pub use stats::EvalStats;
 pub use store::{CompactionReport, QorStore, StoreKey, StoreMode, StoreOptions, StoreSummary};

@@ -3,12 +3,13 @@
 //! A dataset-collection campaign (the paper labels 100,000 sample flows
 //! across many designs) arrives as one job: many designs times many flows,
 //! some already in the store, under a wall-clock or evaluation budget.
-//! [`EvalEngine::search_flows`] takes the flows (a [`FlowSource`] resolves
-//! them), answers what the persistent store already knows, and hands each
-//! design's remaining flows to the batch path 64 at a time (`CHUNK_FLOWS`),
-//! checking the budgets in between.  It owns no threads, queues or caches:
-//! the chunks run on rayon at [`SearchConfig::workers`] threads, on the
-//! engine's one graph and store.
+//! [`EvalEngine::search_flows`] takes the flow list as given (the engine
+//! evaluates flows, it does not choose them: `flowgen::FlowSpace` defines and
+//! samples the paper's space), answers what the persistent store already
+//! knows, and hands each design's remaining flows to the batch path 64 at a
+//! time (`CHUNK_FLOWS`), checking the budgets in between.  It owns no
+//! threads, queues or caches: the chunks run on rayon at
+//! [`SearchConfig::workers`] threads, on the engine's one graph and store.
 //!
 //! The batch path is deterministic at any thread count, so the labels, the
 //! QoR bits **and every counter of the report** are the same for any
@@ -18,17 +19,19 @@
 //!
 //! ```
 //! use circuits::{Design, DesignScale};
-//! use floweval::{EvalEngine, FlowSource, SearchConfig};
+//! use floweval::{EvalEngine, SearchConfig};
+//! use flowgen::FlowSpace;
+//! use rand::SeedableRng;
 //!
 //! let designs = vec![Design::Alu64.generate(DesignScale::Tiny)];
 //! let engine = EvalEngine::default();
-//! let flows = FlowSource::Random { seed: 7, count: 4 }.resolve();
+//! let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
+//! let flows = FlowSpace::paper().random_unique_flows(4, &mut rng);
 //! let outcome = engine.search_flows(&designs, &flows, &SearchConfig::default());
 //! assert_eq!(outcome.labels.len(), 4);
 //! assert_eq!(outcome.report.evaluated, 4);
 //! ```
 
-use std::collections::HashSet;
 use std::time::Instant;
 
 use aig::Aig;
@@ -43,108 +46,6 @@ use crate::stats::EvalStats;
 /// between chunks, so this bounds how far a search runs past its wall-clock
 /// budget, and it is the sampling step of the completion trajectory.
 const CHUNK_FLOWS: usize = 64;
-
-/// Flow length of the paper's search space (§2.1: `m · n` with `n = 6`
-/// transformations repeated `m = 4` times each).
-pub const PAPER_FLOW_LEN: usize = 4 * Transform::COUNT;
-
-/// Where a search gets its flows from.
-#[derive(Debug, Clone)]
-pub enum FlowSource {
-    /// An explicit list of flows, evaluated as given.
-    Explicit(Vec<Vec<Transform>>),
-    /// `count` distinct flows sampled uniformly from the paper's §2.1 space
-    /// (length-24 permutations of the six-transform multiset, four copies
-    /// each), deterministically from `seed`.
-    Random {
-        /// Seed of the sampler; equal seeds yield equal flow lists.
-        seed: u64,
-        /// Number of distinct flows to draw.
-        count: usize,
-    },
-    /// Every extension of `prefix` by all `6^depth` transform suffixes, in
-    /// [`Transform::ALL`] order — the exhaustive expansion of one sub-trie.
-    PrefixExpansion {
-        /// The shared prefix each generated flow starts with.
-        prefix: Vec<Transform>,
-        /// Suffix length; the source yields `6^depth` flows (`depth ≤ 8`).
-        depth: usize,
-    },
-}
-
-impl FlowSource {
-    /// Materializes the concrete flow list this source denotes.  The list is
-    /// deterministic, so callers can compare an [`EvalEngine::search_flows`]
-    /// run against [`EvalEngine::evaluate_batch`] over `resolve()`'s output.
-    pub fn resolve(&self) -> Vec<Vec<Transform>> {
-        match self {
-            FlowSource::Explicit(flows) => flows.clone(),
-            FlowSource::Random { seed, count } => sample_paper_space(*seed, *count),
-            FlowSource::PrefixExpansion { prefix, depth } => {
-                assert!(*depth <= 8, "prefix expansion depth {depth} > 8");
-                let mut flows = vec![prefix.clone()];
-                for _ in 0..*depth {
-                    let mut next = Vec::with_capacity(flows.len() * Transform::COUNT);
-                    for flow in &flows {
-                        for &t in &Transform::ALL {
-                            let mut extended = flow.clone();
-                            extended.push(t);
-                            next.push(extended);
-                        }
-                    }
-                    flows = next;
-                }
-                flows
-            }
-        }
-    }
-}
-
-/// Draws `count` distinct flows from the paper's space with a local
-/// xorshift64* generator (floweval has no runtime `rand` dependency).
-fn sample_paper_space(seed: u64, count: usize) -> Vec<Vec<Transform>> {
-    let mut state = splitmix64(seed.wrapping_add(0x9E37_79B9_7F4A_7C15));
-    let mut rng = move || {
-        // xorshift64*: cheap, full-period, deterministic across platforms.
-        state ^= state >> 12;
-        state ^= state << 25;
-        state ^= state >> 27;
-        state = state.wrapping_mul(0x2545_F491_4F6C_DD1D);
-        state
-    };
-    let base: Vec<Transform> = Transform::ALL
-        .iter()
-        .flat_map(|&t| std::iter::repeat_n(t, PAPER_FLOW_LEN / Transform::COUNT))
-        .collect();
-    let mut flows: Vec<Vec<Transform>> = Vec::with_capacity(count);
-    let mut seen: HashSet<Vec<u8>> = HashSet::with_capacity(count);
-    // The space holds 24!/(4!)^6 ≈ 3.2e15 flows, so collisions are rare; the
-    // attempt bound only guards degenerate requests (count near the space
-    // size at tiny lengths).
-    let mut attempts = 0usize;
-    let max_attempts = count.saturating_mul(64).saturating_add(1024);
-    while flows.len() < count && attempts < max_attempts {
-        attempts += 1;
-        let mut flow = base.clone();
-        for i in (1..flow.len()).rev() {
-            let j = (rng() % (i as u64 + 1)) as usize;
-            flow.swap(i, j);
-        }
-        let key: Vec<u8> = flow.iter().map(|t| t.index() as u8).collect();
-        if seen.insert(key) {
-            flows.push(flow);
-        }
-    }
-    flows
-}
-
-/// SplitMix64 finalizer: a high-quality 64-bit mix for seeding.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// Budgets and thread count of one [`EvalEngine::search_flows`] run.
 #[derive(Debug, Clone)]
@@ -173,7 +74,7 @@ impl Default for SearchConfig {
 pub struct SearchLabel {
     /// Index into the search's design list.
     pub design: usize,
-    /// Index into the search's resolved flow list.
+    /// Index into the search's flow list.
     pub flow: usize,
     /// The flow's quality of result (bit-identical to `evaluate_batch`).
     pub qor: Qor,
@@ -196,7 +97,7 @@ pub struct TrajectoryPoint {
 pub struct SearchReport {
     /// Designs in the workload.
     pub designs: usize,
-    /// Flows per design (the resolved flow-list length).
+    /// Flows per design (the flow-list length).
     pub flows: usize,
     /// Total jobs (`designs × flows`).
     pub jobs: usize,
@@ -355,49 +256,6 @@ fn downsample_trajectory(points: Vec<TrajectoryPoint>, max_points: usize) -> Vec
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn random_source_is_deterministic_and_in_space() {
-        let source = FlowSource::Random { seed: 42, count: 8 };
-        let a = source.resolve();
-        let b = source.resolve();
-        assert_eq!(a, b, "equal seeds yield equal lists");
-        assert_eq!(a.len(), 8);
-        for flow in &a {
-            assert_eq!(flow.len(), PAPER_FLOW_LEN);
-            for t in Transform::ALL {
-                assert_eq!(
-                    flow.iter().filter(|&&x| x == t).count(),
-                    PAPER_FLOW_LEN / Transform::COUNT,
-                    "each transform appears exactly m times"
-                );
-            }
-        }
-        let distinct: HashSet<Vec<u8>> = a
-            .iter()
-            .map(|f| f.iter().map(|t| t.index() as u8).collect())
-            .collect();
-        assert_eq!(distinct.len(), a.len(), "flows are distinct");
-        let other = FlowSource::Random { seed: 43, count: 8 }.resolve();
-        assert_ne!(a, other, "different seeds explore differently");
-    }
-
-    #[test]
-    fn prefix_expansion_counts() {
-        use Transform::*;
-        let source = FlowSource::PrefixExpansion {
-            prefix: vec![Balance],
-            depth: 2,
-        };
-        let flows = source.resolve();
-        assert_eq!(flows.len(), 36);
-        assert!(flows.iter().all(|f| f.len() == 3 && f[0] == Balance));
-        let distinct: HashSet<Vec<u8>> = flows
-            .iter()
-            .map(|f| f.iter().map(|t| t.index() as u8).collect())
-            .collect();
-        assert_eq!(distinct.len(), 36);
-    }
 
     #[test]
     fn trajectory_downsampling_keeps_the_tail() {

@@ -1,9 +1,12 @@
 //! `EvalEngine::search_flows` contract tests: the label set, the QoR bits
-//! and the counters equal per-design `evaluate_batch` over the resolved flow
+//! and the counters equal per-design `evaluate_batch` over the same flow
 //! list at every worker count, and the budgets stop exactly where they say.
 
 use circuits::{Design, DesignScale};
-use floweval::{EngineConfig, EvalEngine, EvalStats, FlowSource, SearchConfig, SearchLabel};
+use floweval::{EngineConfig, EvalEngine, EvalStats, SearchConfig, SearchLabel};
+use flowgen::{Flow, FlowSpace};
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 use synth::{Qor, Transform};
 
 fn designs() -> Vec<aig::Aig> {
@@ -12,6 +15,11 @@ fn designs() -> Vec<aig::Aig> {
         Design::Montgomery64.generate(DesignScale::Tiny),
         Design::Aes128.generate(DesignScale::Tiny),
     ]
+}
+
+/// `count` distinct flows of the paper's space, drawn from `seed`.
+fn paper_flows(seed: u64, count: usize) -> Vec<Flow> {
+    FlowSpace::paper().random_unique_flows(count, &mut ChaCha8Rng::seed_from_u64(seed))
 }
 
 fn qor_bits(q: &Qor) -> (u64, u64, usize, usize, u32) {
@@ -25,7 +33,7 @@ fn qor_bits(q: &Qor) -> (u64, u64, usize, usize, u32) {
 }
 
 /// Reference labels: one fresh engine, per-design `evaluate_batch`.
-fn reference_labels(designs: &[aig::Aig], flows: &[Vec<Transform>]) -> Vec<Vec<Qor>> {
+fn reference_labels<F: AsRef<[Transform]>>(designs: &[aig::Aig], flows: &[F]) -> Vec<Vec<Qor>> {
     let engine = EvalEngine::new(EngineConfig::default());
     designs
         .iter()
@@ -56,11 +64,7 @@ fn assert_labels_match(labels: &[SearchLabel], reference: &[Vec<Qor>]) {
 #[test]
 fn search_is_bit_identical_across_worker_counts() {
     let designs = designs();
-    let flows = FlowSource::Random {
-        seed: 0xD5,
-        count: 12,
-    }
-    .resolve();
+    let flows = paper_flows(0xD5, 12);
     let reference = reference_labels(&designs, &flows);
     for workers in [1, 2, 4, 8] {
         let engine = EvalEngine::new(EngineConfig::default());
@@ -75,7 +79,7 @@ fn search_is_bit_identical_across_worker_counts() {
 #[test]
 fn search_serves_repeats_from_the_store() {
     let designs = designs();
-    let flows = FlowSource::Random { seed: 3, count: 6 }.resolve();
+    let flows = paper_flows(3, 6);
     let engine = EvalEngine::new(EngineConfig::default());
     let first = engine.search_flows(&designs, &flows, &SearchConfig::default());
     assert_eq!(first.report.store_hits, 0);
@@ -92,7 +96,7 @@ fn search_serves_repeats_from_the_store() {
 #[test]
 fn search_respects_the_eval_budget() {
     let designs = designs();
-    let flows = FlowSource::Random { seed: 11, count: 8 }.resolve();
+    let flows = paper_flows(11, 8);
     let reference = reference_labels(&designs, &flows);
     for workers in [1, 2, 4] {
         let engine = EvalEngine::new(EngineConfig::default());
@@ -114,7 +118,7 @@ fn search_respects_the_eval_budget() {
 #[test]
 fn spent_budgets_still_return_store_hits() {
     let designs = designs();
-    let flows = FlowSource::Random { seed: 11, count: 8 }.resolve();
+    let flows = paper_flows(11, 8);
     let engine = EvalEngine::new(EngineConfig::default());
     let known = vec![engine.evaluate_batch(&designs[0], &flows[..3])];
     for (max_evals, max_wall_s) in [(Some(0), None), (None, Some(0.0))] {
@@ -140,7 +144,7 @@ fn spent_budgets_still_return_store_hits() {
 #[test]
 fn search_with_verification_passes() {
     let designs = vec![Design::Alu64.generate(DesignScale::Tiny)];
-    let flows = FlowSource::Random { seed: 21, count: 4 }.resolve();
+    let flows = paper_flows(21, 4);
     let engine = EvalEngine::new(EngineConfig {
         verify: true,
         ..EngineConfig::default()
@@ -154,11 +158,10 @@ fn search_reports_prefix_reuse() {
     // A prefix expansion shares its prefix maximally: the search must apply
     // far fewer passes than requested.
     let designs = vec![Design::Alu64.generate(DesignScale::Tiny)];
-    let source = FlowSource::PrefixExpansion {
-        prefix: vec![Transform::Balance, Transform::Rewrite],
-        depth: 2,
-    };
-    let flows = source.resolve();
+    let flows: Vec<Vec<Transform>> = Transform::ALL
+        .iter()
+        .flat_map(|&a| Transform::ALL.map(|b| vec![Transform::Balance, Transform::Rewrite, a, b]))
+        .collect();
     assert_eq!(flows.len(), 36);
     let engine = EvalEngine::new(EngineConfig::default());
     let outcome = engine.search_flows(&designs, &flows, &with_workers(2));
@@ -205,7 +208,7 @@ fn search_counters_equal_the_batch_path_at_any_worker_count() {
     // reference makes them.  Some labels are known beforehand, so store hits
     // are counted too.
     let designs = designs();
-    let flows = FlowSource::Random { seed: 5, count: 40 }.resolve();
+    let flows = paper_flows(5, 40);
     let tight = tight_budget(&designs);
     let primed = |config: &EngineConfig| {
         let engine = EvalEngine::new(config.clone());
@@ -252,11 +255,7 @@ fn search_over_several_chunks_is_deterministic_and_tracks_progress() {
     // under eviction what is re-applied then also depends on the cut, but
     // still not on the threads.  Each call is one trajectory point.
     let designs = [Design::Aes128.generate(DesignScale::Tiny)];
-    let flows = FlowSource::Random {
-        seed: 6,
-        count: 100,
-    }
-    .resolve();
+    let flows = paper_flows(6, 100);
     let runs = [1, 2, 4].map(|workers| {
         let engine = EvalEngine::new(tight_budget(&designs));
         let report = engine

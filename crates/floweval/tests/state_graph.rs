@@ -7,7 +7,10 @@
 use std::collections::{HashMap, HashSet};
 
 use circuits::{Design, DesignScale};
-use floweval::{EngineConfig, EvalEngine, EvalStats, FlowSource, SearchConfig};
+use floweval::{EngineConfig, EvalEngine, EvalStats, SearchConfig};
+use flowgen::FlowSpace;
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 use synth::{CellLibrary, FlowRunner, MapperParams, PassContext, Qor, Transform};
 
 fn qor_bits(q: &Qor) -> (u64, u64, usize, usize, u32) {
@@ -35,14 +38,17 @@ fn counters(s: &EvalStats) -> [usize; 9] {
     ]
 }
 
+/// `count` distinct flows of the paper's space, drawn from `seed`.
+fn sample(seed: u64, count: usize) -> Vec<Vec<Transform>> {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let flows = FlowSpace::paper().random_unique_flows(count, &mut rng);
+    flows.iter().map(|f| f.transforms().to_vec()).collect()
+}
+
 /// `count` paper-space flows with, mixed in, the empty flow, a duplicate
 /// next to its original and another one at the far end.
 fn paper_flows(seed: u64, count: usize) -> Vec<Vec<Transform>> {
-    let mut flows = FlowSource::Random {
-        seed,
-        count: count - 3,
-    }
-    .resolve();
+    let mut flows = sample(seed, count - 3);
     flows.insert(1, Vec::new());
     flows.insert(3, flows[0].clone());
     flows.push(flows[2].clone());
@@ -236,7 +242,7 @@ fn each_distinct_edge_is_applied_once_and_known_graphs_cost_nothing() {
 #[test]
 fn single_flow_batch_and_search_share_one_graph() {
     let base = Design::Montgomery64.generate(DesignScale::Tiny);
-    let flows = FlowSource::Random { seed: 4, count: 6 }.resolve();
+    let flows = sample(4, 6);
     let engine = EvalEngine::default();
 
     // First caller: the request path, one flow at a time.
@@ -318,7 +324,7 @@ fn fresh_designs_do_not_accumulate_past_the_budget() {
 #[test]
 fn concurrent_callers_never_apply_an_edge_twice() {
     let base = Design::Alu64.generate(DesignScale::Tiny);
-    let flows = FlowSource::Random { seed: 8, count: 4 }.resolve();
+    let flows = sample(8, 4);
     let alone = EvalEngine::default();
     let expected = alone.evaluate_batch(&base, &flows);
 

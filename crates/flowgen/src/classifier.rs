@@ -92,7 +92,6 @@ pub struct FlowClassifier {
     network: Network,
     optimizer: Optimizer,
     rng: ChaCha8Rng,
-    steps_trained: usize,
 }
 
 impl FlowClassifier {
@@ -139,7 +138,6 @@ impl FlowClassifier {
             network,
             optimizer,
             rng,
-            steps_trained: 0,
         }
     }
 
@@ -152,11 +150,6 @@ impl FlowClassifier {
     /// Total number of trainable parameters.
     pub fn num_parameters(&mut self) -> usize {
         self.network.num_parameters()
-    }
-
-    /// Number of mini-batch steps performed so far.
-    pub fn steps_trained(&self) -> usize {
-        self.steps_trained
     }
 
     /// A human-readable summary of the network architecture.
@@ -177,7 +170,6 @@ impl FlowClassifier {
             let out = self.network.train_step(&x, &labels, &mut self.optimizer);
             total += out.loss;
         }
-        self.steps_trained += steps;
         total / steps.max(1) as f32
     }
 
@@ -237,7 +229,6 @@ mod tests {
         assert!(s.contains("Dropout"));
         assert!(s.contains("Dense"));
         assert!(clf.num_parameters() > 500);
-        assert_eq!(clf.steps_trained(), 0);
     }
 
     #[test]
@@ -262,7 +253,6 @@ mod tests {
         let _ = clf.train(&dataset, 270);
         let last_loss = clf.train(&dataset, 30);
         let after = clf.accuracy(&dataset);
-        assert!(clf.steps_trained() >= 300);
         assert!(
             last_loss < first_loss || after > before + 0.1 || after > 0.5,
             "training made no progress: loss {first_loss} -> {last_loss}, acc {before} -> {after}"

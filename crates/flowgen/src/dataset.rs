@@ -111,22 +111,6 @@ impl Dataset {
         self.examples.is_empty()
     }
 
-    /// Re-labels every example with a (typically re-fitted) labeler.
-    ///
-    /// The framework re-derives the determinators as more flows are collected,
-    /// so labels of existing examples may change (Section 3.1: "the definitions
-    /// of classes may change dynamically").
-    pub fn relabel(&mut self, labeler: &Labeler) {
-        for ex in &mut self.examples {
-            ex.label = labeler.classify(&ex.qor);
-        }
-    }
-
-    /// The raw metric values of all examples, used to fit determinators.
-    pub fn metric_values(&self, metric: QorMetric) -> Vec<f64> {
-        self.examples.iter().map(|e| e.qor.metric(metric)).collect()
-    }
-
     /// Count of examples per class.
     pub fn class_histogram(&self, num_classes: usize) -> Vec<usize> {
         let mut hist = vec![0usize; num_classes];
@@ -218,12 +202,13 @@ mod tests {
 
     #[test]
     fn relabeling_with_delay_flips_the_order() {
-        let mut ds = toy_dataset(100);
-        let delay_labeler = Labeler::paper_model(
-            QorMetric::Delay,
-            &ds.examples().iter().map(|e| e.qor).collect::<Vec<_>>(),
-        );
-        ds.relabel(&delay_labeler);
+        let (flows, qors): (Vec<Flow>, Vec<Qor>) = toy_dataset(100)
+            .examples()
+            .iter()
+            .map(|e| (e.flow.clone(), e.qor))
+            .unzip();
+        let delay_labeler = Labeler::paper_model(QorMetric::Delay, &qors);
+        let ds = Dataset::from_evaluations(flows, qors, &delay_labeler);
         assert_eq!(
             ds.examples()[0].label,
             6,
@@ -257,12 +242,5 @@ mod tests {
         let back = Dataset::from_json(&json).expect("deserialise");
         assert_eq!(back.len(), ds.len());
         assert_eq!(back.examples()[3], ds.examples()[3]);
-    }
-
-    #[test]
-    fn metric_values_match_qor() {
-        let ds = toy_dataset(5);
-        let areas = ds.metric_values(QorMetric::Area);
-        assert_eq!(areas, vec![1.0, 2.0, 3.0, 4.0, 5.0]);
     }
 }

@@ -104,6 +104,10 @@ pub struct TrainingRound {
     pub training_loss: f32,
     /// Accuracy on the held-out labelled flows after the round.
     pub holdout_accuracy: f64,
+    /// Share of the round's held-out flows in their most common class: the
+    /// accuracy of always answering that class, `holdout_accuracy`'s
+    /// baseline (0 for an empty hold-out set).
+    pub holdout_majority: f64,
     /// Cumulative wall-clock seconds spent (data collection + training).
     pub elapsed_s: f64,
 }
@@ -234,10 +238,13 @@ impl Framework {
             let (train, holdout) = dataset.split(0.2, &mut rng);
             let loss = classifier.train(&train, cfg.steps_per_round);
             let holdout_accuracy = classifier.accuracy(&holdout);
+            let hist = holdout.class_histogram(cfg.classifier.num_classes);
+            let top = hist.into_iter().max().unwrap_or(0);
             rounds.push(TrainingRound {
                 labelled_flows: collected_qors.len(),
                 training_loss: loss,
                 holdout_accuracy,
+                holdout_majority: top as f64 / holdout.len().max(1) as f64,
                 elapsed_s: start.elapsed().as_secs_f64(),
             });
             next_train_at = (next_train_at + cfg.retrain_interval).min(cfg.training_flows);
@@ -376,6 +383,15 @@ mod tests {
             .rounds
             .windows(2)
             .all(|w| w[0].labelled_flows < w[1].labelled_flows));
+    }
+
+    #[test]
+    fn holdout_majority_is_taken_over_each_rounds_own_split() {
+        let design = Design::Alu64.generate(DesignScale::Tiny);
+        let report = Framework::new(quick_config(QorMetric::Area)).run(&design);
+        // Hold-out sets of 2, 4 and 5 flows (a fifth of 12, 18 and 24).
+        let majorities: Vec<f64> = report.rounds.iter().map(|r| r.holdout_majority).collect();
+        assert_eq!(majorities, vec![1.0, 0.75, 1.0]);
     }
 
     #[test]

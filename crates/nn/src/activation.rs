@@ -147,20 +147,6 @@ impl Activation {
             Activation::Linear => "Linear",
         }
     }
-
-    /// Whether the paper classifies this function as smooth non-linear (the
-    /// family it reports to work best for flow classification).
-    pub fn is_smooth_nonlinear(self) -> bool {
-        matches!(
-            self,
-            Activation::Elu
-                | Activation::Selu
-                | Activation::Softplus
-                | Activation::Softsign
-                | Activation::Sigmoid
-                | Activation::Tanh
-        )
-    }
 }
 
 impl std::fmt::Display for Activation {
@@ -221,13 +207,5 @@ mod tests {
         let names: Vec<&str> = Activation::PAPER_SET.iter().map(|a| a.name()).collect();
         assert!(names.contains(&"SELU"));
         assert!(names.contains(&"Softsign"));
-    }
-
-    #[test]
-    fn smooth_nonlinear_classification() {
-        assert!(Activation::Selu.is_smooth_nonlinear());
-        assert!(Activation::Tanh.is_smooth_nonlinear());
-        assert!(!Activation::Relu.is_smooth_nonlinear());
-        assert!(!Activation::Relu6.is_smooth_nonlinear());
     }
 }

@@ -43,13 +43,6 @@ impl Param {
     pub fn is_empty(&self) -> bool {
         self.value.is_empty()
     }
-
-    /// Resets the gradient to zero.
-    pub fn zero_grad(&mut self) {
-        for g in &mut self.grad {
-            *g = 0.0;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -71,12 +64,11 @@ mod tests {
     }
 
     #[test]
-    fn zero_grad_clears() {
-        let mut p = Param::zeros(4);
+    fn zeros_are_sized_and_zero() {
+        let p = Param::zeros(4);
         assert_eq!(p.len(), 4);
         assert!(!p.is_empty());
-        p.grad[2] = 1.5;
-        p.zero_grad();
-        assert!(p.grad.iter().all(|&g| g == 0.0));
+        assert!(p.value.iter().chain(&p.grad).all(|&x| x == 0.0));
+        assert!(Param::zeros(0).is_empty());
     }
 }

@@ -61,7 +61,7 @@ pub use layers::{
     ActivationLayer, Conv2d, Dense, Dropout, Flatten, Layer, LocallyConnected2d, MaxPool2d,
 };
 pub use loss::{softmax, sparse_softmax_cross_entropy, LossOutput};
-pub use metrics::{accuracy, ConfusionMatrix};
+pub use metrics::accuracy;
 pub use network::Network;
 pub use optim::{GradientDescent, Optimizer};
 pub use tensor::Tensor;

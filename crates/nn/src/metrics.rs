@@ -18,62 +18,6 @@ pub fn accuracy(predictions: &[usize], labels: &[usize]) -> f64 {
     correct as f64 / predictions.len() as f64
 }
 
-/// A confusion matrix over `num_classes` classes: `matrix[true][predicted]`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConfusionMatrix {
-    num_classes: usize,
-    counts: Vec<usize>,
-}
-
-impl ConfusionMatrix {
-    /// Builds the confusion matrix from parallel prediction/label slices.
-    pub fn new(num_classes: usize, predictions: &[usize], labels: &[usize]) -> Self {
-        assert_eq!(predictions.len(), labels.len(), "length mismatch");
-        let mut counts = vec![0usize; num_classes * num_classes];
-        for (&p, &l) in predictions.iter().zip(labels) {
-            assert!(
-                p < num_classes && l < num_classes,
-                "class index out of range"
-            );
-            counts[l * num_classes + p] += 1;
-        }
-        ConfusionMatrix {
-            num_classes,
-            counts,
-        }
-    }
-
-    /// Number of samples with true class `t` predicted as class `p`.
-    pub fn count(&self, t: usize, p: usize) -> usize {
-        self.counts[t * self.num_classes + p]
-    }
-
-    /// Total number of samples.
-    pub fn total(&self) -> usize {
-        self.counts.iter().sum()
-    }
-
-    /// Overall accuracy derived from the matrix diagonal.
-    pub fn accuracy(&self) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        let diag: usize = (0..self.num_classes).map(|i| self.count(i, i)).sum();
-        diag as f64 / total as f64
-    }
-
-    /// Per-class recall (diagonal over row sum); `None` when the class is absent.
-    pub fn recall(&self, class: usize) -> Option<f64> {
-        let row: usize = (0..self.num_classes).map(|p| self.count(class, p)).sum();
-        if row == 0 {
-            None
-        } else {
-            Some(self.count(class, class) as f64 / row as f64)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,19 +26,5 @@ mod tests {
     fn accuracy_basic() {
         assert_eq!(accuracy(&[1, 2, 3], &[1, 2, 0]), 2.0 / 3.0);
         assert_eq!(accuracy(&[], &[]), 0.0);
-    }
-
-    #[test]
-    fn confusion_matrix_counts_and_metrics() {
-        let preds = [0usize, 0, 1, 1, 2, 2, 0];
-        let labels = [0usize, 1, 1, 1, 2, 0, 0];
-        let cm = ConfusionMatrix::new(3, &preds, &labels);
-        assert_eq!(cm.total(), 7);
-        assert_eq!(cm.count(0, 0), 2);
-        assert_eq!(cm.count(1, 0), 1);
-        assert_eq!(cm.count(1, 1), 2);
-        assert!((cm.accuracy() - 5.0 / 7.0).abs() < 1e-9);
-        assert!((cm.recall(1).unwrap() - 2.0 / 3.0).abs() < 1e-9);
-        assert_eq!(ConfusionMatrix::new(3, &[], &[]).recall(2), None);
     }
 }

@@ -38,11 +38,6 @@ impl Network {
         self.layers.push(Box::new(layer));
     }
 
-    /// Number of layers.
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
-
     /// Total number of trainable scalar parameters.
     pub fn num_parameters(&mut self) -> usize {
         self.layers
@@ -192,7 +187,6 @@ mod tests {
     #[test]
     fn summary_and_parameter_count() {
         let mut net = small_net(6);
-        assert_eq!(net.num_layers(), 3);
         assert_eq!(net.num_parameters(), 2 * 16 + 16 + 16 * 2 + 2);
         let s = net.summary();
         assert!(s.contains("Dense(2 -> 16)"));

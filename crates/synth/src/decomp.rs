@@ -4,33 +4,29 @@
 //! multiplexers obtained by recursive Shannon expansion, which produces a
 //! structurally different network than the sum-of-products form used by
 //! `rewrite`/`refactor`.
+//!
+//! A Shannon table has at most six variables (`restructure`'s cuts have at
+//! most six leaves), so its whole table is one `u64` word.  Production runs
+//! one recursion on that word, `shannon`, over a [`crate::sop`] gate sink:
+//! [`build_shannon`] builds into the graph and the sweep's estimator counts
+//! into a dry-run, so what is built cannot drift from what was priced.  Both
+//! panic on a wider table.  [`count_shannon_nodes`] and
+//! [`count_shannon_nodes_reusing`] are the oracle: the same split rule coded
+//! again on [`TruthTable`]s, kept for the differential tests.
 
 use aig::{Aig, Lit, NodeId, TruthTable, VAR_MASKS};
+
+use crate::sop::{CostCounter, GateSink, RealBuilder};
 
 /// Builds the Shannon decomposition of `f` into `aig` over the leaf literals.
 ///
 /// Leaf `i` of the function corresponds to `leaves[i]`.  Returns the root literal.
+///
+/// # Panics
+///
+/// Panics if `f` has more than six variables (module docs).
 pub fn build_shannon(aig: &mut Aig, f: &TruthTable, leaves: &[Lit]) -> Lit {
-    if f.is_zero() {
-        return Lit::FALSE;
-    }
-    if f.is_one() {
-        return Lit::TRUE;
-    }
-    let support = f.support();
-    if support.len() == 1 {
-        let v = support[0];
-        let leaf = leaves[v];
-        return if f == &TruthTable::var(v, f.num_vars()) {
-            leaf
-        } else {
-            !leaf
-        };
-    }
-    let v = pick_split_var(f, &support);
-    let s0 = build_shannon(aig, &f.cofactor0(v), leaves);
-    let s1 = build_shannon(aig, &f.cofactor1(v), leaves);
-    aig.mux(leaves[v], s1, s0)
+    shannon(&mut RealBuilder { aig }, f, leaves).expect("a build has no budget")
 }
 
 /// Estimates how many new AND nodes [`build_shannon`] would add to `aig`,
@@ -69,9 +65,11 @@ pub fn count_shannon_nodes_reusing(
 /// Returns `None` as soon as the count provably exceeds `budget`, `Some(n)`
 /// with the exact count otherwise; a completed count is the uncapped
 /// recursion's (same split variables, same reuse probes) and has pushed the
-/// same strash hits onto `reused`.  `restructure`'s cuts have at most six
-/// leaves, so the whole table is one word and the recursion bails as soon as
-/// the budget is spent.
+/// same strash hits onto `reused`.
+///
+/// # Panics
+///
+/// Panics if `f` has more than six variables (module docs).
 pub(crate) fn count_shannon_nodes_sweep(
     aig: &Aig,
     f: &TruthTable,
@@ -80,33 +78,34 @@ pub(crate) fn count_shannon_nodes_sweep(
     budget: usize,
     reused: &mut Vec<NodeId>,
 ) -> Option<usize> {
-    debug_assert!(f.num_vars() <= 6, "one-word tables only");
-    let word = f.words()[0];
-    count_rec_budget_u64(aig, word, f.num_vars(), leaves, excluded, budget, reused).map(|(_, n)| n)
+    let mut counter = CostCounter::new(aig, excluded, budget, reused);
+    shannon(&mut counter, f, leaves)?;
+    Some(counter.added())
 }
 
-/// Budget-capped [`count_rec`] on functions of at most six variables, whose
-/// whole table is one `u64` word: cofactors, constancy and ones-counts are
-/// single bitwise operations on the word, and each support variable's
-/// cofactor pair is computed once and shared by the support test, the split
-/// scoring and the recursion.  Split choices, probes and counts are the
-/// oracle's (pinned by `budgeted_sweep_count_matches_reference`); the
-/// recursion returns `None` the moment its count exceeds `budget`.
-fn count_rec_budget_u64(
-    aig: &Aig,
-    f: u64,
-    nv: usize,
-    leaves: &[Lit],
-    excluded: impl Fn(NodeId) -> bool + Copy,
-    budget: usize,
-    reused: &mut Vec<NodeId>,
-) -> Option<(Option<Lit>, usize)> {
+/// The one production Shannon recursion: [`build_shannon`] runs it into the
+/// graph and [`count_shannon_nodes_sweep`] into a dry-run, so what is built
+/// is what was priced.
+fn shannon<S: GateSink>(sink: &mut S, f: &TruthTable, leaves: &[Lit]) -> Option<S::Signal> {
+    let nv = f.num_vars();
+    assert!(nv <= 6, "Shannon tables have at most six variables");
+    shannon_word(sink, f.words()[0], nv, leaves)
+}
+
+/// [`shannon`] on a function of `nv ≤ 6` variables, whose whole table is one
+/// `u64` word: cofactors, constancy and ones-counts are single bitwise
+/// operations on the word, and each support variable's cofactor pair is
+/// computed once and shared by the support test, the split scoring and the
+/// recursion.  Split choices, probes and counts are the oracle's
+/// [`count_rec`] (pinned by `budgeted_sweep_count_matches_reference`); the
+/// recursion returns `None` the moment the sink is exhausted.
+fn shannon_word<S: GateSink>(sink: &mut S, f: u64, nv: usize, leaves: &[Lit]) -> Option<S::Signal> {
     let tail = TruthTable::tail_mask(nv);
     if f == 0 {
-        return Some((Some(Lit::FALSE), 0));
+        return Some(sink.constant(false));
     }
     if f == tail {
-        return Some((Some(Lit::TRUE), 0));
+        return Some(sink.constant(true));
     }
     let mut cof = [(0u64, 0u64); 6];
     let mut support = [0usize; 6];
@@ -126,13 +125,12 @@ fn count_rec_budget_u64(
     let support = &support[..num_support];
     if support.len() == 1 {
         let v = support[0];
-        let leaf = leaves[v];
-        let lit = if f == VAR_MASKS[v] & tail {
+        let leaf = sink.leaf(leaves[v]);
+        return Some(if f == VAR_MASKS[v] & tail {
             leaf
         } else {
-            !leaf
-        };
-        return Some((Some(lit), 0));
+            sink.not(leaf)
+        });
     }
     // `pick_split_var` over the cached pairs: same scores, same tie-breaks.
     let half = (1i64 << nv) / 2;
@@ -148,14 +146,10 @@ fn count_rec_budget_u64(
         }
     }
     let (f0, f1) = cof[v];
-    let (l0, c0) = count_rec_budget_u64(aig, f0, nv, leaves, excluded, budget, reused)?;
-    let (l1, c1) = count_rec_budget_u64(aig, f1, nv, leaves, excluded, budget - c0, reused)?;
-    let (lit, mux) = mux_cost(aig, excluded, leaves[v], l1, l0, reused);
-    let added = c0 + c1 + mux;
-    if added > budget {
-        return None;
-    }
-    Some((lit, added))
+    let s0 = shannon_word(sink, f0, nv, leaves)?;
+    let s1 = shannon_word(sink, f1, nv, leaves)?;
+    let mux = sink.mux(leaves[v], s1, s0);
+    (!sink.exhausted()).then_some(mux)
 }
 
 /// Returns `(existing_literal_if_free, added_nodes)` and pushes the AND nodes
@@ -199,12 +193,13 @@ fn count_rec(
     (lit, c0 + c1 + mux)
 }
 
-/// The estimators' combine step: the mux `sel ? t : e` over the cofactors'
-/// existing literals `l1`, `l0` (`None` = would be fresh) needs `sel & t`,
-/// `!sel & e` and their OR, each free only when `aig` already holds it
-/// outside `excluded`.  Returns the mux's literal when it is free, and the
-/// number of nodes it adds; pushes the AND nodes it reuses onto `reused`.
-fn mux_cost(
+/// The estimators' combine step (the oracle's and the dry-run sink's): the
+/// mux `sel ? t : e` over the cofactors' existing literals `l1`, `l0`
+/// (`None` = would be fresh) needs `sel & t`, `!sel & e` and their OR, each
+/// free only when `aig` already holds it outside `excluded`.  Returns the
+/// mux's literal when it is free, and the number of nodes it adds; pushes the
+/// AND nodes it reuses onto `reused`.
+pub(crate) fn mux_cost(
     aig: &Aig,
     excluded: impl Fn(NodeId) -> bool,
     sel: Lit,
@@ -412,6 +407,15 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most six variables")]
+    fn sweep_count_refuses_a_seven_variable_table() {
+        let mut g = Aig::new();
+        let inputs = g.add_inputs("x", 7);
+        let f = random_truth(7, 3);
+        let _ = count_shannon_nodes_sweep(&g, &f, &inputs, |_| false, usize::MAX, &mut Vec::new());
     }
 
     #[test]

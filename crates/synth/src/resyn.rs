@@ -100,7 +100,9 @@ use crate::sop::{build_sop, count_sop_nodes_sweep, IsopCache, Sop, SopCostScratc
 pub enum Structure {
     /// Irredundant sum-of-products (used by `rewrite`/`refactor`).
     SumOfProducts(Sop),
-    /// Shannon / mux-tree decomposition (used by `restructure`).
+    /// Shannon / mux-tree decomposition (used by `restructure`).  The table
+    /// has at most six variables (`restructure`'s cut size); pricing or
+    /// building a wider one panics.
     Shannon(TruthTable),
 }
 

@@ -8,6 +8,8 @@
 
 use aig::{Aig, Lit, NodeId, TruthTable};
 
+use crate::decomp::mux_cost;
+
 /// One product term over the cut leaves.
 ///
 /// Bit `i` of `pos` (`neg`) means leaf `i` appears positively (negatively) in
@@ -370,8 +372,9 @@ fn isop_rec(
 // ---------------------------------------------------------------------------
 
 /// Abstraction over "building an AND" so the real construction and the dry-run
-/// cost estimation share exactly the same structure.
-trait GateSink {
+/// cost estimation share exactly the same structure: the SOP emitter here and
+/// the Shannon recursion in [`crate::decomp`] each run once, over either sink.
+pub(crate) trait GateSink {
     /// Handle to a (possibly virtual) signal.
     type Signal: Copy;
 
@@ -379,10 +382,16 @@ trait GateSink {
     fn constant(&mut self, value: bool) -> Self::Signal;
     fn and(&mut self, a: Self::Signal, b: Self::Signal) -> Self::Signal;
     fn not(&mut self, a: Self::Signal) -> Self::Signal;
+    /// The multiplexer `sel ? t : e` ([`Aig::mux`]).
+    fn mux(&mut self, sel: Lit, t: Self::Signal, e: Self::Signal) -> Self::Signal;
+    /// Whether a dry-run has spent its budget; a build never has.
+    fn exhausted(&self) -> bool {
+        false
+    }
 }
 
-struct RealBuilder<'a> {
-    aig: &'a mut Aig,
+pub(crate) struct RealBuilder<'a> {
+    pub(crate) aig: &'a mut Aig,
 }
 
 impl GateSink for RealBuilder<'_> {
@@ -404,25 +413,52 @@ impl GateSink for RealBuilder<'_> {
     fn not(&mut self, a: Lit) -> Lit {
         !a
     }
+    fn mux(&mut self, sel: Lit, t: Lit, e: Lit) -> Lit {
+        self.aig.mux(sel, t, e)
+    }
 }
 
 /// A signal during cost estimation: either an existing literal or a virtual
 /// node that would have to be created.
 #[derive(Debug, Clone, Copy)]
-enum CostSignal {
+pub(crate) enum CostSignal {
     Existing(Lit),
     Virtual { complemented: bool },
 }
 
-struct CostCounter<'a, F: Fn(NodeId) -> bool> {
+pub(crate) struct CostCounter<'a, F: Fn(NodeId) -> bool> {
     /// The graph being costed; reuse is probed with [`Aig::find_and`].
     aig: &'a Aig,
     /// Nodes that may *not* be counted as free reuse (e.g. the MFFC that the
     /// rewrite is about to delete).
     excluded: F,
     added: usize,
+    /// The dry-run is exhausted once it adds more nodes than this.
+    budget: usize,
     /// Every AND node the dry-run reuses is pushed here.
     reused: &'a mut Vec<NodeId>,
+}
+
+impl<'a, F: Fn(NodeId) -> bool> CostCounter<'a, F> {
+    pub(crate) fn new(
+        aig: &'a Aig,
+        excluded: F,
+        budget: usize,
+        reused: &'a mut Vec<NodeId>,
+    ) -> Self {
+        CostCounter {
+            aig,
+            excluded,
+            added: 0,
+            budget,
+            reused,
+        }
+    }
+
+    /// New AND nodes counted so far.
+    pub(crate) fn added(&self) -> usize {
+        self.added
+    }
 }
 
 impl<F: Fn(NodeId) -> bool> GateSink for CostCounter<'_, F> {
@@ -457,6 +493,32 @@ impl<F: Fn(NodeId) -> bool> GateSink for CostCounter<'_, F> {
                 complemented: !complemented,
             },
         }
+    }
+    /// [`crate::decomp`]'s mux rule: a fresh operand costs the whole mux,
+    /// unprobed.
+    fn mux(&mut self, sel: Lit, t: CostSignal, e: CostSignal) -> CostSignal {
+        let existing = |s| match s {
+            CostSignal::Existing(l) => Some(l),
+            CostSignal::Virtual { .. } => None,
+        };
+        let (lit, added) = mux_cost(
+            self.aig,
+            &self.excluded,
+            sel,
+            existing(t),
+            existing(e),
+            self.reused,
+        );
+        self.added += added;
+        lit.map_or(
+            CostSignal::Virtual {
+                complemented: false,
+            },
+            CostSignal::Existing,
+        )
+    }
+    fn exhausted(&self) -> bool {
+        self.added > self.budget
     }
 }
 
@@ -539,12 +601,7 @@ pub fn count_sop_nodes_reusing(
     excluded: impl Fn(NodeId) -> bool,
     reused: &mut Vec<NodeId>,
 ) -> usize {
-    let mut counter = CostCounter {
-        aig,
-        excluded,
-        added: 0,
-        reused,
-    };
+    let mut counter = CostCounter::new(aig, excluded, usize::MAX, reused);
     emit_sop(&mut counter, sop, leaves);
     counter.added
 }
@@ -572,12 +629,7 @@ pub(crate) fn count_sop_nodes_sweep(
     budget: usize,
     reused: &mut Vec<NodeId>,
 ) -> Option<usize> {
-    let mut counter = CostCounter {
-        aig,
-        excluded,
-        added: 0,
-        reused,
-    };
+    let mut counter = CostCounter::new(aig, excluded, budget, reused);
     if sop.num_cubes() == 0 {
         return Some(0); // emit_sop returns the constant; nothing is added
     }
@@ -595,7 +647,7 @@ pub(crate) fn count_sop_nodes_sweep(
         }
         let product = reduce_balanced_in_place(&mut counter, lits, true);
         cube_signals.push(product);
-        if counter.added > budget {
+        if counter.exhausted() {
             return None;
         }
     }
@@ -605,7 +657,7 @@ pub(crate) fn count_sop_nodes_sweep(
     }
     let all_off = reduce_balanced_in_place(&mut counter, cube_signals, true);
     let _ = counter.not(all_off);
-    if counter.added > budget {
+    if counter.exhausted() {
         return None;
     }
     Some(counter.added)
