@@ -361,7 +361,7 @@ fn spawn_worker(shared: &Arc<Shared>, slot: usize, generation: u64) {
 /// A worker whose spawn `generation` no longer matches its slot has been
 /// retired by the watchdog; it exits as soon as it regains control.
 fn worker_loop(shared: &Shared, slot: usize, generation: u64) {
-    let mut pctx = PassContext::default();
+    let mut pctx = shared.engine.pass_context();
     loop {
         if shared.slots[slot].generation.load(Ordering::SeqCst) != generation {
             return; // superseded while stalled
@@ -569,7 +569,7 @@ fn dispatch(
         Ok(response) => response,
         Err(_) => {
             // The context may hold arbitrary intermediate state; discard it.
-            *pctx = PassContext::default();
+            *pctx = shared.engine.pass_context();
             bump(&shared.counters.handler_panics);
             protocol::error_response(500, "internal", "request handler panicked")
                 .with_header("connection", "close")

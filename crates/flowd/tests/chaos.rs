@@ -373,10 +373,7 @@ fn enospc_degraded_store_serves_cached_answers_and_recovers() {
     let reopened = floweval::QorStore::open(&store).expect("reopen after recovery");
     assert_eq!(reopened.summary().torn_tail, 0);
     assert_eq!(reopened.summary().corrupt_records, 0);
-    let config = floweval::fingerprint_config(
-        &synth::CellLibrary::nangate14(),
-        synth::MapperParams::default(),
-    );
+    let config = floweval::fingerprint_config(&synth::CellLibrary::nangate14());
     let design_fp = floweval::fingerprint_design(&design);
     for (seed, script, qor) in warm.iter().chain(&outage) {
         let key = floweval::StoreKey {

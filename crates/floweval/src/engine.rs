@@ -25,7 +25,7 @@ use std::sync::{Condvar, Mutex};
 
 use aig::{Aig, CutParams, NodeKind};
 use flow_core::{CancelToken, Cancelled, Fingerprint, Fnv64, NEVER_FIRES};
-use synth::{CellLibrary, MapperParams, PassContext, PassTimings, Qor, Transform};
+use synth::{CellLibrary, PassContext, PassTimings, Qor, Transform};
 
 use crate::kernel::Contexts;
 use crate::state::{CacheSummary, StateGraph, MAX_STATES};
@@ -161,7 +161,7 @@ impl EvalEngine {
         stats.stats.store_torn_tail = summary.torn_tail;
         stats.stats.store_corrupt = summary.corrupt_records;
         let library = CellLibrary::nangate14();
-        let config_fp = fingerprint_config(&library, MapperParams::default());
+        let config_fp = fingerprint_config(&library);
         EvalEngine {
             library,
             config_fp,
@@ -406,9 +406,9 @@ impl EvalEngine {
     }
 
     /// A fresh evaluation context, backed by the engine-wide ISOP memo.  The
-    /// kernel creates its pooled contexts through here so every batch shares
-    /// one cover memo.
-    pub(crate) fn pass_context(&self) -> PassContext {
+    /// kernel creates its pooled contexts through here, and `flowd` its
+    /// workers', so every batch and every request shares one cover memo.
+    pub fn pass_context(&self) -> PassContext {
         PassContext::default().share_isop_cache(self.isop.clone())
     }
 
@@ -498,7 +498,7 @@ pub fn fingerprint_design(aig: &Aig) -> Fingerprint {
 
 /// Stable fingerprint of the evaluation configuration (synthesis revision,
 /// library, mapper).
-pub fn fingerprint_config(library: &CellLibrary, params: MapperParams) -> Fingerprint {
+pub fn fingerprint_config(library: &CellLibrary) -> Fingerprint {
     let mut h = Fnv64::new();
     h.write_u32(synth::SYNTH_REV);
     h.write_str(library.name());
@@ -518,17 +518,14 @@ pub fn fingerprint_config(library: &CellLibrary, params: MapperParams) -> Finger
     let cuts = CutParams::default();
     h.write_usize(cuts.max_cut_size);
     h.write_usize(cuts.max_cuts_per_node);
-    h.write_u32(match params.mode {
-        synth::MapMode::Delay => 0,
-        synth::MapMode::Area => 1,
-    });
+    // The word a mapping objective once took: kept, so stored keys hold.
+    h.write_u32(0);
     Fingerprint::from_hasher(h)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use synth::MapMode;
 
     #[test]
     fn fingerprints_are_stable_and_content_sensitive() {
@@ -550,33 +547,12 @@ mod tests {
         assert_ne!(fingerprint_design(&g), fingerprint_design(&k));
     }
 
-    #[test]
-    fn config_fingerprint_depends_on_mapper_mode() {
-        let lib = CellLibrary::nangate14();
-        let delay = fingerprint_config(&lib, MapperParams::default());
-        let area = fingerprint_config(
-            &lib,
-            MapperParams {
-                mode: MapMode::Area,
-            },
-        );
-        assert_ne!(delay, area);
-    }
-
     /// Every stored QoR is keyed by this fingerprint: a change to the hashed
     /// words (or their order) orphans the whole store.
     #[test]
     fn config_fingerprint_is_pinned() {
-        let lib = CellLibrary::nangate14();
-        let delay = fingerprint_config(&lib, MapperParams::default());
-        let area = fingerprint_config(
-            &lib,
-            MapperParams {
-                mode: MapMode::Area,
-            },
-        );
-        assert_eq!(delay, Fingerprint(0xcf4e_08e6_a965_d029));
-        assert_eq!(area, Fingerprint(0x2f53_5cde_5330_1398));
+        let config = fingerprint_config(&CellLibrary::nangate14());
+        assert_eq!(config, Fingerprint(0xcf4e_08e6_a965_d029));
     }
 
     #[test]

@@ -52,10 +52,6 @@ pub struct FrameworkConfig {
     pub classifier: ClassifierConfig,
     /// Master RNG seed.
     pub seed: u64,
-    /// When `true`, the sample flows are also evaluated with the synthesis tool
-    /// so the selection accuracy (Section 4.1) can be reported.  This is what
-    /// the paper does for its evaluation; it dominates runtime.
-    pub evaluate_samples: bool,
 }
 
 impl FrameworkConfig {
@@ -73,7 +69,6 @@ impl FrameworkConfig {
             output_flows: 20,
             classifier: ClassifierConfig::default(),
             seed: 0xF10,
-            evaluate_samples: true,
         }
     }
 
@@ -90,7 +85,6 @@ impl FrameworkConfig {
             output_flows: 200,
             classifier: ClassifierConfig::paper_scale(),
             seed: 0xF10,
-            evaluate_samples: true,
         }
     }
 }
@@ -123,11 +117,15 @@ pub struct FrameworkReport {
     pub selection: Selection,
     /// Per-round training progress.
     pub rounds: Vec<TrainingRound>,
-    /// QoR of every evaluated sample flow (empty if `evaluate_samples` is false).
+    /// QoR of every sample flow: the framework evaluates the whole sample
+    /// pool, as the paper does for its evaluation (Section 4); it dominates
+    /// runtime.
     pub sample_qors: Vec<Qor>,
-    /// True labels of the sample flows (empty if `evaluate_samples` is false).
+    /// True labels of the sample flows.
     pub sample_labels: Vec<usize>,
-    /// The paper's accuracy metric over the selected flows, when available.
+    /// The paper's accuracy metric over the selected flows (Section 4.1).
+    /// Always `Some`: the sample pool is always evaluated; the `Option`
+    /// stays only because callers compare it as one.
     pub selection_accuracy: Option<f64>,
     /// The labelled training dataset (released publicly by the paper).
     pub dataset: Dataset,
@@ -140,7 +138,7 @@ pub struct FrameworkReport {
 }
 
 impl FrameworkReport {
-    /// QoR records of the selected angel flows (requires `evaluate_samples`).
+    /// QoR records of the selected angel flows.
     pub fn angel_qors(&self) -> Vec<Qor> {
         self.selection
             .angel_flows
@@ -149,7 +147,7 @@ impl FrameworkReport {
             .collect()
     }
 
-    /// QoR records of the selected devil flows (requires `evaluate_samples`).
+    /// QoR records of the selected devil flows.
     pub fn devil_qors(&self) -> Vec<Qor> {
         self.selection
             .devil_flows
@@ -267,19 +265,16 @@ impl Framework {
         let selection = select_angel_devil_flows(&sample_flows, &probabilities, cfg.output_flows);
 
         // ------------------------------------------------------------------
-        // 3. Optional evaluation against ground truth (Section 4).
+        // 3. Evaluation against ground truth (Section 4).
         // ------------------------------------------------------------------
-        let (sample_qors, sample_labels, selection_accuracy) = if cfg.evaluate_samples {
-            let qors = self.engine.evaluate_batch(design, &sample_flows);
-            let sample_values: Vec<f64> = qors.iter().map(|q| q.metric(cfg.metric)).collect();
-            let sample_labeler =
-                Labeler::from_percentiles(cfg.metric, &sample_values, &percentiles);
-            let labels: Vec<usize> = qors.iter().map(|q| sample_labeler.classify(q)).collect();
-            let acc = angel_devil_accuracy(&selection, &labels, cfg.classifier.num_classes);
-            (qors, labels, Some(acc))
-        } else {
-            (Vec::new(), Vec::new(), None)
-        };
+        let sample_qors = self.engine.evaluate_batch(design, &sample_flows);
+        let sample_values: Vec<f64> = sample_qors.iter().map(|q| q.metric(cfg.metric)).collect();
+        let sample_labeler = Labeler::from_percentiles(cfg.metric, &sample_values, &percentiles);
+        let sample_labels: Vec<usize> = sample_qors
+            .iter()
+            .map(|q| sample_labeler.classify(q))
+            .collect();
+        let accuracy = angel_devil_accuracy(&selection, &sample_labels, cfg.classifier.num_classes);
 
         FrameworkReport {
             design: design.name().to_string(),
@@ -288,7 +283,7 @@ impl Framework {
             rounds,
             sample_qors,
             sample_labels,
-            selection_accuracy,
+            selection_accuracy: Some(accuracy),
             dataset,
             eval_stats: self.engine.stats().since(&stats_before),
             runtime_s: start.elapsed().as_secs_f64(),

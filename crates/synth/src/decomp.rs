@@ -7,16 +7,16 @@
 //!
 //! A Shannon table has at most six variables (`restructure`'s cuts have at
 //! most six leaves), so its whole table is one `u64` word.  Production runs
-//! one recursion on that word, `shannon`, over a [`crate::sop`] gate sink:
-//! [`build_shannon`] builds into the graph and the sweep's estimator counts
-//! into a dry-run, so what is built cannot drift from what was priced.  Both
-//! panic on a wider table.  [`count_shannon_nodes`] and
-//! [`count_shannon_nodes_reusing`] are the oracle: the same split rule coded
-//! again on [`TruthTable`]s, kept for the differential tests.
+//! one recursion on that word, `shannon`, over a [`crate::sop`] gate sink —
+//! as [`crate::sop`] runs its one SOP emitter: [`build_shannon`] builds into
+//! the graph and the sweep's estimator counts into a dry-run, so what is
+//! built cannot drift from what was priced.  Both panic on a wider table.
+//! [`count_shannon_nodes`] is the oracle: the same split rule coded again on
+//! [`TruthTable`]s, kept for the differential tests.
 
 use aig::{Aig, Lit, NodeId, TruthTable, VAR_MASKS};
 
-use crate::sop::{CostCounter, GateSink, RealBuilder};
+use crate::sop::{CostCounter, GateSink};
 
 /// Builds the Shannon decomposition of `f` into `aig` over the leaf literals.
 ///
@@ -26,11 +26,14 @@ use crate::sop::{CostCounter, GateSink, RealBuilder};
 ///
 /// Panics if `f` has more than six variables (module docs).
 pub fn build_shannon(aig: &mut Aig, f: &TruthTable, leaves: &[Lit]) -> Lit {
-    shannon(&mut RealBuilder { aig }, f, leaves).expect("a build has no budget")
+    shannon(aig, f, leaves).expect("a build has no budget")
 }
 
 /// Estimates how many new AND nodes [`build_shannon`] would add to `aig`,
-/// reusing already-present structure except nodes for which `excluded` is true.
+/// reusing already-present structure except nodes for which `excluded` is
+/// true, and pushes every existing AND node the count reuses (each strash
+/// hit outside `excluded`) onto `reused`: the nodes the built structure
+/// would keep alive.
 ///
 /// The estimate is conservative (an upper bound): it assumes the recursion
 /// creates fresh nodes whenever either mux operand is itself fresh.  This is
@@ -42,25 +45,12 @@ pub fn count_shannon_nodes(
     f: &TruthTable,
     leaves: &[Lit],
     excluded: impl Fn(NodeId) -> bool + Copy,
-) -> usize {
-    count_rec(aig, f, leaves, excluded, &mut Vec::new()).1
-}
-
-/// [`count_shannon_nodes`] that also pushes every existing AND node the
-/// count reuses (each strash hit outside `excluded`) onto `reused`: the
-/// nodes the built structure would keep alive.
-pub fn count_shannon_nodes_reusing(
-    aig: &Aig,
-    f: &TruthTable,
-    leaves: &[Lit],
-    excluded: impl Fn(NodeId) -> bool + Copy,
     reused: &mut Vec<NodeId>,
 ) -> usize {
     count_rec(aig, f, leaves, excluded, reused).1
 }
 
-/// [`count_shannon_nodes_reusing`] capped at `budget` — the sweep's
-/// estimator.
+/// [`count_shannon_nodes`] capped at `budget` — the sweep's estimator.
 ///
 /// Returns `None` as soon as the count provably exceeds `budget`, `Some(n)`
 /// with the exact count otherwise; a completed count is the uncapped
@@ -102,10 +92,10 @@ fn shannon<S: GateSink>(sink: &mut S, f: &TruthTable, leaves: &[Lit]) -> Option<
 fn shannon_word<S: GateSink>(sink: &mut S, f: u64, nv: usize, leaves: &[Lit]) -> Option<S::Signal> {
     let tail = TruthTable::tail_mask(nv);
     if f == 0 {
-        return Some(sink.constant(false));
+        return Some(sink.leaf(Lit::FALSE));
     }
     if f == tail {
-        return Some(sink.constant(true));
+        return Some(sink.leaf(Lit::TRUE));
     }
     let mut cof = [(0u64, 0u64); 6];
     let mut support = [0usize; 6];
@@ -193,6 +183,25 @@ fn count_rec(
     (lit, c0 + c1 + mux)
 }
 
+/// The estimators' reuse probe: `aig`'s existing AND of `x` and `y` when it
+/// is constant or outside `excluded`; a reused AND node is pushed onto
+/// `reused`.
+pub(crate) fn reuse_and(
+    aig: &Aig,
+    excluded: impl Fn(NodeId) -> bool,
+    x: Lit,
+    y: Lit,
+    reused: &mut Vec<NodeId>,
+) -> Option<Lit> {
+    let found = aig
+        .find_and(x, y)
+        .filter(|l| l.is_const() || !excluded(l.node()));
+    if let Some(l) = found.filter(|l| !l.is_const()) {
+        reused.push(l.node());
+    }
+    found
+}
+
 /// The estimators' combine step (the oracle's and the dry-run sink's): the
 /// mux `sel ? t : e` over the cofactors' existing literals `l1`, `l0`
 /// (`None` = would be fresh) needs `sel & t`, `!sel & e` and their OR, each
@@ -207,15 +216,7 @@ pub(crate) fn mux_cost(
     l0: Option<Lit>,
     reused: &mut Vec<NodeId>,
 ) -> (Option<Lit>, usize) {
-    let mut reuse = |x: Lit, y: Lit| {
-        let found = aig
-            .find_and(x, y)
-            .filter(|l| l.is_const() || !excluded(l.node()));
-        if let Some(l) = found.filter(|l| !l.is_const()) {
-            reused.push(l.node());
-        }
-        found
-    };
+    let mut reuse = |x: Lit, y: Lit| reuse_and(aig, &excluded, x, y, reused);
     let (Some(t), Some(e)) = (l1, l0) else {
         return (None, 3);
     };
@@ -251,6 +252,7 @@ fn pick_split_var(f: &TruthTable, support: &[usize]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sop::tests::{assert_build_within, structured_graph, EXCLUSIONS};
     use aig::Simulator;
 
     fn random_truth(num_vars: usize, seed: u64) -> TruthTable {
@@ -308,18 +310,27 @@ mod tests {
 
     #[test]
     fn count_is_an_upper_bound_on_build() {
-        for seed in 10..=14u64 {
-            let mut g = Aig::new();
-            let inputs = g.add_inputs("x", 4);
-            let f = random_truth(4, seed);
-            let estimated = count_shannon_nodes(&g, &f, &inputs, |_| false);
-            let before = g.num_ands();
-            build_shannon(&mut g, &f, &inputs);
-            let actual = g.num_ands() - before;
-            assert!(
-                actual <= estimated,
-                "seed={seed}: actual {actual} > estimated {estimated}"
-            );
+        // Every width the sweep prices, on a graph whose existing structure
+        // the build and the count both meet, under several exclusion sets.
+        for nv in 1..=6usize {
+            for seed in 1..=8u64 {
+                let (g, inputs) = structured_graph(seed);
+                let f = random_truth(nv, seed * 17 + nv as u64);
+                let leaves = &inputs[..nv];
+                for excluded in EXCLUSIONS {
+                    let estimate = count_shannon_nodes_sweep(
+                        &g,
+                        &f,
+                        leaves,
+                        excluded,
+                        usize::MAX,
+                        &mut Vec::new(),
+                    )
+                    .expect("uncapped");
+                    let what = format!("nv={nv} seed={seed}");
+                    assert_build_within(&g, leaves, &f, estimate, build_shannon, &what);
+                }
+            }
         }
     }
 
@@ -336,7 +347,7 @@ mod tests {
             for seed in 1..=10u64 {
                 let f = random_truth(nv, seed * 31 + nv as u64);
                 let leaves = &inputs[..nv];
-                let reference = count_shannon_nodes(&g, &f, leaves, |_| false);
+                let reference = count_shannon_nodes(&g, &f, leaves, |_| false, &mut Vec::new());
                 let fast = count_shannon_nodes_sweep(
                     &g,
                     &f,
@@ -386,7 +397,7 @@ mod tests {
                 let leaves = &inputs[..nv];
                 let excluded = |n: aig::NodeId| n % 7 == 3;
                 let mut hits = Vec::new();
-                let reference = count_shannon_nodes_reusing(&g, &f, leaves, excluded, &mut hits);
+                let reference = count_shannon_nodes(&g, &f, leaves, excluded, &mut hits);
                 for budget in [
                     0usize,
                     1,
@@ -427,7 +438,7 @@ mod tests {
         g.add_output("keep", existing);
         // f = a & b is already present, so zero new nodes are needed.
         let f = TruthTable::var(0, 2).and(&TruthTable::var(1, 2));
-        let added = count_shannon_nodes(&g, &f, &[a, b], |_| false);
+        let added = count_shannon_nodes(&g, &f, &[a, b], |_| false, &mut Vec::new());
         assert_eq!(added, 0);
     }
 }

@@ -22,8 +22,10 @@
 //!
 //! Synthesis runs at one configuration: each pass's cut and cover limits
 //! are private constants beside it, `rewrite` and the mapper both enumerate
-//! [`aig::CutParams::default`], and [`MapperParams`] carries only the
-//! mapping objective.
+//! [`aig::CutParams::default`], and the mapper has one objective (arrival
+//! first, area-flow breaking ties), so [`MapperParams`] has no fields.  A
+//! sweep builds exactly what it priced: the SOP emitter and the Shannon
+//! recursion each run once, into the graph or into the pricer's dry-run.
 //!
 //! ## Quick example
 //!
@@ -71,7 +73,7 @@ pub mod sop;
 pub use flow_runner::{verify_equivalence, FlowOutcome, FlowRunner};
 pub use library::{Cell, CellId, CellLibrary};
 pub use mapper::{
-    map, map_qor, map_with_ctx, try_map_with_ctx, MapMode, MappedGate, MappedNetlist, MapperParams,
+    map, map_qor, map_with_ctx, try_map_with_ctx, MappedGate, MappedNetlist, MapperParams,
 };
 pub use pass::{ApplyStats, PassContext, PassStat, PassTimings};
 pub use passes::{apply_sequence, Transform};

@@ -2,10 +2,11 @@
 //!
 //! The mapper covers the AIG with library cells: k-feasible cuts are enumerated
 //! per node, each cut function is matched against the NPN-indexed cell library,
-//! and the best match per node is chosen by arrival time (delay mode) or
-//! area-flow (area mode).  A cover is then extracted from the primary outputs
-//! and summarised as area (sum of cell areas) and delay (static timing with a
-//! fanout-dependent load term), the two QoR metrics the paper reports.
+//! and the best match per node is chosen by arrival time, area-flow breaking
+//! ties (ABC `map`'s default objective, the only one).  A cover is then
+//! extracted from the primary outputs and summarised as area (sum of cell
+//! areas) and delay (static timing with a fanout-dependent load term), the two
+//! QoR metrics the paper reports.
 
 use aig::{truth4_pad, truth4_reduce, truth4_support, Aig, Cut4Enumerator, CutParams, NodeId};
 use flow_core::{CancelToken, Cancelled, NEVER_FIRES};
@@ -16,32 +17,16 @@ use crate::npn4::npn4;
 use crate::pass::{CancelCell, PassContext};
 use crate::qor::Qor;
 
-/// Objective used to choose among matched cells.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum MapMode {
-    /// Minimise arrival time first, area-flow second (ABC `map` default).
-    Delay,
-    /// Minimise area-flow first, arrival second.
-    Area,
-}
-
-/// Parameters of the technology mapper.
+/// Parameters of the technology mapper: there are none.
 ///
-/// Cuts are always [`CutParams::default`] (4 leaves — library cells have at
-/// most 4 pins — and 8 cuts per node), the same cuts `rewrite` enumerates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MapperParams {
-    /// Mapping objective.
-    pub mode: MapMode,
-}
-
-impl Default for MapperParams {
-    fn default() -> Self {
-        MapperParams {
-            mode: MapMode::Delay,
-        }
-    }
-}
+/// The mapper runs at one configuration — cuts are always
+/// [`CutParams::default`] (4 leaves — library cells have at most 4 pins — and
+/// 8 cuts per node), the same cuts `rewrite` enumerates, and a match is chosen
+/// by arrival time, area-flow breaking ties.  The struct is fieldless and
+/// stays only because the entry points and their callers still pass
+/// `MapperParams::default()`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct MapperParams {}
 
 /// One mapped gate instance.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -125,7 +110,7 @@ pub fn map_with_ctx(
 pub fn try_map_with_ctx(
     g: &mut Aig,
     library: &CellLibrary,
-    params: MapperParams,
+    _params: MapperParams,
     ctx: &mut PassContext,
     cancel: &CancelToken,
 ) -> Result<MappedNetlist, Cancelled> {
@@ -133,7 +118,7 @@ pub fn try_map_with_ctx(
     ctx.ensure_clean(g);
     g.compute_fanouts_cached();
     Cut4Enumerator::new(CutParams::default()).enumerate_into(g, &mut ctx.cut4_sets);
-    let netlist = map_core(g, library, params.mode, &ctx.cut4_sets, cancel)?;
+    let netlist = map_core(g, library, &ctx.cut4_sets, cancel)?;
     ctx.record_mapping(start.elapsed().as_secs_f64());
     Ok(netlist)
 }
@@ -143,12 +128,11 @@ pub fn try_map_with_ctx(
 fn map_core(
     subject: &Aig,
     library: &CellLibrary,
-    mode: MapMode,
     cut_sets: &[aig::CutSet4],
     cancel: &CancelToken,
 ) -> Result<MappedNetlist, Cancelled> {
     let mut cancel = CancelCell::new(cancel);
-    let mut matcher = Matcher::new(subject, library, mode);
+    let mut matcher = Matcher::new(subject, library);
     // Scratch buffer for the reduced leaf list.
     let mut leaf_buf: Vec<NodeId> = Vec::with_capacity(4);
     for id in subject.and_ids() {
@@ -184,7 +168,6 @@ fn map_core(
 pub(crate) struct Matcher<'a> {
     subject: &'a Aig,
     library: &'a CellLibrary,
-    mode: MapMode,
     // Dense, node-id-indexed tables: every AND gets exactly one entry, so a
     // Vec beats a HashMap on both insert and the cover-extraction reads.
     choices: Vec<Option<Choice>>,
@@ -193,18 +176,18 @@ pub(crate) struct Matcher<'a> {
 }
 
 impl<'a> Matcher<'a> {
-    pub(crate) fn new(subject: &'a Aig, library: &'a CellLibrary, mode: MapMode) -> Self {
+    pub(crate) fn new(subject: &'a Aig, library: &'a CellLibrary) -> Self {
         Matcher {
             subject,
             library,
-            mode,
             choices: vec![None; subject.len()],
             arrivals: vec![0.0; subject.len()],
             area_flows: vec![0.0; subject.len()],
         }
     }
 
-    /// Scores every `cell` implementing `leaves -> id` and keeps the best.
+    /// Scores every `cell` implementing `leaves -> id` and keeps the best:
+    /// the earliest arrival, the smaller area-flow among ties.
     pub(crate) fn consider(
         &self,
         best: &mut Option<Choice>,
@@ -227,17 +210,10 @@ impl<'a> Matcher<'a> {
                 .map(|&l| self.area_flows[l] / (subject.fanout_count(l).max(1) as f64))
                 .sum();
             let area_flow = cell.area + leaf_flow;
-            let better = match (&best, self.mode) {
-                (None, _) => true,
-                (Some(b), MapMode::Delay) => {
-                    arrival < b.arrival - 1e-9
-                        || (arrival < b.arrival + 1e-9 && area_flow < b.area_flow)
-                }
-                (Some(b), MapMode::Area) => {
-                    area_flow < b.area_flow - 1e-9
-                        || (area_flow < b.area_flow + 1e-9 && arrival < b.arrival)
-                }
-            };
+            let better = best.as_ref().is_none_or(|b| {
+                arrival < b.arrival - 1e-9
+                    || (arrival < b.arrival + 1e-9 && area_flow < b.area_flow)
+            });
             if better {
                 *best = Some(Choice {
                     cell: cell_id,
@@ -378,27 +354,6 @@ mod tests {
         assert!(mapped.delay_ps > 0.0);
         // A full adder should map to only a handful of cells (XOR3 + MAJ3 ideal).
         assert!(mapped.gates.len() <= 8, "got {} gates", mapped.gates.len());
-    }
-
-    #[test]
-    fn delay_mode_is_no_slower_than_area_mode() {
-        let g = Design::Alu64.generate(DesignScale::Tiny);
-        let delay_q = map_qor(
-            &g,
-            &lib(),
-            MapperParams {
-                mode: MapMode::Delay,
-            },
-        );
-        let area_q = map_qor(
-            &g,
-            &lib(),
-            MapperParams {
-                mode: MapMode::Area,
-            },
-        );
-        assert!(delay_q.delay_ps <= area_q.delay_ps + 1e-6);
-        assert!(area_q.area_um2 <= delay_q.area_um2 + 1e-6);
     }
 
     #[test]

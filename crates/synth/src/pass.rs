@@ -218,10 +218,11 @@ pub(crate) struct ProposeScratch {
 
 impl ProposeScratch {
     /// A fresh scratch whose ISOP memo is backed by `shared`.
-    pub(crate) fn with_shared_isop(shared: Option<SharedIsopCache>) -> Self {
-        let mut ps = ProposeScratch::default();
-        ps.isop.set_shared(shared);
-        ps
+    pub(crate) fn with_shared_isop(shared: SharedIsopCache) -> Self {
+        ProposeScratch {
+            isop: IsopCache::backed_by(shared),
+            ..ProposeScratch::default()
+        }
     }
 }
 
@@ -249,8 +250,10 @@ pub struct PassContext {
     /// Idle propose scratch, one per chunk that ran at once: empty until the
     /// first sweep, then as many as the sweeps' thread count.
     pub(crate) propose: Vec<ProposeScratch>,
-    /// The ISOP tier every propose scratch of this context is backed by.
-    pub(crate) shared_isop: Option<SharedIsopCache>,
+    /// The ISOP tier every propose scratch of this context is backed by:
+    /// the context's own until [`share_isop_cache`](Self::share_isop_cache)
+    /// replaces it.
+    pub(crate) shared_isop: SharedIsopCache,
     pub(crate) cut4_sets: Vec<CutSet4>,
     pub(crate) balance_map: Vec<Option<Lit>>,
     pub(crate) sweep: SweepScratch,
@@ -259,18 +262,17 @@ pub struct PassContext {
 }
 
 impl PassContext {
-    /// Backs this context's ISOP memo with a process-wide
-    /// [`SharedIsopCache`] tier: local misses probe
-    /// the shared map before computing and publish what they compute.
+    /// Backs this context's ISOP memo with `shared` in place of its own
+    /// tier: local misses probe the shared map before computing and publish
+    /// what they compute.  Idle propose scratch backed by the old tier is
+    /// dropped.
     ///
     /// Covers are pure functions of the truth table, so sharing never changes
     /// a result bit — concurrent workers just stop re-deriving each other's
     /// covers.  Returns `self` for builder-style chaining.
     pub fn share_isop_cache(mut self, shared: SharedIsopCache) -> Self {
-        for ps in &mut self.propose {
-            ps.isop.set_shared(Some(shared.clone()));
-        }
-        self.shared_isop = Some(shared);
+        self.propose.clear();
+        self.shared_isop = shared;
         self
     }
 

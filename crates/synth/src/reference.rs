@@ -27,13 +27,13 @@ use std::collections::{HashMap, HashSet};
 use aig::{cut_truth, Aig, CutParams, Lit, Mffc, NodeId, TruthTable};
 
 use crate::balance::build_balanced;
-use crate::decomp::{count_shannon_nodes, count_shannon_nodes_reusing};
+use crate::decomp::count_shannon_nodes;
 use crate::library::{CellId, CellLibrary};
 use crate::mapper::{MappedNetlist, MapperParams, Matcher};
 use crate::passes::Transform;
 use crate::reconv::reconv_cut;
 use crate::resyn::{rebuild_with_decisions_into, Acceptance, Decision, Proposal, Structure};
-use crate::sop::{count_sop_nodes, count_sop_nodes_reusing, isop};
+use crate::sop::{count_sop_nodes, isop};
 use crate::{refactor, restructure, rewrite};
 
 /// A cut of a node: its leaves, sorted by strictly increasing node id, plus a
@@ -339,13 +339,34 @@ where
 /// its structure adds reusing every node outside that MFFC.
 fn price(g: &Aig, root: NodeId, p: &Proposal) -> i64 {
     let mffc = Mffc::compute(g, root, &p.leaves);
-    let leaf_lits: Vec<Lit> = p.leaves.iter().map(|&n| Lit::from_node(n, false)).collect();
-    let excluded = |n| mffc.contains(n);
-    let added = match &p.structure {
-        Structure::SumOfProducts(sop) => count_sop_nodes(g, sop, &leaf_lits, excluded),
-        Structure::Shannon(truth) => count_shannon_nodes(g, truth, &leaf_lits, excluded),
-    };
+    let added = count_added(g, &mffc, &p.leaves, &p.structure, &mut Vec::new());
     mffc.size() as i64 - added as i64
+}
+
+/// The nodes `structure` adds over `leaves`, reusing every node outside
+/// `mffc`; pushes the AND nodes it reuses onto `used`.
+pub(crate) fn count_added(
+    g: &Aig,
+    mffc: &Mffc,
+    leaves: &[NodeId],
+    structure: &Structure,
+    used: &mut Vec<NodeId>,
+) -> usize {
+    let leaf_lits: Vec<Lit> = leaves.iter().map(|&n| Lit::from_node(n, false)).collect();
+    let excluded = |n| mffc.contains(n);
+    match structure {
+        Structure::SumOfProducts(sop) => count_sop_nodes(
+            g,
+            sop,
+            &leaf_lits,
+            excluded,
+            usize::MAX,
+            used,
+            &mut Vec::new(),
+        )
+        .expect("uncapped"),
+        Structure::Shannon(truth) => count_shannon_nodes(g, truth, &leaf_lits, excluded, used),
+    }
 }
 
 /// The nodes the decisions committed so far free, use and root.
@@ -364,17 +385,8 @@ impl Commits {
     /// by none of them or is the root of the one that frees it.
     fn admit(&mut self, g: &Aig, root: NodeId, d: &Decision) -> bool {
         let mffc = Mffc::compute(g, root, &d.leaves);
-        let leaf_lits: Vec<Lit> = d.leaves.iter().map(|&n| Lit::from_node(n, false)).collect();
         let mut used = d.leaves.clone();
-        let excluded = |n| mffc.contains(n);
-        match &d.structure {
-            Structure::SumOfProducts(sop) => {
-                count_sop_nodes_reusing(g, sop, &leaf_lits, excluded, &mut used)
-            }
-            Structure::Shannon(truth) => {
-                count_shannon_nodes_reusing(g, truth, &leaf_lits, excluded, &mut used)
-            }
-        };
+        count_added(g, &mffc, &d.leaves, &d.structure, &mut used);
         let freed = mffc.nodes();
         let compatible = !freed
             .iter()
@@ -401,12 +413,12 @@ pub fn rebuild_with_decisions(src: &Aig, decisions: &HashMap<NodeId, Decision>) 
 
 /// Maps `aig` onto `library` through the oracle: one cone walk per cut,
 /// support reduction on heap tables, NPN orbit search per match.
-pub fn map(aig: &Aig, library: &CellLibrary, params: MapperParams) -> MappedNetlist {
+pub fn map(aig: &Aig, library: &CellLibrary, _params: MapperParams) -> MappedNetlist {
     let mut subject = aig.cleanup();
     subject.compute_fanouts();
     let cut_sets = CutEnumerator::new(CutParams::default()).enumerate(&subject);
     let classes = cell_classes(library);
-    let mut matcher = Matcher::new(&subject, library, params.mode);
+    let mut matcher = Matcher::new(&subject, library);
     for id in subject.and_ids() {
         let mut best = None;
         for cut in cut_sets[id].cuts() {

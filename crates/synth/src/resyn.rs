@@ -93,7 +93,7 @@ use rayon::prelude::*;
 
 use crate::decomp::{build_shannon, count_shannon_nodes_sweep};
 use crate::pass::{pool_give, pool_take, CancelCell, PassContext, ProposeScratch, SweepScratch};
-use crate::sop::{build_sop, count_sop_nodes_sweep, IsopCache, Sop, SopCostScratch};
+use crate::sop::{build_sop, count_sop_nodes, IsopCache, Sop};
 
 /// How the new implementation of a node's cut function is expressed.
 #[derive(Debug, Clone)]
@@ -160,7 +160,8 @@ pub(crate) struct Pricer {
     probe: Vec<NodeId>,
     leaf_lits: Vec<Lit>,
     mffc: MffcScratch,
-    cost: SopCostScratch,
+    /// The SOP emitter's signal buffer.
+    signals: Vec<Option<Lit>>,
 }
 
 impl Pricer {
@@ -188,7 +189,7 @@ impl Pricer {
         let (added, truth, sop) = match candidate {
             Candidate::Sop { truth, cover } => {
                 let added =
-                    count_sop_nodes_sweep(g, cover, lits, excluded, &mut self.cost, budget, probe);
+                    count_sop_nodes(g, cover, lits, excluded, budget, probe, &mut self.signals);
                 (added, truth, true)
             }
             Candidate::Shannon(truth) => (
@@ -638,10 +639,9 @@ pub(crate) fn rebuild_with_decisions_into<'d>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decomp::count_shannon_nodes_reusing;
     use crate::passes::Transform;
-    use crate::reference::rebuild_with_decisions;
-    use crate::sop::{count_sop_nodes_reusing, isop};
+    use crate::reference::{count_added, rebuild_with_decisions};
+    use crate::sop::isop;
     use aig::{cut_truth, random_equivalence_check, Cut4Enumerator, CutParams, Mffc};
     use circuits::{Design, DesignScale};
     use flow_core::NEVER_FIRES;
@@ -1008,22 +1008,8 @@ mod tests {
                         let mut freed: Vec<NodeId> = freed.iter().map(|&n| n as NodeId).collect();
                         freed.sort_unstable();
                         assert_eq!(freed, mffc.nodes(), "{design} {t} node {root}: freed");
-                        let lits: Vec<Lit> =
-                            d.leaves.iter().map(|&n| Lit::from_node(n, false)).collect();
                         let mut expected = d.leaves.clone();
-                        let excluded = |n| mffc.contains(n);
-                        match &d.structure {
-                            Structure::SumOfProducts(sop) => {
-                                count_sop_nodes_reusing(&start, sop, &lits, excluded, &mut expected)
-                            }
-                            Structure::Shannon(truth) => count_shannon_nodes_reusing(
-                                &start,
-                                truth,
-                                &lits,
-                                excluded,
-                                &mut expected,
-                            ),
-                        };
+                        count_added(&start, &mffc, &d.leaves, &d.structure, &mut expected);
                         let used: Vec<NodeId> = used.iter().map(|&n| n as NodeId).collect();
                         assert_eq!(used, expected, "{design} {t} node {root}: used");
                     }

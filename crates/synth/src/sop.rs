@@ -2,13 +2,18 @@
 //!
 //! The rewriting and refactoring passes re-express a cut function as an
 //! irredundant sum of products (ISOP, Minato–Morreale algorithm) and rebuild it
-//! as an AND/OR tree on top of the cut leaves.  A dry-run cost estimator shares
-//! the construction logic so the gain of a candidate rewrite can be evaluated
-//! before committing to it.
+//! as an AND/OR tree on top of the cut leaves.
+//!
+//! One emitter, `emit_sop`, lays the tree out over a `GateSink`:
+//! [`build_sop`] runs it into the graph (`impl GateSink for Aig`) and
+//! [`count_sop_nodes`] into a budget-capped dry-run that probes the graph's
+//! strash for reuse.  The sweep's pricer and the oracle's pricing both
+//! count through it, so what a sweep builds is what it priced, gate call for
+//! gate call.
 
 use aig::{Aig, Lit, NodeId, TruthTable};
 
-use crate::decomp::mux_cost;
+use crate::decomp::{mux_cost, reuse_and};
 
 /// One product term over the cut leaves.
 ///
@@ -128,10 +133,10 @@ fn isop_with_arena(f: &TruthTable, arena: &mut Vec<Cube>) -> Sop {
 /// a hit replaces the whole Minato–Morreale recursion with one clone of the
 /// cached cover.  Determinism of `isop` makes hits bit-identical to misses.
 ///
-/// A context-local cache can additionally be backed by a process-wide
-/// [`SharedIsopCache`]: local misses probe the shared tier before computing,
-/// and freshly computed covers are published back, so concurrent workers
-/// evaluating different flows of the same batch reuse each other's work.
+/// A context-local cache is backed by a [`SharedIsopCache`]: local misses
+/// probe the shared tier before computing, and freshly computed covers are
+/// published back, so concurrent workers evaluating different flows of the
+/// same batch reuse each other's work.
 #[derive(Debug, Default)]
 pub struct IsopCache {
     map: std::collections::HashMap<TruthTable, Sop>,
@@ -139,8 +144,8 @@ pub struct IsopCache {
     /// Overflow slot backing [`isop_ref`](Self::isop_ref) when the cache is
     /// full and the cover cannot live in the map.
     spill: Sop,
-    /// Optional process-wide second tier probed on local misses.
-    shared: Option<SharedIsopCache>,
+    /// The second tier probed on local misses.
+    shared: SharedIsopCache,
 }
 
 /// Entry cap of [`IsopCache`] (≈ a few MB worst case); beyond it the cache
@@ -148,9 +153,12 @@ pub struct IsopCache {
 const ISOP_CACHE_CAP: usize = 1 << 16;
 
 impl IsopCache {
-    /// Attaches (or detaches) the shared second tier.
-    pub(crate) fn set_shared(&mut self, shared: Option<SharedIsopCache>) {
-        self.shared = shared;
+    /// An empty cache backed by `shared`.
+    pub(crate) fn backed_by(shared: SharedIsopCache) -> Self {
+        IsopCache {
+            shared,
+            ..IsopCache::default()
+        }
     }
 
     /// [`isop`] with memoization; the cover is bit-identical.
@@ -170,13 +178,11 @@ impl IsopCache {
             shared,
         } = self;
         let compute = |arena: &mut Vec<Cube>| {
-            if let Some(sop) = shared.as_ref().and_then(|s| s.probe(f)) {
+            if let Some(sop) = shared.probe(f) {
                 return sop;
             }
             let sop = isop_with_arena(f, arena);
-            if let Some(s) = shared.as_ref() {
-                s.publish(*f, &sop);
-            }
+            shared.publish(*f, &sop);
             sop
         };
         if map.len() >= ISOP_CACHE_CAP && !map.contains_key(f) {
@@ -187,10 +193,11 @@ impl IsopCache {
     }
 }
 
-/// A process-wide, thread-safe tier of the ISOP memo shared across contexts.
+/// A thread-safe tier of the ISOP memo shared across contexts.
 ///
-/// `floweval`'s engine hands one clone of this to every
-/// [`crate::PassContext`] it creates; covers are pure functions of the
+/// Every [`crate::PassContext`] has one, which all its propose scratch
+/// share; `floweval`'s engine hands one clone of its own to every context
+/// it creates ([`crate::PassContext::share_isop_cache`]).  Covers are pure functions of the
 /// truth table and `isop` is deterministic, so a cross-worker hit returns
 /// exactly the cover the worker would have computed — sharing is QoR-neutral
 /// by construction and only saves the Minato–Morreale recursion.
@@ -378,8 +385,8 @@ pub(crate) trait GateSink {
     /// Handle to a (possibly virtual) signal.
     type Signal: Copy;
 
+    /// An existing literal (a cut leaf or a constant).
     fn leaf(&mut self, lit: Lit) -> Self::Signal;
-    fn constant(&mut self, value: bool) -> Self::Signal;
     fn and(&mut self, a: Self::Signal, b: Self::Signal) -> Self::Signal;
     fn not(&mut self, a: Self::Signal) -> Self::Signal;
     /// The multiplexer `sel ? t : e` ([`Aig::mux`]).
@@ -390,42 +397,26 @@ pub(crate) trait GateSink {
     }
 }
 
-pub(crate) struct RealBuilder<'a> {
-    pub(crate) aig: &'a mut Aig,
-}
-
-impl GateSink for RealBuilder<'_> {
+/// The build sink: every gate goes into the graph.
+impl GateSink for Aig {
     type Signal = Lit;
 
     fn leaf(&mut self, lit: Lit) -> Lit {
         lit
     }
-    fn constant(&mut self, value: bool) -> Lit {
-        if value {
-            Lit::TRUE
-        } else {
-            Lit::FALSE
-        }
-    }
     fn and(&mut self, a: Lit, b: Lit) -> Lit {
-        self.aig.and(a, b)
+        Aig::and(self, a, b)
     }
     fn not(&mut self, a: Lit) -> Lit {
         !a
     }
     fn mux(&mut self, sel: Lit, t: Lit, e: Lit) -> Lit {
-        self.aig.mux(sel, t, e)
+        Aig::mux(self, sel, t, e)
     }
 }
 
-/// A signal during cost estimation: either an existing literal or a virtual
-/// node that would have to be created.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum CostSignal {
-    Existing(Lit),
-    Virtual { complemented: bool },
-}
-
+/// The dry-run sink: a signal is the existing literal it would be, or `None`
+/// for a node that would have to be created.
 pub(crate) struct CostCounter<'a, F: Fn(NodeId) -> bool> {
     /// The graph being costed; reuse is probed with [`Aig::find_and`].
     aig: &'a Aig,
@@ -462,237 +453,186 @@ impl<'a, F: Fn(NodeId) -> bool> CostCounter<'a, F> {
 }
 
 impl<F: Fn(NodeId) -> bool> GateSink for CostCounter<'_, F> {
-    type Signal = CostSignal;
+    type Signal = Option<Lit>;
 
-    fn leaf(&mut self, lit: Lit) -> CostSignal {
-        CostSignal::Existing(lit)
+    fn leaf(&mut self, lit: Lit) -> Option<Lit> {
+        Some(lit)
     }
-    fn constant(&mut self, value: bool) -> CostSignal {
-        CostSignal::Existing(if value { Lit::TRUE } else { Lit::FALSE })
+    fn and(&mut self, a: Option<Lit>, b: Option<Lit>) -> Option<Lit> {
+        let found = match (a, b) {
+            (Some(x), Some(y)) => reuse_and(self.aig, &self.excluded, x, y, self.reused),
+            _ => None,
+        };
+        self.added += usize::from(found.is_none());
+        found
     }
-    fn and(&mut self, a: CostSignal, b: CostSignal) -> CostSignal {
-        if let (CostSignal::Existing(x), CostSignal::Existing(y)) = (a, b) {
-            if let Some(found) = self.aig.find_and(x, y) {
-                if found.is_const() || !(self.excluded)(found.node()) {
-                    if !found.is_const() {
-                        self.reused.push(found.node());
-                    }
-                    return CostSignal::Existing(found);
-                }
-            }
-        }
-        self.added += 1;
-        CostSignal::Virtual {
-            complemented: false,
-        }
-    }
-    fn not(&mut self, a: CostSignal) -> CostSignal {
-        match a {
-            CostSignal::Existing(l) => CostSignal::Existing(!l),
-            CostSignal::Virtual { complemented } => CostSignal::Virtual {
-                complemented: !complemented,
-            },
-        }
+    fn not(&mut self, a: Option<Lit>) -> Option<Lit> {
+        a.map(|l| !l)
     }
     /// [`crate::decomp`]'s mux rule: a fresh operand costs the whole mux,
     /// unprobed.
-    fn mux(&mut self, sel: Lit, t: CostSignal, e: CostSignal) -> CostSignal {
-        let existing = |s| match s {
-            CostSignal::Existing(l) => Some(l),
-            CostSignal::Virtual { .. } => None,
-        };
-        let (lit, added) = mux_cost(
-            self.aig,
-            &self.excluded,
-            sel,
-            existing(t),
-            existing(e),
-            self.reused,
-        );
+    fn mux(&mut self, sel: Lit, t: Option<Lit>, e: Option<Lit>) -> Option<Lit> {
+        let (lit, added) = mux_cost(self.aig, &self.excluded, sel, t, e, self.reused);
         self.added += added;
-        lit.map_or(
-            CostSignal::Virtual {
-                complemented: false,
-            },
-            CostSignal::Existing,
-        )
+        lit
     }
     fn exhausted(&self) -> bool {
         self.added > self.budget
     }
 }
 
-/// Builds (or costs) the SOP over the given leaf literals using balanced
-/// AND/OR trees.
-fn emit_sop<S: GateSink>(sink: &mut S, sop: &Sop, leaves: &[Lit]) -> S::Signal {
+/// The one SOP emitter: builds (or costs) `sop` over the leaf literals as a
+/// balanced AND tree per cube under a balanced AND of the complemented cubes
+/// (an OR), and returns `None` once the sink is exhausted.
+///
+/// `signals` is a recycled buffer (cleared here): the finished cubes occupy
+/// its front, the literals of the cube being reduced its tail, and every
+/// reduction pairs neighbours level by level in place, so the gate calls —
+/// and with them a build's node ids — come in one fixed order.
+fn emit_sop<S: GateSink>(
+    sink: &mut S,
+    sop: &Sop,
+    leaves: &[Lit],
+    signals: &mut Vec<S::Signal>,
+) -> Option<S::Signal> {
+    signals.clear();
     if sop.num_cubes() == 0 {
-        return sink.constant(false);
+        return Some(sink.leaf(Lit::FALSE));
     }
-    let mut cube_signals = Vec::with_capacity(sop.num_cubes());
-    for cube in sop.cubes() {
-        let mut lits = Vec::new();
+    for (cube_index, cube) in sop.cubes().iter().enumerate() {
         for (v, &leaf) in leaves.iter().enumerate() {
             if cube.pos >> v & 1 == 1 {
-                lits.push(sink.leaf(leaf));
+                signals.push(sink.leaf(leaf));
             } else if cube.neg >> v & 1 == 1 {
-                let l = sink.leaf(leaf);
-                lits.push(sink.not(l));
+                signals.push(sink.leaf(!leaf));
             }
         }
-        let product = reduce_balanced(sink, lits, true);
-        cube_signals.push(product);
+        let product = reduce_balanced(sink, &mut signals[cube_index..]);
+        signals.truncate(cube_index);
+        signals.push(sink.not(product));
+        if sink.exhausted() {
+            return None;
+        }
     }
-    // OR of cubes: complement, AND, complement.
-    let negated: Vec<S::Signal> = cube_signals.into_iter().map(|s| sink.not(s)).collect();
-    let all_off = reduce_balanced(sink, negated, true);
-    sink.not(all_off)
+    let all_off = reduce_balanced(sink, signals);
+    let root = sink.not(all_off);
+    (!sink.exhausted()).then_some(root)
 }
 
-fn reduce_balanced<S: GateSink>(
-    sink: &mut S,
-    mut items: Vec<S::Signal>,
-    and_identity: bool,
-) -> S::Signal {
-    if items.is_empty() {
-        return sink.constant(and_identity);
+/// ANDs `items` as a balanced tree, pairing neighbours level by level and
+/// overwriting the slice's front with each level; the empty AND is true.
+fn reduce_balanced<S: GateSink>(sink: &mut S, items: &mut [S::Signal]) -> S::Signal {
+    let mut len = items.len();
+    if len == 0 {
+        return sink.leaf(Lit::TRUE);
     }
-    while items.len() > 1 {
-        let mut next = Vec::with_capacity(items.len().div_ceil(2));
-        let mut it = items.into_iter();
-        while let Some(a) = it.next() {
-            if let Some(b) = it.next() {
-                next.push(sink.and(a, b));
+    while len > 1 {
+        for write in 0..len.div_ceil(2) {
+            let read = 2 * write;
+            items[write] = if read + 1 < len {
+                sink.and(items[read], items[read + 1])
             } else {
-                next.push(a);
-            }
+                items[read]
+            };
         }
-        items = next;
+        len = len.div_ceil(2);
     }
-    items.pop().expect("non-empty")
+    items[0]
 }
 
 /// Builds the SOP into `aig` on top of `leaves` and returns the root literal.
 ///
 /// Leaf `i` of the SOP corresponds to `leaves[i]`.
 pub fn build_sop(aig: &mut Aig, sop: &Sop, leaves: &[Lit]) -> Lit {
-    let mut builder = RealBuilder { aig };
-    emit_sop(&mut builder, sop, leaves)
+    emit_sop(aig, sop, leaves, &mut Vec::new()).expect("a build has no budget")
 }
 
-/// Estimates how many *new* AND nodes building the SOP would add to `aig`,
-/// reusing structurally present nodes except those for which `excluded`
-/// returns `true`.
+/// Counts the *new* AND nodes [`build_sop`] would add to `aig`, reusing
+/// structurally present nodes except those for which `excluded` returns
+/// `true`; `signals` is the emitter's recycled buffer.
+///
+/// Returns `None` as soon as the count exceeds `budget`, `Some(n)` with the
+/// count otherwise.  A completed count has pushed every existing AND node it
+/// reuses (each strash hit outside `excluded`) onto `reused`: the nodes the
+/// built structure would keep alive.  The count is an upper bound on what
+/// the build adds, which also shares structure within itself.
 pub fn count_sop_nodes(
     aig: &Aig,
     sop: &Sop,
     leaves: &[Lit],
     excluded: impl Fn(NodeId) -> bool,
-) -> usize {
-    count_sop_nodes_reusing(aig, sop, leaves, excluded, &mut Vec::new())
-}
-
-/// [`count_sop_nodes`] that also pushes every existing AND node the count
-/// reuses (each strash hit outside `excluded`) onto `reused`: the nodes the
-/// built structure would keep alive.
-pub fn count_sop_nodes_reusing(
-    aig: &Aig,
-    sop: &Sop,
-    leaves: &[Lit],
-    excluded: impl Fn(NodeId) -> bool,
-    reused: &mut Vec<NodeId>,
-) -> usize {
-    let mut counter = CostCounter::new(aig, excluded, usize::MAX, reused);
-    emit_sop(&mut counter, sop, leaves);
-    counter.added
-}
-
-/// Reusable buffers of the passes' SOP cost dry-run.
-#[derive(Debug, Default)]
-pub struct SopCostScratch {
-    cube_signals: Vec<CostSignal>,
-    lits: Vec<CostSignal>,
-}
-
-/// [`count_sop_nodes_reusing`] allocating nothing (cube/literal signal
-/// vectors are recycled and the balanced reduction runs in place) and capped
-/// at `budget` — the sweep's cost estimator.
-///
-/// Returns `None` as soon as the count provably exceeds `budget`, `Some(n)`
-/// with the exact count otherwise; a completed count has pushed the same
-/// strash hits onto `reused` as the uncapped dry-run.
-pub(crate) fn count_sop_nodes_sweep(
-    aig: &Aig,
-    sop: &Sop,
-    leaves: &[Lit],
-    excluded: impl Fn(NodeId) -> bool,
-    scratch: &mut SopCostScratch,
     budget: usize,
     reused: &mut Vec<NodeId>,
+    signals: &mut Vec<Option<Lit>>,
 ) -> Option<usize> {
     let mut counter = CostCounter::new(aig, excluded, budget, reused);
-    if sop.num_cubes() == 0 {
-        return Some(0); // emit_sop returns the constant; nothing is added
-    }
-    let SopCostScratch { cube_signals, lits } = scratch;
-    cube_signals.clear();
-    for cube in sop.cubes() {
-        lits.clear();
-        for (v, &leaf) in leaves.iter().enumerate() {
-            if cube.pos >> v & 1 == 1 {
-                lits.push(counter.leaf(leaf));
-            } else if cube.neg >> v & 1 == 1 {
-                let l = counter.leaf(leaf);
-                lits.push(counter.not(l));
-            }
-        }
-        let product = reduce_balanced_in_place(&mut counter, lits, true);
-        cube_signals.push(product);
-        if counter.exhausted() {
-            return None;
-        }
-    }
-    // OR of cubes: complement, AND, complement — same shape as emit_sop.
-    for s in cube_signals.iter_mut() {
-        *s = counter.not(*s);
-    }
-    let all_off = reduce_balanced_in_place(&mut counter, cube_signals, true);
-    let _ = counter.not(all_off);
-    if counter.exhausted() {
-        return None;
-    }
-    Some(counter.added)
-}
-
-/// [`reduce_balanced`] over a recycled vector: identical pairing order, the
-/// level's results overwrite the vector's front instead of a fresh `Vec`.
-fn reduce_balanced_in_place<S: GateSink>(
-    sink: &mut S,
-    items: &mut Vec<S::Signal>,
-    and_identity: bool,
-) -> S::Signal {
-    if items.is_empty() {
-        return sink.constant(and_identity);
-    }
-    while items.len() > 1 {
-        let mut write = 0;
-        let mut read = 0;
-        while read < items.len() {
-            items[write] = if read + 1 < items.len() {
-                sink.and(items[read], items[read + 1])
-            } else {
-                items[read]
-            };
-            write += 1;
-            read += 2;
-        }
-        items.truncate(write);
-    }
-    items[0]
+    emit_sop(&mut counter, sop, leaves, signals)?;
+    Some(counter.added())
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// A graph over eight inputs with random existing structure, every node
+    /// kept alive by an output, so builds and counts over its inputs meet
+    /// strash hits.  Returns the graph and its input literals.
+    pub(crate) fn structured_graph(seed: u64) -> (Aig, Vec<Lit>) {
+        let mut g = Aig::new();
+        let inputs = g.add_inputs("x", 8);
+        let mut lits = inputs.clone();
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move |bound: usize| {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) as usize % bound
+        };
+        for _ in 0..60 {
+            let a = lits[next(lits.len())] ^ (next(2) == 1);
+            let b = lits[next(lits.len())] ^ (next(2) == 1);
+            let l = g.and(a, b);
+            if !l.is_const() {
+                lits.push(l);
+            }
+        }
+        for (i, &l) in lits[inputs.len()..].iter().enumerate() {
+            g.add_output(format!("keep{i}"), l);
+        }
+        (g, inputs)
+    }
+
+    /// The exclusion sets the build-versus-count tests price under: none,
+    /// two scattered ones, and every node.
+    pub(crate) const EXCLUSIONS: [fn(NodeId) -> bool; 4] =
+        [|_| false, |n| n % 3 == 0, |n| n % 2 == 1, |_| true];
+
+    /// Builds `f` over `leaves` into a copy of `g` with `build`, and asserts
+    /// that the build adds at most `estimate` ANDs and that its root
+    /// computes `f`.
+    pub(crate) fn assert_build_within(
+        g: &Aig,
+        leaves: &[Lit],
+        f: &TruthTable,
+        estimate: usize,
+        build: impl FnOnce(&mut Aig, &TruthTable, &[Lit]) -> Lit,
+        what: &str,
+    ) {
+        let mut built = g.clone();
+        let root = build(&mut built, f, leaves);
+        let added = built.num_ands() - g.num_ands();
+        assert!(
+            added <= estimate,
+            "{what}: built {added} > estimated {estimate}"
+        );
+        built.add_output("f", root);
+        let sim = aig::Simulator::new(&built);
+        for row in 0..f.num_rows() {
+            let bits: Vec<bool> = (0..built.num_inputs()).map(|i| row >> i & 1 == 1).collect();
+            let got = *sim.evaluate(&bits).last().expect("the root is an output");
+            assert_eq!(got, f.get(row), "{what}: row {row}");
+        }
+    }
 
     fn random_truth(num_vars: usize, seed: u64) -> TruthTable {
         let mut t = TruthTable::zeros(num_vars);
@@ -759,7 +699,7 @@ mod tests {
     }
 
     #[test]
-    fn scratch_cost_counter_is_identical_to_reference() {
+    fn capped_count_is_the_uncapped_count_within_budget() {
         let mut g = Aig::new();
         let inputs = g.add_inputs("x", 6);
         // Pre-existing structure so the reuse path (find_and) is exercised.
@@ -767,31 +707,41 @@ mod tests {
         let cd = g.and(inputs[2], !inputs[3]);
         let top = g.and(ab, cd);
         g.add_output("keep", top);
-        let mut scratch = SopCostScratch::default();
+        let mut signals = Vec::new();
         for num_vars in 1..=6usize {
             for seed in 1..=15u64 {
                 let f = random_truth(num_vars, seed * 31 + num_vars as u64);
                 let sop = isop(&f);
                 let leaves = &inputs[..num_vars];
                 for excluded in [ab.node(), top.node(), usize::MAX] {
+                    let excluded = |n| n == excluded;
                     let mut hits = Vec::new();
-                    let reference =
-                        count_sop_nodes_reusing(&g, &sop, leaves, |n| n == excluded, &mut hits);
-                    // Some(exact count, same hits) within the budget, None past it.
-                    for budget in [0, reference.saturating_sub(1), reference, usize::MAX] {
+                    let uncapped = count_sop_nodes(
+                        &g,
+                        &sop,
+                        leaves,
+                        excluded,
+                        usize::MAX,
+                        &mut hits,
+                        &mut signals,
+                    )
+                    .expect("uncapped");
+                    // Some(the uncapped count, same hits) within the budget,
+                    // None past it.
+                    for budget in [0, uncapped.saturating_sub(1), uncapped, uncapped + 3] {
                         let mut recorded = Vec::new();
-                        let fast = count_sop_nodes_sweep(
+                        let capped = count_sop_nodes(
                             &g,
                             &sop,
                             leaves,
-                            |n| n == excluded,
-                            &mut scratch,
+                            excluded,
                             budget,
                             &mut recorded,
+                            &mut signals,
                         );
-                        let want = (reference <= budget).then_some(reference);
-                        assert_eq!(want, fast, "nv={num_vars} seed={seed} budget={budget}");
-                        if fast.is_some() {
+                        let want = (uncapped <= budget).then_some(uncapped);
+                        assert_eq!(want, capped, "nv={num_vars} seed={seed} budget={budget}");
+                        if capped.is_some() {
                             assert_eq!(hits, recorded, "nv={num_vars} seed={seed}");
                         }
                     }
@@ -876,28 +826,55 @@ mod tests {
             .and(&TruthTable::var(1, 3))
             .and(&TruthTable::var(2, 3));
         let cover = isop(&t);
-        let added = count_sop_nodes(&g, &cover, &[a, b, c], |_| false);
-        assert_eq!(added, 1);
+        let count = |excluded: &dyn Fn(NodeId) -> bool| {
+            count_sop_nodes(
+                &g,
+                &cover,
+                &[a, b, c],
+                excluded,
+                usize::MAX,
+                &mut Vec::new(),
+                &mut Vec::new(),
+            )
+        };
+        assert_eq!(count(&|_| false), Some(1));
         // With the existing node excluded (e.g. it is in the MFFC being replaced),
         // the estimate must pay for it again.
-        let added_excl = count_sop_nodes(&g, &cover, &[a, b, c], |id| id == ab.node());
-        assert_eq!(added_excl, 2);
+        assert_eq!(count(&|id| id == ab.node()), Some(2));
     }
 
     #[test]
-    fn cost_matches_actual_build_for_fresh_structure() {
-        let mut g = Aig::new();
-        let inputs = g.add_inputs("x", 4);
-        let f = random_truth(4, 99);
-        let cover = isop(&f);
-        let estimated = count_sop_nodes(&g, &cover, &inputs, |_| false);
-        let before = g.num_ands();
-        let _ = build_sop(&mut g, &cover, &inputs);
-        let actual = g.num_ands() - before;
-        assert!(
-            actual <= estimated,
-            "structural hashing can only make the real build cheaper: actual {actual} vs estimated {estimated}"
-        );
+    fn count_is_an_upper_bound_on_build() {
+        // Random covers of every width the passes build, on a graph whose
+        // existing structure the build and the count both meet, under
+        // several exclusion sets: strash hits the count may not take (and
+        // sharing within the build itself) only make the build cheaper.
+        let mut signals = Vec::new();
+        for num_vars in 1..=8usize {
+            for seed in 1..=8u64 {
+                let (g, inputs) = structured_graph(seed);
+                let f = random_truth(num_vars, seed * 7 + num_vars as u64);
+                let cover = isop(&f);
+                let leaves = &inputs[..num_vars];
+                for excluded in EXCLUSIONS {
+                    let estimate = count_sop_nodes(
+                        &g,
+                        &cover,
+                        leaves,
+                        excluded,
+                        usize::MAX,
+                        &mut Vec::new(),
+                        &mut signals,
+                    )
+                    .expect("uncapped");
+                    let build = |aig: &mut Aig, _: &TruthTable, leaves: &[Lit]| {
+                        build_sop(aig, &cover, leaves)
+                    };
+                    let what = format!("nv={num_vars} seed={seed}");
+                    assert_build_within(&g, leaves, &f, estimate, build, &what);
+                }
+            }
+        }
     }
 
     #[test]

@@ -17,8 +17,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use aig::{Aig, Lit};
 use synth::{
-    map_with_ctx, reference, ApplyStats, CellLibrary, MapMode, MappedNetlist, MapperParams,
-    PassContext, Transform,
+    map_with_ctx, reference, ApplyStats, CellLibrary, MappedNetlist, MapperParams, PassContext,
+    Transform,
 };
 
 /// A named flow.
@@ -139,15 +139,13 @@ pub fn assert_netlists_identical(oracle: &MappedNetlist, production: &MappedNetl
     assert_eq!(oracle.qor(), production.qor(), "{what}: QoR");
 }
 
-/// Maps `g` through both paths in both modes and compares gate for gate.
+/// Maps `g` through both paths and compares gate for gate.
 pub fn assert_mapping_identical(g: &mut Aig, ctx: &mut PassContext, what: &str) {
     let lib = CellLibrary::nangate14();
-    for mode in [MapMode::Delay, MapMode::Area] {
-        let params = MapperParams { mode };
-        let oracle = reference::map(g, &lib, params);
-        let production = map_with_ctx(g, &lib, params, ctx);
-        assert_netlists_identical(&oracle, &production, &format!("{what} {mode:?}"));
-    }
+    let params = MapperParams::default();
+    let oracle = reference::map(g, &lib, params);
+    let production = map_with_ctx(g, &lib, params, ctx);
+    assert_netlists_identical(&oracle, &production, what);
 }
 
 /// Runs `flow` through `ctx` and through the oracle; compares the optimized
