@@ -507,6 +507,23 @@ mod tests {
         }
     }
 
+    #[test]
+    fn set_keeps_cuts_up_to_the_limit() {
+        // One more two-leaf cut than the default limit, none a subset of
+        // another: the first `limit` are kept, in order.  (Enumeration never
+        // reaches the limit while a node's unit cut is kept only as a
+        // fallback, so the cap is checked here.)
+        let limit = crate::CutParams::default().max_cuts_per_node;
+        let mut set = CutSet4::default();
+        for i in 0..=limit as u32 {
+            set.push_filtered(cut_from(&[i, 100 + i]), limit);
+        }
+        assert_eq!(set.len(), limit);
+        for (i, cut) in (0..).zip(set.cuts()) {
+            assert_eq!(cut.leaves(), [i, 100 + i]);
+        }
+    }
+
     fn cut_from(leaves: &[u32]) -> Cut4 {
         let mut c = Cut4::default();
         for (i, &l) in leaves.iter().enumerate() {

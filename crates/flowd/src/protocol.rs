@@ -76,7 +76,7 @@ fn stats_response(shared: &Shared) -> Response {
     json_response(&object! {
         "uptime_s" => shared.started.elapsed().as_secs_f64(),
         "workers" => object! {
-            "total" => shared.config.workers.max(1),
+            "total" => shared.config.workers,
             "busy" => shared.busy_workers.load(Ordering::Relaxed),
         },
         "queue" => object! {

@@ -32,12 +32,14 @@ const WATCHDOG_POLL_MS: u64 = 20;
 pub struct ServerConfig {
     /// Bind address; port `0` picks a free port (see [`Server::addr`]).
     pub addr: String,
-    /// Worker threads; each owns one long-lived [`PassContext`].
+    /// Worker threads; each owns one long-lived [`PassContext`].  At least
+    /// one runs.
     pub workers: usize,
-    /// Connections allowed to wait for a worker before new ones get `503`.
+    /// Connections allowed to wait for a worker before new ones get `503`;
+    /// at least one.
     pub queue_capacity: usize,
     /// A connection that waited longer than this is rejected (`503` +
-    /// `Retry-After`) when a worker picks it up.
+    /// `Retry-After`) when a worker picks it up; at least 1 ms.
     pub request_timeout_ms: u64,
     /// Idle keep-alive connections are closed after this long.
     pub keep_alive_idle_ms: u64,
@@ -180,11 +182,16 @@ impl Server {
     /// Opens the engine's store, binds the listener and spawns acceptor,
     /// workers and watchdog.  A store that fails to open fails the start,
     /// before anything is bound or written.
-    pub fn start(config: ServerConfig) -> std::io::Result<Server> {
+    pub fn start(mut config: ServerConfig) -> std::io::Result<Server> {
+        // At zero, the queue would be full and every wait too long, so each
+        // connection would get `503`.
+        config.workers = config.workers.max(1);
+        config.queue_capacity = config.queue_capacity.max(1);
+        config.request_timeout_ms = config.request_timeout_ms.max(1);
         let engine = EvalEngine::open(config.engine.clone())?;
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let worker_count = config.workers.max(1);
+        let worker_count = config.workers;
         let shared = Arc::new(Shared {
             engine,
             designs: DesignTable::default(),

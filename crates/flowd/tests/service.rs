@@ -54,6 +54,28 @@ fn healthz_stats_and_unknown_endpoints() {
     server.join().expect("drain");
 }
 
+/// A queue of 0 and a wait timeout of 0 would shed every connection; the
+/// server clamps both (and the worker count) to 1 and serves.
+#[test]
+fn zero_queue_and_timeout_are_clamped_and_served() {
+    let server = Server::start(ServerConfig {
+        workers: 0,
+        queue_capacity: 0,
+        request_timeout_ms: 0,
+        ..ServerConfig::default()
+    })
+    .expect("start server");
+    let addr = server.addr();
+    let design = Design::Alu64.generate(DesignScale::Tiny);
+    let run = roundtrip(addr, &run_request(&design, "flow=balance"));
+    assert_eq!(run.status, 200, "{}", body_text(&run));
+    let stats = stats_json(addr);
+    assert_eq!(counter(&stats, "workers", "total"), 1);
+    assert_eq!(counter(&stats, "queue", "capacity"), 1);
+    server.shutdown();
+    server.join().expect("drain");
+}
+
 #[test]
 fn wire_qor_is_bit_identical_to_in_process_engine() {
     let server = tiny_server(2);

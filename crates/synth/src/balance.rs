@@ -57,12 +57,7 @@ pub(crate) fn balance_ctx(
 }
 
 /// Builds the balanced implementation of node `id` into `out`, memoising in `map`.
-pub(crate) fn build_balanced(
-    src: &Aig,
-    out: &mut Aig,
-    map: &mut Vec<Option<Lit>>,
-    id: usize,
-) -> Lit {
+fn build_balanced(src: &Aig, out: &mut Aig, map: &mut Vec<Option<Lit>>, id: usize) -> Lit {
     if let Some(l) = map[id] {
         return l;
     }

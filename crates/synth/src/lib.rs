@@ -16,9 +16,11 @@
 //! Every pass has one front, [`Transform::apply`] (and [`apply_sequence`] for
 //! a flow), over one production path, [`PassContext`]; the mapper matches
 //! cut functions through one index, [`CellLibrary::matches_npn4`].  The
-//! slow, obviously structured oracle every production path is held to bit
-//! for bit lives in `synth::reference` and is used by tests only; it owns
-//! the only other cut type (heap-allocated cuts and their enumerator).
+//! slow, obviously structured oracle of the mapping half — cut enumeration,
+//! cell matching, the mapper — lives in `synth::reference` and is used by
+//! tests only; it owns the only other cut type (heap-allocated cuts and
+//! their enumerator).  The passes have no second copy: tests pin their bits
+//! and check every result's function by simulation.
 //!
 //! Synthesis runs at one configuration: each pass's cut and cover limits
 //! are private constants beside it, `rewrite` and the mapper both enumerate

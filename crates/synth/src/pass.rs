@@ -38,9 +38,10 @@
 //! `map_with_ctx`) run that same path under [`CancelToken::never`], so they
 //! cannot fail.
 //!
-//! The seed implementation of every pass survives as the test-only oracle,
-//! [`crate::reference`]; the differential suite
-//! (`tests/reference_differential/`) pins this pipeline bit-identical to it.
+//! The passes have no second implementation: the differential suite
+//! (`tests/differential.rs`) pins the bits this pipeline produces and checks
+//! each result's function by simulation, and holds its mapping to the
+//! test-only oracle [`crate::reference`].
 
 use std::time::Instant;
 

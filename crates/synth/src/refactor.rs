@@ -15,10 +15,10 @@ use crate::reconv::reconv_cut_sweep;
 use crate::resyn::{resynthesis_sweep_ctx, Acceptance, Candidate};
 
 /// Maximum number of leaves of the reconvergence-driven cut.
-pub(crate) const MAX_LEAVES: usize = 8;
+const MAX_LEAVES: usize = 8;
 
 /// Covers with more cubes than this are not considered (keeps the pass fast).
-pub(crate) const MAX_CUBES: usize = 24;
+const MAX_CUBES: usize = 24;
 
 /// `refactor` on a [`PassContext`]: transforms `g` in place, reusing the
 /// context's cut-truth scratch and sweep buffers.

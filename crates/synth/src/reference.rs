@@ -1,40 +1,30 @@
-//! The oracle: the seed implementation of every pass and of the mapper.
+//! The oracle of the mapping half: the seed implementation of cut
+//! enumeration, of cell matching and of the mapper.
 //!
-//! `synth` has exactly two implementations per concern.  The **production
-//! path** is [`PassContext`](crate::PassContext): inline 4-cuts with fused
-//! truths, the NPN4 table, the memoizing ISOP cache, the budget-capped cost
-//! estimators probing the graph's own strash, and the sweep that proposes
-//! over node chunks in parallel.  Every
-//! public entry point ([`Transform::apply`], [`crate::apply_sequence`],
-//! [`crate::map`], [`crate::FlowRunner`]) runs it.
+//! The **production path** is [`PassContext`](crate::PassContext): inline
+//! 4-cuts with fused truths ([`aig::Cut4Enumerator`]), the NPN4 table
+//! ([`CellLibrary::matches_npn4`]) and the mapper that reads both; every
+//! public entry point ([`crate::map`], [`crate::FlowRunner`]) runs it.
 //!
-//! This module is the other one: the slow, allocation-heavy, obviously
-//! structured code the crate started from — [`CutEnumerator`] over
-//! heap-allocated [`Cut`]s plus one [`aig::cut_truth`] cone walk per cut,
-//! [`isop`] on heap tables,
-//! [`reconv_cut`] with linear scans, the uncapped cost estimators, exhaustive
-//! NPN orbit search ([`npn_canonical`]) compared against every cell in
-//! [`matching_cells`], and a sequential sweep.  Both
-//! sweeps apply their decisions through the same rebuild
-//! ([`rebuild_with_decisions`]).  It exists so the differential suite
-//! (`tests/differential.rs`) can hold production to it **bit for
-//! bit**; nothing that ships calls it.  An optimisation *replaces* production
-//! code and is checked against this module; it never adds a third
-//! implementation or a switch between two.
+//! This module is the slow, allocation-heavy, obviously structured code
+//! those replaced — [`CutEnumerator`] over heap-allocated [`Cut`]s plus one
+//! [`aig::cut_truth`] cone walk per cut, support reduction on heap tables,
+//! and exhaustive NPN orbit search ([`npn_canonical`]) compared against
+//! every cell in [`matching_cells`] — and [`map`] covers a graph through
+//! them.  It exists so the differential suite (`tests/differential.rs`) can
+//! hold production to it **bit for bit**; nothing that ships calls it.
+//!
+//! The passes have no second copy here.  The suite pins their bits and
+//! checks every result's function by simulation, over all input patterns on
+//! graphs of at most 20 inputs; the kernels they share are held to oracles
+//! that compute the same thing another way, beside each kernel
+//! ([`crate::sop::isop`], [`crate::reconv::reconv_cut`],
+//! [`crate::decomp::count_shannon_nodes`]).
 
-use std::collections::{HashMap, HashSet};
+use aig::{cut_truth, Aig, CutParams, NodeId, TruthTable};
 
-use aig::{cut_truth, Aig, CutParams, Lit, Mffc, NodeId, TruthTable};
-
-use crate::balance::build_balanced;
-use crate::decomp::count_shannon_nodes;
 use crate::library::{CellId, CellLibrary};
 use crate::mapper::{MappedNetlist, MapperParams, Matcher};
-use crate::passes::Transform;
-use crate::reconv::reconv_cut;
-use crate::resyn::{rebuild_with_decisions_into, Acceptance, Decision, Proposal, Structure};
-use crate::sop::{count_sop_nodes, isop};
-use crate::{refactor, restructure, rewrite};
 
 /// A cut of a node: its leaves, sorted by strictly increasing node id, plus a
 /// 64-bit Bloom-style signature for fast dominance rejection.  The oracle of
@@ -171,244 +161,6 @@ impl CutEnumerator {
         }
         sets
     }
-}
-
-/// Applies one transformation through the oracle.
-pub fn apply(t: Transform, aig: &Aig) -> Aig {
-    match t {
-        Transform::Balance => balance(aig),
-        Transform::Restructure => restructure(aig),
-        Transform::Rewrite => rewrite(aig, Acceptance::strict()),
-        Transform::Refactor => refactor(aig, Acceptance::strict()),
-        Transform::RewriteZ => rewrite(aig, Acceptance::zero_cost()),
-        Transform::RefactorZ => refactor(aig, Acceptance::zero_cost()),
-    }
-}
-
-/// Applies a sequence of transformations through the oracle.
-pub fn apply_sequence(aig: &Aig, transforms: &[Transform]) -> Aig {
-    let mut current = aig.cleanup();
-    for &t in transforms {
-        current = apply(t, &current);
-    }
-    current
-}
-
-fn balance(aig: &Aig) -> Aig {
-    let mut src = aig.cleanup();
-    src.compute_fanouts();
-    let mut out = Aig::with_name(src.name().to_string());
-    let mut map: Vec<Option<Lit>> = vec![None; src.len()];
-    map[0] = Some(Lit::FALSE);
-    for (i, &id) in src.input_ids().iter().enumerate() {
-        map[id] = Some(out.add_input(src.input_name(i).to_string()));
-    }
-    for id in src.node_ids() {
-        if src.node(id).is_and() {
-            build_balanced(&src, &mut out, &mut map, id);
-        }
-    }
-    for (i, &l) in src.outputs().iter().enumerate() {
-        let nl = map[l.node()].expect("output cone built") ^ l.is_complemented();
-        out.add_output(src.output_name(i).to_string(), nl);
-    }
-    out.cleanup()
-}
-
-fn rewrite(aig: &Aig, acceptance: Acceptance) -> Aig {
-    // Cuts are enumerated once on the cleaned-up working copy used by the
-    // sweep (the sweep applies all decisions in one rebuild, so the graph the
-    // cuts were enumerated on stays valid for the whole pass).
-    let work = aig.cleanup();
-    let cut_sets = CutEnumerator::new(CutParams::default()).enumerate(&work);
-    resynthesis_sweep(&work, acceptance, |graph, id| {
-        let mut proposals = Vec::new();
-        for cut in cut_sets[id].cuts() {
-            if cut.size() < 2 {
-                continue;
-            }
-            let Ok(truth) = cut_truth(graph, id, cut.leaves()) else {
-                continue;
-            };
-            proposals.extend(sop_proposal(
-                cut.leaves().to_vec(),
-                &truth,
-                rewrite::MAX_CUBES,
-            ));
-        }
-        proposals
-    })
-}
-
-fn refactor(aig: &Aig, acceptance: Acceptance) -> Aig {
-    resynthesis_sweep(aig, acceptance, |graph, id| {
-        let Some((leaves, truth)) = reconv_cut_function(graph, id, refactor::MAX_LEAVES) else {
-            return Vec::new();
-        };
-        Vec::from_iter(sop_proposal(leaves, &truth, refactor::MAX_CUBES))
-    })
-}
-
-fn restructure(aig: &Aig) -> Aig {
-    resynthesis_sweep(aig, Acceptance::strict(), |graph, id| {
-        let Some((leaves, truth)) = reconv_cut_function(graph, id, restructure::MAX_LEAVES) else {
-            return Vec::new();
-        };
-        vec![Proposal {
-            leaves,
-            structure: Structure::Shannon(truth),
-        }]
-    })
-}
-
-/// The reconvergence-driven cut of `id` and its function, when usable.
-fn reconv_cut_function(
-    graph: &Aig,
-    id: NodeId,
-    max_leaves: usize,
-) -> Option<(Vec<NodeId>, TruthTable)> {
-    let leaves = reconv_cut(graph, id, max_leaves);
-    if leaves.len() < 3 {
-        return None;
-    }
-    let truth = cut_truth(graph, id, &leaves).ok()?;
-    Some((leaves, truth))
-}
-
-/// The ISOP re-expression of `truth` over `leaves`, unless its cover has
-/// more than `max_cubes` cubes.
-fn sop_proposal(leaves: Vec<NodeId>, truth: &TruthTable, max_cubes: usize) -> Option<Proposal> {
-    let sop = isop(truth);
-    (sop.num_cubes() <= max_cubes).then_some(Proposal {
-        leaves,
-        structure: Structure::SumOfProducts(sop),
-    })
-}
-
-/// Runs a resynthesis sweep over `aig`: the oracle of
-/// `resyn::resynthesis_sweep_ctx`, and the harness `docs/pass-authoring.md`
-/// prototypes a new pass on.
-///
-/// `propose` is called for every AND node (with up-to-date fanout counts) and
-/// may return any number of candidate implementations.  The harness prices
-/// each (`resyn`'s "Pricing": MFFC size within the leaves minus the nodes
-/// the structure adds, the MFFC never counted as reuse), decides the first
-/// with the strictly largest gain at or above the threshold, and commits it
-/// when it is compatible with the decisions committed before it (the rule of
-/// `resyn`'s "Compatible commits").  The function returns the rebuilt,
-/// cleaned-up network.
-pub fn resynthesis_sweep<F>(aig: &Aig, acceptance: Acceptance, mut propose: F) -> Aig
-where
-    F: FnMut(&Aig, NodeId) -> Vec<Proposal>,
-{
-    let mut work = aig.cleanup();
-    work.compute_fanouts();
-    let ids: Vec<NodeId> = work.and_ids().collect();
-    let mut decisions: HashMap<NodeId, Decision> = HashMap::new();
-    let mut commits = Commits::default();
-
-    for id in ids {
-        if work.fanout_count(id) == 0 {
-            continue;
-        }
-        let mut best: Option<Decision> = None;
-        for p in propose(&work, id) {
-            let gain = price(&work, id, &p);
-            if gain < acceptance.min_gain {
-                continue;
-            }
-            if best.as_ref().is_none_or(|b| gain > b.gain) {
-                best = Some(Decision {
-                    leaves: p.leaves,
-                    structure: p.structure,
-                    gain,
-                });
-            }
-        }
-        if let Some(d) = best {
-            if commits.admit(&work, id, &d) {
-                decisions.insert(id, d);
-            }
-        }
-    }
-
-    rebuild_with_decisions(&work, &decisions).cleanup()
-}
-
-/// The gain of `p` at `root`: its MFFC within the leaves, less the nodes
-/// its structure adds reusing every node outside that MFFC.
-fn price(g: &Aig, root: NodeId, p: &Proposal) -> i64 {
-    let mffc = Mffc::compute(g, root, &p.leaves);
-    let added = count_added(g, &mffc, &p.leaves, &p.structure, &mut Vec::new());
-    mffc.size() as i64 - added as i64
-}
-
-/// The nodes `structure` adds over `leaves`, reusing every node outside
-/// `mffc`; pushes the AND nodes it reuses onto `used`.
-pub(crate) fn count_added(
-    g: &Aig,
-    mffc: &Mffc,
-    leaves: &[NodeId],
-    structure: &Structure,
-    used: &mut Vec<NodeId>,
-) -> usize {
-    let leaf_lits: Vec<Lit> = leaves.iter().map(|&n| Lit::from_node(n, false)).collect();
-    let excluded = |n| mffc.contains(n);
-    match structure {
-        Structure::SumOfProducts(sop) => count_sop_nodes(
-            g,
-            sop,
-            &leaf_lits,
-            excluded,
-            usize::MAX,
-            used,
-            &mut Vec::new(),
-        )
-        .expect("uncapped"),
-        Structure::Shannon(truth) => count_shannon_nodes(g, truth, &leaf_lits, excluded, used),
-    }
-}
-
-/// The nodes the decisions committed so far free, use and root.
-#[derive(Default)]
-struct Commits {
-    freed: HashSet<NodeId>,
-    used: HashSet<NodeId>,
-    roots: HashSet<NodeId>,
-}
-
-impl Commits {
-    /// Commits the decision at `root` when it is compatible with every
-    /// decision committed before it: its freed cone (MFFC, root included)
-    /// meets no node an earlier one freed or used, and every node it uses
-    /// (its leaves and the strash hits of its cost dry-run) is either freed
-    /// by none of them or is the root of the one that frees it.
-    fn admit(&mut self, g: &Aig, root: NodeId, d: &Decision) -> bool {
-        let mffc = Mffc::compute(g, root, &d.leaves);
-        let mut used = d.leaves.clone();
-        count_added(g, &mffc, &d.leaves, &d.structure, &mut used);
-        let freed = mffc.nodes();
-        let compatible = !freed
-            .iter()
-            .any(|n| self.freed.contains(n) || self.used.contains(n))
-            && used
-                .iter()
-                .all(|n| !self.freed.contains(n) || self.roots.contains(n));
-        if compatible {
-            self.freed.extend(freed);
-            self.used.extend(used);
-            self.roots.insert(root);
-        }
-        compatible
-    }
-}
-
-/// Rebuilds `src` into a fresh graph, replacing each decided node by its new
-/// structure over the mapped cut leaves and copying every other node verbatim.
-pub fn rebuild_with_decisions(src: &Aig, decisions: &HashMap<NodeId, Decision>) -> Aig {
-    let mut out = Aig::new();
-    rebuild_with_decisions_into(src, |id| decisions.get(&id), &mut out, &mut Vec::new());
-    out
 }
 
 /// Maps `aig` onto `library` through the oracle: one cone walk per cut,
@@ -601,6 +353,7 @@ fn apply_negation(f: &TruthTable, mask: u32) -> TruthTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aig::Lit;
 
     /// `f = (a & b) & (c & d)` over four inputs.
     fn and4() -> (Aig, Lit) {

@@ -17,7 +17,7 @@ use crate::reconv::reconv_cut_sweep;
 use crate::resyn::{resynthesis_sweep_ctx, Acceptance, Candidate};
 
 /// Maximum number of leaves of the reconvergence-driven cut.
-pub(crate) const MAX_LEAVES: usize = 6;
+const MAX_LEAVES: usize = 6;
 
 /// `restructure` on a [`PassContext`]: transforms `g` in place, reusing the
 /// context's cut-truth scratch and sweep buffers.

@@ -80,8 +80,7 @@
 //! off; they never skip a node that could gain.  The signatures are taken
 //! serially on the clean graph before the parallel propose, so the skips —
 //! and with them decisions, graphs and QoR — are the same at any thread
-//! count and bit-identical to the skip-free oracle,
-//! `reference::resynthesis_sweep`.
+//! count and bit-identical to a sweep that skips nothing.
 
 use std::sync::{Mutex, PoisonError};
 
@@ -97,7 +96,7 @@ use crate::sop::{build_sop, count_sop_nodes, IsopCache, Sop};
 
 /// How the new implementation of a node's cut function is expressed.
 #[derive(Debug, Clone)]
-pub enum Structure {
+pub(crate) enum Structure {
     /// Irredundant sum-of-products (used by `rewrite`/`refactor`).
     SumOfProducts(Sop),
     /// Shannon / mux-tree decomposition (used by `restructure`).  The table
@@ -108,24 +107,13 @@ pub enum Structure {
 
 /// A resynthesis decision for one node: re-express it over `leaves` using `structure`.
 #[derive(Debug, Clone)]
-pub struct Decision {
+pub(crate) struct Decision {
     /// Cut leaves (node ids of the working graph), defining the variable order.
     pub leaves: Vec<NodeId>,
     /// The replacement structure.
     pub structure: Structure,
     /// Estimated gain in AND nodes (may be zero for zero-cost variants).
     pub gain: i64,
-}
-
-/// A candidate re-implementation of one node, as the oracle's sweep harness
-/// ([`crate::reference::resynthesis_sweep`]) takes it: the harness prices
-/// it.
-#[derive(Debug, Clone)]
-pub struct Proposal {
-    /// Cut leaves defining the variable order of `structure`.
-    pub leaves: Vec<NodeId>,
-    /// The proposed replacement structure.
-    pub structure: Structure,
 }
 
 /// A candidate a production pass offers the [`Pricer`], borrowed from its
@@ -437,7 +425,7 @@ impl GainFilter {
 
 /// Acceptance policy of a pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Acceptance {
+pub(crate) struct Acceptance {
     /// Minimum accepted gain: `1` for strict passes, `0` for the `-z` variants
     /// that also accept zero-gain (structure-changing) rewrites.
     pub min_gain: i64,
@@ -457,8 +445,7 @@ impl Acceptance {
 
 /// Runs a resynthesis sweep over `g` and replaces it by the result, built in
 /// the context's recycled buffers.  Same decisions and same resulting network
-/// as the oracle, [`crate::reference::resynthesis_sweep`], at any thread
-/// count: the apply step is the oracle's own rebuild.
+/// at any thread count.
 ///
 /// `propose` is called for every live AND node (fanout counts are current)
 /// and offers any number of candidates to the scratch's [`Pricer`], which
@@ -574,8 +561,8 @@ where
         apply_stats.identity += 1;
         return Ok(());
     }
-    // Commit a compatible subset, then apply it exactly as the oracle does:
-    // replay the sweep into a recycled buffer and clean it back into `g`.
+    // Commit a compatible subset, then apply it: replay the sweep into a
+    // recycled buffer and clean it back into `g`.
     let (estimated, conflicts) = commit.walk(n, decisions);
     let before = g.num_ands();
     let mut rebuilt = pool_take(pool);
@@ -598,7 +585,7 @@ where
 /// Rebuilds `src` into `out`, replacing each node `decision_for` answers by
 /// its new structure over the mapped cut leaves and copying every other node
 /// verbatim.  `out` and the remap table `map` are cleared and pre-sized here.
-pub(crate) fn rebuild_with_decisions_into<'d>(
+fn rebuild_with_decisions_into<'d>(
     src: &Aig,
     decision_for: impl Fn(NodeId) -> Option<&'d Decision>,
     out: &mut Aig,
@@ -639,8 +626,8 @@ pub(crate) fn rebuild_with_decisions_into<'d>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decomp::count_shannon_nodes;
     use crate::passes::Transform;
-    use crate::reference::{count_added, rebuild_with_decisions};
     use crate::sop::isop;
     use aig::{cut_truth, random_equivalence_check, Cut4Enumerator, CutParams, Mffc};
     use circuits::{Design, DesignScale};
@@ -665,6 +652,13 @@ mod tests {
         )
         .expect(NEVER_FIRES);
         work
+    }
+
+    /// `src` rebuilt into a fresh graph with `decisions` applied.
+    fn rebuild_with(src: &Aig, decisions: &HashMap<NodeId, Decision>) -> Aig {
+        let mut out = Aig::new();
+        rebuild_with_decisions_into(src, |id| decisions.get(&id), &mut out, &mut Vec::new());
+        out
     }
 
     /// Offers the ISOP of `id`'s function over `leaves`.
@@ -738,7 +732,7 @@ mod tests {
                 gain: 1,
             },
         );
-        let rebuilt = rebuild_with_decisions(&g, &decisions).cleanup();
+        let rebuilt = rebuild_with(&g, &decisions).cleanup();
         assert!(random_equivalence_check(&g, &rebuilt, 8, 11));
         assert!(rebuilt.num_ands() <= g.num_ands());
     }
@@ -912,7 +906,7 @@ mod tests {
         }
         assert_eq!((decided[&p].gain, decided[&q].gain), (1, 2));
         // Both committed: 3 estimated, 2 removed.
-        let both = rebuild_with_decisions(&g, &decided).cleanup();
+        let both = rebuild_with(&g, &decided).cleanup();
         assert_eq!(g.num_ands() - both.num_ands(), 2);
 
         let mut ctx = PassContext::default();
@@ -929,7 +923,7 @@ mod tests {
         assert_eq!(stats.conflicts, 1, "q is dropped: {stats:?}");
         assert_eq!((stats.gain_estimated, stats.gain_realised), (1, 1));
         decided.remove(&q);
-        let alone = rebuild_with_decisions(&g, &decided).cleanup();
+        let alone = rebuild_with(&g, &decided).cleanup();
         assert_eq!(work.num_ands(), alone.num_ands());
         assert!(random_equivalence_check(&g, &work, 8, 47));
     }
@@ -981,6 +975,25 @@ mod tests {
         assert_eq!(decide(3, &[&[a, b, c, d]]), None);
     }
 
+    /// The leaves of `d` plus the strash hits of its uncapped count, nothing
+    /// in `mffc` reused.
+    fn uncapped_used(g: &Aig, mffc: &Mffc, d: &Decision) -> Vec<NodeId> {
+        let lits: Vec<Lit> = d.leaves.iter().map(|&n| Lit::from_node(n, false)).collect();
+        let excluded = |n| mffc.contains(n);
+        let mut used = d.leaves.clone();
+        match &d.structure {
+            Structure::SumOfProducts(sop) => {
+                let signals = &mut Vec::new();
+                count_sop_nodes(g, sop, &lits, excluded, usize::MAX, &mut used, signals)
+                    .expect("uncapped");
+            }
+            Structure::Shannon(truth) => {
+                count_shannon_nodes(g, truth, &lits, excluded, &mut used);
+            }
+        }
+        used
+    }
+
     /// On the Small designs, as generated and after `b; rwz`, under the five
     /// resynthesis passes: every committed decision's recorded freed set is
     /// its MFFC, and its used set is the leaves plus the strash hits of the
@@ -1008,8 +1021,7 @@ mod tests {
                         let mut freed: Vec<NodeId> = freed.iter().map(|&n| n as NodeId).collect();
                         freed.sort_unstable();
                         assert_eq!(freed, mffc.nodes(), "{design} {t} node {root}: freed");
-                        let mut expected = d.leaves.clone();
-                        count_added(&start, &mffc, &d.leaves, &d.structure, &mut expected);
+                        let expected = uncapped_used(&start, &mffc, d);
                         let used: Vec<NodeId> = used.iter().map(|&n| n as NodeId).collect();
                         assert_eq!(used, expected, "{design} {t} node {root}: used");
                     }

@@ -16,7 +16,7 @@ use crate::resyn::{resynthesis_sweep_ctx, Acceptance, Candidate};
 
 /// Covers with more cubes than this are not considered: very large covers
 /// cannot win at cut size 4.
-pub(crate) const MAX_CUBES: usize = 16;
+const MAX_CUBES: usize = 16;
 
 /// `rewrite` on a [`PassContext`]: transforms `g` in place, recycling the
 /// context's cut-set vector and sweep buffers.  Cuts are

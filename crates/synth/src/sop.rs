@@ -7,9 +7,8 @@
 //! One emitter, `emit_sop`, lays the tree out over a `GateSink`:
 //! [`build_sop`] runs it into the graph (`impl GateSink for Aig`) and
 //! [`count_sop_nodes`] into a budget-capped dry-run that probes the graph's
-//! strash for reuse.  The sweep's pricer and the oracle's pricing both
-//! count through it, so what a sweep builds is what it priced, gate call for
-//! gate call.
+//! strash for reuse.  The sweep's pricer counts through it, so what a sweep
+//! builds is what it priced, gate call for gate call.
 
 use aig::{Aig, Lit, NodeId, TruthTable};
 

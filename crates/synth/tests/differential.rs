@@ -1,8 +1,10 @@
-//! The differential suite: production (`PassContext`, and the public fronts
-//! over it) against the oracle (`synth::reference`) — cut enumeration, cell
-//! matching, every pass alone, the preset flows and seeded random flows on
-//! every design, the checked-in fixture corpus, one context reused across
-//! flows, the mapper, and how a sweep applies its decisions.  Harness and
+//! The differential suite.  Kernels are held to oracles that compute the
+//! same thing by a different method (cut enumeration, cell matching, the
+//! mapper); passes and flows — every pass alone, the preset flows and seeded
+//! random flows on every design, the checked-in fixture corpus — are held to
+//! pinned bits and to their input's function, each result's mapping to the
+//! mapping oracle; context reuse, the free-function fronts and the apply
+//! routes of a sweep are checked on their own terms.  Harness and
 //! conventions: `reference_differential/mod.rs`.
 
 mod reference_differential;
@@ -120,42 +122,99 @@ fn cell_matching_agrees_with_the_orbit_oracle() {
     }
 }
 
-/// Every pass alone, on random graphs: node for node, function preserved.
+/// Every pass alone on the random graphs of `seed_graphs`: the function is
+/// kept on all 1 Ki input patterns, and the result is the pinned one.
 #[test]
-fn single_passes_match_the_oracle_on_random_aigs() {
-    for seed in [3u64, 17, 99] {
-        let g = random_aig(seed * 0xBEEF, 10, 80);
-        for t in Transform::ALL {
-            let production = t.apply(&g);
-            assert_identical(
-                &reference::apply(t, &g),
-                &production,
-                &format!("seed={seed} {t}"),
-            );
-            assert!(
-                aig::random_equivalence_check(&g, &production, 8, seed ^ 0x51),
-                "seed={seed} {t}: the pass changed the function"
-            );
-        }
-    }
+fn single_passes_match_their_pins_on_random_aigs() {
+    #[rustfmt::skip]
+    const PINS: &[Pin] = &[
+        ("random-0x23ccd/balance", 30, 6, 0x419fa2c291a20473),
+        ("random-0x23ccd/restructure", 19, 6, 0x75cf70bbb3a0eb01),
+        ("random-0x23ccd/rewrite", 28, 8, 0xa6e470afbbb6ee2d),
+        ("random-0x23ccd/refactor", 19, 6, 0x75cf70bbb3a0eb01),
+        ("random-0x23ccd/rewrite -z", 28, 8, 0xa6e470afbbb6ee2d),
+        ("random-0x23ccd/refactor -z", 18, 5, 0x0a4811512dff66bb),
+        ("random-0xcaddf/balance", 27, 10, 0x757bf38c3ecfbe3c),
+        ("random-0xcaddf/restructure", 22, 8, 0xb93bb8ebccba6936),
+        ("random-0xcaddf/rewrite", 21, 7, 0x1a3f2de6ae2d2095),
+        ("random-0xcaddf/refactor", 14, 6, 0x4ce0dbe42583ca0c),
+        ("random-0xcaddf/rewrite -z", 22, 8, 0xb152d327ec889b74),
+        ("random-0xcaddf/refactor -z", 14, 6, 0xb343b8e851bdab8e),
+        ("random-0x49d66d/balance", 30, 5, 0xf2c28d7af4d59964),
+        ("random-0x49d66d/restructure", 17, 4, 0x3baf67bd3486cd36),
+        ("random-0x49d66d/rewrite", 26, 8, 0xa20d39e1d5a3536d),
+        ("random-0x49d66d/refactor", 15, 4, 0xfbd73946a36c071b),
+        ("random-0x49d66d/rewrite -z", 28, 9, 0x49aad47449e94c02),
+        ("random-0x49d66d/refactor -z", 15, 4, 0xfbd73946a36c071b),
+    ];
+    check_single_passes(&seed_graphs(), PINS);
 }
 
-/// Every pass alone on the two smaller designs: node for node.
+/// Every pass alone on the two smaller designs: the pinned result, with
+/// alu64's 19 inputs simulated exhaustively.
 #[test]
-fn single_passes_match_the_oracle_on_designs() {
-    for design in [Design::Alu64, Design::Montgomery64] {
-        let g = design.generate(DesignScale::Tiny);
-        for t in Transform::ALL {
-            let what = format!("{design} {t}");
-            assert_identical(&reference::apply(t, &g), &t.apply(&g), &what);
-        }
-    }
+fn single_passes_match_their_pins_on_designs() {
+    #[rustfmt::skip]
+    const PINS: &[Pin] = &[
+        ("alu8/balance", 425, 36, 0x7d932d788500168f),
+        ("alu8/restructure", 439, 37, 0x28216ceac6b821bd),
+        ("alu8/rewrite", 422, 36, 0x03ba249fed2538f6),
+        ("alu8/refactor", 437, 37, 0x7bb23de7d9ce606e),
+        ("alu8/rewrite -z", 429, 36, 0xd91335d4d5a16809),
+        ("alu8/refactor -z", 437, 36, 0xe03acca9fb377230),
+        ("montgomery8/balance", 1503, 108, 0xd39b3e40b254d2cd),
+        ("montgomery8/restructure", 1502, 109, 0xc586bbeea4d5c554),
+        ("montgomery8/rewrite", 1483, 106, 0xe543c7b87518ed40),
+        ("montgomery8/refactor", 1501, 108, 0x8afe4d9e899f2e1b),
+        ("montgomery8/rewrite -z", 1484, 107, 0xd7dc926c85d9d77c),
+        ("montgomery8/refactor -z", 1502, 108, 0x4ca8ac04cfec6aea),
+    ];
+    let designs = [Design::Alu64, Design::Montgomery64].map(|d| d.generate(DesignScale::Tiny));
+    check_single_passes(&designs, PINS);
 }
 
-/// Every design × every preset: optimized graph node for node, then the
-/// mapped netlist gate for gate in both modes.
+/// The three random graphs the single-pass and small-graph checks share.
+fn seed_graphs() -> [Aig; 3] {
+    [3u64, 17, 99].map(|seed| random_aig(seed * 0xBEEF, 10, 80))
+}
+
+/// Applies every pass alone to every graph through its public front:
+/// function kept ([`assert_equivalent`]) and bits pinned, graph-major.
+fn check_single_passes(graphs: &[Aig], pins: &[Pin]) {
+    let mut rows = Vec::new();
+    for g in graphs {
+        for t in Transform::ALL {
+            let what = format!("{}/{t}", g.name());
+            let optimized = t.apply(g);
+            assert_equivalent(g, &optimized, &what);
+            rows.push(pin_of(what, &optimized));
+        }
+    }
+    assert_pins(&rows, pins);
+}
+
+/// Every design × every preset: the pinned optimized graph, its function,
+/// and its mapping gate for gate against the oracle.
 #[test]
 fn flow_evaluation_qor_is_bit_identical() {
+    #[rustfmt::skip]
+    const PINS: &[Pin] = &[
+        ("aes32x1/compress", 9000, 124, 0x6ee9a2cb3cc527c0),
+        ("aes32x1/compress2", 9012, 124, 0x9bc89945704388bc),
+        ("aes32x1/resyn", 9012, 124, 0x20d07a12f2e680e0),
+        ("aes32x1/resyn2", 9012, 124, 0x9bc89945704388bc),
+        ("aes32x1/resyn3", 9012, 124, 0x9bc89945704388bc),
+        ("montgomery8/compress", 1484, 107, 0x47142b0b5c797f97),
+        ("montgomery8/compress2", 1484, 106, 0x581e17d2d0d40679),
+        ("montgomery8/resyn", 1484, 107, 0x47142b0b5c797f97),
+        ("montgomery8/resyn2", 1484, 106, 0x7f8dc4f1c1dce24d),
+        ("montgomery8/resyn3", 1489, 107, 0x8687e3880ce01e7d),
+        ("alu8/compress", 407, 35, 0xf88147fc1c72421b),
+        ("alu8/compress2", 404, 35, 0x72088957bbb34c1b),
+        ("alu8/resyn", 407, 35, 0x2933f056ed84acfa),
+        ("alu8/resyn2", 405, 35, 0xa4d0e1fa44bc5c5c),
+        ("alu8/resyn3", 415, 35, 0x24b08ab756f04678),
+    ];
     // Largest first: aes128 is an order of magnitude bigger than the others.
     let designs = [Design::Aes128, Design::Montgomery64, Design::Alu64];
     let designs = designs.map(|d| d.generate(DesignScale::Tiny));
@@ -164,34 +223,53 @@ fn flow_evaluation_qor_is_bit_identical() {
         .iter()
         .flat_map(|g| flows.iter().map(move |f| (g, f)))
         .collect();
-    assert_every_route_taken(check_jobs(&jobs));
+    assert_every_route_taken(check_jobs(&jobs, PINS));
 }
 
 /// Every design × seeded random 24-pass flows.
 #[test]
 fn seeded_random_paper_flows_are_bit_identical() {
+    #[rustfmt::skip]
+    const PINS: &[Pin] = &[
+        ("aes32x1/random-0xa5a5", 9000, 124, 0x6ee9a2cb3cc527c0),
+        ("montgomery8/random-0xa5a5", 1484, 106, 0x581e17d2d0d40679),
+        ("montgomery8/random-0x1ceb00da", 1481, 105, 0x7b82a64085a9200a),
+        ("montgomery8/random-0x7e57", 1483, 105, 0x26800f1d87658d80),
+        ("alu8/random-0xa5a5", 404, 35, 0xa27fba7298d228eb),
+        ("alu8/random-0x1ceb00da", 405, 35, 0x5dc2bafb6b5212d9),
+        ("alu8/random-0x7e57", 404, 35, 0x9a0d3356a47f6511),
+    ];
     let aes = Design::Aes128.generate(DesignScale::Tiny);
     let mont = Design::Montgomery64.generate(DesignScale::Tiny);
     let alu = Design::Alu64.generate(DesignScale::Tiny);
     let flows = [0xA5A5, 0x1CEB00DA, 0x7E57].map(random_flow);
-    // aes128 is an order of magnitude larger and the oracle is slow: one flow.
+    // aes128 is an order of magnitude larger than the others: one flow.
     let mut jobs = vec![(&aes, &flows[0])];
     jobs.extend(flows.iter().map(|f| (&mont, f)));
     jobs.extend(flows.iter().map(|f| (&alu, f)));
-    assert_every_route_taken(check_jobs(&jobs));
+    assert_every_route_taken(check_jobs(&jobs, PINS));
 }
 
 /// Seeded random 24-pass flows on small random graphs, where one decision is
 /// most of the graph, and on alu64: between them a sweep both rebuilds and
-/// stays an identity, and every result is the oracle's.
+/// stays an identity, and every result is the pinned one.
 #[test]
 fn seeded_random_flows_on_small_graphs_are_bit_identical() {
+    #[rustfmt::skip]
+    const PINS: &[Pin] = &[
+        ("alu8/random-0xbeef", 403, 35, 0x3338514d182acedc),
+        ("alu8/random-0xfacade", 403, 35, 0x3338514d182acedc),
+        ("alu8/random-0x5eed", 404, 35, 0x23f8930bab719b33),
+        ("random-0x23ccd/random-0xbeef", 18, 5, 0x20d9bc38fe25c0cb),
+        ("random-0xcaddf/random-0xfacade", 6, 3, 0x2e648789d8f22c63),
+        ("random-0x49d66d/random-0x5eed", 10, 4, 0x5bcd3c7843548295),
+    ];
     let alu = Design::Alu64.generate(DesignScale::Tiny);
-    let small = [3u64, 17, 99].map(|seed| random_aig(seed * 0xBEEF, 10, 80));
+    let small = seed_graphs();
     let flows = [0xBEEF, 0xFACADE, 0x5EED].map(random_flow);
     let mut jobs: Vec<_> = flows.iter().map(|f| (&alu, f)).collect();
     jobs.extend(small.iter().zip(&flows));
-    assert_every_route_taken(check_jobs(&jobs));
+    assert_every_route_taken(check_jobs(&jobs, PINS));
 }
 
 /// The checked-in fixture corpus (designs read from `.aag`, so names and
@@ -199,6 +277,13 @@ fn seeded_random_flows_on_small_graphs_are_bit_identical() {
 #[test]
 fn fixture_corpus_is_bit_identical_across_paths() {
     use Transform::*;
+    #[rustfmt::skip]
+    const PINS: &[Pin] = &[
+        ("montgomery64_tiny/mixed", 1484, 106, 0x2830d55e9acf4b21),
+        ("montgomery64_tiny/empty", 1504, 109, 0x34bc25eb9ae10494),
+        ("alu64_tiny/mixed", 407, 35, 0x5698363e536d5072),
+        ("alu64_tiny/empty", 439, 37, 0x28216ceac6b821bd),
+    ];
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../fixtures/tiny");
     let flows = [
         (
@@ -216,15 +301,17 @@ fn fixture_corpus_is_bit_identical_across_paths() {
         .into_iter()
         .flat_map(|g| flows.iter().map(move |f| (g, f)))
         .collect();
-    check_jobs(&jobs);
+    check_jobs(&jobs, PINS);
 }
 
 /// Buffer recycling must not leak state between flows or designs: ONE
 /// context serves graphs of different sizes in turn (stale stamps, buffers
-/// longer and shorter than the next graph), each compared against a fresh
-/// oracle run.
+/// longer and shorter than the next graph), and each round's graph and
+/// mapping are those of a fresh context.
 #[test]
 fn one_context_reused_across_many_flows_stays_identical() {
+    let lib = CellLibrary::nangate14();
+    let params = MapperParams::default();
     let alu = Design::Alu64.generate(DesignScale::Tiny);
     let mont = Design::Montgomery64.generate(DesignScale::Tiny);
     let small = random_aig(0x5EED, 10, 80);
@@ -238,7 +325,15 @@ fn one_context_reused_across_many_flows_stays_identical() {
         (&small, random_flow(3).1),
     ];
     for (round, (design, flow)) in rounds.iter().enumerate() {
-        assert_flow_identical(design, flow, &mut ctx, &format!("shared-ctx/round-{round}"));
+        let what = format!("shared-ctx/round-{round}");
+        let mut fresh_ctx = PassContext::default();
+        let mut fresh = fresh_ctx.run_flow(design, flow);
+        let mut shared = ctx.run_flow(design, flow);
+        assert_identical(&fresh, &shared, &what);
+        let expected = map_with_ctx(&mut fresh, &lib, params, &mut fresh_ctx);
+        let got = map_with_ctx(&mut shared, &lib, params, &mut ctx);
+        assert_netlists_identical(&expected, &got, &what);
+        ctx.recycle(shared);
     }
 }
 
@@ -267,9 +362,9 @@ fn free_functions_are_the_context_path() {
     assert_eq!(synth::map_qor(&via_ctx, &lib, params), direct.qor());
 }
 
-/// Mapping alone, on the untouched designs, in both modes.
+/// Mapping alone, on the untouched designs.
 #[test]
-fn mapping_is_bit_identical_in_both_modes() {
+fn mapping_is_bit_identical_to_the_oracle() {
     for design in Design::ALL {
         let mut g = design.generate(DesignScale::Tiny);
         assert_mapping_identical(&mut g, &mut PassContext::default(), design.name());
@@ -307,13 +402,18 @@ fn identity_sweep_leaves_the_graph_untouched() {
     // The untouched graph keeps its fresh epoch caches.
     assert!(work.is_clean());
     assert!(work.fanouts_fresh());
-    assert_identical(&reference::apply(Transform::Rewrite, &g), &work, "identity");
+    assert_identical(&g, &work, "identity");
 }
 
 #[test]
-fn whole_graph_decision_is_rebuilt_and_matches_the_oracle() {
+fn whole_graph_decision_is_rebuilt_and_keeps_the_function() {
     // A tiny redundant graph where one accepted decision replaces most of
-    // the AND nodes: the sweep rebuilds it, and the result is the oracle's.
+    // the AND nodes: the sweep rebuilds it into the pinned graph, which
+    // computes the same function.
+    #[rustfmt::skip]
+    const PINS: &[Pin] = &[
+        ("whole-graph/refactor", 2, 2, 0x412cf051da1004d0),
+    ];
     let mut g = Aig::new();
     let a = g.add_input("a");
     let b = g.add_input("b");
@@ -335,11 +435,8 @@ fn whole_graph_decision_is_rebuilt_and_matches_the_oracle() {
     );
     assert_eq!(stats.in_place, 0);
     assert!(work.is_clean(), "the rebuild route must end clean");
-    assert_identical(
-        &reference::apply(Transform::Refactor, &g),
-        &work,
-        "whole-graph rebuild",
-    );
+    assert_equivalent(&g, &work, "whole-graph rebuild");
+    assert_pins(&[pin_of("whole-graph/refactor".into(), &work)], PINS);
 }
 
 #[test]

@@ -1,21 +1,27 @@
-//! The harness of the one differential suite: production (`PassContext`, and
-//! the public free functions in front of it) against the oracle
-//! (`synth::reference`).
+//! The harness of the one differential suite (`differential.rs` beside this
+//! directory, which `mod`s it in).
 //!
-//! Graphs are compared **node for node** and mapped netlists **gate for
-//! gate** with `to_bits()` area and delay — "equivalent" is not enough.  The
-//! suite's tests live in `differential.rs` beside this directory, which
-//! `mod`s it in (cuts, cell matching, single passes, the presets, random
-//! flows, fixtures, context reuse, the mapper, and the apply routes of a
-//! sweep and the epochs they leave).  `parallel_sweep.rs` borrows the
-//! node-for-node comparison to hold the chunked sweep to itself across
-//! thread counts.
+//! Production (`PassContext`, and the public free functions in front of it)
+//! is held three ways, none of which runs a second copy of a pass:
+//!
+//! * **pins** — each optimized graph's AND count, depth and structural
+//!   [`fingerprint`], written out as literals ([`Pin`]); a change that moves
+//!   them on purpose re-captures them from the table [`assert_pins`] prints;
+//! * **function** — each optimized graph computes its input's outputs, over
+//!   every input pattern when there are at most
+//!   [`EXHAUSTIVE_MAX_INPUTS`] inputs ([`assert_equivalent`]);
+//! * **the mapping oracle** — mapped netlists are compared **gate for gate**
+//!   with `to_bits()` area and delay against `synth::reference::map`.
+//!
+//! `parallel_sweep.rs` borrows the node-for-node comparison to hold the
+//! chunked sweep to itself across thread counts.
 
 #![allow(dead_code)] // each test binary uses its own subset
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use aig::{Aig, Lit};
+use aig::{random_equivalence_check, Aig, Lit, NodeKind, Simulator, VAR_MASKS};
+use flow_core::Fnv64;
 use synth::{
     map_with_ctx, reference, ApplyStats, CellLibrary, MappedNetlist, MapperParams, PassContext,
     Transform,
@@ -80,10 +86,11 @@ pub fn random_flow(seed: u64) -> NamedFlow {
     (format!("random-{seed:#x}"), flow.collect())
 }
 
-/// Builds a random AIG with `num_inputs` inputs and roughly `num_ands` ANDs.
+/// Builds a random AIG named `random-<seed>` with `num_inputs` inputs and
+/// roughly `num_ands` ANDs.
 pub fn random_aig(seed: u64, num_inputs: usize, num_ands: usize) -> Aig {
     let mut rng = Rng(seed | 1);
-    let mut g = Aig::new();
+    let mut g = Aig::with_name(format!("random-{seed:#x}"));
     let mut lits: Vec<Lit> = g.add_inputs("x", num_inputs);
     for _ in 0..num_ands {
         let a = lits[rng.below(lits.len())];
@@ -103,24 +110,120 @@ pub fn random_aig(seed: u64, num_inputs: usize, num_ands: usize) -> Aig {
 }
 
 /// Node-for-node structural identity: ids, kinds, levels, interface, names.
-pub fn assert_identical(oracle: &Aig, production: &Aig, what: &str) {
-    assert_eq!(oracle.len(), production.len(), "{what}: node count");
-    for id in 0..oracle.len() {
-        let (o, p) = (oracle.node(id), production.node(id));
-        assert_eq!(o.kind(), p.kind(), "{what}: node {id} kind");
-        assert_eq!(o.level(), p.level(), "{what}: node {id} level");
+pub fn assert_identical(expected: &Aig, got: &Aig, what: &str) {
+    assert_eq!(expected.len(), got.len(), "{what}: node count");
+    for id in 0..expected.len() {
+        let (e, g) = (expected.node(id), got.node(id));
+        assert_eq!(e.kind(), g.kind(), "{what}: node {id} kind");
+        assert_eq!(e.level(), g.level(), "{what}: node {id} level");
     }
-    assert_eq!(oracle.outputs(), production.outputs(), "{what}: outputs");
-    assert_eq!(oracle.input_ids(), production.input_ids(), "{what}: inputs");
-    for i in 0..oracle.num_inputs() {
-        let (o, p) = (oracle.input_name(i), production.input_name(i));
-        assert_eq!(o, p, "{what}: input name {i}");
+    assert_eq!(expected.outputs(), got.outputs(), "{what}: outputs");
+    assert_eq!(expected.input_ids(), got.input_ids(), "{what}: inputs");
+    for i in 0..expected.num_inputs() {
+        let (e, g) = (expected.input_name(i), got.input_name(i));
+        assert_eq!(e, g, "{what}: input name {i}");
     }
-    for i in 0..oracle.num_outputs() {
-        let (o, p) = (oracle.output_name(i), production.output_name(i));
-        assert_eq!(o, p, "{what}: output name {i}");
+    for i in 0..expected.num_outputs() {
+        let (e, g) = (expected.output_name(i), got.output_name(i));
+        assert_eq!(e, g, "{what}: output name {i}");
     }
-    assert_eq!(oracle.name(), production.name(), "{what}: design name");
+    assert_eq!(expected.name(), got.name(), "{what}: design name");
+}
+
+/// FNV-1a over the node count, the interface, every node's kind and fanin
+/// literals, and the output literals (the hash `floweval::fingerprint_design`
+/// keys stored QoR by).
+pub fn fingerprint(g: &Aig) -> u64 {
+    let mut h = Fnv64::new();
+    h.write_usize(g.len());
+    h.write_usize(g.num_inputs());
+    h.write_usize(g.num_outputs());
+    for id in g.node_ids() {
+        match g.node(id).kind() {
+            NodeKind::Constant => h.write_u32(0),
+            NodeKind::Input(index) => {
+                h.write_u32(1);
+                h.write_u32(index);
+            }
+            NodeKind::And(a, b) => {
+                h.write_u32(2);
+                h.write_u32(a.raw());
+                h.write_u32(b.raw());
+            }
+        }
+    }
+    for &output in g.outputs() {
+        h.write_u32(output.raw());
+    }
+    h.finish()
+}
+
+/// One optimized graph as pinned: `("<graph>/<flow>", num_ands, depth,
+/// fingerprint)`.
+pub type Pin = (&'static str, usize, u32, u64);
+
+/// The pinned facts of `g`, the result of the job `what`.
+pub fn pin_of(what: String, g: &Aig) -> (String, usize, u32, u64) {
+    (what, g.num_ands(), g.depth(), fingerprint(g))
+}
+
+/// Holds `got` to `pins` row for row.  A mismatch panics with the whole of
+/// `got` written as `Pin` literals, ready to paste when a change moves the
+/// bits on purpose.
+pub fn assert_pins(got: &[(String, usize, u32, u64)], pins: &[Pin]) {
+    let same = |(g, p): (&(String, usize, u32, u64), &Pin)| {
+        g.0 == p.0 && (g.1, g.2, g.3) == (p.1, p.2, p.3)
+    };
+    if got.len() == pins.len() && got.iter().zip(pins).all(same) {
+        return;
+    }
+    let first = got.iter().zip(pins).position(|row| !same(row));
+    let table: String = got
+        .iter()
+        .map(|(what, ands, depth, fp)| format!("    ({what:?}, {ands}, {depth}, {fp:#018x}),\n"))
+        .collect();
+    panic!(
+        "pinned graphs differ (first at row {first:?}, {} rows vs {} pinned); got:\n{table}",
+        got.len(),
+        pins.len()
+    );
+}
+
+/// The largest input count [`assert_equivalent`] simulates exhaustively:
+/// 2^20 patterns are 16 Ki simulation words.
+pub const EXHAUSTIVE_MAX_INPUTS: usize = 20;
+
+/// `got` computes `expected`'s outputs: checked on all 2^n input patterns
+/// when `expected` has n ≤ [`EXHAUSTIVE_MAX_INPUTS`] inputs, and on 8 × 64
+/// random ones otherwise.  Simulation shares no code with the passes.
+pub fn assert_equivalent(expected: &Aig, got: &Aig, what: &str) {
+    let n = expected.num_inputs();
+    let interface = |g: &Aig| (g.num_inputs(), g.num_outputs());
+    assert_eq!(interface(expected), interface(got), "{what}: interface");
+    if n > EXHAUSTIVE_MAX_INPUTS {
+        let same = random_equivalence_check(expected, got, 8, 0x51);
+        assert!(same, "{what}: the function changed (random patterns)");
+        return;
+    }
+    let (sim_e, sim_g) = (Simulator::new(expected), Simulator::new(got));
+    let mut patterns = vec![0u64; n];
+    // Word `block` holds rows `64 * block ..`: input `i` reads bit `i` of
+    // the row number, so inputs 0..6 vary within a word, the rest by block.
+    for block in 0..1u64 << n.saturating_sub(6) {
+        for (i, p) in patterns.iter_mut().enumerate() {
+            *p = match VAR_MASKS.get(i) {
+                Some(&bits) => bits,
+                None => 0u64.wrapping_sub(block >> (i - 6) & 1),
+            };
+        }
+        let (e, g) = (sim_e.run(&patterns), sim_g.run(&patterns));
+        assert_eq!(
+            e,
+            g,
+            "{what}: the function changed in rows {}..",
+            64 * block
+        );
+    }
 }
 
 /// Gate-for-gate identity of two mapped netlists, floats by their bits.
@@ -139,7 +242,8 @@ pub fn assert_netlists_identical(oracle: &MappedNetlist, production: &MappedNetl
     assert_eq!(oracle.qor(), production.qor(), "{what}: QoR");
 }
 
-/// Maps `g` through both paths and compares gate for gate.
+/// Maps `g` through production and through the oracle and compares gate
+/// for gate.
 pub fn assert_mapping_identical(g: &mut Aig, ctx: &mut PassContext, what: &str) {
     let lib = CellLibrary::nangate14();
     let params = MapperParams::default();
@@ -148,46 +252,50 @@ pub fn assert_mapping_identical(g: &mut Aig, ctx: &mut PassContext, what: &str) 
     assert_netlists_identical(&oracle, &production, what);
 }
 
-/// Runs `flow` through `ctx` and through the oracle; compares the optimized
-/// graph node for node and its mapping gate for gate.
-pub fn assert_flow_identical(design: &Aig, flow: &[Transform], ctx: &mut PassContext, what: &str) {
-    let oracle = reference::apply_sequence(design, flow);
-    let mut production = ctx.run_flow(design, flow);
-    assert_identical(&oracle, &production, what);
-    assert_mapping_identical(&mut production, ctx, what);
-    ctx.recycle(production);
-}
-
 fn add(total: &mut ApplyStats, stats: ApplyStats) {
     total.in_place += stats.in_place;
     total.rebuilt += stats.rebuilt;
     total.identity += stats.identity;
 }
 
-/// [`assert_flow_identical`] over every `(design, flow)` job, each on a fresh
-/// context, on two threads (the oracle is slow; list big designs first).
-/// Returns the apply routes the production sweeps took.
-pub fn check_jobs(jobs: &[(&Aig, &NamedFlow)]) -> ApplyStats {
+/// Runs every `(design, flow)` job on a fresh context, on two threads (list
+/// big designs first): each optimized graph must compute its design's
+/// function ([`assert_equivalent`]), map gate for gate as the oracle does,
+/// and match `pins` in job order.  Returns the apply routes the sweeps took.
+pub fn check_jobs(jobs: &[(&Aig, &NamedFlow)], pins: &[Pin]) -> ApplyStats {
     let next = AtomicUsize::new(0);
     let worker = || {
-        let mut routes = ApplyStats::default();
-        while let Some((design, (name, flow))) = jobs.get(next.fetch_add(1, Ordering::Relaxed)) {
+        let (mut routes, mut rows) = (ApplyStats::default(), Vec::new());
+        loop {
+            let index = next.fetch_add(1, Ordering::Relaxed);
+            let Some((design, (name, flow))) = jobs.get(index) else {
+                return (routes, rows);
+            };
+            let what = format!("{}/{name}", design.name());
             let mut ctx = PassContext::default();
-            assert_flow_identical(design, flow, &mut ctx, &format!("{}/{name}", design.name()));
+            let mut optimized = ctx.run_flow(design, flow);
+            assert_equivalent(design, &optimized, &what);
+            assert_mapping_identical(&mut optimized, &mut ctx, &what);
+            rows.push((index, pin_of(what, &optimized)));
             add(&mut routes, ctx.apply_stats());
         }
-        routes
     };
-    std::thread::scope(|scope| {
+    let (routes, mut rows) = std::thread::scope(|scope| {
         let other = scope.spawn(worker);
-        let mut routes = worker();
-        add(&mut routes, other.join().expect("differential worker"));
-        routes
-    })
+        let (mut routes, mut rows) = worker();
+        let (theirs, their_rows) = other.join().expect("differential worker");
+        add(&mut routes, theirs);
+        rows.extend(their_rows);
+        (routes, rows)
+    });
+    rows.sort_unstable_by_key(|&(index, _)| index);
+    let rows: Vec<_> = rows.into_iter().map(|(_, row)| row).collect();
+    assert_pins(&rows, pins);
+    routes
 }
 
 /// Both apply routes — the rebuild and the free identity — must have been
-/// held to the oracle, and nothing may report the retired in-place route.
+/// taken, and nothing may report the retired in-place route.
 pub fn assert_every_route_taken(routes: ApplyStats) {
     assert!(routes.rebuilt > 0, "no sweep rebuilt: {routes:?}");
     assert!(routes.identity > 0, "no sweep was an identity: {routes:?}");
