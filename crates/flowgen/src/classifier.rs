@@ -45,9 +45,10 @@ pub struct ClassifierConfig {
 impl Default for ClassifierConfig {
     /// A small configuration for quick experiments and unit tests: the
     /// paper's architecture with fewer kernels.  The full-size network is no
-    /// longer off-limits on a CPU — `nn`'s GEMM-backed layers train it in
-    /// minutes, not hours (the `cnn_train` workload of `flowbench` measures
-    /// it); select it with [`ClassifierConfig::paper_scale`].
+    /// longer off-limits on a CPU — `nn`'s GEMM and tiled-convolution layers
+    /// train it in minutes, not hours (the `cnn_train` workload of
+    /// `flowbench` measures it); select it with
+    /// [`ClassifierConfig::paper_scale`].
     fn default() -> Self {
         ClassifierConfig {
             kernel: (3, 6),
@@ -192,9 +193,9 @@ impl FlowClassifier {
         if dataset.is_empty() {
             return 0.0;
         }
-        let flows: Vec<Flow> = dataset.examples().iter().map(|e| e.flow.clone()).collect();
+        let flows: Vec<&Flow> = dataset.examples().iter().map(|e| &e.flow).collect();
         let labels: Vec<usize> = dataset.examples().iter().map(|e| e.label).collect();
-        let predictions = self.predict(&flows);
+        let predictions = self.network.predict(&self.encoder.encode_batch(&flows));
         nn::accuracy(&predictions, &labels)
     }
 }

@@ -133,6 +133,25 @@ impl Activation {
         }
     }
 
+    /// `(apply(x), derivative(x))`, with one exponential where both need
+    /// it.
+    pub(crate) fn apply_with_derivative(self, x: f32) -> (f32, f32) {
+        match self {
+            Activation::Elu if x < 0.0 => {
+                let e = x.exp();
+                (e - 1.0, e)
+            }
+            Activation::Selu if x < 0.0 => {
+                let e = x.exp();
+                (
+                    SELU_LAMBDA * SELU_ALPHA * (e - 1.0),
+                    SELU_LAMBDA * SELU_ALPHA * e,
+                )
+            }
+            _ => (self.apply(x), self.derivative(x)),
+        }
+    }
+
     /// Short name used in reports and figures.
     pub fn name(self) -> &'static str {
         match self {
@@ -187,6 +206,38 @@ mod tests {
                 assert!(
                     (analytic - numeric).abs() < 2e-2,
                     "{a} at {x}: analytic {analytic} vs numeric {numeric}"
+                );
+            }
+        }
+    }
+
+    /// The fused pair is the two separate calls, bit for bit (the training
+    /// forward caches the derivative it returns).
+    #[test]
+    fn apply_with_derivative_is_apply_and_derivative() {
+        for a in Activation::PAPER_SET
+            .into_iter()
+            .chain([Activation::Linear])
+        {
+            for x in [
+                -25.0f32,
+                -2.5,
+                -0.7,
+                -1e-30,
+                -0.0,
+                0.0,
+                1e-30,
+                0.9,
+                6.0,
+                25.0,
+                f32::NAN,
+            ] {
+                let (y, d) = a.apply_with_derivative(x);
+                assert_eq!(y.to_bits(), a.apply(x).to_bits(), "{a} apply at {x}");
+                assert_eq!(
+                    d.to_bits(),
+                    a.derivative(x).to_bits(),
+                    "{a} derivative at {x}"
                 );
             }
         }

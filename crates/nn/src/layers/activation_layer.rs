@@ -12,7 +12,8 @@ use crate::tensor::Tensor;
 #[derive(Debug)]
 pub struct ActivationLayer {
     activation: Activation,
-    cached_input: Option<Tensor>,
+    /// The derivative at each input of the last training forward.
+    derivatives: Option<Vec<f32>>,
 }
 
 impl ActivationLayer {
@@ -20,7 +21,7 @@ impl ActivationLayer {
     pub fn new(activation: Activation) -> Self {
         ActivationLayer {
             activation,
-            cached_input: None,
+            derivatives: None,
         }
     }
 
@@ -32,25 +33,36 @@ impl ActivationLayer {
 
 impl Layer for ActivationLayer {
     fn forward(&mut self, input: &Tensor, training: bool) -> Tensor {
-        // Only a training pass is followed by `backward`; inference keeps
-        // no copy of its input.
-        self.cached_input = training.then(|| input.clone());
-        input.map(|x| self.activation.apply(x))
+        // Only a training pass is followed by `backward`: it keeps the
+        // derivatives, computed with the outputs; inference keeps nothing.
+        if !training {
+            self.derivatives = None;
+            return input.map(|x| self.activation.apply(x));
+        }
+        let mut derivatives = self.derivatives.take().unwrap_or_default();
+        derivatives.resize(input.len(), 0.0);
+        let mut out = Tensor::zeros(input.shape());
+        let outs = out.data_mut().iter_mut().zip(derivatives.iter_mut());
+        for ((y, d), &x) in outs.zip(input.data()) {
+            (*y, *d) = self.activation.apply_with_derivative(x);
+        }
+        self.derivatives = Some(derivatives);
+        out
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let input = self
-            .cached_input
+        let derivatives = self
+            .derivatives
             .as_ref()
             .expect("training forward before backward");
-        assert_eq!(grad_output.shape(), input.shape(), "shape mismatch");
+        assert_eq!(grad_output.len(), derivatives.len(), "shape mismatch");
         let data = grad_output
             .data()
             .iter()
-            .zip(input.data())
-            .map(|(&g, &x)| g * self.activation.derivative(x))
+            .zip(derivatives)
+            .map(|(&g, &d)| g * d)
             .collect();
-        Tensor::from_vec(input.shape(), data)
+        Tensor::from_vec(grad_output.shape(), data)
     }
 
     fn name(&self) -> String {

@@ -10,10 +10,24 @@ use crate::init::Param;
 use crate::layers::Layer;
 use crate::tensor::Tensor;
 
-/// Channels per parallel block of the output (forward) or of the input
-/// gradient (backward).  Fixed, so the split never depends on the thread
-/// count.
-const BLOCK: usize = 32;
+/// Lanes of one row of the micro-kernel's tile (two SSE registers).
+const LANES: usize = 8;
+/// Rows of the tile: the paper's mini-batch of five images.
+const ROWS: usize = 5;
+/// Sums in one tile, all held in registers.
+const TILE: usize = ROWS * LANES;
+/// Convolutions of fewer multiply-adds (over the whole window) run on the
+/// calling thread alone.
+const PARALLEL_MACS: usize = 1 << 20;
+/// Groups of output channels per forward job.
+const BLOCK_GROUPS: usize = 4;
+/// Floats of weights one forward block of steps packs for a job's channels
+/// (32 KiB, within L1).
+const L1_FLOATS: usize = 1 << 13;
+/// Floats of packed weights one `dX` group may use (512 KiB, within L2).
+const GROUP_FLOATS: usize = 1 << 17;
+/// The micro-kernel's accumulator: `ROWS` rows of `LANES` sums.
+type Tile = [[f32; LANES]; ROWS];
 
 /// A 2-D convolution layer (NHWC layout, stride 1, zero "same" padding).
 ///
@@ -37,30 +51,41 @@ const BLOCK: usize = 32;
 ///
 /// # Computation
 ///
-/// The convolution runs tap by tap over the valid window: for kernel tap `(dkh, dkw)` only the output positions whose
-/// shifted input lies inside the map contribute, so the zero padding is
-/// never read (the paper's 6×12 kernel on a 6×6 map covers 37.5 % of its
-/// window on average).
+/// All three directions run one register-tiled micro-kernel: a tile of
+/// `ROWS × LANES = 5 × 8` sums held in registers over the whole reduction,
+/// a compile-time width at every channel count.  Partial channel groups are
+/// padded with zeros inside the packed operands, and only the valid window
+/// is visited, so the zero padding of the map is never read (the paper's
+/// 6×12 kernel on a 6×6 map covers 37.5 % of its window on average).  A
+/// step of the tile is either an outer product (five input values times one
+/// row of eight weights) or a wide update (one value times forty contiguous
+/// operands).
 ///
-/// * **Forward** adds `x[in] · W[tap]` into each output row, the tap's
-///   `in_c × out_c` weight block used in place; every output element sums in
-///   `(kh, kw, in_c)` order.  Parallel over blocks of output channels.
-/// * **`dW`** sums each tap's `x[in] ⊗ dY[out]` over its output positions in
-///   ascending order, from the non-zero `dY` entries only (2×2 max-pooling
-///   leaves three in four at exactly zero), into a transposed copy of the
-///   tap's gradient block.  Parallel over taps.
-/// * **`dX`**: each `(position, tap)` partial sums the non-zero `dY` entries
-///   of the position in `out_c` order and is added in output scan order.
-///   Parallel over blocks of input channels.
+/// * **Forward**: a tile is one output position of five images (the paper's
+///   mini-batch), whose windows agree, by eight output channels; its steps
+///   are the inputs under each kernel row, `(kh, kw, in_c)` in order, times
+///   the weights packed per block of steps that fits in L1.  An input that
+///   is mostly zeros (the one-hot first layer) lists only the steps where one
+///   of the five images reads a non-zero value.  Parallel over blocks of 32
+///   output channels and, for few channels, runs of positions.
+/// * **`dW`**: a tile is forty consecutive `(kw, in_c)` entries of one kernel
+///   row for one output channel; each non-zero `dY` entry of that channel,
+///   in ascending output position, adds its value times the inputs under the
+///   kernel row (read from a zero-padded copy of the input, so taps outside
+///   the map add zero).  Parallel over kernel rows.
+/// * **`dX`**: per group of input channels (all of them while their packed
+///   `[out_c][tap][group]` weights fit in L2), each output position's
+///   `(tap, channel)` partials are summed forty at a time over its non-zero
+///   `dY` entries in `out_c` order and added in output scan order.  Parallel
+///   over groups.
 ///
-/// With one input channel (the one-hot first layer) a tap holds too little
-/// work to split, so forward runs each image over all output channels,
-/// `dW` takes whole `dY` rows and `dX` whole kernel rows at once.
-///
-/// These are the per-element operation orders of a GEMM over the zero-padded
-/// patch matrix, and skipping exact-zero terms cannot change a finite sum,
-/// so the results are bit-identical to that formulation at any thread
-/// count (`tests/backend_differential.rs` pins training-loss bits).
+/// Small convolutions run on the calling thread alone.  These are the
+/// per-element operation orders of a GEMM over the zero-padded patch matrix,
+/// each element is summed inside one tile, and adding or skipping an
+/// exact-zero product never changes a sum that starts at +0, so the results
+/// are bit-identical to that formulation at any thread count and job split
+/// (`tests/backend_differential.rs` pins training-loss and convolution
+/// bits).
 #[derive(Debug)]
 pub struct Conv2d {
     pub(crate) kernel_h: usize,
@@ -70,8 +95,118 @@ pub struct Conv2d {
     /// Weights laid out as `[kh, kw, in_c, out_c]`.
     pub(crate) weights: Param,
     pub(crate) bias: Param,
-    /// Input of the last training forward, which `dW` needs.
-    cached_input: Option<Tensor>,
+    /// `[n, h, w]` of the last training forward's input, which
+    /// `scratch.padded` holds for `dW`.
+    cached_images: Option<[usize; 3]>,
+    /// The kernels' packed operands, reused from call to call.
+    scratch: Scratch,
+}
+
+/// Buffers the kernels pack their operands into, owned by the
+/// layer so a call allocates little beyond its output.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// `dW`: the training input with zero columns and rows around it
+    /// (see `pad_columns`).
+    padded: Vec<f32>,
+    /// The non-zero `dY` entries of each output position, `(channel,
+    /// value)` in channel order; position `p`'s run is
+    /// `position_start[p]..position_start[p + 1]`.
+    by_position: Vec<(u32, f32)>,
+    position_start: Vec<usize>,
+    /// The same entries per output channel, in ascending position.
+    by_channel: Vec<Entry>,
+    channel_start: Vec<usize>,
+    /// `dX` of each group of input channels, `[position][width]` in a run
+    /// of `positions · group_width` per group.
+    staged: Vec<f32>,
+}
+
+/// A non-zero `dY` entry of one output channel: its value, the offset in
+/// `Scratch::padded` of its inputs under kernel row 0 (for flat image row
+/// `row`, `(row · (w + kw - 1) + ow) · in_c`), and the kernel rows and
+/// columns its window keeps.
+#[derive(Debug, Clone, Copy, Default)]
+struct Entry {
+    value: f32,
+    base: u32,
+    rows: [u16; 2],
+    cols: [u16; 2],
+}
+
+/// The sizes one call works on.
+#[derive(Debug, Clone, Copy)]
+struct Geometry {
+    n: usize,
+    h: usize,
+    w: usize,
+    c: usize,
+    oc: usize,
+    kh: usize,
+    kw: usize,
+    /// "Same" padding before the window along each axis.
+    ph: usize,
+    pw: usize,
+}
+
+impl Geometry {
+    fn taps(&self) -> usize {
+        self.kh * self.kw
+    }
+
+    /// The kernel rows and columns whose taps read inside the map from
+    /// output position `(oh, ow)`.
+    fn window(&self, oh: usize, ow: usize) -> (Range<usize>, Range<usize>) {
+        let (ph, pw) = (self.ph, self.pw);
+        (
+            ph.saturating_sub(oh)..(self.h + ph - oh).min(self.kh),
+            pw.saturating_sub(ow)..(self.w + pw - ow).min(self.kw),
+        )
+    }
+
+    /// How many parallel jobs to split `units` of work into: one (the
+    /// caller alone) below `PARALLEL_MACS` multiply-adds, where waking
+    /// helpers costs more than it saves; else four per thread.
+    fn jobs(&self, units: usize) -> usize {
+        let macs = self.n * self.h * self.w * self.taps() * self.c * self.oc;
+        if macs < PARALLEL_MACS {
+            1
+        } else {
+            units.min(4 * rayon::current_num_threads())
+        }
+    }
+
+    /// Flat output positions `from..` with their flat image row
+    /// (`image · h + oh`), `oh` and `ow`, counted without dividing.
+    fn scan(&self, from: usize) -> impl Iterator<Item = (usize, usize, usize, usize)> {
+        let (h, w) = (self.h, self.w);
+        let (mut row, mut ow) = (from / w, from % w);
+        let mut oh = row % h;
+        (from..).map(move |p| {
+            let at = (p, row, oh, ow);
+            ow += 1;
+            if ow == w {
+                (row, ow, oh) = (row + 1, 0, oh + 1);
+                if oh == h {
+                    oh = 0;
+                }
+            }
+            at
+        })
+    }
+
+    /// Input channels per `dX` group: all of them while the group's packed
+    /// weights fit in `GROUP_FLOATS`, else the most whole `LANES` that do.
+    fn group_width(&self) -> usize {
+        let fit = GROUP_FLOATS / (self.taps() * self.oc) / LANES * LANES;
+        self.c.min(fit.max(LANES))
+    }
+
+    /// The flat input position tap `(dkh, dkw)` of output position `p`
+    /// reads (inside the map when the window keeps the tap).
+    fn input(&self, p: usize, dkh: usize, dkw: usize) -> usize {
+        p + dkh * self.w + dkw - self.ph * self.w - self.pw
+    }
 }
 
 impl Conv2d {
@@ -98,7 +233,8 @@ impl Conv2d {
             out_channels,
             weights,
             bias: Param::zeros(out_channels),
-            cached_input: None,
+            cached_images: None,
+            scratch: Scratch::default(),
         }
     }
 
@@ -112,109 +248,431 @@ impl Conv2d {
         self.out_channels
     }
 
-    /// "Same" padding before the window along each axis.
-    fn pads(&self) -> (usize, usize) {
-        ((self.kernel_h - 1) / 2, (self.kernel_w - 1) / 2)
+    fn geometry(&self, [n, h, w]: [usize; 3]) -> Geometry {
+        Geometry {
+            n,
+            h,
+            w,
+            c: self.in_channels,
+            oc: self.out_channels,
+            kh: self.kernel_h,
+            kw: self.kernel_w,
+            ph: (self.kernel_h - 1) / 2,
+            pw: (self.kernel_w - 1) / 2,
+        }
     }
 }
 
-/// Output positions `o` along an axis of length `n` whose tap `d` reads an
-/// input inside the map: `0 <= o + d - pad < n`.
-fn valid(n: usize, pad: usize, d: usize) -> Range<usize> {
-    pad.saturating_sub(d)..(n + pad).saturating_sub(d).min(n)
+/// The first `N` floats of `s`.
+#[inline(always)]
+fn head<const N: usize>(s: &[f32]) -> &[f32; N] {
+    s[..N].try_into().expect("a slice of N floats")
 }
 
-/// The `(output, input)` position pairs of `images` (each `h × w`) where
-/// tap `tap` of a `kh × kw` kernel reads inside the map, in ascending output
-/// order.
-fn tap_pairs(
-    (h, w): (usize, usize),
-    (kh, kw): (usize, usize),
-    tap: usize,
-    images: Range<usize>,
-) -> impl Iterator<Item = (usize, usize)> {
-    let (dkh, dkw) = (tap / kw, tap % kw);
-    let (ph, pw) = ((kh - 1) / 2, (kw - 1) / 2);
-    images.flat_map(move |b| {
-        valid(h, ph, dkh).flat_map(move |oh| {
-            let (out, inp) = ((b * h + oh) * w, (b * h + oh + dkh - ph) * w);
-            valid(w, pw, dkw).map(move |ow| (out + ow, inp + ow + dkw - pw))
-        })
-    })
+/// `acc += a · b`, lane by lane.
+#[inline(always)]
+fn axpy(acc: &mut [f32; LANES], a: f32, b: &[f32; LANES]) {
+    for (s, &bv) in acc.iter_mut().zip(b) {
+        *s += a * bv;
+    }
 }
 
-/// `acc += Σ a · b[offset..][..acc.len()]` over the `(a, offset)` terms, in
-/// order, skipping `a == 0`.  A full [`BLOCK`] keeps its sums in registers.
-#[inline]
-fn accumulate(acc: &mut [f32], terms: impl Iterator<Item = (f32, usize)>, b: &[f32]) {
-    if let Ok(acc) = <&mut [f32; BLOCK]>::try_from(&mut *acc) {
-        let mut sums = *acc;
-        for (a, offset) in terms {
-            if a != 0.0 {
-                let row: &[f32; BLOCK] = b[offset..offset + BLOCK]
-                    .try_into()
-                    .expect("a slice of BLOCK elements");
-                for (s, &bv) in sums.iter_mut().zip(row) {
-                    *s += a * bv;
+/// What a forward tile runs over, in step order: segments `(k0, len,
+/// offset)` of `len` contiguous steps whose values for row `r` are
+/// `x[offset + rows[r]..]`, or, for an input that is mostly zeros, the
+/// steps with a non-zero value packed as `(k, values)`.
+#[derive(Clone, Copy)]
+enum Steps<'a> {
+    Segments(&'a [(usize, usize, usize)], &'a [f32], [usize; ROWS]),
+    Packed(&'a [(u32, [f32; ROWS])]),
+}
+
+/// The micro-kernel, outer-product form: over the steps in order, row `r`
+/// of the tile gains its value times `w[k · stride..][..LANES]` for step `k`
+/// (counted from `first`).
+#[inline(never)]
+fn outer_tile(acc: &mut Tile, steps: Steps, (w, stride, first): (&[f32], usize, usize)) {
+    let mut sums = *acc;
+    match steps {
+        Steps::Segments(segments, x, rows) => {
+            for &(k0, len, offset) in segments {
+                let xs = rows.map(|row| &x[offset + row..][..len]);
+                let w = &w[(k0 - first) * stride..];
+                for k in 0..len {
+                    let b: &[f32; LANES] = head(&w[k * stride..]);
+                    for (row, x) in sums.iter_mut().zip(xs) {
+                        axpy(row, x[k], b);
+                    }
                 }
             }
         }
-        *acc = sums;
-    } else {
-        let width = acc.len();
-        for (a, offset) in terms {
-            if a != 0.0 {
-                axpy(acc, a, &b[offset..offset + width]);
+        Steps::Packed(steps) => {
+            for &(k, ref a) in steps {
+                let b: &[f32; LANES] = head(&w[(k as usize - first) * stride..]);
+                for (row, &a) in sums.iter_mut().zip(a) {
+                    axpy(row, a, b);
+                }
+            }
+        }
+    }
+    *acc = sums;
+}
+
+/// The micro-kernel, wide form: over the `(a, offset)` terms in order, the
+/// whole tile gains `a · b[offset..][..TILE]`, read row after row.
+#[inline(never)]
+fn wide_tile(acc: &mut Tile, terms: impl Iterator<Item = (f32, usize)>, b: &[f32]) {
+    let mut sums = *acc;
+    for (a, offset) in terms {
+        let b: &[f32; TILE] = head(&b[offset..]);
+        for (r, row) in sums.iter_mut().enumerate() {
+            axpy(row, a, head(&b[r * LANES..]));
+        }
+    }
+    *acc = sums;
+}
+
+/// The tiles of output positions `k0..k0 + span` of every image.  A tile
+/// is one position of `ROWS` images, whose windows agree: each kernel row
+/// of the window that reads a non-zero input in one of the images is a
+/// segment of `(kw, in_c)` steps, contiguous in the input and in the
+/// weights, listed once with where it reads in the first image (rows past
+/// the last image repeat it and are not stored); a `sparse` input packs only
+/// the steps where one of the images reads a non-zero value.
+struct Tiles {
+    sparse: bool,
+    segments: Vec<(usize, usize, usize)>,
+    packed: Vec<(u32, [f32; ROWS])>,
+    tiles: Vec<TileSteps>,
+}
+
+/// One tile: its position in the run, its images, their input offsets and
+/// its range of `Tiles::segments` or `Tiles::packed`.
+struct TileSteps {
+    local: usize,
+    images: Range<usize>,
+    inputs: [usize; ROWS],
+    steps: Range<usize>,
+}
+
+impl Tiles {
+    fn new(g: &Geometry, (x, sparse): (&[f32], bool), (k0, span): (usize, usize)) -> Tiles {
+        let (c, kw, n) = (g.c, g.kw, g.n);
+        let image = g.h * g.w * c;
+        let mut t = Tiles {
+            sparse,
+            segments: Vec::new(),
+            packed: Vec::new(),
+            tiles: Vec::new(),
+        };
+        for (local, (position, _, oh, ow)) in g.scan(k0).take(span).enumerate() {
+            let (kr, kc) = g.window(oh, ow);
+            let len = kc.len() * c;
+            for b0 in (0..n).step_by(ROWS) {
+                let live = ROWS.min(n - b0);
+                let inputs: [usize; ROWS] = std::array::from_fn(|r| (b0 + r.min(live - 1)) * image);
+                let first = t.segments.len() + t.packed.len();
+                for dkh in kr.clone() {
+                    let s0 = (dkh * kw + kc.start) * c;
+                    let offset = g.input(position, dkh, kc.start) * c;
+                    if sparse {
+                        for k in 0..len {
+                            let values = inputs.map(|row| x[offset + row + k]);
+                            if values[..live].iter().any(|&v| v != 0.0) {
+                                t.packed.push(((s0 + k) as u32, values));
+                            }
+                        }
+                    } else {
+                        let reads =
+                            |&row: &usize| x[offset + row..][..len].iter().any(|&v| v != 0.0);
+                        if inputs[..live].iter().any(reads) {
+                            t.segments.push((s0, len, offset));
+                        }
+                    }
+                }
+                let last = t.segments.len() + t.packed.len();
+                t.tiles.push(TileSteps {
+                    local,
+                    images: b0..b0 + live,
+                    inputs,
+                    steps: first..last,
+                });
+            }
+        }
+        t
+    }
+}
+
+/// The forward kernel for output channels `outs` over the tiles of a run of
+/// output positions, whose rows `rows` holds (`rows[image · span + k]` the
+/// channels `outs` of the run's position `k`).  The steps run in blocks
+/// whose weights for `outs` fit in L1 (`L1_FLOATS`): the block's weights
+/// are packed `[step][outs]` (zero past `out_c`), and every tile and group
+/// of `LANES` channels takes up its sums, runs the block's part of its steps
+/// and puts them back.  The bias is added to each finished sum.
+fn forward_tiles(
+    g: &Geometry,
+    (x, t): (&[f32], &Tiles),
+    (weights, bias): (&[f32], &[f32]),
+    outs: Range<usize>,
+    rows: &mut [&mut [f32]],
+) {
+    let oc = g.oc;
+    let span = rows.len() / g.n;
+    let steps = g.taps() * g.c;
+    let stride = outs.len().next_multiple_of(LANES);
+    let block = (L1_FLOATS / stride).max(1);
+    let mut part = Vec::with_capacity(g.kh);
+    let mut panel = vec![0.0f32; block * stride];
+    for kb in (0..steps).step_by(block) {
+        let (ke, last) = ((kb + block).min(steps), kb + block >= steps);
+        // The block's weights for `outs`, `[step][stride]`, zero past
+        // `out_c`: one pass of independent loads, then all reads hit L1.
+        for (dst, row) in panel
+            .chunks_exact_mut(stride)
+            .zip(weights[kb * oc..ke * oc].chunks_exact(oc))
+        {
+            dst[..outs.len()].copy_from_slice(&row[outs.clone()]);
+        }
+        for TileSteps {
+            local,
+            images,
+            inputs,
+            steps: run,
+        } in &t.tiles
+        {
+            // The tile's steps in this block.
+            let steps = if t.sparse {
+                let steps = &t.packed[run.clone()];
+                let lo = steps.partition_point(|&(k, _)| (k as usize) < kb);
+                let hi = steps.partition_point(|&(k, _)| (k as usize) < ke);
+                Steps::Packed(&steps[lo..hi])
+            } else {
+                part.clear();
+                for &(s0, len, offset) in &t.segments[run.clone()] {
+                    let (lo, hi) = (s0.max(kb), (s0 + len).min(ke));
+                    if lo < hi {
+                        part.push((lo, hi - lo, offset + lo - s0));
+                    }
+                }
+                Steps::Segments(&part, x, *inputs)
+            };
+            let empty = match steps {
+                Steps::Packed(steps) => steps.is_empty(),
+                Steps::Segments(segments, ..) => segments.is_empty(),
+            };
+            if empty && !last {
+                continue;
+            }
+            for o in outs.clone().step_by(LANES) {
+                let (width, at) = (LANES.min(oc - o), o - outs.start);
+                let mut acc = [[0.0f32; LANES]; ROWS];
+                if kb > 0 {
+                    for (sums, b) in acc.iter_mut().zip(images.clone()) {
+                        sums[..width].copy_from_slice(&rows[b * span + local][at..][..width]);
+                    }
+                }
+                outer_tile(&mut acc, steps, (&panel[at..], stride, kb));
+                for (sums, b) in acc.iter().zip(images.clone()) {
+                    let y = &mut rows[b * span + local][at..][..width];
+                    if last {
+                        for ((y, &s), &bv) in y.iter_mut().zip(sums).zip(&bias[o..]) {
+                            *y = s + bv;
+                        }
+                    } else {
+                        y.copy_from_slice(&sums[..width]);
+                    }
+                }
             }
         }
     }
 }
 
-/// Runs `job(channels, images, out)` over blocks of up to `block` of the
-/// `channels` channels of an NHWC tensor with `n` images of `hw` positions,
-/// writing into `out`.  The `out` slice a job gets holds its images'
-/// positions, each with its block's channels contiguous
-/// (`[position][channels.len()]`, starting at zero).
-///
-/// A single block runs per image straight in `out`; wider tensors run one
-/// job per block over all images and are interleaved afterwards.
-fn for_channel_blocks(
-    n: usize,
-    hw: usize,
-    (channels, block): (usize, usize),
-    out: &mut [f32],
-    job: impl Fn(Range<usize>, Range<usize>, &mut [f32]) + Sync,
-) {
-    if channels <= block {
-        out.par_chunks_mut(hw * channels)
-            .enumerate()
-            .for_each(|(b, image)| job(0..channels, b..b + 1, image));
-        return;
+/// Copies `x` into `padded` with `kw - 1` zero columns around each image
+/// row (`pw` before) and `ph` zero rows before the first, so that a kernel
+/// row's `kw · in_c` inputs for any output position are contiguous, read
+/// zero left and right of the map, and start at position
+/// `(row + dkh) · (w + kw - 1) + ow` for kernel row `dkh` of flat image row
+/// `row`.
+fn pad_columns(g: &Geometry, x: &[f32], padded: &mut Vec<f32>) {
+    let (c, wp) = (g.c, g.w + g.kw - 1);
+    padded.clear();
+    padded.resize((g.n * g.h + g.kh - 1) * wp * c + TILE, 0.0);
+    let rows = padded[g.ph * wp * c..].chunks_mut(wp * c);
+    for (dst, src) in rows.zip(x.chunks(g.w * c)) {
+        dst[g.pw * c..][..g.w * c].copy_from_slice(src);
     }
-    let rows = n * hw;
-    let mut blocks = vec![0.0f32; channels.div_ceil(block) * rows * block];
-    blocks
-        .par_chunks_mut(rows * block)
-        .enumerate()
-        .for_each(|(k, buf)| {
-            let range = k * block..channels.min((k + 1) * block);
-            let width = range.len();
-            job(range, 0..n, &mut buf[..rows * width]);
-        });
-    for (k, buf) in blocks.chunks(rows * block).enumerate() {
-        let c0 = k * block;
-        let width = channels.min(c0 + block) - c0;
-        for (dst, src) in out.chunks_mut(channels).zip(buf.chunks(width)) {
-            dst[c0..c0 + width].copy_from_slice(src);
+}
+
+/// Indexes the non-zero entries of `dy` by output position and by output
+/// channel.  The rows are gathered branch-free: max-pooling scatters them
+/// at random.
+fn index_nonzeros(g: &Geometry, dy: &[f32], s: &mut Scratch) {
+    let oc = g.oc;
+    if s.by_position.len() < dy.len() {
+        s.by_position.resize(dy.len(), (0, 0.0));
+    }
+    s.position_start.clear();
+    s.position_start.push(0);
+    let mut len = 0;
+    for row in dy.chunks(oc) {
+        for (o, &v) in row.iter().enumerate() {
+            s.by_position[len] = (o as u32, v);
+            len += usize::from(v != 0.0);
+        }
+        s.position_start.push(len);
+    }
+    let nonzero = &s.by_position[..len];
+    // Channel `o`'s entries start at `channel_start[o]`: count into
+    // `o + 1`, sum, fill with each start as its channel's cursor (leaving
+    // it at the next channel's start), then shift the cursors back.
+    s.channel_start.clear();
+    s.channel_start.resize(oc + 1, 0);
+    for &(o, _) in nonzero {
+        s.channel_start[o as usize + 1] += 1;
+    }
+    for o in 0..oc {
+        s.channel_start[o + 1] += s.channel_start[o];
+    }
+    s.by_channel.clear();
+    s.by_channel.resize(len, Entry::default());
+    let wp = g.w + g.kw - 1;
+    for (run, (_, row, oh, ow)) in s.position_start.windows(2).zip(g.scan(0)) {
+        let (kr, kc) = g.window(oh, ow);
+        let base = ((row * wp + ow) * g.c) as u32;
+        let (rows, cols) = (
+            [kr.start, kr.end].map(|k| k as u16),
+            [kc.start, kc.end].map(|k| k as u16),
+        );
+        for &(o, value) in &nonzero[run[0]..run[1]] {
+            let slot = &mut s.channel_start[o as usize];
+            s.by_channel[*slot] = Entry {
+                value,
+                base,
+                rows,
+                cols,
+            };
+            *slot += 1;
+        }
+    }
+    s.channel_start.copy_within(..oc, 1);
+    s.channel_start[0] = 0;
+}
+
+/// The `dW` kernel for kernel row `dkh`, whose `kw · in_c` rows of `out_c`
+/// gradients `gw` holds.  A tile holds `TILE` consecutive `(kw, in_c)`
+/// entries of one output channel; every non-zero `dY` entry of that channel
+/// whose window reaches the tile's kernel columns, in ascending position,
+/// adds its value times the inputs under the kernel row.  The tiles run
+/// column run by column run, every channel's tile of a run in turn (their
+/// gradient rows stay in L1), with the entries filtered once per run of
+/// tiles over the same kernel columns.
+fn weight_grad_row(
+    g: &Geometry,
+    dkh: usize,
+    padded: &[f32],
+    (entries, channel_start): (&[Entry], &[usize]),
+    gw: &mut [f32],
+) {
+    let (c, oc) = (g.c, g.oc);
+    let shift = dkh * (g.w + g.kw - 1) * c;
+    let span = g.kw * c;
+    // Each channel's terms for the current columns, `starts[o]..starts[o + 1]`.
+    let mut terms: Vec<(f32, usize)> = vec![(0.0, 0); entries.len()];
+    let mut starts = vec![0; oc + 1];
+    let mut columns = None;
+    for start in (0..span).step_by(TILE) {
+        let end = span.min(start + TILE);
+        let (first, last) = ((start / c) as u16, ((end - 1) / c) as u16);
+        if columns != Some((first, last)) {
+            columns = Some((first, last));
+            let mut len = 0;
+            for (o, run) in channel_start.windows(2).enumerate() {
+                for e in &entries[run[0]..run[1]] {
+                    terms[len] = (e.value, e.base as usize + shift);
+                    let row = usize::from(e.rows[0]) <= dkh && dkh < usize::from(e.rows[1]);
+                    len += usize::from(row && e.cols[0] <= last && first < e.cols[1]);
+                }
+                starts[o + 1] = len;
+            }
+        }
+        let rows = &mut gw[start * oc..end * oc];
+        for (o, run) in starts.windows(2).enumerate() {
+            let mut acc = [[0.0f32; LANES]; ROWS];
+            for (s, row) in acc.as_flattened_mut().iter_mut().zip(rows.chunks_exact(oc)) {
+                *s = row[o];
+            }
+            wide_tile(
+                &mut acc,
+                terms[run[0]..run[1]].iter().copied(),
+                &padded[start..],
+            );
+            for (&s, row) in acc.as_flattened().iter().zip(rows.chunks_exact_mut(oc)) {
+                row[o] = s;
+            }
         }
     }
 }
 
-/// `acc += a · x`, element-wise.
-#[inline]
-fn axpy(acc: &mut [f32], a: f32, x: &[f32]) {
-    for (v, &xv) in acc.iter_mut().zip(x) {
-        *v += a * xv;
+/// The `dX` kernel for input channels `c0..c0 + width`, into `dx`
+/// (`[position][width]`).  The group's weights are packed
+/// `[out_c][tap][width]`; for each output position in scan order, the
+/// `(tap, channel)` partials of its window are summed a tile at a time over
+/// its non-zero `dY` entries in channel order, then added to the inputs they
+/// belong to, one kernel row's run at a time.
+fn input_grad_group(
+    g: &Geometry,
+    weights: &[f32],
+    (c0, width): (usize, usize),
+    (entries, position_start): (&[(u32, f32)], &[usize]),
+    dx: &mut [f32],
+) {
+    let (kw, taps, oc) = (g.kw, g.taps(), g.oc);
+    let mut group = vec![0.0f32; oc * taps * width + TILE];
+    for (tap, wt) in weights.chunks(g.c * oc).enumerate() {
+        for l in 0..width {
+            for (o, &v) in wt[(c0 + l) * oc..][..oc].iter().enumerate() {
+                group[(o * taps + tap) * width + l] = v;
+            }
+        }
+    }
+    // Each kernel row's lanes that read inside the map, and where the first
+    // lands in `dx`.
+    let mut rows: Vec<(Range<usize>, usize)> = Vec::with_capacity(g.kh);
+    for (run, (p, _, oh, ow)) in position_start.windows(2).zip(g.scan(0)) {
+        let entries = &entries[run[0]..run[1]];
+        let (kr, kc) = g.window(oh, ow);
+        if entries.is_empty() || kr.is_empty() || kc.is_empty() {
+            continue;
+        }
+        rows.clear();
+        rows.extend(kr.map(|dkh| {
+            let lanes = (dkh * kw + kc.start) * width..(dkh * kw + kc.end) * width;
+            (lanes, g.input(p, dkh, kc.start) * width)
+        }));
+        let (first, last) = (rows[0].0.start, rows[rows.len() - 1].0.end);
+        for start in (first..last).step_by(TILE) {
+            let end = last.min(start + TILE);
+            if !rows
+                .iter()
+                .any(|(lanes, _)| lanes.start < end && start < lanes.end)
+            {
+                continue;
+            }
+            let mut acc = [[0.0f32; LANES]; ROWS];
+            let terms = entries.iter().map(|&(o, v)| (v, o as usize * taps * width));
+            wide_tile(&mut acc, terms, &group[start..]);
+            let acc = acc.as_flattened();
+            for (lanes, at) in &rows {
+                let (lo, hi) = (lanes.start.max(start), lanes.end.min(end));
+                if lo < hi {
+                    let dst = &mut dx[at + lo - lanes.start..][..hi - lo];
+                    for (d, &a) in dst.iter_mut().zip(&acc[lo - start..hi - start]) {
+                        *d += a;
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -222,172 +680,111 @@ impl Layer for Conv2d {
     fn forward(&mut self, input: &Tensor, training: bool) -> Tensor {
         let [n, h, w, c]: [usize; 4] = input.shape().try_into().expect("Conv2d expects NHWC input");
         assert_eq!(c, self.in_channels, "channel mismatch");
-        let oc = self.out_channels;
-        let (x, weights) = (input.data(), &self.weights.value);
+        let g = self.geometry([n, h, w]);
+        let (x, oc, hw) = (input.data(), g.oc, h * w);
         let mut out = Tensor::zeros(&[n, h, w, oc]);
-        // One input channel (the one-hot first layer) has one term per tap:
-        // run each image over all output channels at once.
-        let block = if c == 1 { oc } else { BLOCK };
-        let kernel = self.kernel();
-        for_channel_blocks(
-            n,
-            h * w,
-            (oc, block),
-            out.data_mut(),
-            |outs, images, acc| {
-                let (nb, first) = (outs.len(), images.start * h * w);
-                for (tap, wt) in weights.chunks(c * oc).enumerate() {
-                    for (o, i) in tap_pairs((h, w), kernel, tap, images.clone()) {
-                        let xr = &x[i * c..(i + 1) * c];
-                        if xr.iter().all(|&xv| xv == 0.0) {
-                            continue;
-                        }
-                        let terms = xr.iter().enumerate().map(|(ci, &xv)| (xv, ci * oc));
-                        accumulate(&mut acc[(o - first) * nb..][..nb], terms, &wt[outs.start..]);
-                    }
+        // Jobs over blocks of output channels (whose weights stay cached)
+        // and runs of positions of every image.  Each output element is
+        // summed inside one tile, so the split cannot change a bit.
+        let block = BLOCK_GROUPS * LANES;
+        let blocks = oc.div_ceil(block);
+        let runs = g
+            .jobs(hw)
+            .min(rayon::current_num_threads())
+            .div_ceil(blocks);
+        let span = hw.div_ceil(runs);
+        let mut jobs: Vec<Vec<&mut [f32]>> = (0..hw.div_ceil(span) * blocks)
+            .map(|_| Vec::new())
+            .collect();
+        for image in out.data_mut().chunks_mut(hw * oc) {
+            for (k, row) in image.chunks_mut(oc).enumerate() {
+                for (j, outs) in row.chunks_mut(block).enumerate() {
+                    jobs[k / span * blocks + j].push(outs);
                 }
-            },
-        );
-        gemm::add_bias_rows(n * h * w, oc, &self.bias.value, out.data_mut());
-        self.cached_input = training.then(|| input.clone());
+            }
+        }
+        // A mostly-zero input (the one-hot first layer) packs only its
+        // non-zero steps.  Each run's tiles are listed once, for all blocks.
+        let sparse = 2 * x.iter().filter(|&&v| v == 0.0).count() > x.len();
+        let starts: Vec<usize> = (0..hw).step_by(span).collect();
+        let tiles: Vec<Tiles> = starts
+            .par_iter()
+            .map(|&k0| Tiles::new(&g, (x, sparse), (k0, span.min(hw - k0))))
+            .collect();
+        let operands = (&self.weights.value[..], &self.bias.value[..]);
+        jobs.par_chunks_mut(1).enumerate().for_each(|(k, job)| {
+            let (run, j) = (k / blocks, k % blocks);
+            let outs = j * block..oc.min((j + 1) * block);
+            forward_tiles(&g, (x, &tiles[run]), operands, outs, &mut job[0]);
+        });
+        drop(jobs);
+        if training {
+            pad_columns(&g, x, &mut self.scratch.padded);
+        }
+        self.cached_images = training.then_some([n, h, w]);
         out
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let input = self
-            .cached_input
-            .as_ref()
+        let images = self
+            .cached_images
             .expect("training forward before backward");
-        let [n, h, w, c]: [usize; 4] = input.shape().try_into().expect("NHWC input");
-        let (kw, oc) = (self.kernel_w, self.out_channels);
-        let (ph, pw) = self.pads();
-        let (x, dy) = (input.data(), grad_output.data());
-        assert_eq!(dy.len(), n * h * w * oc, "gradient shape mismatch");
+        let g = self.geometry(images);
+        let Conv2d {
+            weights,
+            bias,
+            scratch: s,
+            ..
+        } = self;
+        let (positions, c) = (g.n * g.h * g.w, g.c);
+        let dy = grad_output.data();
+        assert_eq!(dy.len(), positions * g.oc, "gradient shape mismatch");
         // db += column sums of dY.
-        gemm::col_sums_acc(n * h * w, oc, dy, &mut self.bias.grad);
+        gemm::col_sums_acc(positions, g.oc, dy, &mut bias.grad);
+        index_nonzeros(&g, dy, s);
 
-        // The non-zero entries of each dY row, as `(channel, value)` runs
-        // (gathered branch-free: max-pooling scatters them at random).
-        let mut nz = Vec::new();
-        let mut nz_start = Vec::with_capacity(n * h * w + 1);
-        nz_start.push(0);
-        let mut row_nz = vec![(0usize, 0.0f32); oc];
-        for row in dy.chunks(oc) {
-            let mut len = 0;
-            for (o, &v) in row.iter().enumerate() {
-                row_nz[len] = (o, v);
-                len += usize::from(v != 0.0);
-            }
-            nz.extend_from_slice(&row_nz[..len]);
-            nz_start.push(nz.len());
-        }
-        let nz_row = |r: usize| &nz[nz_start[r]..nz_start[r + 1]];
-
-        // dW[tap] += Σ x[in] ⊗ dY[out] over the tap's output positions in
-        // ascending order.  The tap's block is accumulated transposed,
-        // `[out_c][in_c]`, so each non-zero dY entry is one contiguous axpy
-        // over x[in]; one input channel needs no transpose and takes the dY
-        // row whole.
-        let kernel = self.kernel();
-        self.weights
+        // dW, in jobs of whole kernel rows.
+        let (padded, by_channel) = (&s.padded[..], (&s.by_channel[..], &s.channel_start[..]));
+        let (row, per_job) = (g.kw * c * g.oc, g.kh.div_ceil(g.jobs(g.kh)));
+        weights
             .grad
-            .par_chunks_mut(c * oc)
+            .par_chunks_mut(per_job * row)
             .enumerate()
-            .for_each(|(tap, gw)| {
-                let pairs = tap_pairs((h, w), kernel, tap, 0..n);
-                if c == 1 {
-                    for (o, i) in pairs {
-                        if x[i] != 0.0 {
-                            axpy(gw, x[i], &dy[o * oc..(o + 1) * oc]);
-                        }
-                    }
-                    return;
-                }
-                let mut gt = vec![0.0f32; oc * c];
-                for (ci, g) in gw.chunks(oc).enumerate() {
-                    for (o, &gv) in g.iter().enumerate() {
-                        gt[o * c + ci] = gv;
-                    }
-                }
-                for (o, i) in pairs {
-                    let xr = &x[i * c..(i + 1) * c];
-                    if xr.iter().all(|&xv| xv == 0.0) {
-                        continue;
-                    }
-                    for &(j, v) in nz_row(o) {
-                        axpy(&mut gt[j * c..(j + 1) * c], v, xr);
-                    }
-                }
-                for (ci, g) in gw.chunks_mut(oc).enumerate() {
-                    for (o, gv) in g.iter_mut().enumerate() {
-                        *gv = gt[o * c + ci];
-                    }
+            .for_each(|(k, gw)| {
+                for (i, gw) in gw.chunks_mut(row).enumerate() {
+                    weight_grad_row(&g, k * per_job + i, padded, by_channel, gw);
                 }
             });
 
-        // dX: per input-channel block, output positions in scan order, each
-        // position's partials for all its valid taps; the block's weights
-        // are repacked as `[out_c][kh][kw][block]` so a partial is a
-        // contiguous axpy per non-zero dY entry.  With one input channel a
-        // kernel row holds too few lanes, so whole kernel rows go at once.
-        let (kh, weights) = (self.kernel_h, &self.weights.value);
-        let mut grad_input = Tensor::zeros(input.shape());
-        for_channel_blocks(
-            n,
-            h * w,
-            (c, BLOCK),
-            grad_input.data_mut(),
-            |ins, images, dx| {
-                let (nc, taps) = (ins.len(), kh * kw);
-                let mut tile = vec![0.0f32; oc * taps * nc];
-                for tap in 0..taps {
-                    for (l, ci) in ins.clone().enumerate() {
-                        let wr = &weights[(tap * c + ci) * oc..][..oc];
-                        for (o, &wv) in wr.iter().enumerate() {
-                            tile[(o * taps + tap) * nc + l] = wv;
-                        }
-                    }
+        // dX, in jobs of whole groups of input channels.
+        let width = g.group_width();
+        let (groups, run) = (c.div_ceil(width), positions * width);
+        let per_job = groups.div_ceil(g.jobs(groups));
+        s.staged.clear();
+        s.staged.resize(groups * run, 0.0);
+        let by_position = (&s.by_position[..], &s.position_start[..]);
+        let weights = &weights.value[..];
+        s.staged
+            .par_chunks_mut(per_job * run)
+            .enumerate()
+            .for_each(|(k, dx)| {
+                for (i, dx) in dx.chunks_mut(run).enumerate() {
+                    let c0 = (k * per_job + i) * width;
+                    input_grad_group(&g, weights, (c0, width.min(c - c0)), by_position, dx);
                 }
-                let mut partial = vec![0.0f32; taps * nc];
-                for (bi, b) in images.enumerate() {
-                    for (oh, ow) in (0..h).flat_map(|oh| (0..w).map(move |ow| (oh, ow))) {
-                        let entries = nz_row((b * h + oh) * w + ow);
-                        // The kernel rows and columns that read inside the map.
-                        let rows = ph.saturating_sub(oh)..(h + ph - oh).min(kh);
-                        let cols = pw.saturating_sub(ow)..(w + pw - ow).min(kw);
-                        if entries.is_empty() || rows.is_empty() || cols.is_empty() {
-                            continue;
-                        }
-                        if nc == 1 {
-                            let lanes = rows.start * kw..rows.end * kw;
-                            let p = &mut partial[lanes.clone()];
-                            p.fill(0.0);
-                            for &(o, v) in entries {
-                                axpy(p, v, &tile[o * taps..][lanes.clone()]);
-                            }
-                        } else {
-                            for dkh in rows.clone() {
-                                for tap in dkh * kw + cols.start..dkh * kw + cols.end {
-                                    let p = &mut partial[tap * nc..(tap + 1) * nc];
-                                    p.fill(0.0);
-                                    let terms =
-                                        entries.iter().map(|&(o, v)| (v, (o * taps + tap) * nc));
-                                    accumulate(p, terms, &tile);
-                                }
-                            }
-                        }
-                        for dkh in rows {
-                            let first = (bi * h + oh + dkh - ph) * w + ow + cols.start - pw;
-                            let dst = &mut dx[first * nc..][..cols.len() * nc];
-                            let src = &partial[(dkh * kw + cols.start) * nc..];
-                            for (d, &pv) in dst.iter_mut().zip(src) {
-                                *d += pv;
-                            }
-                        }
-                    }
-                }
-            },
-        );
+            });
+        let mut grad_input = Tensor::zeros(&[g.n, g.h, g.w, c]);
+        for (k, staged) in s.staged.chunks(run).enumerate() {
+            let c0 = k * width;
+            let width = width.min(c - c0);
+            for (dst, src) in grad_input
+                .data_mut()
+                .chunks_mut(c)
+                .zip(staged.chunks(width))
+            {
+                dst[c0..c0 + width].copy_from_slice(src);
+            }
+        }
         grad_input
     }
 
@@ -572,6 +969,24 @@ mod tests {
                     "kernel {kernel:?}, {in_c} -> {out_c}: {x} vs {y}"
                 );
             }
+        }
+    }
+
+    /// A mostly-zero input takes the packed-steps path; with eight channels
+    /// of a 6×12 kernel its steps span several weight blocks.
+    #[test]
+    fn sparse_input_matches_reference() {
+        let mut input = seeded_input(&[5, 6, 6, 8], 17);
+        for (i, v) in input.data_mut().iter_mut().enumerate() {
+            if i % 5 != 0 {
+                *v = 0.0;
+            }
+        }
+        let [(_, mut conv_fast), (_, mut conv_ref)] = both((6, 12), 8, 36);
+        let a = conv_ref.forward(&input, false);
+        let b = conv_fast.forward(&input, false);
+        for (x, y) in a.data().iter().zip(b.data()) {
+            assert!((x - y).abs() <= 1e-4 * x.abs().max(1.0), "{x} vs {y}");
         }
     }
 

@@ -48,7 +48,7 @@ impl Dense {
 }
 
 impl Layer for Dense {
-    fn forward(&mut self, input: &Tensor, _training: bool) -> Tensor {
+    fn forward(&mut self, input: &Tensor, training: bool) -> Tensor {
         assert_eq!(input.shape().len(), 2, "Dense expects [batch, features]");
         let batch = input.shape()[0];
         assert_eq!(input.shape()[1], self.in_features, "feature mismatch");
@@ -62,12 +62,17 @@ impl Layer for Dense {
             out.data_mut(),
         );
         gemm::add_bias_rows(batch, self.out_features, &self.bias.value, out.data_mut());
-        self.cached_input = Some(input.clone());
+        // Only a training pass is followed by `backward`; inference keeps
+        // no copy of its input.
+        self.cached_input = training.then(|| input.clone());
         out
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let input = self.cached_input.as_ref().expect("forward before backward");
+        let input = self
+            .cached_input
+            .as_ref()
+            .expect("training forward before backward");
         let batch = input.shape()[0];
         let dy = grad_output.data();
         // db += column sums of dY.

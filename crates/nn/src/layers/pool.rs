@@ -92,8 +92,10 @@ impl Layer for MaxPool2d {
         let oh = (h / self.window_h).max(1);
         let ow = (w / self.window_w).max(1);
         let mut out = Tensor::zeros(&[n, oh, ow, c]);
-        self.cached_argmax = vec![0; out.len()];
-        self.cached_input_shape = input.shape().to_vec();
+        // Every entry is written below: the buffers are only resized.
+        self.cached_argmax.resize(out.len(), 0);
+        self.cached_input_shape.clear();
+        self.cached_input_shape.extend_from_slice(input.shape());
         // Values and argmax routing are written straight into disjoint
         // per-image chunks of the output and the cache (no temporaries).
         let data = input.data();

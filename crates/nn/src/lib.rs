@@ -13,9 +13,11 @@
 //! * a sequential [`Network`] with mini-batch training.
 //!
 //! The trainable layers compute one way: blocked, cache-tiled, parallel GEMMs
-//! (the [`gemm`] module) for the dense and locally-connected layers, and a
-//! direct per-tap convolution over the valid window for [`Conv2d`], which
-//! skips the zero padding and the zero gradients max-pooling leaves.  That is
+//! (the [`gemm`] module) for the dense and locally-connected layers, and for
+//! [`Conv2d`] one register-tiled micro-kernel — 5 × 8 sums kept in registers,
+//! the same at every channel count — that runs its forward, weight gradient
+//! and input gradient over the valid window only, skipping the zero padding
+//! and the zero gradients max-pooling leaves.  That is
 //! what makes the paper's full-size 2×200-kernel classifier trainable in
 //! minutes on a CPU.  The path is bit-deterministic across thread counts.  The
 //! scalar loop nests the crate started from are kept only as a test oracle

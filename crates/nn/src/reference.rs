@@ -1,8 +1,8 @@
 //! The oracle: the scalar loop nests the trainable layers started from.
 //!
 //! `nn` has one compute path: the dense and locally-connected layers run the
-//! blocked GEMMs of [`crate::gemm`], the convolution its direct per-tap
-//! loops over the valid window.  This module is the other
+//! blocked GEMMs of [`crate::gemm`], the convolution one register-tiled
+//! micro-kernel over the valid window.  This module is the other
 //! implementation — the seed's obviously structured loop nests for
 //! [`crate::Conv2d`], [`crate::Dense`] and [`crate::LocallyConnected2d`].
 //! [`Scalar`] wraps a production layer and runs those loops over its

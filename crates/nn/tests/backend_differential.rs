@@ -34,26 +34,33 @@ fn figure3_net(seed: u64) -> Network {
 /// paper-scale `n × 2n` kernel, which on the second stage's 6 × 6 map has
 /// taps that never land inside the input.
 fn figure3_net_with_kernel(kernel: (usize, usize), seed: u64) -> Network {
+    figure3_stack(kernel, (K, 16), seed)
+}
+
+/// The Figure 3 stack with `kernels` per convolution stage and `units` in the
+/// dense layer.
+fn figure3_stack(kernel: (usize, usize), (kernels, units): (usize, usize), seed: u64) -> Network {
+    let flat = (SIDE2 - 1) * (SIDE2 - 1) * (kernels / 2);
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut net = Network::new();
-    net.push(Conv2d::new(kernel, 1, K, &mut rng));
+    net.push(Conv2d::new(kernel, 1, kernels, &mut rng));
     net.push(ActivationLayer::new(Activation::Selu));
     net.push(MaxPool2d::new((2, 2)));
-    net.push(Conv2d::new(kernel, K, K, &mut rng));
+    net.push(Conv2d::new(kernel, kernels, kernels, &mut rng));
     net.push(ActivationLayer::new(Activation::Selu));
     net.push(MaxPool2d::new((2, 2)));
     net.push(LocallyConnected2d::new(
-        (SIDE2, SIDE2, K),
+        (SIDE2, SIDE2, kernels),
         (2, 2),
-        K / 2,
+        kernels / 2,
         &mut rng,
     ));
     net.push(ActivationLayer::new(Activation::Selu));
     net.push(Flatten::new());
-    net.push(Dense::new(FLAT, 16, &mut rng));
+    net.push(Dense::new(flat, units, &mut rng));
     net.push(ActivationLayer::new(Activation::Selu));
     net.push(Dropout::new(0.4, seed ^ 0x5EED));
-    net.push(Dense::new(16, CLASSES, &mut rng));
+    net.push(Dense::new(units, CLASSES, &mut rng));
     net
 }
 
@@ -81,6 +88,18 @@ fn figure3_reference_net(seed: u64) -> Network {
     net.push(Dropout::new(0.4, seed ^ 0x5EED));
     net.push(Scalar::new(Dense::new(16, CLASSES, &mut rng)));
     net
+}
+
+/// `n` flow encodings as `flowgen` builds them: 24 steps over 6
+/// transformations, one set cell per step, reshaped to `12 × 12`.
+fn one_hot_batch(n: usize, seed: u64) -> (Tensor, Vec<usize>) {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut data = vec![0.0f32; n * SIDE * SIDE];
+    for step in data.chunks_mut(6) {
+        step[rng.gen_range(0..6usize)] = 1.0;
+    }
+    let labels = (0..n).map(|_| rng.gen_range(0..CLASSES)).collect();
+    (Tensor::from_vec(&[n, SIDE, SIDE, 1], data), labels)
 }
 
 fn seeded_batch(n: usize, seed: u64) -> (Tensor, Vec<usize>) {
@@ -252,5 +271,124 @@ fn training_losses_are_pinned_bit_for_bit() {
             })
             .collect();
         assert_eq!(got, want, "kernel {kernel:?}: loss bits moved");
+    }
+}
+
+/// Loss bits of six seeded training steps of the laptop classifier
+/// (`flowgen::ClassifierConfig::default()`: 12 kernels of `3 × 6`, 32 dense
+/// units) on one-hot flow encodings.
+fn laptop_loss_bits() -> Vec<u32> {
+    let mut net = figure3_stack((3, 6), (12, 32), 29);
+    let mut opt = Optimizer::new(GradientDescent::RmsProp { decay: 0.9 }, 1e-3);
+    (0..6)
+        .map(|step| {
+            let (x, y) = one_hot_batch(5, 400 + step);
+            net.train_step(&x, &y, &mut opt).loss.to_bits()
+        })
+        .collect()
+}
+
+/// A hash of the bits of one convolution's output, input gradient, weight
+/// gradient and bias gradient after a training forward and a backward on
+/// `n` images of `side.0 × side.1`.  One input channel gets one-hot flow
+/// encodings, more get dense SELU-range values; `dY` is three in four exact
+/// zeros, as 2×2 max-pooling leaves it.
+fn conv_hash(
+    kernel: (usize, usize),
+    (in_c, out_c): (usize, usize),
+    (n, side): (usize, (usize, usize)),
+    seed: u64,
+) -> u64 {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut conv = Conv2d::new(kernel, in_c, out_c, &mut rng);
+    let x = if in_c == 1 {
+        one_hot_batch(n, seed).0
+    } else {
+        Tensor::from_vec(
+            &[n, side.0, side.1, in_c],
+            (0..n * side.0 * side.1 * in_c)
+                .map(|_| rng.gen_range(-1.5..2.0))
+                .collect(),
+        )
+    };
+    let out = conv.forward(&x, true);
+    let dy = Tensor::from_vec(
+        out.shape(),
+        (0..out.len())
+            .map(|_| match rng.gen_range(0..4) {
+                0 => rng.gen_range(-1.0..1.0),
+                _ => 0.0,
+            })
+            .collect(),
+    );
+    let dx = conv.backward(&dy);
+    let params = conv.params_mut();
+    // FNV-1a over the little-endian bytes of every bit pattern.
+    [out.data(), dx.data(), &params[0].grad, &params[1].grad]
+        .into_iter()
+        .flatten()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, byte| {
+            (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+/// The convolution shapes the classifiers train, each with its pinned hash:
+/// the one-hot first layer at 12 and 200 kernels, a channel count that fills
+/// no whole lane group, and the paper's second stage (`200 → 200`, `6 × 12`
+/// on a `6 × 6` map).
+fn conv_shape_hashes() -> Vec<(&'static str, u64)> {
+    vec![
+        (
+            "1 -> 12, 3x6 on 12x12",
+            conv_hash((3, 6), (1, 12), (5, (12, 12)), 41),
+        ),
+        (
+            "1 -> 200, 6x12 on 12x12",
+            conv_hash((6, 12), (1, 200), (5, (12, 12)), 42),
+        ),
+        (
+            "13 -> 7, 3x6 on 6x6",
+            conv_hash((3, 6), (13, 7), (5, (6, 6)), 43),
+        ),
+        (
+            "7 -> 13, 3x6 on 6x6",
+            conv_hash((3, 6), (7, 13), (5, (6, 6)), 44),
+        ),
+        (
+            "12 -> 12, 3x6 on 6x6",
+            conv_hash((3, 6), (12, 12), (5, (6, 6)), 45),
+        ),
+        (
+            "200 -> 200, 6x12 on 6x6",
+            conv_hash((6, 12), (200, 200), (2, (6, 6)), 46),
+        ),
+    ]
+}
+
+/// Literal bits of the laptop classifier's losses and of every convolution
+/// shape in [`conv_shape_hashes`], recorded from the convolution kernels
+/// before the tiled one.  They must hold at 1, 2, 4 and 8 threads.
+#[test]
+fn conv_shapes_are_pinned_bit_for_bit_at_every_thread_count() {
+    let laptop = [
+        1073464874, 1076223478, 1075464815, 1072113109, 1073680400, 1073324544,
+    ];
+    let shapes = [
+        ("1 -> 12, 3x6 on 12x12", 9756073935188487832),
+        ("1 -> 200, 6x12 on 12x12", 9706831825598047413),
+        ("13 -> 7, 3x6 on 6x6", 13799804795968372046),
+        ("7 -> 13, 3x6 on 6x6", 5014135769501871538),
+        ("12 -> 12, 3x6 on 6x6", 13091094424136216242),
+        ("200 -> 200, 6x12 on 6x6", 3697085164447924119),
+    ];
+    for threads in [1usize, 2, 4, 8] {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("pool");
+        let (losses, hashes) = pool.install(|| (laptop_loss_bits(), conv_shape_hashes()));
+        assert_eq!(losses, laptop, "{threads} threads: laptop loss bits moved");
+        assert_eq!(hashes, shapes, "{threads} threads: convolution bits moved");
     }
 }
