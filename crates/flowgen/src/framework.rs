@@ -11,6 +11,21 @@
 //! 3. **Output angel-flows and devil-flows** — predict a large pool of sample
 //!    flows and keep the most confident class-0 / class-n predictions
 //!    ([`select_angel_devil_flows`]).
+//!
+//! **Labelling overlaps training.**  The rounds' chunk boundaries depend only
+//! on the configuration, so they are fixed before anything is labelled.  The
+//! first chunk is labelled alone; from then on one [`rayon::join`] labels the
+//! next chunk (after the last round: the sample pool) on the calling thread
+//! while the classifier trains on the other operand, and a pool helper that
+//! finishes training joins the labelling waves.  Neither side reads what the
+//! other writes: training reads the split made before the join, labelling
+//! touches only the engine, and the sample pool is drawn right after the
+//! last split, where a sequential loop would draw it too (training never
+//! touches the run's RNG).  Every draw, label batch, split and training step
+//! therefore happens in the same order on the same data as when the two run
+//! one after the other — as they do at one thread, where `join` runs its
+//! operands in turn — and the report is bit-identical at any thread count,
+//! apart from its wall-clock fields.
 
 use std::sync::Arc;
 
@@ -36,11 +51,14 @@ pub struct FrameworkConfig {
     pub space: FlowSpace,
     /// The QoR metric to optimise (area- or delay-driven flows).
     pub metric: QorMetric,
-    /// Total number of labelled training flows to collect (paper: 10,000).
+    /// Total number of labelled training flows to collect (paper: 10,000);
+    /// at least one.
     pub training_flows: usize,
     /// Number of labelled flows required before the first training round (paper: 1000).
     pub initial_flows: usize,
-    /// Re-train after this many newly labelled flows (paper: 500).
+    /// Re-train after this many newly labelled flows (paper: 500).  Zero
+    /// means no intermediate rounds: the flows left after the first round
+    /// form one final round.
     pub retrain_interval: usize,
     /// Mini-batch steps per (re-)training round.
     pub steps_per_round: usize,
@@ -102,7 +120,10 @@ pub struct TrainingRound {
     /// accuracy of always answering that class, `holdout_accuracy`'s
     /// baseline (0 for an empty hold-out set).
     pub holdout_majority: f64,
-    /// Cumulative wall-clock seconds spent (data collection + training).
+    /// Wall-clock seconds from the start of the run to the end of this
+    /// round.  The round's training overlaps the labelling of the next chunk
+    /// (after the last round, of the sample pool), so this includes that
+    /// labelling and is not a sum of per-stage times.
     pub elapsed_s: f64,
 }
 
@@ -133,7 +154,8 @@ pub struct FrameworkReport {
     /// mappings the state graph answered, and transform passes avoided
     /// relative to naive batch evaluation.
     pub eval_stats: EvalStats,
-    /// Total wall-clock runtime in seconds.
+    /// Total wall-clock runtime in seconds (elapsed, not CPU time: labelling
+    /// and training overlap).
     pub runtime_s: f64,
 }
 
@@ -195,7 +217,9 @@ impl Framework {
         let start = std::time::Instant::now();
         let stats_before = self.engine.stats();
         let cfg = &self.config;
+        let ends = round_ends(cfg);
         let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
+        let label = |flows: &[Flow]| self.engine.evaluate_batch(design, flows);
 
         // ------------------------------------------------------------------
         // 1. Incremental training-data collection + (re-)training.
@@ -205,20 +229,19 @@ impl Framework {
         let mut classifier_config = cfg.classifier.clone();
         classifier_config.seed = cfg.seed ^ 0xC1A55;
         let mut classifier = FlowClassifier::new(encoder, classifier_config);
+        let percentiles = class_percentiles(cfg.classifier.num_classes);
 
         let mut collected_flows: Vec<Flow> = Vec::new();
         let mut collected_qors: Vec<Qor> = Vec::new();
-        let mut rounds: Vec<TrainingRound> = Vec::new();
-        let mut next_train_at = cfg.initial_flows.min(cfg.training_flows).max(1);
-
-        let mut cursor = 0usize;
-        while cursor < all_training_flows.len() {
-            let end = next_train_at.min(all_training_flows.len());
-            let chunk = &all_training_flows[cursor..end];
-            let qors = self.engine.evaluate_batch(design, chunk);
-            collected_flows.extend_from_slice(chunk);
-            collected_qors.extend_from_slice(&qors);
-            cursor = end;
+        let mut rounds: Vec<TrainingRound> = Vec::with_capacity(ends.len());
+        let mut sample_flows: Vec<Flow> = Vec::new();
+        // The labels of the chunk the next round trains on; after the last
+        // round, of the sample pool.
+        let mut labelled = label(&all_training_flows[..ends[0]]);
+        for (k, &end) in ends.iter().enumerate() {
+            let begin = collected_flows.len();
+            collected_flows.extend_from_slice(&all_training_flows[begin..end]);
+            collected_qors.append(&mut labelled);
 
             // Re-fit the determinators on everything collected so far
             // ("the definitions of classes may change dynamically").
@@ -226,7 +249,6 @@ impl Framework {
                 .iter()
                 .map(|q| q.metric(cfg.metric))
                 .collect();
-            let percentiles = class_percentiles(cfg.classifier.num_classes);
             let labeler = Labeler::from_percentiles(cfg.metric, &values, &percentiles);
             let dataset = Dataset::from_evaluations(
                 collected_flows.clone(),
@@ -234,8 +256,23 @@ impl Framework {
                 &labeler,
             );
             let (train, holdout) = dataset.split(0.2, &mut rng);
-            let loss = classifier.train(&train, cfg.steps_per_round);
-            let holdout_accuracy = classifier.accuracy(&holdout);
+            let next: &[Flow] = match ends.get(k + 1) {
+                Some(&next_end) => &all_training_flows[end..next_end],
+                None => {
+                    sample_flows = cfg.space.random_unique_flows(cfg.sample_flows, &mut rng);
+                    &sample_flows
+                }
+            };
+            // Label ahead on this thread while the classifier trains on the
+            // other operand; neither reads what the other writes.
+            let (qors, (loss, holdout_accuracy)) = rayon::join(
+                || label(next),
+                || {
+                    let loss = classifier.train(&train, cfg.steps_per_round);
+                    (loss, classifier.accuracy(&holdout))
+                },
+            );
+            labelled = qors;
             let hist = holdout.class_histogram(cfg.classifier.num_classes);
             let top = hist.into_iter().max().unwrap_or(0);
             rounds.push(TrainingRound {
@@ -245,29 +282,26 @@ impl Framework {
                 holdout_majority: top as f64 / holdout.len().max(1) as f64,
                 elapsed_s: start.elapsed().as_secs_f64(),
             });
-            next_train_at = (next_train_at + cfg.retrain_interval).min(cfg.training_flows);
         }
+        let sample_qors = labelled;
 
         // Final labeler / dataset over all training flows.
         let values: Vec<f64> = collected_qors
             .iter()
             .map(|q| q.metric(cfg.metric))
             .collect();
-        let percentiles = class_percentiles(cfg.classifier.num_classes);
         let labeler = Labeler::from_percentiles(cfg.metric, &values, &percentiles);
         let dataset = Dataset::from_evaluations(collected_flows, collected_qors, &labeler);
 
         // ------------------------------------------------------------------
         // 2. Classify the unlabeled sample pool and select angel/devil flows.
         // ------------------------------------------------------------------
-        let sample_flows = cfg.space.random_unique_flows(cfg.sample_flows, &mut rng);
         let probabilities = classifier.predict_proba(&sample_flows);
         let selection = select_angel_devil_flows(&sample_flows, &probabilities, cfg.output_flows);
 
         // ------------------------------------------------------------------
         // 3. Evaluation against ground truth (Section 4).
         // ------------------------------------------------------------------
-        let sample_qors = self.engine.evaluate_batch(design, &sample_flows);
         let sample_values: Vec<f64> = sample_qors.iter().map(|q| q.metric(cfg.metric)).collect();
         let sample_labeler = Labeler::from_percentiles(cfg.metric, &sample_values, &percentiles);
         let sample_labels: Vec<usize> = sample_qors
@@ -289,6 +323,26 @@ impl Framework {
             runtime_s: start.elapsed().as_secs_f64(),
         }
     }
+}
+
+/// How many labelled flows each training round trains on: `initial_flows`
+/// (at least one), then every `retrain_interval` more (a zero interval goes
+/// straight to the end), and `training_flows` last.
+fn round_ends(cfg: &FrameworkConfig) -> Vec<usize> {
+    let total = cfg.training_flows;
+    assert!(total > 0, "the framework needs at least one training flow");
+    let step = if cfg.retrain_interval == 0 {
+        total
+    } else {
+        cfg.retrain_interval
+    };
+    let mut end = cfg.initial_flows.clamp(1, total);
+    let mut ends = vec![end];
+    while end < total {
+        end = (end + step).min(total);
+        ends.push(end);
+    }
+    ends
 }
 
 /// Determinator percentiles for a `num_classes`-class model: the paper's six
@@ -414,6 +468,39 @@ mod tests {
         );
         assert_eq!(again.eval_stats.passes_applied, 0);
         assert_eq!(again.sample_qors, report.sample_qors);
+    }
+
+    #[test]
+    fn rounds_end_at_the_initial_flows_then_every_interval() {
+        let ends = |training_flows, initial_flows, retrain_interval| {
+            round_ends(&FrameworkConfig {
+                training_flows,
+                initial_flows,
+                retrain_interval,
+                ..quick_config(QorMetric::Area)
+            })
+        };
+        assert_eq!(ends(24, 12, 6), vec![12, 18, 24]);
+        assert_eq!(ends(25, 12, 6), vec![12, 18, 24, 25]);
+        assert_eq!(ends(8, 20, 3), vec![8]);
+        assert_eq!(ends(8, 0, 3), vec![1, 4, 7, 8]);
+        assert_eq!(ends(8, 4, 0), vec![4, 8]);
+        assert_eq!(ends(8, 8, 0), vec![8]);
+    }
+
+    #[test]
+    fn zero_retrain_interval_trains_the_rest_in_one_round() {
+        let design = Design::Alu64.generate(DesignScale::Tiny);
+        let report = Framework::new(FrameworkConfig {
+            training_flows: 8,
+            initial_flows: 4,
+            retrain_interval: 0,
+            ..quick_config(QorMetric::Area)
+        })
+        .run(&design);
+        let labelled: Vec<usize> = report.rounds.iter().map(|r| r.labelled_flows).collect();
+        assert_eq!(labelled, vec![4, 8]);
+        assert_eq!(report.dataset.len(), 8);
     }
 
     #[test]

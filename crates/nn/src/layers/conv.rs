@@ -248,6 +248,41 @@ impl Conv2d {
         self.out_channels
     }
 
+    /// Accumulates `db` and `dW` for `grad_output` and leaves its non-zero
+    /// entries indexed in the scratch for `dX`; returns the call's sizes.
+    fn param_grads(&mut self, grad_output: &Tensor) -> Geometry {
+        let images = self
+            .cached_images
+            .expect("training forward before backward");
+        let g = self.geometry(images);
+        let Conv2d {
+            weights,
+            bias,
+            scratch: s,
+            ..
+        } = self;
+        let positions = g.n * g.h * g.w;
+        let dy = grad_output.data();
+        assert_eq!(dy.len(), positions * g.oc, "gradient shape mismatch");
+        // db += column sums of dY.
+        gemm::col_sums_acc(positions, g.oc, dy, &mut bias.grad);
+        index_nonzeros(&g, dy, s);
+
+        // dW, in jobs of whole kernel rows.
+        let (padded, by_channel) = (&s.padded[..], (&s.by_channel[..], &s.channel_start[..]));
+        let (row, per_job) = (g.kw * g.c * g.oc, g.kh.div_ceil(g.jobs(g.kh)));
+        weights
+            .grad
+            .par_chunks_mut(per_job * row)
+            .enumerate()
+            .for_each(|(k, gw)| {
+                for (i, gw) in gw.chunks_mut(row).enumerate() {
+                    weight_grad_row(&g, k * per_job + i, padded, by_channel, gw);
+                }
+            });
+        g
+    }
+
     fn geometry(&self, [n, h, w]: [usize; 3]) -> Geometry {
         Geometry {
             n,
@@ -726,35 +761,13 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let images = self
-            .cached_images
-            .expect("training forward before backward");
-        let g = self.geometry(images);
+        let g = self.param_grads(grad_output);
         let Conv2d {
             weights,
-            bias,
             scratch: s,
             ..
         } = self;
         let (positions, c) = (g.n * g.h * g.w, g.c);
-        let dy = grad_output.data();
-        assert_eq!(dy.len(), positions * g.oc, "gradient shape mismatch");
-        // db += column sums of dY.
-        gemm::col_sums_acc(positions, g.oc, dy, &mut bias.grad);
-        index_nonzeros(&g, dy, s);
-
-        // dW, in jobs of whole kernel rows.
-        let (padded, by_channel) = (&s.padded[..], (&s.by_channel[..], &s.channel_start[..]));
-        let (row, per_job) = (g.kw * c * g.oc, g.kh.div_ceil(g.jobs(g.kh)));
-        weights
-            .grad
-            .par_chunks_mut(per_job * row)
-            .enumerate()
-            .for_each(|(k, gw)| {
-                for (i, gw) in gw.chunks_mut(row).enumerate() {
-                    weight_grad_row(&g, k * per_job + i, padded, by_channel, gw);
-                }
-            });
 
         // dX, in jobs of whole groups of input channels.
         let width = g.group_width();
@@ -786,6 +799,10 @@ impl Layer for Conv2d {
             }
         }
         grad_input
+    }
+
+    fn backward_params(&mut self, grad_output: &Tensor) {
+        self.param_grads(grad_output);
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -1043,6 +1060,25 @@ mod tests {
                     "{label} db: {x} vs {y}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn parameter_only_backward_accumulates_the_same_bits() {
+        let input = one_hot_input(2, 12, 12, 41);
+        let mut full = Conv2d::new((3, 6), 1, 12, &mut rng());
+        let mut params_only = Conv2d::new((3, 6), 1, 12, &mut rng());
+        let out = full.forward(&input, true);
+        let _ = params_only.forward(&input, true);
+        let grad_out = pooled_gradient(out.shape(), 42);
+        // Twice, so the second call accumulates onto the first.
+        for _ in 0..2 {
+            let _ = full.backward(&grad_out);
+            params_only.backward_params(&grad_out);
+        }
+        let bits = |p: &Param| p.grad.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+        for (a, b) in full.params_mut().into_iter().zip(params_only.params_mut()) {
+            assert_eq!(bits(a), bits(b));
         }
     }
 

@@ -40,6 +40,13 @@ pub trait Layer: std::fmt::Debug + Send {
     /// output) and returns the gradient w.r.t. the layer's input.
     fn backward(&mut self, grad_output: &Tensor) -> Tensor;
 
+    /// Accumulates the parameter gradients [`Layer::backward`] would, without
+    /// the input gradient: the network asks its first layer for this, since
+    /// nothing reads the gradient of the network's input.
+    fn backward_params(&mut self, grad_output: &Tensor) {
+        self.backward(grad_output);
+    }
+
     /// The layer's trainable parameters (empty for parameter-free layers).
     fn params_mut(&mut self) -> Vec<&mut Param> {
         Vec::new()

@@ -96,9 +96,12 @@ impl Network {
     ) -> LossOutput {
         let logits = self.forward(input, true);
         let loss = sparse_softmax_cross_entropy(&logits, labels);
-        let mut grad = loss.grad_logits.clone();
-        for layer in self.layers.iter_mut().rev() {
-            grad = layer.backward(&grad);
+        if let Some((first, rest)) = self.layers.split_first_mut() {
+            let mut grad = loss.grad_logits.clone();
+            for layer in rest.iter_mut().rev() {
+                grad = layer.backward(&grad);
+            }
+            first.backward_params(&grad);
         }
         let mut key = 0usize;
         for layer in &mut self.layers {
